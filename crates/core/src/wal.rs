@@ -12,11 +12,22 @@
 //!   network's trailer-word idea, widened from bytes to words so hashing a
 //!   multi-KiB `from_keys` record costs ⅛ the multiplies and stays off the
 //!   append path's critical ns budget). The payload is `[seq, tag, args…]`.
-//! * **Checkpoints** (`checkpoint.json`): the whole slab + root tables,
-//!   serialized through [`obs::json::J`] behind a leading CRC line, written
-//!   to a temp file and atomically renamed. A checkpoint bounds replay work;
-//!   the WAL keeps its full history so a corrupt checkpoint degrades to a
-//!   full genesis replay, never to data loss.
+//! * **Checkpoints** (`checkpoint.bin`): the whole slab + root tables as
+//!   one stream of the same `u64` LE words with the same word-folded
+//!   FNV-1a trailer, folded as the words stream out through one
+//!   `BufWriter` to a temp file that is `sync_data`'d and atomically
+//!   renamed. A free slab slot is a single `u64::MAX` tombstone; the full
+//!   layout is on [`write_checkpoint`]. The reader treats the image as
+//!   untrusted input: a length that is not a multiple of 8, a bad trailer,
+//!   magic or version, a count or id that overflows or outruns the image,
+//!   a child or parent naming no live slot, a duplicate heap slot or
+//!   leftover words discards it; the rest still goes through
+//!   `Arena::from_raw_parts`, and the recovered pool through `check_pool`.
+//!   A checkpoint bounds replay work; the WAL keeps its full history so a
+//!   discarded checkpoint degrades to a full genesis replay, never to data
+//!   loss. For the same reason a `checkpoint.json` from the earlier JSON
+//!   format is simply not read: that directory replays from genesis and
+//!   its next checkpoint is binary.
 //! * **Recovery** ([`HeapPool::recover`] / [`recover_dir`]): load the last
 //!   valid checkpoint (if any), replay every WAL record with a later
 //!   sequence number, and truncate the log at the first torn or
@@ -31,12 +42,13 @@
 //! mutation, the recovered state can only be **ahead** of what a crashed
 //! process had applied, never behind what it acknowledged.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use obs::flight::{self, EventKind};
-use obs::json::J;
 
 use crate::arena::{Arena, Node, NodeId};
 use crate::check::check_pool;
@@ -46,7 +58,7 @@ use crate::pool::{CapacityError, HeapPool, PooledHeap};
 /// The log file inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
 /// The checkpoint file inside a durability directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// Upper bound on a record's payload word count — anything larger is
 /// treated as a tear (a real record of this size would be a ~0.5 GiB
@@ -57,29 +69,19 @@ const MAX_PAYLOAD_WORDS: u64 = 1 << 26;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Byte-granular FNV-1a — used for the textual checkpoint body, where the
-/// input is a JSON string and throughput does not matter.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Word-granular FNV-1a for WAL record and checkpoint trailers: one
+/// xor+multiply per `u64` word instead of per byte. Records are all-words
+/// already, and a bulk `FromKeys` record can be multiple KiB — the byte
+/// loop's serial multiply chain (~1 ns/byte) would dominate the append
+/// path that the `wal_append_overhead` bench gate bounds at 1.15×.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(FNV_OFFSET, fnv1a_step)
 }
 
-/// Word-granular FNV-1a for WAL record trailers: one xor+multiply per
-/// `u64` word instead of per byte. Records are all-words already, and a
-/// bulk `FromKeys` record can be multiple KiB — the byte loop's serial
-/// multiply chain (~1 ns/byte) would dominate the append path that the
-/// `wal_append_overhead` bench gate bounds at 1.15×.
-fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        h ^= w;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// One word of the FNV-1a fold — shared with the streamed checkpoint
+/// writer, which folds its trailer as it goes.
+fn fnv1a_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
 /// One logical pool mutation, as logged. Slots and generations are the
@@ -406,29 +408,104 @@ pub fn truncate_wal(path: &Path, len: u64) -> std::io::Result<()> {
     f.set_len(len)
 }
 
-fn j_u64(j: &J) -> Option<u64> {
-    match j {
-        J::UInt(v) => Some(*v),
-        J::Int(v) => u64::try_from(*v).ok(),
-        _ => None,
+/// First word of a checkpoint image (`"MPQCKPT\0"` little-endian).
+const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"MPQCKPT\0");
+/// Checkpoint image layout version.
+const CHECKPOINT_VERSION: u64 = 1;
+/// Tombstone word in a checkpoint image: a free slab slot, an absent
+/// parent, an absent root. No id or degree ever takes this value.
+const NIL: u64 = u64::MAX;
+
+/// Streams `u64` LE words to `out`, folding each into the FNV-1a trailer.
+struct WordWriter<W: Write> {
+    out: W,
+    crc: u64,
+}
+
+impl<W: Write> WordWriter<W> {
+    fn new(out: W) -> Self {
+        WordWriter {
+            out,
+            crc: FNV_OFFSET,
+        }
+    }
+
+    fn words(&mut self, words: impl IntoIterator<Item = u64>) -> std::io::Result<()> {
+        for w in words {
+            self.crc = fnv1a_step(self.crc, w);
+            self.out.write_all(&w.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Append the trailer word and hand back the sink.
+    fn finish(mut self) -> std::io::Result<W> {
+        let crc = self.crc;
+        self.out.write_all(&crc.to_le_bytes())?;
+        Ok(self.out)
     }
 }
 
-fn j_i64(j: &J) -> Option<i64> {
-    match j {
-        J::Int(v) => Some(*v),
-        J::UInt(v) => i64::try_from(*v).ok(),
-        _ => None,
+/// Reads `u64` LE words from a byte image. Every accessor returns `None`
+/// on exhaustion or an out-of-range value.
+struct Words<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl<'a> Words<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Words(bytes.chunks_exact(8))
+    }
+
+    /// Words not yet read.
+    fn left(&self) -> usize {
+        self.0.len()
+    }
+
+    /// A count of items still to come. Each takes at least one word, so a
+    /// count above the words left is corruption — and it never gets to
+    /// size an allocation.
+    fn fits(&self, n: u64) -> Option<usize> {
+        usize::try_from(n).ok().filter(|&n| n <= self.left())
+    }
+
+    fn next_count(&mut self) -> Option<usize> {
+        let n = self.next()?;
+        self.fits(n)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.next()?).ok()
+    }
+
+    /// A node id, or `Some(None)` for the `NIL` tombstone.
+    fn opt_id(&mut self) -> Option<Option<NodeId>> {
+        match self.next()? {
+            NIL => Some(None),
+            w => u32::try_from(w).ok().map(|v| Some(NodeId(v))),
+        }
     }
 }
 
-fn j_u32(j: &J) -> Option<u32> {
-    j_u64(j).and_then(|v| u32::try_from(v).ok())
+impl Iterator for Words<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let chunk = <[u8; 8]>::try_from(self.0.next()?).ok()?;
+        Some(u64::from_le_bytes(chunk))
+    }
 }
 
-/// Serialize the slab + root tables to `dir/checkpoint.json` (temp file +
-/// rename, CRC line first) under checkpoint sequence `seq` — replay then
-/// skips every record with `seq' <= seq`.
+/// Stream the slab + root tables to `dir/checkpoint.bin` (temp file +
+/// `sync_data` + rename) under checkpoint sequence `seq` — replay then
+/// skips every record with `seq' <= seq`. The image is `u64` LE words:
+///
+/// ```text
+/// [magic, version, seq, n_slots, n_free, n_heaps, n_free_slots]
+/// n_slots × (NIL | [degree, key, parent|NIL, child × degree])
+/// n_free  × slot                          free list, pop order
+/// n_heaps × [slot, gen, len, n_roots, (root|NIL) × n_roots]
+/// n_free_slots × [slot, gen]
+/// crc                                     FNV-1a over every word before it
+/// ```
 pub fn write_checkpoint<'a, I>(
     dir: &Path,
     seq: u64,
@@ -439,61 +516,49 @@ pub fn write_checkpoint<'a, I>(
 where
     I: IntoIterator<Item = (u32, u32, &'a PooledHeap)>,
 {
-    let nodes: Vec<J> = pool
-        .arena()
-        .raw_slots()
-        .iter()
-        .map(|slot| match slot {
-            None => J::Num(f64::NAN), // emitted as `null`
-            Some(n) => J::Arr(vec![
-                J::Int(n.key),
-                J::Int(n.parent.map_or(-1, |p| p.0 as i64)),
-                J::Arr(n.children.iter().map(|c| J::UInt(c.0 as u64)).collect()),
-            ]),
-        })
-        .collect();
-    let free: Vec<J> = pool
-        .arena()
-        .free_list()
-        .iter()
-        .map(|f| J::UInt(*f as u64))
-        .collect();
-    let heaps: Vec<J> = heaps
-        .into_iter()
-        .map(|(slot, gen, h)| {
-            J::Arr(vec![
-                J::UInt(slot as u64),
-                J::UInt(gen as u64),
-                J::UInt(h.len() as u64),
-                J::Arr(
-                    h.roots()
-                        .iter()
-                        .map(|r| J::Int(r.map_or(-1, |id| id.0 as i64)))
-                        .collect(),
-                ),
-            ])
-        })
-        .collect();
-    let slots: Vec<J> = free_slots
-        .iter()
-        .map(|(s, g)| J::Arr(vec![J::UInt(*s as u64), J::UInt(*g as u64)]))
-        .collect();
-    let body = J::obj([
-        ("seq", J::UInt(seq)),
-        ("nodes", J::Arr(nodes)),
-        ("free", J::Arr(free)),
-        ("heaps", J::Arr(heaps)),
-        ("free_slots", J::Arr(slots)),
-    ])
-    .to_string();
-    let crc = fnv1a(body.as_bytes());
+    // The queue table, not the slab: collected because its length leads
+    // the image.
+    let heaps: Vec<(u32, u32, &PooledHeap)> = heaps.into_iter().collect();
+    let slab = pool.arena().raw_slots();
+    let free = pool.arena().free_list();
     let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(format!("{crc}\n").as_bytes())?;
-        f.write_all(body.as_bytes())?;
-        f.sync_data()?;
+    let mut out = WordWriter::new(BufWriter::with_capacity(1 << 16, File::create(&tmp)?));
+    out.words([
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        seq,
+        slab.len() as u64,
+        free.len() as u64,
+        heaps.len() as u64,
+        free_slots.len() as u64,
+    ])?;
+    for slot in slab {
+        match slot {
+            None => out.words([NIL])?,
+            Some(n) => {
+                out.words([
+                    n.children.len() as u64,
+                    n.key as u64,
+                    n.parent.map_or(NIL, |p| p.0 as u64),
+                ])?;
+                out.words(n.children.iter().map(|c| c.0 as u64))?;
+            }
+        }
     }
+    out.words(free.iter().map(|&f| f as u64))?;
+    for (slot, gen, h) in &heaps {
+        out.words([
+            *slot as u64,
+            *gen as u64,
+            h.len() as u64,
+            h.roots().len() as u64,
+        ])?;
+        out.words(h.roots().iter().map(|r| r.map_or(NIL, |id| id.0 as u64)))?;
+    }
+    out.words(free_slots.iter().flat_map(|&(s, g)| [s as u64, g as u64]))?;
+    let file = out.finish()?.into_inner().map_err(|e| e.into_error())?;
+    file.sync_data()?;
+    drop(file);
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
     flight::record_here(EventKind::Checkpoint, seq);
     Ok(())
@@ -507,67 +572,69 @@ struct RecoveredCheckpoint {
     free_slots: Vec<(u32, u32)>,
 }
 
-/// Load `dir/checkpoint.json`. Any failure — missing file, CRC mismatch,
-/// malformed JSON, inconsistent free list — yields `None`: the checkpoint
-/// is advisory, recovery then replays the WAL from genesis.
+/// Load `dir/checkpoint.bin`. The image crosses a trust boundary, so any
+/// failure — missing file, length not a multiple of 8, trailer mismatch,
+/// wrong magic or version, a value that overflows `u32`/`usize`, a child
+/// or parent id naming no live slot, a duplicate heap slot, leftover
+/// words, an inconsistent free list — yields `None`: the checkpoint is
+/// advisory, recovery then replays the WAL from genesis.
 fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
-    let text = std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).ok()?;
-    let (crc_line, body) = text.split_once('\n')?;
-    let want: u64 = crc_line.trim().parse().ok()?;
-    if fnv1a(body.as_bytes()) != want {
+    let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).ok()?;
+    if bytes.len() % 8 != 0 {
         return None;
     }
-    let doc = J::parse(body).ok()?;
-    let seq = doc.get("seq").and_then(j_u64)?;
-    let mut nodes: Vec<Option<Node<i64>>> = Vec::new();
-    for slot in doc.get("nodes")?.as_arr()? {
-        match slot {
-            J::Num(_) => nodes.push(None),
-            J::Arr(parts) => {
-                let key = j_i64(parts.first()?)?;
-                let parent = match j_i64(parts.get(1)?)? {
-                    -1 => None,
-                    p => Some(NodeId(u32::try_from(p).ok()?)),
-                };
-                let children = parts
-                    .get(2)?
-                    .as_arr()?
-                    .iter()
-                    .map(|c| j_u32(c).map(NodeId))
-                    .collect::<Option<Vec<_>>>()?;
-                nodes.push(Some(Node {
-                    key,
-                    parent,
-                    children,
-                }));
+    let (body, trailer) = bytes.split_at(bytes.len().checked_sub(8)?);
+    if fnv1a_words(Words::new(body)) != Words::new(trailer).next()? {
+        return None;
+    }
+    let mut r = Words::new(body);
+    if r.next()? != CHECKPOINT_MAGIC || r.next()? != CHECKPOINT_VERSION {
+        return None;
+    }
+    let seq = r.next()?;
+    let n_slots = r.next_count()?;
+    let n_free = r.next_count()?;
+    let n_heaps = r.next_count()?;
+    let n_free_slots = r.next_count()?;
+    let mut nodes: Vec<Option<Node<i64>>> = Vec::with_capacity(n_slots);
+    for _ in 0..n_slots {
+        let degree = match r.next()? {
+            NIL => {
+                nodes.push(None);
+                continue;
             }
-            _ => return None,
+            d => r.fits(d)?,
+        };
+        let key = r.next()? as i64;
+        let parent = r.opt_id()?;
+        let children = (0..degree)
+            .map(|_| r.opt_id()?)
+            .collect::<Option<Vec<NodeId>>>()?;
+        nodes.push(Some(Node {
+            key,
+            parent,
+            children,
+        }));
+    }
+    // Every id a live node names must be a live node: `check_pool` walks
+    // children through the slab and must never index past it.
+    let live = |id: &NodeId| matches!(nodes.get(id.0 as usize), Some(Some(_)));
+    for n in nodes.iter().flatten() {
+        if !n.children.iter().all(live) || !n.parent.iter().all(live) {
+            return None;
         }
     }
-    let free = doc
-        .get("free")?
-        .as_arr()?
-        .iter()
-        .map(j_u32)
-        .collect::<Option<Vec<_>>>()?;
-    let arena = Arena::from_raw_parts(nodes, free)?;
-    let pool = HeapPool::from_arena(arena, engine);
+    let free = (0..n_free).map(|_| r.u32()).collect::<Option<Vec<u32>>>()?;
+    let pool = HeapPool::from_arena(Arena::from_raw_parts(nodes, free)?, engine);
     let mut heaps: Vec<Option<(u32, PooledHeap)>> = Vec::new();
-    for h in doc.get("heaps")?.as_arr()? {
-        let parts = h.as_arr()?;
-        let slot = j_u32(parts.first()?)? as usize;
-        let gen = j_u32(parts.get(1)?)?;
-        let len = j_u64(parts.get(2)?)? as usize;
-        let roots = parts
-            .get(3)?
-            .as_arr()?
-            .iter()
-            .map(|r| match j_i64(r) {
-                Some(-1) => Some(None),
-                Some(p) => u32::try_from(p).ok().map(|v| Some(NodeId(v))),
-                None => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
+    for _ in 0..n_heaps {
+        let slot = r.u32()? as usize;
+        let gen = r.u32()?;
+        let len = usize::try_from(r.next()?).ok()?;
+        let n_roots = r.next_count()?;
+        let roots = (0..n_roots)
+            .map(|_| r.opt_id())
+            .collect::<Option<Vec<Option<NodeId>>>>()?;
         if heaps.len() <= slot {
             heaps.resize_with(slot + 1, || None);
         }
@@ -576,15 +643,12 @@ fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
         }
         heaps[slot] = Some((gen, pool.restore_heap(roots, len)));
     }
-    let free_slots = doc
-        .get("free_slots")?
-        .as_arr()?
-        .iter()
-        .map(|p| {
-            let parts = p.as_arr()?;
-            Some((j_u32(parts.first()?)?, j_u32(parts.get(1)?)?))
-        })
-        .collect::<Option<Vec<_>>>()?;
+    let free_slots = (0..n_free_slots)
+        .map(|_| Some((r.u32()?, r.u32()?)))
+        .collect::<Option<Vec<(u32, u32)>>>()?;
+    if r.left() != 0 {
+        return None;
+    }
     Some(RecoveredCheckpoint {
         seq,
         pool,
@@ -603,13 +667,24 @@ fn apply_op(
     seq: u64,
     op: &WalOp,
 ) -> Result<Vec<i64>, WalError> {
-    let live = |slots: &mut Vec<Option<(u32, PooledHeap)>>, s: u32| -> Result<usize, WalError> {
-        let i = s as usize;
-        match slots.get(i) {
-            Some(Some(_)) => Ok(i),
-            _ => Err(WalError::UnknownSlot(s)),
-        }
-    };
+    fn live(
+        slots: &mut [Option<(u32, PooledHeap)>],
+        s: u32,
+    ) -> Result<&mut (u32, PooledHeap), WalError> {
+        slots
+            .get_mut(s as usize)
+            .and_then(Option::as_mut)
+            .ok_or(WalError::UnknownSlot(s))
+    }
+    fn take_live(
+        slots: &mut [Option<(u32, PooledHeap)>],
+        s: u32,
+    ) -> Result<(u32, PooledHeap), WalError> {
+        slots
+            .get_mut(s as usize)
+            .and_then(Option::take)
+            .ok_or(WalError::UnknownSlot(s))
+    }
     match op {
         WalOp::CreateHeap { slot, gen } => {
             let i = *slot as usize;
@@ -631,27 +706,23 @@ fn apply_op(
             Ok(Vec::new())
         }
         WalOp::Insert { slot, key } => {
-            let i = live(slots, *slot)?;
-            let (_, heap) = slots[i].as_mut().expect("live slot");
+            let (_, heap) = live(slots, *slot)?;
             pool.insert(heap, *key);
             Ok(Vec::new())
         }
         WalOp::FromKeys { slot, keys } => {
-            let i = live(slots, *slot)?;
+            let (_, heap) = live(slots, *slot)?;
             let engine = pool.engine();
             let built = pool.try_from_keys_parallel_with(keys, engine)?;
-            let (_, heap) = slots[i].as_mut().expect("live slot");
             pool.meld(heap, built);
             Ok(Vec::new())
         }
         WalOp::ExtractMin { slot } => {
-            let i = live(slots, *slot)?;
-            let (_, heap) = slots[i].as_mut().expect("live slot");
+            let (_, heap) = live(slots, *slot)?;
             Ok(pool.extract_min(heap).into_iter().collect())
         }
         WalOp::MultiExtractMin { slot, k } => {
-            let i = live(slots, *slot)?;
-            let (_, heap) = slots[i].as_mut().expect("live slot");
+            let (_, heap) = live(slots, *slot)?;
             let k = usize::try_from(*k).unwrap_or(usize::MAX).min(heap.len());
             Ok(pool.multi_extract_min(heap, k))
         }
@@ -662,17 +733,15 @@ fn apply_op(
                     reason: format!("meld of slot {dst} into itself"),
                 });
             }
-            let di = live(slots, *dst)?;
-            let si = live(slots, *src)?;
-            let (sgen, sheap) = slots[si].take().expect("live slot");
-            let (_, dheap) = slots[di].as_mut().expect("live slot");
+            live(slots, *dst)?; // refuse before `src` is taken
+            let (sgen, sheap) = take_live(slots, *src)?;
+            let (_, dheap) = live(slots, *dst)?;
             pool.meld(dheap, sheap);
             free_slots.push((*src, sgen.wrapping_add(1)));
             Ok(Vec::new())
         }
         WalOp::FreeHeap { slot } => {
-            let i = live(slots, *slot)?;
-            let (gen, heap) = slots[i].take().expect("live slot");
+            let (gen, heap) = take_live(slots, *slot)?;
             pool.free_heap(heap);
             free_slots.push((*slot, gen.wrapping_add(1)));
             Ok(Vec::new())
@@ -1061,6 +1130,155 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 3, 5, 7, 9, 50, 100]);
         dp.validate().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A small durable pool after churn that leaves free slab slots, a
+    /// recycled queue slot and a recyclable `(slot, gen)` pair, with a
+    /// checkpoint covering every logged op.
+    fn churned(dir: &Path) -> DurablePool {
+        let mut dp = HeapPool::recover(dir).unwrap();
+        dp.set_checkpoint_every(u64::MAX);
+        let (a, _) = dp.create_heap().unwrap();
+        dp.from_keys(a, &(0..12).collect::<Vec<_>>()).unwrap();
+        let (b, _) = dp.create_heap().unwrap();
+        dp.from_keys(b, &[40, 41, 42, 43, 44]).unwrap();
+        let (c, _) = dp.create_heap().unwrap();
+        dp.insert(c, 7).unwrap();
+        dp.extract_min(a).unwrap();
+        dp.multi_extract_min(a, 3).unwrap();
+        dp.free_heap(b).unwrap();
+        let (d, gen) = dp.create_heap().unwrap();
+        assert_eq!((d, gen), (b, 1), "queue slot is recycled");
+        dp.from_keys(d, &[-5, 99, 6]).unwrap();
+        dp.free_heap(c).unwrap();
+        dp.checkpoint().unwrap();
+        assert!(!dp.pool().arena().free_list().is_empty(), "slab has holes");
+        assert!(!dp.free_slots.is_empty(), "a slot awaits recycling");
+        dp
+    }
+
+    /// `(slot, gen, sorted keys)` for every live heap.
+    fn contents(
+        pool: &HeapPool<i64>,
+        heaps: &[Option<(u32, PooledHeap)>],
+    ) -> Vec<(usize, u32, Vec<i64>)> {
+        heaps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|(g, h)| (i, *g, h)))
+            .map(|(i, g, h)| {
+                let mut ids = Vec::new();
+                pool.collect_node_ids(h, &mut ids);
+                let mut keys: Vec<i64> = ids.iter().map(|id| pool.arena().get(*id).key).collect();
+                keys.sort_unstable();
+                (i, g, keys)
+            })
+            .collect()
+    }
+
+    /// Re-encode `body` words with a freshly computed, valid trailer.
+    fn seal(body: &[u64]) -> Vec<u8> {
+        let crc = fnv1a_words(body.iter().copied());
+        body.iter()
+            .chain(std::iter::once(&crc))
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_image_roundtrips_after_churn() {
+        let dir = tmp_dir("image");
+        let dp = churned(&dir);
+        let ck = read_checkpoint(&dir, Engine::Sequential).expect("valid image");
+        assert_eq!(ck.seq, dp.writer.next_seq() - 1);
+        assert_eq!(contents(&ck.pool, &ck.heaps), contents(&dp.pool, &dp.slots));
+        assert_eq!(ck.free_slots, dp.free_slots);
+        assert_eq!(ck.pool.arena().free_list(), dp.pool.arena().free_list());
+        assert_eq!(
+            ck.pool.arena().raw_slots().len(),
+            dp.pool.arena().raw_slots().len()
+        );
+        let refs: Vec<&PooledHeap> = ck.heaps.iter().flatten().map(|(_, h)| h).collect();
+        check_pool(&ck.pool, &refs).unwrap();
+        // Recovery starts from the checkpoint and has nothing to replay.
+        let state = recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(state.replayed, 0);
+        assert_eq!(
+            contents(&state.pool, &state.heaps),
+            contents(&dp.pool, &dp.slots)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn malformed_checkpoints_fall_back_to_genesis_replay() {
+        let dir = tmp_dir("reject");
+        let dp = churned(&dir);
+        let want = contents(&dp.pool, &dp.slots);
+        let records = (dp.writer.next_seq() - 1) as usize;
+        drop(dp);
+        let ck = dir.join(CHECKPOINT_FILE);
+        let good = std::fs::read(&ck).unwrap();
+        let words: Vec<u64> = Words::new(&good).collect();
+        let body = &words[..words.len() - 1];
+        let n_slots = body[3];
+
+        let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut magic = body.to_vec();
+        magic[0] ^= 1;
+        cases.push(("wrong magic".into(), seal(&magic)));
+        let mut version = body.to_vec();
+        version[1] += 1;
+        cases.push(("wrong version".into(), seal(&version)));
+        for k in 0..words.len() {
+            cases.push((format!("torn at word {k}"), good[..8 * k].to_vec()));
+            if k < body.len() {
+                cases.push((format!("resealed at word {k}"), seal(&body[..k])));
+            }
+        }
+        // A stray byte before an intact trailer: only the length check sees it.
+        let mut odd = good.clone();
+        odd.insert(good.len() - 8, 0);
+        cases.push(("length not a multiple of 8".into(), odd));
+        let mut extra = body.to_vec();
+        extra.push(0);
+        cases.push(("one trailing extra word".into(), seal(&extra)));
+        // Walk the slab to the live entries and the sections after it.
+        let mut live = Vec::new();
+        let mut at = 7;
+        for _ in 0..n_slots {
+            if body[at] != NIL {
+                live.push(at);
+                at += 3 + body[at] as usize;
+            } else {
+                at += 1;
+            }
+        }
+        let parent_of_some = *live.iter().find(|&&e| body[e] > 0).unwrap();
+        let mut child = body.to_vec();
+        child[parent_of_some + 3] = n_slots + 5;
+        cases.push(("child id out of range".into(), seal(&child)));
+        let first_heap = at + body[4] as usize;
+        let second_heap = first_heap + 4 + body[first_heap + 3] as usize;
+        let mut dup = body.to_vec();
+        dup[second_heap] = dup[first_heap];
+        cases.push(("duplicate heap slot".into(), seal(&dup)));
+
+        for (what, bytes) in cases {
+            std::fs::write(&ck, &bytes).unwrap();
+            assert!(
+                read_checkpoint(&dir, Engine::Sequential).is_none(),
+                "{what}: accepted"
+            );
+            let state = recover_dir(&dir, Engine::Sequential).unwrap();
+            assert_eq!(state.replayed, records, "{what}: not a genesis replay");
+            assert_eq!(
+                contents(&state.pool, &state.heaps),
+                want,
+                "{what}: contents"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -147,3 +147,41 @@ fn async_surface_is_logged_too() {
         .expect("recover");
     assert_eq!(svc.extract_k(q, 4).unwrap(), vec![1, 3]);
 }
+
+#[test]
+fn legacy_json_checkpoint_is_ignored() {
+    // A directory written before checkpoints became binary words holds a
+    // `checkpoint.json`. It is never read: the shard replays its WAL from
+    // genesis, which loses nothing because the WAL is never truncated.
+    let root = TmpRoot::new("legacy");
+    let (a, b);
+    {
+        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        a = svc.create_queue(); // shard 0
+        b = svc.create_queue(); // shard 1
+        svc.multi_insert(a, vec![8, 3, 5, 1]).unwrap();
+        svc.multi_insert(b, vec![20, 10]).unwrap();
+        svc.insert(b, 15).unwrap();
+        assert_eq!(svc.extract_min(a).unwrap(), Some(1));
+    }
+    for shard in ["shard0", "shard1"] {
+        let dir = root.0.join(shard);
+        assert!(dir.join("wal.log").exists(), "{shard} has a populated log");
+        assert!(
+            !dir.join("checkpoint.bin").exists(),
+            "{shard} never checkpointed"
+        );
+        // Were this trusted, seq 1e6 would skip every WAL record.
+        std::fs::write(
+            dir.join("checkpoint.json"),
+            "42\n{\"seq\":1000000,\"nodes\":[],\"free\":[],\"heaps\":[],\"free_slots\":[]}",
+        )
+        .unwrap();
+    }
+    let svc = builder(&root, Backend::Pooled)
+        .try_build()
+        .expect("recover");
+    svc.validate().expect("recovered state validates");
+    assert_eq!(svc.extract_k(a, 10).unwrap(), vec![3, 5, 8]);
+    assert_eq!(svc.extract_k(b, 10).unwrap(), vec![10, 15, 20]);
+}

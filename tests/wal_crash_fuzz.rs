@@ -1,7 +1,7 @@
 //! WAL crash fuzzer: the durable pool driven under hundreds of seeded
 //! crash plans — kills at arbitrary byte offsets, torn tail records,
-//! bit-flipped logs and checkpoints, double recovery — against a
-//! sorted-vec oracle.
+//! bit-flipped logs and checkpoints, torn checkpoints, double recovery —
+//! against a sorted-vec oracle.
 //!
 //! Contract under crashes:
 //!
@@ -10,14 +10,16 @@
 //!   discarded whole (all-or-nothing per record);
 //! * **corruption stops the log, not the process** — a bit flip anywhere in
 //!   a record fails its CRC and ends replay *before* that record; a bit
-//!   flip in the checkpoint discards the checkpoint and recovery falls back
-//!   to full-log replay;
+//!   flip in the checkpoint — or a checkpoint torn mid-write, with its temp
+//!   file left behind — discards the checkpoint and recovery falls back to
+//!   full-log replay;
 //! * **idempotence** — recovering twice from the same directory yields the
 //!   identical state (the first recovery's truncation is convergent);
 //! * **structural integrity** — every recovered pool passes `check_pool`
 //!   and keeps serving (the reopened WAL continues the sequence).
 //!
-//! Plan count defaults to 256 (`WAL_CRASH_PLANS` raises it; the soak job
+//! Plan count defaults to 320, about 53 per kind (`WAL_CRASH_PLANS` raises
+//! it; the soak job
 //! sets `SOAK_STEPS`). A failing plan's seed is written to
 //! `target/wal-failing-seed.txt` so CI uploads it as the repro artifact.
 
@@ -34,7 +36,7 @@ fn plan_count() -> u64 {
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .map(|steps| steps.max(256) / 16);
-    explicit.or(soak).unwrap_or(256).max(256)
+    explicit.or(soak).unwrap_or(320).max(320)
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -58,15 +60,19 @@ enum Kind {
     BitFlipCheckpoint,
     /// Truncate, recover, recover again: both recoveries must agree.
     DoubleRecover,
+    /// Write a checkpoint mid-run, then cut it at a random byte offset and
+    /// leave a stray `.tmp` beside it (a crash mid-checkpoint).
+    TornCheckpoint,
 }
 
 fn kind_for(seed: u64) -> Kind {
-    match seed % 5 {
+    match seed % 6 {
         0 => Kind::KillAtOffset,
         1 => Kind::TornTail,
         2 => Kind::BitFlipWal,
         3 => Kind::BitFlipCheckpoint,
-        _ => Kind::DoubleRecover,
+        4 => Kind::DoubleRecover,
+        _ => Kind::TornCheckpoint,
     }
 }
 
@@ -272,7 +278,7 @@ fn run_plan(seed: u64) {
         issue(&mut pool, &op);
         model.apply(&op);
         ops.push((op, pool.wal_bytes()));
-        if kind == Kind::BitFlipCheckpoint && i == n_ops / 2 {
+        if matches!(kind, Kind::BitFlipCheckpoint | Kind::TornCheckpoint) && i == n_ops / 2 {
             pool.checkpoint().expect("explicit checkpoint");
             checkpoint_cut_floor = pool.wal_bytes();
         }
@@ -337,6 +343,16 @@ fn run_plan(seed: u64) {
             // Checkpoint discarded, WAL intact: full-log replay, full model.
             (checkpoint_cut_floor.max(total), survived_prefix(total))
         }
+        Kind::TornCheckpoint => {
+            let ckpt = dir.join(CHECKPOINT_FILE);
+            let bytes = std::fs::read(&ckpt).expect("plan wrote a checkpoint");
+            let cut = (r % bytes.len() as u64) as usize;
+            std::fs::write(&ckpt, &bytes[..cut]).expect("tear checkpoint");
+            let stray = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+            std::fs::write(&stray, &bytes[..bytes.len() - cut]).expect("stray tmp");
+            // Torn checkpoint discarded, WAL intact: full-log replay.
+            (checkpoint_cut_floor.max(total), survived_prefix(total))
+        }
     };
     let _ = cut;
 
@@ -395,5 +411,5 @@ fn wal_crash_fuzz_seeded_plans_vs_oracle() {
         }
     }
     // Every crash kind must actually have been exercised.
-    assert_eq!(by_kind.len(), 5, "all plan kinds covered: {by_kind:?}");
+    assert_eq!(by_kind.len(), 6, "all plan kinds covered: {by_kind:?}");
 }
