@@ -6,11 +6,19 @@ use std::time::Duration;
 use bench::workloads;
 use criterion::{criterion_group, criterion_main, Criterion};
 use seqheaps::{
-    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldableHeap, PairingHeap, SkewHeap,
+    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldablePq, OpStats, PairingHeap,
+    SkewHeap,
 };
 
-fn heapsort<H: MeldableHeap<i64>>(keys: &[i64]) -> Vec<i64> {
-    H::from_iter_keys(keys.iter().copied()).into_sorted_vec()
+/// A fresh `H` holding `keys`.
+fn built<H: MeldablePq<i64> + Default>(keys: &[i64]) -> H {
+    let mut h = H::default();
+    h.multi_insert(keys);
+    h
+}
+
+fn heapsort<H: MeldablePq<i64> + Default>(keys: &[i64]) -> Vec<i64> {
+    built::<H>(keys).drain_sorted()
 }
 
 fn bench_heapsort(c: &mut Criterion) {
@@ -38,11 +46,10 @@ fn bench_heapsort(c: &mut Criterion) {
 /// Meld-heavy workload: build `k` heaps of `m` keys each, meld them all,
 /// extract 100 minima. The meldable structures pay O(log) per meld; the
 /// binary heap pays O(m log) — the reason meldability matters.
-fn meld_storm<H: MeldableHeap<i64>>(parts: &[Vec<i64>]) -> Vec<i64> {
-    let mut acc = H::new();
+fn meld_storm<H: MeldablePq<i64> + Default>(parts: &[Vec<i64>]) -> Vec<i64> {
+    let mut acc = H::default();
     for part in parts {
-        let h = H::from_iter_keys(part.iter().copied());
-        acc.meld(h);
+        acc.meld(built(part));
     }
     (0..100).filter_map(|_| acc.extract_min()).collect()
 }
@@ -79,17 +86,20 @@ fn bench_opcounts(c: &mut Criterion) {
     let parts: Vec<Vec<i64>> = (0..64)
         .map(|_| workloads::random_keys(&mut rng, 2_000))
         .collect();
-    fn counts<H: MeldableHeap<i64>>(parts: &[Vec<i64>]) -> (u64, u64) {
-        let mut acc = H::new();
+    fn counts<H: MeldablePq<i64> + Default>(
+        parts: &[Vec<i64>],
+        stats: fn(&H) -> &OpStats,
+    ) -> (u64, u64) {
+        let mut acc = H::default();
         for part in parts {
-            acc.meld(H::from_iter_keys(part.iter().copied()));
+            acc.meld(built(part));
         }
-        (acc.stats().comparisons(), acc.stats().links())
+        (stats(&acc).comparisons(), stats(&acc).links())
     }
-    let (bc, bl) = counts::<BinomialHeap<i64>>(&parts);
-    let (lc, ll) = counts::<LeftistHeap<i64>>(&parts);
-    let (pc, pl) = counts::<PairingHeap<i64>>(&parts);
-    let (yc, yl) = counts::<BinaryHeapAdapter<i64>>(&parts);
+    let (bc, bl) = counts(&parts, BinomialHeap::stats);
+    let (lc, ll) = counts(&parts, LeftistHeap::stats);
+    let (pc, pl) = counts(&parts, PairingHeap::stats);
+    let (yc, yl) = counts(&parts, BinaryHeapAdapter::stats);
     println!("op-counts (comparisons/links) for 64 melds of 2k keys:");
     println!("  binomial {bc}/{bl}  leftist {lc}/{ll}  pairing {pc}/{pl}  binary {yc}/{yl}");
     // A token benchmark so criterion registers the group.

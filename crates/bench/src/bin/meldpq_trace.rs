@@ -28,7 +28,7 @@ use obs::bounds::{self, Envelope};
 use obs::{Registry, Telemetry};
 use pram::Cost;
 use rand::Rng;
-use seqheaps::{BinomialHeap, MeldableHeap};
+use seqheaps::{BinomialHeap, MeldablePq};
 
 /// Sizes for one run.
 struct Sizes {

@@ -19,7 +19,6 @@ use std::sync::OnceLock;
 use crate::heap::ParBinomialHeap;
 use crate::lazy::LazyBinomialHeap;
 use crate::meldable::{MeldablePq, PoolGuard};
-use seqheaps::MeldableHeap;
 
 /// Every constructible queue engine in the workspace (the shootout roster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

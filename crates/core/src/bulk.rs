@@ -34,19 +34,6 @@ impl ParBinomialHeap<i64> {
         self.add_pram_cost(build_cost);
         self.meld_pram(batch, p);
     }
-
-    /// Deprecated shim kept for the report binaries:
-    /// [`Self::multi_insert_pram`] + the ledger delta.
-    #[deprecated(note = "use multi_insert_pram and read pram_ledger() via obs::Recorder")]
-    pub fn multi_insert_measured(&mut self, keys: &[i64], p: usize) -> pram::Cost {
-        let before = *self.pram_ledger();
-        self.multi_insert_pram(keys, p);
-        let after = *self.pram_ledger();
-        pram::Cost {
-            time: after.time - before.time,
-            work: after.work - before.work,
-        }
-    }
 }
 
 impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
@@ -273,7 +260,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn measured_multi_insert() {
         let mut h = ParBinomialHeap::from_keys([100, 200, 300]);
         h.multi_insert_pram(&[5, 1, 4, 1, 5], 3);
@@ -282,7 +268,6 @@ mod tests {
         h.validate().unwrap();
         assert_eq!(h.len(), 8);
         assert_eq!(h.min(), Some(1));
-        assert_eq!(h.multi_insert_measured(&[], 3), pram::Cost::ZERO);
     }
 
     #[test]

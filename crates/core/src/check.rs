@@ -1,17 +1,17 @@
 //! Workspace-wide invariant checking.
 //!
-//! Every queue structure in the workspace carries a `validate()` method
-//! checking its own representation. This module layers on top of those:
+//! The engines of this crate carry a `validate()` method checking their own
+//! representation. This module layers on top of those:
 //!
 //! * [`check_heap`] / [`check_lazy`] / [`check_plan`] — *deep* checks that
 //!   re-derive redundant facts (binary-representation isomorphism, the
 //!   carry recurrence, deletion-buffer hygiene) instead of trusting the
 //!   structure's own bookkeeping;
-//! * the [`CheckedPq`] trait — one spelling for "assert everything you
-//!   know about yourself", implemented by every queue in the workspace
-//!   (including `dmpq::DistributedPq`, which implements it crate-side), so
-//!   harnesses like the differential fuzzer and the soak test can validate
-//!   heterogeneous fleets through one interface;
+//! * [`crate::MeldablePq::check_invariants`] — one spelling for "assert
+//!   everything you know about yourself", required of every queue in the
+//!   workspace, so harnesses like the differential fuzzer and the service
+//!   layer can validate heterogeneous fleets through one interface (the
+//!   heap and lazy impls delegate to the deep checks here);
 //! * the `debug-validate` cargo feature — when enabled, the hot paths
 //!   (`meld`, `extract_min`, `insert`, `delete`, `arrange_heap`) run these
 //!   checks after every mutation and panic on the first violation. CI runs
@@ -27,15 +27,6 @@ use crate::heap::ParBinomialHeap;
 use crate::lazy::LazyBinomialHeap;
 use crate::plan::{classify_point, PointType, UnionPlan};
 use crate::pool::{HeapPool, PooledHeap};
-
-/// A priority queue that can assert its own structural invariants.
-///
-/// `check_invariants` must be read-only and side-effect-free; it returns a
-/// human-readable description of the first violation found.
-pub trait CheckedPq {
-    /// Verify every invariant this structure maintains.
-    fn check_invariants(&self) -> Result<(), String>;
-}
 
 /// Deep check of a [`ParBinomialHeap`]: the structure's own `validate`
 /// (BH1 heap order, BH2 shapes, parent pointers, size ledger) plus the
@@ -173,75 +164,11 @@ pub fn check_pool<K: Ord + Copy + Send + Sync>(
     Ok(())
 }
 
-/// Deep check of a [`seqheaps::HollowHeap`]: the structure's own `validate`
-/// (DAG in-degree accounting, heap order per edge, second-parent flags only
-/// on hollow nodes, tracked-item bijection) plus the lazy-deletion ledger —
-/// live node count must be full count plus hollow debt, and an empty heap
-/// must carry no residual hollow nodes.
-pub fn check_hollow<K: Ord + Clone>(h: &seqheaps::HollowHeap<K>) -> Result<(), String> {
-    h.validate()?;
-    let (full, live) = h.counts();
-    if full != seqheaps::MeldableHeap::len(h) {
-        return Err(format!(
-            "hollow ledger broken: counts full={full}, len={}",
-            seqheaps::MeldableHeap::len(h)
-        ));
-    }
-    if full != h.full_keys().count() {
-        return Err(format!(
-            "hollow ledger broken: counts full={full}, but {} full slots",
-            h.full_keys().count()
-        ));
-    }
-    let Some(hollow) = live.checked_sub(full) else {
-        return Err(format!("hollow ledger broken: live={live} < full={full}"));
-    };
-    if hollow != h.hollow_count() {
-        return Err(format!(
-            "hollow ledger broken: live-full={hollow}, hollow_count={}",
-            h.hollow_count()
-        ));
-    }
-    if full == 0 && hollow != 0 {
-        return Err(format!("empty heap retains {hollow} hollow nodes"));
-    }
-    Ok(())
-}
-
-impl<K: Ord + Copy + Send + Sync> CheckedPq for ParBinomialHeap<K> {
-    fn check_invariants(&self) -> Result<(), String> {
-        check_heap(self)
-    }
-}
-
-impl CheckedPq for LazyBinomialHeap {
-    fn check_invariants(&self) -> Result<(), String> {
-        check_lazy(self)
-    }
-}
-
-impl<K: Ord + Clone> CheckedPq for seqheaps::HollowHeap<K> {
-    fn check_invariants(&self) -> Result<(), String> {
-        check_hollow(self)
-    }
-}
-
-impl CheckedPq for crate::decrease::IndexedBinomialPq {
-    fn check_invariants(&self) -> Result<(), String> {
-        self.validate()
-    }
-}
-
-impl CheckedPq for crate::decrease::LazyDecreasePq {
-    fn check_invariants(&self) -> Result<(), String> {
-        self.validate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{build_plan_seq, RootRef};
+    use crate::MeldablePq;
     use crate::NodeId;
 
     fn refs(present_mask: usize, width: usize, base: u32) -> Vec<Option<RootRef>> {

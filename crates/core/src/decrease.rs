@@ -1,13 +1,12 @@
-//! `DecreaseKeyPq` — Definition 1 operation 6 across the whole fleet.
+//! `DecreaseKeyPq` — Definition 1 operation 6 for this crate's engines.
 //!
-//! [`crate::MeldablePq`] unified operations 1–5 (`Make-Queue` … `Union`);
-//! this module extends the surface with the paper's `Decrease-Key` so
-//! SSSP-style workloads (the shootout's Dijkstra class, the differential
-//! fuzzer's decrease ops) can dispatch over *any* backend:
+//! The trait ([`DecreaseKeyPq`]) and its handle type ([`PqHandle`]) live
+//! in `seqheaps` next to [`MeldablePq`], and the sequential baselines
+//! implement them directly (hollow / pairing / indexed d-ary natively,
+//! binomial / leftist / skew by content sift). This module adds the two
+//! arena engines, so SSSP-style workloads (the shootout's Dijkstra class,
+//! the differential fuzzer's decrease ops) can dispatch over *any* backend:
 //!
-//! * the seqheaps baselines implement it by delegating to their
-//!   [`seqheaps::DecreaseKeyHeap`] impls (hollow / pairing / indexed d-ary
-//!   natively, binomial / leftist / skew by content sift);
 //! * [`IndexedBinomialPq`] wraps the sequential arena heap, remapping its
 //!   `ItemId`s through the meld translator so process-unique [`PqHandle`]s
 //!   survive `Union`;
@@ -15,99 +14,27 @@
 //!   `NodeId` hints and realising `Decrease-Key` as `Change-Key`
 //!   (delete + reinsert via a persistent empty node).
 //!
-//! Handles are minted from one process-wide counter, so melding two queues
-//! never collides or needs caller-side translation. The sift-based engines
-//! track handles by *key* (multiset semantics — see `seqheaps::decrease`);
-//! the arena engines track physical identity. Under the fuzzer's multiset
+//! Every handle comes from the one process-wide counter
+//! ([`seqheaps::decrease::mint`]), so melding two queues never collides or
+//! needs caller-side translation. The lazy engine tracks handles by *key*
+//! ([`TrackedKeys`], multiset semantics — see `seqheaps::decrease`); the
+//! arena engine tracks physical identity. Under the fuzzer's multiset
 //! checking the two are indistinguishable.
+//!
+//! A stale handle — one whose element already left the queue — makes
+//! `decrease_key` return `false` and change nothing; no path here panics
+//! on one.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::collections::HashMap;
+
+use crate::check::check_lazy;
 use crate::lazy::LazyBinomialHeap;
-use crate::meldable::MeldablePq;
 use crate::NodeId;
-use seqheaps::{DecreaseKeyHeap, IndexedBinomialHeap, ItemId};
-
-/// An opaque, process-unique handle to a tracked element of a
-/// [`DecreaseKeyPq`]. Survives `meld`; goes stale when its element leaves
-/// the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PqHandle(u64);
-
-impl PqHandle {
-    /// The raw unique id.
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-
-    /// Rebuild from [`PqHandle::raw`].
-    pub fn from_raw(raw: u64) -> Self {
-        PqHandle(raw)
-    }
-}
-
-/// Mint a fresh handle for the adapter queues in this module. (The seqheaps
-/// engines mint from their own crate-level counter; uniqueness only matters
-/// *within* one queue's lifetime, and each queue sticks to one mint.)
-fn mint() -> PqHandle {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    PqHandle(NEXT.fetch_add(1, Ordering::Relaxed))
-}
-
-/// A meldable priority queue with `Decrease-Key` (Definition 1, op 6).
-/// Object safe — harnesses hold `Box<dyn DecreaseKeyPq<i64>>`.
-pub trait DecreaseKeyPq<K: Ord + Copy>: MeldablePq<K> {
-    /// Insert a key and return a handle naming the inserted element.
-    fn insert_handle(&mut self, key: K) -> PqHandle;
-
-    /// Lower the tracked element's key to `new_key`.
-    ///
-    /// Returns `false` (changing nothing) when the handle is stale or
-    /// `new_key` is greater than the current key; `new_key == current` is
-    /// accepted and returns `true`.
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool;
-
-    /// The tracked element's current key, or `None` once it left the queue.
-    fn key_of_handle(&self, h: PqHandle) -> Option<K>;
-}
-
-// The seqheaps engines already implement `seqheaps::DecreaseKeyHeap`; wire
-// their `MeldablePq` impls (meldable.rs) through to it. `Handle` raw values
-// round-trip losslessly into `PqHandle`.
-macro_rules! impl_decrease_for_seqheap {
-    ($($ty:ident),+ $(,)?) => {$(
-        impl<K: Ord + Copy> DecreaseKeyPq<K> for seqheaps::$ty<K> {
-            fn insert_handle(&mut self, key: K) -> PqHandle {
-                PqHandle(DecreaseKeyHeap::insert_tracked(self, key).raw())
-            }
-            fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
-                DecreaseKeyHeap::decrease_key(
-                    self,
-                    seqheaps::Handle::from_raw(h.0),
-                    new_key,
-                )
-            }
-            fn key_of_handle(&self, h: PqHandle) -> Option<K> {
-                DecreaseKeyHeap::tracked_key(self, seqheaps::Handle::from_raw(h.0))
-            }
-        }
-    )+};
-}
-
-impl_decrease_for_seqheap!(BinomialHeap, LeftistHeap, SkewHeap, PairingHeap, HollowHeap);
-
-impl<K: Ord + Copy, const D: usize> DecreaseKeyPq<K> for seqheaps::IndexedDaryHeap<K, D> {
-    fn insert_handle(&mut self, key: K) -> PqHandle {
-        PqHandle(DecreaseKeyHeap::insert_tracked(self, key).raw())
-    }
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
-        DecreaseKeyHeap::decrease_key(self, seqheaps::Handle::from_raw(h.0), new_key)
-    }
-    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
-        DecreaseKeyHeap::tracked_key(self, seqheaps::Handle::from_raw(h.0))
-    }
-}
+use seqheaps::decrease::mint;
+pub use seqheaps::{DecreaseKeyPq, PqHandle};
+use seqheaps::{IndexedBinomialHeap, ItemId, MeldablePq, TrackedKeys};
 
 /// The sequential arena binomial heap (`seqheaps::IndexedBinomialHeap`)
 /// behind the [`DecreaseKeyPq`] surface.
@@ -119,9 +46,9 @@ impl<K: Ord + Copy, const D: usize> DecreaseKeyPq<K> for seqheaps::IndexedDaryHe
 pub struct IndexedBinomialPq {
     heap: IndexedBinomialHeap,
     /// handle → current item.
-    by_handle: HashMap<u64, ItemId>,
+    by_handle: HashMap<PqHandle, ItemId>,
     /// item → handle (retire the right handle on extraction).
-    by_item: HashMap<ItemId, u64>,
+    by_item: HashMap<ItemId, PqHandle>,
 }
 
 impl IndexedBinomialPq {
@@ -133,24 +60,6 @@ impl IndexedBinomialPq {
     /// Borrow the wrapped heap (stats, inspection).
     pub fn heap(&self) -> &IndexedBinomialHeap {
         &self.heap
-    }
-
-    /// Deep validation: the heap's own invariants plus the handle maps
-    /// mirroring each other and naming only live items.
-    pub fn validate(&self) -> Result<(), String> {
-        self.heap.validate()?;
-        if self.by_handle.len() != self.by_item.len() {
-            return Err("indexed-pq: handle maps disagree on size".into());
-        }
-        for (h, id) in &self.by_handle {
-            if self.by_item.get(id) != Some(h) {
-                return Err(format!("indexed-pq: handle {h} not mirrored"));
-            }
-            if self.heap.key_of(*id).is_none() {
-                return Err(format!("indexed-pq: handle {h} names a dead item"));
-            }
-        }
-        Ok(())
     }
 
     fn retire_item(&mut self, id: ItemId) {
@@ -187,25 +96,43 @@ impl MeldablePq<i64> for IndexedBinomialPq {
             self.by_item.insert(new_id, h);
         }
     }
+
+    /// Deep validation: the heap's own invariants plus the handle maps
+    /// mirroring each other and naming only live items.
+    fn check_invariants(&self) -> Result<(), String> {
+        self.heap.validate()?;
+        if self.by_handle.len() != self.by_item.len() {
+            return Err("indexed-pq: handle maps disagree on size".into());
+        }
+        for (h, id) in &self.by_handle {
+            if self.by_item.get(id) != Some(h) {
+                return Err(format!("indexed-pq: handle {} not mirrored", h.raw()));
+            }
+            if self.heap.key_of(*id).is_none() {
+                return Err(format!("indexed-pq: handle {} names a dead item", h.raw()));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl DecreaseKeyPq<i64> for IndexedBinomialPq {
     fn insert_handle(&mut self, key: i64) -> PqHandle {
         let id = self.heap.insert(key);
         let h = mint();
-        self.by_handle.insert(h.0, id);
-        self.by_item.insert(id, h.0);
+        self.by_handle.insert(h, id);
+        self.by_item.insert(id, h);
         h
     }
 
     fn decrease_key(&mut self, h: PqHandle, new_key: i64) -> bool {
-        let Some(&id) = self.by_handle.get(&h.0) else {
+        let Some(&id) = self.by_handle.get(&h) else {
             return false;
         };
-        let current = self
-            .heap
-            .key_of(id)
-            .expect("tracked items are live (extraction retires them)");
+        // Extraction retires tracked items, so a dead item is a stale handle.
+        let Some(current) = self.heap.key_of(id) else {
+            return false;
+        };
         if new_key > current {
             return false;
         }
@@ -214,64 +141,7 @@ impl DecreaseKeyPq<i64> for IndexedBinomialPq {
     }
 
     fn key_of_handle(&self, h: PqHandle) -> Option<i64> {
-        self.by_handle
-            .get(&h.0)
-            .and_then(|&id| self.heap.key_of(id))
-    }
-}
-
-/// Key-multiset handle bookkeeping for [`LazyDecreasePq`] (the lazy heap's
-/// eager delete sifts *keys* between nodes, so physical `NodeId`s don't
-/// follow elements; handles name "one live element holding key `k`").
-#[derive(Debug, Default)]
-struct Tracked {
-    by_handle: HashMap<u64, i64>,
-    /// key → handles holding it, oldest first.
-    by_key: BTreeMap<i64, Vec<u64>>,
-}
-
-impl Tracked {
-    fn track(&mut self, k: i64) -> PqHandle {
-        let h = mint();
-        self.by_key.entry(k).or_default().push(h.0);
-        self.by_handle.insert(h.0, k);
-        h
-    }
-
-    fn on_extract(&mut self, k: i64) -> Option<u64> {
-        let handles = self.by_key.get_mut(&k)?;
-        let h = handles.remove(0);
-        if handles.is_empty() {
-            self.by_key.remove(&k);
-        }
-        self.by_handle.remove(&h);
-        Some(h)
-    }
-
-    fn rekey(&mut self, h: PqHandle, new: i64) -> Option<i64> {
-        let old = *self.by_handle.get(&h.0)?;
-        if let Some(hs) = self.by_key.get_mut(&old) {
-            hs.retain(|x| *x != h.0);
-            if hs.is_empty() {
-                self.by_key.remove(&old);
-            }
-        }
-        let slot = self.by_key.entry(new).or_default();
-        let pos = slot.binary_search(&h.0).unwrap_or_else(|p| p);
-        slot.insert(pos, h.0);
-        self.by_handle.insert(h.0, new);
-        Some(old)
-    }
-
-    fn merge(&mut self, other: Tracked) {
-        for (h, k) in other.by_handle {
-            self.by_handle.insert(h, k);
-        }
-        for (k, hs) in other.by_key {
-            let slot = self.by_key.entry(k).or_default();
-            slot.extend(hs);
-            slot.sort_unstable();
-        }
+        self.by_handle.get(&h).and_then(|&id| self.heap.key_of(id))
     }
 }
 
@@ -286,9 +156,9 @@ impl Tracked {
 #[derive(Debug)]
 pub struct LazyDecreasePq {
     heap: LazyBinomialHeap,
-    tracked: Tracked,
+    tracked: TrackedKeys<i64>,
     /// handle → last known node (fast path; verified before use).
-    hints: HashMap<u64, NodeId>,
+    hints: HashMap<PqHandle, NodeId>,
 }
 
 impl LazyDecreasePq {
@@ -296,7 +166,7 @@ impl LazyDecreasePq {
     pub fn new(p: usize) -> Self {
         LazyDecreasePq {
             heap: LazyBinomialHeap::new(p),
-            tracked: Tracked::default(),
+            tracked: TrackedKeys::default(),
             hints: HashMap::new(),
         }
     }
@@ -305,66 +175,25 @@ impl LazyDecreasePq {
     pub fn heap(&self) -> &LazyBinomialHeap {
         &self.heap
     }
+}
 
-    /// Deep validation: the lazy heap's own invariants plus the handle
-    /// bookkeeping (mirrored maps; tracked keys a sub-multiset of the live
-    /// key multiset).
-    pub fn validate(&self) -> Result<(), String> {
-        crate::check::check_lazy(&self.heap)?;
-        let mut mirrored = 0usize;
-        for (k, hs) in &self.tracked.by_key {
-            if hs.is_empty() {
-                return Err("lazy-pq: empty handle bucket".into());
-            }
-            for h in hs {
-                if self.tracked.by_handle.get(h) != Some(k) {
-                    return Err(format!("lazy-pq: handle {h} not mirrored"));
-                }
-                mirrored += 1;
-            }
+/// Locate a live node of `heap` holding `key`: the `hint` if still
+/// accurate, else a full walk (empty nodes hold garbage keys and are
+/// skipped; their children are real and descended into).
+fn find_live_with_key(heap: &LazyBinomialHeap, hint: Option<NodeId>, key: i64) -> Option<NodeId> {
+    if let Some(hint) = hint {
+        if heap.key_of(hint) == Some(key) {
+            return Some(hint);
         }
-        if mirrored != self.tracked.by_handle.len() {
-            return Err("lazy-pq: by_handle entries absent from by_key".into());
-        }
-        // Sub-multiset: count live keys once, then subtract tracked ones.
-        let mut live: HashMap<i64, isize> = HashMap::new();
-        let mut stack: Vec<NodeId> = self.heap.roots_snapshot().into_iter().flatten().collect();
-        while let Some(id) = stack.pop() {
-            if !self.heap.is_empty_node(id) {
-                *live.entry(self.heap.raw_key(id)).or_default() += 1;
-            }
-            stack.extend(self.heap.children_of(id).into_iter().flatten());
-        }
-        for (k, hs) in &self.tracked.by_key {
-            let avail = live.get(k).copied().unwrap_or(0);
-            if (hs.len() as isize) > avail {
-                return Err(format!(
-                    "lazy-pq: {} handles track key {k} but only {avail} live copies exist",
-                    hs.len()
-                ));
-            }
-        }
-        Ok(())
     }
-
-    /// Locate a live node holding `key`: the hint if still accurate, else a
-    /// full walk (empty nodes hold garbage keys and are skipped; their
-    /// children are real and descended into).
-    fn find_live_with_key(&self, h: PqHandle, key: i64) -> Option<NodeId> {
-        if let Some(&hint) = self.hints.get(&h.0) {
-            if self.heap.key_of(hint) == Some(key) {
-                return Some(hint);
-            }
+    let mut stack: Vec<NodeId> = heap.roots_snapshot().into_iter().flatten().collect();
+    while let Some(id) = stack.pop() {
+        if !heap.is_empty_node(id) && heap.raw_key(id) == key {
+            return Some(id);
         }
-        let mut stack: Vec<NodeId> = self.heap.roots_snapshot().into_iter().flatten().collect();
-        while let Some(id) = stack.pop() {
-            if !self.heap.is_empty_node(id) && self.heap.raw_key(id) == key {
-                return Some(id);
-            }
-            stack.extend(self.heap.children_of(id).into_iter().flatten());
-        }
-        None
+        stack.extend(heap.children_of(id).into_iter().flatten());
     }
+    None
 }
 
 impl MeldablePq<i64> for LazyDecreasePq {
@@ -382,7 +211,7 @@ impl MeldablePq<i64> for LazyDecreasePq {
 
     fn extract_min(&mut self) -> Option<i64> {
         let key = MeldablePq::extract_min(&mut self.heap)?;
-        if let Some(h) = self.tracked.on_extract(key) {
+        if let Some(h) = self.tracked.on_extract(&key) {
             self.hints.remove(&h);
         }
         Some(key)
@@ -398,44 +227,63 @@ impl MeldablePq<i64> for LazyDecreasePq {
     fn meld_from_keys(&mut self, keys: &[i64]) {
         MeldablePq::meld_from_keys(&mut self.heap, keys);
     }
+
+    /// Deep validation: the lazy heap's own invariants plus the handle
+    /// bookkeeping (mirrored maps; tracked keys a sub-multiset of the live
+    /// key multiset).
+    fn check_invariants(&self) -> Result<(), String> {
+        check_lazy(&self.heap)?;
+        self.tracked.check()?;
+        // Sub-multiset: count live keys once, then subtract tracked ones.
+        let mut live: HashMap<i64, usize> = HashMap::new();
+        let mut stack: Vec<NodeId> = self.heap.roots_snapshot().into_iter().flatten().collect();
+        while let Some(id) = stack.pop() {
+            if !self.heap.is_empty_node(id) {
+                *live.entry(self.heap.raw_key(id)).or_default() += 1;
+            }
+            stack.extend(self.heap.children_of(id).into_iter().flatten());
+        }
+        for (k, tracked) in self.tracked.buckets() {
+            let avail = live.get(k).copied().unwrap_or(0);
+            if tracked > avail {
+                return Err(format!(
+                    "lazy-pq: {tracked} handles track key {k} but only {avail} live copies exist"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl DecreaseKeyPq<i64> for LazyDecreasePq {
     fn insert_handle(&mut self, key: i64) -> PqHandle {
         let id = self.heap.insert(key);
         let h = self.tracked.track(key);
-        self.hints.insert(h.0, id);
+        self.hints.insert(h, id);
         h
     }
 
     fn decrease_key(&mut self, h: PqHandle, new_key: i64) -> bool {
-        let Some(&old) = self.tracked.by_handle.get(&h.0) else {
-            return false;
-        };
-        if new_key > old {
-            return false;
-        }
-        if new_key == old {
-            return true;
-        }
-        let node = self
-            .find_live_with_key(h, old)
-            .expect("tracked keys are a sub-multiset of live keys");
-        let new_id = self.heap.change_key(node, new_key);
-        self.tracked.rekey(h, new_key);
-        self.hints.insert(h.0, new_id);
-        true
+        let (heap, hints) = (&mut self.heap, &mut self.hints);
+        self.tracked.decrease(h, new_key, |&old, &new| {
+            // Tracked keys are a sub-multiset of live keys, so a miss means
+            // the bookkeeping lost the element: treat the handle as stale.
+            let Some(node) = find_live_with_key(heap, hints.get(&h).copied(), old) else {
+                return false;
+            };
+            hints.insert(h, heap.change_key(node, new));
+            true
+        })
     }
 
     fn key_of_handle(&self, h: PqHandle) -> Option<i64> {
-        self.tracked.by_handle.get(&h.0).copied()
+        self.tracked.key_of(h).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqheaps::MeldableHeap;
 
     /// One generic driver; every engine must produce the same transcript.
     fn transcript<Q: DecreaseKeyPq<i64>>(mut q: Q) -> Vec<i64> {
@@ -495,13 +343,13 @@ mod tests {
         let hb = b.insert_handle(200);
         b.insert(150);
         a.meld(b);
-        a.validate().expect("valid after meld");
+        a.check_invariants().expect("valid after meld");
         assert_eq!(a.key_of_handle(ha), Some(100));
         assert_eq!(a.key_of_handle(hb), Some(200));
         assert!(a.decrease_key(hb, 1));
         assert_eq!(a.extract_min(), Some(1));
         assert_eq!(a.key_of_handle(hb), None);
-        a.validate().expect("valid after extract");
+        a.check_invariants().expect("valid after extract");
     }
 
     #[test]
@@ -512,12 +360,12 @@ mod tests {
         let hs: Vec<PqHandle> = (0..32).map(|k| q.insert_handle(k * 10)).collect();
         for (i, h) in hs.iter().enumerate().skip(16) {
             assert!(q.decrease_key(*h, (i as i64 * 10) - 155));
-            q.validate().expect("valid after decrease");
+            q.check_invariants().expect("valid after decrease");
         }
         let mut drained = q.drain_sorted();
         drained.sort_unstable();
         assert_eq!(drained.len(), 32);
-        q.validate().expect("valid when empty");
+        q.check_invariants().expect("valid when empty");
     }
 
     #[test]

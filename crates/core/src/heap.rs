@@ -299,15 +299,6 @@ impl ParBinomialHeap<i64> {
         self.ledger += cost;
     }
 
-    /// Ledger growth since `before` (the per-op delta the deprecated
-    /// `*_measured` shims return).
-    fn ledger_since(&self, before: pram::Cost) -> pram::Cost {
-        pram::Cost {
-            time: self.ledger.time - before.time,
-            work: self.ledger.work - before.work,
-        }
-    }
-
     /// The one measured meld core behind `insert_pram` / `meld_pram` /
     /// `extract_min_pram`: plan `other_roots` (already in `self.arena`) on a
     /// `p`-processor EREW PRAM, apply, and accumulate the measured cost on
@@ -389,33 +380,6 @@ impl ParBinomialHeap<i64> {
         self.refresh_min_cache();
         self.debug_validate();
         Some(key)
-    }
-
-    /// Deprecated shim kept for the report binaries (seed meters must stay
-    /// byte-identical): [`Self::meld_pram`] + the ledger delta.
-    #[deprecated(note = "use meld_pram and read pram_ledger() via obs::Recorder")]
-    pub fn meld_measured(&mut self, other: ParBinomialHeap, p: usize) -> pram::Cost {
-        let before = self.ledger;
-        self.meld_pram(other, p);
-        self.ledger_since(before)
-    }
-
-    /// Deprecated shim kept for the report binaries: [`Self::insert_pram`] +
-    /// the ledger delta.
-    #[deprecated(note = "use insert_pram and read pram_ledger() via obs::Recorder")]
-    pub fn insert_measured(&mut self, key: i64, p: usize) -> pram::Cost {
-        let before = self.ledger;
-        self.insert_pram(key, p);
-        self.ledger_since(before)
-    }
-
-    /// Deprecated shim kept for the report binaries:
-    /// [`Self::extract_min_pram`] + the ledger delta.
-    #[deprecated(note = "use extract_min_pram and read pram_ledger() via obs::Recorder")]
-    pub fn extract_min_measured(&mut self, p: usize) -> (Option<i64>, pram::Cost) {
-        let before = self.ledger;
-        let got = self.extract_min_pram(p);
-        (got, self.ledger_since(before))
     }
 }
 
@@ -758,28 +722,6 @@ mod tests {
         let total = a.take_pram_ledger();
         assert!(total.work >= total.time);
         assert_eq!(*a.pram_ledger(), pram::Cost::ZERO);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn measured_shims_report_per_op_deltas() {
-        let mut e = ParBinomialHeap::new();
-        assert_eq!(e.meld_measured(ParBinomialHeap::new(), 2), pram::Cost::ZERO);
-        let c = e.meld_measured(ParBinomialHeap::from_keys([4, 2]), 2);
-        assert_eq!(c, pram::Cost::ZERO); // moving into an empty heap is free
-        assert_eq!(e.len(), 2);
-        e.validate().unwrap();
-        // The shim's delta must match a fresh heap's full ledger for the
-        // same single op.
-        let mut a = ParBinomialHeap::from_keys([5, 9, 1, 7, 3]);
-        let b = ParBinomialHeap::from_keys([2, 8, 4, 6]);
-        let mut a2 = a.clone();
-        let delta = a.meld_measured(b.clone(), 3);
-        a2.meld_pram(b, 3);
-        assert_eq!(delta, *a2.pram_ledger());
-        let (k, c) = a.extract_min_measured(3);
-        assert_eq!(k, Some(1));
-        assert!(c.time > 0);
     }
 
     #[test]

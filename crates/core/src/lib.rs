@@ -13,6 +13,12 @@
 //!   `Change-Key` via persistent empty nodes (`Take-Up`) and periodic
 //!   `Arrange-Heap` rebuilds.
 //!
+//! Every engine here implements the workspace's one queue trait family,
+//! [`MeldablePq`] / [`DecreaseKeyPq`] with [`PqHandle`] handles. The
+//! traits are defined in `seqheaps` (whose baselines implement them
+//! directly) and re-exported from this crate, so `meldpq::MeldablePq` and
+//! `seqheaps::MeldablePq` are the same trait.
+//!
 //! See DESIGN.md at the workspace root for the experiment map.
 //!
 //! ```
@@ -51,7 +57,6 @@ pub mod wal;
 
 pub use arena::{Arena, ArenaStats, Node, NodeId};
 pub use backend::{Backend, WorkloadClass};
-pub use check::CheckedPq;
 pub use decrease::{DecreaseKeyPq, IndexedBinomialPq, LazyDecreasePq, PqHandle};
 pub use heap::{Engine, ParBinomialHeap};
 pub use meldable::{MeldablePq, PoolGuard, PramMeasured};

@@ -1,14 +1,14 @@
-//! `MeldablePq` — the one trait every engine in the workspace speaks.
+//! `MeldablePq` for the paper's engines.
 //!
-//! Definition 1 of the paper names five operations (`Make-Queue`, `Insert`,
-//! `Min`, `Extract-Min`, `Union`); the repo grew five engines each exposing
-//! them with a different accent — `ParBinomialHeap` threads an [`Engine`]
-//! through every call, `LazyBinomialHeap` returns `NodeId`s, pooled heaps
-//! split the state between a [`HeapPool`] and a [`PooledHeap`] handle, and
-//! the seqheaps baselines have their own `MeldableHeap` trait. This module
-//! is the unification: one engine-less surface with provided bulk defaults,
-//! so generic harnesses (the differential fuzzer, the service layer's
-//! oracle) dispatch over *any* backend with zero per-engine duplication.
+//! The one queue trait, [`MeldablePq`], lives in `seqheaps` (the lowest
+//! crate, whose baselines implement it directly) and is re-exported here.
+//! This module implements it for the engines of this crate, each of which
+//! exposes Definition 1 with a different accent — `ParBinomialHeap`
+//! threads an [`Engine`] through every call, `LazyBinomialHeap` returns
+//! `NodeId`s, pooled heaps split the state between a [`HeapPool`] and a
+//! [`PooledHeap`] handle — so generic harnesses (the differential fuzzer,
+//! the service layer's boxed tenants) dispatch over *any* backend with zero
+//! per-engine duplication.
 //!
 //! Engine selection moves into the value: `ParBinomialHeap::with_engine` /
 //! `HeapPool::with_engine` pick the planner once at construction, and the
@@ -34,74 +34,13 @@
 //! assert_eq!(drain_two(pa, pb), vec![1, 2, 3]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::check::{check_heap, check_lazy};
 use crate::heap::{Engine, ParBinomialHeap};
 use crate::lazy::LazyBinomialHeap;
 use crate::pool::{HeapPool, PooledHeap};
-
-/// A meldable priority queue: the paper's Definition 1 surface plus the
-/// bulk operations (`Multi-Insert` / `Multi-Extract-Min`) that the batched
-/// engines accelerate. Object safe — harnesses hold `Box<dyn MeldablePq<K>>`.
-///
-/// `peek_min` takes `&mut self` because the lazy engine tidies (and meters)
-/// on reads; pure engines simply ignore the mutability.
-pub trait MeldablePq<K: Ord + Copy> {
-    /// Number of keys stored.
-    fn len(&self) -> usize;
-
-    /// Whether the queue holds no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `Insert(Q, x)`: add a key.
-    fn insert(&mut self, key: K);
-
-    /// `Min(Q)`: the minimum key without removing it.
-    fn peek_min(&mut self) -> Option<K>;
-
-    /// `Extract-Min(Q)`: remove and return the minimum key.
-    fn extract_min(&mut self) -> Option<K>;
-
-    /// `Union(Q1, Q2)`: absorb all keys of `other`, destroying it (by move),
-    /// as the paper's Union destroys its arguments.
-    fn meld(&mut self, other: Self)
-    where
-        Self: Sized;
-
-    /// `Multi-Insert`: add a batch of keys. Default: one `insert` per key;
-    /// bulk engines override with a parallel build + single meld.
-    fn multi_insert(&mut self, keys: &[K]) {
-        for &k in keys {
-            self.insert(k);
-        }
-    }
-
-    /// Build a queue from `keys` and meld it in — the shape of the
-    /// differential fuzzer's `Meld` op. Default: [`Self::multi_insert`].
-    fn meld_from_keys(&mut self, keys: &[K]) {
-        self.multi_insert(keys);
-    }
-
-    /// `Multi-Extract-Min`: remove and return the `k` smallest keys in
-    /// ascending order. Default: `k` sequential extracts; bulk engines
-    /// override with the root-frontier peel.
-    fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        for _ in 0..k {
-            match self.extract_min() {
-                Some(x) => out.push(x),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Drain everything in ascending order.
-    fn drain_sorted(&mut self) -> Vec<K> {
-        let n = self.len();
-        self.multi_extract_min(n)
-    }
-}
+pub use seqheaps::MeldablePq;
 
 // NOTE: inherent methods shadow trait methods of the same name on concrete
 // receivers, so every body below calls the inherent op fully qualified.
@@ -142,6 +81,10 @@ impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for ParBinomialHeap<K> {
         let engine = self.engine();
         ParBinomialHeap::multi_extract_min(self, k, engine)
     }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        check_heap(self)
+    }
 }
 
 impl MeldablePq<i64> for LazyBinomialHeap {
@@ -168,6 +111,10 @@ impl MeldablePq<i64> for LazyBinomialHeap {
     fn meld_from_keys(&mut self, keys: &[i64]) {
         let batch = LazyBinomialHeap::from_keys_fast(self.processors(), keys.iter().copied());
         LazyBinomialHeap::meld(self, batch);
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        check_lazy(self)
     }
 }
 
@@ -227,11 +174,6 @@ impl<K: Ord + Copy + Send + Sync> PoolGuard<K> {
     pub fn into_parts(self) -> (HeapPool<K>, PooledHeap) {
         (self.pool, self.heap)
     }
-
-    /// Deep structural validation of the guarded heap.
-    pub fn validate(&self) -> Result<(), String> {
-        self.pool.validate_heap(&self.heap)
-    }
 }
 
 impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for PoolGuard<K> {
@@ -263,6 +205,11 @@ impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for PoolGuard<K> {
 
     fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
         self.pool.multi_extract_min(&mut self.heap, k)
+    }
+
+    /// Deep structural validation of the guarded heap.
+    fn check_invariants(&self) -> Result<(), String> {
+        self.pool.validate_heap(&self.heap)
     }
 }
 
@@ -332,83 +279,15 @@ impl MeldablePq<i64> for PramMeasured {
     fn multi_insert(&mut self, keys: &[i64]) {
         self.heap.multi_insert_pram(keys, self.p);
     }
-}
 
-// One impl per seqheaps baseline. A blanket
-// `impl<H: seqheaps::MeldableHeap<K>> MeldablePq<K> for H` would be rejected
-// by coherence (E0119) next to the local-type impls above, so a macro stamps
-// them out instead.
-macro_rules! impl_meldable_for_seqheap {
-    ($($ty:ident),+ $(,)?) => {$(
-        impl<K: Ord + Copy> MeldablePq<K> for seqheaps::$ty<K> {
-            fn len(&self) -> usize {
-                seqheaps::MeldableHeap::len(self)
-            }
-            fn insert(&mut self, key: K) {
-                seqheaps::MeldableHeap::insert(self, key);
-            }
-            fn peek_min(&mut self) -> Option<K> {
-                seqheaps::MeldableHeap::min(self).copied()
-            }
-            fn extract_min(&mut self) -> Option<K> {
-                seqheaps::MeldableHeap::extract_min(self)
-            }
-            fn meld(&mut self, other: Self) {
-                seqheaps::MeldableHeap::meld(self, other);
-            }
-        }
-    )+};
-}
-
-impl_meldable_for_seqheap!(
-    BinomialHeap,
-    LeftistHeap,
-    SkewHeap,
-    PairingHeap,
-    BinaryHeapAdapter,
-    HollowHeap,
-);
-
-impl<K: Ord + Copy, const D: usize> MeldablePq<K> for seqheaps::DaryHeap<K, D> {
-    fn len(&self) -> usize {
-        seqheaps::MeldableHeap::len(self)
-    }
-    fn insert(&mut self, key: K) {
-        seqheaps::MeldableHeap::insert(self, key);
-    }
-    fn peek_min(&mut self) -> Option<K> {
-        seqheaps::MeldableHeap::min(self).copied()
-    }
-    fn extract_min(&mut self) -> Option<K> {
-        seqheaps::MeldableHeap::extract_min(self)
-    }
-    fn meld(&mut self, other: Self) {
-        seqheaps::MeldableHeap::meld(self, other);
-    }
-}
-
-impl<K: Ord + Copy, const D: usize> MeldablePq<K> for seqheaps::IndexedDaryHeap<K, D> {
-    fn len(&self) -> usize {
-        seqheaps::MeldableHeap::len(self)
-    }
-    fn insert(&mut self, key: K) {
-        seqheaps::MeldableHeap::insert(self, key);
-    }
-    fn peek_min(&mut self) -> Option<K> {
-        seqheaps::MeldableHeap::min(self).copied()
-    }
-    fn extract_min(&mut self) -> Option<K> {
-        seqheaps::MeldableHeap::extract_min(self)
-    }
-    fn meld(&mut self, other: Self) {
-        seqheaps::MeldableHeap::meld(self, other);
+    fn check_invariants(&self) -> Result<(), String> {
+        check_heap(&self.heap)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqheaps::MeldableHeap;
 
     /// One generic driver exercising every trait method; each engine must
     /// produce the identical transcript.
@@ -425,6 +304,7 @@ mod tests {
         out.push(q.len() as i64);
         out.extend(q.drain_sorted());
         assert!(q.is_empty());
+        q.check_invariants().expect("valid after drain");
         out
     }
 
@@ -482,22 +362,15 @@ mod tests {
 
     #[test]
     fn seqheaps_backends() {
+        fn built<Q: MeldablePq<i64> + Default>(ks: &[i64]) -> Q {
+            let mut q = Q::default();
+            q.multi_insert(ks);
+            q
+        }
+        assert_eq!(transcript(seqheaps::BinomialHeap::new(), built), expected());
+        assert_eq!(transcript(seqheaps::LeftistHeap::new(), built), expected());
         assert_eq!(
-            transcript(seqheaps::BinomialHeap::new(), |ks| {
-                seqheaps::BinomialHeap::from_iter_keys(ks.iter().copied())
-            }),
-            expected()
-        );
-        assert_eq!(
-            transcript(seqheaps::LeftistHeap::new(), |ks| {
-                seqheaps::LeftistHeap::from_iter_keys(ks.iter().copied())
-            }),
-            expected()
-        );
-        assert_eq!(
-            transcript(seqheaps::DaryHeap::<i64, 4>::new(), |ks| {
-                seqheaps::DaryHeap::from_iter_keys(ks.iter().copied())
-            }),
+            transcript(seqheaps::DaryHeap::<i64, 4>::new(), built),
             expected()
         );
     }

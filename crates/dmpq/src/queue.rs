@@ -251,9 +251,6 @@ impl DistributedPq {
     ///   heap);
     /// * `Waiting` holds fewer than `b` items between operations (a full
     ///   chunk always flushes).
-    ///
-    /// Also reachable through `meldpq::check::CheckedPq`, which harnesses
-    /// use to validate heterogeneous queue fleets uniformly.
     pub fn validate(&self) -> Result<(), String> {
         self.heap.validate()?;
         self.heap.validate_chunk_order()?;
@@ -983,12 +980,6 @@ impl DistributedPq {
             self.heap.get_mut(*r).parent = None;
         }
         out
-    }
-}
-
-impl meldpq::CheckedPq for DistributedPq {
-    fn check_invariants(&self) -> Result<(), String> {
-        self.validate()
     }
 }
 

@@ -1,4 +1,4 @@
-//! `std::collections::BinaryHeap` behind the [`MeldableHeap`] trait.
+//! `std::collections::BinaryHeap` behind the [`MeldablePq`] trait.
 //!
 //! The implicit binary heap is *not* efficiently meldable: `meld` here is the
 //! best available strategy (drain the smaller heap into the larger —
@@ -9,10 +9,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::MeldablePq;
 
 /// Min-heap adapter over `std`'s max-`BinaryHeap`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BinaryHeapAdapter<K: Ord> {
     inner: BinaryHeap<Reverse<K>>,
     stats: OpStats,
@@ -27,14 +27,28 @@ impl<K: Ord + Clone> Clone for BinaryHeapAdapter<K> {
     }
 }
 
-impl<K: Ord> MeldableHeap<K> for BinaryHeapAdapter<K> {
-    fn new() -> Self {
+impl<K: Ord> Default for BinaryHeapAdapter<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Ord> BinaryHeapAdapter<K> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
         BinaryHeapAdapter {
             inner: BinaryHeap::new(),
             stats: OpStats::new(),
         }
     }
 
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for BinaryHeapAdapter<K> {
     fn len(&self) -> usize {
         self.inner.len()
     }
@@ -46,8 +60,8 @@ impl<K: Ord> MeldableHeap<K> for BinaryHeapAdapter<K> {
         self.inner.push(Reverse(key));
     }
 
-    fn min(&self) -> Option<&K> {
-        self.inner.peek().map(|Reverse(k)| k)
+    fn peek_min(&mut self) -> Option<K> {
+        self.inner.peek().map(|Reverse(k)| *k)
     }
 
     fn extract_min(&mut self) -> Option<K> {
@@ -73,12 +87,14 @@ impl<K: Ord> MeldableHeap<K> for BinaryHeapAdapter<K> {
         self.inner.extend(other.inner.drain());
     }
 
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    /// The implicit-heap order of `std`'s backing array: no parent above
+    /// its children (in min order).
+    fn check_invariants(&self) -> Result<(), String> {
+        let a = self.inner.as_slice();
+        match (1..a.len()).find(|&i| a[(i - 1) / 2] < a[i]) {
+            Some(i) => Err(format!("binary: slot {i} sorts below its parent")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -92,14 +108,17 @@ mod tests {
         for k in [5, 1, 4, 2, 3] {
             h.insert(k);
         }
-        assert_eq!(h.min(), Some(&1));
-        assert_eq!(h.into_sorted_vec(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(h.peek_min(), Some(1));
+        h.check_invariants().expect("heap order");
+        assert_eq!(h.drain_sorted(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn meld_keeps_larger_backing_store() {
-        let mut small = BinaryHeapAdapter::from_iter_keys([7]);
-        let big = BinaryHeapAdapter::from_iter_keys([1, 2, 3, 4, 5, 6]);
+        let mut small = BinaryHeapAdapter::new();
+        small.insert(7);
+        let mut big = BinaryHeapAdapter::new();
+        big.multi_insert(&[1, 2, 3, 4, 5, 6]);
         small.meld(big);
         assert_eq!(small.len(), 7);
         assert_eq!(small.extract_min(), Some(1));

@@ -13,9 +13,9 @@
 //! this is the *sequential baseline* whose `Θ(log n)` dependent-link chain the
 //! paper's Phase I–III algorithm breaks (ablation A1 measures exactly this).
 
-use crate::decrease::{DecreaseKeyHeap, Handle, TrackedKeys};
+use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 /// A node of a binomial tree: a key plus the child array `L`.
 ///
@@ -117,15 +117,38 @@ impl<K: Ord> BinomialTreeNode<K> {
 }
 
 /// The sequential binomial heap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BinomialHeap<K> {
     /// Root array `H`: slot `i` holds the root of `B_i` when present.
     roots: Vec<Option<BinomialTreeNode<K>>>,
     len: usize,
     stats: OpStats,
     /// Handle bookkeeping for the sift-based `decrease_key` (empty — one
-    /// branch per op — unless `insert_tracked` is used).
+    /// branch per op — unless `insert_handle` is used).
     tracked: TrackedKeys<K>,
+}
+
+impl<K> Default for BinomialHeap<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K> BinomialHeap<K> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
+        BinomialHeap {
+            roots: Vec::new(),
+            len: 0,
+            stats: OpStats::new(),
+            tracked: TrackedKeys::default(),
+        }
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
 }
 
 impl<K: Ord> BinomialHeap<K> {
@@ -169,12 +192,68 @@ impl<K: Ord> BinomialHeap<K> {
         }
     }
 
+    /// Index of the root with the minimum key.
+    fn min_index(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, r) in self.roots.iter().enumerate() {
+            if let Some(t) = r {
+                match best {
+                    None => best = Some(i),
+                    Some(b) => {
+                        self.stats.add_comparisons(1);
+                        let bk = self.roots[b].as_ref().expect("best slot occupied");
+                        if t.key < bk.key {
+                            best = Some(i);
+                        }
+                    }
+                }
+            }
+        }
+        best
+    }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for BinomialHeap<K> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, key: K) {
+        self.len += 1;
+        self.carry_in(BinomialTreeNode::singleton(key));
+    }
+
+    fn peek_min(&mut self) -> Option<K> {
+        self.min_index()
+            .and_then(|i| self.roots[i].as_ref())
+            .map(|t| t.key)
+    }
+
+    fn extract_min(&mut self) -> Option<K> {
+        let i = self.min_index()?;
+        let tree = self.roots[i].take()?;
+        self.trim();
+        self.len -= tree.size();
+        let BinomialTreeNode { key, children } = tree;
+        // The children of B_i are exactly B_{i-1}, ..., B_0: a heap of size 2^i - 1.
+        let child_len: usize = children.iter().map(|c| c.size()).sum();
+        let child_heap = BinomialHeap {
+            roots: children.into_iter().map(Some).collect(),
+            len: child_len,
+            stats: OpStats::new(),
+            tracked: TrackedKeys::default(),
+        };
+        self.meld(child_heap);
+        self.tracked.on_extract(&key);
+        Some(key)
+    }
+
     /// `Union` by binary addition with ripple carry, consuming `other`.
     ///
     /// Every position may perform at most one link with the incoming tree and
     /// one with the carry, exactly like a full adder; the carry chain is the
     /// sequential dependency the paper parallelizes.
-    pub fn union_with(&mut self, other: BinomialHeap<K>) {
+    fn meld(&mut self, other: Self) {
         self.stats.absorb(&other.stats);
         self.len += other.len;
         self.tracked.merge(other.tracked);
@@ -214,28 +293,8 @@ impl<K: Ord> BinomialHeap<K> {
         self.trim();
     }
 
-    /// Index of the root with the minimum key.
-    fn min_index(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, r) in self.roots.iter().enumerate() {
-            if let Some(t) = r {
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        self.stats.add_comparisons(1);
-                        let bk = self.roots[b].as_ref().expect("best slot occupied");
-                        if t.key < bk.key {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Verify BH1 + BH2 + size bookkeeping. Used pervasively in tests.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Verify BH1 + BH2, size bookkeeping and the handle tracking.
+    fn check_invariants(&self) -> Result<(), String> {
         let mut total = 0usize;
         for (i, r) in self.roots.iter().enumerate() {
             if let Some(t) = r {
@@ -260,108 +319,41 @@ impl<K: Ord> BinomialHeap<K> {
     }
 }
 
-impl<K: Ord> MeldableHeap<K> for BinomialHeap<K> {
-    fn new() -> Self {
-        BinomialHeap {
-            roots: Vec::new(),
-            len: 0,
-            stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, key: K) {
-        self.len += 1;
-        self.carry_in(BinomialTreeNode::singleton(key));
-    }
-
-    fn min(&self) -> Option<&K> {
-        self.min_index()
-            .map(|i| &self.roots[i].as_ref().expect("occupied").key)
-    }
-
-    fn extract_min(&mut self) -> Option<K> {
-        let i = self.min_index()?;
-        let tree = self.roots[i].take().expect("min_index points at a tree");
-        self.trim();
-        self.len -= tree.size();
-        let BinomialTreeNode { key, children } = tree;
-        // The children of B_i are exactly B_{i-1}, ..., B_0: a heap of size 2^i - 1.
-        let child_len: usize = children.iter().map(|c| c.size()).sum();
-        let child_heap = BinomialHeap {
-            roots: children.into_iter().map(Some).collect(),
-            len: child_len,
-            stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
-        };
-        self.union_with(child_heap);
-        self.tracked.on_extract(&key);
-        Some(key)
-    }
-
-    fn meld(&mut self, other: Self) {
-        self.union_with(other);
-    }
-
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-}
-
-impl<K: Ord + Clone> DecreaseKeyHeap<K> for BinomialHeap<K> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
-        let h = self.tracked.track(key.clone());
+impl<K: Ord + Copy> DecreaseKeyPq<K> for BinomialHeap<K> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
+        let h = self.tracked.track(key);
         self.insert(key);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(old) = self.tracked.key_of(h).cloned() else {
-            return false;
-        };
-        if new_key > old {
-            return false;
-        }
-        if new_key == old {
-            return true;
-        }
-        self.tracked.rekey(h, new_key.clone());
-        for r in self.roots.iter_mut().flatten() {
-            self.stats.add_comparisons(1);
-            if r.key > old {
-                continue;
-            }
-            if r.decrease_in(&old, &new_key, &self.stats) {
-                return true;
-            }
-        }
-        debug_assert!(false, "tracked key must be present in the forest");
-        false
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let (roots, stats) = (&mut self.roots, &self.stats);
+        self.tracked.decrease(h, new_key, |old, new| {
+            let found = roots.iter_mut().flatten().any(|r| {
+                stats.add_comparisons(1);
+                r.key <= *old && r.decrease_in(old, new, stats)
+            });
+            debug_assert!(found, "tracked key must be present in the forest");
+            found
+        })
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        self.tracked.key_of(h).cloned()
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        self.tracked.key_of(h).copied()
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_heap() {
-        let h: BinomialHeap<i32> = BinomialHeap::new();
+        let mut h: BinomialHeap<i32> = BinomialHeap::new();
         assert!(h.is_empty());
-        assert_eq!(h.min(), None);
-        assert!(h.validate().is_ok());
+        assert_eq!(h.peek_min(), None);
+        assert!(h.check_invariants().is_ok());
     }
 
     #[test]
@@ -372,7 +364,7 @@ mod tests {
         }
         // 11 = <1011>: B_3, B_1, B_0 — the example from Section 2.
         assert_eq!(h.root_orders(), vec![0, 1, 3]);
-        assert!(h.validate().is_ok());
+        assert!(h.check_invariants().is_ok());
     }
 
     #[test]
@@ -381,8 +373,8 @@ mod tests {
         for k in [5, 3, 8, 1, 9, 2, 7, 4, 6, 0] {
             h.insert(k);
         }
-        assert!(h.validate().is_ok());
-        let out = h.into_sorted_vec();
+        assert!(h.check_invariants().is_ok());
+        let out = h.drain_sorted();
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
@@ -400,8 +392,8 @@ mod tests {
         // 16 = 10000
         assert_eq!(a.root_orders(), vec![4]);
         assert_eq!(a.len(), 16);
-        assert!(a.validate().is_ok());
-        assert_eq!(a.min(), Some(&0));
+        assert!(a.check_invariants().is_ok());
+        assert_eq!(a.peek_min(), Some(0));
     }
 
     #[test]
@@ -438,15 +430,15 @@ mod tests {
         for k in 0..32 {
             h.insert(k * 10);
         }
-        let t = h.insert_tracked(999);
+        let t = h.insert_handle(999);
         assert!(h.decrease_key(t, -1));
-        h.validate().expect("valid after decrease");
-        assert_eq!(h.tracked_key(t), Some(-1));
-        assert_eq!(h.min(), Some(&-1));
+        h.check_invariants().expect("valid after decrease");
+        assert_eq!(h.key_of_handle(t), Some(-1));
+        assert_eq!(h.peek_min(), Some(-1));
         assert_eq!(h.extract_min(), Some(-1));
-        assert_eq!(h.tracked_key(t), None, "extracting retires the handle");
+        assert_eq!(h.key_of_handle(t), None, "extracting retires the handle");
         assert!(!h.decrease_key(t, -5), "stale handle must refuse");
-        h.validate().expect("valid after extract");
+        h.check_invariants().expect("valid after extract");
     }
 
     #[test]
@@ -455,10 +447,10 @@ mod tests {
         for k in [7, 7, 3, 3, 9] {
             h.insert(k);
         }
-        let t = h.insert_tracked(9);
+        let t = h.insert_handle(9);
         assert!(h.decrease_key(t, 3), "decrease onto an existing key");
-        h.validate().expect("valid");
-        assert_eq!(h.into_sorted_vec(), vec![3, 3, 3, 7, 7, 9]);
+        h.check_invariants().expect("valid");
+        assert_eq!(h.drain_sorted(), vec![3, 3, 3, 7, 7, 9]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use std::collections::HashMap;
 
-use crate::decrease::{mint, DecreaseKeyHeap, Handle};
+use crate::decrease::{mint, PqHandle};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 /// An implicit min-heap with fan-out `D`.
 #[derive(Debug)]
@@ -35,6 +35,20 @@ impl<K: Ord, const D: usize> Default for DaryHeap<K, D> {
 }
 
 impl<K: Ord, const D: usize> DaryHeap<K, D> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
+        assert!(D >= 2, "fan-out must be at least 2");
+        DaryHeap {
+            items: Vec::new(),
+            stats: OpStats::new(),
+        }
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / D;
@@ -73,27 +87,9 @@ impl<K: Ord, const D: usize> DaryHeap<K, D> {
             }
         }
     }
-
-    /// Check the heap property over the whole array.
-    pub fn validate(&self) -> Result<(), String> {
-        for i in 1..self.items.len() {
-            if self.items[i] < self.items[(i - 1) / D] {
-                return Err(format!("heap property violated at index {i}"));
-            }
-        }
-        Ok(())
-    }
 }
 
-impl<K: Ord, const D: usize> MeldableHeap<K> for DaryHeap<K, D> {
-    fn new() -> Self {
-        assert!(D >= 2, "fan-out must be at least 2");
-        DaryHeap {
-            items: Vec::new(),
-            stats: OpStats::new(),
-        }
-    }
-
+impl<K: Ord + Copy, const D: usize> MeldablePq<K> for DaryHeap<K, D> {
     fn len(&self) -> usize {
         self.items.len()
     }
@@ -103,8 +99,8 @@ impl<K: Ord, const D: usize> MeldableHeap<K> for DaryHeap<K, D> {
         self.sift_up(self.items.len() - 1);
     }
 
-    fn min(&self) -> Option<&K> {
-        self.items.first()
+    fn peek_min(&mut self) -> Option<K> {
+        self.items.first().copied()
     }
 
     fn extract_min(&mut self) -> Option<K> {
@@ -132,12 +128,14 @@ impl<K: Ord, const D: usize> MeldableHeap<K> for DaryHeap<K, D> {
         }
     }
 
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    /// Check the heap property over the whole array.
+    fn check_invariants(&self) -> Result<(), String> {
+        for i in 1..self.items.len() {
+            if self.items[i] < self.items[(i - 1) / D] {
+                return Err(format!("heap property violated at index {i}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -150,8 +148,8 @@ impl<K: Ord, const D: usize> MeldableHeap<K> for DaryHeap<K, D> {
 /// Untracked entries (plain `insert`) pay nothing beyond one `None` tag.
 #[derive(Debug, Clone)]
 pub struct IndexedDaryHeap<K, const D: usize> {
-    items: Vec<(K, Option<u64>)>,
-    pos: HashMap<u64, usize>,
+    items: Vec<(K, Option<PqHandle>)>,
+    pos: HashMap<PqHandle, usize>,
     stats: OpStats,
 }
 
@@ -162,6 +160,21 @@ impl<K: Ord, const D: usize> Default for IndexedDaryHeap<K, D> {
 }
 
 impl<K: Ord, const D: usize> IndexedDaryHeap<K, D> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
+        assert!(D >= 2, "fan-out must be at least 2");
+        IndexedDaryHeap {
+            items: Vec::new(),
+            pos: HashMap::new(),
+            stats: OpStats::new(),
+        }
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+
     fn swap_entries(&mut self, i: usize, j: usize) {
         self.items.swap(i, j);
         if let Some(h) = self.items[i].1 {
@@ -210,39 +223,9 @@ impl<K: Ord, const D: usize> IndexedDaryHeap<K, D> {
             }
         }
     }
-
-    /// Check the heap property and the position-index mirror.
-    pub fn validate(&self) -> Result<(), String> {
-        for i in 1..self.items.len() {
-            if self.items[i].0 < self.items[(i - 1) / D].0 {
-                return Err(format!("indexed: heap property violated at index {i}"));
-            }
-        }
-        let tagged = self.items.iter().filter(|e| e.1.is_some()).count();
-        if tagged != self.pos.len() {
-            return Err("indexed: position map size mismatch".into());
-        }
-        for (i, (_, item)) in self.items.iter().enumerate() {
-            if let Some(h) = item {
-                if self.pos.get(h) != Some(&i) {
-                    return Err(format!("indexed: stale position for item {h}"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
-impl<K: Ord, const D: usize> MeldableHeap<K> for IndexedDaryHeap<K, D> {
-    fn new() -> Self {
-        assert!(D >= 2, "fan-out must be at least 2");
-        IndexedDaryHeap {
-            items: Vec::new(),
-            pos: HashMap::new(),
-            stats: OpStats::new(),
-        }
-    }
-
+impl<K: Ord + Copy, const D: usize> MeldablePq<K> for IndexedDaryHeap<K, D> {
     fn len(&self) -> usize {
         self.items.len()
     }
@@ -252,8 +235,8 @@ impl<K: Ord, const D: usize> MeldableHeap<K> for IndexedDaryHeap<K, D> {
         self.sift_up(self.items.len() - 1);
     }
 
-    fn min(&self) -> Option<&K> {
-        self.items.first().map(|e| &e.0)
+    fn peek_min(&mut self) -> Option<K> {
+        self.items.first().map(|e| e.0)
     }
 
     fn extract_min(&mut self) -> Option<K> {
@@ -288,27 +271,40 @@ impl<K: Ord, const D: usize> MeldableHeap<K> for IndexedDaryHeap<K, D> {
         }
     }
 
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    /// Check the heap property and the position-index mirror.
+    fn check_invariants(&self) -> Result<(), String> {
+        for i in 1..self.items.len() {
+            if self.items[i].0 < self.items[(i - 1) / D].0 {
+                return Err(format!("indexed: heap property violated at index {i}"));
+            }
+        }
+        let tagged = self.items.iter().filter(|e| e.1.is_some()).count();
+        if tagged != self.pos.len() {
+            return Err("indexed: position map size mismatch".into());
+        }
+        for (i, (_, item)) in self.items.iter().enumerate() {
+            if let Some(h) = item {
+                if self.pos.get(h) != Some(&i) {
+                    return Err(format!("indexed: stale position for item {}", h.raw()));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-impl<K: Ord + Clone, const D: usize> DecreaseKeyHeap<K> for IndexedDaryHeap<K, D> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
+impl<K: Ord + Copy, const D: usize> DecreaseKeyPq<K> for IndexedDaryHeap<K, D> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
         let h = mint();
-        self.items.push((key, Some(h.raw())));
+        self.items.push((key, Some(h)));
         let last = self.items.len() - 1;
-        self.pos.insert(h.raw(), last);
+        self.pos.insert(h, last);
         self.sift_up(last);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(&i) = self.pos.get(&h.raw()) else {
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let Some(&i) = self.pos.get(&h) else {
             return false;
         };
         self.stats.add_comparisons(1);
@@ -320,13 +316,14 @@ impl<K: Ord + Clone, const D: usize> DecreaseKeyHeap<K> for IndexedDaryHeap<K, D
         true
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        let i = *self.pos.get(&h.raw())?;
-        Some(self.items[i].0.clone())
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        let i = *self.pos.get(&h)?;
+        Some(self.items[i].0)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -338,12 +335,15 @@ mod tests {
         let keys = [9i64, -3, 7, 7, 0, 12, -3, 5, 1];
         let mut expected = keys.to_vec();
         expected.sort_unstable();
-        assert_eq!(Quad::from_iter_keys(keys).into_sorted_vec(), expected);
-        assert_eq!(Oct::from_iter_keys(keys).into_sorted_vec(), expected);
-        assert_eq!(
-            DaryHeap::<i64, 2>::from_iter_keys(keys).into_sorted_vec(),
-            expected
-        );
+        let mut quad = Quad::new();
+        quad.multi_insert(&keys);
+        assert_eq!(quad.drain_sorted(), expected);
+        let mut oct = Oct::new();
+        oct.multi_insert(&keys);
+        assert_eq!(oct.drain_sorted(), expected);
+        let mut bin = DaryHeap::<i64, 2>::new();
+        bin.multi_insert(&keys);
+        assert_eq!(bin.drain_sorted(), expected);
     }
 
     #[test]
@@ -351,19 +351,21 @@ mod tests {
         let mut h = Quad::new();
         for k in [5, 3, 9, 1, 7, 2, 8, 0, 6, 4] {
             h.insert(k);
-            h.validate().unwrap();
+            h.check_invariants().unwrap();
         }
         while h.extract_min().is_some() {
-            h.validate().unwrap();
+            h.check_invariants().unwrap();
         }
     }
 
     #[test]
     fn meld_keeps_larger_side() {
-        let mut small = Quad::from_iter_keys([100]);
-        let big = Quad::from_iter_keys([1, 2, 3, 4, 5]);
+        let mut small = Quad::new();
+        small.insert(100);
+        let mut big = Quad::new();
+        big.multi_insert(&[1, 2, 3, 4, 5]);
         small.meld(big);
-        small.validate().unwrap();
+        small.check_invariants().unwrap();
         assert_eq!(small.len(), 6);
         assert_eq!(small.extract_min(), Some(1));
     }
@@ -374,11 +376,11 @@ mod tests {
         let keys = [9i64, -3, 7, 7, 0, 12, -3, 5, 1];
         for k in keys {
             h.insert(k);
-            h.validate().expect("valid");
+            h.check_invariants().expect("valid");
         }
         let mut expected = keys.to_vec();
         expected.sort_unstable();
-        assert_eq!(h.into_sorted_vec(), expected);
+        assert_eq!(h.drain_sorted(), expected);
     }
 
     #[test]
@@ -387,12 +389,12 @@ mod tests {
         for k in 0..64 {
             h.insert(k + 10);
         }
-        let t = h.insert_tracked(1000);
+        let t = h.insert_handle(1000);
         assert!(h.decrease_key(t, -5));
-        h.validate().expect("valid after decrease");
-        assert_eq!(h.tracked_key(t), Some(-5));
+        h.check_invariants().expect("valid after decrease");
+        assert_eq!(h.key_of_handle(t), Some(-5));
         assert_eq!(h.extract_min(), Some(-5));
-        assert_eq!(h.tracked_key(t), None);
+        assert_eq!(h.key_of_handle(t), None);
         assert!(!h.decrease_key(t, -9), "stale handle must refuse");
     }
 
@@ -400,16 +402,16 @@ mod tests {
     fn indexed_handles_survive_meld() {
         let mut a: IndexedDaryHeap<i64, 4> = IndexedDaryHeap::new();
         let mut b: IndexedDaryHeap<i64, 4> = IndexedDaryHeap::new();
-        let ta = a.insert_tracked(40);
-        let tb = b.insert_tracked(50);
+        let ta = a.insert_handle(40);
+        let tb = b.insert_handle(50);
         for k in 0..20 {
             a.insert(100 + k);
             b.insert(200 + k);
         }
         a.meld(b);
-        a.validate().expect("valid after meld");
-        assert_eq!(a.tracked_key(ta), Some(40));
-        assert_eq!(a.tracked_key(tb), Some(50));
+        a.check_invariants().expect("valid after meld");
+        assert_eq!(a.key_of_handle(ta), Some(40));
+        assert_eq!(a.key_of_handle(tb), Some(50));
         assert!(a.decrease_key(tb, -1));
         assert_eq!(a.extract_min(), Some(-1));
     }

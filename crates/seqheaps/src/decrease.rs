@@ -2,85 +2,62 @@
 //!
 //! The paper's Definition 1 stops at `Union`; its §4 lazy structure adds
 //! `Change-Key` via `-∞` empty nodes. This module gives the *sequential*
-//! fleet the same surface so every engine can run an SSSP-style workload:
+//! fleet the same surface so every engine can run an SSSP-style workload
+//! through [`DecreaseKeyPq`](crate::DecreaseKeyPq):
 //!
-//! * [`DecreaseKeyHeap`] — the trait: `insert_tracked` returns an opaque
-//!   [`Handle`], `decrease_key` lowers that element's key in place.
-//! * Handles are minted from one process-wide counter, so they stay unique
+//! * [`PqHandle`] — the opaque handle `insert_handle` returns. Handles are
+//!   minted from one process-wide counter ([`mint`]), so they stay unique
 //!   across melds — absorbing a heap never needs a handle translation
 //!   (contrast `IndexedBinomialHeap::meld`, which returns a remapper).
-//! * [`TrackedKeys`] — the shared bookkeeping for the *sift-based*
-//!   implementations (binomial / leftist / skew). Those structures have no
-//!   stable node identity, so a tracked handle names "one element currently
-//!   holding key `k`", not a physical node: `decrease_key` finds *an*
-//!   element with the old key by pruned DFS and sifts it up, and
-//!   `extract_min` retires the oldest handle holding the popped key. Under
-//!   multiset semantics (what the differential fuzzer checks) this is
-//!   indistinguishable from physical identity; engines with real node
-//!   identity (hollow, pairing, indexed d-ary) track the node itself and
-//!   get O(1)/O(log n) decreases.
+//! * [`TrackedKeys`] — the shared bookkeeping for queues *without stable
+//!   node identity* (binomial / leftist / skew here, the lazy heap in
+//!   `meldpq`). Those structures move keys between nodes, so a tracked
+//!   handle names "one element currently holding key `k`", not a physical
+//!   node: `decrease_key` finds *an* element with the old key and sifts
+//!   it, and `extract_min` retires the oldest handle holding the popped
+//!   key. Under multiset semantics (what the differential fuzzer checks)
+//!   this is indistinguishable from physical identity; engines with real
+//!   node identity (hollow, pairing, indexed d-ary) track the node itself
+//!   and get O(1)/O(log n) decreases.
 
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
 
 /// An opaque, process-unique handle to a tracked element.
 ///
-/// Handles survive `meld` (both heaps' handles stay valid on the merged
-/// heap) and go stale when their element is extracted.
+/// Handles survive `meld` (both queues' handles stay valid on the merged
+/// queue) and go stale when their element is extracted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Handle(u64);
+pub struct PqHandle(u64);
 
-impl Handle {
+impl PqHandle {
     /// The raw unique id (stable for the process lifetime).
     pub fn raw(&self) -> u64 {
         self.0
     }
-
-    /// Rebuild a handle from [`Handle::raw`] (adapter layers that store
-    /// handles as plain integers).
-    pub fn from_raw(raw: u64) -> Self {
-        Handle(raw)
-    }
 }
 
-/// Mint a fresh process-unique handle.
-pub(crate) fn mint() -> Handle {
+/// Mint a fresh process-unique handle — the one counter behind every
+/// [`DecreaseKeyPq`](crate::DecreaseKeyPq) in the workspace.
+pub fn mint() -> PqHandle {
     static NEXT: AtomicU64 = AtomicU64::new(1);
-    Handle(NEXT.fetch_add(1, Ordering::Relaxed))
+    PqHandle(NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
-/// A [`MeldableHeap`] that also supports `Decrease-Key` on tracked elements.
-pub trait DecreaseKeyHeap<K: Ord + Clone>: MeldableHeap<K> {
-    /// Insert a key and return a handle naming the inserted element.
-    fn insert_tracked(&mut self, key: K) -> Handle;
-
-    /// Lower the tracked element's key to `new_key`.
-    ///
-    /// Returns `false` (and changes nothing) when the handle is stale (the
-    /// element was extracted) or when `new_key` is *greater* than the
-    /// current key — `Decrease-Key` never raises. `new_key == current` is
-    /// accepted and returns `true`.
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool;
-
-    /// The tracked element's current key, or `None` once it left the heap.
-    fn tracked_key(&self, h: Handle) -> Option<K>;
-}
-
-/// Handle bookkeeping for heaps without stable node identity.
+/// Handle bookkeeping for queues without stable node identity.
 ///
-/// Invariant: the multiset of tracked keys is a sub-multiset of the heap's
+/// Invariant: the multiset of tracked keys is a sub-multiset of the queue's
 /// keys — every map entry corresponds to a distinct live element. Preserved
 /// by retiring (at most) one handle per extraction, oldest first.
 #[derive(Debug, Clone)]
-pub(crate) struct TrackedKeys<K> {
+pub struct TrackedKeys<K> {
     /// handle → current key.
-    by_handle: HashMap<u64, K>,
+    by_handle: HashMap<PqHandle, K>,
     /// key → handles holding it, oldest (smallest id) first.
-    by_key: BTreeMap<K, Vec<u64>>,
+    by_key: BTreeMap<K, Vec<PqHandle>>,
 }
 
 impl<K> Default for TrackedKeys<K> {
@@ -92,39 +69,86 @@ impl<K> Default for TrackedKeys<K> {
     }
 }
 
-impl<K: Ord> TrackedKeys<K> {
+impl<K: Ord + Clone> TrackedKeys<K> {
     /// Number of tracked elements.
     pub(crate) fn len(&self) -> usize {
         self.by_handle.len()
     }
 
     /// The key currently recorded for `h`.
-    pub(crate) fn key_of(&self, h: Handle) -> Option<&K> {
-        self.by_handle.get(&h.0)
+    pub fn key_of(&self, h: PqHandle) -> Option<&K> {
+        self.by_handle.get(&h)
+    }
+
+    /// Each tracked key with the number of handles holding it, ascending.
+    pub fn buckets(&self) -> impl Iterator<Item = (&K, usize)> {
+        self.by_key.iter().map(|(k, hs)| (k, hs.len()))
+    }
+
+    /// Start tracking a fresh element holding `k`.
+    pub fn track(&mut self, k: K) -> PqHandle {
+        let h = mint();
+        // Minted ids are globally increasing, so a plain push keeps the
+        // bucket oldest-first.
+        self.by_key.entry(k.clone()).or_default().push(h);
+        self.by_handle.insert(h, k);
+        h
     }
 
     /// Record the popped key: the oldest handle holding `k` (if any) goes
-    /// stale, keeping tracked keys a sub-multiset of the heap.
-    pub(crate) fn on_extract(&mut self, k: &K) {
-        if self.by_key.is_empty() {
-            return;
-        }
-        let Some(handles) = self.by_key.get_mut(k) else {
-            return;
-        };
+    /// stale and is returned, keeping tracked keys a sub-multiset of the
+    /// queue.
+    pub fn on_extract(&mut self, k: &K) -> Option<PqHandle> {
+        let handles = self.by_key.get_mut(k)?;
         let h = handles.remove(0);
         if handles.is_empty() {
             self.by_key.remove(k);
         }
         self.by_handle.remove(&h);
+        Some(h)
     }
 
-    /// Absorb another heap's tracking (meld). Handle ids are globally
-    /// unique, so this is a plain union.
-    pub(crate) fn merge(&mut self, other: TrackedKeys<K>) {
-        for (h, k) in other.by_handle {
-            self.by_handle.insert(h, k);
+    /// Move `h` from its current key to `new`; returns the old key, or
+    /// `None` when the handle is stale.
+    pub fn rekey(&mut self, h: PqHandle, new: K) -> Option<K> {
+        let old = self.by_handle.get(&h)?.clone();
+        if let Some(hs) = self.by_key.get_mut(&old) {
+            hs.retain(|x| *x != h);
+            if hs.is_empty() {
+                self.by_key.remove(&old);
+            }
         }
+        let slot = self.by_key.entry(new.clone()).or_default();
+        let pos = slot.binary_search(&h).unwrap_or_else(|p| p);
+        slot.insert(pos, h);
+        self.by_handle.insert(h, new);
+        Some(old)
+    }
+
+    /// The `Decrease-Key` contract for queues that track by key: refuse a
+    /// stale handle or a raise, accept a no-op, else let `sift` move one
+    /// element holding the old key to `new` and, when it did, rekey `h`.
+    pub fn decrease(&mut self, h: PqHandle, new: K, sift: impl FnOnce(&K, &K) -> bool) -> bool {
+        let Some(old) = self.key_of(h).cloned() else {
+            return false;
+        };
+        if new > old {
+            return false;
+        }
+        if new == old {
+            return true;
+        }
+        let moved = sift(&old, &new);
+        if moved {
+            self.rekey(h, new);
+        }
+        moved
+    }
+
+    /// Absorb another queue's tracking (meld). Handle ids are globally
+    /// unique, so this is a plain union.
+    pub fn merge(&mut self, other: TrackedKeys<K>) {
+        self.by_handle.extend(other.by_handle);
         for (k, hs) in other.by_key {
             let slot = self.by_key.entry(k).or_default();
             slot.extend(hs);
@@ -132,8 +156,9 @@ impl<K: Ord> TrackedKeys<K> {
         }
     }
 
-    /// Internal-consistency check (used by each heap's `validate`).
-    pub(crate) fn check(&self) -> Result<(), String> {
+    /// Internal-consistency check: the two maps mirror each other and
+    /// every bucket is non-empty and oldest-first.
+    pub fn check(&self) -> Result<(), String> {
         let mut mirrored = 0usize;
         for (k, hs) in &self.by_key {
             if hs.is_empty() {
@@ -145,8 +170,8 @@ impl<K: Ord> TrackedKeys<K> {
             for h in hs {
                 match self.by_handle.get(h) {
                     Some(kk) if kk == k => mirrored += 1,
-                    Some(_) => return Err(format!("tracked: handle {h} key mismatch")),
-                    None => return Err(format!("tracked: handle {h} missing from map")),
+                    Some(_) => return Err(format!("tracked: handle {} key mismatch", h.0)),
+                    None => return Err(format!("tracked: handle {} missing from map", h.0)),
                 }
             }
         }
@@ -261,33 +286,4 @@ pub(crate) fn binary_decrease<K: Ord + Clone, N: BinaryNode<K>>(
     };
     apply_decrease(root, &trail, new, stats);
     true
-}
-
-impl<K: Ord + Clone> TrackedKeys<K> {
-    /// Start tracking a fresh element holding `k`.
-    pub(crate) fn track(&mut self, k: K) -> Handle {
-        let h = mint();
-        // Minted ids are globally increasing, so a plain push keeps the
-        // bucket oldest-first.
-        self.by_key.entry(k.clone()).or_default().push(h.raw());
-        self.by_handle.insert(h.raw(), k);
-        h
-    }
-
-    /// Move `h` from its current key to `new`; returns the old key, or
-    /// `None` when the handle is stale.
-    pub(crate) fn rekey(&mut self, h: Handle, new: K) -> Option<K> {
-        let old = self.by_handle.get(&h.raw())?.clone();
-        if let Some(hs) = self.by_key.get_mut(&old) {
-            hs.retain(|x| *x != h.raw());
-            if hs.is_empty() {
-                self.by_key.remove(&old);
-            }
-        }
-        let slot = self.by_key.entry(new.clone()).or_default();
-        let pos = slot.binary_search(&h.raw()).unwrap_or_else(|p| p);
-        slot.insert(pos, h.raw());
-        self.by_handle.insert(h.raw(), new);
-        Some(old)
-    }
 }

@@ -23,9 +23,9 @@
 use std::collections::HashMap;
 use std::mem;
 
-use crate::decrease::{mint, DecreaseKeyHeap, Handle};
+use crate::decrease::{mint, PqHandle};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 /// Sentinel for "no node".
 const NONE32: u32 = u32::MAX;
@@ -35,8 +35,8 @@ struct HSlot<K> {
     key: K,
     rank: u32,
     children: Vec<u32>,
-    /// Tracked element id (only elements inserted via `insert_tracked`).
-    item: Option<u64>,
+    /// Tracked element handle (only elements inserted via `insert_handle`).
+    item: Option<PqHandle>,
     /// Node no longer holds an element; key kept for heap order.
     hollow: bool,
     /// This node is linked under a *second* parent (the node minted by the
@@ -56,21 +56,21 @@ pub struct HollowHeap<K> {
     len: usize,
     /// Live nodes, hollow ones included.
     node_count: usize,
-    tracked: HashMap<u64, u32>,
+    tracked: HashMap<PqHandle, u32>,
     stats: OpStats,
     /// Reused work stacks for `extract_min` consolidation.
     pending: Vec<u32>,
     ranks: Vec<u32>,
 }
 
-impl<K: Ord + Clone> Default for HollowHeap<K> {
+impl<K> Default for HollowHeap<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Clone> HollowHeap<K> {
-    /// Create an empty heap.
+impl<K> HollowHeap<K> {
+    /// `Make-Queue`: an empty heap.
     pub fn new() -> Self {
         HollowHeap {
             nodes: Vec::new(),
@@ -85,25 +85,19 @@ impl<K: Ord + Clone> HollowHeap<K> {
         }
     }
 
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+
     /// Live hollow nodes (lazy-deletion debt awaiting the next flush).
     pub fn hollow_count(&self) -> usize {
         self.node_count - self.len
     }
+}
 
-    /// `(full, live)` node counts — live includes hollow nodes.
-    pub fn counts(&self) -> (usize, usize) {
-        (self.len, self.node_count)
-    }
-
-    /// Keys of all full nodes, arena order (for invariant checks).
-    pub fn full_keys(&self) -> impl Iterator<Item = &K> {
-        self.nodes
-            .iter()
-            .filter(|s| !s.free && !s.hollow)
-            .map(|s| &s.key)
-    }
-
-    fn alloc(&mut self, key: K, item: Option<u64>, rank: u32) -> u32 {
+impl<K: Ord + Copy> HollowHeap<K> {
+    fn alloc(&mut self, key: K, item: Option<PqHandle>, rank: u32) -> u32 {
         self.node_count += 1;
         if let Some(id) = self.free.pop() {
             let slot = &mut self.nodes[id as usize];
@@ -151,7 +145,7 @@ impl<K: Ord + Clone> HollowHeap<K> {
         winner
     }
 
-    fn insert_slot(&mut self, key: K, item: Option<u64>) -> u32 {
+    fn insert_slot(&mut self, key: K, item: Option<PqHandle>) -> u32 {
         let v = self.alloc(key, item, 0);
         self.len += 1;
         self.root = if self.root == NONE32 {
@@ -161,11 +155,129 @@ impl<K: Ord + Clone> HollowHeap<K> {
         };
         v
     }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for HollowHeap<K> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, key: K) {
+        self.insert_slot(key, None);
+    }
+
+    fn peek_min(&mut self) -> Option<K> {
+        (self.root != NONE32).then(|| self.nodes[self.root as usize].key)
+    }
+
+    fn extract_min(&mut self) -> Option<K> {
+        if self.root == NONE32 {
+            return None;
+        }
+        let r = self.root;
+        let key = self.nodes[r as usize].key;
+        if let Some(h) = self.nodes[r as usize].item.take() {
+            self.tracked.remove(&h);
+        }
+        self.nodes[r as usize].hollow = true;
+        self.len -= 1;
+
+        // Flush: destroy hollow roots, ranked-link the full ones.
+        let mut pending = mem::take(&mut self.pending);
+        let mut ranks = mem::take(&mut self.ranks);
+        pending.clear();
+        ranks.clear();
+        pending.push(r);
+        while let Some(x) = pending.pop() {
+            if self.nodes[x as usize].hollow {
+                // Destroy x: children with a second parent stay with the
+                // surviving parent; sole-parent children become roots.
+                let mut kids = mem::take(&mut self.nodes[x as usize].children);
+                for w in kids.drain(..) {
+                    if self.nodes[w as usize].second_parent {
+                        self.nodes[w as usize].second_parent = false;
+                    } else {
+                        pending.push(w);
+                    }
+                }
+                // Hand the (empty, capacity-bearing) vec back for reuse.
+                self.nodes[x as usize].children = kids;
+                self.free_node(x);
+            } else {
+                // Full root: ranked links, equal ranks only, winner +1.
+                let mut x = x;
+                let mut rk = self.nodes[x as usize].rank as usize;
+                loop {
+                    if ranks.len() <= rk {
+                        ranks.resize(rk + 1, NONE32);
+                    }
+                    if ranks[rk] == NONE32 {
+                        ranks[rk] = x;
+                        break;
+                    }
+                    let y = mem::replace(&mut ranks[rk], NONE32);
+                    x = self.link(x, y);
+                    rk += 1;
+                    self.nodes[x as usize].rank = rk as u32;
+                }
+            }
+        }
+        let mut new_root = NONE32;
+        for &x in ranks.iter() {
+            if x == NONE32 {
+                continue;
+            }
+            new_root = if new_root == NONE32 {
+                x
+            } else {
+                self.link(new_root, x)
+            };
+        }
+        self.root = new_root;
+        self.pending = pending;
+        self.ranks = ranks;
+        Some(key)
+    }
+
+    fn meld(&mut self, other: Self) {
+        self.stats.absorb(&other.stats);
+        if other.node_count == 0 {
+            return;
+        }
+        if self.node_count == 0 {
+            let stats = mem::take(&mut self.stats);
+            *self = other;
+            // Keep the absorbed counter continuity of `self`.
+            self.stats = stats;
+            return;
+        }
+        let off = self.nodes.len() as u32;
+        self.nodes.reserve(other.nodes.len());
+        for mut slot in other.nodes {
+            for c in &mut slot.children {
+                *c += off;
+            }
+            self.nodes.push(slot);
+        }
+        self.free.extend(other.free.iter().map(|f| f + off));
+        self.tracked
+            .extend(other.tracked.iter().map(|(h, n)| (*h, n + off)));
+        self.len += other.len;
+        self.node_count += other.node_count;
+        let other_root = other.root + off;
+        self.root = if self.root == NONE32 {
+            other_root
+        } else {
+            self.link(self.root, other_root)
+        };
+    }
 
     /// Structure checker: single full root, heap order on every DAG edge,
     /// in-edge counts (1, or 2 when `second_parent`), count bookkeeping,
-    /// free-list hygiene, tracked-map ↔ item bijection.
-    pub fn validate(&self) -> Result<(), String> {
+    /// free-list hygiene, tracked-map ↔ item bijection — then the
+    /// lazy-deletion ledger (full count, hollow debt, no residual hollow
+    /// nodes on an empty heap) re-derived from the slots.
+    fn check_invariants(&self) -> Result<(), String> {
         let live = self.nodes.iter().filter(|s| !s.free).count();
         if live != self.node_count {
             return Err(format!(
@@ -176,6 +288,13 @@ impl<K: Ord + Clone> HollowHeap<K> {
         let full = self.nodes.iter().filter(|s| !s.free && !s.hollow).count();
         if full != self.len {
             return Err(format!("hollow: len {} but {} full slots", self.len, full));
+        }
+        let hollow = self.nodes.iter().filter(|s| !s.free && s.hollow).count();
+        if hollow != self.hollow_count() {
+            return Err(format!(
+                "hollow ledger broken: {hollow} hollow slots, hollow_count={}",
+                self.hollow_count()
+            ));
         }
         if self.free.len() + self.node_count != self.nodes.len() {
             return Err("hollow: free list + live != slots".into());
@@ -243,165 +362,42 @@ impl<K: Ord + Clone> HollowHeap<K> {
             }
             if let Some(h) = s.item {
                 if s.hollow {
-                    return Err(format!("hollow: hollow node {i} still holds item {h}"));
+                    return Err(format!(
+                        "hollow: hollow node {i} still holds item {}",
+                        h.raw()
+                    ));
                 }
                 if self.tracked.get(&h) != Some(&(i as u32)) {
-                    return Err(format!("hollow: item {h} not mirrored in tracked map"));
+                    return Err(format!(
+                        "hollow: item {} not mirrored in tracked map",
+                        h.raw()
+                    ));
                 }
             }
         }
         for (h, &n) in &self.tracked {
             let s = &self.nodes[n as usize];
             if s.free || s.hollow || s.item != Some(*h) {
-                return Err(format!("hollow: tracked handle {h} points at a non-owner"));
+                return Err(format!(
+                    "hollow: tracked handle {} points at a non-owner",
+                    h.raw()
+                ));
             }
         }
         Ok(())
     }
 }
 
-impl<K: Ord + Clone> MeldableHeap<K> for HollowHeap<K> {
-    fn new() -> Self {
-        HollowHeap::new()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, key: K) {
-        self.insert_slot(key, None);
-    }
-
-    fn min(&self) -> Option<&K> {
-        if self.root == NONE32 {
-            None
-        } else {
-            Some(&self.nodes[self.root as usize].key)
-        }
-    }
-
-    fn extract_min(&mut self) -> Option<K> {
-        if self.root == NONE32 {
-            return None;
-        }
-        let r = self.root;
-        let key = self.nodes[r as usize].key.clone();
-        if let Some(h) = self.nodes[r as usize].item.take() {
-            self.tracked.remove(&h);
-        }
-        self.nodes[r as usize].hollow = true;
-        self.len -= 1;
-
-        // Flush: destroy hollow roots, ranked-link the full ones.
-        let mut pending = mem::take(&mut self.pending);
-        let mut ranks = mem::take(&mut self.ranks);
-        pending.clear();
-        ranks.clear();
-        pending.push(r);
-        while let Some(x) = pending.pop() {
-            if self.nodes[x as usize].hollow {
-                // Destroy x: children with a second parent stay with the
-                // surviving parent; sole-parent children become roots.
-                let mut kids = mem::take(&mut self.nodes[x as usize].children);
-                for w in kids.drain(..) {
-                    if self.nodes[w as usize].second_parent {
-                        self.nodes[w as usize].second_parent = false;
-                    } else {
-                        pending.push(w);
-                    }
-                }
-                // Hand the (empty, capacity-bearing) vec back for reuse.
-                self.nodes[x as usize].children = kids;
-                self.free_node(x);
-            } else {
-                // Full root: ranked links, equal ranks only, winner +1.
-                let mut x = x;
-                let mut rk = self.nodes[x as usize].rank as usize;
-                loop {
-                    if ranks.len() <= rk {
-                        ranks.resize(rk + 1, NONE32);
-                    }
-                    if ranks[rk] == NONE32 {
-                        ranks[rk] = x;
-                        break;
-                    }
-                    let y = mem::replace(&mut ranks[rk], NONE32);
-                    x = self.link(x, y);
-                    rk += 1;
-                    self.nodes[x as usize].rank = rk as u32;
-                }
-            }
-        }
-        let mut new_root = NONE32;
-        for &x in ranks.iter() {
-            if x == NONE32 {
-                continue;
-            }
-            new_root = if new_root == NONE32 {
-                x
-            } else {
-                self.link(new_root, x)
-            };
-        }
-        self.root = new_root;
-        self.pending = pending;
-        self.ranks = ranks;
-        Some(key)
-    }
-
-    fn meld(&mut self, other: Self) {
-        self.stats.absorb(other.stats());
-        if other.node_count == 0 {
-            return;
-        }
-        if self.node_count == 0 {
-            let stats = mem::take(&mut self.stats);
-            *self = other;
-            // Keep the absorbed counter continuity of `self`.
-            self.stats = stats;
-            return;
-        }
-        let off = self.nodes.len() as u32;
-        self.nodes.reserve(other.nodes.len());
-        for mut slot in other.nodes {
-            for c in &mut slot.children {
-                *c += off;
-            }
-            self.nodes.push(slot);
-        }
-        self.free.extend(other.free.iter().map(|f| f + off));
-        self.tracked
-            .extend(other.tracked.iter().map(|(h, n)| (*h, n + off)));
-        self.len += other.len;
-        self.node_count += other.node_count;
-        let other_root = other.root + off;
-        self.root = if self.root == NONE32 {
-            other_root
-        } else {
-            self.link(self.root, other_root)
-        };
-    }
-
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-}
-
-impl<K: Ord + Clone> DecreaseKeyHeap<K> for HollowHeap<K> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
+impl<K: Ord + Copy> DecreaseKeyPq<K> for HollowHeap<K> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
         let h = mint();
-        let v = self.insert_slot(key, Some(h.raw()));
-        self.tracked.insert(h.raw(), v);
+        let v = self.insert_slot(key, Some(h));
+        self.tracked.insert(h, v);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(&u) = self.tracked.get(&h.raw()) else {
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let Some(&u) = self.tracked.get(&h) else {
             return false;
         };
         self.stats.add_comparisons(1);
@@ -419,23 +415,22 @@ impl<K: Ord + Clone> DecreaseKeyHeap<K> for HollowHeap<K> {
         self.nodes[u as usize].item = None;
         self.nodes[u as usize].hollow = true;
         self.nodes[u as usize].second_parent = true;
-        let v = self.alloc(new_key, Some(h.raw()), rank);
+        let v = self.alloc(new_key, Some(h), rank);
         self.nodes[v as usize].children.push(u);
-        self.tracked.insert(h.raw(), v);
+        self.tracked.insert(h, v);
         self.root = self.link(self.root, v);
         true
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        let n = *self.tracked.get(&h.raw())?;
-        Some(self.nodes[n as usize].key.clone())
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        let n = *self.tracked.get(&h)?;
+        Some(self.nodes[n as usize].key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::MeldableHeap;
 
     fn keys(tag: u64, n: usize) -> Vec<i64> {
         // Deterministic splitmix-style stream, same idiom as sibling tests.
@@ -453,20 +448,23 @@ mod tests {
         let ks = keys(1, 300);
         let mut expect = ks.clone();
         expect.sort_unstable();
-        let h = HollowHeap::from_iter_keys(ks);
-        h.validate().expect("valid");
-        assert_eq!(h.into_sorted_vec(), expect);
+        let mut h = HollowHeap::new();
+        h.multi_insert(&ks);
+        h.check_invariants().expect("valid");
+        assert_eq!(h.drain_sorted(), expect);
     }
 
     #[test]
     fn meld_is_constant_work() {
-        let mut a = HollowHeap::from_iter_keys(keys(2, 64));
-        let b = HollowHeap::from_iter_keys(keys(3, 64));
+        let mut a = HollowHeap::new();
+        a.multi_insert(&keys(2, 64));
+        let mut b = HollowHeap::new();
+        b.multi_insert(&keys(3, 64));
         let links_before = a.stats().links() + b.stats().links();
         a.meld(b);
         assert_eq!(a.stats().links(), links_before + 1);
         assert_eq!(a.len(), 128);
-        a.validate().expect("valid after meld");
+        a.check_invariants().expect("valid after meld");
     }
 
     #[test]
@@ -475,62 +473,62 @@ mod tests {
         for k in keys(4, 100) {
             h.insert(k);
         }
-        let t = h.insert_tracked(900);
+        let t = h.insert_handle(900);
         let links = h.stats().links();
         assert!(h.decrease_key(t, -900));
         assert_eq!(h.stats().links(), links + 1);
-        assert_eq!(h.tracked_key(t), Some(-900));
-        h.validate().expect("valid after decrease");
+        assert_eq!(h.key_of_handle(t), Some(-900));
+        h.check_invariants().expect("valid after decrease");
         assert_eq!(h.extract_min(), Some(-900));
-        assert_eq!(h.tracked_key(t), None);
+        assert_eq!(h.key_of_handle(t), None);
         assert!(!h.decrease_key(t, -1000), "stale handle must refuse");
     }
 
     #[test]
     fn decrease_never_raises() {
         let mut h: HollowHeap<i64> = HollowHeap::new();
-        let t = h.insert_tracked(10);
+        let t = h.insert_handle(10);
         h.insert(0);
         assert!(!h.decrease_key(t, 11));
-        assert_eq!(h.tracked_key(t), Some(10));
+        assert_eq!(h.key_of_handle(t), Some(10));
         assert!(h.decrease_key(t, 10), "equal key is allowed");
     }
 
     #[test]
     fn hollow_debt_is_flushed() {
         let mut h: HollowHeap<i64> = HollowHeap::new();
-        let hs: Vec<_> = (0..50).map(|k| h.insert_tracked(k + 100)).collect();
+        let hs: Vec<_> = (0..50).map(|k| h.insert_handle(k + 100)).collect();
         for (i, t) in hs.iter().enumerate() {
             assert!(h.decrease_key(*t, i as i64));
         }
         assert_eq!(h.hollow_count(), 49, "each non-root decrease hollows one");
-        h.validate().expect("valid with debt");
+        h.check_invariants().expect("valid with debt");
         let mut out = Vec::new();
         while let Some(k) = h.extract_min() {
             out.push(k);
-            h.validate().expect("valid during drain");
+            h.check_invariants().expect("valid during drain");
         }
         assert_eq!(out, (0..50).collect::<Vec<_>>());
-        assert_eq!(h.counts(), (0, 0), "drain destroys every hollow node");
+        assert_eq!(h.hollow_count(), 0, "drain destroys every hollow node");
     }
 
     #[test]
     fn handles_survive_meld_without_translation() {
         let mut a: HollowHeap<i64> = HollowHeap::new();
         let mut b: HollowHeap<i64> = HollowHeap::new();
-        let ta = a.insert_tracked(50);
-        let tb = b.insert_tracked(60);
+        let ta = a.insert_handle(50);
+        let tb = b.insert_handle(60);
         for k in keys(5, 40) {
             a.insert(k.abs() + 100);
             b.insert(k.abs() + 100);
         }
         a.meld(b);
-        assert_eq!(a.tracked_key(ta), Some(50));
-        assert_eq!(a.tracked_key(tb), Some(60));
+        assert_eq!(a.key_of_handle(ta), Some(50));
+        assert_eq!(a.key_of_handle(tb), Some(60));
         assert!(a.decrease_key(tb, -7));
-        a.validate().expect("valid");
+        a.check_invariants().expect("valid");
         assert_eq!(a.extract_min(), Some(-7));
-        assert_eq!(a.tracked_key(tb), None);
+        assert_eq!(a.key_of_handle(tb), None);
     }
 
     #[test]
@@ -539,7 +537,7 @@ mod tests {
         let mut handles = Vec::new();
         for (i, k) in keys(6, 400).into_iter().enumerate() {
             if i % 3 == 0 {
-                handles.push(h.insert_tracked(k));
+                handles.push(h.insert_handle(k));
             } else {
                 h.insert(k);
             }
@@ -548,16 +546,16 @@ mod tests {
             }
             if i % 5 == 0 {
                 if let Some(t) = handles.get(i % handles.len().max(1)).copied() {
-                    if let Some(cur) = h.tracked_key(t) {
+                    if let Some(cur) = h.key_of_handle(t) {
                         h.decrease_key(t, cur - 3);
                     }
                 }
             }
             if i % 16 == 0 {
-                h.validate().expect("valid mid-workload");
+                h.check_invariants().expect("valid mid-workload");
             }
         }
-        h.validate().expect("valid at end");
+        h.check_invariants().expect("valid at end");
         let mut out = Vec::new();
         while let Some(k) = h.extract_min() {
             out.push(k);

@@ -402,6 +402,7 @@ impl IndexedBinomialHeap {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -5,9 +5,9 @@
 //! right child, so the rightmost path has length `O(log n)` and two heaps meld
 //! by merging right spines.
 
-use crate::decrease::{DecreaseKeyHeap, Handle, TrackedKeys};
+use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 type Link<K> = Option<Box<LNode<K>>>;
 
@@ -37,7 +37,7 @@ fn rank<K>(l: &Link<K>) -> u32 {
 }
 
 /// A leftist (min-)heap.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LeftistHeap<K> {
     root: Link<K>,
     len: usize,
@@ -78,6 +78,29 @@ impl<K> crate::decrease::BinaryNode<K> for LNode<K> {
     }
 }
 
+impl<K> Default for LeftistHeap<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K> LeftistHeap<K> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
+        LeftistHeap {
+            root: None,
+            len: 0,
+            stats: OpStats::new(),
+            tracked: TrackedKeys::default(),
+        }
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+}
+
 impl<K: Ord> LeftistHeap<K> {
     /// Merge two subtrees along their right spines (recursive; depth bounded
     /// by the sum of the two ranks, i.e. `O(log n)`).
@@ -99,9 +122,55 @@ impl<K: Ord> LeftistHeap<K> {
             }
         }
     }
+}
 
-    /// Check the leftist rank property and heap order; returns the node count.
-    pub fn validate(&self) -> Result<(), String> {
+impl<K> Drop for LeftistHeap<K> {
+    /// Iterative drop: the *left* spine of a leftist heap is unbounded (sorted
+    /// insertions build an `n`-deep left chain), so the default recursive drop
+    /// could overflow the stack.
+    fn drop(&mut self) {
+        let mut stack: Vec<Box<LNode<K>>> = Vec::new();
+        stack.extend(self.root.take());
+        while let Some(mut n) = stack.pop() {
+            stack.extend(n.left.take());
+            stack.extend(n.right.take());
+        }
+    }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for LeftistHeap<K> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, key: K) {
+        self.len += 1;
+        let node = Some(LNode::leaf(key));
+        self.root = Self::merge(self.root.take(), node, &self.stats);
+    }
+
+    fn peek_min(&mut self) -> Option<K> {
+        self.root.as_ref().map(|n| n.key)
+    }
+
+    fn extract_min(&mut self) -> Option<K> {
+        let mut root = self.root.take()?;
+        self.len -= 1;
+        self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
+        self.tracked.on_extract(&root.key);
+        Some(root.key)
+    }
+
+    fn meld(&mut self, mut other: Self) {
+        self.stats.absorb(&other.stats);
+        self.len += other.len;
+        other.len = 0;
+        self.tracked.merge(std::mem::take(&mut other.tracked));
+        self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
+    }
+
+    /// Check the leftist rank property, heap order, size and handle tracking.
+    fn check_invariants(&self) -> Result<(), String> {
         fn walk<K: Ord>(n: &LNode<K>) -> Result<usize, String> {
             let mut count = 1;
             for child in [&n.left, &n.right].into_iter().flatten() {
@@ -133,97 +202,26 @@ impl<K: Ord> LeftistHeap<K> {
     }
 }
 
-impl<K> Drop for LeftistHeap<K> {
-    /// Iterative drop: the *left* spine of a leftist heap is unbounded (sorted
-    /// insertions build an `n`-deep left chain), so the default recursive drop
-    /// could overflow the stack.
-    fn drop(&mut self) {
-        let mut stack: Vec<Box<LNode<K>>> = Vec::new();
-        stack.extend(self.root.take());
-        while let Some(mut n) = stack.pop() {
-            stack.extend(n.left.take());
-            stack.extend(n.right.take());
-        }
-    }
-}
-
-impl<K: Ord> MeldableHeap<K> for LeftistHeap<K> {
-    fn new() -> Self {
-        LeftistHeap {
-            root: None,
-            len: 0,
-            stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, key: K) {
-        self.len += 1;
-        let node = Some(LNode::leaf(key));
-        self.root = Self::merge(self.root.take(), node, &self.stats);
-    }
-
-    fn min(&self) -> Option<&K> {
-        self.root.as_ref().map(|n| &n.key)
-    }
-
-    fn extract_min(&mut self) -> Option<K> {
-        let mut root = self.root.take()?;
-        self.len -= 1;
-        self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
-        self.tracked.on_extract(&root.key);
-        Some(root.key)
-    }
-
-    fn meld(&mut self, mut other: Self) {
-        self.stats.absorb(&other.stats);
-        self.len += other.len;
-        other.len = 0;
-        self.tracked.merge(std::mem::take(&mut other.tracked));
-        self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
-    }
-
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-}
-
-impl<K: Ord + Clone> DecreaseKeyHeap<K> for LeftistHeap<K> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
-        let h = self.tracked.track(key.clone());
+impl<K: Ord + Copy> DecreaseKeyPq<K> for LeftistHeap<K> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
+        let h = self.tracked.track(key);
         self.insert(key);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(old) = self.tracked.key_of(h).cloned() else {
-            return false;
-        };
-        if new_key > old {
-            return false;
-        }
-        if new_key == old {
-            return true;
-        }
-        self.tracked.rekey(h, new_key.clone());
-        let found = match self.root.as_deref_mut() {
-            Some(r) => crate::decrease::binary_decrease(r, &old, &new_key, &self.stats),
-            None => false,
-        };
-        debug_assert!(found, "tracked key must be present in the tree");
-        found
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let (root, stats) = (&mut self.root, &self.stats);
+        self.tracked.decrease(h, new_key, |old, new| {
+            let found = root
+                .as_deref_mut()
+                .is_some_and(|r| crate::decrease::binary_decrease(r, old, new, stats));
+            debug_assert!(found, "tracked key must be present in the tree");
+            found
+        })
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        self.tracked.key_of(h).cloned()
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        self.tracked.key_of(h).copied()
     }
 }
 
@@ -237,19 +235,21 @@ mod tests {
         for k in [4, 1, 3, 2, 5] {
             h.insert(k);
         }
-        assert!(h.validate().is_ok());
-        assert_eq!(h.min(), Some(&1));
-        assert_eq!(h.into_sorted_vec(), vec![1, 2, 3, 4, 5]);
+        assert!(h.check_invariants().is_ok());
+        assert_eq!(h.peek_min(), Some(1));
+        assert_eq!(h.drain_sorted(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn meld_preserves_all_keys() {
-        let mut a = LeftistHeap::from_iter_keys([10, 20, 30]);
-        let b = LeftistHeap::from_iter_keys([5, 25, 35]);
+        let mut a = LeftistHeap::new();
+        a.multi_insert(&[10, 20, 30]);
+        let mut b = LeftistHeap::new();
+        b.multi_insert(&[5, 25, 35]);
         a.meld(b);
         assert_eq!(a.len(), 6);
-        assert!(a.validate().is_ok());
-        assert_eq!(a.into_sorted_vec(), vec![5, 10, 20, 25, 30, 35]);
+        assert!(a.check_invariants().is_ok());
+        assert_eq!(a.drain_sorted(), vec![5, 10, 20, 25, 30, 35]);
     }
 
     #[test]
@@ -269,14 +269,15 @@ mod tests {
         for k in [40, 10, 70, 20, 90, 30, 60] {
             h.insert(k);
         }
-        let t = h.insert_tracked(80);
+        let t = h.insert_handle(80);
         assert!(h.decrease_key(t, 5));
-        h.validate().expect("ranks untouched by content sift");
-        assert_eq!(h.min(), Some(&5));
+        h.check_invariants()
+            .expect("ranks untouched by content sift");
+        assert_eq!(h.peek_min(), Some(5));
         assert_eq!(h.extract_min(), Some(5));
-        assert_eq!(h.tracked_key(t), None);
+        assert_eq!(h.key_of_handle(t), None);
         assert!(!h.decrease_key(t, 1), "stale handle must refuse");
-        h.validate().expect("valid after extract");
+        h.check_invariants().expect("valid after extract");
     }
 
     #[test]
@@ -284,10 +285,10 @@ mod tests {
         let mut h = LeftistHeap::new();
         for k in [9, 2, 7, 7, 1, 8, 3, 0, 4, 6, 5, 2] {
             h.insert(k);
-            assert!(h.validate().is_ok());
+            assert!(h.check_invariants().is_ok());
         }
         while h.extract_min().is_some() {
-            assert!(h.validate().is_ok());
+            assert!(h.check_invariants().is_ok());
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   against (footnote 1 and reference \[1], Chen & Hu).
 //! * [`SkewHeap`] — a self-adjusting meldable baseline.
 //! * [`PairingHeap`] — the practical meldable baseline.
-//! * [`BinaryHeapAdapter`] — `std`'s binary heap wrapped in the same trait;
+//! * [`BinaryHeapAdapter`] — `std`'s binary heap behind the same trait;
 //!   *not* efficiently meldable (meld rebuilds), included to demonstrate why
 //!   meldability matters in the W1 experiment.
 //! * [`DaryHeap`] — an implicit d-ary heap with const-generic fan-out, the
@@ -27,28 +27,32 @@
 //! * [`IndexedDaryHeap`] — the implicit d-ary heap plus a position index,
 //!   giving the deploy-grade O(log_D n) `decrease_key`.
 //!
-//! Engines with a `decrease_key` additionally implement [`DecreaseKeyHeap`]
-//! (hollow, pairing and indexed d-ary natively; binomial, leftist and skew
-//! via a sift-based fallback), so the whole fleet can run SSSP-style
-//! workloads under one trait.
-//!
-//! All structures implement the common [`MeldableHeap`] trait and carry an
-//! [`OpStats`] instrumentation block counting key comparisons and structural
-//! link operations, which the benchmark harness uses for machine-independent
-//! comparisons.
+//! Every structure implements the workspace's one queue trait,
+//! [`MeldablePq`] (defined here, in the lowest crate, and re-exported by
+//! `meldpq`). Engines with a `decrease_key` additionally implement
+//! [`DecreaseKeyPq`] (hollow, pairing and indexed d-ary natively; binomial,
+//! leftist and skew via a sift-based fallback), so the whole fleet can run
+//! SSSP-style workloads under one trait. `Make-Queue` is `Default` or the
+//! inherent `new`; each structure also carries an [`OpStats`]
+//! instrumentation block (inherent `stats()`) counting key comparisons and
+//! structural link operations, which the benchmark harness uses for
+//! machine-independent comparisons.
 //!
 //! ```
-//! use seqheaps::{BinomialHeap, LeftistHeap, MeldableHeap};
+//! use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq};
 //!
-//! let mut a = BinomialHeap::from_iter_keys([5, 1, 9]);
-//! let b = BinomialHeap::from_iter_keys([2, 8]);
+//! let mut a = BinomialHeap::new();
+//! a.multi_insert(&[5, 1, 9]);
+//! let mut b = BinomialHeap::new();
+//! b.multi_insert(&[2, 8]);
 //! a.meld(b);                       // Union in O(log n)
-//! assert_eq!(a.min(), Some(&1));
-//! assert_eq!(a.into_sorted_vec(), vec![1, 2, 5, 8, 9]);
+//! assert_eq!(a.peek_min(), Some(1));
+//! assert_eq!(a.drain_sorted(), vec![1, 2, 5, 8, 9]);
 //!
 //! // Every baseline shares the trait:
-//! let l = LeftistHeap::from_iter_keys([3, 1, 2]);
-//! assert_eq!(l.into_sorted_vec(), vec![1, 2, 3]);
+//! let mut l = LeftistHeap::new();
+//! l.multi_insert(&[3, 1, 2]);
+//! assert_eq!(l.drain_sorted(), vec![1, 2, 3]);
 //! ```
 
 pub mod binary;
@@ -66,11 +70,11 @@ pub mod traits;
 pub use binary::BinaryHeapAdapter;
 pub use binomial::BinomialHeap;
 pub use dary::{DaryHeap, IndexedDaryHeap};
-pub use decrease::{DecreaseKeyHeap, Handle};
+pub use decrease::{PqHandle, TrackedKeys};
 pub use hollow::HollowHeap;
 pub use indexed::{IndexedBinomialHeap, ItemId};
 pub use leftist::LeftistHeap;
 pub use pairing::{MergeStrategy, PairingHeap};
 pub use skew::SkewHeap;
 pub use stats::OpStats;
-pub use traits::MeldableHeap;
+pub use traits::{DecreaseKeyPq, MeldablePq};

@@ -14,9 +14,9 @@
 use std::collections::HashMap;
 use std::mem;
 
-use crate::decrease::{mint, DecreaseKeyHeap, Handle};
+use crate::decrease::{mint, PqHandle};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 /// Sentinel for "no node".
 const NONE32: u32 = u32::MAX;
@@ -48,8 +48,8 @@ struct PSlot<K> {
     key: K,
     parent: u32,
     children: Vec<u32>,
-    /// Tracked element id (only elements inserted via `insert_tracked`).
-    item: Option<u64>,
+    /// Tracked element handle (only elements inserted via `insert_handle`).
+    item: Option<PqHandle>,
     free: bool,
 }
 
@@ -62,7 +62,7 @@ pub struct PairingHeap<K> {
     len: usize,
     stats: OpStats,
     strategy: MergeStrategy,
-    tracked: HashMap<u64, u32>,
+    tracked: HashMap<PqHandle, u32>,
     /// Reused pairing buffer for `extract_min`.
     scratch: Vec<u32>,
 }
@@ -82,7 +82,17 @@ impl<K> Default for PairingHeap<K> {
     }
 }
 
-impl<K: Ord + Clone> PairingHeap<K> {
+impl<K> PairingHeap<K> {
+    /// `Make-Queue`: an empty heap using the default (two-pass) strategy.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
+    }
+
     /// An empty heap using the given child-merge strategy.
     pub fn with_strategy(strategy: MergeStrategy) -> Self {
         PairingHeap {
@@ -101,8 +111,10 @@ impl<K: Ord + Clone> PairingHeap<K> {
     pub fn arena_slots(&self) -> usize {
         self.nodes.len()
     }
+}
 
-    fn alloc(&mut self, key: K, item: Option<u64>) -> u32 {
+impl<K: Ord + Copy> PairingHeap<K> {
+    fn alloc(&mut self, key: K, item: Option<PqHandle>) -> u32 {
         if let Some(id) = self.free.pop() {
             let slot = &mut self.nodes[id as usize];
             slot.key = key;
@@ -177,89 +189,30 @@ impl<K: Ord + Clone> PairingHeap<K> {
         root
     }
 
-    /// Check heap order, parent pointers, counts and handle bookkeeping.
-    pub fn validate(&self) -> Result<(), String> {
-        let live = self.nodes.iter().filter(|s| !s.free).count();
-        if live != self.len {
-            return Err(format!("pairing: len {} but {live} live slots", self.len));
-        }
-        if self.free.len() + self.len != self.nodes.len() {
-            return Err("pairing: free list + live != slots".into());
-        }
-        if self.len == 0 {
-            if self.root != NONE32 {
-                return Err("pairing: empty heap with a root".into());
-            }
-            return Ok(());
-        }
-        if self.root == NONE32 || self.nodes[self.root as usize].free {
-            return Err("pairing: non-empty heap without live root".into());
-        }
-        if self.nodes[self.root as usize].parent != NONE32 {
-            return Err("pairing: root has a parent".into());
-        }
-        let mut count = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            count += 1;
-            let ns = &self.nodes[n as usize];
-            if let Some(h) = ns.item {
-                if self.tracked.get(&h) != Some(&n) {
-                    return Err(format!("pairing: item {h} not mirrored in tracked map"));
-                }
-            }
-            for &c in &ns.children {
-                let cs = &self.nodes[c as usize];
-                if cs.free {
-                    return Err("pairing: edge to freed slot".into());
-                }
-                if cs.key < ns.key {
-                    return Err("pairing: heap order violated".into());
-                }
-                if cs.parent != n {
-                    return Err("pairing: child parent pointer mismatch".into());
-                }
-                stack.push(c);
-            }
-        }
-        if count != self.len {
-            return Err(format!("pairing: len {} but tree holds {count}", self.len));
-        }
-        for (h, &n) in &self.tracked {
-            let s = &self.nodes[n as usize];
-            if s.free || s.item != Some(*h) {
-                return Err(format!("pairing: tracked handle {h} points at a non-owner"));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<K: Ord + Clone> MeldableHeap<K> for PairingHeap<K> {
-    fn new() -> Self {
-        PairingHeap::default()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, key: K) {
-        let v = self.alloc(key, None);
+    /// Link a fresh node holding `key` under the root.
+    fn insert_slot(&mut self, key: K, item: Option<PqHandle>) -> u32 {
+        let v = self.alloc(key, item);
         self.len += 1;
         self.root = if self.root == NONE32 {
             v
         } else {
             self.link(self.root, v)
         };
+        v
+    }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for PairingHeap<K> {
+    fn len(&self) -> usize {
+        self.len
     }
 
-    fn min(&self) -> Option<&K> {
-        if self.root == NONE32 {
-            None
-        } else {
-            Some(&self.nodes[self.root as usize].key)
-        }
+    fn insert(&mut self, key: K) {
+        self.insert_slot(key, None);
+    }
+
+    fn peek_min(&mut self) -> Option<K> {
+        (self.root != NONE32).then(|| self.nodes[self.root as usize].key)
     }
 
     fn extract_min(&mut self) -> Option<K> {
@@ -267,7 +220,7 @@ impl<K: Ord + Clone> MeldableHeap<K> for PairingHeap<K> {
             return None;
         }
         let r = self.root;
-        let key = self.nodes[r as usize].key.clone();
+        let key = self.nodes[r as usize].key;
         if let Some(h) = self.nodes[r as usize].item.take() {
             self.tracked.remove(&h);
         }
@@ -317,31 +270,80 @@ impl<K: Ord + Clone> MeldableHeap<K> for PairingHeap<K> {
         self.root = self.link(self.root, other_root);
     }
 
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    /// Check heap order, parent pointers, counts and handle bookkeeping.
+    fn check_invariants(&self) -> Result<(), String> {
+        let live = self.nodes.iter().filter(|s| !s.free).count();
+        if live != self.len {
+            return Err(format!("pairing: len {} but {live} live slots", self.len));
+        }
+        if self.free.len() + self.len != self.nodes.len() {
+            return Err("pairing: free list + live != slots".into());
+        }
+        if self.len == 0 {
+            if self.root != NONE32 {
+                return Err("pairing: empty heap with a root".into());
+            }
+            return Ok(());
+        }
+        if self.root == NONE32 || self.nodes[self.root as usize].free {
+            return Err("pairing: non-empty heap without live root".into());
+        }
+        if self.nodes[self.root as usize].parent != NONE32 {
+            return Err("pairing: root has a parent".into());
+        }
+        let mut count = 0usize;
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            count += 1;
+            let ns = &self.nodes[n as usize];
+            if let Some(h) = ns.item {
+                if self.tracked.get(&h) != Some(&n) {
+                    return Err(format!(
+                        "pairing: item {} not mirrored in tracked map",
+                        h.raw()
+                    ));
+                }
+            }
+            for &c in &ns.children {
+                let cs = &self.nodes[c as usize];
+                if cs.free {
+                    return Err("pairing: edge to freed slot".into());
+                }
+                if cs.key < ns.key {
+                    return Err("pairing: heap order violated".into());
+                }
+                if cs.parent != n {
+                    return Err("pairing: child parent pointer mismatch".into());
+                }
+                stack.push(c);
+            }
+        }
+        if count != self.len {
+            return Err(format!("pairing: len {} but tree holds {count}", self.len));
+        }
+        for (h, &n) in &self.tracked {
+            let s = &self.nodes[n as usize];
+            if s.free || s.item != Some(*h) {
+                return Err(format!(
+                    "pairing: tracked handle {} points at a non-owner",
+                    h.raw()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-impl<K: Ord + Clone> DecreaseKeyHeap<K> for PairingHeap<K> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
+impl<K: Ord + Copy> DecreaseKeyPq<K> for PairingHeap<K> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
         let h = mint();
-        let v = self.alloc(key, Some(h.raw()));
-        self.len += 1;
-        self.root = if self.root == NONE32 {
-            v
-        } else {
-            self.link(self.root, v)
-        };
-        self.tracked.insert(h.raw(), v);
+        let v = self.insert_slot(key, Some(h));
+        self.tracked.insert(h, v);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(&u) = self.tracked.get(&h.raw()) else {
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let Some(&u) = self.tracked.get(&h) else {
             return false;
         };
         self.stats.add_comparisons(1);
@@ -364,9 +366,9 @@ impl<K: Ord + Clone> DecreaseKeyHeap<K> for PairingHeap<K> {
         true
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        let n = *self.tracked.get(&h.raw())?;
-        Some(self.nodes[n as usize].key.clone())
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        let n = *self.tracked.get(&h)?;
+        Some(self.nodes[n as usize].key)
     }
 }
 
@@ -379,9 +381,9 @@ mod tests {
         let mut h = PairingHeap::new();
         for k in [3, 1, 4, 1, 5, 9, 2, 6] {
             h.insert(k);
-            assert!(h.validate().is_ok());
+            assert!(h.check_invariants().is_ok());
         }
-        assert_eq!(h.into_sorted_vec(), vec![1, 1, 2, 3, 4, 5, 6, 9]);
+        assert_eq!(h.drain_sorted(), vec![1, 1, 2, 3, 4, 5, 6, 9]);
     }
 
     #[test]
@@ -390,18 +392,20 @@ mod tests {
         for k in [3, 1, 4, 1, 5, 9, 2, 6, -3, 0] {
             h.insert(k);
         }
-        assert!(h.validate().is_ok());
-        assert_eq!(h.into_sorted_vec(), vec![-3, 0, 1, 1, 2, 3, 4, 5, 6, 9]);
+        assert!(h.check_invariants().is_ok());
+        assert_eq!(h.drain_sorted(), vec![-3, 0, 1, 1, 2, 3, 4, 5, 6, 9]);
     }
 
     #[test]
     fn meld_is_constant_link() {
-        let mut a = PairingHeap::from_iter_keys([2, 8]);
-        let b = PairingHeap::from_iter_keys([1, 9]);
+        let mut a = PairingHeap::new();
+        a.multi_insert(&[2, 8]);
+        let mut b = PairingHeap::new();
+        b.multi_insert(&[1, 9]);
         let links_before = a.stats().links() + b.stats().links();
         a.meld(b);
         assert_eq!(a.stats().links(), links_before + 1);
-        assert_eq!(a.into_sorted_vec(), vec![1, 2, 8, 9]);
+        assert_eq!(a.drain_sorted(), vec![1, 2, 8, 9]);
     }
 
     #[test]
@@ -426,13 +430,13 @@ mod tests {
         for k in 0..64 {
             h.insert(k + 100);
         }
-        let t = h.insert_tracked(500);
-        assert_eq!(h.tracked_key(t), Some(500));
+        let t = h.insert_handle(500);
+        assert_eq!(h.key_of_handle(t), Some(500));
         assert!(h.decrease_key(t, -1));
-        assert_eq!(h.tracked_key(t), Some(-1));
-        h.validate().expect("valid after decrease");
+        assert_eq!(h.key_of_handle(t), Some(-1));
+        h.check_invariants().expect("valid after decrease");
         assert_eq!(h.extract_min(), Some(-1));
-        assert_eq!(h.tracked_key(t), None);
+        assert_eq!(h.key_of_handle(t), None);
         assert!(!h.decrease_key(t, -2), "stale handle must refuse");
     }
 
@@ -450,7 +454,7 @@ mod tests {
             h.insert(k);
         }
         assert_eq!(h.arena_slots(), slots, "freed slots must be reused");
-        h.validate().expect("valid after churn");
+        h.check_invariants().expect("valid after churn");
     }
 
     #[test]
@@ -462,6 +466,6 @@ mod tests {
         for expect in 0..100 {
             assert_eq!(h.extract_min(), Some(expect));
         }
-        assert!(h.validate().is_ok());
+        assert!(h.check_invariants().is_ok());
     }
 }

@@ -6,9 +6,9 @@
 //! formulation (cut both right spines, merge them by key, reattach swapping
 //! children), so a single pathological operation cannot overflow the stack.
 
-use crate::decrease::{DecreaseKeyHeap, Handle, TrackedKeys};
+use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::MeldableHeap;
+use crate::traits::{DecreaseKeyPq, MeldablePq};
 
 type Link<K> = Option<Box<SNode<K>>>;
 
@@ -41,7 +41,7 @@ impl<K> crate::decrease::BinaryNode<K> for SNode<K> {
 }
 
 /// A skew (min-)heap.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SkewHeap<K> {
     root: Link<K>,
     len: usize,
@@ -58,6 +58,29 @@ impl<K: Clone> Clone for SkewHeap<K> {
             stats: self.stats.clone(),
             tracked: self.tracked.clone(),
         }
+    }
+}
+
+impl<K> Default for SkewHeap<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K> SkewHeap<K> {
+    /// `Make-Queue`: an empty heap.
+    pub fn new() -> Self {
+        SkewHeap {
+            root: None,
+            len: 0,
+            stats: OpStats::new(),
+            tracked: TrackedKeys::default(),
+        }
+    }
+
+    /// Instrumentation counters accumulated so far.
+    pub fn stats(&self) -> &OpStats {
+        &self.stats
     }
 }
 
@@ -98,9 +121,57 @@ impl<K: Ord> SkewHeap<K> {
         }
         Some(acc)
     }
+}
+
+impl<K> Drop for SkewHeap<K> {
+    /// Iterative drop: skew heaps can be arbitrarily deep.
+    fn drop(&mut self) {
+        let mut stack: Vec<Box<SNode<K>>> = Vec::new();
+        stack.extend(self.root.take());
+        while let Some(mut n) = stack.pop() {
+            stack.extend(n.left.take());
+            stack.extend(n.right.take());
+        }
+    }
+}
+
+impl<K: Ord + Copy> MeldablePq<K> for SkewHeap<K> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, key: K) {
+        self.len += 1;
+        let node = Some(Box::new(SNode {
+            key,
+            left: None,
+            right: None,
+        }));
+        self.root = Self::merge(self.root.take(), node, &self.stats);
+    }
+
+    fn peek_min(&mut self) -> Option<K> {
+        self.root.as_ref().map(|n| n.key)
+    }
+
+    fn extract_min(&mut self) -> Option<K> {
+        let mut root = self.root.take()?;
+        self.len -= 1;
+        self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
+        self.tracked.on_extract(&root.key);
+        Some(root.key)
+    }
+
+    fn meld(&mut self, mut other: Self) {
+        self.stats.absorb(&other.stats);
+        self.len += other.len;
+        other.len = 0;
+        self.tracked.merge(std::mem::take(&mut other.tracked));
+        self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
+    }
 
     /// Check heap order; returns `Err` on violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn check_invariants(&self) -> Result<(), String> {
         // Iterative DFS to survive deep shapes.
         let mut count = 0usize;
         let mut stack: Vec<&SNode<K>> = Vec::new();
@@ -127,99 +198,26 @@ impl<K: Ord> SkewHeap<K> {
     }
 }
 
-impl<K> Drop for SkewHeap<K> {
-    /// Iterative drop: skew heaps can be arbitrarily deep.
-    fn drop(&mut self) {
-        let mut stack: Vec<Box<SNode<K>>> = Vec::new();
-        stack.extend(self.root.take());
-        while let Some(mut n) = stack.pop() {
-            stack.extend(n.left.take());
-            stack.extend(n.right.take());
-        }
-    }
-}
-
-impl<K: Ord> MeldableHeap<K> for SkewHeap<K> {
-    fn new() -> Self {
-        SkewHeap {
-            root: None,
-            len: 0,
-            stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, key: K) {
-        self.len += 1;
-        let node = Some(Box::new(SNode {
-            key,
-            left: None,
-            right: None,
-        }));
-        self.root = Self::merge(self.root.take(), node, &self.stats);
-    }
-
-    fn min(&self) -> Option<&K> {
-        self.root.as_ref().map(|n| &n.key)
-    }
-
-    fn extract_min(&mut self) -> Option<K> {
-        let mut root = self.root.take()?;
-        self.len -= 1;
-        self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
-        self.tracked.on_extract(&root.key);
-        Some(root.key)
-    }
-
-    fn meld(&mut self, mut other: Self) {
-        self.stats.absorb(&other.stats);
-        self.len += other.len;
-        other.len = 0;
-        self.tracked.merge(std::mem::take(&mut other.tracked));
-        self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
-    }
-
-    fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-}
-
-impl<K: Ord + Clone> DecreaseKeyHeap<K> for SkewHeap<K> {
-    fn insert_tracked(&mut self, key: K) -> Handle {
-        let h = self.tracked.track(key.clone());
+impl<K: Ord + Copy> DecreaseKeyPq<K> for SkewHeap<K> {
+    fn insert_handle(&mut self, key: K) -> PqHandle {
+        let h = self.tracked.track(key);
         self.insert(key);
         h
     }
 
-    fn decrease_key(&mut self, h: Handle, new_key: K) -> bool {
-        let Some(old) = self.tracked.key_of(h).cloned() else {
-            return false;
-        };
-        if new_key > old {
-            return false;
-        }
-        if new_key == old {
-            return true;
-        }
-        self.tracked.rekey(h, new_key.clone());
-        let found = match self.root.as_deref_mut() {
-            Some(r) => crate::decrease::binary_decrease(r, &old, &new_key, &self.stats),
-            None => false,
-        };
-        debug_assert!(found, "tracked key must be present in the tree");
-        found
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
+        let (root, stats) = (&mut self.root, &self.stats);
+        self.tracked.decrease(h, new_key, |old, new| {
+            let found = root
+                .as_deref_mut()
+                .is_some_and(|r| crate::decrease::binary_decrease(r, old, new, stats));
+            debug_assert!(found, "tracked key must be present in the tree");
+            found
+        })
     }
 
-    fn tracked_key(&self, h: Handle) -> Option<K> {
-        self.tracked.key_of(h).cloned()
+    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
+        self.tracked.key_of(h).copied()
     }
 }
 
@@ -232,18 +230,20 @@ mod tests {
         let mut h = SkewHeap::new();
         for k in [6, 2, 9, 2, 0, 5] {
             h.insert(k);
-            assert!(h.validate().is_ok());
+            assert!(h.check_invariants().is_ok());
         }
-        assert_eq!(h.into_sorted_vec(), vec![0, 2, 2, 5, 6, 9]);
+        assert_eq!(h.drain_sorted(), vec![0, 2, 2, 5, 6, 9]);
     }
 
     #[test]
     fn meld_two_heaps() {
-        let mut a = SkewHeap::from_iter_keys([1, 4, 7]);
-        let b = SkewHeap::from_iter_keys([0, 5, 9]);
+        let mut a = SkewHeap::new();
+        a.multi_insert(&[1, 4, 7]);
+        let mut b = SkewHeap::new();
+        b.multi_insert(&[0, 5, 9]);
         a.meld(b);
-        assert!(a.validate().is_ok());
-        assert_eq!(a.into_sorted_vec(), vec![0, 1, 4, 5, 7, 9]);
+        assert!(a.check_invariants().is_ok());
+        assert_eq!(a.drain_sorted(), vec![0, 1, 4, 5, 7, 9]);
     }
 
     #[test]
@@ -264,10 +264,10 @@ mod tests {
         for k in 0..100_000 {
             h.insert(k);
         }
-        let t = h.insert_tracked(100_000);
+        let t = h.insert_handle(100_000);
         assert!(h.decrease_key(t, -1));
         assert_eq!(h.extract_min(), Some(-1));
-        assert_eq!(h.tracked_key(t), None);
+        assert_eq!(h.key_of_handle(t), None);
     }
 
     #[test]
@@ -276,10 +276,10 @@ mod tests {
         for k in [6, 2, 9, 2, 0, 5] {
             h.insert(k);
         }
-        let t = h.insert_tracked(9);
+        let t = h.insert_handle(9);
         assert!(h.decrease_key(t, 1));
-        h.validate().expect("valid after decrease");
-        assert_eq!(h.into_sorted_vec(), vec![0, 1, 2, 2, 5, 6, 9]);
+        h.check_invariants().expect("valid after decrease");
+        assert_eq!(h.drain_sorted(), vec![0, 1, 2, 2, 5, 6, 9]);
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! The common interface implemented by every sequential baseline.
+//! The one queue trait family every engine in the workspace implements.
+//!
+//! Definition 1 of the paper names five operations (`Make-Queue`, `Insert`,
+//! `Min`, `Extract-Min`, `Union`) and §4 adds `Change-Key`. [`MeldablePq`]
+//! is operations 2–5 plus the bulk operations the batched engines
+//! accelerate; [`DecreaseKeyPq`] adds `Decrease-Key` on tracked elements.
+//! `Make-Queue` stays with each type (`Default` plus an inherent `new`),
+//! because the parallel engines need a processor count to construct.
+//!
+//! Every baseline in this crate implements the traits directly; the
+//! parallel and lazy engines in `meldpq` implement them next to their own
+//! types, so generic harnesses (the differential fuzzer, the shootout, the
+//! service layer's boxed tenants) dispatch over any backend through one
+//! surface. Both traits are object safe.
 
-use crate::stats::OpStats;
+use crate::decrease::PqHandle;
 
-/// A meldable priority queue over keys of type `K`.
+/// A meldable priority queue: the paper's Definition 1 surface plus the
+/// bulk operations (`Multi-Insert` / `Multi-Extract-Min`) that the batched
+/// engines accelerate. Object safe — harnesses hold `Box<dyn MeldablePq<K>>`.
 ///
-/// This mirrors Definition 1 of the paper: `Make-Queue` is [`MeldableHeap::new`],
-/// plus `Insert`, `Min`, `Extract-Min` and `Union` (here called
-/// [`MeldableHeap::meld`], consuming the second queue as the paper's Union
-/// destroys its arguments).
-pub trait MeldableHeap<K: Ord> {
-    /// `Make-Queue`: create an empty queue.
-    fn new() -> Self;
-
-    /// Number of live keys stored.
+/// `peek_min` takes `&mut self` because the lazy engine tidies (and meters)
+/// on reads; pure engines simply ignore the mutability.
+pub trait MeldablePq<K: Ord + Copy> {
+    /// Number of keys stored.
     fn len(&self) -> usize;
 
     /// Whether the queue holds no keys.
@@ -23,44 +33,76 @@ pub trait MeldableHeap<K: Ord> {
     /// `Insert(Q, x)`: add a key.
     fn insert(&mut self, key: K);
 
-    /// `Min(Q)`: the minimum key, if any, without removing it.
-    fn min(&self) -> Option<&K>;
+    /// `Min(Q)`: the minimum key without removing it.
+    fn peek_min(&mut self) -> Option<K>;
 
     /// `Extract-Min(Q)`: remove and return the minimum key.
     fn extract_min(&mut self) -> Option<K>;
 
-    /// `Union(Q1, Q2)`: absorb all keys of `other` into `self`, destroying
-    /// `other` (by move).
-    fn meld(&mut self, other: Self);
-
-    /// Instrumentation counters accumulated so far.
-    fn stats(&self) -> &OpStats;
-
-    /// Reset instrumentation counters.
-    fn reset_stats(&mut self);
-
-    /// Drain the queue into a sorted vector (ascending). Convenience used by
-    /// tests and heapsort-style examples.
-    fn into_sorted_vec(mut self) -> Vec<K>
+    /// `Union(Q1, Q2)`: absorb all keys of `other`, destroying it (by move),
+    /// as the paper's Union destroys its arguments.
+    fn meld(&mut self, other: Self)
     where
-        Self: Sized,
-    {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(k) = self.extract_min() {
-            out.push(k);
+        Self: Sized;
+
+    /// `Multi-Insert`: add a batch of keys. Default: one `insert` per key;
+    /// bulk engines override with a parallel build + single meld.
+    fn multi_insert(&mut self, keys: &[K]) {
+        for &k in keys {
+            self.insert(k);
+        }
+    }
+
+    /// Build a queue from `keys` and meld it in — the shape of the
+    /// differential fuzzer's `Meld` op. Default: [`Self::multi_insert`].
+    fn meld_from_keys(&mut self, keys: &[K]) {
+        self.multi_insert(keys);
+    }
+
+    /// `Multi-Extract-Min`: remove and return the `k` smallest keys in
+    /// ascending order. Default: `k` sequential extracts; bulk engines
+    /// override with the root-frontier peel.
+    fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
+        let mut out = Vec::with_capacity(k.min(self.len()));
+        for _ in 0..k {
+            match self.extract_min() {
+                Some(x) => out.push(x),
+                None => break,
+            }
         }
         out
     }
 
-    /// Build a queue from an iterator of keys.
-    fn from_iter_keys<I: IntoIterator<Item = K>>(iter: I) -> Self
-    where
-        Self: Sized,
-    {
-        let mut h = Self::new();
-        for k in iter {
-            h.insert(k);
-        }
-        h
+    /// Drain everything in ascending order.
+    fn drain_sorted(&mut self) -> Vec<K> {
+        let n = self.len();
+        self.multi_extract_min(n)
     }
+
+    /// Verify every structural invariant this queue maintains. Read-only;
+    /// returns a human-readable description of the first violation found.
+    fn check_invariants(&self) -> Result<(), String>;
+}
+
+/// A [`MeldablePq`] with `Decrease-Key` on tracked elements (the paper's
+/// §4 `Change-Key`, restricted to lowering). Object safe — harnesses hold
+/// `Box<dyn DecreaseKeyPq<i64>>`.
+///
+/// Handles come from one process-wide counter ([`crate::decrease::mint`]),
+/// so they stay unique across melds: absorbing a queue never needs a
+/// handle translation on the caller's side.
+pub trait DecreaseKeyPq<K: Ord + Copy>: MeldablePq<K> {
+    /// Insert a key and return a handle naming the inserted element.
+    fn insert_handle(&mut self, key: K) -> PqHandle;
+
+    /// Lower the tracked element's key to `new_key`.
+    ///
+    /// Returns `false` (changing nothing) when the handle is stale (its
+    /// element was extracted) or `new_key` is greater than the current key —
+    /// `Decrease-Key` never raises. `new_key == current` is accepted and
+    /// returns `true`.
+    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool;
+
+    /// The tracked element's current key, or `None` once it left the queue.
+    fn key_of_handle(&self, h: PqHandle) -> Option<K>;
 }

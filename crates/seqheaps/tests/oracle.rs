@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use seqheaps::{
-    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldableHeap, PairingHeap, SkewHeap,
+    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap,
 };
 
 #[derive(Debug, Clone)]
@@ -41,12 +41,8 @@ impl Oracle {
     }
 }
 
-fn run_script<H, V>(ops: &[Op], validate: V)
-where
-    H: MeldableHeap<i64>,
-    V: Fn(&H) -> Result<(), String>,
-{
-    let mut heap = H::new();
+fn run_script<H: MeldablePq<i64> + Default>(ops: &[Op]) {
+    let mut heap = H::default();
     let mut oracle = Oracle::default();
     for op in ops {
         match op {
@@ -58,7 +54,7 @@ where
                 assert_eq!(heap.extract_min(), oracle.extract_min());
             }
             Op::Meld(keys) => {
-                let mut other = H::new();
+                let mut other = H::default();
                 for k in keys {
                     other.insert(*k);
                     oracle.insert(*k);
@@ -67,13 +63,14 @@ where
             }
         }
         assert_eq!(heap.len(), oracle.keys.len());
-        assert_eq!(heap.min().copied(), oracle.min());
-        validate(&heap).expect("structural invariant violated");
+        assert_eq!(heap.peek_min(), oracle.min());
+        heap.check_invariants()
+            .expect("structural invariant violated");
     }
     // Drain and compare total ordering.
     let mut expected = oracle.keys.clone();
     expected.sort_unstable();
-    assert_eq!(heap.into_sorted_vec(), expected);
+    assert_eq!(heap.drain_sorted(), expected);
 }
 
 proptest! {
@@ -81,44 +78,45 @@ proptest! {
 
     #[test]
     fn binomial_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<BinomialHeap<i64>, _>(&ops, |h| h.validate());
+        run_script::<BinomialHeap<i64>>(&ops);
     }
 
     #[test]
     fn leftist_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<LeftistHeap<i64>, _>(&ops, |h| h.validate());
+        run_script::<LeftistHeap<i64>>(&ops);
     }
 
     #[test]
     fn skew_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<SkewHeap<i64>, _>(&ops, |h| h.validate());
+        run_script::<SkewHeap<i64>>(&ops);
     }
 
     #[test]
     fn pairing_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<PairingHeap<i64>, _>(&ops, |h| h.validate());
+        run_script::<PairingHeap<i64>>(&ops);
     }
 
     #[test]
     fn binary_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<BinaryHeapAdapter<i64>, _>(&ops, |_| Ok(()));
+        run_script::<BinaryHeapAdapter<i64>>(&ops);
     }
 
     #[test]
     fn dary4_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<DaryHeap<i64, 4>, _>(&ops, |h| h.validate());
+        run_script::<DaryHeap<i64, 4>>(&ops);
     }
 
     #[test]
     fn dary8_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<DaryHeap<i64, 8>, _>(&ops, |h| h.validate());
+        run_script::<DaryHeap<i64, 8>>(&ops);
     }
 
     /// BH2 / binary-representation isomorphism: after any build, the orders of
     /// the binomial trees present are exactly the set bits of n (paper §2).
     #[test]
     fn binomial_roots_are_set_bits(keys in proptest::collection::vec(any::<i32>(), 0..200)) {
-        let h = BinomialHeap::from_iter_keys(keys.iter().copied());
+        let mut h = BinomialHeap::new();
+        h.multi_insert(&keys);
         let n = keys.len();
         let expected: Vec<usize> = (0..usize::BITS as usize)
             .filter(|i| n >> i & 1 == 1)
@@ -133,15 +131,17 @@ proptest! {
         a in proptest::collection::vec(any::<i32>(), 0..200),
         b in proptest::collection::vec(any::<i32>(), 0..200),
     ) {
-        let mut ha = BinomialHeap::from_iter_keys(a.iter().copied());
-        let hb = BinomialHeap::from_iter_keys(b.iter().copied());
+        let mut ha = BinomialHeap::new();
+        ha.multi_insert(&a);
+        let mut hb = BinomialHeap::new();
+        hb.multi_insert(&b);
         ha.meld(hb);
         let n = a.len() + b.len();
         let expected: Vec<usize> = (0..usize::BITS as usize)
             .filter(|i| n >> i & 1 == 1)
             .collect();
         prop_assert_eq!(ha.root_orders(), expected);
-        prop_assert!(ha.validate().is_ok());
+        prop_assert!(ha.check_invariants().is_ok());
     }
 }
 
@@ -155,28 +155,15 @@ fn all_heaps_agree_on_heapsort() {
     let mut expected = keys.clone();
     expected.sort_unstable();
 
-    assert_eq!(
-        BinomialHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        LeftistHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        SkewHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        PairingHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        BinaryHeapAdapter::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        DaryHeap::<i64, 4>::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
+    fn heapsort<H: MeldablePq<i64> + Default>(keys: &[i64]) -> Vec<i64> {
+        let mut h = H::default();
+        h.multi_insert(keys);
+        h.drain_sorted()
+    }
+    assert_eq!(heapsort::<BinomialHeap<i64>>(&keys), expected);
+    assert_eq!(heapsort::<LeftistHeap<i64>>(&keys), expected);
+    assert_eq!(heapsort::<SkewHeap<i64>>(&keys), expected);
+    assert_eq!(heapsort::<PairingHeap<i64>>(&keys), expected);
+    assert_eq!(heapsort::<BinaryHeapAdapter<i64>>(&keys), expected);
+    assert_eq!(heapsort::<DaryHeap<i64, 4>>(&keys), expected);
 }

@@ -631,18 +631,16 @@ impl QueueService {
         self.snapshot().record_into(reg);
     }
 
-    /// Deep structural validation of every live queue on every shard.
-    /// (Boxed backends validate internally via `debug_assert`s and the
-    /// differential fuzzer; only pooled heaps expose a deep check here.)
+    /// Deep structural validation of every live queue on every shard:
+    /// pooled heaps through the pool's ownership-aware check, boxed
+    /// backends through their own `MeldablePq::check_invariants`.
     pub fn validate(&self) -> Result<(), String> {
         for (i, s) in self.shards.iter().enumerate() {
             let st = s.lock_state();
             for q in st.queues.iter().flatten() {
-                if let TenantHeap::Pooled(h) = &q.heap {
-                    st.pool
-                        .validate_heap(h)
-                        .map_err(|e| format!("shard {i}: {e}"))?;
-                }
+                q.heap
+                    .check_invariants(&st.pool)
+                    .map_err(|e| format!("shard {i}: {e}"))?;
             }
         }
         Ok(())
@@ -729,6 +727,42 @@ mod tests {
             svc.validate().unwrap();
             assert_eq!(svc.destroy_queue(a).unwrap(), 0);
         }
+    }
+
+    /// A boxed engine whose self-check always fails: stands in for a
+    /// corrupted backend so `validate` must surface it.
+    struct CorruptPq;
+
+    impl meldpq::MeldablePq<i64> for CorruptPq {
+        fn len(&self) -> usize {
+            0
+        }
+        fn insert(&mut self, _key: i64) {}
+        fn peek_min(&mut self) -> Option<i64> {
+            None
+        }
+        fn extract_min(&mut self) -> Option<i64> {
+            None
+        }
+        fn meld(&mut self, _other: Self) {}
+        fn check_invariants(&self) -> Result<(), String> {
+            Err("injected corruption".into())
+        }
+    }
+
+    #[test]
+    fn validate_checks_boxed_tenants() {
+        let svc = ServiceBuilder::new()
+            .shards(1)
+            .backend(Backend::Pairing)
+            .build();
+        let q = svc.create_queue();
+        svc.insert(q, 3).unwrap();
+        svc.validate().unwrap();
+        svc.shards[0].lock_state().queue_mut(q).unwrap().heap =
+            TenantHeap::Boxed(Box::new(CorruptPq));
+        let err = svc.validate().unwrap_err();
+        assert!(err.contains("injected corruption"), "got: {err}");
     }
 
     #[test]

@@ -120,6 +120,15 @@ impl TenantHeap {
         let n = self.len();
         self.multi_extract(pool, n)
     }
+
+    /// Deep structural validation: the pool's ownership-aware heap check,
+    /// or the boxed engine's own `check_invariants`.
+    pub(crate) fn check_invariants(&self, pool: &HeapPool<i64>) -> Result<(), String> {
+        match self {
+            TenantHeap::Pooled(h) => pool.validate_heap(h),
+            TenantHeap::Boxed(q) => q.check_invariants(),
+        }
+    }
 }
 
 /// One tenant queue: its storage plus the generation stamped into the
@@ -1044,6 +1053,9 @@ mod tests {
             None
         }
         fn meld(&mut self, _other: Self) {}
+        fn check_invariants(&self) -> Result<(), String> {
+            Ok(())
+        }
     }
 
     #[test]

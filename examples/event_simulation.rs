@@ -11,7 +11,7 @@
 //! ```
 
 use meldpq::{Engine, ParBinomialHeap};
-use seqheaps::{BinomialHeap, LeftistHeap, MeldableHeap, PairingHeap, SkewHeap};
+use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
 /// An event: fires at `time`, at `station`, with a deterministic service
 /// demand. Packed into an i64 key as (time << 16 | station) so the queues
@@ -38,11 +38,11 @@ impl Lcg {
 
 /// Run the federated simulation on any meldable queue; returns the trace of
 /// the first `horizon` completions.
-fn simulate<H: MeldableHeap<i64>>(horizon: usize) -> Vec<(u64, u16)> {
+fn simulate<H: MeldablePq<i64> + Default>(horizon: usize) -> Vec<(u64, u16)> {
     // Two federations, each with its own event list.
     let mut lcg = Lcg(42);
-    let mut fed_a = H::new();
-    let mut fed_b = H::new();
+    let mut fed_a = H::default();
+    let mut fed_b = H::default();
     for i in 0..512 {
         let t = lcg.next() % 10_000;
         let station = (i % 50) as u16;

@@ -10,7 +10,7 @@
 
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::NodeId;
-use seqheaps::{MeldableHeap, PairingHeap};
+use seqheaps::{MeldablePq, PairingHeap};
 
 /// Key packing: (distance << 20) | vertex. Distances < 2^40, vertices < 2^20.
 fn pack(dist: u64, v: usize) -> i64 {

@@ -6,7 +6,7 @@
 
 use meldable_binomial_heaps::*;
 use meldpq::{Engine, ParBinomialHeap};
-use seqheaps::{BinomialHeap, LeftistHeap, MeldableHeap};
+use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq};
 
 fn main() {
     // --- 1. the sequential binomial heap (the structure the paper parallelises)
@@ -25,7 +25,7 @@ fn main() {
         "melded trees: {:?} (set bits of 7 = 4 + 3)",
         a.root_orders()
     );
-    println!("sorted drain: {:?}\n", a.into_sorted_vec());
+    println!("sorted drain: {:?}\n", a.drain_sorted());
 
     // --- 2. the parallel heap: same API, three engines
     let mut p1 = ParBinomialHeap::from_keys([10, 30, 50, 70]);
@@ -88,7 +88,10 @@ fn main() {
     println!("first scheduled job: {first}\n");
 
     // --- 5. the meldable baselines share one trait
-    let mut l = LeftistHeap::from_iter_keys([3, 1, 2]);
-    l.meld(LeftistHeap::from_iter_keys([0, 4]));
-    println!("leftist drain: {:?}", l.into_sorted_vec());
+    let mut l = LeftistHeap::new();
+    l.multi_insert(&[3, 1, 2]);
+    let mut r = LeftistHeap::new();
+    r.multi_insert(&[0, 4]);
+    l.meld(r);
+    println!("leftist drain: {:?}", l.drain_sorted());
 }

@@ -6,11 +6,18 @@
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{Engine, ParBinomialHeap};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldableHeap, PairingHeap, SkewHeap};
+use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
 fn workload(seed: u64, n: usize) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(-100_000..100_000)).collect()
+}
+
+/// A fresh `H` holding `keys`.
+fn built<H: MeldablePq<i64> + Default>(keys: &[i64]) -> H {
+    let mut h = H::default();
+    h.multi_insert(keys);
+    h
 }
 
 #[test]
@@ -20,24 +27,12 @@ fn all_nine_implementations_sort_identically() {
     expected.sort_unstable();
 
     // Sequential baselines.
+    assert_eq!(built::<BinomialHeap<i64>>(&keys).drain_sorted(), expected);
+    assert_eq!(built::<LeftistHeap<i64>>(&keys).drain_sorted(), expected);
+    assert_eq!(built::<SkewHeap<i64>>(&keys).drain_sorted(), expected);
+    assert_eq!(built::<PairingHeap<i64>>(&keys).drain_sorted(), expected);
     assert_eq!(
-        BinomialHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        LeftistHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        SkewHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        PairingHeap::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
-        expected
-    );
-    assert_eq!(
-        BinaryHeapAdapter::from_iter_keys(keys.iter().copied()).into_sorted_vec(),
+        built::<BinaryHeapAdapter<i64>>(&keys).drain_sorted(),
         expected
     );
 
@@ -75,12 +70,12 @@ fn meld_heavy_workload_agrees_across_meldable_queues() {
     let mut expected: Vec<i64> = parts.iter().flatten().copied().collect();
     expected.sort_unstable();
 
-    fn run<H: MeldableHeap<i64>>(parts: &[Vec<i64>]) -> Vec<i64> {
-        let mut acc = H::new();
+    fn run<H: MeldablePq<i64> + Default>(parts: &[Vec<i64>]) -> Vec<i64> {
+        let mut acc = H::default();
         for p in parts {
-            acc.meld(H::from_iter_keys(p.iter().copied()));
+            acc.meld(built::<H>(p));
         }
-        acc.into_sorted_vec()
+        acc.drain_sorted()
     }
     assert_eq!(run::<BinomialHeap<i64>>(&parts), expected);
     assert_eq!(run::<LeftistHeap<i64>>(&parts), expected);
@@ -179,9 +174,11 @@ fn tuple_keys_work_across_generic_structures() {
     let par: ParBinomialHeap<(i32, u16)> = entries.iter().copied().collect();
     assert_eq!(par.into_sorted_vec(), expected);
 
-    let leftist = LeftistHeap::from_iter_keys(entries.iter().copied());
-    assert_eq!(leftist.into_sorted_vec(), expected);
+    let mut leftist = LeftistHeap::new();
+    leftist.multi_insert(&entries);
+    assert_eq!(leftist.drain_sorted(), expected);
 
-    let pairing = PairingHeap::from_iter_keys(entries.iter().copied());
-    assert_eq!(pairing.into_sorted_vec(), expected);
+    let mut pairing = PairingHeap::new();
+    pairing.multi_insert(&entries);
+    assert_eq!(pairing.drain_sorted(), expected);
 }

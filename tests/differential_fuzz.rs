@@ -10,7 +10,7 @@
 //!   adapter), the pooled zero-copy representation (`PoolGuard`) and a
 //!   seqheaps baseline — against a sorted-vector oracle over mixed insert /
 //!   meld / extract-min / min programs. The fleet is a
-//!   `Vec<Box<dyn CheckedMeldable>>`: one generic dispatch loop, zero
+//!   `Vec<Box<dyn MeldablePq<i64>>>`: one generic dispatch loop, zero
 //!   per-engine match arms. Keys are drawn from a narrow band (`-64..64`)
 //!   so duplicate keys are common and tie-breaking divergence cannot hide.
 //! * [`lazy_delete_programs_match_multiset_oracle`] adds `Delete` and
@@ -21,20 +21,19 @@
 //!   keeps the multiset comparison sound under handle reuse.
 //!
 //! Every eighth step each structure re-verifies its invariants through
-//! `meldpq::check::CheckedPq`; at program end all engines drain and must
+//! `MeldablePq::check_invariants`; at program end all engines drain and must
 //! produce the oracle's sorted key sequence. Failing programs shrink to
 //! minimal reproducers (the harness removes and simplifies ops greedily)
 //! and report the seed, so failures replay deterministically.
 
 use dmpq::DistributedPq;
-use meldpq::check::{check_hollow, check_pool};
+use meldpq::check::check_pool;
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{
-    CheckedPq, DecreaseKeyPq, Engine, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq,
-    NodeId, ParBinomialHeap, PoolGuard, PqHandle, PramMeasured,
+    DecreaseKeyPq, Engine, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq, NodeId,
+    ParBinomialHeap, PoolGuard, PqHandle, PramMeasured,
 };
 use proptest::prelude::*;
-use seqheaps::MeldableHeap;
 
 /// One step of a differential program.
 #[derive(Debug, Clone)]
@@ -178,51 +177,17 @@ fn dec_op_strategy() -> impl Strategy<Value = DecOp> {
     ]
 }
 
-/// The decrease-key fleet's common denominator (mirrors [`CheckedMeldable`]
-/// for the handle-carrying engines).
-trait CheckedDecrease: DecreaseKeyPq<i64> {
-    fn check(&self) -> Result<(), String>;
-}
-
-macro_rules! checked_decrease_via_validate {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl CheckedDecrease for $ty {
-            fn check(&self) -> Result<(), String> {
-                self.validate()
-            }
-        }
-    )+};
-}
-checked_decrease_via_validate!(
-    seqheaps::BinomialHeap<i64>,
-    seqheaps::LeftistHeap<i64>,
-    seqheaps::SkewHeap<i64>,
-    seqheaps::PairingHeap<i64>,
-    seqheaps::IndexedDaryHeap<i64, 4>,
-    IndexedBinomialPq,
-    LazyDecreasePq,
-);
-
-impl CheckedDecrease for seqheaps::HollowHeap<i64> {
-    // The hollow heap goes through the workspace checker so the fuzzer also
-    // guards the hollow-node accounting (`counts` vs `len`), not just the
-    // engine's own DAG walk.
-    fn check(&self) -> Result<(), String> {
-        check_hollow(self)
-    }
-}
-
-/// Every engine with native decrease-key, one trait object each.
 /// One decrease-key engine under test: name, queue, its private oracle,
 /// and its handle slots (parallel across engines).
 type DecLane = (
     &'static str,
-    Box<dyn CheckedDecrease>,
+    Box<dyn DecreaseKeyPq<i64>>,
     Oracle,
     Vec<PqHandle>,
 );
 
-fn decrease_fleet(p: usize) -> Vec<(&'static str, Box<dyn CheckedDecrease>)> {
+/// Every engine with native decrease-key, one trait object each.
+fn decrease_fleet(p: usize) -> Vec<(&'static str, Box<dyn DecreaseKeyPq<i64>>)> {
     vec![
         ("binomial", Box::new(seqheaps::BinomialHeap::<i64>::new())),
         ("leftist", Box::new(seqheaps::LeftistHeap::<i64>::new())),
@@ -276,46 +241,6 @@ impl Oracle {
     }
 }
 
-/// The fleet's common denominator: a [`MeldablePq`] that can also re-verify
-/// its structural invariants mid-program. Object safe, so the fleet is a
-/// plain `Vec<Box<dyn CheckedMeldable>>` and the op-dispatch loop is written
-/// exactly once for every engine.
-trait CheckedMeldable: MeldablePq<i64> {
-    fn check(&self) -> Result<(), String>;
-}
-
-impl CheckedMeldable for ParBinomialHeap {
-    fn check(&self) -> Result<(), String> {
-        self.check_invariants()
-    }
-}
-
-impl CheckedMeldable for PramMeasured {
-    fn check(&self) -> Result<(), String> {
-        self.heap().check_invariants()
-    }
-}
-
-impl CheckedMeldable for LazyBinomialHeap {
-    fn check(&self) -> Result<(), String> {
-        self.check_invariants()
-    }
-}
-
-impl CheckedMeldable for PoolGuard<i64> {
-    fn check(&self) -> Result<(), String> {
-        self.validate()
-    }
-}
-
-impl CheckedMeldable for seqheaps::BinomialHeap<i64> {
-    // The sequential baseline predates the workspace's invariant checkers;
-    // drain equality at program end is its correctness witness.
-    fn check(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
 /// `DistributedPq` behind the trait. The orphan rule forbids implementing
 /// the workspace trait for the dmpq type from this test crate, and the
 /// distributed API is fallible (message faults), so this local newtype
@@ -359,17 +284,14 @@ impl MeldablePq<i64> for FaultFree {
         }
         self.pq.meld(incoming).expect("fault-free net");
     }
-}
-
-impl CheckedMeldable for FaultFree {
-    fn check(&self) -> Result<(), String> {
-        self.pq.check_invariants()
+    fn check_invariants(&self) -> Result<(), String> {
+        self.pq.validate()
     }
 }
 
 /// Every engine in the workspace, one trait object each. Adding an engine
 /// to the fuzzer is now one line here — the op loop never changes.
-fn fleet(p: usize) -> Vec<(&'static str, Box<dyn CheckedMeldable>)> {
+fn fleet(p: usize) -> Vec<(&'static str, Box<dyn MeldablePq<i64>>)> {
     vec![
         ("seq", Box::new(ParBinomialHeap::new())),
         (
@@ -430,14 +352,14 @@ proptest! {
             }
             if step % 8 == 7 {
                 for (name, q) in engines.iter() {
-                    if let Err(e) = q.check() {
+                    if let Err(e) = q.check_invariants() {
                         panic!("{name} invariants broken after step {step}: {e}");
                     }
                 }
             }
         }
         for (name, q) in engines.iter() {
-            if let Err(e) = q.check() {
+            if let Err(e) = q.check_invariants() {
                 panic!("{name} invariants broken after final step: {e}");
             }
         }
@@ -779,14 +701,14 @@ proptest! {
             }
             if step % 8 == 7 {
                 for (name, q, _, _) in engines.iter() {
-                    if let Err(e) = q.check() {
+                    if let Err(e) = q.check_invariants() {
                         panic!("{name} invariants broken after step {step}: {e}");
                     }
                 }
             }
         }
         for (name, q, _, _) in engines.iter() {
-            if let Err(e) = q.check() {
+            if let Err(e) = q.check_invariants() {
                 panic!("{name} invariants broken after final step: {e}");
             }
         }

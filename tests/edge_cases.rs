@@ -7,7 +7,7 @@ use meldpq::engine_pram::build_plan_pram;
 use meldpq::engine_rayon::build_plan_rayon;
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::plan::{build_plan_seq, plan_width, RootRef};
-use meldpq::{CheckedPq, Engine, ParBinomialHeap};
+use meldpq::{Engine, MeldablePq, ParBinomialHeap};
 
 #[test]
 fn plan_width_small_n() {
@@ -195,21 +195,21 @@ fn arrange_threshold_is_clamped_and_monotone_enough() {
 fn distributed_pq_single_element_lifecycle() {
     let mut d = DistributedPq::new(2, 4);
     d.insert(5).unwrap();
-    d.check_invariants().unwrap();
+    d.validate().unwrap();
     assert_eq!(d.min(), Some(5));
     assert_eq!(d.extract_min().unwrap(), Some(5));
     assert_eq!(d.extract_min().unwrap(), None);
-    d.check_invariants().unwrap();
+    d.validate().unwrap();
     // Meld an empty queue into a single-element queue and vice versa.
     let mut a = DistributedPq::new(2, 4);
     a.insert(1).unwrap();
     a.meld(DistributedPq::new(2, 4)).unwrap();
-    a.check_invariants().unwrap();
+    a.validate().unwrap();
     assert_eq!(a.extract_min().unwrap(), Some(1));
     let mut e = DistributedPq::new(2, 4);
     let mut b = DistributedPq::new(2, 4);
     b.insert(8).unwrap();
     e.meld(b).unwrap();
-    e.check_invariants().unwrap();
+    e.validate().unwrap();
     assert_eq!(e.extract_min().unwrap(), Some(8));
 }

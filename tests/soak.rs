@@ -7,7 +7,7 @@
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{Engine, NodeId, ParBinomialHeap};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use seqheaps::{BinomialHeap, LeftistHeap, MeldableHeap, PairingHeap, SkewHeap};
+use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
 /// Default step count; override with `SOAK_STEPS` (the nightly CI job runs
 /// 50_000).
@@ -16,6 +16,13 @@ fn steps() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2_500)
+}
+
+/// A fresh `H` holding `keys` — the operand of a baseline's meld.
+fn built<H: MeldablePq<i64> + Default>(keys: &[i64]) -> H {
+    let mut h = H::default();
+    h.multi_insert(keys);
+    h
 }
 
 struct Fleet {
@@ -112,14 +119,10 @@ impl Fleet {
 
     fn meld_in(&mut self, keys: &[i64]) {
         self.oracle.extend_from_slice(keys);
-        self.binomial
-            .meld(BinomialHeap::from_iter_keys(keys.iter().copied()));
-        self.leftist
-            .meld(LeftistHeap::from_iter_keys(keys.iter().copied()));
-        self.skew
-            .meld(SkewHeap::from_iter_keys(keys.iter().copied()));
-        self.pairing
-            .meld(PairingHeap::from_iter_keys(keys.iter().copied()));
+        self.binomial.meld(built(keys));
+        self.leftist.meld(built(keys));
+        self.skew.meld(built(keys));
+        self.pairing.meld(built(keys));
         self.par_seq.meld(
             ParBinomialHeap::from_keys(keys.iter().copied()),
             Engine::Sequential,
@@ -151,13 +154,13 @@ impl Fleet {
         assert_eq!(self.par_ray.len(), n);
         assert_eq!(self.lazy.len(), n);
         assert_eq!(self.dq.len(), n);
-        assert_eq!(self.binomial.min().copied(), min);
+        assert_eq!(self.binomial.peek_min(), min);
         assert_eq!(self.par_seq.min(), min);
         assert_eq!(self.dq.min(), min);
-        self.binomial.validate().expect("binomial");
-        self.leftist.validate().expect("leftist");
-        self.skew.validate().expect("skew");
-        self.pairing.validate().expect("pairing");
+        self.binomial.check_invariants().expect("binomial");
+        self.leftist.check_invariants().expect("leftist");
+        self.skew.check_invariants().expect("skew");
+        self.pairing.check_invariants().expect("pairing");
         self.par_seq.validate().expect("par_seq");
         self.par_ray.validate().expect("par_ray");
         self.lazy.validate().expect("lazy");
@@ -197,7 +200,7 @@ fn soak_every_queue_through_one_long_workload() {
     // Final drain: all implementations produce the identical sorted tail.
     let mut expected = fleet.oracle.clone();
     expected.sort_unstable();
-    assert_eq!(fleet.binomial.into_sorted_vec(), expected);
+    assert_eq!(fleet.binomial.drain_sorted(), expected);
     assert_eq!(fleet.par_ray.into_sorted_vec(), expected);
     assert_eq!(fleet.lazy.into_sorted_vec(), expected);
     assert_eq!(
