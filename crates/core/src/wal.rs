@@ -16,7 +16,9 @@
 //!   one stream of the same `u64` LE words with the same word-folded
 //!   FNV-1a trailer, folded as the words stream out through one
 //!   `BufWriter` to a temp file that is `sync_data`'d and atomically
-//!   renamed. A free slab slot is a single `u64::MAX` tombstone; the full
+//!   renamed, after which the directory itself is `sync_all`'d so the
+//!   rename survives a power cut, not just a process kill. A free slab
+//!   slot is a single `u64::MAX` tombstone; the full
 //!   layout is on [`write_checkpoint`]. The reader treats the image as
 //!   untrusted input: a length that is not a multiple of 8, a bad trailer,
 //!   magic or version, a count or id that overflows or outruns the image,
@@ -28,6 +30,14 @@
 //!   loss. For the same reason a `checkpoint.json` from the earlier JSON
 //!   format is simply not read: that directory replays from genesis and
 //!   its next checkpoint is binary.
+//! * **Cadence** ([`CheckpointCadence`]): an automatic checkpoint is due
+//!   once at least [`CheckpointCadence::MIN_OPS`] ops were logged since
+//!   the last one *and* the log has grown by at least the last image's
+//!   size. The images written then total at most the log's own size plus
+//!   the latest image — O(1) checkpoint bytes per logged byte however
+//!   many keys are live — and recovery replays at most one image's worth
+//!   of log past the checkpoint, or the op floor's records. The service's
+//!   shards and [`DurablePool`] share it.
 //! * **Recovery** ([`HeapPool::recover`] / [`recover_dir`]): load the last
 //!   valid checkpoint (if any), replay every WAL record with a later
 //!   sequence number, and truncate the log at the first torn or
@@ -166,6 +176,20 @@ impl WalOp {
         }
     }
 
+    /// Number of words [`WalOp::arg_words`] emits.
+    fn arg_len(&self) -> usize {
+        match self {
+            WalOp::FromKeys { keys, .. } => 2 + keys.len(),
+            WalOp::ExtractMin { .. } | WalOp::FreeHeap { .. } => 1,
+            _ => 2,
+        }
+    }
+
+    /// Bytes this op's record takes in the log: `[N][seq, tag, args…][crc]`.
+    fn record_len(&self) -> u64 {
+        8 * (self.arg_len() as u64 + 4)
+    }
+
     /// Decode from the payload words that follow `[seq, tag]`.
     fn from_words(tag: u64, args: &[u64]) -> Option<WalOp> {
         let slot32 = |w: u64| u32::try_from(w).ok();
@@ -211,7 +235,8 @@ impl WalOp {
 
 /// Encode one record: `[N][seq, tag, args…][crc]`, all `u64` LE.
 fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut words: Vec<u64> = vec![seq, op.tag()];
+    let mut words: Vec<u64> = Vec::with_capacity(2 + op.arg_len());
+    words.extend([seq, op.tag()]);
     op.arg_words(&mut words);
     let n = words.len() as u64;
     let crc = fnv1a_words(std::iter::once(n).chain(words.iter().copied()));
@@ -496,7 +521,10 @@ impl Iterator for Words<'_> {
 
 /// Stream the slab + root tables to `dir/checkpoint.bin` (temp file +
 /// `sync_data` + rename) under checkpoint sequence `seq` — replay then
-/// skips every record with `seq' <= seq`. The image is `u64` LE words:
+/// skips every record with `seq' <= seq` — then `sync_all` the directory
+/// so the rename itself is durable. Returns the image's size in bytes,
+/// which sets the next [`CheckpointCadence`] interval. The image is `u64`
+/// LE words:
 ///
 /// ```text
 /// [magic, version, seq, n_slots, n_free, n_heaps, n_free_slots]
@@ -512,7 +540,7 @@ pub fn write_checkpoint<'a, I>(
     pool: &HeapPool<i64>,
     heaps: I,
     free_slots: &[(u32, u32)],
-) -> std::io::Result<()>
+) -> std::io::Result<u64>
 where
     I: IntoIterator<Item = (u32, u32, &'a PooledHeap)>,
 {
@@ -558,15 +586,19 @@ where
     out.words(free_slots.iter().flat_map(|&(s, g)| [s as u64, g as u64]))?;
     let file = out.finish()?.into_inner().map_err(|e| e.into_error())?;
     file.sync_data()?;
+    let image = file.metadata()?.len();
     drop(file);
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
+    File::open(dir)?.sync_all()?;
     flight::record_here(EventKind::Checkpoint, seq);
-    Ok(())
+    Ok(image)
 }
 
 /// A checkpoint decoded back into live structures.
 struct RecoveredCheckpoint {
     seq: u64,
+    /// Size of the image on disk, bytes.
+    image: u64,
     pool: HeapPool<i64>,
     heaps: Vec<Option<(u32, PooledHeap)>>,
     free_slots: Vec<(u32, u32)>,
@@ -651,6 +683,7 @@ fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
     }
     Some(RecoveredCheckpoint {
         seq,
+        image: bytes.len() as u64,
         pool,
         heaps,
         free_slots,
@@ -762,6 +795,9 @@ pub struct RecoveredState {
     pub next_seq: u64,
     /// WAL records replayed on top of the checkpoint.
     pub replayed: usize,
+    /// The checkpoint cadence to resume with: the loaded image's size,
+    /// with the replayed suffix counted as logged since it.
+    pub cadence: CheckpointCadence,
 }
 
 /// Recover a durability directory: last valid checkpoint + WAL suffix
@@ -769,9 +805,11 @@ pub struct RecoveredState {
 /// `check_pool`; a missing directory recovers to the empty state.
 pub fn recover_dir(dir: &Path, engine: Engine) -> Result<RecoveredState, WalError> {
     std::fs::create_dir_all(dir)?;
-    let (ckpt_seq, mut pool, mut heaps, mut free_slots) = match read_checkpoint(dir, engine) {
-        Some(c) => (c.seq, c.pool, c.heaps, c.free_slots),
+    let (ckpt_seq, image, mut pool, mut heaps, mut free_slots) = match read_checkpoint(dir, engine)
+    {
+        Some(c) => (c.seq, c.image, c.pool, c.heaps, c.free_slots),
         None => (
+            0,
             0,
             HeapPool::new().with_engine(engine),
             Vec::new(),
@@ -785,6 +823,7 @@ pub fn recover_dir(dir: &Path, engine: Engine) -> Result<RecoveredState, WalErro
     }
     let mut last_seq = ckpt_seq;
     let mut replayed = 0usize;
+    let mut replayed_bytes = 0u64;
     for (seq, op) in &log.records {
         if *seq <= ckpt_seq {
             continue; // already folded into the checkpoint
@@ -798,6 +837,7 @@ pub fn recover_dir(dir: &Path, engine: Engine) -> Result<RecoveredState, WalErro
         apply_op(&mut pool, &mut heaps, &mut free_slots, *seq, op)?;
         last_seq = *seq;
         replayed += 1;
+        replayed_bytes += op.record_len();
     }
     let refs: Vec<&PooledHeap> = heaps.iter().flatten().map(|(_, h)| h).collect();
     check_pool(&pool, &refs).map_err(|reason| WalError::Corrupt {
@@ -811,7 +851,71 @@ pub fn recover_dir(dir: &Path, engine: Engine) -> Result<RecoveredState, WalErro
         free_slots,
         next_seq: last_seq + 1,
         replayed,
+        cadence: CheckpointCadence {
+            ops: replayed as u64,
+            log_mark: log.valid_len.saturating_sub(replayed_bytes),
+            image,
+            ..CheckpointCadence::default()
+        },
     })
+}
+
+/// When an automatic checkpoint is due: once at least `min_ops` ops were
+/// logged since the last checkpoint *and* the log has grown by at least
+/// as many bytes as that checkpoint's image. A checkpoint rewrites the
+/// whole slab, so pacing it by the last image's size keeps checkpoint
+/// bytes per logged byte O(1) however many keys are live; the op floor
+/// keeps a small or empty pool from checkpointing on every op.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointCadence {
+    /// Fewer ops than this since the last checkpoint never make one due.
+    min_ops: u64,
+    /// Ops logged since the last checkpoint.
+    ops: u64,
+    /// Log length in bytes when the last checkpoint was taken.
+    log_mark: u64,
+    /// Size in bytes of the last checkpoint image (0 before the first).
+    image: u64,
+}
+
+impl Default for CheckpointCadence {
+    /// A fresh log with no checkpoint: the op floor alone decides.
+    fn default() -> Self {
+        CheckpointCadence {
+            min_ops: CheckpointCadence::MIN_OPS,
+            ops: 0,
+            log_mark: 0,
+            image: 0,
+        }
+    }
+}
+
+impl CheckpointCadence {
+    /// The default op floor.
+    pub const MIN_OPS: u64 = 1024;
+
+    /// Count one logged op.
+    pub fn logged(&mut self) {
+        self.ops += 1;
+    }
+
+    /// Whether a checkpoint is due now that the log is `log_bytes` long.
+    pub fn due(&self, log_bytes: u64) -> bool {
+        self.ops >= self.min_ops && log_bytes.saturating_sub(self.log_mark) >= self.image
+    }
+
+    /// Restart the count after a checkpoint of `image` bytes, taken when
+    /// the log was `log_bytes` long.
+    pub fn checkpointed(&mut self, log_bytes: u64, image: u64) {
+        self.ops = 0;
+        self.log_mark = log_bytes;
+        self.image = image;
+    }
+
+    /// Set the op floor (`u64::MAX` disables automatic checkpoints).
+    pub fn set_min_ops(&mut self, ops: u64) {
+        self.min_ops = ops.max(1);
+    }
 }
 
 impl HeapPool<i64> {
@@ -824,9 +928,10 @@ impl HeapPool<i64> {
 }
 
 /// A [`HeapPool`] whose every mutation is logged ahead of application, with
-/// periodic checkpoints. Heaps are addressed by `(slot, generation)` pairs
-/// (the same generational-handle scheme the service's queue table uses) so
-/// handles survive a restart.
+/// automatic checkpoints paced by a [`CheckpointCadence`] (seeded on open
+/// from the checkpoint on disk). Heaps are addressed by `(slot,
+/// generation)` pairs (the same generational-handle scheme the service's
+/// queue table uses) so handles survive a restart.
 #[derive(Debug)]
 pub struct DurablePool {
     dir: PathBuf,
@@ -834,12 +939,8 @@ pub struct DurablePool {
     slots: Vec<Option<(u32, PooledHeap)>>,
     free_slots: Vec<(u32, u32)>,
     writer: WalWriter,
-    checkpoint_every: u64,
-    ops_since_checkpoint: u64,
+    cadence: CheckpointCadence,
 }
-
-/// Default number of logged ops between automatic checkpoints.
-const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
 
 impl DurablePool {
     /// Open `dir`, recovering whatever state it holds (an empty or missing
@@ -853,8 +954,7 @@ impl DurablePool {
             slots: state.heaps,
             free_slots: state.free_slots,
             writer,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            ops_since_checkpoint: 0,
+            cadence: state.cadence,
         })
     }
 
@@ -876,8 +976,8 @@ impl DurablePool {
             seq,
             op,
         )?;
-        self.ops_since_checkpoint += 1;
-        if self.ops_since_checkpoint >= self.checkpoint_every {
+        self.cadence.logged();
+        if self.cadence.due(self.writer.bytes_logged()) {
             self.checkpoint()?;
         }
         Ok(out)
@@ -951,7 +1051,7 @@ impl DurablePool {
         Ok(())
     }
 
-    /// Write a checkpoint now and reset the cadence counter. The WAL keeps
+    /// Write a checkpoint now and restart the cadence. The WAL keeps
     /// its history (compaction is future work); replay skips everything the
     /// checkpoint already folded in.
     pub fn checkpoint(&mut self) -> Result<(), WalError> {
@@ -962,14 +1062,15 @@ impl DurablePool {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|(g, h)| (i as u32, *g, h)));
-        write_checkpoint(&self.dir, seq, &self.pool, heaps, &self.free_slots)?;
-        self.ops_since_checkpoint = 0;
+        let image = write_checkpoint(&self.dir, seq, &self.pool, heaps, &self.free_slots)?;
+        self.cadence.checkpointed(self.writer.bytes_logged(), image);
         Ok(())
     }
 
-    /// Change the automatic checkpoint cadence (`u64::MAX` disables it).
+    /// Set the cadence's op floor: no automatic checkpoint before this
+    /// many ops are logged since the last one (`u64::MAX` disables them).
     pub fn set_checkpoint_every(&mut self, every: u64) {
-        self.checkpoint_every = every.max(1);
+        self.cadence.set_min_ops(every);
     }
 
     /// The underlying pool (read-only).
@@ -1080,6 +1181,8 @@ mod tests {
         assert_eq!(got, all_ops());
         let seqs: Vec<u64> = read.records.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6, 7]);
+        let lens: u64 = all_ops().iter().map(WalOp::record_len).sum();
+        assert_eq!(lens, read.file_len, "record_len matches the encoding");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1363,6 +1466,73 @@ mod tests {
         kb.sort_unstable();
         assert_eq!(ka, kb);
         b.validate().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sequence number a checkpoint image's header names.
+    fn checkpoint_seq(dir: &Path) -> u64 {
+        let mut head = [0u8; 24];
+        File::open(dir.join(CHECKPOINT_FILE))
+            .unwrap()
+            .read_exact(&mut head)
+            .unwrap();
+        Words::new(&head).nth(2).unwrap()
+    }
+
+    #[test]
+    fn cadence_waits_for_both_the_op_floor_and_the_image_bytes() {
+        const FLOOR: u64 = CheckpointCadence::MIN_OPS;
+        // The op floor alone does not fire on a large image.
+        let mut c = CheckpointCadence::default();
+        c.checkpointed(1000, 1 << 20);
+        for _ in 0..FLOOR {
+            c.logged();
+        }
+        assert!(!c.due(1000 + 48 * FLOOR));
+        assert!(!c.due(1000 + (1 << 20) - 1));
+        assert!(c.due(1000 + (1 << 20)));
+        // Log bytes alone do not fire before the floor.
+        let mut c = CheckpointCadence::default();
+        c.checkpointed(0, 64);
+        for _ in 1..FLOOR {
+            c.logged();
+        }
+        assert!(!c.due(1 << 30));
+        c.logged();
+        assert!(c.due(1 << 30));
+
+        // A reopened pool seeds its cadence from the image on disk, and
+        // counts the log it replays past that image.
+        let dir = tmp_dir("cadence");
+        let (slot, mark) = {
+            let mut dp = HeapPool::recover(&dir).unwrap();
+            let (slot, _) = dp.create_heap().unwrap();
+            dp.from_keys(slot, &(0..4096).collect::<Vec<_>>()).unwrap();
+            dp.checkpoint().unwrap();
+            let mark = dp.wal_bytes();
+            for key in 0..600 {
+                dp.insert(slot, key).unwrap();
+            }
+            (slot, mark)
+        };
+        let image = std::fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
+        assert!(image > 48 * 2 * FLOOR, "image {image}");
+        let first = checkpoint_seq(&dir);
+        let mut dp = HeapPool::recover(&dir).unwrap();
+        let mut key = 0;
+        loop {
+            dp.insert(slot, key).unwrap();
+            key += 1;
+            if dp.wal_bytes() - mark >= image {
+                break;
+            }
+            assert_eq!(checkpoint_seq(&dir), first, "early checkpoint");
+        }
+        assert!(key as u64 > FLOOR, "the image bytes, not the floor, bind");
+        assert_eq!(checkpoint_seq(&dir), dp.writer.next_seq() - 1);
+        drop(dp);
+        let state = recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(state.replayed, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,6 +20,7 @@
 //! ascending `multi_extract_min` pull. `PeekMin`/`Len` interleaved between
 //! pops read `pulled[j]` / `len + (pulled.len() - j)` — the exact state a
 //! sequential execution in that order would observe.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -27,7 +28,7 @@ use std::time::Instant;
 
 use meldpq::check::check_pool;
 use meldpq::pool::PooledHeap;
-use meldpq::wal::{self, WalError, WalOp, WalWriter, WAL_FILE};
+use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
 use meldpq::{Backend, Engine, HeapPool, MeldablePq};
 use obs::flight::{self, EventKind};
 use obs::LatencyHistogram;
@@ -36,9 +37,6 @@ use crate::batch::{Ingress, OpSlot, Request, Response};
 use crate::metrics::ShardStats;
 use crate::service::QueueId;
 use crate::ServiceError;
-
-/// Logged ops between automatic checkpoints on a durable shard.
-const SHARD_CHECKPOINT_EVERY: u64 = 1024;
 
 /// One tenant queue's storage. The shard's configured [`Backend`] decides
 /// the variant at creation: [`Backend::Pooled`] queues live in the shard's
@@ -146,10 +144,8 @@ pub(crate) struct TenantQueue {
 pub(crate) struct ShardWal {
     writer: WalWriter,
     dir: PathBuf,
-    /// Write a checkpoint after this many logged ops.
-    checkpoint_every: u64,
-    /// Ops logged since the last checkpoint.
-    since: u64,
+    /// When the next automatic checkpoint is due.
+    cadence: CheckpointCadence,
 }
 
 /// The lock-protected half of a shard.
@@ -191,7 +187,7 @@ fn wal_log(wal: &mut Option<ShardWal>, stats: &mut ShardStats, op: &WalOp) {
     match w.writer.append(op) {
         Ok(_) => {
             stats.wal_appends += 1;
-            w.since += 1;
+            w.cadence.logged();
         }
         Err(_) => {
             stats.wal_errors += 1;
@@ -231,17 +227,15 @@ impl ShardState {
     /// Remove the queue addressed by `id`, freeing its slot for reuse under
     /// a bumped generation.
     pub(crate) fn take_queue(&mut self, id: QueueId) -> Result<TenantHeap, ServiceError> {
-        let slot = id.slot() as usize;
-        let current = self
+        let Some(q) = self
             .queues
-            .get(slot)
-            .and_then(|s| s.as_ref())
-            .filter(|q| q.gen == id.generation());
-        if current.is_none() {
+            .get_mut(id.slot() as usize)
+            .filter(|s| s.as_ref().is_some_and(|q| q.gen == id.generation()))
+            .and_then(Option::take)
+        else {
             self.stats.stale_ops += 1;
             return Err(ServiceError::UnknownQueue(id));
-        }
-        let q = self.queues[slot].take().expect("checked above");
+        };
         self.free_slots.push((id.slot(), q.gen.wrapping_add(1)));
         self.stats.queues_destroyed += 1;
         Ok(q.heap)
@@ -265,9 +259,10 @@ impl ShardState {
 
     /// Last-resort recovery when [`ShardState::revalidate`] finds the state
     /// damaged: drop every queue and start the shard over empty. Stale
-    /// handles fail cleanly with `UnknownQueue`; a durable shard's log and
-    /// checkpoint are restarted too, so recovery reflects the reset rather
-    /// than replaying the pre-damage history onto an empty pool.
+    /// handles fail cleanly with `UnknownQueue`; a durable shard's log,
+    /// checkpoint and checkpoint cadence are restarted too, so recovery
+    /// reflects the reset rather than replaying the pre-damage history onto
+    /// an empty pool, and the fresh log checkpoints on its own schedule.
     pub(crate) fn reset_after_damage(&mut self) {
         self.pool = HeapPool::new().with_engine(self.pool.engine());
         self.queues.clear();
@@ -280,7 +275,11 @@ impl ShardState {
                     std::fs::remove_file(&ckpt)?;
                 }
                 let writer = WalWriter::create(&w.dir.join(WAL_FILE))?;
-                Ok(ShardWal { writer, ..w })
+                Ok(ShardWal {
+                    writer,
+                    dir: w.dir,
+                    cadence: CheckpointCadence::default(),
+                })
             })();
             match restarted {
                 Ok(w) => self.wal = Some(w),
@@ -294,10 +293,10 @@ impl ShardState {
         self.wal.is_some()
     }
 
-    /// Write a checkpoint if enough ops accumulated since the last one.
+    /// Write a checkpoint if the cadence says one is due.
     pub(crate) fn maybe_checkpoint(&mut self) {
         let due = match &self.wal {
-            Some(w) => w.since >= w.checkpoint_every,
+            Some(w) => w.cadence.due(w.writer.bytes_logged()),
             None => false,
         };
         if due {
@@ -308,8 +307,8 @@ impl ShardState {
     /// Write a checkpoint now (durable shards only; no-op otherwise).
     ///
     /// Only the pooled backend has a serializable slab; boxed engines are
-    /// recovered by full-log replay, so their "checkpoint" just resets the
-    /// cadence counter.
+    /// recovered by full-log replay, so their "checkpoint" just restarts
+    /// the cadence with a zero-byte image.
     pub(crate) fn force_checkpoint(&mut self) {
         let ShardState {
             pool,
@@ -322,10 +321,10 @@ impl ShardState {
         } = self;
         let Some(w) = wal else { return };
         if *backend != Backend::Pooled {
-            w.since = 0;
+            w.cadence.checkpointed(w.writer.bytes_logged(), 0);
             return;
         }
-        let wrote = (|| -> std::io::Result<()> {
+        let wrote = (|| -> std::io::Result<u64> {
             w.writer.sync()?;
             let seq = w.writer.next_seq().saturating_sub(1);
             let heaps = queues.iter().enumerate().filter_map(|(i, s)| {
@@ -337,8 +336,8 @@ impl ShardState {
             wal::write_checkpoint(&w.dir, seq, pool, heaps, free_slots)
         })();
         match wrote {
-            Ok(()) => {
-                w.since = 0;
+            Ok(image) => {
+                w.cadence.checkpointed(w.writer.bytes_logged(), image);
                 stats.wal_checkpoints += 1;
             }
             Err(_) => {
@@ -390,7 +389,7 @@ impl Shard {
         backend: Backend,
         dir: PathBuf,
     ) -> Result<Arc<Self>, WalError> {
-        let (pool, queues, free_slots, next_seq) = if backend == Backend::Pooled {
+        let (pool, queues, free_slots, next_seq, cadence) = if backend == Backend::Pooled {
             let state = wal::recover_dir(&dir, engine)?;
             let queues = state
                 .heaps
@@ -402,7 +401,13 @@ impl Shard {
                     })
                 })
                 .collect();
-            (state.pool, queues, state.free_slots, state.next_seq)
+            (
+                state.pool,
+                queues,
+                state.free_slots,
+                state.next_seq,
+                state.cadence,
+            )
         } else {
             // Boxed engines have no serializable slab, so there is no
             // checkpoint to load — replay the whole log from genesis.
@@ -421,7 +426,8 @@ impl Shard {
                 next_seq = seq + 1;
             }
             flight::record_here(EventKind::Recover, log.records.len() as u64);
-            (pool, queues, free_slots, next_seq)
+            let cadence = CheckpointCadence::default();
+            (pool, queues, free_slots, next_seq, cadence)
         };
         let writer = WalWriter::append_to(&dir.join(WAL_FILE), next_seq)?;
         Ok(Arc::new(Shard {
@@ -438,8 +444,7 @@ impl Shard {
                 wal: Some(ShardWal {
                     writer,
                     dir,
-                    checkpoint_every: SHARD_CHECKPOINT_EVERY,
-                    since: 0,
+                    cadence,
                 }),
             }),
         }))
@@ -1163,5 +1168,49 @@ mod tests {
         assert_eq!(s2.try_take(), Some(Response::Key(Some(7))));
         assert_eq!(s3.try_take(), Some(Response::Key(None)));
         assert_eq!(s4.try_take(), Some(Response::Keys(vec![])));
+    }
+
+    #[test]
+    fn reset_after_damage_restarts_the_checkpoint_cadence() {
+        let dir =
+            std::env::temp_dir().join(format!("meldpq-shard-reset-cadence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shard =
+            Shard::new_durable(0, Engine::Sequential, 4, Backend::Pooled, dir.clone()).unwrap();
+        let insert = |q: QueueId, key: i64| {
+            let slot = shard.submit(Request::Insert { queue: q, key });
+            assert_eq!(slot.try_take(), Some(Response::Done));
+        };
+        let q = shard.create_queue();
+        let keys: Vec<i64> = (0..4096).collect();
+        let slot = shard.submit(Request::MultiInsert { queue: q, keys });
+        assert_eq!(slot.try_take(), Some(Response::Done));
+        // An image far larger than the op floor's worth of log: carried into
+        // the fresh log, its byte baseline would stall checkpoints.
+        shard.lock_state().force_checkpoint();
+        let image = std::fs::metadata(dir.join(wal::CHECKPOINT_FILE))
+            .unwrap()
+            .len();
+        assert!(image > 2 * 48 * CheckpointCadence::MIN_OPS, "image {image}");
+        shard.lock_state().reset_after_damage();
+        assert_eq!(shard.lock_state().stats.wal_checkpoints, 1);
+        let q = shard.create_queue(); // op 1 of the fresh log
+        for key in 2..CheckpointCadence::MIN_OPS as i64 {
+            insert(q, key);
+        }
+        assert_eq!(shard.lock_state().stats.wal_checkpoints, 1);
+        insert(q, 0); // the op floor: the fresh log has no image yet
+        assert_eq!(shard.lock_state().stats.wal_checkpoints, 2);
+        drop(shard);
+        let state = wal::recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(state.replayed, 0, "the checkpoint covers the fresh log");
+        let len = state
+            .heaps
+            .iter()
+            .flatten()
+            .map(|(_, h)| h.len())
+            .sum::<usize>();
+        assert_eq!(len, CheckpointCadence::MIN_OPS as usize - 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 
-use meldpq::Backend;
+use meldpq::wal::{self, CheckpointCadence};
+use meldpq::{Backend, Engine};
 use service::{Response, ServiceBuilder};
 
 struct TmpRoot(PathBuf);
@@ -184,4 +185,79 @@ fn legacy_json_checkpoint_is_ignored() {
     svc.validate().expect("recovered state validates");
     assert_eq!(svc.extract_k(a, 10).unwrap(), vec![3, 5, 8]);
     assert_eq!(svc.extract_k(b, 10).unwrap(), vec![10, 15, 20]);
+}
+
+#[test]
+fn automatic_checkpoints_are_paced_by_the_image_size() {
+    let root = TmpRoot::new("cadence");
+    let dir = root.0.join("shard0");
+    let one_shard = || {
+        ServiceBuilder::new()
+            .shards(1)
+            .backend(Backend::Pooled)
+            .durable(root.0.clone())
+            .try_build()
+            .expect("build")
+    };
+    let file_len = |name: &str| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+    let svc = one_shard();
+    let checkpoints = || svc.shard_stats(0).wal_checkpoints;
+    let q = svc.create_queue();
+    svc.multi_insert(q, (0..1 << 16).collect()).unwrap();
+
+    // No image exists yet, so the op floor alone times the first
+    // checkpoint; the next waits for the log to grow by that image.
+    let mut at = None; // (log length, image length) at the first checkpoint
+    for i in 0..4096 {
+        if i % 2 == 0 {
+            svc.insert(q, -i).unwrap();
+        } else {
+            svc.extract_min(q).unwrap();
+        }
+        if at.is_none() && checkpoints() == 1 {
+            at = Some((file_len("wal.log"), file_len("checkpoint.bin")));
+        }
+    }
+    assert_eq!(checkpoints(), 1, "one automatic checkpoint in 4096 ops");
+    let (mark, image) = at.expect("the op floor was reached");
+    assert!(image > 48 * 4096, "image {image} outweighs 4096 ops of log");
+
+    // Grow the log in 64-key records until it has gained one image.
+    let mut key = 1 << 16;
+    loop {
+        let grown = file_len("wal.log") - mark;
+        if grown >= image {
+            break;
+        }
+        assert_eq!(checkpoints(), 1, "checkpoint after {grown} < {image} B");
+        svc.multi_insert(q, (key..key + 64).collect()).unwrap();
+        key += 64;
+    }
+    assert_eq!(checkpoints(), 2, "due once the log grew by the image");
+    let (mark, image) = (file_len("wal.log"), file_len("checkpoint.bin"));
+    for i in 0..2000 {
+        svc.insert(q, i).unwrap();
+    }
+    drop(svc);
+
+    // Reopen: the shard resumes the cadence and keeps serving.
+    let svc = one_shard();
+    svc.validate().expect("recovered state validates");
+    for i in 0..48 {
+        svc.insert(q, i).unwrap();
+    }
+    assert_eq!(
+        svc.shard_stats(0).wal_checkpoints,
+        0,
+        "the replayed suffix is past the op floor but short of the image"
+    );
+    drop(svc);
+    let state = wal::recover_dir(&dir, Engine::Sequential).expect("recover");
+    assert_eq!(state.replayed, 2048, "every op past the second checkpoint");
+    let suffix = file_len("wal.log") - mark;
+    assert!(
+        state.replayed < CheckpointCadence::MIN_OPS as usize || suffix < image,
+        "replayed {} records ({suffix} B) past a {image} B image",
+        state.replayed
+    );
 }
