@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 
 use crate::arena::{Arena, NodeId};
 use crate::heap::{Engine, ParBinomialHeap};
-use crate::pool::HeapPool;
+use crate::pool::{carry_add, HeapPool};
 
 impl ParBinomialHeap<i64> {
     /// `Multi-Insert` planned on the PRAM simulator: the batch is built by
@@ -49,7 +49,9 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
     /// [`Self::from_keys_parallel`] with an explicit planning engine for the
     /// unions up the build tree. Batches below the calibrated admission
     /// cutoff ([`crate::cutoff::batch_bulk_cutoff`]) ripple-insert instead —
-    /// the slab staging cost dominates at tiny sizes.
+    /// the slab staging cost dominates at tiny sizes. Both paths build in a
+    /// pool sized for the batch and hand its slab over, so either one makes
+    /// exactly `keys.len()` allocations and no copies.
     pub fn from_keys_parallel_with(keys: &[K], engine: Engine) -> ParBinomialHeap<K> {
         Self::from_keys_parallel_at(keys, engine, crate::cutoff::batch_bulk_cutoff())
     }
@@ -65,11 +67,12 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
         engine: Engine,
         admission: usize,
     ) -> ParBinomialHeap<K> {
-        if keys.len() < admission {
-            return ParBinomialHeap::from_keys(keys.iter().copied());
-        }
         let mut pool = HeapPool::with_capacity(keys.len());
-        let h = pool.from_keys_parallel_with(keys, engine);
+        let h = if keys.len() < admission {
+            pool.from_keys(keys.iter().copied())
+        } else {
+            pool.from_keys_parallel_with(keys, engine)
+        };
         pool.into_heap(h)
     }
 
@@ -172,34 +175,11 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
             continue; // a surviving root, already in `roots`
         }
         arena.get_mut(id).parent = None;
-        orphan_len += 1usize << arena.get(id).children.len();
+        let order = arena.get(id).children.len();
+        orphan_len += 1usize << order;
         // Ripple-carry the orphan into `comb`: orders collide across
-        // different peeled parents, so link equal-order pairs as we go
-        // (resident tree wins ties, matching the planners).
-        let mut carry = id;
-        let mut order = arena.get(carry).children.len();
-        loop {
-            while comb.len() <= order {
-                comb.push(None);
-            }
-            match comb[order].take() {
-                None => {
-                    comb[order] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    let (win, lose) = if arena.get(existing).key <= arena.get(carry).key {
-                        (existing, carry)
-                    } else {
-                        (carry, existing)
-                    };
-                    arena.get_mut(win).children.push(lose);
-                    arena.get_mut(lose).parent = Some(win);
-                    carry = win;
-                    order += 1;
-                }
-            }
-        }
+        // different peeled parents, so link equal-order pairs as we go.
+        carry_add(arena, &mut comb, &[id], order);
     }
     for id in peeled {
         arena.dealloc(id);

@@ -9,12 +9,23 @@
 //!
 //! A [`HeapPool`] owns a single [`Arena`] from which *every* heap in the
 //! pool allocates its [`NodeId`]s. A [`PooledHeap`] is then nothing but
-//! bookkeeping — a root array `H` and a length — so melding two heaps of the
-//! same pool is pure Phase I–III plan application: `O(log n)` pointer writes,
-//! **zero node copies** (asserted by the [`Arena::stats`] counters and the
-//! `tests/pool_zero_copy.rs` gate). Planning scratch (the two padded root
-//! reference arrays and the [`UnionPlan`] buffers) lives in the pool and is
-//! reused across melds, so the hot loop performs no per-meld allocation.
+//! bookkeeping — a root array `H`, a length and the cached min root — so
+//! melding two heaps of the same pool is pure Phase I–III plan application:
+//! `O(log n)` pointer writes, **zero node copies** (asserted by the
+//! [`Arena::stats`] counters and the `tests/pool_zero_copy.rs` gate).
+//! Planning scratch (the two padded root reference arrays and the
+//! [`UnionPlan`] buffers) lives in the pool and is reused across melds, so
+//! the hot loop performs no per-meld allocation.
+//!
+//! Single-key ops do not plan. `Insert` is a binary-counter increment: the
+//! new node ripples up `H`, one `link` per carry (amortised `O(1)`).
+//! `Extract-Min` carry-adds the removed root's children `B_0 … B_{k-1}` back
+//! into `H` in place. Both build exactly the trees the planner would,
+//! because `link` follows the planner's tie contract. Every multi-key op
+//! (`meld`, `meld_cross_pool`, `multi_extract_min`, `from_keys_parallel`)
+//! still runs the paper's Phases I–III. Each heap caches its min root,
+//! exact after every op: `insert` updates it in `O(1)`, and the ops that
+//! rebuild `H` rescan its `≤ log n` roots once.
 //!
 //! Cross-pool operations still exist as explicit, counted fallbacks:
 //! [`HeapPool::adopt`] absorbs a free-standing heap and
@@ -69,15 +80,20 @@ impl std::fmt::Display for CapacityError {
 
 impl std::error::Error for CapacityError {}
 
-/// A heap living inside a [`HeapPool`]: the root array `H` plus the length.
-/// All node storage belongs to the pool, which is what makes same-pool meld
-/// zero-copy. Handles are deliberately not `Clone` — duplicating one would
-/// alias live trees; use [`HeapPool::clone_heap`] for a (counted) deep copy.
+/// A heap living inside a [`HeapPool`]: the root array `H`, the length and
+/// the cached min root. All node storage belongs to the pool, which is what
+/// makes same-pool meld zero-copy. Handles are deliberately not `Clone` —
+/// duplicating one would alias live trees; use [`HeapPool::clone_heap`] for
+/// a (counted) deep copy.
 #[derive(Debug)]
 pub struct PooledHeap {
     pool: PoolId,
     roots: Vec<Option<NodeId>>,
     len: usize,
+    /// The min root, always exact: the root the scan over `roots` picks
+    /// (smallest key, ties to the lowest order), `None` iff empty. Every
+    /// constructor sets it and every mutator keeps it so.
+    min: Option<NodeId>,
 }
 
 impl PooledHeap {
@@ -99,10 +115,11 @@ impl PooledHeap {
 
 /// A pool of binomial heaps sharing one node slab. See the module docs.
 ///
-/// Every planning op (`meld`, `extract_min`, `multi_extract_min`,
-/// `from_keys_parallel`, `meld_cross_pool`) uses the pool-level default
-/// [`Engine`] (set with [`HeapPool::with_engine`]); the `*_with` variants
-/// take an explicit engine for call sites that mix planners.
+/// Every planning op (`meld`, `multi_extract_min`, `from_keys_parallel`,
+/// `meld_cross_pool`) uses the pool-level default [`Engine`] (set with
+/// [`HeapPool::with_engine`]); the `*_with` variants take an explicit
+/// engine for call sites that mix planners. `insert` and `extract_min`
+/// link directly and plan nothing.
 #[derive(Debug)]
 pub struct HeapPool<K = i64> {
     id: PoolId,
@@ -189,6 +206,7 @@ impl<K> HeapPool<K> {
             pool: self.id,
             roots: Vec::new(),
             len: 0,
+            min: None,
         }
     }
 
@@ -220,17 +238,6 @@ impl<K> HeapPool<K> {
         }
     }
 
-    /// Re-stamp a recovered root table as a heap of this pool. The caller
-    /// (checkpoint recovery) validates the result with `check_pool` before
-    /// serving from it.
-    pub(crate) fn restore_heap(&self, roots: Vec<Option<NodeId>>, len: usize) -> PooledHeap {
-        PooledHeap {
-            pool: self.id,
-            roots,
-            len,
-        }
-    }
-
     #[track_caller]
     fn assert_owner(&self, h: &PooledHeap) {
         assert!(
@@ -249,6 +256,102 @@ fn trim(roots: &mut Vec<Option<NodeId>>) {
     }
 }
 
+/// The root with the minimum key, ties to the lowest order — the value a
+/// heap's cached `min` must always equal.
+fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Option<NodeId> {
+    let mut best: Option<NodeId> = None;
+    for &id in roots.iter().flatten() {
+        if best.is_none_or(|b| arena.get(id).key < arena.get(b).key) {
+            best = Some(id);
+        }
+    }
+    best
+}
+
+/// Node storage a binomial [`link`] writes into: the pool's [`Arena`], or
+/// one disjoint segment of the parallel builder's slab.
+pub(crate) trait Nodes<K> {
+    /// The live node `id`.
+    fn node(&mut self, id: NodeId) -> &mut Node<K>;
+}
+
+impl<K> Nodes<K> for Arena<K> {
+    #[inline]
+    fn node(&mut self, id: NodeId) -> &mut Node<K> {
+        self.get_mut(id)
+    }
+}
+
+/// A segment of the builder's slab whose slot `i` holds node `base + i`.
+struct Segment<'a, K> {
+    slab: &'a mut [Option<Node<K>>],
+    base: u32,
+}
+
+impl<K> Nodes<K> for Segment<'_, K> {
+    #[inline]
+    fn node(&mut self, id: NodeId) -> &mut Node<K> {
+        self.slab[(id.0 - self.base) as usize]
+            .as_mut()
+            .expect("live slab node")
+    }
+}
+
+/// The binomial link under the workspace tie contract (`plan.rs`): the
+/// **first** operand wins equal keys. `first` and `second` are roots of
+/// equal order; the loser becomes the winner's next child. Returns the
+/// winner.
+fn link<K: Ord + Copy>(nodes: &mut impl Nodes<K>, first: NodeId, second: NodeId) -> NodeId {
+    let first_key = nodes.node(first).key;
+    let (win, lose) = if nodes.node(second).key < first_key {
+        (second, first)
+    } else {
+        (first, second)
+    };
+    debug_assert_eq!(
+        nodes.node(win).children.len(),
+        nodes.node(lose).children.len()
+    );
+    nodes.node(win).children.push(lose);
+    nodes.node(lose).parent = Some(win);
+    win
+}
+
+/// Carry-add a dense forest into `roots` in place: binary addition with one
+/// [`link`] per carry. Tree `j` of `add` has order `from + j`.
+///
+/// The trees built are exactly those of the Phase I–III plan for
+/// `Union(roots, add)`. At a position holding two trees, the resident (the
+/// plan's first operand) is `link`'s first operand. A carry is the first
+/// operand against the one tree it meets, since the plan's segmented prefix
+/// minimum keeps the lower position on ties. A carry that meets two trees
+/// stays as the root while those two link.
+pub(crate) fn carry_add<K: Ord + Copy>(
+    nodes: &mut impl Nodes<K>,
+    roots: &mut Vec<Option<NodeId>>,
+    add: &[NodeId],
+    from: usize,
+) {
+    if roots.len() < from {
+        roots.resize(from, None);
+    }
+    let mut carry: Option<NodeId> = None;
+    let mut i = from;
+    while i - from < add.len() || carry.is_some() {
+        if i == roots.len() {
+            roots.push(None);
+        }
+        let (root, next) = match (carry, roots[i], add.get(i - from).copied()) {
+            (c, Some(x), Some(y)) => (c, Some(link(nodes, x, y))),
+            (Some(c), Some(t), None) | (Some(c), None, Some(t)) => (None, Some(link(nodes, c, t))),
+            (t, None, None) | (None, t, None) | (None, None, t) => (t, None),
+        };
+        roots[i] = root;
+        carry = next;
+        i += 1;
+    }
+}
+
 impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     /// With `--features debug-validate`, deep-check a heap after a hot-path
     /// mutation; a no-op otherwise.
@@ -262,6 +365,26 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let _ = h;
     }
 
+    /// Re-stamp a recovered root table as a heap of this pool. The caller
+    /// (checkpoint recovery) validates the result with `check_pool` before
+    /// serving from it. The roots come from an untrusted image, so the min
+    /// is only scanned when every root is a live node; otherwise it stays
+    /// `None` and validation rejects the dead root.
+    pub(crate) fn restore_heap(&self, roots: Vec<Option<NodeId>>, len: usize) -> PooledHeap {
+        let live = roots.iter().flatten().all(|id| self.arena.contains(*id));
+        let min = if live {
+            scan_min(&self.arena, &roots)
+        } else {
+            None
+        };
+        PooledHeap {
+            pool: self.id,
+            roots,
+            len,
+            min,
+        }
+    }
+
     /// Build a heap by sequential ripple insertion.
     pub fn from_keys<I: IntoIterator<Item = K>>(&mut self, keys: I) -> PooledHeap {
         let mut h = self.new_heap();
@@ -271,30 +394,35 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         h
     }
 
-    /// `Insert(Q, x)`: meld with a singleton (sequential planning — a single
-    /// union has `O(log n)` positions, below thread-dispatch granularity).
+    /// `Insert(Q, x)`: a binary-counter increment. The new node ripples up
+    /// `H`, linking with the resident `B_i` while slot `i` is occupied — one
+    /// `link` per carry, amortised `O(1)`, no plan. The trees are those
+    /// the planner builds for a singleton `Union`.
     pub fn insert(&mut self, h: &mut PooledHeap, key: K) {
         self.assert_owner(h);
         let id = self.arena.alloc(key);
-        self.meld_roots(h, &[Some(id)], 1, Engine::Sequential);
+        carry_add(&mut self.arena, &mut h.roots, &[id], 0);
+        h.len += 1;
+        // The ripple emptied every order below the one its carry settled in
+        // and left the orders above untouched. So that root, the lowest-order
+        // one, is the min (ties to the lowest order, as the scan rules)
+        // unless the old min is still a root and strictly smaller. Finding it
+        // walks the slots the carry emptied: amortised O(1).
+        let top = h.roots.iter().flatten().next().copied();
+        h.min = match h.min {
+            Some(m) if top.is_some_and(|t| self.arena.get(m).key < self.arena.get(t).key) => {
+                Some(m)
+            }
+            _ => top,
+        };
         self.debug_validate(h);
     }
 
-    /// The root holding the minimum key (ties to the lowest order).
+    /// The root holding the minimum key (ties to the lowest order): the
+    /// cached min, `O(1)`.
     pub fn min_root(&self, h: &PooledHeap) -> Option<NodeId> {
         self.assert_owner(h);
-        let mut best: Option<NodeId> = None;
-        for id in h.roots.iter().flatten() {
-            match best {
-                None => best = Some(*id),
-                Some(b) => {
-                    if self.arena.get(*id).key < self.arena.get(b).key {
-                        best = Some(*id);
-                    }
-                }
-            }
-        }
-        best
+        h.min
     }
 
     /// `Min(Q)`: the minimum key.
@@ -302,27 +430,23 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         self.min_root(h).map(|id| self.arena.get(id).key)
     }
 
-    /// `Extract-Min(Q)` with the pool's default engine.
+    /// `Extract-Min(Q)`: remove and return the minimum. The removed root's
+    /// children `B_0 … B_{k-1}` carry-add back into `H` in place — no plan,
+    /// no allocation, zero copies — then the `≤ log n` roots are rescanned
+    /// for the new min.
     pub fn extract_min(&mut self, h: &mut PooledHeap) -> Option<K> {
-        self.extract_min_with(h, self.engine)
-    }
-
-    /// `Extract-Min(Q)`: remove and return the minimum; the children re-meld
-    /// with the chosen engine — all inside the shared slab, zero copies.
-    pub fn extract_min_with(&mut self, h: &mut PooledHeap, engine: Engine) -> Option<K> {
         let min_id = self.min_root(h)?;
         let order = self.arena.get(min_id).children.len();
         debug_assert_eq!(h.roots[order], Some(min_id));
         h.roots[order] = None;
         trim(&mut h.roots);
         let Node { key, children, .. } = self.arena.dealloc(min_id);
-        let child_count = (1usize << order) - 1;
-        h.len -= 1 << order;
+        h.len -= 1;
         for &c in &children {
             self.arena.get_mut(c).parent = None;
         }
-        let residual: Vec<Option<NodeId>> = children.into_iter().map(Some).collect();
-        self.meld_roots(h, &residual, child_count, engine);
+        carry_add(&mut self.arena, &mut h.roots, &children, 0);
+        h.min = scan_min(&self.arena, &h.roots);
         self.debug_validate(h);
         Some(key)
     }
@@ -398,6 +522,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         }
         let out = PooledHeap {
             pool: self.id,
+            min: scan_min(&self.arena, &roots),
             roots,
             len: h.len,
         };
@@ -413,6 +538,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let roots: Vec<Option<NodeId>> = roots.iter().map(|r| r.map(&remap)).collect();
         let out = PooledHeap {
             pool: self.id,
+            min: scan_min(&self.arena, &roots),
             roots,
             len,
         };
@@ -505,6 +631,14 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         if matches!(h.roots.last(), Some(None)) {
             return Err("root array not trimmed".into());
         }
+        // The scan only returns roots, so this also rejects a non-root.
+        let scan = scan_min(&self.arena, &h.roots);
+        if h.min != scan {
+            return Err(format!(
+                "min cache names {:?}, the root scan finds {scan:?}",
+                h.min
+            ));
+        }
         let bits: usize = h
             .roots
             .iter()
@@ -568,6 +702,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         trim(&mut roots);
         let h = PooledHeap {
             pool: self.id,
+            min: scan_min(&self.arena, &roots),
             roots,
             len: keys.len(),
         };
@@ -575,9 +710,31 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         Ok(h)
     }
 
-    /// Meld `other_roots` (nodes already in this pool's slab) into `dst`.
-    /// The scratch buffers make repeated sequential melds allocation-free.
+    /// Meld `other_roots` (nodes already in this pool's slab) into `dst`,
+    /// then rescan `dst`'s roots for its min — also when there is nothing
+    /// to meld, since `multi_extract_min` peels roots before calling this.
     fn meld_roots(
+        &mut self,
+        dst: &mut PooledHeap,
+        other_roots: &[Option<NodeId>],
+        other_len: usize,
+        engine: Engine,
+    ) {
+        if dst.len == 0 {
+            dst.roots.clear();
+            dst.roots.extend_from_slice(other_roots);
+            dst.len = other_len;
+            trim(&mut dst.roots);
+        } else if other_len > 0 {
+            self.plan_union(dst, other_roots, other_len, engine);
+        }
+        dst.min = scan_min(&self.arena, &dst.roots);
+    }
+
+    /// Phase I–III union of two non-empty root arrays, planned with
+    /// `engine`. The scratch buffers make repeated sequential melds
+    /// allocation-free.
+    fn plan_union(
         &mut self,
         dst: &mut PooledHeap,
         other_roots: &[Option<NodeId>],
@@ -586,16 +743,6 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     ) {
         let n1 = dst.len;
         let n2 = other_len;
-        if n2 == 0 {
-            return;
-        }
-        if n1 == 0 {
-            dst.roots.clear();
-            dst.roots.extend_from_slice(other_roots);
-            dst.len = n2;
-            trim(&mut dst.roots);
-            return;
-        }
         let width = plan_width(n1, n2);
         self.scratch_h1.clear();
         for i in 0..width {
@@ -747,51 +894,23 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
     )
 }
 
-/// Sequential ripple-carry build of one slab segment (ids = `base + index`).
+/// Sequential ripple-carry build of one slab segment (ids = `base + index`):
+/// the same [`carry_add`] as [`HeapPool::insert`], one key at a time.
 /// `pub(crate)` so the cutoff calibrator can probe its per-key cost.
 pub(crate) fn build_slab_leaf<K: Ord + Copy>(
     keys: &[K],
     slab: &mut [Option<Node<K>>],
     base: u32,
 ) -> Vec<Option<NodeId>> {
-    let at = |id: NodeId| (id.0 - base) as usize;
+    let mut seg = Segment { slab, base };
     let mut roots: Vec<Option<NodeId>> = Vec::new();
     for (i, &k) in keys.iter().enumerate() {
-        slab[i] = Some(Node {
+        seg.slab[i] = Some(Node {
             key: k,
             parent: None,
             children: Vec::new(),
         });
-        let mut carry = NodeId(base + i as u32);
-        let mut order = 0usize;
-        loop {
-            if roots.len() <= order {
-                roots.push(None);
-            }
-            match roots[order].take() {
-                None => {
-                    roots[order] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    // Tie rule: the resident tree wins, matching the
-                    // planners (the heap is the first operand).
-                    let ek = slab[at(existing)].as_ref().expect("live").key;
-                    let ck = slab[at(carry)].as_ref().expect("live").key;
-                    let (win, lose) = if ek <= ck {
-                        (existing, carry)
-                    } else {
-                        (carry, existing)
-                    };
-                    let li = at(lose);
-                    slab[li].as_mut().expect("live").parent = Some(win);
-                    let wi = at(win);
-                    slab[wi].as_mut().expect("live").children.push(lose);
-                    carry = win;
-                    order += 1;
-                }
-            }
-        }
+        carry_add(&mut seg, &mut roots, &[NodeId(base + i as u32)], 0);
     }
     roots
 }
@@ -890,10 +1009,154 @@ mod tests {
         }
         assert_eq!(pool.min(&h), Some(1));
         assert_eq!(pool.extract_min(&mut h), Some(1));
-        assert_eq!(pool.extract_min_with(&mut h, Engine::Rayon), Some(3));
+        assert_eq!(pool.extract_min(&mut h), Some(3));
         pool.validate_heap(&h).unwrap();
         let rest = pool.into_sorted_vec(h);
         assert_eq!(rest, vec![3, 5, 7, 8, 9]);
+    }
+
+    /// Every live node as `(id, key, parent, children)`, in id order.
+    type Shape = Vec<(NodeId, i64, Option<NodeId>, Vec<NodeId>)>;
+    fn shape(arena: &Arena<i64>) -> Shape {
+        arena
+            .iter()
+            .map(|(id, n)| (id, n.key, n.parent, n.children.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn ripple_ops_build_the_planners_trees() {
+        // Insert and extract link directly instead of planning. Under the one
+        // tie contract they must build exactly the trees of ParBinomialHeap's
+        // planned singleton Union and children re-meld — node ids, parents
+        // and child order included — however many keys are equal.
+        for m in [1i64, 2, 3, 5] {
+            let mut pool: HeapPool<i64> = HeapPool::new();
+            let mut h = pool.new_heap();
+            let mut planned: ParBinomialHeap<i64> = ParBinomialHeap::new();
+            for i in 0..3000i64 {
+                let k = (i * 7919) % m;
+                pool.insert(&mut h, k);
+                planned.insert(k);
+                assert_eq!(h.roots(), planned.roots(), "mod {m}, insert {i}");
+                if i % 100 == 99 {
+                    assert_eq!(
+                        shape(pool.arena()),
+                        shape(planned.arena()),
+                        "mod {m}, insert {i}"
+                    );
+                }
+            }
+            for i in 0..1000i64 {
+                let got = pool.extract_min(&mut h);
+                assert_eq!(got, planned.extract_min(Engine::Sequential));
+                if i % 3 == 0 {
+                    let k = (i * 31) % m;
+                    pool.insert(&mut h, k);
+                    planned.insert(k);
+                }
+                assert_eq!(h.roots(), planned.roots(), "mod {m}, churn {i}");
+                if i % 100 == 99 {
+                    assert_eq!(
+                        shape(pool.arena()),
+                        shape(planned.arena()),
+                        "mod {m}, churn {i}"
+                    );
+                }
+            }
+            pool.validate_heap(&h).unwrap();
+        }
+    }
+
+    #[test]
+    fn min_cache_tracks_scan_through_all_mutators() {
+        let exact = |pool: &HeapPool<i64>, h: &PooledHeap, after: &str| {
+            assert_eq!(
+                h.min,
+                scan_min(&pool.arena, &h.roots),
+                "cache after {after}"
+            );
+            pool.validate_heap(h).unwrap();
+        };
+        let mut pool: HeapPool<i64> = HeapPool::new();
+        let mut h = pool.new_heap();
+        exact(&pool, &h, "new_heap");
+        for k in [13i64, 4, 9, 4, 22, -3, 17, 0, -3, 8, 8] {
+            pool.insert(&mut h, k);
+            exact(&pool, &h, "insert");
+        }
+        assert_eq!(pool.extract_min(&mut h), Some(-3));
+        exact(&pool, &h, "extract_min");
+        // Melds, including into an empty heap, and across pools.
+        let mut e = pool.new_heap();
+        let part = pool.from_keys([-7, 5]);
+        pool.meld(&mut e, part);
+        exact(&pool, &e, "meld into empty");
+        pool.meld(&mut h, e);
+        exact(&pool, &h, "meld");
+        assert_eq!(pool.min(&h), Some(-7));
+        let mut other: HeapPool<i64> = HeapPool::new();
+        let src = other.from_keys([-11, 30, 2]);
+        pool.meld_cross_pool(&mut h, &mut other, src);
+        exact(&pool, &h, "meld_cross_pool");
+        assert_eq!(pool.min(&h), Some(-11));
+        // Multi-extract with orphans (peeled roots had children) ...
+        assert_eq!(pool.multi_extract_min(&mut h, 3), vec![-11, -7, -3]);
+        exact(&pool, &h, "multi_extract_min with orphans");
+        // ... and without: [5, 6, 1] is B_1 {5, 6} plus B_0 {1}, so peeling
+        // one key takes a childless root and melds nothing back.
+        let mut z = pool.from_keys([5, 6, 1]);
+        assert_eq!(pool.multi_extract_min(&mut z, 1), vec![1]);
+        exact(&pool, &z, "multi_extract_min without orphans");
+        assert_eq!(pool.min(&z), Some(5));
+        let p = pool.from_keys_parallel(&[8, -2, 8, 5, -2, 40, 3]);
+        exact(&pool, &p, "from_keys_parallel");
+        let c = pool.clone_heap(&h);
+        exact(&pool, &c, "clone_heap");
+        let a = pool.adopt(ParBinomialHeap::from_keys([6, -4, 6, 1]));
+        exact(&pool, &a, "adopt");
+        // A stale or non-root cache is rejected.
+        let mut bad = pool.from_keys([3, 1, 2]);
+        bad.min = bad.roots[0];
+        assert!(pool.validate_heap(&bad).unwrap_err().contains("min cache"));
+        let child = pool.arena.get(bad.roots[1].unwrap()).children[0];
+        bad.min = Some(child);
+        assert!(pool.validate_heap(&bad).unwrap_err().contains("min cache"));
+    }
+
+    #[test]
+    fn recovered_heaps_have_an_exact_min() {
+        let dir = std::env::temp_dir().join(format!(
+            "meldpq-pool-min-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut dp = crate::wal::DurablePool::open(&dir, Engine::Sequential).unwrap();
+            let (a, _) = dp.create_heap().unwrap();
+            dp.from_keys(a, &[9, 3, 3, 7, 1, 12, 1]).unwrap();
+            dp.extract_min(a).unwrap();
+            let (b, _) = dp.create_heap().unwrap();
+            dp.insert(b, 4).unwrap();
+            dp.checkpoint().unwrap();
+        }
+        let rec = crate::wal::recover_dir(&dir, Engine::Sequential).unwrap();
+        assert_eq!(
+            rec.replayed, 0,
+            "every heap comes from the checkpoint image"
+        );
+        let heaps: Vec<&PooledHeap> = rec.heaps.iter().flatten().map(|(_, h)| h).collect();
+        assert_eq!(heaps.len(), 2);
+        for h in heaps {
+            assert_eq!(
+                h.min,
+                scan_min(&rec.pool.arena, &h.roots),
+                "cache after recover_dir"
+            );
+            rec.pool.validate_heap(h).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

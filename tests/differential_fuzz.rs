@@ -536,7 +536,7 @@ proptest! {
                     lazy_oracle.insert(*k);
                 }
                 PoolOp::ExtractMin => {
-                    let got = pool.extract_min_with(&mut main, engine);
+                    let got = pool.extract_min(&mut main);
                     prop_assert_eq!(got, pool_oracle.extract_min(), "pool extract at step {}", step);
                     prop_assert_eq!(lazy.extract_min(), lazy_oracle.extract_min(),
                         "lazy extract at step {}", step);

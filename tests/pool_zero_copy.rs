@@ -76,7 +76,7 @@ fn extract_min_interleaved_with_zero_copy_melds() {
     let mut reference = keys(200, 3);
     for round in 0..5 {
         for _ in 0..20 {
-            let got = pool.extract_min_with(&mut h, Engine::Sequential);
+            let got = pool.extract_min(&mut h);
             reference.sort_unstable();
             assert_eq!(got, Some(reference.remove(0)));
         }
@@ -132,7 +132,7 @@ fn multiple_heaps_share_one_pool_without_aliasing() {
     check_pool(&pool, &refs).unwrap();
     // Clone one, mutate the original: still no aliasing anywhere.
     let mut a = pool.clone_heap(&heaps[0]);
-    pool.extract_min_with(&mut a, Engine::Sequential);
+    pool.extract_min(&mut a);
     let mut refs: Vec<&meldpq::PooledHeap> = heaps.iter().collect();
     refs.push(&a);
     check_pool(&pool, &refs).unwrap();
