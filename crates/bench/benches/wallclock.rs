@@ -5,12 +5,14 @@
 //! zero-copy representation (`meldpq::pool`) and the fused rayon kernels are
 //! about:
 //!
-//! * `meld` — same-pool zero-copy plan application vs the legacy
-//!   arena-absorb path, with a hard gate: zero-copy must win by ≥10× at
-//!   n = 2^20 (it is O(log n) pointer writes vs Θ(n) node moves).
+//! * `meld` — same-pool zero-copy plan application vs melding two
+//!   separately owned heaps (the `absorb` arm: the second heap's nodes move
+//!   into the first one's slab), with a hard gate: zero-copy must win by
+//!   ≥10× at n = 2^20 (it is O(log n) pointer writes vs Θ(n) node moves).
 //! * `multi_insert` — the paper's sequential reference (a batch of n keys is
-//!   n `Insert`s) vs the fused bulk kernel (pooled slab build + one meld).
-//!   Gate: the kernel must win by ≥2× at n = 2^18.
+//!   n `Insert`s, each a planned singleton `Union`) vs the fused bulk kernel
+//!   (pooled slab build + one meld). Gate: the kernel must win by ≥2× at
+//!   n = 2^18.
 //! * `b_union` — the b-Union preprocessing sort: the general path must sort
 //!   the concatenated key streams, the chunk-order fast path merges two
 //!   already-sorted streams with the merge-path kernel (`dmpq::soa`).
@@ -72,7 +74,8 @@ fn pooled_pair(n: usize, seed: u64) -> (HeapPool<i64>, meldpq::PooledHeap, meldp
     (pool, a, b)
 }
 
-/// Two free-standing heaps of n/2 keys each (absorb operand pair).
+/// Two free-standing heaps of n/2 keys each (the `absorb` operand pair: a
+/// meld moves the second heap's nodes into the first one's slab).
 fn heap_pair(n: usize, seed: u64) -> (ParBinomialHeap<i64>, ParBinomialHeap<i64>) {
     let mut rng = workloads::rng(seed ^ n as u64);
     let keys = workloads::random_keys(&mut rng, n);
@@ -109,10 +112,26 @@ fn bench_meld(c: &mut Criterion, full: bool) {
     group.finish();
 }
 
+/// A pool holding one heap built from `keys`, with slab room for `extra`
+/// more keys.
+fn pooled_base(keys: &[i64], extra: usize) -> (HeapPool<i64>, meldpq::PooledHeap) {
+    let mut pool = HeapPool::with_capacity(keys.len() + extra);
+    let h = pool.from_keys_parallel_with(keys, Engine::Sequential);
+    (pool, h)
+}
+
+/// `Insert(Q, x)` the way the paper spells it: a planned `Union` with a
+/// one-key heap of the same pool.
+fn planned_insert(pool: &mut HeapPool<i64>, h: &mut meldpq::PooledHeap, key: i64) {
+    let single = pool.from_keys([key]);
+    pool.meld_with(h, single, Engine::Sequential);
+}
+
 /// `Multi-Insert` of a batch of n keys into a resident heap. The `seq` arm
 /// is the paper's sequential reference — a batch is semantically n repeated
-/// `Insert`s — and the `rayon` arm is the bulk kernel: pooled slab build of
-/// the batch (fused planner up the build tree) plus one planned meld.
+/// `Insert`s, each a planned singleton `Union` — and the `rayon` arm is the
+/// bulk kernel: pooled slab build of the batch (fused planner up the build
+/// tree) plus one planned meld.
 fn bench_multi_insert(c: &mut Criterion, full: bool) {
     let mut group = c.benchmark_group("multi_insert");
     const BASE: usize = 1 << 12;
@@ -123,12 +142,12 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
         let batch: Vec<i64> = keys[BASE..].to_vec();
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
             b.iter_batched(
-                || base.clone(),
-                |mut h| {
+                || pooled_base(&keys[..BASE], n),
+                |(mut pool, mut h)| {
                     for &k in &batch {
-                        h.insert(k);
+                        planned_insert(&mut pool, &mut h, k);
                     }
-                    h
+                    (pool, h)
                 },
                 BatchSize::LargeInput,
             )
@@ -197,14 +216,14 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
                 )
             });
         }
-        // The pre-pool baseline: k sequential Extract-Min rounds.
+        // The baseline: k sequential Extract-Min rounds.
         group.bench_with_input(BenchmarkId::new("extract_loop", n), &n, |b, _| {
             b.iter_batched(
                 || base.clone(),
                 |mut h| {
                     let mut out = Vec::with_capacity(k);
                     for _ in 0..k {
-                        out.push(h.extract_min(Engine::Sequential));
+                        out.push(h.extract_min());
                     }
                     (h, out)
                 },
@@ -215,29 +234,31 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
     group.finish();
 }
 
+/// W1's insert/extract mix with every op planned: inserts are planned
+/// singleton `Union`s, and each extract re-melds the orphaned children with
+/// one union planned by the arm's engine.
 fn bench_mixed(c: &mut Criterion, _full: bool) {
     let mut group = c.benchmark_group("mixed");
     const OPS: usize = 1024;
     for n in [1usize << 14, 1 << 18] {
         let mut rng = workloads::rng(47 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n + OPS);
-        let base = ParBinomialHeap::from_keys_parallel(&keys[..n]);
         let fresh: Vec<i64> = keys[n..].to_vec();
         for engine in [Engine::Sequential, Engine::Rayon] {
             let id = BenchmarkId::new(engine_name(engine), n);
             group.bench_with_input(id, &n, |b, _| {
                 b.iter_batched(
-                    || base.clone(),
-                    |mut h| {
+                    || pooled_base(&keys[..n], OPS),
+                    |(mut pool, mut h)| {
                         // 2:1 insert/extract mix, W1's ratio.
                         for (i, &k) in fresh.iter().enumerate() {
                             if i % 3 < 2 {
-                                h.insert(k);
+                                planned_insert(&mut pool, &mut h, k);
                             } else {
-                                h.extract_min(engine);
+                                pool.multi_extract_min_with(&mut h, 1, engine);
                             }
                         }
-                        h
+                        (pool, h)
                     },
                     BatchSize::LargeInput,
                 )
@@ -354,10 +375,10 @@ fn bench_durable(c: &mut Criterion, _full: bool) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The O(1) peek satellite: `min_root` now answers from the cached
-/// `NodeId` every mutator refreshes, vs the pre-cache behavior of
-/// rescanning the root list (still exposed as `min_root_scan`). Each iter
-/// is 1024 peeks so the ns-scale answers land above timer resolution.
+/// The O(1) peek satellite: `min_root` answers from the cached `NodeId`
+/// every mutator keeps exact, vs rescanning the root list
+/// (`min_root_scan`). Each iter is 1024 peeks so the ns-scale answers land
+/// above timer resolution.
 fn bench_peek(c: &mut Criterion, _full: bool) {
     let mut group = c.benchmark_group("peek");
     let n = PEEK_GATE_N;

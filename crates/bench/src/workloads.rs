@@ -1,6 +1,6 @@
 //! Seeded workload generators.
 
-use meldpq::{Engine, ParBinomialHeap};
+use meldpq::ParBinomialHeap;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A deterministic RNG for experiment `tag`.
@@ -57,18 +57,6 @@ pub fn script(rng: &mut StdRng, len: usize, insert_bias: u32) -> Vec<ScriptOp> {
             }
         })
         .collect()
-}
-
-/// Run a script against a `ParBinomialHeap` with the given engine.
-pub fn run_script(heap: &mut ParBinomialHeap, ops: &[ScriptOp], engine: Engine) {
-    for op in ops {
-        match op {
-            ScriptOp::Insert(k) => heap.insert(*k),
-            ScriptOp::ExtractMin => {
-                heap.extract_min(engine);
-            }
-        }
-    }
 }
 
 /// `p = ⌈log n / log log n⌉` — the processor count of Theorems 1–2.

@@ -44,7 +44,7 @@ pub struct Node<K> {
 pub struct ArenaStats {
     /// Fresh nodes created (`alloc`, slab extension).
     pub allocs: u64,
-    /// Nodes copied in from another arena (`absorb`, cross-pool moves).
+    /// Nodes copied in: cross-pool moves and `clone_heap`.
     pub copies: u64,
 }
 
@@ -222,52 +222,6 @@ impl<K> Arena<K> {
             stats: ArenaStats::default(),
         })
     }
-
-    /// Absorb all nodes of `other`, returning a remapping function applied to
-    /// its ids: every `NodeId` from `other` must be translated. Children and
-    /// parent pointers inside the moved nodes are rewritten here.
-    pub fn absorb(&mut self, other: Arena<K>) -> impl Fn(NodeId) -> NodeId {
-        // Map other's slot -> new id.
-        let mut map: Vec<u32> = vec![u32::MAX; other.nodes.len()];
-        let mut moved: Vec<(u32, Node<K>)> = Vec::with_capacity(other.len());
-        for (i, slot) in other.nodes.into_iter().enumerate() {
-            if let Some(node) = slot {
-                moved.push((i as u32, node));
-            }
-        }
-        // Reserve the net growth up front: one slab doubling instead of
-        // log(moved) incremental ones on the copy loop below.
-        self.stats.copies += moved.len() as u64;
-        self.nodes
-            .reserve(moved.len().saturating_sub(self.free.len()));
-        for (old, node) in &moved {
-            let new_id = match self.free.pop() {
-                Some(idx) => {
-                    self.nodes[idx as usize] = None; // placeholder, filled below
-                    idx
-                }
-                None => {
-                    self.nodes.push(None);
-                    (self.nodes.len() - 1) as u32
-                }
-            };
-            map[*old as usize] = new_id;
-            let _ = node; // moved in next pass
-        }
-        for (old, mut node) in moved {
-            let new_id = map[old as usize];
-            node.parent = node.parent.map(|p| NodeId(map[p.0 as usize]));
-            for c in &mut node.children {
-                *c = NodeId(map[c.0 as usize]);
-            }
-            self.nodes[new_id as usize] = Some(node);
-        }
-        move |id: NodeId| {
-            let m = map[id.0 as usize];
-            debug_assert_ne!(m, u32::MAX, "remapping a dead node");
-            NodeId(m)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,25 +243,6 @@ mod tests {
         // Slot is recycled.
         let z = a.alloc(7);
         assert_eq!(z, x);
-    }
-
-    #[test]
-    fn absorb_remaps_pointers() {
-        let mut a: Arena<i64> = Arena::new();
-        let _pad = a.alloc(0); // offset a's ids
-        let mut b: Arena<i64> = Arena::new();
-        let child = b.alloc(10);
-        let root = b.alloc(1);
-        b.get_mut(root).children.push(child);
-        b.get_mut(child).parent = Some(root);
-
-        let remap = a.absorb(b);
-        let new_root = remap(root);
-        let new_child = remap(child);
-        assert_eq!(a.get(new_root).key, 1);
-        assert_eq!(a.get(new_root).children, vec![new_child]);
-        assert_eq!(a.get(new_child).parent, Some(new_root));
-        assert_eq!(a.len(), 3);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Workload-adaptive backend selection for the service layer.
 //!
-//! The workspace now carries a dozen queue engines behind one
-//! [`MeldablePq`] surface. Which one should a [`crate::MeldablePq`]-generic
-//! harness (most importantly `svc::QueueService`) construct by default? The
-//! honest answer is *measured, per workload class*: the shootout benchmark
+//! The workspace carries many queue engines behind one [`MeldablePq`]
+//! surface; [`Backend`] lists the ones worth constructing: the measured
+//! winners, the paper's baselines and the hollow heap. Which one should a
+//! [`crate::MeldablePq`]-generic harness (most importantly
+//! `svc::QueueService`) construct by default? The honest answer is
+//! *measured, per workload class*: the shootout benchmark
 //! (`crates/bench/src/bin/shootout.rs`) races every backend over uniform,
 //! adversarial and Dijkstra-style workloads and writes
 //! `reports/BENCH_shootout.json`; the selection table in this module is the
@@ -18,58 +20,41 @@ use std::sync::OnceLock;
 
 use crate::heap::ParBinomialHeap;
 use crate::lazy::LazyBinomialHeap;
-use crate::meldable::{MeldablePq, PoolGuard};
+use crate::meldable::MeldablePq;
 
 /// Every constructible queue engine in the workspace (the shootout roster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant names are the engine names
 pub enum Backend {
-    /// Zero-copy pooled parallel binomial heap (`PoolGuard`).
+    /// The §3 parallel binomial heap (`ParBinomialHeap`, a one-heap
+    /// `HeapPool`), sequential planner.
     Pooled,
-    /// The §3 parallel binomial heap, sequential planner.
-    ParBinomial,
     /// The §4 lazy binomial heap with empty nodes.
     Lazy,
     /// Sequential CLRS binomial heap.
     Binomial,
     /// Leftist heap.
     Leftist,
-    /// Skew heap.
-    Skew,
     /// Pairing heap, two-pass combine.
     Pairing,
-    /// Pairing heap, multipass combine.
-    PairingMultipass,
     /// Implicit 4-ary heap.
     Dary4,
-    /// Implicit 8-ary heap.
-    Dary8,
     /// Hollow heap (lazy deletion, O(1) decrease-key).
     Hollow,
-    /// Indexed 4-ary heap (position map for decrease-key).
-    IndexedDary4,
-    /// Sequential arena binomial heap with handles.
-    IndexedBinomial,
     /// `std::collections::BinaryHeap` adapter (meld rebuilds).
     Binary,
 }
 
 impl Backend {
     /// The full roster, in shootout order.
-    pub const ALL: [Backend; 14] = [
+    pub const ALL: [Backend; 8] = [
         Backend::Pooled,
-        Backend::ParBinomial,
         Backend::Lazy,
         Backend::Binomial,
         Backend::Leftist,
-        Backend::Skew,
         Backend::Pairing,
-        Backend::PairingMultipass,
         Backend::Dary4,
-        Backend::Dary8,
         Backend::Hollow,
-        Backend::IndexedDary4,
-        Backend::IndexedBinomial,
         Backend::Binary,
     ];
 
@@ -77,18 +62,12 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Pooled => "pooled",
-            Backend::ParBinomial => "par_binomial",
             Backend::Lazy => "lazy",
             Backend::Binomial => "binomial",
             Backend::Leftist => "leftist",
-            Backend::Skew => "skew",
             Backend::Pairing => "pairing",
-            Backend::PairingMultipass => "pairing_multipass",
             Backend::Dary4 => "dary4",
-            Backend::Dary8 => "dary8",
             Backend::Hollow => "hollow",
-            Backend::IndexedDary4 => "indexed_dary4",
-            Backend::IndexedBinomial => "indexed_binomial",
             Backend::Binary => "binary",
         }
     }
@@ -102,21 +81,13 @@ impl Backend {
     pub fn make(self) -> Box<dyn MeldablePq<i64> + Send> {
         let p = std::thread::available_parallelism().map_or(2, |n| n.get());
         match self {
-            Backend::Pooled => Box::new(PoolGuard::new()),
-            Backend::ParBinomial => Box::new(ParBinomialHeap::new()),
+            Backend::Pooled => Box::new(ParBinomialHeap::new()),
             Backend::Lazy => Box::new(LazyBinomialHeap::new(p)),
             Backend::Binomial => Box::new(seqheaps::BinomialHeap::new()),
             Backend::Leftist => Box::new(seqheaps::LeftistHeap::new()),
-            Backend::Skew => Box::new(seqheaps::SkewHeap::new()),
             Backend::Pairing => Box::new(seqheaps::PairingHeap::new()),
-            Backend::PairingMultipass => Box::new(seqheaps::PairingHeap::with_strategy(
-                seqheaps::MergeStrategy::MultiPass,
-            )),
             Backend::Dary4 => Box::new(seqheaps::DaryHeap::<i64, 4>::new()),
-            Backend::Dary8 => Box::new(seqheaps::DaryHeap::<i64, 8>::new()),
             Backend::Hollow => Box::new(seqheaps::HollowHeap::new()),
-            Backend::IndexedDary4 => Box::new(seqheaps::IndexedDaryHeap::<i64, 4>::new()),
-            Backend::IndexedBinomial => Box::new(crate::decrease::IndexedBinomialPq::new()),
             Backend::Binary => Box::new(seqheaps::BinaryHeapAdapter::new()),
         }
     }
@@ -130,20 +101,10 @@ impl Backend {
         match self {
             Backend::Binomial => Some(Box::new(seqheaps::BinomialHeap::new())),
             Backend::Leftist => Some(Box::new(seqheaps::LeftistHeap::new())),
-            Backend::Skew => Some(Box::new(seqheaps::SkewHeap::new())),
             Backend::Pairing => Some(Box::new(seqheaps::PairingHeap::new())),
-            Backend::PairingMultipass => Some(Box::new(seqheaps::PairingHeap::with_strategy(
-                seqheaps::MergeStrategy::MultiPass,
-            ))),
             Backend::Hollow => Some(Box::new(seqheaps::HollowHeap::new())),
-            Backend::IndexedDary4 => Some(Box::new(seqheaps::IndexedDaryHeap::<i64, 4>::new())),
-            Backend::IndexedBinomial => Some(Box::new(crate::decrease::IndexedBinomialPq::new())),
             Backend::Lazy => Some(Box::new(crate::decrease::LazyDecreasePq::new(p))),
-            Backend::Pooled
-            | Backend::ParBinomial
-            | Backend::Dary4
-            | Backend::Dary8
-            | Backend::Binary => None,
+            Backend::Pooled | Backend::Dary4 | Backend::Binary => None,
         }
     }
 }
@@ -301,7 +262,7 @@ mod tests {
             assert_eq!(q.extract_min(), Some(5), "{}", b.name());
             assert_eq!(q.extract_min(), Some(20), "{}", b.name());
         }
-        assert_eq!(native, 9, "decrease-key roster drifted");
+        assert_eq!(native, 5, "decrease-key roster drifted");
     }
 
     #[test]

@@ -5,32 +5,37 @@
 //! build each `B_i` by `i` rounds of pairwise linking. All rounds across all
 //! trees run concurrently, so with `p` processors the whole build takes
 //! `O(n/p + log n)` time and `O(n)` work — measured here on the EREW
-//! simulator (`from_keys_pram`), with a rayon twin for wall clock
-//! (`bulk::from_keys_parallel`).
+//! simulator (`ParBinomialHeap::from_keys_pram`), with a rayon twin for
+//! wall clock (`HeapPool::from_keys_parallel`).
 //!
 //! The PRAM program per round: one processor per surviving pair reads the
 //! two roots' keys and writes the comparison outcome; the host mirrors the
-//! winning links into the arena (the same plan/apply split the Union engine
-//! uses). Each round's reads and writes are disjoint across pairs, so the
-//! program is EREW-legal — machine-checked on every run.
+//! winning links into the pool's slab through `pool::link`, whose tie rule
+//! (the left root wins equal keys) is the program's. Each round's reads and
+//! writes are disjoint across pairs, so the program is EREW-legal —
+//! machine-checked on every run.
 
 use pram::{Cost, Model, Pram, PramError, Word};
 
 use crate::arena::NodeId;
-use crate::heap::ParBinomialHeap;
+use crate::pool::{link, HeapPool, PooledHeap};
 
-impl ParBinomialHeap {
-    /// Build a heap from `keys` with the linking rounds executed (and
-    /// metered) on a `p`-processor EREW PRAM. Returns the heap and the
-    /// measured cost.
-    pub fn from_keys_pram(keys: &[i64], p: usize) -> Result<(ParBinomialHeap, Cost), PramError> {
+impl HeapPool<i64> {
+    /// Build a heap of this pool from `keys` with the linking rounds
+    /// executed (and metered) on a `p`-processor EREW PRAM. Returns the
+    /// heap and the measured cost.
+    pub(crate) fn build_pram(
+        &mut self,
+        keys: &[i64],
+        p: usize,
+    ) -> Result<(PooledHeap, Cost), PramError> {
         let n = keys.len();
-        let mut heap = ParBinomialHeap::new();
         if n == 0 {
-            return Ok((heap, Cost::ZERO));
+            return Ok((self.new_heap(), Cost::ZERO));
         }
         // Host: allocate every node; lay the keys out in PRAM memory.
-        let ids: Vec<NodeId> = keys.iter().map(|&k| heap.alloc_detached(k)).collect();
+        let arena = self.arena_mut();
+        let ids: Vec<NodeId> = keys.iter().map(|&k| arena.alloc(k)).collect();
         let mut m = Pram::new(Model::Erew, p);
         let key_base = m.alloc_init(
             keys.iter()
@@ -101,12 +106,9 @@ impl ParBinomialHeap {
                 for c in seg.chunks(2) {
                     let right_wins = m.host_read(dec + pair_idx) != 0;
                     pair_idx += 1;
-                    let (win, lose) = if right_wins {
-                        (c[1], c[0])
-                    } else {
-                        (c[0], c[1])
-                    };
-                    heap.link_detached(ids[win], ids[lose]);
+                    let win = if right_wins { c[1] } else { c[0] };
+                    let linked = link(self.arena_mut(), ids[c[0]], ids[c[1]]);
+                    debug_assert_eq!(linked, ids[win], "PRAM and host tie rules agree");
                     next.push(win);
                 }
                 *seg = next;
@@ -114,19 +116,21 @@ impl ParBinomialHeap {
             debug_assert_eq!(pair_idx, pairs.len());
         }
 
-        // Install the root array.
+        // Install the root array: one tree per set bit of `n`.
+        let mut heap_roots = vec![None; usize::BITS as usize - n.leading_zeros() as usize];
         for (seg, &(_, order)) in roots.iter().zip(&segments) {
             debug_assert_eq!(seg.len(), 1);
-            heap.install_root(order, ids[seg[0]]);
+            heap_roots[order] = Some(ids[seg[0]]);
         }
-        heap.set_len(n);
+        let heap = self.restore_heap(heap_roots, n);
+        self.debug_validate(&heap);
         Ok((heap, m.cost()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ParBinomialHeap;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]

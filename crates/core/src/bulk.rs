@@ -1,123 +1,24 @@
-//! Bulk operations on [`ParBinomialHeap`] — where real threads pay off.
+//! The `Multi-Extract-Min` kernel — bulk operations are where real threads
+//! and whole-batch planning pay off.
 //!
 //! A single `Union` touches only `O(log n)` root positions, far below the
 //! granularity at which thread dispatch wins (DESIGN.md §5). Bulk builds are
-//! different: `from_keys_parallel` now runs on the pooled slab builder
-//! ([`HeapPool::from_keys_parallel`]) — every worker writes into a disjoint
-//! slice of one pre-sized slab with its `NodeId`s baked against the final
-//! base offset, and the halves meld *zero-copy* on the way up. The old
-//! tree-of-absorbs (`Θ(n log n)` node moves) is gone; a build of `n` keys
-//! performs exactly `n` allocations and zero copies.
+//! different: [`HeapPool::from_keys_parallel`](crate::HeapPool::from_keys_parallel)
+//! writes every worker's keys into a disjoint slice of one pre-sized slab,
+//! and a build of `n` keys performs exactly `n` allocations and zero copies.
 //!
-//! `multi_extract_min` is a real kernel too: instead of `k` sequential
-//! `Extract-Min` rounds (each planning its own union), a root-frontier
-//! heap-of-heaps peels the `k` smallest in one pass and re-melds the
-//! orphaned subtrees with a single engine-planned union.
+//! `Multi-Extract-Min` is a real kernel too: instead of `k` sequential
+//! `Extract-Min` rounds, a root-frontier heap-of-heaps peels the `k`
+//! smallest in one pass (`peel_k_smallest`), and the orphaned subtrees
+//! re-meld with a single engine-planned union. `HeapPool` and
+//! [`ParBinomialHeap`](crate::ParBinomialHeap) both run it through
+//! `HeapPool::multi_extract_min_with`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::arena::{Arena, NodeId};
-use crate::heap::{Engine, ParBinomialHeap};
-use crate::pool::{carry_add, HeapPool};
-
-impl ParBinomialHeap<i64> {
-    /// `Multi-Insert` planned on the PRAM simulator: the batch is built by
-    /// the PRAM `Make-Queue` and melded by the PRAM Union; both costs land on
-    /// [`Self::pram_ledger`](ParBinomialHeap::pram_ledger).
-    pub fn multi_insert_pram(&mut self, keys: &[i64], p: usize) {
-        if keys.is_empty() {
-            return;
-        }
-        let (batch, build_cost) =
-            ParBinomialHeap::from_keys_pram(keys, p).expect("EREW-legal build");
-        self.add_pram_cost(build_cost);
-        self.meld_pram(batch, p);
-    }
-}
-
-impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
-    /// Build a heap from keys using all rayon workers. Defaults to the
-    /// sequential planner for the per-level unions — a single union touches
-    /// `O(log n)` positions, below thread-dispatch granularity; the
-    /// parallelism comes from building the slab halves concurrently. Use
-    /// [`Self::from_keys_parallel_with`] to exercise the rayon planner.
-    pub fn from_keys_parallel(keys: &[K]) -> ParBinomialHeap<K> {
-        Self::from_keys_parallel_with(keys, Engine::Sequential)
-    }
-
-    /// [`Self::from_keys_parallel`] with an explicit planning engine for the
-    /// unions up the build tree. Batches below the calibrated admission
-    /// cutoff ([`crate::cutoff::batch_bulk_cutoff`]) ripple-insert instead —
-    /// the slab staging cost dominates at tiny sizes. Both paths build in a
-    /// pool sized for the batch and hand its slab over, so either one makes
-    /// exactly `keys.len()` allocations and no copies.
-    pub fn from_keys_parallel_with(keys: &[K], engine: Engine) -> ParBinomialHeap<K> {
-        Self::from_keys_parallel_at(keys, engine, crate::cutoff::batch_bulk_cutoff())
-    }
-
-    /// [`Self::from_keys_parallel_with`] with an explicit admission cutoff
-    /// instead of the calibrated one. Differential tests pin the cutoff to
-    /// exercise both sides of the threshold in one deterministic program
-    /// (the calibrated value is host-dependent and `OnceLock`-cached, so it
-    /// cannot be varied within a process).
-    #[doc(hidden)]
-    pub fn from_keys_parallel_at(
-        keys: &[K],
-        engine: Engine,
-        admission: usize,
-    ) -> ParBinomialHeap<K> {
-        let mut pool = HeapPool::with_capacity(keys.len());
-        let h = if keys.len() < admission {
-            pool.from_keys(keys.iter().copied())
-        } else {
-            pool.from_keys_parallel_with(keys, engine)
-        };
-        pool.into_heap(h)
-    }
-
-    /// Insert a batch of keys at once (parallel build + one meld) — the
-    /// shared-memory analogue of the hypercube queue's `Multi-Insert`.
-    /// Plans the final meld sequentially; see [`Self::multi_insert_with`].
-    pub fn multi_insert(&mut self, keys: &[K]) {
-        self.multi_insert_with(keys, Engine::Sequential);
-    }
-
-    /// [`Self::multi_insert`] with an explicit planning engine for both the
-    /// build-tree unions and the final meld.
-    pub fn multi_insert_with(&mut self, keys: &[K], engine: Engine) {
-        self.multi_insert_at(keys, engine, crate::cutoff::batch_bulk_cutoff());
-    }
-
-    /// [`Self::multi_insert_with`] with an explicit admission cutoff; see
-    /// [`Self::from_keys_parallel_at`].
-    #[doc(hidden)]
-    pub fn multi_insert_at(&mut self, keys: &[K], engine: Engine, admission: usize) {
-        if keys.is_empty() {
-            return;
-        }
-        let batch = ParBinomialHeap::from_keys_parallel_at(keys, engine, admission);
-        self.meld(batch, engine);
-    }
-
-    /// Extract the `k` smallest keys — the shared-memory analogue of
-    /// `Multi-Extract-Min`. A root-frontier heap-of-heaps peels the `k`
-    /// smallest nodes (ancestor-closed, so exactly the nodes `k` sequential
-    /// `Extract-Min`s would remove), then the orphaned subtrees re-meld with
-    /// **one** engine-planned union instead of `k`.
-    pub fn multi_extract_min(&mut self, k: usize, engine: Engine) -> Vec<K> {
-        let take = k.min(self.len());
-        if take == 0 {
-            return Vec::new();
-        }
-        let (arena, roots) = self.parts_mut();
-        let (out, orphan_roots, orphan_len) = peel_k_smallest(arena, roots, take);
-        self.set_len(self.len() - take - orphan_len);
-        self.meld_roots_in_arena(orphan_roots, orphan_len, engine);
-        self.debug_validate();
-        out
-    }
-}
+use crate::pool::carry_add;
 
 /// Peel the `take` smallest keys off a forest in one frontier pass.
 ///
@@ -189,7 +90,7 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Engine, ParBinomialHeap};
 
     #[test]
     fn tuple_keys_carry_payloads() {
@@ -201,8 +102,8 @@ mod tests {
         h.insert((5, 50));
         h.meld(ParBinomialHeap::from_keys([(0, 9), (3, 7)]), Engine::Rayon);
         h.validate().unwrap();
-        assert_eq!(h.extract_min(Engine::Sequential), Some((0, 9)));
-        assert_eq!(h.extract_min(Engine::Rayon), Some((1, 200)));
+        assert_eq!(h.extract_min(), Some((0, 9)));
+        assert_eq!(h.extract_min(), Some((1, 200)));
         assert_eq!(h.into_sorted_vec(), vec![(3, 7), (5, 50), (5, 100)]);
     }
 
@@ -278,7 +179,7 @@ mod tests {
             fast.validate().unwrap();
             let mut expected = Vec::new();
             for _ in 0..k {
-                match slow.extract_min(Engine::Sequential) {
+                match slow.extract_min() {
                     Some(x) => expected.push(x),
                     None => break,
                 }

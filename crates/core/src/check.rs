@@ -28,21 +28,13 @@ use crate::lazy::LazyBinomialHeap;
 use crate::plan::{classify_point, PointType, UnionPlan};
 use crate::pool::{HeapPool, PooledHeap};
 
-/// Deep check of a [`ParBinomialHeap`]: the structure's own `validate`
-/// (BH1 heap order, BH2 shapes, parent pointers, size ledger) plus the
-/// binary-representation isomorphism — the orders present in `H` are
-/// exactly the set bits of `len` (paper §2).
+/// Deep check of a [`ParBinomialHeap`]: [`HeapPool::validate_heap`] on its
+/// one heap (BH1 heap order, BH2 shapes, parent pointers, the exact cached
+/// min, and the binary-representation isomorphism — the orders present in
+/// `H` are exactly the set bits of `len`, paper §2), plus no stray node in
+/// its slab.
 pub fn check_heap<K: Ord + Copy + Send + Sync>(h: &ParBinomialHeap<K>) -> Result<(), String> {
-    h.validate()?;
-    let bits: usize = h.root_orders().iter().map(|&i| 1usize << i).sum();
-    if bits != h.len() {
-        return Err(format!(
-            "binary representation broken: root orders {:?} encode {bits}, len is {}",
-            h.root_orders(),
-            h.len()
-        ));
-    }
-    Ok(())
+    h.validate()
 }
 
 /// Deep check of a [`LazyBinomialHeap`]: the structure's own `validate`

@@ -1,13 +1,21 @@
 //! The parallel meldable binomial heap (the paper's §3 structure).
 //!
-//! [`ParBinomialHeap`] owns an [`Arena`] of nodes plus the root array `H`.
-//! `Union` builds a [`UnionPlan`] with one of three engines — sequential
-//! oracle, rayon threads, or the PRAM simulator — and applies it with
-//! [`ParBinomialHeap::apply_plan`]; the engines must (and are tested to)
-//! produce identical plans.
+//! [`ParBinomialHeap`] is a [`HeapPool`] that holds exactly one
+//! [`PooledHeap`], plus a ledger of measured PRAM cost. Every operation
+//! delegates to the pool, so the free-standing heap and the service's
+//! pooled heaps share one representation, one `Union` path and one
+//! validator. `Insert` and `Extract-Min` link directly; `Union`,
+//! `Multi-Extract-Min` and the bulk builders plan with one of the
+//! [`Engine`]s, or on the PRAM simulator in the `*_pram` methods. Melding
+//! two free-standing heaps moves the second one's nodes into the first
+//! one's slab (counted as copies); heaps that must meld without copies live
+//! in one shared [`HeapPool`].
 
-use crate::arena::{Arena, Node, NodeId};
-use crate::plan::{build_plan_seq, plan_width, RootRef, UnionPlan};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::arena::{Arena, NodeId};
+use crate::plan::RootRef;
+use crate::pool::{root_refs_into, scan_min, HeapPool, PooledHeap};
 
 /// Which execution strategy carries out the parallel phases of `Union`,
 /// `Extract-Min` and `Min`.
@@ -25,36 +33,44 @@ pub enum Engine {
 /// tuple to carry data). The default `K = i64` is the PRAM machine word: the
 /// measured engines (`meld_pram`, `from_keys_pram`, …) exist only for
 /// word keys, because the simulator stores keys in memory cells.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ParBinomialHeap<K = i64> {
-    arena: Arena<K>,
-    /// Root array `H`: slot `i` = root of `B_i`.
-    roots: Vec<Option<NodeId>>,
-    len: usize,
-    /// Default planning engine, used by the engine-less [`MeldablePq`]
-    /// surface (`crate::meldable`); the explicit-engine methods ignore it.
-    engine: Engine,
+    /// The heap's own pool; its default engine plans the engine-less
+    /// [`MeldablePq`](crate::MeldablePq) surface.
+    pool: HeapPool<K>,
+    /// The pool's one heap.
+    heap: PooledHeap,
     /// Cumulative Theorem-1 cost of every op planned on the PRAM simulator
     /// (`*_pram` methods; `i64` keys only). `pram::Cost` implements
     /// [`obs::Recorder`], so this ledger snapshots straight into a registry.
     ledger: pram::Cost,
-    /// Cached minimum root, refreshed eagerly by every mutator so `min` /
-    /// `min_root` are O(1). `None` either means the heap is empty or the
-    /// cache was invalidated by raw-parts surgery; `min_root` falls back to
-    /// the scan in that case, so stale-`None` is safe, stale-`Some` never
-    /// happens.
-    min_cache: Option<NodeId>,
 }
 
 impl<K> Default for ParBinomialHeap<K> {
     fn default() -> Self {
+        Self::in_pool(HeapPool::new())
+    }
+}
+
+impl<K: Clone> Clone for ParBinomialHeap<K> {
+    fn clone(&self) -> Self {
+        let (pool, heap) = self.pool.fork(&self.heap);
         ParBinomialHeap {
-            arena: Arena::new(),
-            roots: Vec::new(),
-            len: 0,
-            engine: Engine::Sequential,
+            pool,
+            heap,
+            ledger: self.ledger,
+        }
+    }
+}
+
+impl<K> ParBinomialHeap<K> {
+    /// An empty heap owning `pool`.
+    fn in_pool(pool: HeapPool<K>) -> Self {
+        let heap = pool.new_heap();
+        ParBinomialHeap {
+            pool,
+            heap,
             ledger: pram::Cost::ZERO,
-            min_cache: None,
         }
     }
 }
@@ -69,63 +85,50 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
     /// [`crate::MeldablePq`] surface. The explicit-engine methods
     /// (`meld(.., engine)`, …) are unaffected.
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+        self.pool.set_engine(engine);
         self
     }
 
     /// The default planning engine (see [`Self::with_engine`]).
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.pool.engine()
     }
 
     /// Change the default planning engine in place.
     pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
+        self.pool.set_engine(engine);
     }
 
-    /// With `--features debug-validate`, run the deep `meldpq::check` pass
-    /// and panic on the first violation; a no-op otherwise. Called after
-    /// every hot-path mutation.
-    #[inline]
-    pub(crate) fn debug_validate(&self) {
-        #[cfg(feature = "debug-validate")]
-        if let Err(e) = crate::check::check_heap(self) {
-            panic!("debug-validate (ParBinomialHeap): {e}");
-        }
-    }
-
-    /// Build from keys by repeated insertion (sequential engine).
+    /// Build from keys by repeated insertion.
     pub fn from_keys<I: IntoIterator<Item = K>>(keys: I) -> Self {
         let mut h = Self::new();
-        for k in keys {
-            h.insert(k);
-        }
+        h.heap = h.pool.from_keys(keys);
         h
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Borrow the arena (read-only; used by engines and tests).
     pub fn arena(&self) -> &Arena<K> {
-        &self.arena
+        self.pool.arena()
     }
 
     /// Borrow the root array.
     pub fn roots(&self) -> &[Option<NodeId>] {
-        &self.roots
+        self.heap.roots()
     }
 
     /// Orders of the trees present (the set bits of `len`).
     pub fn root_orders(&self) -> Vec<usize> {
-        self.roots
+        self.roots()
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|_| i))
@@ -134,142 +137,139 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
 
     /// Root references padded to `width` (engine input).
     pub fn root_refs(&self, width: usize) -> Vec<Option<RootRef<K>>> {
-        (0..width)
-            .map(|i| {
-                self.roots.get(i).copied().flatten().map(|id| RootRef {
-                    key: self.arena.get(id).key,
-                    id,
-                })
-            })
-            .collect()
+        let mut out = Vec::with_capacity(width);
+        root_refs_into(self.arena(), self.roots(), width, &mut out);
+        out
     }
 
-    fn trim(&mut self) {
-        while matches!(self.roots.last(), Some(None)) {
-            self.roots.pop();
-        }
-    }
-
-    /// `Insert(Q, x)`: meld with a singleton heap.
+    /// `Insert(Q, x)`: a ripple-carry increment of the root array.
     pub fn insert(&mut self, key: K) {
-        let mut single = ParBinomialHeap::new();
-        let id = single.arena.alloc(key);
-        single.roots.push(Some(id));
-        single.len = 1;
-        self.meld(single, Engine::Sequential);
+        self.pool.insert(&mut self.heap, key);
     }
 
     /// `Min(Q)`: the minimum key (always at some root by BH1).
     pub fn min(&self) -> Option<K> {
-        self.min_root().map(|id| self.arena.get(id).key)
+        self.pool.min(&self.heap)
     }
 
-    /// The root holding the minimum key (ties to the lowest order).
-    ///
-    /// O(1) when the cache is warm (every mutator refreshes it); falls back
-    /// to [`Self::min_root_scan`] after raw-parts surgery invalidated it.
+    /// The root holding the minimum key (ties to the lowest order): the
+    /// cached min, `O(1)`.
     pub fn min_root(&self) -> Option<NodeId> {
-        self.min_cache.or_else(|| self.min_root_scan())
+        self.pool.min_root(&self.heap)
     }
 
-    /// The uncached O(log n) scan over the root array (the pre-cache
-    /// behaviour; kept public so the wallclock bench can race the two).
+    /// The uncached `O(log n)` scan over the root array, which the cached
+    /// [`Self::min_root`] always equals (kept public so the wallclock bench
+    /// can race the two).
     pub fn min_root_scan(&self) -> Option<NodeId> {
-        let mut best: Option<NodeId> = None;
-        for id in self.roots.iter().flatten() {
-            match best {
-                None => best = Some(*id),
-                Some(b) => {
-                    if self.arena.get(*id).key < self.arena.get(b).key {
-                        best = Some(*id);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Recompute the cached min root from the current root array.
-    fn refresh_min_cache(&mut self) {
-        self.min_cache = self.min_root_scan();
+        scan_min(self.arena(), self.roots())
     }
 
     /// `Extract-Min(Q)`: remove and return the minimum key. The children of
-    /// the removed root — exactly `B_{k-1}, …, B_0` — become a heap that is
-    /// melded back with the chosen engine.
-    pub fn extract_min(&mut self, engine: Engine) -> Option<K> {
-        let min_id = self.min_root()?;
-        let order = self.arena.get(min_id).children.len();
-        debug_assert_eq!(self.roots[order], Some(min_id));
-        self.roots[order] = None;
-        self.trim();
-        let Node { key, children, .. } = self.arena.dealloc(min_id);
-        let child_count = (1usize << order) - 1;
-        self.len -= 1 << order;
-        // Orphan the children and build the residual heap *sharing the same
-        // arena*: we split the bookkeeping, not the storage — self keeps the
-        // arena; the residual heap is described by a root array only.
-        for &c in &children {
-            self.arena.get_mut(c).parent = None;
-        }
-        let residual_roots: Vec<Option<NodeId>> = children.into_iter().map(Some).collect();
-        self.meld_roots_in_arena(residual_roots, child_count, engine);
-        // The residual meld may have been a no-op (order-0 root); the root
-        // array still changed above, so always refresh here.
-        self.refresh_min_cache();
-        self.debug_validate();
-        Some(key)
+    /// the removed root — exactly `B_{k-1}, …, B_0` — carry-add back into
+    /// the root array.
+    pub fn extract_min(&mut self) -> Option<K> {
+        self.pool.extract_min(&mut self.heap)
     }
 
-    /// `Union(Q1, Q2)`: absorb `other` (its arena is merged in, ids remapped),
-    /// then meld the two root arrays with the chosen engine.
-    pub fn meld(&mut self, other: ParBinomialHeap<K>, engine: Engine) {
-        let other_len = other.len;
-        let remap = self.arena.absorb(other.arena);
-        let other_roots: Vec<Option<NodeId>> = other.roots.iter().map(|r| r.map(&remap)).collect();
-        self.meld_roots_in_arena(other_roots, other_len, engine);
+    /// `Union(Q1, Q2)`: move `other`'s nodes into this heap's slab, then
+    /// meld the two root arrays with the chosen engine.
+    pub fn meld(&mut self, mut other: ParBinomialHeap<K>, engine: Engine) {
+        self.pool
+            .meld_cross_pool_with(&mut self.heap, &mut other.pool, other.heap, engine);
     }
 
-    /// Meld a second root array whose nodes already live in `self.arena`.
-    pub(crate) fn meld_roots_in_arena(
-        &mut self,
-        other_roots: Vec<Option<NodeId>>,
-        other_len: usize,
-        engine: Engine,
-    ) {
-        let n1 = self.len;
-        let n2 = other_len;
-        if n2 == 0 {
-            return;
+    /// Build a heap from keys using all rayon workers. Defaults to the
+    /// sequential planner for the per-level unions — a single union touches
+    /// `O(log n)` positions, below thread-dispatch granularity; the
+    /// parallelism comes from building the slab halves concurrently. Use
+    /// [`Self::from_keys_parallel_with`] to exercise the rayon planner.
+    pub fn from_keys_parallel(keys: &[K]) -> Self {
+        Self::from_keys_parallel_with(keys, Engine::Sequential)
+    }
+
+    /// [`Self::from_keys_parallel`] with an explicit planning engine for the
+    /// unions up the build tree. Batches below the calibrated admission
+    /// cutoff ([`crate::cutoff::batch_bulk_cutoff`]) ripple-insert instead —
+    /// the slab staging cost dominates at tiny sizes. Either path makes
+    /// exactly `keys.len()` allocations and no copies.
+    pub fn from_keys_parallel_with(keys: &[K], engine: Engine) -> Self {
+        Self::from_keys_parallel_at(keys, engine, crate::cutoff::batch_bulk_cutoff())
+    }
+
+    /// [`Self::from_keys_parallel_with`] with an explicit admission cutoff
+    /// instead of the calibrated one. Differential tests pin the cutoff to
+    /// exercise both sides of the threshold in one deterministic program
+    /// (the calibrated value is host-dependent and `OnceLock`-cached, so it
+    /// cannot be varied within a process).
+    #[doc(hidden)]
+    pub fn from_keys_parallel_at(keys: &[K], engine: Engine, admission: usize) -> Self {
+        let mut h = Self::in_pool(HeapPool::with_capacity(keys.len()));
+        h.multi_insert_at(keys, engine, admission);
+        h
+    }
+
+    /// Insert a batch of keys at once (parallel build + one meld) — the
+    /// shared-memory analogue of the hypercube queue's `Multi-Insert`.
+    /// Plans sequentially; see [`Self::multi_insert_with`].
+    pub fn multi_insert(&mut self, keys: &[K]) {
+        self.multi_insert_with(keys, Engine::Sequential);
+    }
+
+    /// [`Self::multi_insert`] with an explicit planning engine for both the
+    /// build-tree unions and the final meld. The batch builds in this heap's
+    /// own slab, so the meld moves no node.
+    pub fn multi_insert_with(&mut self, keys: &[K], engine: Engine) {
+        self.multi_insert_at(keys, engine, crate::cutoff::batch_bulk_cutoff());
+    }
+
+    /// [`Self::multi_insert_with`] with an explicit admission cutoff; see
+    /// [`Self::from_keys_parallel_at`]. Below the cutoff the keys
+    /// ripple-insert one at a time.
+    #[doc(hidden)]
+    pub fn multi_insert_at(&mut self, keys: &[K], engine: Engine, admission: usize) {
+        if keys.len() < admission {
+            for &k in keys {
+                self.insert(k);
+            }
+        } else {
+            let batch = self.pool.from_keys_parallel_with(keys, engine);
+            self.pool.meld_with(&mut self.heap, batch, engine);
         }
-        if n1 == 0 {
-            self.roots = other_roots;
-            self.len = n2;
-            self.trim();
-            self.refresh_min_cache();
-            return;
+    }
+
+    /// Extract the `k` smallest keys — the shared-memory analogue of
+    /// `Multi-Extract-Min`: one root-frontier peel, then **one**
+    /// engine-planned union re-melds the orphaned subtrees (see
+    /// [`crate::bulk`]).
+    pub fn multi_extract_min(&mut self, k: usize, engine: Engine) -> Vec<K> {
+        self.pool.multi_extract_min_with(&mut self.heap, k, engine)
+    }
+
+    /// Iterate over all stored keys in arbitrary (arena) order.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.arena().iter().map(|(_, n)| n.key)
+    }
+
+    /// Drain into ascending order.
+    pub fn into_sorted_vec(mut self) -> Vec<K> {
+        self.pool.into_sorted_vec(self.heap)
+    }
+
+    /// Verify BH1 (heap order), BH2 (tree shapes & one tree per order),
+    /// parent pointers, the cached min and size bookkeeping
+    /// ([`HeapPool::validate_heap`]), and that the slab holds no node
+    /// outside the heap.
+    pub fn validate(&self) -> Result<(), String> {
+        self.pool.validate_heap(&self.heap)?;
+        if self.pool.live_nodes() != self.len() {
+            return Err(format!(
+                "arena holds {} nodes for {} keys",
+                self.pool.live_nodes(),
+                self.len()
+            ));
         }
-        let width = plan_width(n1, n2);
-        let h1 = self.root_refs(width);
-        let h2: Vec<Option<RootRef<K>>> = (0..width)
-            .map(|i| {
-                other_roots.get(i).copied().flatten().map(|id| RootRef {
-                    key: self.arena.get(id).key,
-                    id,
-                })
-            })
-            .collect();
-        let plan = match engine {
-            Engine::Sequential => build_plan_seq(&h1, &h2),
-            Engine::Rayon => crate::engine_rayon::build_plan_rayon(&h1, &h2),
-        };
-        #[cfg(feature = "debug-validate")]
-        if let Err(e) = crate::check::check_plan(&plan) {
-            panic!("debug-validate (UnionPlan): {e}");
-        }
-        self.apply_plan(&plan);
-        self.len = n1 + n2;
-        self.debug_validate();
+        Ok(())
     }
 }
 
@@ -293,269 +293,55 @@ impl ParBinomialHeap<i64> {
         std::mem::take(&mut self.ledger)
     }
 
-    /// Accumulate an externally measured cost (e.g. a PRAM `Make-Queue`
-    /// build feeding `multi_insert_pram`) onto the ledger.
-    pub(crate) fn add_pram_cost(&mut self, cost: pram::Cost) {
-        self.ledger += cost;
-    }
-
-    /// The one measured meld core behind `insert_pram` / `meld_pram` /
-    /// `extract_min_pram`: plan `other_roots` (already in `self.arena`) on a
-    /// `p`-processor EREW PRAM, apply, and accumulate the measured cost on
-    /// [`Self::pram_ledger`]. Trivial melds (either side empty) are free,
-    /// exactly as in the paper's accounting.
-    fn meld_roots_pram(&mut self, other_roots: Vec<Option<NodeId>>, other_len: usize, p: usize) {
-        if other_len == 0 {
-            return;
-        }
-        if self.len == 0 {
-            self.roots = other_roots;
-            self.len = other_len;
-            self.trim();
-            self.refresh_min_cache();
-            return;
-        }
-        let width = plan_width(self.len, other_len);
-        let h1 = self.root_refs(width);
-        let h2: Vec<Option<RootRef>> = (0..width)
-            .map(|i| {
-                other_roots.get(i).copied().flatten().map(|id| RootRef {
-                    key: self.arena.get(id).key,
-                    id,
-                })
-            })
-            .collect();
-        let out = crate::engine_pram::build_plan_pram(&h1, &h2, p)
-            .expect("the Union program is EREW-legal");
-        self.apply_plan(&out.plan);
-        self.len += other_len;
-        self.ledger += out.cost;
-        self.debug_validate();
-    }
-
     /// `Union(Q1, Q2)` planned on the EREW PRAM simulator with `p`
     /// processors; the measured Theorem-1 cost lands on [`Self::pram_ledger`].
-    pub fn meld_pram(&mut self, other: ParBinomialHeap, p: usize) {
-        let other_len = other.len;
-        if other_len == 0 {
-            return;
-        }
-        let remap = self.arena.absorb(other.arena);
-        let other_roots: Vec<Option<NodeId>> = other.roots.iter().map(|r| r.map(&remap)).collect();
-        self.meld_roots_pram(other_roots, other_len, p);
+    /// `other`'s nodes move into this heap's slab first, unmeasured.
+    pub fn meld_pram(&mut self, mut other: ParBinomialHeap, p: usize) {
+        let moved = self.pool.move_in(&mut other.pool, other.heap);
+        self.ledger += self.pool.meld_pram(&mut self.heap, moved, p);
     }
 
     /// `Insert(Q, x)` planned on the PRAM simulator (a singleton `Union`);
     /// cost lands on [`Self::pram_ledger`].
     pub fn insert_pram(&mut self, key: i64, p: usize) {
-        let mut single = ParBinomialHeap::new();
-        let id = single.arena.alloc(key);
-        single.roots.push(Some(id));
-        single.len = 1;
-        self.meld_pram(single, p);
+        self.ledger += self.pool.insert_pram(&mut self.heap, key, p);
     }
 
     /// `Extract-Min(Q)` planned on the PRAM simulator: an EREW min-reduction
     /// over the root array plus the children re-meld, both measured onto
     /// [`Self::pram_ledger`].
     pub fn extract_min_pram(&mut self, p: usize) -> Option<i64> {
-        let width = self.roots.len();
-        let refs = self.root_refs(width);
-        let (min, reduce_cost) =
-            crate::engine_pram::min_pram(&refs, p).expect("the reduction is EREW-legal");
-        self.ledger += reduce_cost;
-        let min_id = min?.id;
-        let order = self.arena.get(min_id).children.len();
-        debug_assert_eq!(self.roots[order], Some(min_id));
-        self.roots[order] = None;
-        self.trim();
-        let Node { key, children, .. } = self.arena.dealloc(min_id);
-        let child_count = (1usize << order) - 1;
-        self.len -= 1 << order;
-        for &c in &children {
-            self.arena.get_mut(c).parent = None;
-        }
-        let residual: Vec<Option<NodeId>> = children.into_iter().map(Some).collect();
-        self.meld_roots_pram(residual, child_count, p);
-        self.refresh_min_cache();
-        self.debug_validate();
-        Some(key)
-    }
-}
-
-impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
-    /// Carry out a [`UnionPlan`]'s Phase III surgery on the arena: links in
-    /// ascending slot order (so child vectors stay dense) and the new root
-    /// array.
-    pub fn apply_plan(&mut self, plan: &UnionPlan<K>) {
-        debug_assert!(plan.links.windows(2).all(|w| w[0].slot <= w[1].slot));
-        for l in &plan.links {
-            debug_assert_eq!(
-                self.arena.get(l.child).children.len(),
-                l.slot,
-                "link child must have order == slot"
-            );
-            debug_assert_eq!(
-                self.arena.get(l.parent).children.len(),
-                l.slot,
-                "link parent must have order == slot before gaining the child"
-            );
-            self.arena.get_mut(l.parent).children.push(l.child);
-            self.arena.get_mut(l.child).parent = Some(l.parent);
-        }
-        self.roots = plan.new_roots.clone();
-        for r in self.roots.iter().flatten() {
-            self.arena.get_mut(*r).parent = None;
-        }
-        self.trim();
-        self.refresh_min_cache();
+        let (min, cost) = self.pool.extract_min_pram(&mut self.heap, p);
+        self.ledger += cost;
+        min
     }
 
-    /// Assemble a heap from a pool-built arena + root array (the zero-copy
-    /// handoff in [`HeapPool::into_heap`](crate::pool::HeapPool::into_heap)).
-    /// The arena must hold exactly the heap's nodes.
-    pub(crate) fn from_raw_parts(arena: Arena<K>, roots: Vec<Option<NodeId>>, len: usize) -> Self {
-        let mut h = ParBinomialHeap {
-            arena,
-            roots,
-            len,
-            engine: Engine::Sequential,
-            ledger: pram::Cost::ZERO,
-            min_cache: None,
+    /// `Multi-Insert` planned on the PRAM simulator: the batch is built in
+    /// this heap's slab by the PRAM `Make-Queue` and melded by the PRAM
+    /// Union; both costs land on [`Self::pram_ledger`].
+    pub fn multi_insert_pram(&mut self, keys: &[i64], p: usize) {
+        if keys.is_empty() {
+            return;
+        }
+        let (batch, build_cost) = match self.pool.build_pram(keys, p) {
+            Ok(built) => built,
+            // One processor per disjoint pair in every round: never a
+            // conflict (see `crate::build`).
+            Err(e) => unreachable!("the Make-Queue program is EREW-legal: {e}"),
         };
-        h.trim();
-        h.refresh_min_cache();
-        h.debug_validate();
-        h
+        self.ledger += build_cost;
+        self.ledger += self.pool.meld_pram(&mut self.heap, batch, p);
     }
 
-    /// Decompose into `(arena, roots, len)` (the zero-copy handoff into
-    /// [`HeapPool::adopt`](crate::pool::HeapPool::adopt)).
-    pub(crate) fn into_raw_parts(self) -> (Arena<K>, Vec<Option<NodeId>>, usize) {
-        (self.arena, self.roots, self.len)
-    }
-
-    /// Mutable access to arena + roots together (the bulk peel kernel).
-    /// Invalidates the min cache — the caller mutates roots out of our
-    /// sight, and the finishing `set_len` rebuilds it.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Arena<K>, &mut Vec<Option<NodeId>>) {
-        self.min_cache = None;
-        (&mut self.arena, &mut self.roots)
-    }
-
-    /// Allocate a node without attaching it anywhere (the parallel builders
-    /// wire structure up separately). Not counted in `len` until
-    /// `set_len`/`install_root` finish the build.
-    pub(crate) fn alloc_detached(&mut self, key: K) -> NodeId {
-        self.arena.alloc(key)
-    }
-
-    /// Link two equal-order detached trees: `loser` becomes the next child
-    /// of `winner`.
-    pub(crate) fn link_detached(&mut self, winner: NodeId, loser: NodeId) {
-        debug_assert_eq!(
-            self.arena.get(winner).children.len(),
-            self.arena.get(loser).children.len()
-        );
-        debug_assert!(self.arena.get(winner).key <= self.arena.get(loser).key);
-        self.arena.get_mut(winner).children.push(loser);
-        self.arena.get_mut(loser).parent = Some(winner);
-    }
-
-    /// Install a finished tree into root slot `order`.
-    pub(crate) fn install_root(&mut self, order: usize, id: NodeId) {
-        if self.roots.len() <= order {
-            self.roots.resize(order + 1, None);
-        }
-        debug_assert!(self.roots[order].is_none());
-        debug_assert_eq!(self.arena.get(id).children.len(), order);
-        self.roots[order] = Some(id);
-        self.min_cache = None;
-    }
-
-    /// Finish a detached build by recording the key count (and rebuild the
-    /// min cache the detached surgery bypassed).
-    pub(crate) fn set_len(&mut self, n: usize) {
-        self.len = n;
-        self.refresh_min_cache();
-    }
-
-    /// Iterate over all stored keys in arbitrary (arena) order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.arena.iter().map(|(_, n)| n.key)
-    }
-
-    /// Drain into ascending order (sequential engine).
-    pub fn into_sorted_vec(mut self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(k) = self.extract_min(Engine::Sequential) {
-            out.push(k);
-        }
-        out
-    }
-
-    /// Verify BH1 (heap order), BH2 (tree shapes & one tree per order),
-    /// parent pointers, and size bookkeeping.
-    pub fn validate(&self) -> Result<(), String> {
-        fn walk<K: Ord + Copy>(
-            arena: &Arena<K>,
-            id: NodeId,
-            expected_order: usize,
-        ) -> Result<usize, String> {
-            let n = arena.get(id);
-            if n.children.len() != expected_order {
-                return Err(format!(
-                    "node {id:?}: degree {} expected {expected_order}",
-                    n.children.len()
-                ));
-            }
-            let mut size = 1;
-            for (i, &c) in n.children.iter().enumerate() {
-                let cn = arena.get(c);
-                if cn.key < n.key {
-                    return Err("heap order violated".into());
-                }
-                if cn.parent != Some(id) {
-                    return Err(format!("child {c:?} has wrong parent pointer"));
-                }
-                size += walk(arena, c, i)?;
-            }
-            Ok(size)
-        }
-        let mut total = 0usize;
-        for (i, r) in self.roots.iter().enumerate() {
-            if let Some(id) = r {
-                if self.arena.get(*id).parent.is_some() {
-                    return Err(format!("root {id:?} has a parent pointer"));
-                }
-                total += walk(&self.arena, *id, i)?;
-            }
-        }
-        if total != self.len {
-            return Err(format!("len {} but trees hold {total}", self.len));
-        }
-        if matches!(self.roots.last(), Some(None)) {
-            return Err("root array not trimmed".into());
-        }
-        if self.arena.len() != self.len {
-            return Err(format!(
-                "arena holds {} nodes for {} keys",
-                self.arena.len(),
-                self.len
-            ));
-        }
-        if let Some(cached) = self.min_cache {
-            if !self.roots.contains(&Some(cached)) {
-                return Err("min cache points at a non-root".into());
-            }
-            let cached_key = self.arena.get(cached).key;
-            if let Some(best) = self.min_root_scan() {
-                if self.arena.get(best).key < cached_key {
-                    return Err("min cache is stale (scan found a smaller root)".into());
-                }
-            }
-        }
-        Ok(())
+    /// Build a heap from `keys` with the linking rounds executed (and
+    /// metered) on a `p`-processor EREW PRAM (see [`crate::build`]).
+    /// Returns the heap and the measured cost; the heap's ledger starts at
+    /// zero.
+    pub fn from_keys_pram(keys: &[i64], p: usize) -> Result<(Self, pram::Cost), pram::PramError> {
+        let mut h = Self::in_pool(HeapPool::with_capacity(keys.len()));
+        let (heap, cost) = h.pool.build_pram(keys, p)?;
+        h.heap = heap;
+        Ok((h, cost))
     }
 }
 
@@ -598,25 +384,25 @@ mod tests {
     #[test]
     fn validate_detects_heap_order_corruption() {
         let mut h = ParBinomialHeap::from_keys(0..8);
-        let root = h.roots[3].expect("B_3 root");
-        let child = h.arena.get(root).children[0];
-        h.arena.get_mut(child).key = -100;
+        let root = h.roots()[3].expect("B_3 root");
+        let child = h.arena().get(root).children[0];
+        h.pool.arena_mut().get_mut(child).key = -100;
         assert!(h.validate().unwrap_err().contains("heap order"));
     }
 
     #[test]
     fn validate_detects_parent_pointer_corruption() {
         let mut h = ParBinomialHeap::from_keys(0..8);
-        let root = h.roots[3].expect("B_3 root");
-        let child = h.arena.get(root).children[1];
-        h.arena.get_mut(child).parent = None;
+        let root = h.roots()[3].expect("B_3 root");
+        let child = h.arena().get(root).children[1];
+        h.pool.arena_mut().get_mut(child).parent = None;
         assert!(h.validate().unwrap_err().contains("parent"));
     }
 
     #[test]
     fn validate_detects_len_corruption() {
         let mut h = ParBinomialHeap::from_keys(0..8);
-        h.len = 9;
+        h.heap = h.pool.restore_heap(h.roots().to_vec(), 9);
         assert!(h.validate().is_err());
     }
 
@@ -649,7 +435,7 @@ mod tests {
         a.meld(b, Engine::Sequential);
         a.validate().unwrap();
         let mut out = Vec::new();
-        while let Some(k) = a.extract_min(Engine::Sequential) {
+        while let Some(k) = a.extract_min() {
             a.validate().unwrap();
             out.push(k);
         }
@@ -676,30 +462,28 @@ mod tests {
         // Insert / extract keep the cache warm and correct.
         for k in [13i64, 4, 9, 4, 22, -3, 17, 0] {
             h.insert(k);
-            assert_eq!(h.min_cache, h.min_root_scan(), "cache after insert");
+            assert_eq!(h.min_root(), h.min_root_scan(), "cache after insert");
             h.validate().unwrap();
         }
-        assert_eq!(h.extract_min(Engine::Sequential), Some(-3));
-        assert_eq!(h.min_cache, h.min_root_scan(), "cache after extract");
+        assert_eq!(h.extract_min(), Some(-3));
+        assert_eq!(h.min_root(), h.min_root_scan(), "cache after extract");
         // Melds (both directions, including meld-into-empty) refresh it.
         let mut e = ParBinomialHeap::new();
         e.meld(ParBinomialHeap::from_keys([-7, 5]), Engine::Sequential);
-        assert_eq!(e.min_cache, e.min_root_scan(), "cache after empty-meld");
+        assert_eq!(e.min_root(), e.min_root_scan(), "cache after empty-meld");
         h.meld(e, Engine::Rayon);
-        assert_eq!(h.min_cache, h.min_root_scan(), "cache after meld");
+        assert_eq!(h.min_root(), h.min_root_scan(), "cache after meld");
         assert_eq!(h.min(), Some(-7));
         // PRAM ops refresh it too.
         h.insert_pram(-9, 3);
-        assert_eq!(h.min_cache, h.min_root_scan(), "cache after insert_pram");
+        assert_eq!(h.min_root(), h.min_root_scan(), "cache after insert_pram");
         assert_eq!(h.extract_min_pram(3), Some(-9));
-        assert_eq!(h.min_cache, h.min_root_scan(), "cache after extract_pram");
+        assert_eq!(h.min_root(), h.min_root_scan(), "cache after extract_pram");
+        // A clone gets its own pool, with the cache intact.
+        let c = h.clone();
+        assert_eq!(c.min_root(), c.min_root_scan(), "cache after clone");
+        c.validate().unwrap();
         h.validate().unwrap();
-        // And a stale cache is caught by validate.
-        // Keys [3,1,2]: B_1 holds {3,1} (root key 1), B_0 holds {2}. Pointing
-        // the cache at the B_0 root (key 2) makes it stale.
-        let mut bad = ParBinomialHeap::from_keys([3i64, 1, 2]);
-        bad.min_cache = bad.roots[0];
-        assert!(bad.validate().unwrap_err().contains("min cache"));
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   chains + segmented prefix minima + one parallel link round, runnable on
 //!   the sequential oracle, rayon threads ([`heap::Engine`]) or the PRAM
 //!   simulator ([`engine_pram`], which returns measured [`pram::Cost`]).
+//!   It is a [`pool::HeapPool`] holding one heap: the service's shards keep
+//!   many heaps in one pool so that their melds copy no node.
 //! * [`lazy::LazyBinomialHeap`] — the §4 structure with `Delete` /
 //!   `Change-Key` via persistent empty nodes (`Take-Up`) and periodic
 //!   `Arrange-Heap` rebuilds.
@@ -27,7 +29,7 @@
 //! let mut a = ParBinomialHeap::from_keys([5, 1, 9]);
 //! let b = ParBinomialHeap::from_keys([2, 8]);
 //! a.meld(b, Engine::Rayon);
-//! assert_eq!(a.extract_min(Engine::Rayon), Some(1));
+//! assert_eq!(a.extract_min(), Some(1));
 //!
 //! // The same Union measured on the EREW PRAM simulator (Theorem 1):
 //! let h1 = ParBinomialHeap::from_keys(0..31);
@@ -59,7 +61,7 @@ pub use arena::{Arena, ArenaStats, Node, NodeId};
 pub use backend::{Backend, WorkloadClass};
 pub use decrease::{DecreaseKeyPq, IndexedBinomialPq, LazyDecreasePq, PqHandle};
 pub use heap::{Engine, ParBinomialHeap};
-pub use meldable::{MeldablePq, PoolGuard, PramMeasured};
+pub use meldable::{MeldablePq, PramMeasured};
 pub use plan::{LinkOp, PointType, RootRef, UnionPlan};
 pub use pool::{CapacityError, HeapPool, PooledHeap};
 pub use wal::{DurablePool, WalError, WalOp, WalWriter};

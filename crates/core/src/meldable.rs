@@ -3,20 +3,21 @@
 //! The one queue trait, [`MeldablePq`], lives in `seqheaps` (the lowest
 //! crate, whose baselines implement it directly) and is re-exported here.
 //! This module implements it for the engines of this crate, each of which
-//! exposes Definition 1 with a different accent — `ParBinomialHeap`
-//! threads an [`Engine`] through every call, `LazyBinomialHeap` returns
-//! `NodeId`s, pooled heaps split the state between a [`HeapPool`] and a
-//! [`PooledHeap`] handle — so generic harnesses (the differential fuzzer,
-//! the service layer's boxed tenants) dispatch over *any* backend with zero
-//! per-engine duplication.
+//! exposes Definition 1 with a different accent — `ParBinomialHeap` plans
+//! its unions with an [`Engine`](crate::Engine), `LazyBinomialHeap`
+//! returns `NodeId`s, [`PramMeasured`] meters every op on the PRAM
+//! simulator — so generic harnesses (the differential fuzzer, the service
+//! layer's boxed tenants) dispatch over *any* backend with zero per-engine
+//! duplication.
 //!
-//! Engine selection moves into the value: `ParBinomialHeap::with_engine` /
-//! `HeapPool::with_engine` pick the planner once at construction, and the
-//! trait methods use it. The explicit-engine inherent methods remain for
-//! call sites that mix planners.
+//! Engine selection moves into the value: `ParBinomialHeap::with_engine`
+//! picks the planner once at construction, and the trait methods use it.
+//! The explicit-engine inherent methods remain for call sites that mix
+//! planners. Heaps that share one slab (`HeapPool` handles) are not queues
+//! on their own; a one-heap pool is `ParBinomialHeap`.
 //!
 //! ```
-//! use meldpq::{MeldablePq, ParBinomialHeap, PoolGuard};
+//! use meldpq::{Engine, MeldablePq, ParBinomialHeap};
 //!
 //! fn drain_two<Q: MeldablePq<i64>>(mut a: Q, b: Q) -> Vec<i64> {
 //!     a.meld(b);
@@ -27,9 +28,9 @@
 //! let b = ParBinomialHeap::from_keys([2]);
 //! assert_eq!(drain_two(a, b), vec![1, 2, 3]);
 //!
-//! let mut pa = PoolGuard::new();
+//! let mut pa = ParBinomialHeap::new().with_engine(Engine::Rayon);
 //! pa.multi_insert(&[3, 1]);
-//! let mut pb = PoolGuard::new();
+//! let mut pb = ParBinomialHeap::new();
 //! pb.insert(2);
 //! assert_eq!(drain_two(pa, pb), vec![1, 2, 3]);
 //! ```
@@ -37,9 +38,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::check::{check_heap, check_lazy};
-use crate::heap::{Engine, ParBinomialHeap};
+use crate::heap::ParBinomialHeap;
 use crate::lazy::LazyBinomialHeap;
-use crate::pool::{HeapPool, PooledHeap};
 pub use seqheaps::MeldablePq;
 
 // NOTE: inherent methods shadow trait methods of the same name on concrete
@@ -51,11 +51,7 @@ impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for ParBinomialHeap<K> {
     }
 
     fn insert(&mut self, key: K) {
-        // A singleton Union through the configured planner, so a
-        // `with_engine(Engine::Rayon)` queue exercises the rayon planner on
-        // every op — not just on melds.
-        let engine = self.engine();
-        ParBinomialHeap::meld(self, ParBinomialHeap::from_keys([key]), engine);
+        ParBinomialHeap::insert(self, key);
     }
 
     fn peek_min(&mut self) -> Option<K> {
@@ -63,8 +59,7 @@ impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for ParBinomialHeap<K> {
     }
 
     fn extract_min(&mut self) -> Option<K> {
-        let engine = self.engine();
-        ParBinomialHeap::extract_min(self, engine)
+        ParBinomialHeap::extract_min(self)
     }
 
     fn meld(&mut self, other: Self) {
@@ -115,101 +110,6 @@ impl MeldablePq<i64> for LazyBinomialHeap {
 
     fn check_invariants(&self) -> Result<(), String> {
         check_lazy(self)
-    }
-}
-
-/// An owning pool-plus-handle pair: the `O(log n)` zero-copy pooled engine
-/// behind the engine-less [`MeldablePq`] surface.
-///
-/// [`HeapPool`] deliberately splits state (one slab, many handles); this
-/// guard re-joins a pool with its *single* heap so the pair can be passed
-/// around as one value. Melding two guards is the cross-pool fallback
-/// (counted moves); `multi_insert` stays zero-copy because the batch builds
-/// in this guard's own slab.
-#[derive(Debug)]
-pub struct PoolGuard<K = i64> {
-    pool: HeapPool<K>,
-    heap: PooledHeap,
-}
-
-impl<K: Ord + Copy + Send + Sync> Default for PoolGuard<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord + Copy + Send + Sync> PoolGuard<K> {
-    /// An empty queue in a fresh pool (sequential planning).
-    pub fn new() -> Self {
-        let pool = HeapPool::new();
-        let heap = pool.new_heap();
-        PoolGuard { pool, heap }
-    }
-
-    /// Builder: pick the pool's default planning engine.
-    pub fn with_engine(engine: Engine) -> Self {
-        let pool = HeapPool::new().with_engine(engine);
-        let heap = pool.new_heap();
-        PoolGuard { pool, heap }
-    }
-
-    /// Build from keys with the pool's parallel slab builder.
-    pub fn from_keys(keys: &[K]) -> Self {
-        let mut pool = HeapPool::with_capacity(keys.len());
-        let heap = pool.from_keys_parallel(keys);
-        PoolGuard { pool, heap }
-    }
-
-    /// The underlying pool (stats, validation).
-    pub fn pool(&self) -> &HeapPool<K> {
-        &self.pool
-    }
-
-    /// The underlying handle.
-    pub fn heap(&self) -> &PooledHeap {
-        &self.heap
-    }
-
-    /// Split back into pool + handle.
-    pub fn into_parts(self) -> (HeapPool<K>, PooledHeap) {
-        (self.pool, self.heap)
-    }
-}
-
-impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for PoolGuard<K> {
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn insert(&mut self, key: K) {
-        self.pool.insert(&mut self.heap, key);
-    }
-
-    fn peek_min(&mut self) -> Option<K> {
-        self.pool.min(&self.heap)
-    }
-
-    fn extract_min(&mut self) -> Option<K> {
-        self.pool.extract_min(&mut self.heap)
-    }
-
-    fn meld(&mut self, mut other: Self) {
-        self.pool
-            .meld_cross_pool(&mut self.heap, &mut other.pool, other.heap);
-    }
-
-    fn multi_insert(&mut self, keys: &[K]) {
-        let batch = self.pool.from_keys_parallel(keys);
-        self.pool.meld(&mut self.heap, batch);
-    }
-
-    fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
-        self.pool.multi_extract_min(&mut self.heap, k)
-    }
-
-    /// Deep structural validation of the guarded heap.
-    fn check_invariants(&self) -> Result<(), String> {
-        self.pool.validate_heap(&self.heap)
     }
 }
 
@@ -288,6 +188,7 @@ impl MeldablePq<i64> for PramMeasured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     /// One generic driver exercising every trait method; each engine must
     /// produce the identical transcript.
@@ -332,14 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_guard() {
-        let got = transcript(PoolGuard::new(), PoolGuard::from_keys);
-        assert_eq!(got, expected());
-        let got = transcript(PoolGuard::with_engine(Engine::Rayon), PoolGuard::from_keys);
-        assert_eq!(got, expected());
-    }
-
-    #[test]
     fn pram_measured_accumulates_cost() {
         let mut q = PramMeasured::new(3);
         let got = transcript(
@@ -380,7 +273,6 @@ mod tests {
         let mut boxed: Vec<Box<dyn MeldablePq<i64>>> = vec![
             Box::new(ParBinomialHeap::new()),
             Box::new(LazyBinomialHeap::new(2)),
-            Box::new(PoolGuard::new()),
             Box::new(seqheaps::SkewHeap::new()),
         ];
         for q in &mut boxed {

@@ -274,8 +274,9 @@ pub fn new_root_decision<K: Ord + Copy>(
 ///
 /// `h1`/`h2` give, per position, the root reference if the heap has a `B_i`.
 /// All root ids must be *distinct across both inputs* (the Phase III case
-/// analysis compares ids); `ParBinomialHeap::meld` guarantees this by
-/// absorbing the second arena before planning.
+/// analysis compares ids); every `Union` in `pool.rs` guarantees this by
+/// planning over two heaps of one slab, after a cross-pool meld has moved
+/// the second heap's nodes in.
 pub fn build_plan_seq<K: Ord + Copy>(
     h1: &[Option<RootRef<K>>],
     h2: &[Option<RootRef<K>>],
@@ -395,7 +396,7 @@ pub fn build_plan_into<K: Ord + Copy>(
 impl<K> UnionPlan<K> {
     /// Structural sanity: `H[i]` occupied exactly when `s_i = 1`; every link
     /// slot below width, self-loop-free and strictly ascending (each bit
-    /// position emits at most one link, and `apply_plan` relies on the order
+    /// position emits at most one link, and `pool::union_into` relies on the order
     /// to keep child vectors dense); chains produce one more link than their
     /// length-1.
     pub fn validate(&self) -> Result<(), String> {

@@ -1,21 +1,21 @@
-//! Shared node pool: the zero-copy meld representation.
-//!
-//! [`ParBinomialHeap::meld`](crate::heap::ParBinomialHeap::meld) owns its
-//! arena, so melding two heaps must *absorb* the second arena — copy and
-//! id-remap every node, `Θ(n)` wall-clock for an operation the paper proves
-//! is `O(log n)` work (Theorem 1). The fix is a representation change in the
-//! spirit of Hollow Heaps (Hansen–Kaplan–Tarjan–Zwick) and rank-pairing
-//! heaps: **one shared slab, links instead of moves**.
+//! The binomial-heap representation: heaps sharing one node slab.
 //!
 //! A [`HeapPool`] owns a single [`Arena`] from which *every* heap in the
 //! pool allocates its [`NodeId`]s. A [`PooledHeap`] is then nothing but
 //! bookkeeping — a root array `H`, a length and the cached min root — so
 //! melding two heaps of the same pool is pure Phase I–III plan application:
 //! `O(log n)` pointer writes, **zero node copies** (asserted by the
-//! [`Arena::stats`] counters and the `tests/pool_zero_copy.rs` gate).
-//! Planning scratch (the two padded root reference arrays and the
-//! [`UnionPlan`] buffers) lives in the pool and is reused across melds, so
-//! the hot loop performs no per-meld allocation.
+//! [`Arena::stats`] counters and the `tests/pool_zero_copy.rs` gate). This
+//! is the spirit of Hollow Heaps (Hansen–Kaplan–Tarjan–Zwick) and
+//! rank-pairing heaps: **one shared slab, links instead of moves**. The
+//! free-standing [`ParBinomialHeap`](crate::ParBinomialHeap) is a pool that
+//! holds exactly one heap.
+//!
+//! Every `Union` in the crate goes through one function, `union_into`: it
+//! pads both root arrays to the plan width, asks a planner (the sequential
+//! oracle, the rayon planner or the PRAM simulator) for the plan, and
+//! applies the links. The planning scratch lives in the pool and is reused
+//! across melds, so the hot loop performs no per-meld allocation.
 //!
 //! Single-key ops do not plan. `Insert` is a binary-counter increment: the
 //! new node ripples up `H`, one `link` per carry (amortised `O(1)`).
@@ -27,25 +27,25 @@
 //! exact after every op: `insert` updates it in `O(1)`, and the ops that
 //! rebuild `H` rescan its `≤ log n` roots once.
 //!
-//! Cross-pool operations still exist as explicit, counted fallbacks:
-//! [`HeapPool::adopt`] absorbs a free-standing heap and
-//! [`HeapPool::meld_cross_pool`] moves another pool's trees node by node.
-//! Ownership is enforced by a generational [`PoolId`] stamped into every
-//! handle — using a handle against the wrong pool panics immediately instead
-//! of silently corrupting two slabs.
+//! Heaps of different pools meld through [`HeapPool::meld_cross_pool`],
+//! which moves the source trees node by node (counted copies). Ownership is
+//! enforced by a generational [`PoolId`] stamped into every handle — using a
+//! handle against the wrong pool panics immediately instead of silently
+//! corrupting two slabs.
 //!
 //! The parallel builder ([`HeapPool::from_keys_parallel`]) removes the last
 //! copy from the bulk path: the key range is split recursively, each half
 //! builds into a *disjoint* sub-slice of one pre-sized slab (ids baked
 //! against the final base offset, so nothing is ever remapped), and the
 //! halves meld on the way up inside the shared slab — the tree of unions
-//! costs `O(log² n)` pointer writes total instead of the old
-//! `Θ(n log n)` absorb cascade.
+//! costs `O(log² n)` pointer writes in total.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arena::{Arena, ArenaStats, Node, NodeId};
-use crate::heap::{Engine, ParBinomialHeap};
+use crate::heap::Engine;
 use crate::plan::{build_plan_into, plan_width, RootRef, UnionPlan};
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -113,6 +113,25 @@ impl PooledHeap {
     }
 }
 
+/// Reusable `Union` scratch: both operands' root references padded to the
+/// plan width, and the plan itself. Refilled in place by every union.
+#[derive(Debug)]
+struct UnionScratch<K> {
+    h1: Vec<Option<RootRef<K>>>,
+    h2: Vec<Option<RootRef<K>>>,
+    plan: UnionPlan<K>,
+}
+
+impl<K> Default for UnionScratch<K> {
+    fn default() -> Self {
+        UnionScratch {
+            h1: Vec::new(),
+            h2: Vec::new(),
+            plan: UnionPlan::default(),
+        }
+    }
+}
+
 /// A pool of binomial heaps sharing one node slab. See the module docs.
 ///
 /// Every planning op (`meld`, `multi_extract_min`, `from_keys_parallel`,
@@ -126,12 +145,7 @@ pub struct HeapPool<K = i64> {
     arena: Arena<K>,
     /// Default planning engine for every op without an explicit `*_with`.
     engine: Engine,
-    // Reusable planning scratch: padded root references for both operands
-    // and the plan itself. Cleared and refilled on every sequential meld —
-    // no per-meld Vec churn on the hot loop.
-    scratch_h1: Vec<Option<RootRef<K>>>,
-    scratch_h2: Vec<Option<RootRef<K>>>,
-    scratch_plan: UnionPlan<K>,
+    scratch: UnionScratch<K>,
 }
 
 impl<K> Default for HeapPool<K> {
@@ -148,14 +162,7 @@ impl<K> HeapPool<K> {
 
     /// A fresh pool with slab room for `cap` nodes.
     pub fn with_capacity(cap: usize) -> Self {
-        HeapPool {
-            id: PoolId(NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed)),
-            arena: Arena::with_capacity(cap),
-            engine: Engine::Sequential,
-            scratch_h1: Vec::new(),
-            scratch_h2: Vec::new(),
-            scratch_plan: UnionPlan::default(),
-        }
+        Self::from_arena(Arena::with_capacity(cap), Engine::Sequential)
     }
 
     /// Builder: set the default planning engine for this pool's ops.
@@ -187,6 +194,13 @@ impl<K> HeapPool<K> {
     /// Borrow the shared arena (read-only; checks and tests).
     pub fn arena(&self) -> &Arena<K> {
         &self.arena
+    }
+
+    /// The shared arena, mutably, for kernels outside this module that
+    /// build trees in the slab (the PRAM `Make-Queue`). The caller turns
+    /// its finished root array into a heap with [`Self::restore_heap`].
+    pub(crate) fn arena_mut(&mut self) -> &mut Arena<K> {
+        &mut self.arena
     }
 
     /// Total live nodes across every heap of the pool.
@@ -226,15 +240,14 @@ impl<K> HeapPool<K> {
         }
     }
 
-    /// Rebuild a pool around a deserialized arena (checkpoint recovery).
+    /// A pool with a fresh identity around `arena` (also checkpoint
+    /// recovery's entry point).
     pub(crate) fn from_arena(arena: Arena<K>, engine: Engine) -> Self {
         HeapPool {
             id: PoolId(NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed)),
             arena,
             engine,
-            scratch_h1: Vec::new(),
-            scratch_h2: Vec::new(),
-            scratch_plan: UnionPlan::default(),
+            scratch: UnionScratch::default(),
         }
     }
 
@@ -243,10 +256,26 @@ impl<K> HeapPool<K> {
         assert!(
             h.pool == self.id,
             "pool-ownership violation: heap belongs to {:?}, pool is {:?} \
-             (use adopt/meld_cross_pool for foreign heaps)",
+             (use meld_cross_pool for foreign heaps)",
             h.pool,
             self.id
         );
+    }
+}
+
+impl<K: Clone> HeapPool<K> {
+    /// A deep copy of the pool under a fresh identity, plus `h` re-stamped
+    /// for the copy (node ids are unchanged, so the roots carry over).
+    pub(crate) fn fork(&self, h: &PooledHeap) -> (Self, PooledHeap) {
+        self.assert_owner(h);
+        let pool = Self::from_arena(self.arena.clone(), self.engine);
+        let heap = PooledHeap {
+            pool: pool.id,
+            roots: h.roots.clone(),
+            len: h.len,
+            min: h.min,
+        };
+        (pool, heap)
     }
 }
 
@@ -258,7 +287,7 @@ fn trim(roots: &mut Vec<Option<NodeId>>) {
 
 /// The root with the minimum key, ties to the lowest order — the value a
 /// heap's cached `min` must always equal.
-fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Option<NodeId> {
+pub(crate) fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Option<NodeId> {
     let mut best: Option<NodeId> = None;
     for &id in roots.iter().flatten() {
         if best.is_none_or(|b| arena.get(id).key < arena.get(b).key) {
@@ -268,21 +297,30 @@ fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Option<NodeId
     best
 }
 
-/// Node storage a binomial [`link`] writes into: the pool's [`Arena`], or
+/// Node storage that binomial links write into: the pool's [`Arena`], or
 /// one disjoint segment of the parallel builder's slab.
 pub(crate) trait Nodes<K> {
     /// The live node `id`.
-    fn node(&mut self, id: NodeId) -> &mut Node<K>;
+    fn node(&self, id: NodeId) -> &Node<K>;
+    /// The live node `id`, mutably.
+    fn node_mut(&mut self, id: NodeId) -> &mut Node<K>;
 }
 
 impl<K> Nodes<K> for Arena<K> {
     #[inline]
-    fn node(&mut self, id: NodeId) -> &mut Node<K> {
+    fn node(&self, id: NodeId) -> &Node<K> {
+        self.get(id)
+    }
+
+    #[inline]
+    fn node_mut(&mut self, id: NodeId) -> &mut Node<K> {
         self.get_mut(id)
     }
 }
 
 /// A segment of the builder's slab whose slot `i` holds node `base + i`.
+/// `build_slab_leaf` writes each slot before it links that node, so every
+/// id the builder links names a live node.
 struct Segment<'a, K> {
     slab: &'a mut [Option<Node<K>>],
     base: u32,
@@ -290,10 +328,19 @@ struct Segment<'a, K> {
 
 impl<K> Nodes<K> for Segment<'_, K> {
     #[inline]
-    fn node(&mut self, id: NodeId) -> &mut Node<K> {
-        self.slab[(id.0 - self.base) as usize]
-            .as_mut()
-            .expect("live slab node")
+    fn node(&self, id: NodeId) -> &Node<K> {
+        let Some(node) = &self.slab[(id.0 - self.base) as usize] else {
+            unreachable!("slab node {id:?} is read before the leaf wrote it");
+        };
+        node
+    }
+
+    #[inline]
+    fn node_mut(&mut self, id: NodeId) -> &mut Node<K> {
+        let Some(node) = &mut self.slab[(id.0 - self.base) as usize] else {
+            unreachable!("slab node {id:?} is linked before the leaf wrote it");
+        };
+        node
     }
 }
 
@@ -301,9 +348,12 @@ impl<K> Nodes<K> for Segment<'_, K> {
 /// **first** operand wins equal keys. `first` and `second` are roots of
 /// equal order; the loser becomes the winner's next child. Returns the
 /// winner.
-fn link<K: Ord + Copy>(nodes: &mut impl Nodes<K>, first: NodeId, second: NodeId) -> NodeId {
-    let first_key = nodes.node(first).key;
-    let (win, lose) = if nodes.node(second).key < first_key {
+pub(crate) fn link<K: Ord + Copy>(
+    nodes: &mut impl Nodes<K>,
+    first: NodeId,
+    second: NodeId,
+) -> NodeId {
+    let (win, lose) = if nodes.node(second).key < nodes.node(first).key {
         (second, first)
     } else {
         (first, second)
@@ -312,8 +362,8 @@ fn link<K: Ord + Copy>(nodes: &mut impl Nodes<K>, first: NodeId, second: NodeId)
         nodes.node(win).children.len(),
         nodes.node(lose).children.len()
     );
-    nodes.node(win).children.push(lose);
-    nodes.node(lose).parent = Some(win);
+    nodes.node_mut(win).children.push(lose);
+    nodes.node_mut(lose).parent = Some(win);
     win
 }
 
@@ -352,6 +402,86 @@ pub(crate) fn carry_add<K: Ord + Copy>(
     }
 }
 
+/// Pad `roots` to `width` positions of [`RootRef`]s (a planner's input),
+/// refilling `out` in place.
+pub(crate) fn root_refs_into<K: Copy>(
+    nodes: &impl Nodes<K>,
+    roots: &[Option<NodeId>],
+    width: usize,
+    out: &mut Vec<Option<RootRef<K>>>,
+) {
+    out.clear();
+    out.extend((0..width).map(|i| {
+        roots.get(i).copied().flatten().map(|id| RootRef {
+            key: nodes.node(id).key,
+            id,
+        })
+    }));
+}
+
+/// One operand of a planner: a root array padded to the plan width. A
+/// planner — an [`Engine`]'s, or the PRAM simulator — refills a
+/// [`UnionPlan`] from two of these.
+type RootRefs<K> = [Option<RootRef<K>>];
+
+/// The planner of `engine`.
+fn engine_planner<K: Ord + Copy + Send + Sync>(
+    engine: Engine,
+) -> impl FnOnce(&mut UnionPlan<K>, &RootRefs<K>, &RootRefs<K>) {
+    move |plan: &mut UnionPlan<K>, h1: &RootRefs<K>, h2: &RootRefs<K>| match engine {
+        Engine::Sequential => build_plan_into(plan, h1, h2),
+        Engine::Rayon => crate::engine_rayon::build_plan_rayon_into(plan, h1, h2),
+    }
+}
+
+/// `Union(dst, other)` of two root arrays whose nodes live in `nodes`,
+/// holding `dst_len` and `other_len` keys: the crate's one Phase I–III
+/// path. Pads both operands into `scratch`, builds the plan with `plan`,
+/// then carries out Phase III: the links in ascending slot order (so child
+/// vectors stay dense) and the new root array into `dst`. A union with an
+/// empty side plans nothing, as in the paper's accounting.
+fn union_into<K: Ord + Copy>(
+    nodes: &mut impl Nodes<K>,
+    scratch: &mut UnionScratch<K>,
+    dst: &mut Vec<Option<NodeId>>,
+    dst_len: usize,
+    other: &[Option<NodeId>],
+    other_len: usize,
+    plan: impl FnOnce(&mut UnionPlan<K>, &RootRefs<K>, &RootRefs<K>),
+) {
+    if other_len == 0 {
+        return;
+    }
+    if dst_len == 0 {
+        dst.clear();
+        dst.extend_from_slice(other);
+        trim(dst);
+        return;
+    }
+    let width = plan_width(dst_len, other_len);
+    root_refs_into(nodes, dst, width, &mut scratch.h1);
+    root_refs_into(nodes, other, width, &mut scratch.h2);
+    plan(&mut scratch.plan, &scratch.h1, &scratch.h2);
+    let plan = &scratch.plan;
+    #[cfg(feature = "debug-validate")]
+    if let Err(e) = crate::check::check_plan(plan) {
+        panic!("debug-validate (UnionPlan): {e}");
+    }
+    debug_assert!(plan.links.windows(2).all(|w| w[0].slot <= w[1].slot));
+    for l in &plan.links {
+        debug_assert_eq!(nodes.node(l.child).children.len(), l.slot);
+        debug_assert_eq!(nodes.node(l.parent).children.len(), l.slot);
+        nodes.node_mut(l.parent).children.push(l.child);
+        nodes.node_mut(l.child).parent = Some(l.parent);
+    }
+    dst.clear();
+    dst.extend_from_slice(&plan.new_roots);
+    for &r in dst.iter().flatten() {
+        nodes.node_mut(r).parent = None;
+    }
+    trim(dst);
+}
+
 impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     /// With `--features debug-validate`, deep-check a heap after a hot-path
     /// mutation; a no-op otherwise.
@@ -365,11 +495,11 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let _ = h;
     }
 
-    /// Re-stamp a recovered root table as a heap of this pool. The caller
-    /// (checkpoint recovery) validates the result with `check_pool` before
-    /// serving from it. The roots come from an untrusted image, so the min
-    /// is only scanned when every root is a live node; otherwise it stays
-    /// `None` and validation rejects the dead root.
+    /// Stamp a root table as a heap of this pool: checkpoint recovery and
+    /// the PRAM builder. Recovery validates the result with `check_pool`
+    /// before serving from it. Its roots come from an untrusted image, so
+    /// the min is only scanned when every root is a live node; otherwise it
+    /// stays `None` and validation rejects the dead root.
     pub(crate) fn restore_heap(&self, roots: Vec<Option<NodeId>>, len: usize) -> PooledHeap {
         let live = roots.iter().flatten().all(|id| self.arena.contains(*id));
         let min = if live {
@@ -430,22 +560,31 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         self.min_root(h).map(|id| self.arena.get(id).key)
     }
 
+    /// Unlink root `id` from `h` and free it. Returns its key and its
+    /// children `B_0 … B_{k-1}`, now parentless roots; `h.len` drops by the
+    /// whole tree, `2^k`, and the caller melds the children back.
+    fn detach_root(&mut self, h: &mut PooledHeap, id: NodeId) -> (K, Vec<NodeId>) {
+        let order = self.arena.get(id).children.len();
+        debug_assert_eq!(h.roots[order], Some(id));
+        h.roots[order] = None;
+        trim(&mut h.roots);
+        let Node { key, children, .. } = self.arena.dealloc(id);
+        h.len -= 1 << order;
+        for &c in &children {
+            self.arena.get_mut(c).parent = None;
+        }
+        (key, children)
+    }
+
     /// `Extract-Min(Q)`: remove and return the minimum. The removed root's
     /// children `B_0 … B_{k-1}` carry-add back into `H` in place — no plan,
     /// no allocation, zero copies — then the `≤ log n` roots are rescanned
     /// for the new min.
     pub fn extract_min(&mut self, h: &mut PooledHeap) -> Option<K> {
         let min_id = self.min_root(h)?;
-        let order = self.arena.get(min_id).children.len();
-        debug_assert_eq!(h.roots[order], Some(min_id));
-        h.roots[order] = None;
-        trim(&mut h.roots);
-        let Node { key, children, .. } = self.arena.dealloc(min_id);
-        h.len -= 1;
-        for &c in &children {
-            self.arena.get_mut(c).parent = None;
-        }
+        let (key, children) = self.detach_root(h, min_id);
         carry_add(&mut self.arena, &mut h.roots, &children, 0);
+        h.len += (1 << children.len()) - 1;
         h.min = scan_min(&self.arena, &h.roots);
         self.debug_validate(h);
         Some(key)
@@ -462,7 +601,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     pub fn meld_with(&mut self, a: &mut PooledHeap, b: PooledHeap, engine: Engine) {
         self.assert_owner(a);
         self.assert_owner(&b);
-        self.meld_roots(a, &b.roots, b.len, engine);
+        self.meld_roots(a, &b.roots, b.len, engine_planner(engine));
         self.debug_validate(a);
     }
 
@@ -487,7 +626,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let (out, orphan_roots, orphan_len) =
             crate::bulk::peel_k_smallest(&mut self.arena, &mut h.roots, take);
         h.len -= take + orphan_len;
-        self.meld_roots(h, &orphan_roots, orphan_len, engine);
+        self.meld_roots(h, &orphan_roots, orphan_len, engine_planner(engine));
         self.debug_validate(h);
         out
     }
@@ -530,22 +669,6 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         out
     }
 
-    /// Absorb a free-standing [`ParBinomialHeap`] into the pool — the
-    /// cross-pool fallback, `Θ(n)` counted copies.
-    pub fn adopt(&mut self, heap: ParBinomialHeap<K>) -> PooledHeap {
-        let (arena, roots, len) = heap.into_raw_parts();
-        let remap = self.arena.absorb(arena);
-        let roots: Vec<Option<NodeId>> = roots.iter().map(|r| r.map(&remap)).collect();
-        let out = PooledHeap {
-            pool: self.id,
-            min: scan_min(&self.arena, &roots),
-            roots,
-            len,
-        };
-        self.debug_validate(&out);
-        out
-    }
-
     /// [`Self::meld_cross_pool_with`] with the pool's default engine.
     pub fn meld_cross_pool(
         &mut self,
@@ -567,45 +690,35 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         engine: Engine,
     ) {
         self.assert_owner(dst);
+        let moved = self.move_in(src_pool, src);
+        self.meld_roots(dst, &moved.roots, moved.len, engine_planner(engine));
+        self.debug_validate(dst);
+    }
+
+    /// Move `src`'s trees node by node out of `src_pool` into this pool
+    /// (counted copies), as a heap of this pool.
+    pub(crate) fn move_in(&mut self, src_pool: &mut HeapPool<K>, src: PooledHeap) -> PooledHeap {
         src_pool.assert_owner(&src);
         assert!(
             self.id != src_pool.id,
             "same-pool meld must go through HeapPool::meld"
         );
-        let mut moved = vec![None; src.roots.len()];
-        for (slot, r) in src.roots.iter().enumerate() {
-            if let Some(id) = r {
-                moved[slot] = Some(move_subtree(
-                    &mut self.arena,
-                    &mut src_pool.arena,
-                    *id,
-                    None,
-                ));
-            }
+        let roots: Vec<Option<NodeId>> = src
+            .roots
+            .iter()
+            .map(|r| r.map(|id| move_subtree(&mut self.arena, &mut src_pool.arena, id, None)))
+            .collect();
+        PooledHeap {
+            pool: self.id,
+            min: scan_min(&self.arena, &roots),
+            roots,
+            len: src.len,
         }
-        self.meld_roots(dst, &moved, src.len, engine);
-        self.debug_validate(dst);
-    }
-
-    /// Convert the pool into a free-standing heap — zero-copy, but only
-    /// legal when `h` is the pool's sole surviving heap (the slab *is* the
-    /// heap's arena). Panics otherwise.
-    pub fn into_heap(self, h: PooledHeap) -> ParBinomialHeap<K> {
-        self.assert_owner(&h);
-        assert_eq!(
-            self.arena.len(),
-            h.len,
-            "into_heap requires the pool to hold exactly this heap \
-             ({} live nodes vs heap of {})",
-            self.arena.len(),
-            h.len
-        );
-        ParBinomialHeap::from_raw_parts(self.arena, h.roots, h.len)
     }
 
     /// Deep structural validation of one heap of the pool: BH1 heap order,
-    /// BH2 shapes, parent pointers, ownership stamp, and the binary
-    /// representation (root orders = set bits of `len`).
+    /// BH2 shapes, parent pointers, ownership stamp, the exact cached min,
+    /// and the binary representation (root orders = set bits of `len`).
     pub fn validate_heap(&self, h: &PooledHeap) -> Result<(), String> {
         if h.pool != self.id {
             return Err(format!(
@@ -689,15 +802,27 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         keys: &[K],
         engine: Engine,
     ) -> Result<PooledHeap, CapacityError> {
+        self.build_slab(keys, engine, crate::cutoff::bulk_join_cutoff())
+    }
+
+    /// The parallel slab build, splitting sub-ranges longer than `cutoff`.
+    fn build_slab(
+        &mut self,
+        keys: &[K],
+        engine: Engine,
+        cutoff: usize,
+    ) -> Result<PooledHeap, CapacityError> {
         self.can_admit(keys.len())?;
-        let base = self.arena.slab_len();
+        let slab_len = self.arena.slab_len();
         // `can_admit` proved base + keys.len() < u32::MAX, so every id the
         // recursive builder bakes (`base ..= base + keys.len() - 1`) fits.
-        let base_u32 = u32::try_from(base).expect("admission check bounds the base offset");
+        let base = u32::try_from(slab_len).map_err(|_| CapacityError {
+            requested: keys.len(),
+            slab_len,
+        })?;
         let mut slab: Vec<Option<Node<K>>> = Vec::new();
         slab.resize_with(keys.len(), || None);
-        let cutoff = crate::cutoff::bulk_join_cutoff();
-        let mut roots = build_slab_rec(keys, &mut slab, base_u32, engine, cutoff);
+        let mut roots = build_slab_rec(keys, &mut slab, base, engine, cutoff);
         self.arena.extend_slab(slab);
         trim(&mut roots);
         let h = PooledHeap {
@@ -710,87 +835,98 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         Ok(h)
     }
 
-    /// Meld `other_roots` (nodes already in this pool's slab) into `dst`,
-    /// then rescan `dst`'s roots for its min — also when there is nothing
-    /// to meld, since `multi_extract_min` peels roots before calling this.
+    /// Meld `other_roots` (nodes already in this pool's slab) into `dst`
+    /// through [`union_into`] with `plan` as the planner, then rescan
+    /// `dst`'s roots for its min — also when there is nothing to meld,
+    /// since the extract paths remove roots before calling this.
     fn meld_roots(
         &mut self,
         dst: &mut PooledHeap,
         other_roots: &[Option<NodeId>],
         other_len: usize,
-        engine: Engine,
+        plan: impl FnOnce(&mut UnionPlan<K>, &RootRefs<K>, &RootRefs<K>),
     ) {
-        if dst.len == 0 {
-            dst.roots.clear();
-            dst.roots.extend_from_slice(other_roots);
-            dst.len = other_len;
-            trim(&mut dst.roots);
-        } else if other_len > 0 {
-            self.plan_union(dst, other_roots, other_len, engine);
-        }
+        union_into(
+            &mut self.arena,
+            &mut self.scratch,
+            &mut dst.roots,
+            dst.len,
+            other_roots,
+            other_len,
+            plan,
+        );
+        dst.len += other_len;
         dst.min = scan_min(&self.arena, &dst.roots);
     }
+}
 
-    /// Phase I–III union of two non-empty root arrays, planned with
-    /// `engine`. The scratch buffers make repeated sequential melds
-    /// allocation-free.
-    fn plan_union(
+/// The measured twins of the single-key ops and `Union`: planned on a
+/// `p`-processor EREW PRAM, each returning its Theorem-1 cost. The trees
+/// are the ones the unmeasured ops build.
+impl HeapPool<i64> {
+    /// [`Self::meld_roots`] planned on the PRAM simulator.
+    fn meld_roots_pram(
         &mut self,
         dst: &mut PooledHeap,
         other_roots: &[Option<NodeId>],
         other_len: usize,
-        engine: Engine,
-    ) {
-        let n1 = dst.len;
-        let n2 = other_len;
-        let width = plan_width(n1, n2);
-        self.scratch_h1.clear();
-        for i in 0..width {
-            self.scratch_h1
-                .push(dst.roots.get(i).copied().flatten().map(|id| RootRef {
-                    key: self.arena.get(id).key,
-                    id,
-                }));
-        }
-        self.scratch_h2.clear();
-        for i in 0..width {
-            self.scratch_h2
-                .push(other_roots.get(i).copied().flatten().map(|id| RootRef {
-                    key: self.arena.get(id).key,
-                    id,
-                }));
-        }
-        match engine {
-            Engine::Sequential => {
-                build_plan_into(&mut self.scratch_plan, &self.scratch_h1, &self.scratch_h2);
+        p: usize,
+    ) -> pram::Cost {
+        let mut cost = pram::Cost::ZERO;
+        let planner = |plan: &mut UnionPlan<i64>, h1: &RootRefs<i64>, h2: &RootRefs<i64>| {
+            match crate::engine_pram::build_plan_pram(h1, h2, p) {
+                Ok(out) => {
+                    *plan = out.plan;
+                    cost = out.cost;
+                }
+                // Each processor of the Union program touches only its own
+                // position's cells, so a conflict is a bug in the program,
+                // not a condition a caller could handle.
+                Err(e) => unreachable!("the Union program is EREW-legal: {e}"),
             }
-            Engine::Rayon => {
-                crate::engine_rayon::build_plan_rayon_into(
-                    &mut self.scratch_plan,
-                    &self.scratch_h1,
-                    &self.scratch_h2,
-                );
-            }
-        }
-        #[cfg(feature = "debug-validate")]
-        if let Err(e) = crate::check::check_plan(&self.scratch_plan) {
-            panic!("debug-validate (UnionPlan, pooled): {e}");
-        }
-        let (arena, plan) = (&mut self.arena, &self.scratch_plan);
-        debug_assert!(plan.links.windows(2).all(|w| w[0].slot <= w[1].slot));
-        for l in &plan.links {
-            debug_assert_eq!(arena.get(l.child).children.len(), l.slot);
-            debug_assert_eq!(arena.get(l.parent).children.len(), l.slot);
-            arena.get_mut(l.parent).children.push(l.child);
-            arena.get_mut(l.child).parent = Some(l.parent);
-        }
-        dst.roots.clear();
-        dst.roots.extend_from_slice(&plan.new_roots);
-        for r in dst.roots.iter().flatten() {
-            arena.get_mut(*r).parent = None;
-        }
-        trim(&mut dst.roots);
-        dst.len = n1 + n2;
+        };
+        self.meld_roots(dst, other_roots, other_len, planner);
+        self.debug_validate(dst);
+        cost
+    }
+
+    /// `Union(Q1, Q2)` planned on the PRAM simulator.
+    pub(crate) fn meld_pram(&mut self, a: &mut PooledHeap, b: PooledHeap, p: usize) -> pram::Cost {
+        self.assert_owner(a);
+        self.assert_owner(&b);
+        self.meld_roots_pram(a, &b.roots, b.len, p)
+    }
+
+    /// `Insert(Q, x)` as a singleton `Union` planned on the PRAM simulator.
+    pub(crate) fn insert_pram(&mut self, h: &mut PooledHeap, key: i64, p: usize) -> pram::Cost {
+        self.assert_owner(h);
+        let id = self.arena.alloc(key);
+        self.meld_roots_pram(h, &[Some(id)], 1, p)
+    }
+
+    /// `Extract-Min(Q)` on the PRAM simulator: an EREW min-reduction over
+    /// the root array, then the children re-meld as a planned `Union`.
+    pub(crate) fn extract_min_pram(
+        &mut self,
+        h: &mut PooledHeap,
+        p: usize,
+    ) -> (Option<i64>, pram::Cost) {
+        self.assert_owner(h);
+        let mut refs = Vec::new();
+        root_refs_into(&self.arena, &h.roots, h.roots.len(), &mut refs);
+        let (min, mut cost) = match crate::engine_pram::min_pram(&refs, p) {
+            Ok(found) => found,
+            // One processor per pair of positions, disjoint at every level
+            // of the reduction tree: never a conflict.
+            Err(e) => unreachable!("the min-reduction is EREW-legal: {e}"),
+        };
+        let Some(min) = min else {
+            return (None, cost);
+        };
+        let (key, children) = self.detach_root(h, min.id);
+        let orphans: Vec<Option<NodeId>> = children.iter().copied().map(Some).collect();
+        cost += self.meld_roots_pram(h, &orphans, (1 << children.len()) - 1, p);
+        (Some(key), cost)
     }
 }
 
@@ -879,19 +1015,20 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
     }
     let mid = keys.len() / 2;
     let (left_slab, right_slab) = slab.split_at_mut(mid);
-    let (left_roots, right_roots) = rayon::join(
+    let (mut roots, right_roots) = rayon::join(
         || build_slab_rec(&keys[..mid], left_slab, base, engine, cutoff),
         || build_slab_rec(&keys[mid..], right_slab, base + mid as u32, engine, cutoff),
     );
-    meld_in_slab(
-        slab,
-        base,
-        left_roots,
-        &right_roots,
+    union_into(
+        &mut Segment { slab, base },
+        &mut UnionScratch::default(),
+        &mut roots,
         mid,
+        &right_roots,
         keys.len() - mid,
-        engine,
-    )
+        engine_planner(engine),
+    );
+    roots
 }
 
 /// Sequential ripple-carry build of one slab segment (ids = `base + index`):
@@ -913,71 +1050,6 @@ pub(crate) fn build_slab_leaf<K: Ord + Copy>(
         carry_add(&mut seg, &mut roots, &[NodeId(base + i as u32)], 0);
     }
     roots
-}
-
-/// Plan + apply a union of two root arrays whose nodes live in `slab`.
-fn meld_in_slab<K: Ord + Copy + Send + Sync>(
-    slab: &mut [Option<Node<K>>],
-    base: u32,
-    mut left_roots: Vec<Option<NodeId>>,
-    right_roots: &[Option<NodeId>],
-    left_len: usize,
-    right_len: usize,
-    engine: Engine,
-) -> Vec<Option<NodeId>> {
-    if right_len == 0 {
-        return left_roots;
-    }
-    if left_len == 0 {
-        left_roots.clear();
-        left_roots.extend_from_slice(right_roots);
-        return left_roots;
-    }
-    let idx = |id: NodeId| (id.0 - base) as usize;
-    let key_of = |slab: &[Option<Node<K>>], id: NodeId| slab[idx(id)].as_ref().expect("live").key;
-    let width = plan_width(left_len, right_len);
-    let h1: Vec<Option<RootRef<K>>> = (0..width)
-        .map(|i| {
-            left_roots.get(i).copied().flatten().map(|id| RootRef {
-                key: key_of(slab, id),
-                id,
-            })
-        })
-        .collect();
-    let h2: Vec<Option<RootRef<K>>> = (0..width)
-        .map(|i| {
-            right_roots.get(i).copied().flatten().map(|id| RootRef {
-                key: key_of(slab, id),
-                id,
-            })
-        })
-        .collect();
-    let plan = match engine {
-        Engine::Sequential => crate::plan::build_plan_seq(&h1, &h2),
-        Engine::Rayon => crate::engine_rayon::build_plan_rayon(&h1, &h2),
-    };
-    for l in &plan.links {
-        debug_assert_eq!(
-            slab[idx(l.child)].as_ref().expect("live").children.len(),
-            l.slot
-        );
-        debug_assert_eq!(
-            slab[idx(l.parent)].as_ref().expect("live").children.len(),
-            l.slot
-        );
-        slab[idx(l.parent)]
-            .as_mut()
-            .expect("live")
-            .children
-            .push(l.child);
-        slab[idx(l.child)].as_mut().expect("live").parent = Some(l.parent);
-    }
-    let mut out = plan.new_roots.clone();
-    for r in out.iter().flatten() {
-        slab[idx(*r)].as_mut().expect("live").parent = None;
-    }
-    trim(&mut out);
-    out
 }
 
 #[cfg(test)]
@@ -1024,48 +1096,103 @@ mod tests {
             .collect()
     }
 
+    /// `Extract-Min` as the planner spells it: detach the cached min root,
+    /// then meld its children back with a planned `Union`.
+    fn planned_extract_min(pool: &mut HeapPool<i64>, h: &mut PooledHeap) -> Option<i64> {
+        let min = pool.min_root(h)?;
+        let (key, children) = pool.detach_root(h, min);
+        let orphans: Vec<Option<NodeId>> = children.iter().copied().map(Some).collect();
+        let orphan_len = (1 << children.len()) - 1;
+        pool.meld_roots(h, &orphans, orphan_len, engine_planner(Engine::Sequential));
+        Some(key)
+    }
+
     #[test]
     fn ripple_ops_build_the_planners_trees() {
         // Insert and extract link directly instead of planning. Under the one
-        // tie contract they must build exactly the trees of ParBinomialHeap's
-        // planned singleton Union and children re-meld — node ids, parents
+        // tie contract they must build exactly the trees of a planned
+        // singleton Union and a planned children re-meld — node ids, parents
         // and child order included — however many keys are equal.
         for m in [1i64, 2, 3, 5] {
             let mut pool: HeapPool<i64> = HeapPool::new();
             let mut h = pool.new_heap();
-            let mut planned: ParBinomialHeap<i64> = ParBinomialHeap::new();
+            let mut planned_pool: HeapPool<i64> = HeapPool::new();
+            let mut planned = planned_pool.new_heap();
+            let planned_insert = |pool: &mut HeapPool<i64>, h: &mut PooledHeap, k: i64| {
+                let single = pool.from_keys([k]);
+                pool.meld_with(h, single, Engine::Sequential);
+            };
             for i in 0..3000i64 {
                 let k = (i * 7919) % m;
                 pool.insert(&mut h, k);
-                planned.insert(k);
+                planned_insert(&mut planned_pool, &mut planned, k);
                 assert_eq!(h.roots(), planned.roots(), "mod {m}, insert {i}");
                 if i % 100 == 99 {
                     assert_eq!(
                         shape(pool.arena()),
-                        shape(planned.arena()),
+                        shape(planned_pool.arena()),
                         "mod {m}, insert {i}"
                     );
                 }
             }
             for i in 0..1000i64 {
                 let got = pool.extract_min(&mut h);
-                assert_eq!(got, planned.extract_min(Engine::Sequential));
+                assert_eq!(got, planned_extract_min(&mut planned_pool, &mut planned));
                 if i % 3 == 0 {
                     let k = (i * 31) % m;
                     pool.insert(&mut h, k);
-                    planned.insert(k);
+                    planned_insert(&mut planned_pool, &mut planned, k);
                 }
                 assert_eq!(h.roots(), planned.roots(), "mod {m}, churn {i}");
                 if i % 100 == 99 {
                     assert_eq!(
                         shape(pool.arena()),
-                        shape(planned.arena()),
+                        shape(planned_pool.arena()),
                         "mod {m}, churn {i}"
                     );
                 }
             }
             pool.validate_heap(&h).unwrap();
+            planned_pool.validate_heap(&planned).unwrap();
         }
+    }
+
+    #[test]
+    fn pram_ops_build_the_unmeasured_trees() {
+        // The measured ops plan on the simulator, the unmeasured ones ripple
+        // or plan sequentially. Both must leave the same slab node for node,
+        // duplicates included, and only the measured side pays a cost.
+        let mut pram: HeapPool<i64> = HeapPool::new();
+        let mut a = pram.new_heap();
+        let mut plain: HeapPool<i64> = HeapPool::new();
+        let mut b = plain.new_heap();
+        let mut total = pram::Cost::ZERO;
+        for i in 0..600i64 {
+            let k = (i * 7919) % 7;
+            match i % 5 {
+                0 | 1 | 3 => {
+                    total += pram.insert_pram(&mut a, k, 3);
+                    plain.insert(&mut b, k);
+                }
+                2 => {
+                    let (got, cost) = pram.extract_min_pram(&mut a, 2);
+                    total += cost;
+                    assert_eq!(got, plain.extract_min(&mut b), "op {i}");
+                }
+                _ => {
+                    let keys = [k, k + 3, k, -k];
+                    let part = pram.from_keys(keys);
+                    total += pram.meld_pram(&mut a, part, 4);
+                    let part = plain.from_keys(keys);
+                    plain.meld_with(&mut b, part, Engine::Sequential);
+                }
+            }
+            assert_eq!(a.roots(), b.roots(), "op {i}");
+            assert_eq!(a.min, b.min, "op {i}");
+        }
+        assert_eq!(shape(pram.arena()), shape(plain.arena()));
+        pram.validate_heap(&a).unwrap();
+        assert!(total.time > 0 && total.work >= total.time);
     }
 
     #[test]
@@ -1113,8 +1240,8 @@ mod tests {
         exact(&pool, &p, "from_keys_parallel");
         let c = pool.clone_heap(&h);
         exact(&pool, &c, "clone_heap");
-        let a = pool.adopt(ParBinomialHeap::from_keys([6, -4, 6, 1]));
-        exact(&pool, &a, "adopt");
+        let (fork, f) = pool.fork(&h);
+        exact(&fork, &f, "fork");
         // A stale or non-root cache is rejected.
         let mut bad = pool.from_keys([3, 1, 2]);
         bad.min = bad.roots[0];
@@ -1188,17 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn adopt_and_into_heap_roundtrip() {
-        let mut pool: HeapPool<i64> = HeapPool::new();
-        let h = pool.adopt(ParBinomialHeap::from_keys([3, 1, 2]));
-        assert_eq!(pool.stats().copies, 3);
-        pool.validate_heap(&h).unwrap();
-        let free = pool.into_heap(h);
-        free.validate().unwrap();
-        assert_eq!(free.into_sorted_vec(), vec![1, 2, 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "pool-ownership violation")]
     fn wrong_pool_handle_panics() {
         let mut p1: HeapPool<i64> = HeapPool::new();
@@ -1220,6 +1336,28 @@ mod tests {
         let mut expected = keys.clone();
         expected.sort_unstable();
         assert_eq!(pool.into_sorted_vec(h), expected);
+    }
+
+    #[test]
+    fn slab_builder_unions_build_valid_heaps() {
+        // The calibrated join cutoff is at least 1024 keys, and resolves to
+        // its ceiling on hosts where splitting never pays; tiny cutoffs
+        // force the unions inside the slab, at a nonzero base offset.
+        for n in [0usize, 1, 2, 3, 7, 64, 1000] {
+            let keys: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 13).collect();
+            for engine in [Engine::Sequential, Engine::Rayon] {
+                for cutoff in [1, 5] {
+                    let mut pool: HeapPool<i64> = HeapPool::new();
+                    let pad = pool.from_keys([5, 6, 7]);
+                    let h = pool.build_slab(&keys, engine, cutoff).unwrap();
+                    crate::check::check_pool(&pool, &[&pad, &h]).unwrap();
+                    assert_eq!(pool.stats().copies, 0);
+                    let mut expected = keys.clone();
+                    expected.sort_unstable();
+                    assert_eq!(pool.into_sorted_vec(h), expected, "n {n}, {engine:?}");
+                }
+            }
+        }
     }
 
     #[test]

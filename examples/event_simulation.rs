@@ -73,7 +73,8 @@ fn simulate<H: MeldablePq<i64> + Default>(horizon: usize) -> Vec<(u64, u16)> {
     trace
 }
 
-/// The same simulation on the paper's parallel heap (engine-parameterised).
+/// The same simulation on the paper's parallel heap (the initial meld is
+/// planned by `engine`).
 fn simulate_parallel(engine: Engine, horizon: usize) -> Vec<(u64, u16)> {
     let mut lcg = Lcg(42);
     let mut fed_a = ParBinomialHeap::new();
@@ -91,7 +92,7 @@ fn simulate_parallel(engine: Engine, horizon: usize) -> Vec<(u64, u16)> {
     let mut trace = Vec::with_capacity(horizon);
     let mut completed = 0;
     while completed < horizon {
-        let Some(key) = fed_a.extract_min(engine) else {
+        let Some(key) = fed_a.extract_min() else {
             break;
         };
         let (t, s) = unpack(key);

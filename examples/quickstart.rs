@@ -84,7 +84,7 @@ fn main() {
     jobs.insert((2, "compile"));
     jobs.insert((1, "fetch sources"));
     jobs.insert((3, "run tests"));
-    let (_, first) = jobs.extract_min(Engine::Sequential).expect("nonempty");
+    let (_, first) = jobs.extract_min().expect("nonempty");
     println!("first scheduled job: {first}\n");
 
     // --- 5. the meldable baselines share one trait

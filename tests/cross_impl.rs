@@ -41,7 +41,7 @@ fn all_nine_implementations_sort_identically() {
     assert_eq!(h.into_sorted_vec(), expected);
     let mut h = ParBinomialHeap::from_keys(keys.iter().copied());
     let mut rayon_out = Vec::with_capacity(keys.len());
-    while let Some(k) = h.extract_min(Engine::Rayon) {
+    while let Some(k) = h.multi_extract_min(1, Engine::Rayon).pop() {
         rayon_out.push(k);
     }
     assert_eq!(rayon_out, expected);
@@ -120,7 +120,7 @@ fn interleaved_ops_agree_with_oracle_for_every_engine() {
                 heap.insert(k);
                 oracle.push(k);
             } else {
-                let got = heap.extract_min(engine);
+                let got = heap.multi_extract_min(1, engine).pop();
                 let (i, _) = oracle
                     .iter()
                     .enumerate()

@@ -5,11 +5,11 @@
 //!
 //! * [`all_engines_agree_on_mixed_programs`] drives every engine through the
 //!   unified [`MeldablePq`] trait — `ParBinomialHeap` under the sequential
-//!   and rayon planners, the measured EREW PRAM wrapper (`PramMeasured`),
+//!   and rayon planners and with every melded batch built by the parallel
+//!   slab builder, the measured EREW PRAM wrapper (`PramMeasured`),
 //!   `LazyBinomialHeap`, `dmpq::DistributedPq` (behind a fault-free local
-//!   adapter), the pooled zero-copy representation (`PoolGuard`) and a
-//!   seqheaps baseline — against a sorted-vector oracle over mixed insert /
-//!   meld / extract-min / min programs. The fleet is a
+//!   adapter) and a seqheaps baseline — against a sorted-vector oracle over
+//!   mixed insert / meld / extract-min / min programs. The fleet is a
 //!   `Vec<Box<dyn MeldablePq<i64>>>`: one generic dispatch loop, zero
 //!   per-engine match arms. Keys are drawn from a narrow band (`-64..64`)
 //!   so duplicate keys are common and tie-breaking divergence cannot hide.
@@ -31,7 +31,7 @@ use meldpq::check::check_pool;
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{
     DecreaseKeyPq, Engine, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq, NodeId,
-    ParBinomialHeap, PoolGuard, PqHandle, PramMeasured,
+    ParBinomialHeap, PqHandle, PramMeasured,
 };
 use proptest::prelude::*;
 
@@ -241,6 +241,36 @@ impl Oracle {
     }
 }
 
+/// `ParBinomialHeap` whose melded batches always take the parallel slab
+/// builder (`from_keys_parallel`), whatever the calibrated admission cutoff:
+/// the batch builds in the heap's own slab and melds zero-copy.
+#[derive(Default)]
+struct SlabBuilt(ParBinomialHeap);
+
+impl MeldablePq<i64> for SlabBuilt {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn insert(&mut self, key: i64) {
+        self.0.insert(key);
+    }
+    fn peek_min(&mut self) -> Option<i64> {
+        self.0.min()
+    }
+    fn extract_min(&mut self) -> Option<i64> {
+        self.0.extract_min()
+    }
+    fn meld(&mut self, other: Self) {
+        self.0.meld(other.0, Engine::Sequential);
+    }
+    fn meld_from_keys(&mut self, keys: &[i64]) {
+        self.0.multi_insert_at(keys, Engine::Sequential, 0);
+    }
+    fn check_invariants(&self) -> Result<(), String> {
+        self.0.check_invariants()
+    }
+}
+
 /// `DistributedPq` behind the trait. The orphan rule forbids implementing
 /// the workspace trait for the dmpq type from this test crate, and the
 /// distributed API is fallible (message faults), so this local newtype
@@ -301,7 +331,7 @@ fn fleet(p: usize) -> Vec<(&'static str, Box<dyn MeldablePq<i64>>)> {
         ("pram", Box::new(PramMeasured::new(p))),
         ("lazy", Box::new(LazyBinomialHeap::new(p))),
         ("dist", Box::new(FaultFree::new(2, 4))),
-        ("pool", Box::new(PoolGuard::new())),
+        ("slab", Box::new(SlabBuilt::default())),
         (
             "seq-binomial",
             Box::new(seqheaps::BinomialHeap::<i64>::new()),
@@ -415,9 +445,9 @@ proptest! {
                 }
                 BulkOp::ExtractMin => {
                     let want = oracle.extract_min();
-                    for (name, engine, h) in heaps.iter_mut() {
+                    for (name, _, h) in heaps.iter_mut() {
                         prop_assert_eq!(
-                            h.extract_min(*engine), want,
+                            h.extract_min(), want,
                             "{} extract at step {}", name, step
                         );
                     }

@@ -96,8 +96,8 @@ fn meld_with_empty_heap_both_directions_all_engines() {
 #[test]
 fn extract_from_empty_heaps_returns_none() {
     let mut h = ParBinomialHeap::new();
-    assert_eq!(h.extract_min(Engine::Sequential), None);
-    assert_eq!(h.extract_min(Engine::Rayon), None);
+    assert_eq!(h.extract_min(), None);
+    assert!(h.multi_extract_min(1, Engine::Rayon).is_empty());
     assert_eq!(h.extract_min_pram(2), None);
     let mut l = LazyBinomialHeap::new(2);
     assert_eq!(l.extract_min(), None);

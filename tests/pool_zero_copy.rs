@@ -1,8 +1,8 @@
 //! The zero-copy contract of the pooled representation (ISSUE 4 tentpole):
 //! same-pool `Union` must perform **zero** node copies and **zero** fresh
 //! allocations — the [`meldpq::ArenaStats`] counters are the proof — while
-//! remaining semantically identical to the absorb-based heap, and the
-//! rebuilt bulk kernels must match their sequential oracles exactly.
+//! remaining semantically identical to melding separately owned heaps, and
+//! the bulk kernels must match their sequential oracles exactly.
 
 use meldpq::check::check_pool;
 use meldpq::{Engine, HeapPool, ParBinomialHeap};
@@ -47,8 +47,9 @@ fn same_pool_meld_counts_zero_copies_and_allocs() {
 
 #[test]
 fn pooled_meld_matches_absorb_meld_semantics() {
-    // The same meld sequence through both representations → same multiset,
-    // same binomial shape (root orders are forced by the lengths).
+    // The same meld sequence within one pool and across free-standing heaps
+    // (each meld moves the operand's nodes in) → same multiset, same
+    // binomial shape (root orders are forced by the lengths).
     let mut pool: HeapPool<i64> = HeapPool::new();
     let mut p_acc = pool.from_keys(keys(300, 5));
     let mut h_acc = ParBinomialHeap::from_keys(keys(300, 5));
@@ -98,11 +99,35 @@ fn parallel_pool_build_is_pure_allocation() {
     assert_eq!(pool.stats().allocs, ks.len() as u64);
     assert_eq!(pool.stats().copies, 0);
     check_pool(&pool, &[&h]).unwrap();
-    let free = pool.into_heap(h);
-    free.validate().unwrap();
     let mut expected = ks;
     expected.sort_unstable();
-    assert_eq!(free.into_sorted_vec(), expected);
+    assert_eq!(pool.into_sorted_vec(h), expected);
+}
+
+#[test]
+fn heap_multi_insert_builds_in_its_own_slab() {
+    // `ParBinomialHeap` is a one-heap pool, so a batch builds in the heap's
+    // own slab and melds without moving a node — on both sides of the
+    // bulk-admission cutoff and through the calibrated public entry point.
+    let batch = keys(3_000, 21);
+    for (engine, admission) in [
+        (Engine::Sequential, 0),
+        (Engine::Rayon, 0),
+        (Engine::Sequential, usize::MAX),
+    ] {
+        let mut h = ParBinomialHeap::from_keys(keys(700, 4));
+        h.multi_insert_at(&batch, engine, admission);
+        h.multi_insert(&batch[..100]);
+        let stats = h.arena().stats();
+        assert_eq!(stats.copies, 0, "{engine:?}, admission {admission}");
+        assert_eq!(
+            stats.allocs,
+            700 + 3_100,
+            "{engine:?}, admission {admission}"
+        );
+        h.validate().unwrap();
+        assert_eq!(h.len(), 3_800);
+    }
 }
 
 #[test]
@@ -114,7 +139,7 @@ fn multi_extract_min_equals_k_sequential_extracts() {
         let got = fast.multi_extract_min(k, Engine::Rayon);
         let mut expected = Vec::new();
         for _ in 0..k {
-            expected.extend(slow.extract_min(Engine::Sequential));
+            expected.extend(slow.extract_min());
         }
         assert_eq!(got, expected, "k={k}");
         fast.validate().unwrap();

@@ -75,8 +75,8 @@ impl Fleet {
         assert_eq!(self.leftist.extract_min(), Some(want));
         assert_eq!(self.skew.extract_min(), Some(want));
         assert_eq!(self.pairing.extract_min(), Some(want));
-        assert_eq!(self.par_seq.extract_min(Engine::Sequential), Some(want));
-        assert_eq!(self.par_ray.extract_min(Engine::Rayon), Some(want));
+        assert_eq!(self.par_seq.extract_min(), Some(want));
+        assert_eq!(self.par_ray.multi_extract_min(1, Engine::Rayon), [want]);
         assert_eq!(self.lazy.extract_min(), Some(want));
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(want));
     }
@@ -111,8 +111,8 @@ impl Fleet {
         assert_eq!(self.leftist.extract_min(), Some(min));
         assert_eq!(self.skew.extract_min(), Some(min));
         assert_eq!(self.pairing.extract_min(), Some(min));
-        assert_eq!(self.par_seq.extract_min(Engine::Sequential), Some(min));
-        assert_eq!(self.par_ray.extract_min(Engine::Rayon), Some(min));
+        assert_eq!(self.par_seq.extract_min(), Some(min));
+        assert_eq!(self.par_ray.multi_extract_min(1, Engine::Rayon), [min]);
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(min));
         let _ = rng;
     }
