@@ -73,6 +73,15 @@ impl Request {
         }
     }
 
+    /// The keys this request inserts (empty for reads and pops).
+    pub(crate) fn inserted_keys(&self) -> &[i64] {
+        match self {
+            Request::Insert { key, .. } => std::slice::from_ref(key),
+            Request::MultiInsert { keys, .. } => keys,
+            _ => &[],
+        }
+    }
+
     /// Stable numeric operation code, used as the argument word of the
     /// flight recorder's `op_begin`/`op_end` events.
     pub fn op_code(&self) -> u64 {

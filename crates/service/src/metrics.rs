@@ -66,6 +66,15 @@ pub struct ShardStats {
     pub wal_errors: u64,
 }
 
+impl ShardStats {
+    /// Count one executed batch of `n` requests.
+    pub(crate) fn count_batch(&mut self, n: usize) {
+        self.batches += 1;
+        self.max_batch = self.max_batch.max(n as u64);
+        self.requests += n as u64;
+    }
+}
+
 impl Recorder for ShardStats {
     fn family(&self) -> &'static str {
         "service.shard"

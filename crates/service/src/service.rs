@@ -1,4 +1,5 @@
 //! The tenant-facing front end: [`QueueService`] and its handle type.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -7,13 +8,13 @@ use std::time::Duration;
 
 use meldpq::pool::PooledHeap;
 use meldpq::wal::{WalError, WalOp};
-use meldpq::{ArenaStats, Backend, Engine, HeapPool};
+use meldpq::{ArenaStats, Backend, HeapPool};
 use obs::flight::{self, EventKind};
 use obs::Registry;
 
 use crate::batch::{OpSlot, Request, Response};
 use crate::metrics::ShardStats;
-use crate::shard::{Shard, ShardState, TenantHeap};
+use crate::shard::{Shard, ShardState, TenantHeap, TenantQueue};
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::ServiceError;
 
@@ -69,7 +70,6 @@ impl std::fmt::Display for QueueId {
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     shards: usize,
-    engine: Engine,
     bulk_threshold: usize,
     backend: Backend,
     durable: Option<PathBuf>,
@@ -79,7 +79,6 @@ impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             shards: 4,
-            engine: Engine::Sequential,
             // The admission batcher and the bulk kernels must agree on when
             // a batch is worth the slab builder: default to the calibrated
             // crossover (probed at first use, env-overridable with
@@ -95,9 +94,8 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Start from the defaults (4 shards, sequential planner, bulk builds
-    /// from the calibrated batch cutoff up, backend from the shootout
-    /// selection table).
+    /// Start from the defaults (4 shards, bulk builds from the calibrated
+    /// batch cutoff up, backend from the shootout selection table).
     pub fn new() -> Self {
         Self::default()
     }
@@ -105,12 +103,6 @@ impl ServiceBuilder {
     /// Number of shards (each an independent pool + lock). Clamped to ≥ 1.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Planning engine every shard pool uses.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -153,15 +145,9 @@ impl ServiceBuilder {
     pub fn try_build(self) -> Result<QueueService, WalError> {
         let shards = (0..self.shards)
             .map(|i| match &self.durable {
-                None => Ok(Shard::new(
-                    i as u16,
-                    self.engine,
-                    self.bulk_threshold,
-                    self.backend,
-                )),
+                None => Ok(Shard::new(i as u16, self.bulk_threshold, self.backend)),
                 Some(root) => Shard::new_durable(
                     i as u16,
-                    self.engine,
                     self.bulk_threshold,
                     self.backend,
                     root.join(format!("shard{i}")),
@@ -359,9 +345,11 @@ impl QueueService {
     // ----- sync surface -------------------------------------------------
     //
     // Each sync op first tries the shard's uncontended fast path (lock free
-    // → serve pending, execute inline, zero allocation); only under
-    // contention does it deposit a slot and wait — the case where the
-    // combiner's batching pays.
+    // → serve pending, then execute as a batch of one, answered inline with
+    // no completion slot); only under contention does it deposit a slot and
+    // wait — the case where the combiner's batching pays. The executor
+    // answers each request kind with its own response variant or an error,
+    // so the remaining arm of each method's match is unreachable.
 
     fn execute(&self, id: QueueId, req: Request) -> Result<Response, ServiceError> {
         let shard = self.shard(id)?;
@@ -476,7 +464,9 @@ impl QueueService {
                 stats,
                 ..
             } = &mut *st;
-            let q = queues[dst.slot() as usize].as_mut().expect("checked above");
+            let Some(q) = queues[dst.slot() as usize].as_mut() else {
+                return Err(ServiceError::UnknownQueue(dst));
+            };
             match (&mut q.heap, src_heap) {
                 // Same pool: zero-copy plan application.
                 (TenantHeap::Pooled(d), TenantHeap::Pooled(s)) => pool.meld(d, s),
@@ -519,8 +509,8 @@ impl QueueService {
         let src_heap = src_state.take_queue(src)?;
         let dst_durable = dst_state.is_durable();
         let dst_is_pooled = matches!(
-            dst_state.queue_mut(dst).expect("checked above").heap,
-            TenantHeap::Pooled(_)
+            dst_state.queue_mut(dst).map(|q| &q.heap),
+            Some(TenantHeap::Pooled(_))
         );
         match src_heap {
             // Same engine on both sides: zero-copy node moves.
@@ -536,9 +526,12 @@ impl QueueService {
                     );
                 }
                 let ShardState { pool, queues, .. } = dst_state;
-                let q = queues[dst.slot() as usize].as_mut().expect("checked above");
-                let TenantHeap::Pooled(d) = &mut q.heap else {
-                    unreachable!("variant checked above")
+                let Some(TenantQueue {
+                    heap: TenantHeap::Pooled(d),
+                    ..
+                }) = queues[dst.slot() as usize].as_mut()
+                else {
+                    return Err(ServiceError::UnknownQueue(dst));
                 };
                 pool.meld_cross_pool(d, &mut src_state.pool, s);
             }
@@ -555,7 +548,9 @@ impl QueueService {
                     );
                 }
                 let ShardState { pool, queues, .. } = dst_state;
-                let q = queues[dst.slot() as usize].as_mut().expect("checked above");
+                let Some(q) = queues[dst.slot() as usize].as_mut() else {
+                    return Err(ServiceError::UnknownQueue(dst));
+                };
                 q.heap.bulk_insert(pool, &keys);
             }
         }
@@ -763,6 +758,141 @@ mod tests {
             TenantHeap::Boxed(Box::new(CorruptPq));
         let err = svc.validate().unwrap_err();
         assert!(err.contains("injected corruption"), "got: {err}");
+    }
+
+    #[test]
+    fn sync_call_into_a_panicking_tenant_is_contained() {
+        let svc = ServiceBuilder::new()
+            .shards(1)
+            .backend(Backend::Pooled)
+            .build();
+        let good = svc.create_queue();
+        let bad = svc.create_queue();
+        svc.shards[0].lock_state().queue_mut(bad).unwrap().heap =
+            TenantHeap::Boxed(Box::new(crate::shard::tests::PanickingPq));
+        assert_eq!(svc.insert(bad, 9), Err(ServiceError::Internal(bad)));
+        let stats = svc.shard_stats(0);
+        assert_eq!(stats.combiner_panics, 1);
+        assert_eq!(stats.poison_recoveries, 0, "lock never poisoned");
+        svc.insert(good, 4).unwrap();
+        assert_eq!(svc.extract_min(good).unwrap(), Some(4));
+    }
+
+    /// Answer `req` through the synchronous surface (the fast path when
+    /// uncontended).
+    fn call(svc: &QueueService, req: Request) -> Response {
+        let resp = match req {
+            Request::Insert { queue, key } => svc.insert(queue, key).map(|()| Response::Done),
+            Request::MultiInsert { queue, keys } => {
+                svc.multi_insert(queue, keys).map(|()| Response::Done)
+            }
+            Request::ExtractMin { queue } => svc.extract_min(queue).map(Response::Key),
+            Request::ExtractK { queue, k } => svc.extract_k(queue, k).map(Response::Keys),
+            Request::PeekMin { queue } => svc.peek_min(queue).map(Response::Key),
+            Request::Len { queue } => svc.len(queue).map(Response::Len),
+        };
+        resp.unwrap_or_else(Response::Err)
+    }
+
+    #[test]
+    fn fast_path_and_batch_of_one_take_one_path() {
+        let root = std::env::temp_dir().join(format!("svc-one-path-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let open = |side: &str| {
+            ServiceBuilder::new()
+                .shards(1)
+                .bulk_threshold(4)
+                .backend(Backend::Pooled)
+                .durable(root.join(side))
+                .build()
+        };
+        let (sync, deposit) = (open("sync"), open("deposit"));
+        let mut queues = Vec::new();
+        for svc in [&sync, &deposit] {
+            let q = svc.create_queue();
+            let stale = svc.create_queue();
+            svc.destroy_queue(stale).unwrap();
+            queues.push((q, stale));
+        }
+        assert_eq!(queues[0], queues[1], "both services mint the same handles");
+        let (q, stale) = queues[0];
+        let script = [
+            Request::Insert { queue: q, key: 5 },
+            Request::MultiInsert {
+                queue: q,
+                keys: vec![3],
+            },
+            Request::MultiInsert {
+                queue: q,
+                keys: vec![9, 1, 7, 2, 8, 6],
+            },
+            Request::ExtractMin { queue: q },
+            Request::ExtractK { queue: q, k: 1 },
+            Request::ExtractK { queue: q, k: 3 },
+            Request::PeekMin { queue: q },
+            Request::Len { queue: q },
+            Request::Insert {
+                queue: stale,
+                key: 4,
+            },
+        ];
+        for req in script {
+            let via_sync = call(&sync, req.clone());
+            let ticket = deposit.enqueue(req.clone()).unwrap();
+            deposit.flush();
+            assert_eq!(via_sync, ticket.wait(), "{req:?}");
+        }
+        assert_eq!(
+            sync.extract_k(q, usize::MAX).unwrap(),
+            vec![7, 8, 9],
+            "drained contents"
+        );
+        assert_eq!(deposit.extract_k(q, usize::MAX).unwrap(), vec![7, 8, 9]);
+        let [mut a, mut b] = [sync.shard_stats(0), deposit.shard_stats(0)];
+        assert_eq!(
+            (a.combines, a.combine_ns),
+            (0, 0),
+            "the fast path never combines"
+        );
+        assert!(b.combines > 0);
+        (a.combines, a.combine_ns, b.combines, b.combine_ns) = (0, 0, 0, 0);
+        assert_eq!(a, b);
+        drop((sync, deposit));
+        let log = |side: &str| {
+            meldpq::wal::read_wal(&root.join(side).join("shard0").join(meldpq::wal::WAL_FILE))
+                .unwrap()
+                .records
+        };
+        let records = log("sync");
+        assert_eq!(records, log("deposit"));
+        let kinds: Vec<&str> = records
+            .iter()
+            .map(|(_, op)| match op {
+                WalOp::CreateHeap { .. } => "create",
+                WalOp::FreeHeap { .. } => "free",
+                WalOp::Insert { .. } => "insert",
+                WalOp::FromKeys { .. } => "from_keys",
+                WalOp::ExtractMin { .. } => "extract_min",
+                WalOp::MultiExtractMin { .. } => "multi_extract",
+                WalOp::Meld { .. } => "meld",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "create",
+                "create",
+                "free",
+                "insert",
+                "insert",
+                "from_keys",
+                "extract_min",
+                "extract_min",
+                "multi_extract",
+                "multi_extract",
+            ]
+        );
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -11,17 +11,28 @@
 //! one `from_keys_parallel` bulk build, concurrent pops one
 //! `multi_extract_min` peel.
 //!
+//! An uncontended synchronous call (`Shard::execute_now`) is a batch of
+//! one through the same executor, under the same panic barrier and with the
+//! same linearization; only its response leaves differently, returned to
+//! the caller instead of filled into a slot.
+//!
 //! ## Linearization of a batch
 //!
 //! All requests in a drained batch are concurrent (none had completed when
 //! the combiner took the buffer), so *any* permutation is a valid
 //! linearization. The combiner picks, per queue: every insert first, then
 //! the reads/pops in arrival order with the pop demand served from one
-//! ascending `multi_extract_min` pull. `PeekMin`/`Len` interleaved between
-//! pops read `pulled[j]` / `len + (pulled.len() - j)` — the exact state a
-//! sequential execution in that order would observe.
+//! ascending pull. `PeekMin`/`Len` interleaved between pops read
+//! `pulled[j]` / `len + (pulled.len() - j)` — the exact state a sequential
+//! execution in that order would observe.
+//!
+//! The kernels and WAL records follow the group's totals: one inserted key
+//! ripples in and logs `Insert`, more log one `FromKeys` (bulk-built from
+//! the bulk threshold up); a demand of one key runs `extract_min` and logs
+//! `ExtractMin`, more one `multi_extract_min` logged as `MultiExtractMin`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
@@ -31,7 +42,7 @@ use meldpq::pool::PooledHeap;
 use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
 use meldpq::{Backend, Engine, HeapPool, MeldablePq};
 use obs::flight::{self, EventKind};
-use obs::LatencyHistogram;
+use obs::{LatencyHistogram, TraceId};
 
 use crate::batch::{Ingress, OpSlot, Request, Response};
 use crate::metrics::ShardStats;
@@ -208,6 +219,20 @@ fn wal_flush(wal: &mut Option<ShardWal>, stats: &mut ShardStats) {
 }
 
 impl ShardState {
+    /// An empty, non-durable shard state.
+    fn new(bulk_threshold: usize, backend: Backend) -> Self {
+        ShardState {
+            pool: HeapPool::new(),
+            queues: Vec::new(),
+            free_slots: Vec::new(),
+            stats: ShardStats::default(),
+            latency: LatencyHistogram::new(),
+            bulk_threshold: bulk_threshold.max(2),
+            backend,
+            wal: None,
+        }
+    }
+
     /// The queue addressed by `id`, if the handle is current.
     pub(crate) fn queue_mut(&mut self, id: QueueId) -> Option<&mut TenantQueue> {
         self.queues
@@ -264,7 +289,7 @@ impl ShardState {
     /// reflects the reset rather than replaying the pre-damage history onto
     /// an empty pool, and the fresh log checkpoints on its own schedule.
     pub(crate) fn reset_after_damage(&mut self) {
-        self.pool = HeapPool::new().with_engine(self.pool.engine());
+        self.pool = HeapPool::new();
         self.queues.clear();
         self.free_slots.clear();
         self.stats.poison_resets += 1;
@@ -357,25 +382,15 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(
-        index: u16,
-        engine: Engine,
-        bulk_threshold: usize,
-        backend: Backend,
-    ) -> Arc<Self> {
+    pub(crate) fn new(index: u16, bulk_threshold: usize, backend: Backend) -> Arc<Self> {
+        Self::with_state(index, ShardState::new(bulk_threshold, backend))
+    }
+
+    fn with_state(index: u16, state: ShardState) -> Arc<Self> {
         Arc::new(Shard {
             index,
             ingress: Ingress::new(),
-            state: Mutex::new(ShardState {
-                pool: HeapPool::new().with_engine(engine),
-                queues: Vec::new(),
-                free_slots: Vec::new(),
-                stats: ShardStats::default(),
-                latency: LatencyHistogram::new(),
-                bulk_threshold: bulk_threshold.max(2),
-                backend,
-                wal: None,
-            }),
+            state: Mutex::new(state),
         })
     }
 
@@ -384,14 +399,15 @@ impl Shard {
     /// WAL replay for boxed engines), then reopen the log for appending.
     pub(crate) fn new_durable(
         index: u16,
-        engine: Engine,
         bulk_threshold: usize,
         backend: Backend,
         dir: PathBuf,
     ) -> Result<Arc<Self>, WalError> {
-        let (pool, queues, free_slots, next_seq, cadence) = if backend == Backend::Pooled {
-            let state = wal::recover_dir(&dir, engine)?;
-            let queues = state
+        let mut st = ShardState::new(bulk_threshold, backend);
+        let (next_seq, cadence) = if backend == Backend::Pooled {
+            let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
+            st.pool = recovered.pool;
+            st.queues = recovered
                 .heaps
                 .into_iter()
                 .map(|s| {
@@ -401,13 +417,8 @@ impl Shard {
                     })
                 })
                 .collect();
-            (
-                state.pool,
-                queues,
-                state.free_slots,
-                state.next_seq,
-                state.cadence,
-            )
+            st.free_slots = recovered.free_slots;
+            (recovered.next_seq, recovered.cadence)
         } else {
             // Boxed engines have no serializable slab, so there is no
             // checkpoint to load — replay the whole log from genesis.
@@ -417,37 +428,21 @@ impl Shard {
             if log.valid_len < log.file_len {
                 wal::truncate_wal(&wal_path, log.valid_len)?;
             }
-            let mut pool = HeapPool::new().with_engine(engine);
-            let mut queues: Vec<Option<TenantQueue>> = Vec::new();
-            let mut free_slots: Vec<(u32, u32)> = Vec::new();
             let mut next_seq = 1u64;
             for (seq, op) in &log.records {
-                replay_boxed(&mut pool, &mut queues, &mut free_slots, backend, *seq, op)?;
+                replay_boxed(&mut st, *seq, op)?;
                 next_seq = seq + 1;
             }
             flight::record_here(EventKind::Recover, log.records.len() as u64);
-            let cadence = CheckpointCadence::default();
-            (pool, queues, free_slots, next_seq, cadence)
+            (next_seq, CheckpointCadence::default())
         };
         let writer = WalWriter::append_to(&dir.join(WAL_FILE), next_seq)?;
-        Ok(Arc::new(Shard {
-            index,
-            ingress: Ingress::new(),
-            state: Mutex::new(ShardState {
-                pool,
-                queues,
-                free_slots,
-                stats: ShardStats::default(),
-                latency: LatencyHistogram::new(),
-                bulk_threshold: bulk_threshold.max(2),
-                backend,
-                wal: Some(ShardWal {
-                    writer,
-                    dir,
-                    cadence,
-                }),
-            }),
-        }))
+        st.wal = Some(ShardWal {
+            writer,
+            dir,
+            cadence,
+        });
+        Ok(Self::with_state(index, st))
     }
 
     /// This shard's index in the service's shard map.
@@ -470,10 +465,11 @@ impl Shard {
     }
 
     /// Fast path for synchronous callers: if the state lock is free, serve
-    /// any pending batch and then execute `req` inline — no completion slot,
-    /// no parking. Returns `None` when another thread holds the lock (the
-    /// caller should deposit and wait instead, which is exactly the
-    /// contended case admission batching exists for).
+    /// any pending batch and then execute `req` as a batch of one — through
+    /// the combiner's executor and panic barrier, but answered inline: no
+    /// completion slot, no parking. Returns `None` when another thread holds
+    /// the lock (the caller should deposit and wait instead, which is
+    /// exactly the contended case admission batching exists for).
     ///
     /// `begun` is the caller's [`flight::now_nanos`] reading from the op's
     /// ingress; the returned timestamp is taken after execution, so the
@@ -488,11 +484,13 @@ impl Shard {
             Err(TryLockError::WouldBlock) => return None,
         };
         self.combine_locked(&mut st);
-        let resp = execute_single(&mut st, req);
+        st.stats.count_batch(1);
+        let mut reply = Inline(Response::Err(ServiceError::Internal(req.queue())));
+        serve_group(&mut st, req.queue(), std::slice::from_ref(req), &mut reply);
         st.maybe_checkpoint();
         let end = flight::now_nanos();
         st.latency.record(end.saturating_sub(begun));
-        Some((resp, end))
+        Some((reply.0, end))
     }
 
     /// Become the combiner if the state lock is free; never blocks.
@@ -621,149 +619,123 @@ impl Shard {
 /// A drained request plus the slot its response is delivered through.
 type PendingOp = (Request, Arc<OpSlot>);
 
-/// Execute one drained batch against the shard state. See the module docs
-/// for the linearization argument.
-///
-/// Each queue group runs under a catch-unwind barrier: a panic inside one
-/// tenant's kernels (a buggy boxed engine, a violated invariant) must not
-/// poison the shard for every other tenant. The panicking group's unfilled
-/// slots get [`ServiceError::Internal`], the state is revalidated (and reset
-/// if damaged), and the remaining groups still execute.
+/// Execute one drained batch against the shard state, one queue group at a
+/// time. See the module docs for the linearization argument.
 fn execute_batch(st: &mut ShardState, batch: Vec<PendingOp>) {
-    st.stats.batches += 1;
-    st.stats.max_batch = st.stats.max_batch.max(batch.len() as u64);
-    st.stats.requests += batch.len() as u64;
-
+    st.stats.count_batch(batch.len());
     // Group per target queue, preserving arrival order within each group.
-    let mut groups: Vec<(QueueId, Vec<PendingOp>)> = Vec::new();
+    let mut groups: Vec<(QueueId, Vec<Request>, Vec<Arc<OpSlot>>)> = Vec::new();
     for (req, slot) in batch {
         let qid = req.queue();
-        match groups.iter_mut().find(|(g, _)| *g == qid) {
-            Some((_, v)) => v.push((req, slot)),
-            None => groups.push((qid, vec![(req, slot)])),
+        match groups.iter_mut().find(|(g, ..)| *g == qid) {
+            Some((_, reqs, slots)) => {
+                reqs.push(req);
+                slots.push(slot);
+            }
+            None => groups.push((qid, vec![req], vec![slot])),
         }
     }
+    for (qid, reqs, mut slots) in groups {
+        serve_group(st, qid, &reqs, &mut slots[..]);
+    }
+}
 
-    for (qid, ops) in groups {
-        let slots: Vec<Arc<OpSlot>> = ops.iter().map(|(_, s)| Arc::clone(s)).collect();
-        let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_queue_group(st, qid, ops);
-        }));
-        if contained.is_err() {
-            st.stats.combiner_panics += 1;
-            for slot in &slots {
-                slot.fill_if_empty(Response::Err(ServiceError::Internal(qid)));
-            }
-            if st.revalidate().is_err() {
-                st.reset_after_damage();
-            }
+/// Where a queue group's responses leave the executor, one per request in
+/// arrival order.
+trait Replies {
+    /// The trace a coalesced phase's flight events are charged to.
+    fn trace(&self) -> TraceId;
+    /// Deliver the response to request `i`.
+    fn reply(&mut self, i: usize, req: &Request, resp: Response, latency: &mut LatencyHistogram);
+    /// After a contained panic: answer `err` to every request not yet
+    /// answered.
+    fn fail_unanswered(&mut self, err: ServiceError);
+}
+
+/// A drained group answers through its [`OpSlot`]s, charging each op's
+/// deposit-to-publish latency and closing its trace.
+impl Replies for [Arc<OpSlot>] {
+    // The flight events of a coalesced phase are charged to the first
+    // participating op's trace: the phase exists because that op's batch
+    // did, and a timeline filtered on any participant still shows when
+    // its batch's kernels ran.
+    fn trace(&self) -> TraceId {
+        self.first().map_or(TraceId::NONE, |slot| slot.trace())
+    }
+
+    fn reply(&mut self, i: usize, req: &Request, resp: Response, latency: &mut LatencyHistogram) {
+        let slot = &self[i];
+        let now = flight::now_nanos();
+        latency.record(slot.age_nanos_at(now));
+        flight::record_at(now, slot.trace(), EventKind::OpEnd, req.op_code());
+        slot.fill(resp);
+    }
+
+    fn fail_unanswered(&mut self, err: ServiceError) {
+        for slot in self.iter() {
+            slot.fill_if_empty(Response::Err(err));
         }
     }
 }
 
-/// Execute one request as its own batch of one (the uncontended fast path),
-/// with the same kernel selection and counter semantics as a drained batch
-/// of that single request.
-fn execute_single(st: &mut ShardState, req: &Request) -> Response {
-    st.stats.batches += 1;
-    st.stats.max_batch = st.stats.max_batch.max(1);
-    st.stats.requests += 1;
-    let bulk_threshold = st.bulk_threshold;
-    let ShardState {
-        pool,
-        queues,
-        stats,
-        wal,
-        ..
-    } = st;
-    let qid = req.queue();
-    let Some(q) = queues
-        .get_mut(qid.slot() as usize)
-        .and_then(|s| s.as_mut())
-        .filter(|q| q.gen == qid.generation())
-    else {
-        stats.stale_ops += 1;
-        return Response::Err(ServiceError::UnknownQueue(qid));
-    };
-    // Admission control: refuse a pooled insert that would overflow the
-    // slab's u32 id space before logging or mutating anything.
-    if let TenantHeap::Pooled(_) = q.heap {
-        let requested = match req {
-            Request::Insert { .. } => 1,
-            Request::MultiInsert { keys, .. } => keys.len(),
-            _ => 0,
-        };
-        if requested > 0 {
-            if let Err(err) = pool.can_admit(requested) {
-                return Response::Err(ServiceError::Capacity { queue: qid, err });
-            }
-        }
+/// The fast path's group of one answers into this cell; [`Shard::execute_now`]
+/// charges the latency itself and hands the response back to its caller. It
+/// starts out holding the `Internal` error, so an op left unanswered by a
+/// contained panic already reads as failed.
+struct Inline(Response);
+
+impl Replies for Inline {
+    fn trace(&self) -> TraceId {
+        flight::current()
     }
-    if wal.is_some() {
-        let logged = match req {
-            Request::Insert { key, .. } => Some(WalOp::Insert {
-                slot: qid.slot(),
-                key: *key,
-            }),
-            Request::MultiInsert { keys, .. } => Some(WalOp::FromKeys {
-                slot: qid.slot(),
-                keys: keys.clone(),
-            }),
-            Request::ExtractMin { .. } => Some(WalOp::ExtractMin { slot: qid.slot() }),
-            Request::ExtractK { k, .. } => Some(WalOp::MultiExtractMin {
-                slot: qid.slot(),
-                k: *k as u64,
-            }),
-            Request::PeekMin { .. } | Request::Len { .. } => None,
-        };
-        if let Some(op) = logged {
-            wal_log(wal, stats, &op);
-            wal_flush(wal, stats);
-        }
+
+    fn reply(&mut self, _: usize, _: &Request, resp: Response, _: &mut LatencyHistogram) {
+        self.0 = resp;
     }
-    match req {
-        Request::Insert { key, .. } => {
-            q.heap.insert(pool, *key);
-            stats.single_inserts += 1;
-            Response::Done
+
+    fn fail_unanswered(&mut self, _: ServiceError) {}
+}
+
+/// The panic barrier around [`execute_group`]: a panic inside one tenant's
+/// kernels (a buggy boxed engine, a violated invariant) must not poison the
+/// shard for every other tenant. The group's unanswered requests get
+/// [`ServiceError::Internal`], the panic is counted, the state is
+/// revalidated (and reset if damaged), and the shard keeps serving.
+fn serve_group<R: Replies + ?Sized>(
+    st: &mut ShardState,
+    qid: QueueId,
+    reqs: &[Request],
+    replies: &mut R,
+) {
+    let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute_group(st, qid, reqs, replies);
+    }));
+    if contained.is_err() {
+        st.stats.combiner_panics += 1;
+        replies.fail_unanswered(ServiceError::Internal(qid));
+        if st.revalidate().is_err() {
+            st.reset_after_damage();
         }
-        Request::MultiInsert { keys, .. } => {
-            if keys.len() >= bulk_threshold {
-                flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
-                q.heap.bulk_insert(pool, keys);
-                stats.bulk_builds += 1;
-                stats.coalesced_inserts += keys.len() as u64;
-            } else {
-                for &k in keys {
-                    q.heap.insert(pool, k);
-                }
-                stats.single_inserts += keys.len() as u64;
-            }
-            Response::Done
-        }
-        Request::ExtractMin { .. } => Response::Key(q.heap.extract_min(pool)),
-        Request::ExtractK { k, .. } => {
-            let out = q.heap.multi_extract(pool, *k);
-            if *k >= 2 {
-                flight::record_here(EventKind::MultiExtract, out.len() as u64);
-                stats.multi_extracts += 1;
-                stats.coalesced_pops += out.len() as u64;
-            }
-            Response::Keys(out)
-        }
-        Request::PeekMin { .. } => Response::Key(q.heap.peek_min(pool)),
-        Request::Len { .. } => Response::Len(q.heap.len()),
     }
 }
 
-fn execute_queue_group(st: &mut ShardState, qid: QueueId, ops: Vec<(Request, Arc<OpSlot>)>) {
-    let bulk_threshold = st.bulk_threshold;
+/// The shard's one executor: serve one queue's requests — a drained batch's
+/// group or the fast path's batch of one — in the order the module docs
+/// give. Admission, the WAL records, the kernels and the counters are all
+/// decided here from the group's insert total and pop demand.
+fn execute_group<R: Replies + ?Sized>(
+    st: &mut ShardState,
+    qid: QueueId,
+    reqs: &[Request],
+    replies: &mut R,
+) {
     // Split borrows: the pool and the queue table are disjoint fields.
     let ShardState {
         pool,
         queues,
         stats,
         latency,
+        bulk_threshold,
         wal,
         ..
     } = st;
@@ -772,102 +744,97 @@ fn execute_queue_group(st: &mut ShardState, qid: QueueId, ops: Vec<(Request, Arc
         .and_then(|s| s.as_mut())
         .filter(|q| q.gen == qid.generation())
     else {
-        stats.stale_ops += ops.len() as u64;
-        for (req, slot) in ops {
-            let now = flight::now_nanos();
-            latency.record(slot.age_nanos_at(now));
-            flight::record_at(now, slot.trace(), EventKind::OpEnd, req.op_code());
-            slot.fill(Response::Err(ServiceError::UnknownQueue(qid)));
+        stats.stale_ops += reqs.len() as u64;
+        let stale = Response::Err(ServiceError::UnknownQueue(qid));
+        for (i, req) in reqs.iter().enumerate() {
+            replies.reply(i, req, stale.clone(), latency);
         }
         return;
     };
 
-    // Phase 1 — all inserts of the batch, coalesced into one bulk build
-    // when the batch is big enough to pay for the slab builder.
-    let mut keys: Vec<i64> = Vec::new();
+    // The group's inserted keys, borrowed from the request when there is
+    // only one (so a batch of one copies and allocates nothing for them).
+    let keys: Cow<[i64]> = match reqs {
+        [req] => Cow::Borrowed(req.inserted_keys()),
+        _ => reqs
+            .iter()
+            .flat_map(Request::inserted_keys)
+            .copied()
+            .collect(),
+    };
     let mut demand = 0usize;
-    for (req, _) in &ops {
+    for req in reqs {
         match req {
-            Request::Insert { key, .. } => keys.push(*key),
-            Request::MultiInsert { keys: ks, .. } => keys.extend_from_slice(ks),
             Request::ExtractMin { .. } => demand = demand.saturating_add(1),
             Request::ExtractK { k, .. } => demand = demand.saturating_add(*k),
-            Request::PeekMin { .. } | Request::Len { .. } => {}
+            _ => {}
         }
     }
-    // The flight events of a coalesced phase are charged to the first
-    // participating op's trace: the phase exists because that op's batch
-    // did, and a timeline filtered on any participant still shows when
-    // its batch's kernels ran.
-    let group_trace = ops
-        .first()
-        .map(|(_, slot)| slot.trace())
-        .unwrap_or(obs::TraceId::NONE);
-
     // Admission control + write-ahead logging, both strictly before any
-    // mutation: a refused batch leaves the queue untouched (pops are still
+    // mutation: a refused group leaves the queue untouched (pops are still
     // served), and every logged op is flushed before it is applied.
-    let mut refused = None;
-    if !keys.is_empty() {
-        if let TenantHeap::Pooled(_) = q.heap {
-            if let Err(err) = pool.can_admit(keys.len()) {
-                refused = Some(err);
-            }
-        }
-    }
+    let refused = match q.heap {
+        TenantHeap::Pooled(_) if !keys.is_empty() => pool.can_admit(keys.len()).err(),
+        _ => None,
+    };
     if wal.is_some() {
-        if refused.is_none() && !keys.is_empty() {
-            wal_log(
-                wal,
-                stats,
-                &WalOp::FromKeys {
-                    slot: qid.slot(),
-                    keys: keys.clone(),
-                },
-            );
-        }
-        if demand > 0 {
-            wal_log(
-                wal,
-                stats,
-                &WalOp::MultiExtractMin {
-                    slot: qid.slot(),
-                    k: demand as u64,
-                },
-            );
+        let slot = qid.slot();
+        let admitted: &[i64] = if refused.is_some() { &[] } else { &keys };
+        let inserts = match admitted {
+            [] => None,
+            [key] => Some(WalOp::Insert { slot, key: *key }),
+            keys => Some(WalOp::FromKeys {
+                slot,
+                keys: keys.to_vec(),
+            }),
+        };
+        let pops = match demand {
+            0 => None,
+            1 => Some(WalOp::ExtractMin { slot }),
+            k => Some(WalOp::MultiExtractMin { slot, k: k as u64 }),
+        };
+        for op in inserts.iter().chain(&pops) {
+            wal_log(wal, stats, op);
         }
         wal_flush(wal, stats);
     }
 
+    // Phase 1 — every insert of the group: ripples, or one bulk build once
+    // the group is big enough to pay for the slab builder.
     if refused.is_some() {
         // Nothing admitted; the pop phases below still run.
-    } else if keys.len() >= bulk_threshold {
-        flight::record(group_trace, EventKind::BulkAdmission, keys.len() as u64);
+    } else if keys.len() >= *bulk_threshold {
+        flight::record(replies.trace(), EventKind::BulkAdmission, keys.len() as u64);
         q.heap.bulk_insert(pool, &keys);
         stats.bulk_builds += 1;
         stats.coalesced_inserts += keys.len() as u64;
     } else {
-        for &k in &keys {
+        for &k in keys.iter() {
             q.heap.insert(pool, k);
         }
         stats.single_inserts += keys.len() as u64;
     }
 
     // Phase 2 — the whole pop demand as one ascending pull.
-    let pulled = if demand > 0 {
-        q.heap.multi_extract(pool, demand)
-    } else {
-        Vec::new()
+    let popped;
+    let mut pulled: Cow<[i64]> = match demand {
+        0 => Cow::Borrowed(&[]),
+        1 => {
+            popped = q.heap.extract_min(pool);
+            Cow::Borrowed(popped.as_slice())
+        }
+        _ => {
+            let out = q.heap.multi_extract(pool, demand);
+            flight::record(replies.trace(), EventKind::MultiExtract, out.len() as u64);
+            stats.multi_extracts += 1;
+            stats.coalesced_pops += out.len() as u64;
+            Cow::Owned(out)
+        }
     };
-    if demand >= 2 {
-        flight::record(group_trace, EventKind::MultiExtract, pulled.len() as u64);
-        stats.multi_extracts += 1;
-        stats.coalesced_pops += pulled.len() as u64;
-    }
 
     // Phase 3 — answer in arrival order, cursoring through the pull.
     let mut j = 0usize;
-    for (req, slot) in ops {
+    for (i, req) in reqs.iter().enumerate() {
         let resp = match req {
             Request::Insert { .. } | Request::MultiInsert { .. } => match refused {
                 Some(err) => Response::Err(ServiceError::Capacity { queue: qid, err }),
@@ -881,42 +848,42 @@ fn execute_queue_group(st: &mut ShardState, qid: QueueId, ops: Vec<(Request, Arc
                 Response::Key(got)
             }
             Request::ExtractK { k, .. } => {
-                let take = k.min(pulled.len() - j);
-                let out = pulled[j..j + take].to_vec();
-                j += take;
-                Response::Keys(out)
+                let take = (*k).min(pulled.len() - j);
+                Response::Keys(if j == 0 && take == pulled.len() {
+                    // The whole pull: hand it over instead of copying it.
+                    std::mem::take(&mut pulled).into_owned()
+                } else {
+                    j += take;
+                    pulled[j - take..j].to_vec()
+                })
             }
-            Request::PeekMin { .. } => Response::Key(if j < pulled.len() {
-                Some(pulled[j])
-            } else {
-                q.heap.peek_min(pool)
+            Request::PeekMin { .. } => Response::Key(match pulled.get(j) {
+                Some(&key) => Some(key),
+                None => q.heap.peek_min(pool),
             }),
             Request::Len { .. } => Response::Len(q.heap.len() + (pulled.len() - j)),
         };
-        let now = flight::now_nanos();
-        latency.record(slot.age_nanos_at(now));
-        flight::record_at(now, slot.trace(), EventKind::OpEnd, req.op_code());
-        slot.fill(resp);
+        replies.reply(i, req, resp, latency);
     }
 }
 
 /// Replay one WAL record into a boxed-backend shard being recovered.
 /// Mirrors `meldpq::wal`'s pooled replay, but applies ops through the
 /// [`MeldablePq`] surface (meld degrades to drain + bulk insert).
-fn replay_boxed(
-    pool: &mut HeapPool<i64>,
-    queues: &mut Vec<Option<TenantQueue>>,
-    free_slots: &mut Vec<(u32, u32)>,
-    backend: Backend,
-    seq: u64,
-    op: &WalOp,
-) -> Result<(), WalError> {
+fn replay_boxed(st: &mut ShardState, seq: u64, op: &WalOp) -> Result<(), WalError> {
     fn live(queues: &mut [Option<TenantQueue>], slot: u32) -> Result<&mut TenantQueue, WalError> {
         queues
             .get_mut(slot as usize)
             .and_then(|s| s.as_mut())
             .ok_or(WalError::UnknownSlot(slot))
     }
+    let ShardState {
+        pool,
+        queues,
+        free_slots,
+        backend,
+        ..
+    } = st;
     match op {
         WalOp::CreateHeap { slot, gen } => {
             let i = *slot as usize;
@@ -968,7 +935,7 @@ fn replay_boxed(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn drain(shard: &Arc<Shard>, q: QueueId) -> Vec<i64> {
@@ -985,7 +952,7 @@ mod tests {
 
     #[test]
     fn single_thread_batch_semantics() {
-        let shard = Shard::new(0, Engine::Sequential, 4, Backend::Pooled);
+        let shard = Shard::new(0, 4, Backend::Pooled);
         let q = shard.create_queue();
         // Deposit a mixed batch without combining in between: the shard has
         // no state-lock holder, so each submit's try_combine serves it — use
@@ -1021,7 +988,7 @@ mod tests {
 
     #[test]
     fn stale_handle_is_rejected() {
-        let shard = Shard::new(0, Engine::Sequential, 8, Backend::Pooled);
+        let shard = Shard::new(0, 8, Backend::Pooled);
         let q = shard.create_queue();
         {
             let mut st = shard.lock_state();
@@ -1042,7 +1009,7 @@ mod tests {
 
     /// A deliberately broken engine: any insert panics. Stands in for a
     /// buggy backend to prove the combiner's panic barrier.
-    struct PanickingPq;
+    pub(crate) struct PanickingPq;
 
     impl MeldablePq<i64> for PanickingPq {
         fn len(&self) -> usize {
@@ -1065,7 +1032,7 @@ mod tests {
 
     #[test]
     fn combiner_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0, Engine::Sequential, 8, Backend::Pooled);
+        let shard = Shard::new(0, 8, Backend::Pooled);
         let good = shard.create_queue();
         let bad = shard.create_queue();
         // Swap the second queue's engine for the panicking one.
@@ -1097,8 +1064,39 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_panic_is_contained_and_shard_keeps_serving() {
+        let shard = Shard::new(0, 8, Backend::Pooled);
+        let good = shard.create_queue();
+        let bad = shard.create_queue();
+        shard.lock_state().queue_mut(bad).unwrap().heap = TenantHeap::Boxed(Box::new(PanickingPq));
+        // The uncontended synchronous path runs under the same barrier as a
+        // drained batch: the panic becomes this call's `Internal` answer.
+        let now = flight::now_nanos();
+        let (resp, _) = shard
+            .execute_now(&Request::Insert { queue: bad, key: 9 }, now)
+            .expect("the state lock is free");
+        assert_eq!(resp, Response::Err(ServiceError::Internal(bad)));
+        for req in [
+            Request::Insert {
+                queue: good,
+                key: 4,
+            },
+            Request::ExtractMin { queue: good },
+        ] {
+            assert!(shard.execute_now(&req, now).is_some());
+        }
+        let (resp, _) = shard
+            .execute_now(&Request::Len { queue: good }, now)
+            .unwrap();
+        assert_eq!(resp, Response::Len(0), "the good queue served both ops");
+        let st = shard.peek_state();
+        assert_eq!(st.stats.combiner_panics, 1);
+        assert_eq!(st.stats.poison_recoveries, 0, "lock never poisoned");
+    }
+
+    #[test]
     fn poisoned_lock_is_healed_not_cascaded() {
-        let shard = Shard::new(0, Engine::Sequential, 8, Backend::Pooled);
+        let shard = Shard::new(0, 8, Backend::Pooled);
         let q = shard.create_queue();
         {
             let slot = shard.submit(Request::Insert { queue: q, key: 1 });
@@ -1127,7 +1125,7 @@ mod tests {
         // after exactly 2^32 destroy/create cycles an ancient handle would
         // validate again. Simulate the wrap by pinning the free slot's next
         // generation to u32::MAX and cycling it twice.
-        let shard = Shard::new(0, Engine::Sequential, 8, Backend::Pooled);
+        let shard = Shard::new(0, 8, Backend::Pooled);
         let q0 = shard.create_queue(); // slot 0, gen 0
         {
             let mut st = shard.lock_state();
@@ -1157,7 +1155,7 @@ mod tests {
 
     #[test]
     fn over_demand_pops_return_empty() {
-        let shard = Shard::new(3, Engine::Sequential, 8, Backend::Pooled);
+        let shard = Shard::new(3, 8, Backend::Pooled);
         let q = shard.create_queue();
         let s1 = shard.ingress.push(Request::Insert { queue: q, key: 7 });
         let s2 = shard.ingress.push(Request::ExtractMin { queue: q });
@@ -1175,8 +1173,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-reset-cadence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard =
-            Shard::new_durable(0, Engine::Sequential, 4, Backend::Pooled, dir.clone()).unwrap();
+        let shard = Shard::new_durable(0, 4, Backend::Pooled, dir.clone()).unwrap();
         let insert = |q: QueueId, key: i64| {
             let slot = shard.submit(Request::Insert { queue: q, key });
             assert_eq!(slot.try_take(), Some(Response::Done));
