@@ -1,9 +1,9 @@
-//! T1 wall-clock companion: the three Union engines on worst-case melds.
+//! T1 wall-clock companion: the two Union planners on worst-case melds.
 //!
 //! The PRAM engine is a *simulator* — its wall clock measures simulation
 //! overhead, not the algorithm (the algorithm's cost is the simulator's step
-//! meter, see `report_theorem1`). The interesting wall-clock comparison is
-//! sequential vs rayon plan construction, plus the full meld including arena
+//! meter, see `report_theorem1`). The interesting wall-clock numbers are
+//! the sequential plan construction and the full meld including arena
 //! surgery.
 
 use std::time::Duration;
@@ -11,9 +11,7 @@ use std::time::Duration;
 use bench::workloads::{self, theorem_p};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meldpq::engine_pram::build_plan_pram;
-use meldpq::engine_rayon::build_plan_rayon;
 use meldpq::plan::build_plan_seq;
-use meldpq::Engine;
 
 fn bench_plan_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("union_plan");
@@ -25,9 +23,6 @@ fn bench_plan_engines(c: &mut Criterion) {
         let r2 = workloads::root_refs_for_meld(&h2, n);
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| build_plan_seq(&r1, &r2))
-        });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| build_plan_rayon(&r1, &r2))
         });
         let p = theorem_p(n);
         group.bench_with_input(BenchmarkId::new("pram_simulated", n), &n, |b, _| {
@@ -42,18 +37,16 @@ fn bench_full_meld(c: &mut Criterion) {
     for bits in [12usize, 16] {
         let mut rng = workloads::rng(100 + bits as u64);
         let n = (1usize << bits) - 1;
-        for (label, engine) in [("seq", Engine::Sequential), ("rayon", Engine::Rayon)] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter_batched(
-                    || workloads::all_ones_pair(&mut rng, bits),
-                    |(mut a, bh)| {
-                        a.meld(bh, engine);
-                        a
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
+            b.iter_batched(
+                || workloads::all_ones_pair(&mut rng, bits),
+                |(mut a, bh)| {
+                    a.meld(bh);
+                    a
+                },
+                criterion::BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! The deterministic PRAM meters (`BENCH_baseline.json`) prove the *theorem*
 //! bounds; this suite measures *seconds*. It covers the operations the
-//! zero-copy representation (`meldpq::pool`) and the fused rayon kernels are
+//! zero-copy representation (`meldpq::pool`) and the bulk kernels are
 //! about:
 //!
 //! * `meld` — same-pool zero-copy plan application vs melding two
@@ -17,26 +17,25 @@
 //!   the concatenated key streams, the chunk-order fast path merges two
 //!   already-sorted streams with the merge-path kernel (`dmpq::soa`).
 //!   Gate: the merge must win by ≥2× at N = 2^18.
-//! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, run
-//!   under both planning engines. Gate: with the calibrated cutoffs the
-//!   rayon engine must degenerate to the sequential plan for the O(log n)
-//!   unions this workload issues, so `mixed/rayon/16384` must stay within
-//!   1.2× of `mixed/seq/16384` — the regression this suite previously let
-//!   rot (5.8× slower) can no longer land silently.
+//! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, with
+//!   every op planned.
 //! * `multi_extract_min`, plus the prefix-scan and build primitives.
+//! * `flight`, `durable` and `peek` — the overhead of the flight recorder
+//!   and the WAL, and the cached min root against a rescan, each gated.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
 //! plumbing as telemetry) so every PR extends a perf trajectory; the process
 //! exits non-zero if **any** gate fails. Quick mode for CI: `cargo bench
 //! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
-//! `--full` (nightly) to add the 2^20/2^22 sizes. Pin `MELDPQ_PLAN_CUTOFF`
-//! etc. to bypass the envelope calibration when determinism matters.
+//! `--full` (nightly) to add the 2^20/2^22 sizes. Pin `MELDPQ_BULK_CUTOFF`
+//! and `MELDPQ_BATCH_CUTOFF` to bypass the calibration when determinism
+//! matters.
 
 use std::time::Duration;
 
 use bench::workloads;
 use criterion::{BatchSize, BenchResult, BenchmarkId, Criterion};
-use meldpq::{Engine, HeapPool, ParBinomialHeap};
+use meldpq::{HeapPool, ParBinomialHeap};
 use obs::json::J;
 use service::ServiceBuilder;
 
@@ -57,20 +56,13 @@ fn bulk_sizes(full: bool) -> Vec<usize> {
     v
 }
 
-fn engine_name(e: Engine) -> &'static str {
-    match e {
-        Engine::Sequential => "seq",
-        Engine::Rayon => "rayon",
-    }
-}
-
 /// Two heaps of n/2 keys each in one pool (zero-copy operand pair).
 fn pooled_pair(n: usize, seed: u64) -> (HeapPool<i64>, meldpq::PooledHeap, meldpq::PooledHeap) {
     let mut rng = workloads::rng(seed ^ n as u64);
     let keys = workloads::random_keys(&mut rng, n);
     let mut pool = HeapPool::with_capacity(n);
-    let a = pool.from_keys_parallel_with(&keys[..n / 2], Engine::Sequential);
-    let b = pool.from_keys_parallel_with(&keys[n / 2..], Engine::Sequential);
+    let a = pool.from_keys_parallel(&keys[..n / 2]);
+    let b = pool.from_keys_parallel(&keys[n / 2..]);
     (pool, a, b)
 }
 
@@ -92,7 +84,7 @@ fn bench_meld(c: &mut Criterion, full: bool) {
             b.iter_batched(
                 || pooled_pair(n, 11),
                 |(mut pool, mut a, b)| {
-                    pool.meld_with(&mut a, b, Engine::Sequential);
+                    pool.meld(&mut a, b);
                     (pool, a)
                 },
                 BatchSize::LargeInput,
@@ -102,7 +94,7 @@ fn bench_meld(c: &mut Criterion, full: bool) {
             b.iter_batched(
                 || heap_pair(n, 11),
                 |(mut a, b)| {
-                    a.meld(b, Engine::Sequential);
+                    a.meld(b);
                     a
                 },
                 BatchSize::LargeInput,
@@ -116,7 +108,7 @@ fn bench_meld(c: &mut Criterion, full: bool) {
 /// more keys.
 fn pooled_base(keys: &[i64], extra: usize) -> (HeapPool<i64>, meldpq::PooledHeap) {
     let mut pool = HeapPool::with_capacity(keys.len() + extra);
-    let h = pool.from_keys_parallel_with(keys, Engine::Sequential);
+    let h = pool.from_keys_parallel(keys);
     (pool, h)
 }
 
@@ -124,14 +116,13 @@ fn pooled_base(keys: &[i64], extra: usize) -> (HeapPool<i64>, meldpq::PooledHeap
 /// one-key heap of the same pool.
 fn planned_insert(pool: &mut HeapPool<i64>, h: &mut meldpq::PooledHeap, key: i64) {
     let single = pool.from_keys([key]);
-    pool.meld_with(h, single, Engine::Sequential);
+    pool.meld(h, single);
 }
 
 /// `Multi-Insert` of a batch of n keys into a resident heap. The `seq` arm
 /// is the paper's sequential reference — a batch is semantically n repeated
-/// `Insert`s, each a planned singleton `Union` — and the `rayon` arm is the
-/// bulk kernel: pooled slab build of the batch (fused planner up the build
-/// tree) plus one planned meld.
+/// `Insert`s, each a planned singleton `Union` — and the `bulk` arm is the
+/// bulk kernel: pooled slab build of the batch plus one planned meld.
 fn bench_multi_insert(c: &mut Criterion, full: bool) {
     let mut group = c.benchmark_group("multi_insert");
     const BASE: usize = 1 << 12;
@@ -152,11 +143,11 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
                 BatchSize::LargeInput,
             )
         });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("bulk", n), &n, |b, _| {
             b.iter_batched(
                 || base.clone(),
                 |mut h| {
-                    h.multi_insert_with(&batch, Engine::Rayon);
+                    h.multi_insert(&batch);
                     h
                 },
                 BatchSize::LargeInput,
@@ -168,8 +159,8 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
 
 /// The b-Union preprocessing sort over N total keys. The `seq` arm is what
 /// the general path must do — sort the concatenation from scratch (the
-/// wall-clock stand-in for the metered bitonic network). The `rayon` arm is
-/// the chunk-order fast path: both sides' SoA streams are already sorted, so
+/// wall-clock stand-in for the metered bitonic network). The `merge_path`
+/// arm is the chunk-order fast path: both sides' SoA streams are already sorted, so
 /// the union collapses to the merge-path kernel at the calibrated chunk
 /// granularity.
 fn bench_b_union(c: &mut Criterion, full: bool) {
@@ -189,7 +180,7 @@ fn bench_b_union(c: &mut Criterion, full: bool) {
                 all
             })
         });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("merge_path", n), &n, |b, _| {
             b.iter(|| dmpq::soa::par_merge(&s1, &s2, meldpq::cutoff::bulk_join_cutoff()))
         });
     }
@@ -203,19 +194,16 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
         let mut rng = workloads::rng(31 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n);
         let base = ParBinomialHeap::from_keys_parallel(&keys);
-        for engine in [Engine::Sequential, Engine::Rayon] {
-            let id = BenchmarkId::new(format!("frontier_{}", engine_name(engine)), n);
-            group.bench_with_input(id, &n, |b, _| {
-                b.iter_batched(
-                    || base.clone(),
-                    |mut h| {
-                        let out = h.multi_extract_min(k, engine);
-                        (h, out)
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("frontier_seq", n), &n, |b, _| {
+            b.iter_batched(
+                || base.clone(),
+                |mut h| {
+                    let out = h.multi_extract_min(k);
+                    (h, out)
+                },
+                BatchSize::LargeInput,
+            )
+        });
         // The baseline: k sequential Extract-Min rounds.
         group.bench_with_input(BenchmarkId::new("extract_loop", n), &n, |b, _| {
             b.iter_batched(
@@ -236,7 +224,7 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
 
 /// W1's insert/extract mix with every op planned: inserts are planned
 /// singleton `Union`s, and each extract re-melds the orphaned children with
-/// one union planned by the arm's engine.
+/// one planned union.
 fn bench_mixed(c: &mut Criterion, _full: bool) {
     let mut group = c.benchmark_group("mixed");
     const OPS: usize = 1024;
@@ -244,26 +232,23 @@ fn bench_mixed(c: &mut Criterion, _full: bool) {
         let mut rng = workloads::rng(47 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n + OPS);
         let fresh: Vec<i64> = keys[n..].to_vec();
-        for engine in [Engine::Sequential, Engine::Rayon] {
-            let id = BenchmarkId::new(engine_name(engine), n);
-            group.bench_with_input(id, &n, |b, _| {
-                b.iter_batched(
-                    || pooled_base(&keys[..n], OPS),
-                    |(mut pool, mut h)| {
-                        // 2:1 insert/extract mix, W1's ratio.
-                        for (i, &k) in fresh.iter().enumerate() {
-                            if i % 3 < 2 {
-                                planned_insert(&mut pool, &mut h, k);
-                            } else {
-                                pool.multi_extract_min_with(&mut h, 1, engine);
-                            }
+        group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
+            b.iter_batched(
+                || pooled_base(&keys[..n], OPS),
+                |(mut pool, mut h)| {
+                    // 2:1 insert/extract mix, W1's ratio.
+                    for (i, &k) in fresh.iter().enumerate() {
+                        if i % 3 < 2 {
+                            planned_insert(&mut pool, &mut h, k);
+                        } else {
+                            pool.multi_extract_min(&mut h, 1);
                         }
-                        (pool, h)
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-        }
+                    }
+                    (pool, h)
+                },
+                BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -410,9 +395,6 @@ fn bench_scans(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
             b.iter(|| parscan::seq::scan_inclusive(&xs, |a, b| a.min(b)))
         });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| parscan::par::scan_inclusive(&xs, i64::MAX, |a, b| a.min(b)))
-        });
     }
     group.finish();
 }
@@ -433,8 +415,8 @@ fn bench_bulk_build(c: &mut Criterion, full: bool) {
 }
 
 /// A speedup gate between two recorded means: `slow / fast >= threshold`.
-/// A regression bound is the same check with `threshold < 1` — e.g. "rayon
-/// within 1.2× of seq" is `seq / rayon >= 1/1.2`.
+/// An overhead bound is the same check with `threshold < 1` — e.g. "on
+/// within 1.1× of off" is `off / on >= 1/1.1`.
 struct Gate {
     name: &'static str,
     /// The arm that must be fast.
@@ -492,13 +474,9 @@ impl Gate {
 }
 
 /// The bound sizes: meld at 2^20 (the representation's whole point), the
-/// kernel speedups at 2^18, the mixed-regression assertion at the 16384 size
-/// where the pre-cutoff rayon engine used to lose by 5.8×.
+/// kernel speedups at 2^18.
 const MELD_GATE_N: usize = 1 << 20;
 const KERNEL_GATE_N: usize = 1 << 18;
-const MIXED_GATE_N: usize = 1 << 14;
-/// `mixed/rayon` may cost at most 1.2× `mixed/seq`.
-const MIXED_BOUND: f64 = 1.2;
 /// Ops in the flight-recorder overhead workload.
 const FLIGHT_GATE_N: usize = 4096;
 /// Heap size for the peek-cache regression arm (2^18 keys ⇒ a root list
@@ -526,21 +504,15 @@ fn gates() -> Vec<Gate> {
         },
         Gate {
             name: "multi_insert_bulk_speedup",
-            fast: format!("multi_insert/rayon/{KERNEL_GATE_N}"),
+            fast: format!("multi_insert/bulk/{KERNEL_GATE_N}"),
             slow: format!("multi_insert/seq/{KERNEL_GATE_N}"),
             threshold: 2.0,
         },
         Gate {
             name: "b_union_merge_path_speedup",
-            fast: format!("b_union/rayon/{KERNEL_GATE_N}"),
+            fast: format!("b_union/merge_path/{KERNEL_GATE_N}"),
             slow: format!("b_union/seq/{KERNEL_GATE_N}"),
             threshold: 2.0,
-        },
-        Gate {
-            name: "mixed_rayon_regression",
-            fast: format!("mixed/rayon/{MIXED_GATE_N}"),
-            slow: format!("mixed/seq/{MIXED_GATE_N}"),
-            threshold: 1.0 / MIXED_BOUND,
         },
         Gate {
             name: "peek_min_cache_speedup",

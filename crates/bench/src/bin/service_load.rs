@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use bench::json::J;
 use bench::workloads;
-use meldpq::{Engine, MeldablePq, ParBinomialHeap};
+use meldpq::{MeldablePq, ParBinomialHeap};
 use obs::{LatencyHistogram, Registry};
 use rand::Rng;
 use service::{QueueId, QueueService, ServiceBuilder};
@@ -169,9 +169,7 @@ fn run_service(
 
 /// Run `streams` against one global-lock heap. Returns (seconds, latency).
 fn run_mutex(streams: &[Vec<(usize, LoadOp)>]) -> (f64, LatencyHistogram) {
-    let heap = Arc::new(Mutex::new(
-        ParBinomialHeap::new().with_engine(Engine::Sequential),
-    ));
+    let heap = Arc::new(Mutex::new(ParBinomialHeap::new()));
     let barrier = Arc::new(Barrier::new(streams.len() + 1));
     let mut workers = Vec::new();
     for stream in streams {

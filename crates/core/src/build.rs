@@ -15,6 +15,8 @@
 //! writes are disjoint across pairs, so the program is EREW-legal —
 //! machine-checked on every run.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use pram::{Cost, Model, Pram, PramError, Word};
 
 use crate::arena::NodeId;

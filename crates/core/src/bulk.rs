@@ -10,9 +10,9 @@
 //! `Multi-Extract-Min` is a real kernel too: instead of `k` sequential
 //! `Extract-Min` rounds, a root-frontier heap-of-heaps peels the `k`
 //! smallest in one pass (`peel_k_smallest`), and the orphaned subtrees
-//! re-meld with a single engine-planned union. `HeapPool` and
+//! re-meld with a single planned union. `HeapPool` and
 //! [`ParBinomialHeap`](crate::ParBinomialHeap) both run it through
-//! `HeapPool::multi_extract_min_with`.
+//! `HeapPool::multi_extract_min`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,7 +90,7 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Engine, ParBinomialHeap};
+    use crate::ParBinomialHeap;
 
     #[test]
     fn tuple_keys_carry_payloads() {
@@ -100,7 +100,7 @@ mod tests {
         h.insert((5, 100));
         h.insert((1, 200));
         h.insert((5, 50));
-        h.meld(ParBinomialHeap::from_keys([(0, 9), (3, 7)]), Engine::Rayon);
+        h.meld(ParBinomialHeap::from_keys([(0, 9), (3, 7)]));
         h.validate().unwrap();
         assert_eq!(h.extract_min(), Some((0, 9)));
         assert_eq!(h.extract_min(), Some((1, 200)));
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn parallel_build_is_zero_copy() {
         let keys: Vec<i64> = (0..40_000).map(|i| (i * 7919) % 6007).collect();
-        let par = ParBinomialHeap::from_keys_parallel_with(&keys, Engine::Rayon);
+        let par = ParBinomialHeap::from_keys_parallel(&keys);
         par.validate().unwrap();
         assert_eq!(par.arena().stats().allocs, keys.len() as u64);
         assert_eq!(par.arena().stats().copies, 0, "pooled build must not copy");
@@ -157,13 +157,10 @@ mod tests {
         h.multi_insert(&[10, 20, 30, 40]);
         h.validate().unwrap();
         assert_eq!(h.len(), 7);
-        assert_eq!(
-            h.multi_extract_min(4, Engine::Sequential),
-            vec![10, 20, 30, 40]
-        );
+        assert_eq!(h.multi_extract_min(4), vec![10, 20, 30, 40]);
         assert_eq!(h.len(), 3);
         // Asking for more than available drains and stops.
-        assert_eq!(h.multi_extract_min(10, Engine::Rayon), vec![50, 60, 70]);
+        assert_eq!(h.multi_extract_min(10), vec![50, 60, 70]);
         assert!(h.is_empty());
     }
 
@@ -175,7 +172,7 @@ mod tests {
         for k in [0usize, 1, 2, 7, 64, 255, 300, 400] {
             let mut fast = ParBinomialHeap::from_keys(keys.iter().copied());
             let mut slow = ParBinomialHeap::from_keys(keys.iter().copied());
-            let got = fast.multi_extract_min(k, Engine::Rayon);
+            let got = fast.multi_extract_min(k);
             fast.validate().unwrap();
             let mut expected = Vec::new();
             for _ in 0..k {
@@ -196,7 +193,7 @@ mod tests {
             .map(|i| (i * 2654435761u64 as i64) % 9973)
             .collect();
         let mut h = ParBinomialHeap::from_keys_parallel(&keys);
-        let got = h.multi_extract_min(5_000, Engine::Rayon);
+        let got = h.multi_extract_min(5_000);
         h.validate().unwrap();
         let mut expected = keys.clone();
         expected.sort_unstable();

@@ -21,6 +21,8 @@
 //! The checks return `Err(String)` with a human-readable reason rather than
 //! panicking, so property tests can assert on the message.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashSet;
 
 use crate::heap::ParBinomialHeap;

@@ -1,11 +1,10 @@
 //! Machine-calibrated sequential↔parallel cutoffs, measured at first use.
 //!
-//! Every hybrid kernel in the crate needs a granularity constant: the width
-//! below which the rayon planner falls through to the sequential oracle, the
+//! Every hybrid kernel in the crate needs a granularity constant: the
 //! sub-range size below which the slab builder stops splitting
-//! `rayon::join`, the batch size above which the bulk build kernel beats a
-//! ripple-insert loop. PR 4 hardcoded one of these (`SEQ_THRESHOLD = 8 *
-//! 1024`) — right for one machine, wrong for the next. This module replaces
+//! `rayon::join`, and the batch size above which the bulk build kernel beats
+//! a ripple-insert loop. A hardcoded constant (`SEQ_THRESHOLD = 8 * 1024`)
+//! is right for one machine and wrong for the next. This module replaces
 //! the guesses with [`obs::calib::CostModel`] fits over micro-probes run
 //! **once per process at first use** (`OnceLock`), on the machine the kernel
 //! is about to run on:
@@ -25,25 +24,24 @@
 //! sequential paths, which is the wall-clock-optimal schedule there.
 //!
 //! **CI determinism:** each cutoff honors an environment variable override
-//! (`MELDPQ_PLAN_CUTOFF`, `MELDPQ_BULK_CUTOFF`, `MELDPQ_BATCH_CUTOFF`) read
-//! before any probe runs, so pinned CI runs and the differential fuzzer can
-//! force both sides of every threshold regardless of host speed.
+//! (`MELDPQ_BULK_CUTOFF`, `MELDPQ_BATCH_CUTOFF`) read before any probe runs,
+//! so pinned CI runs and the differential fuzzer can force both sides of
+//! every threshold regardless of host speed.
+//!
+//! A single `Union` has no cutoff: it plans at most 64 positions, far below
+//! thread-dispatch granularity, so it always runs the sequential
+//! [`crate::plan::build_plan_into`].
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use obs::calib::{clamp_cutoff, CostModel};
 
-use crate::arena::{Node, NodeId};
-use crate::engine_rayon::{build_plan_fused_into, FUSED_CHUNK};
-use crate::heap::Engine;
-use crate::plan::{build_plan_into, RootRef, UnionPlan};
+use crate::arena::Node;
 use crate::pool::HeapPool;
 
-/// Clamp range for [`plan_par_cutoff`]: at least one fused chunk of width,
-/// and a ceiling one past the maximum possible plan width (≤ 64 positions on
-/// a 64-bit length), so `Never` calibrations disable the fused path outright.
-const PLAN_RANGE: (usize, usize) = (FUSED_CHUNK, 65);
 /// Clamp range for [`bulk_join_cutoff`]: splitting below a few cache lines
 /// of keys is absurd, serializing multi-megabyte builds is equally so.
 const BULK_RANGE: (usize, usize) = (1 << 10, 1 << 22);
@@ -54,22 +52,11 @@ const BATCH_RANGE: (usize, usize) = (2, 1 << 16);
 /// Fallbacks when a probe cannot produce a usable fit (e.g. a timer of too
 /// little resolution): the old hardcoded constants, now demoted to last
 /// resort.
-const PLAN_FALLBACK: usize = 65;
 const BULK_FALLBACK: usize = 8 * 1024;
 const BATCH_FALLBACK: usize = 64;
 
 /// The margin the parallel path must win by before it is chosen.
 const MARGIN: f64 = 1.25;
-
-/// Minimum union width the fused chunk-parallel planner is dispatched at;
-/// below it `build_plan_rayon_into` falls through to the sequential oracle.
-/// Override: `MELDPQ_PLAN_CUTOFF`.
-pub fn plan_par_cutoff() -> usize {
-    static CUTOFF: OnceLock<usize> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        env_override("MELDPQ_PLAN_CUTOFF", PLAN_RANGE).unwrap_or_else(calibrate_plan)
-    })
-}
 
 /// Minimum sub-range size the parallel slab builder keeps splitting with
 /// `rayon::join`; ranges below it build with the sequential leaf kernel.
@@ -92,12 +79,11 @@ pub fn batch_bulk_cutoff() -> usize {
     })
 }
 
-/// One-line rendering of the three calibrated cutoffs (for bench logs and
+/// One-line rendering of the two calibrated cutoffs (for bench logs and
 /// `EXPERIMENTS.md` provenance).
 pub fn describe() -> String {
     format!(
-        "cutoffs: plan_par={} bulk_join={} batch_bulk={}",
-        plan_par_cutoff(),
+        "cutoffs: bulk_join={} batch_bulk={}",
         bulk_join_cutoff(),
         batch_bulk_cutoff()
     )
@@ -130,55 +116,6 @@ fn probe_keys(n: usize) -> Vec<i64> {
     (0..n as i64)
         .map(|i| i.wrapping_mul(2654435761) % 65537)
         .collect()
-}
-
-/// Probe the planner: sequential oracle vs fused chunked sweeps at the
-/// maximum width (64 fully-occupied positions), overhead = the fused path at
-/// trivial width (its fixed chunk-staging and stitch cost).
-fn calibrate_plan() -> usize {
-    const W: usize = 64;
-    const INNER: usize = 64;
-    // Occupy every position except the top one (the carry out of position
-    // w-2 needs the headroom slot a real `plan_width` always provides).
-    let side = |w: usize, base: u32, salt: i64| -> Vec<Option<RootRef<i64>>> {
-        (0..w)
-            .map(|i| {
-                (i + 1 < w).then(|| RootRef {
-                    key: (i as i64).wrapping_mul(salt) % 61,
-                    id: NodeId(base + i as u32),
-                })
-            })
-            .collect()
-    };
-    let h1 = side(W, 0, 7);
-    let h2 = side(W, W as u32, 13);
-    let mut plan = UnionPlan::default();
-    build_plan_into(&mut plan, &h1, &h2); // warm buffers
-    let per = |total: f64| total / INNER as f64;
-    let seq_ns = per(time_ns(5, || {
-        for _ in 0..INNER {
-            build_plan_into(&mut plan, &h1, &h2);
-            std::hint::black_box(&plan);
-        }
-    }));
-    let par_ns = per(time_ns(5, || {
-        for _ in 0..INNER {
-            build_plan_fused_into(&mut plan, &h1, &h2, FUSED_CHUNK);
-            std::hint::black_box(&plan);
-        }
-    }));
-    let t1 = side(4, 200, 7);
-    let t2 = side(4, 300, 13);
-    let overhead_ns = per(time_ns(5, || {
-        for _ in 0..INNER {
-            build_plan_fused_into(&mut plan, &t1, &t2, FUSED_CHUNK);
-            std::hint::black_box(&plan);
-        }
-    }));
-    match CostModel::fit("plan_par", &[(W, seq_ns)], &[(W, par_ns)], overhead_ns) {
-        Some(m) => clamp_cutoff(m.crossover(MARGIN), PLAN_RANGE.0, PLAN_RANGE.1),
-        None => PLAN_FALLBACK,
-    }
 }
 
 /// Probe the slab builder: one sequential leaf build of `n` keys vs a
@@ -222,18 +159,18 @@ fn calibrate_batch() -> usize {
     // Warm both paths once so neither arm pays first-touch growth.
     let h = pool.from_keys(keys.iter().copied());
     pool.free_heap(h);
-    let h = pool.from_keys_parallel_with(&keys, Engine::Sequential);
+    let h = pool.from_keys_parallel(&keys);
     pool.free_heap(h);
     let seq_ns = time_ns(3, || {
         let h = pool.from_keys(keys.iter().copied());
         pool.free_heap(std::hint::black_box(h));
     });
     let par_ns = time_ns(3, || {
-        let h = pool.from_keys_parallel_with(&keys, Engine::Sequential);
+        let h = pool.from_keys_parallel(&keys);
         pool.free_heap(std::hint::black_box(h));
     });
     let overhead_ns = time_ns(8, || {
-        let h = pool.from_keys_parallel_with(&keys[..TINY], Engine::Sequential);
+        let h = pool.from_keys_parallel(&keys[..TINY]);
         pool.free_heap(std::hint::black_box(h));
     });
     match CostModel::fit("batch_bulk", &[(M, seq_ns)], &[(M, par_ns)], overhead_ns) {
@@ -260,13 +197,10 @@ mod tests {
     fn cutoffs_are_cached_and_in_range() {
         // First call calibrates (or reads the env override), later calls
         // return the identical cached value.
-        let p1 = plan_par_cutoff();
         let b1 = bulk_join_cutoff();
         let m1 = batch_bulk_cutoff();
-        assert_eq!(p1, plan_par_cutoff());
         assert_eq!(b1, bulk_join_cutoff());
         assert_eq!(m1, batch_bulk_cutoff());
-        assert!((PLAN_RANGE.0..=PLAN_RANGE.1).contains(&p1), "plan {p1}");
         assert!((BULK_RANGE.0..=BULK_RANGE.1).contains(&b1), "bulk {b1}");
         assert!((BATCH_RANGE.0..=BATCH_RANGE.1).contains(&m1), "batch {m1}");
     }
@@ -274,7 +208,6 @@ mod tests {
     #[test]
     fn describe_mentions_every_cutoff() {
         let d = describe();
-        assert!(d.contains("plan_par="));
         assert!(d.contains("bulk_join="));
         assert!(d.contains("batch_bulk="));
     }
@@ -284,8 +217,6 @@ mod tests {
         // Run the probes directly (bypassing env overrides) — whatever the
         // host, the probe must come back with an in-range answer rather
         // than panicking or falling outside the clamps.
-        let p = calibrate_plan();
-        assert!((PLAN_RANGE.0..=PLAN_RANGE.1).contains(&p), "plan {p}");
         let b = calibrate_bulk();
         assert!((BULK_RANGE.0..=BULK_RANGE.1).contains(&b), "bulk {b}");
         let m = calibrate_batch();

@@ -5,27 +5,17 @@
 //! delegates to the pool, so the free-standing heap and the service's
 //! pooled heaps share one representation, one `Union` path and one
 //! validator. `Insert` and `Extract-Min` link directly; `Union`,
-//! `Multi-Extract-Min` and the bulk builders plan with one of the
-//! [`Engine`]s, or on the PRAM simulator in the `*_pram` methods. Melding
-//! two free-standing heaps moves the second one's nodes into the first
-//! one's slab (counted as copies); heaps that must meld without copies live
-//! in one shared [`HeapPool`].
+//! `Multi-Extract-Min` and the bulk builders plan with the sequential
+//! planner ([`crate::plan::build_plan_into`]), or on the PRAM simulator in
+//! the `*_pram` methods. Melding two free-standing heaps moves the second
+//! one's nodes into the first one's slab (counted as copies); heaps that
+//! must meld without copies live in one shared [`HeapPool`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::arena::{Arena, NodeId};
 use crate::plan::RootRef;
 use crate::pool::{root_refs_into, scan_min, HeapPool, PooledHeap};
-
-/// Which execution strategy carries out the parallel phases of `Union`,
-/// `Extract-Min` and `Min`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Plain loops — the oracle.
-    Sequential,
-    /// Real threads via rayon (wall-clock experiments).
-    Rayon,
-}
 
 /// A meldable priority queue backed by a binomial heap.
 ///
@@ -35,8 +25,7 @@ pub enum Engine {
 /// word keys, because the simulator stores keys in memory cells.
 #[derive(Debug)]
 pub struct ParBinomialHeap<K = i64> {
-    /// The heap's own pool; its default engine plans the engine-less
-    /// [`MeldablePq`](crate::MeldablePq) surface.
+    /// The heap's own pool.
     pool: HeapPool<K>,
     /// The pool's one heap.
     heap: PooledHeap,
@@ -79,24 +68,6 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
     /// `Make-Queue`: an empty heap.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builder: set the default planning engine used by the engine-less
-    /// [`crate::MeldablePq`] surface. The explicit-engine methods
-    /// (`meld(.., engine)`, …) are unaffected.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.pool.set_engine(engine);
-        self
-    }
-
-    /// The default planning engine (see [`Self::with_engine`]).
-    pub fn engine(&self) -> Engine {
-        self.pool.engine()
-    }
-
-    /// Change the default planning engine in place.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.pool.set_engine(engine);
     }
 
     /// Build from keys by repeated insertion.
@@ -173,77 +144,62 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
     }
 
     /// `Union(Q1, Q2)`: move `other`'s nodes into this heap's slab, then
-    /// meld the two root arrays with the chosen engine.
-    pub fn meld(&mut self, mut other: ParBinomialHeap<K>, engine: Engine) {
+    /// meld the two root arrays.
+    pub fn meld(&mut self, mut other: ParBinomialHeap<K>) {
         self.pool
-            .meld_cross_pool_with(&mut self.heap, &mut other.pool, other.heap, engine);
+            .meld_cross_pool(&mut self.heap, &mut other.pool, other.heap);
     }
 
-    /// Build a heap from keys using all rayon workers. Defaults to the
-    /// sequential planner for the per-level unions — a single union touches
-    /// `O(log n)` positions, below thread-dispatch granularity; the
-    /// parallelism comes from building the slab halves concurrently. Use
-    /// [`Self::from_keys_parallel_with`] to exercise the rayon planner.
+    /// Build a heap from keys using all rayon workers: the slab halves build
+    /// concurrently, and the per-level unions plan sequentially, since a
+    /// single union touches only `O(log n)` positions. Batches below the
+    /// calibrated admission cutoff ([`crate::cutoff::batch_bulk_cutoff`])
+    /// ripple-insert instead, because the slab staging cost dominates at
+    /// tiny sizes. Either path makes exactly `keys.len()` allocations and
+    /// no copies.
     pub fn from_keys_parallel(keys: &[K]) -> Self {
-        Self::from_keys_parallel_with(keys, Engine::Sequential)
+        Self::from_keys_parallel_at(keys, crate::cutoff::batch_bulk_cutoff())
     }
 
-    /// [`Self::from_keys_parallel`] with an explicit planning engine for the
-    /// unions up the build tree. Batches below the calibrated admission
-    /// cutoff ([`crate::cutoff::batch_bulk_cutoff`]) ripple-insert instead —
-    /// the slab staging cost dominates at tiny sizes. Either path makes
-    /// exactly `keys.len()` allocations and no copies.
-    pub fn from_keys_parallel_with(keys: &[K], engine: Engine) -> Self {
-        Self::from_keys_parallel_at(keys, engine, crate::cutoff::batch_bulk_cutoff())
-    }
-
-    /// [`Self::from_keys_parallel_with`] with an explicit admission cutoff
+    /// [`Self::from_keys_parallel`] with an explicit admission cutoff
     /// instead of the calibrated one. Differential tests pin the cutoff to
     /// exercise both sides of the threshold in one deterministic program
     /// (the calibrated value is host-dependent and `OnceLock`-cached, so it
     /// cannot be varied within a process).
     #[doc(hidden)]
-    pub fn from_keys_parallel_at(keys: &[K], engine: Engine, admission: usize) -> Self {
+    pub fn from_keys_parallel_at(keys: &[K], admission: usize) -> Self {
         let mut h = Self::in_pool(HeapPool::with_capacity(keys.len()));
-        h.multi_insert_at(keys, engine, admission);
+        h.multi_insert_at(keys, admission);
         h
     }
 
     /// Insert a batch of keys at once (parallel build + one meld) — the
-    /// shared-memory analogue of the hypercube queue's `Multi-Insert`.
-    /// Plans sequentially; see [`Self::multi_insert_with`].
+    /// shared-memory analogue of the hypercube queue's `Multi-Insert`. The
+    /// batch builds in this heap's own slab, so the meld moves no node.
     pub fn multi_insert(&mut self, keys: &[K]) {
-        self.multi_insert_with(keys, Engine::Sequential);
+        self.multi_insert_at(keys, crate::cutoff::batch_bulk_cutoff());
     }
 
-    /// [`Self::multi_insert`] with an explicit planning engine for both the
-    /// build-tree unions and the final meld. The batch builds in this heap's
-    /// own slab, so the meld moves no node.
-    pub fn multi_insert_with(&mut self, keys: &[K], engine: Engine) {
-        self.multi_insert_at(keys, engine, crate::cutoff::batch_bulk_cutoff());
-    }
-
-    /// [`Self::multi_insert_with`] with an explicit admission cutoff; see
+    /// [`Self::multi_insert`] with an explicit admission cutoff; see
     /// [`Self::from_keys_parallel_at`]. Below the cutoff the keys
     /// ripple-insert one at a time.
     #[doc(hidden)]
-    pub fn multi_insert_at(&mut self, keys: &[K], engine: Engine, admission: usize) {
+    pub fn multi_insert_at(&mut self, keys: &[K], admission: usize) {
         if keys.len() < admission {
             for &k in keys {
                 self.insert(k);
             }
         } else {
-            let batch = self.pool.from_keys_parallel_with(keys, engine);
-            self.pool.meld_with(&mut self.heap, batch, engine);
+            let batch = self.pool.from_keys_parallel(keys);
+            self.pool.meld(&mut self.heap, batch);
         }
     }
 
     /// Extract the `k` smallest keys — the shared-memory analogue of
-    /// `Multi-Extract-Min`: one root-frontier peel, then **one**
-    /// engine-planned union re-melds the orphaned subtrees (see
-    /// [`crate::bulk`]).
-    pub fn multi_extract_min(&mut self, k: usize, engine: Engine) -> Vec<K> {
-        self.pool.multi_extract_min_with(&mut self.heap, k, engine)
+    /// `Multi-Extract-Min`: one root-frontier peel, then **one** planned
+    /// union re-melds the orphaned subtrees (see [`crate::bulk`]).
+    pub fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
+        self.pool.multi_extract_min(&mut self.heap, k)
     }
 
     /// Iterate over all stored keys in arbitrary (arena) order.
@@ -421,7 +377,7 @@ mod tests {
     fn meld_sequential_matches_binary_addition() {
         let mut a = ParBinomialHeap::from_keys(0..11);
         let b = ParBinomialHeap::from_keys(100..105);
-        a.meld(b, Engine::Sequential);
+        a.meld(b);
         assert_eq!(a.len(), 16);
         assert_eq!(a.root_orders(), vec![4]);
         a.validate().unwrap();
@@ -432,7 +388,7 @@ mod tests {
     fn extract_min_across_melds() {
         let mut a = ParBinomialHeap::from_keys([9, 7, 5]);
         let b = ParBinomialHeap::from_keys([8, 6, 4]);
-        a.meld(b, Engine::Sequential);
+        a.meld(b);
         a.validate().unwrap();
         let mut out = Vec::new();
         while let Some(k) = a.extract_min() {
@@ -445,13 +401,13 @@ mod tests {
     #[test]
     fn empty_meld_cases() {
         let mut e: ParBinomialHeap = ParBinomialHeap::new();
-        e.meld(ParBinomialHeap::new(), Engine::Sequential);
+        e.meld(ParBinomialHeap::new());
         assert!(e.is_empty());
         let mut a = ParBinomialHeap::from_keys([1]);
-        a.meld(ParBinomialHeap::new(), Engine::Sequential);
+        a.meld(ParBinomialHeap::new());
         assert_eq!(a.len(), 1);
         let mut e2 = ParBinomialHeap::new();
-        e2.meld(a, Engine::Sequential);
+        e2.meld(a);
         assert_eq!(e2.len(), 1);
         assert_eq!(e2.min(), Some(1));
     }
@@ -469,9 +425,9 @@ mod tests {
         assert_eq!(h.min_root(), h.min_root_scan(), "cache after extract");
         // Melds (both directions, including meld-into-empty) refresh it.
         let mut e = ParBinomialHeap::new();
-        e.meld(ParBinomialHeap::from_keys([-7, 5]), Engine::Sequential);
+        e.meld(ParBinomialHeap::from_keys([-7, 5]));
         assert_eq!(e.min_root(), e.min_root_scan(), "cache after empty-meld");
-        h.meld(e, Engine::Rayon);
+        h.meld(e);
         assert_eq!(h.min_root(), h.min_root_scan(), "cache after meld");
         assert_eq!(h.min(), Some(-7));
         // PRAM ops refresh it too.

@@ -6,9 +6,12 @@
 //! Crupi, Das & Pinotti (ICPP 1996):
 //!
 //! * [`heap::ParBinomialHeap`] — the §3 structure with `Union` by carry
-//!   chains + segmented prefix minima + one parallel link round, runnable on
-//!   the sequential oracle, rayon threads ([`heap::Engine`]) or the PRAM
+//!   chains + segmented prefix minima + one parallel link round, planned on
+//!   the host by the sequential [`plan::build_plan_into`] or on the PRAM
 //!   simulator ([`engine_pram`], which returns measured [`pram::Cost`]).
+//!   Real threads are tried only in the slab builder
+//!   ([`pool::HeapPool::from_keys_parallel`]), behind a calibrated cutoff
+//!   ([`cutoff`]); one `O(log n)`-wide union never runs on threads.
 //!   It is a [`pool::HeapPool`] holding one heap: the service's shards keep
 //!   many heaps in one pool so that their melds copy no node.
 //! * [`lazy::LazyBinomialHeap`] — the §4 structure with `Delete` /
@@ -24,11 +27,11 @@
 //! See DESIGN.md at the workspace root for the experiment map.
 //!
 //! ```
-//! use meldpq::{Engine, ParBinomialHeap};
+//! use meldpq::ParBinomialHeap;
 //!
 //! let mut a = ParBinomialHeap::from_keys([5, 1, 9]);
 //! let b = ParBinomialHeap::from_keys([2, 8]);
-//! a.meld(b, Engine::Rayon);
+//! a.meld(b);
 //! assert_eq!(a.extract_min(), Some(1));
 //!
 //! // The same Union measured on the EREW PRAM simulator (Theorem 1):
@@ -48,7 +51,6 @@ pub mod check;
 pub mod cutoff;
 pub mod decrease;
 pub mod engine_pram;
-pub mod engine_rayon;
 pub mod heap;
 pub mod lazy;
 pub mod meldable;
@@ -60,8 +62,8 @@ pub mod wal;
 pub use arena::{Arena, ArenaStats, Node, NodeId};
 pub use backend::{Backend, WorkloadClass};
 pub use decrease::{DecreaseKeyPq, IndexedBinomialPq, LazyDecreasePq, PqHandle};
-pub use heap::{Engine, ParBinomialHeap};
+pub use heap::ParBinomialHeap;
 pub use meldable::{MeldablePq, PramMeasured};
 pub use plan::{LinkOp, PointType, RootRef, UnionPlan};
 pub use pool::{CapacityError, HeapPool, PooledHeap};
-pub use wal::{DurablePool, WalError, WalOp, WalWriter};
+pub use wal::{DurablePool, Engine, WalError, WalOp, WalWriter};

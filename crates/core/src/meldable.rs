@@ -4,20 +4,16 @@
 //! crate, whose baselines implement it directly) and is re-exported here.
 //! This module implements it for the engines of this crate, each of which
 //! exposes Definition 1 with a different accent — `ParBinomialHeap` plans
-//! its unions with an [`Engine`](crate::Engine), `LazyBinomialHeap`
-//! returns `NodeId`s, [`PramMeasured`] meters every op on the PRAM
-//! simulator — so generic harnesses (the differential fuzzer, the service
-//! layer's boxed tenants) dispatch over *any* backend with zero per-engine
-//! duplication.
+//! its unions on the host, `LazyBinomialHeap` returns `NodeId`s,
+//! [`PramMeasured`] meters every op on the PRAM simulator — so generic
+//! harnesses (the differential fuzzer, the service layer's boxed tenants)
+//! dispatch over *any* backend with zero per-engine duplication.
 //!
-//! Engine selection moves into the value: `ParBinomialHeap::with_engine`
-//! picks the planner once at construction, and the trait methods use it.
-//! The explicit-engine inherent methods remain for call sites that mix
-//! planners. Heaps that share one slab (`HeapPool` handles) are not queues
-//! on their own; a one-heap pool is `ParBinomialHeap`.
+//! Heaps that share one slab (`HeapPool` handles) are not queues on their
+//! own; a one-heap pool is `ParBinomialHeap`.
 //!
 //! ```
-//! use meldpq::{Engine, MeldablePq, ParBinomialHeap};
+//! use meldpq::{MeldablePq, ParBinomialHeap};
 //!
 //! fn drain_two<Q: MeldablePq<i64>>(mut a: Q, b: Q) -> Vec<i64> {
 //!     a.meld(b);
@@ -28,7 +24,7 @@
 //! let b = ParBinomialHeap::from_keys([2]);
 //! assert_eq!(drain_two(a, b), vec![1, 2, 3]);
 //!
-//! let mut pa = ParBinomialHeap::new().with_engine(Engine::Rayon);
+//! let mut pa = ParBinomialHeap::new();
 //! pa.multi_insert(&[3, 1]);
 //! let mut pb = ParBinomialHeap::new();
 //! pb.insert(2);
@@ -63,18 +59,15 @@ impl<K: Ord + Copy + Send + Sync> MeldablePq<K> for ParBinomialHeap<K> {
     }
 
     fn meld(&mut self, other: Self) {
-        let engine = self.engine();
-        ParBinomialHeap::meld(self, other, engine);
+        ParBinomialHeap::meld(self, other);
     }
 
     fn multi_insert(&mut self, keys: &[K]) {
-        let engine = self.engine();
-        ParBinomialHeap::multi_insert_with(self, keys, engine);
+        ParBinomialHeap::multi_insert(self, keys);
     }
 
     fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
-        let engine = self.engine();
-        ParBinomialHeap::multi_extract_min(self, k, engine)
+        ParBinomialHeap::multi_extract_min(self, k)
     }
 
     fn check_invariants(&self) -> Result<(), String> {
@@ -188,7 +181,6 @@ impl MeldablePq<i64> for PramMeasured {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
 
     /// One generic driver exercising every trait method; each engine must
     /// produce the identical transcript.
@@ -216,12 +208,12 @@ mod tests {
 
     #[test]
     fn par_heap_both_engines() {
-        for e in [Engine::Sequential, Engine::Rayon] {
-            let got = transcript(ParBinomialHeap::new().with_engine(e), |ks| {
-                ParBinomialHeap::from_keys(ks.iter().copied()).with_engine(e)
-            });
-            assert_eq!(got, expected(), "{e:?}");
-        }
+        // The melded operands come from both host builders: the ripple
+        // insert and the bulk slab builder (admission pinned to 0).
+        let ripple = |ks: &[i64]| ParBinomialHeap::from_keys(ks.iter().copied());
+        let slab = |ks: &[i64]| ParBinomialHeap::from_keys_parallel_at(ks, 0);
+        assert_eq!(transcript(ParBinomialHeap::new(), ripple), expected());
+        assert_eq!(transcript(ParBinomialHeap::new(), slab), expected());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * **Phase III** (§3.3): the link operations (child, parent, slot) and the
 //!   new root array `H` (rules 1–3).
 //!
-//! Every engine (sequential, rayon, PRAM) produces this same structure, and
-//! the differential tests require bit-identical plans. This module holds the
-//! *sequential oracle* implementation plus the shared per-position logic the
-//! parallel engines reuse.
+//! Both planners — this module's sequential [`build_plan_into`] on the host
+//! and `engine_pram` on the PRAM simulator — produce this same structure,
+//! and the differential tests require bit-identical plans. This module
+//! holds the sequential planner plus the shared per-position logic the PRAM
+//! program mirrors.
 //!
 //! # Tie-breaking contract (equal keys)
 //!
@@ -32,7 +33,7 @@
 //!
 //! Consequences: with all-equal keys the dominant root of every fragment is
 //! the *lowest-position* candidate, preferring **h1** at its seed position,
-//! and the three engines emit bit-identical plans — enforced by the
+//! and both planners emit bit-identical plans — enforced by the
 //! duplicate-key regression tests in `tests/engine_differential.rs` and
 //! continuously by the differential fuzzer.
 
@@ -57,8 +58,8 @@ pub enum PointType {
 /// identical tie-breaking for plans to be comparable.
 ///
 /// Generic over the key type (default `i64`, the PRAM machine word); the
-/// sequential and rayon engines plan over any `K: Ord + Copy`, while the
-/// PRAM engine requires word keys.
+/// sequential planner plans over any `K: Ord + Copy`, while the PRAM
+/// engine requires word keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RootRef<K = i64> {
     /// Root key.
@@ -172,7 +173,7 @@ pub fn seg_combine<K: Ord + Copy>(
     }
 }
 
-/// Classify position `i` given its flags (shared by all engines).
+/// Classify position `i` given its flags (shared with the PRAM program).
 /// `p_next` is `p_{i+1}` (false past the top), `c_prev` is `c_{i-1}`.
 pub fn classify_point(g: bool, p: bool, c_prev: bool, p_next: bool) -> PointType {
     if g && p_next {
@@ -186,7 +187,7 @@ pub fn classify_point(g: bool, p: bool, c_prev: bool, p_next: bool) -> PointType
     }
 }
 
-/// Phase III per-position link decision (shared by all engines).
+/// Phase III per-position link decision (shared with the PRAM program).
 ///
 /// * internal/ending points emit Case 1 or Case 2;
 /// * starting points and independent points with `g_i = 1` emit Case 3
@@ -243,8 +244,8 @@ pub fn link_decision<K: Ord + Copy>(
     }
 }
 
-/// New-root-array decision for position `i` (paper §3.3 rules 1–3), shared by
-/// all engines. Returns `(target_slot, root)` pairs to store into `H`.
+/// New-root-array decision for position `i` (paper §3.3 rules 1–3), shared
+/// with the PRAM program. Returns `(target_slot, root)` pairs to store into `H`.
 pub fn new_root_decision<K: Ord + Copy>(
     i: usize,
     class: PointType,

@@ -13,9 +13,9 @@
 //!
 //! Every `Union` in the crate goes through one function, `union_into`: it
 //! pads both root arrays to the plan width, asks a planner (the sequential
-//! oracle, the rayon planner or the PRAM simulator) for the plan, and
-//! applies the links. The planning scratch lives in the pool and is reused
-//! across melds, so the hot loop performs no per-meld allocation.
+//! [`build_plan_into`] or the PRAM simulator) for the plan, and applies the
+//! links. The planning scratch lives in the pool and is reused across
+//! melds, so the hot loop performs no per-meld allocation.
 //!
 //! Single-key ops do not plan. `Insert` is a binary-counter increment: the
 //! new node ripples up `H`, one `link` per carry (amortised `O(1)`).
@@ -45,7 +45,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arena::{Arena, ArenaStats, Node, NodeId};
-use crate::heap::Engine;
 use crate::plan::{build_plan_into, plan_width, RootRef, UnionPlan};
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -134,17 +133,13 @@ impl<K> Default for UnionScratch<K> {
 
 /// A pool of binomial heaps sharing one node slab. See the module docs.
 ///
-/// Every planning op (`meld`, `multi_extract_min`, `from_keys_parallel`,
-/// `meld_cross_pool`) uses the pool-level default [`Engine`] (set with
-/// [`HeapPool::with_engine`]); the `*_with` variants take an explicit
-/// engine for call sites that mix planners. `insert` and `extract_min`
-/// link directly and plan nothing.
+/// Every multi-key op (`meld`, `multi_extract_min`, `from_keys_parallel`,
+/// `meld_cross_pool`) plans with [`build_plan_into`]; `insert` and
+/// `extract_min` link directly and plan nothing.
 #[derive(Debug)]
 pub struct HeapPool<K = i64> {
     id: PoolId,
     arena: Arena<K>,
-    /// Default planning engine for every op without an explicit `*_with`.
-    engine: Engine,
     scratch: UnionScratch<K>,
 }
 
@@ -162,23 +157,7 @@ impl<K> HeapPool<K> {
 
     /// A fresh pool with slab room for `cap` nodes.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::from_arena(Arena::with_capacity(cap), Engine::Sequential)
-    }
-
-    /// Builder: set the default planning engine for this pool's ops.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The pool's default planning engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Change the default planning engine in place.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
+        Self::from_arena(Arena::with_capacity(cap))
     }
 
     /// This pool's identity stamp.
@@ -242,11 +221,10 @@ impl<K> HeapPool<K> {
 
     /// A pool with a fresh identity around `arena` (also checkpoint
     /// recovery's entry point).
-    pub(crate) fn from_arena(arena: Arena<K>, engine: Engine) -> Self {
+    pub(crate) fn from_arena(arena: Arena<K>) -> Self {
         HeapPool {
             id: PoolId(NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed)),
             arena,
-            engine,
             scratch: UnionScratch::default(),
         }
     }
@@ -268,7 +246,7 @@ impl<K: Clone> HeapPool<K> {
     /// for the copy (node ids are unchanged, so the roots carry over).
     pub(crate) fn fork(&self, h: &PooledHeap) -> (Self, PooledHeap) {
         self.assert_owner(h);
-        let pool = Self::from_arena(self.arena.clone(), self.engine);
+        let pool = Self::from_arena(self.arena.clone());
         let heap = PooledHeap {
             pool: pool.id,
             roots: h.roots.clone(),
@@ -420,19 +398,9 @@ pub(crate) fn root_refs_into<K: Copy>(
 }
 
 /// One operand of a planner: a root array padded to the plan width. A
-/// planner — an [`Engine`]'s, or the PRAM simulator — refills a
+/// planner — [`build_plan_into`], or the PRAM simulator — refills a
 /// [`UnionPlan`] from two of these.
 type RootRefs<K> = [Option<RootRef<K>>];
-
-/// The planner of `engine`.
-fn engine_planner<K: Ord + Copy + Send + Sync>(
-    engine: Engine,
-) -> impl FnOnce(&mut UnionPlan<K>, &RootRefs<K>, &RootRefs<K>) {
-    move |plan: &mut UnionPlan<K>, h1: &RootRefs<K>, h2: &RootRefs<K>| match engine {
-        Engine::Sequential => build_plan_into(plan, h1, h2),
-        Engine::Rayon => crate::engine_rayon::build_plan_rayon_into(plan, h1, h2),
-    }
-}
 
 /// `Union(dst, other)` of two root arrays whose nodes live in `nodes`,
 /// holding `dst_len` and `other_len` keys: the crate's one Phase I–III
@@ -590,34 +558,19 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         Some(key)
     }
 
-    /// `Union(Q1, Q2)` with the pool's default engine.
-    pub fn meld(&mut self, a: &mut PooledHeap, b: PooledHeap) {
-        self.meld_with(a, b, self.engine)
-    }
-
     /// `Union(Q1, Q2)` for two heaps of this pool: pure plan application —
     /// `O(log n)` pointer writes, zero node copies, zero allocations of node
     /// storage. `b` is consumed.
-    pub fn meld_with(&mut self, a: &mut PooledHeap, b: PooledHeap, engine: Engine) {
+    pub fn meld(&mut self, a: &mut PooledHeap, b: PooledHeap) {
         self.assert_owner(a);
         self.assert_owner(&b);
-        self.meld_roots(a, &b.roots, b.len, engine_planner(engine));
+        self.meld_roots(a, &b.roots, b.len, build_plan_into);
         self.debug_validate(a);
-    }
-
-    /// `Multi-Extract-Min` with the pool's default engine.
-    pub fn multi_extract_min(&mut self, h: &mut PooledHeap, k: usize) -> Vec<K> {
-        self.multi_extract_min_with(h, k, self.engine)
     }
 
     /// Extract the `k` smallest keys with the root-frontier kernel: one
     /// peel + one re-meld instead of `k` sequential `Extract-Min` plans.
-    pub fn multi_extract_min_with(
-        &mut self,
-        h: &mut PooledHeap,
-        k: usize,
-        engine: Engine,
-    ) -> Vec<K> {
+    pub fn multi_extract_min(&mut self, h: &mut PooledHeap, k: usize) -> Vec<K> {
         self.assert_owner(h);
         let take = k.min(h.len);
         if take == 0 {
@@ -626,7 +579,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let (out, orphan_roots, orphan_len) =
             crate::bulk::peel_k_smallest(&mut self.arena, &mut h.roots, take);
         h.len -= take + orphan_len;
-        self.meld_roots(h, &orphan_roots, orphan_len, engine_planner(engine));
+        self.meld_roots(h, &orphan_roots, orphan_len, build_plan_into);
         self.debug_validate(h);
         out
     }
@@ -634,7 +587,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     /// Drain a heap into ascending order (consumes the handle).
     pub fn into_sorted_vec(&mut self, mut h: PooledHeap) -> Vec<K> {
         let n = h.len;
-        self.multi_extract_min_with(&mut h, n, Engine::Sequential)
+        self.multi_extract_min(&mut h, n)
     }
 
     /// Destroy a heap, deallocating every node it owns back to the slab.
@@ -669,29 +622,18 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         out
     }
 
-    /// [`Self::meld_cross_pool_with`] with the pool's default engine.
+    /// `Union` across pools: move `src`'s trees node by node out of
+    /// `src_pool` into this pool (counted copies), then meld zero-copy.
+    /// The explicit fallback for when two heaps do *not* share a slab.
     pub fn meld_cross_pool(
         &mut self,
         dst: &mut PooledHeap,
         src_pool: &mut HeapPool<K>,
         src: PooledHeap,
     ) {
-        self.meld_cross_pool_with(dst, src_pool, src, self.engine)
-    }
-
-    /// `Union` across pools: move `src`'s trees node by node out of
-    /// `src_pool` into this pool (counted copies), then meld zero-copy.
-    /// The explicit fallback for when two heaps do *not* share a slab.
-    pub fn meld_cross_pool_with(
-        &mut self,
-        dst: &mut PooledHeap,
-        src_pool: &mut HeapPool<K>,
-        src: PooledHeap,
-        engine: Engine,
-    ) {
         self.assert_owner(dst);
         let moved = self.move_in(src_pool, src);
-        self.meld_roots(dst, &moved.roots, moved.len, engine_planner(engine));
+        self.meld_roots(dst, &moved.roots, moved.len, build_plan_into);
         self.debug_validate(dst);
     }
 
@@ -777,41 +719,27 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         }
     }
 
-    /// [`Self::from_keys_parallel_with`] with the pool's default engine.
-    pub fn from_keys_parallel(&mut self, keys: &[K]) -> PooledHeap {
-        self.from_keys_parallel_with(keys, self.engine)
-    }
-
     /// Build a heap from keys using all rayon workers, entirely inside the
     /// pool's slab: the key range splits recursively, each half builds into
     /// a disjoint slice of one pre-sized slab with ids baked against the
-    /// final base offset, and the halves meld zero-copy on the way up using
-    /// the chosen planning engine. No absorb, no remap — ever.
+    /// final base offset, and the halves meld zero-copy on the way up. No
+    /// absorb, no remap — ever.
     ///
     /// Panics if the build would overflow the `u32` id space; callers that
-    /// want a typed error use [`Self::try_from_keys_parallel_with`].
-    pub fn from_keys_parallel_with(&mut self, keys: &[K], engine: Engine) -> PooledHeap {
-        self.try_from_keys_parallel_with(keys, engine)
+    /// want a typed error use [`Self::try_from_keys_parallel`].
+    pub fn from_keys_parallel(&mut self, keys: &[K]) -> PooledHeap {
+        self.try_from_keys_parallel(keys)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::from_keys_parallel_with`] with capacity checked at admission:
-    /// an oversized build returns [`CapacityError`] before any id is baked.
-    pub fn try_from_keys_parallel_with(
-        &mut self,
-        keys: &[K],
-        engine: Engine,
-    ) -> Result<PooledHeap, CapacityError> {
-        self.build_slab(keys, engine, crate::cutoff::bulk_join_cutoff())
+    /// [`Self::from_keys_parallel`] with capacity checked at admission: an
+    /// oversized build returns [`CapacityError`] before any id is baked.
+    pub fn try_from_keys_parallel(&mut self, keys: &[K]) -> Result<PooledHeap, CapacityError> {
+        self.build_slab(keys, crate::cutoff::bulk_join_cutoff())
     }
 
     /// The parallel slab build, splitting sub-ranges longer than `cutoff`.
-    fn build_slab(
-        &mut self,
-        keys: &[K],
-        engine: Engine,
-        cutoff: usize,
-    ) -> Result<PooledHeap, CapacityError> {
+    fn build_slab(&mut self, keys: &[K], cutoff: usize) -> Result<PooledHeap, CapacityError> {
         self.can_admit(keys.len())?;
         let slab_len = self.arena.slab_len();
         // `can_admit` proved base + keys.len() < u32::MAX, so every id the
@@ -822,7 +750,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         })?;
         let mut slab: Vec<Option<Node<K>>> = Vec::new();
         slab.resize_with(keys.len(), || None);
-        let mut roots = build_slab_rec(keys, &mut slab, base, engine, cutoff);
+        let mut roots = build_slab_rec(keys, &mut slab, base, cutoff);
         self.arena.extend_slab(slab);
         trim(&mut roots);
         let h = PooledHeap {
@@ -1003,7 +931,6 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
     keys: &[K],
     slab: &mut [Option<Node<K>>],
     base: u32,
-    engine: Engine,
     cutoff: usize,
 ) -> Vec<Option<NodeId>> {
     debug_assert_eq!(keys.len(), slab.len());
@@ -1016,8 +943,8 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
     let mid = keys.len() / 2;
     let (left_slab, right_slab) = slab.split_at_mut(mid);
     let (mut roots, right_roots) = rayon::join(
-        || build_slab_rec(&keys[..mid], left_slab, base, engine, cutoff),
-        || build_slab_rec(&keys[mid..], right_slab, base + mid as u32, engine, cutoff),
+        || build_slab_rec(&keys[..mid], left_slab, base, cutoff),
+        || build_slab_rec(&keys[mid..], right_slab, base + mid as u32, cutoff),
     );
     union_into(
         &mut Segment { slab, base },
@@ -1026,7 +953,7 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
         mid,
         &right_roots,
         keys.len() - mid,
-        engine_planner(engine),
+        build_plan_into,
     );
     roots
 }
@@ -1103,7 +1030,7 @@ mod tests {
         let (key, children) = pool.detach_root(h, min);
         let orphans: Vec<Option<NodeId>> = children.iter().copied().map(Some).collect();
         let orphan_len = (1 << children.len()) - 1;
-        pool.meld_roots(h, &orphans, orphan_len, engine_planner(Engine::Sequential));
+        pool.meld_roots(h, &orphans, orphan_len, build_plan_into);
         Some(key)
     }
 
@@ -1120,7 +1047,7 @@ mod tests {
             let mut planned = planned_pool.new_heap();
             let planned_insert = |pool: &mut HeapPool<i64>, h: &mut PooledHeap, k: i64| {
                 let single = pool.from_keys([k]);
-                pool.meld_with(h, single, Engine::Sequential);
+                pool.meld(h, single);
             };
             for i in 0..3000i64 {
                 let k = (i * 7919) % m;
@@ -1184,7 +1111,7 @@ mod tests {
                     let part = pram.from_keys(keys);
                     total += pram.meld_pram(&mut a, part, 4);
                     let part = plain.from_keys(keys);
-                    plain.meld_with(&mut b, part, Engine::Sequential);
+                    plain.meld(&mut b, part);
                 }
             }
             assert_eq!(a.roots(), b.roots(), "op {i}");
@@ -1260,7 +1187,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut dp = crate::wal::DurablePool::open(&dir, Engine::Sequential).unwrap();
+            let mut dp = crate::wal::DurablePool::open(&dir).unwrap();
             let (a, _) = dp.create_heap().unwrap();
             dp.from_keys(a, &[9, 3, 3, 7, 1, 12, 1]).unwrap();
             dp.extract_min(a).unwrap();
@@ -1268,7 +1195,7 @@ mod tests {
             dp.insert(b, 4).unwrap();
             dp.checkpoint().unwrap();
         }
-        let rec = crate::wal::recover_dir(&dir, Engine::Sequential).unwrap();
+        let rec = crate::wal::recover_dir(&dir, crate::wal::Engine::Sequential).unwrap();
         assert_eq!(
             rec.replayed, 0,
             "every heap comes from the checkpoint image"
@@ -1329,7 +1256,7 @@ mod tests {
             .map(|i| (i * 2654435761u64 as i64) % 9973)
             .collect();
         let mut pool: HeapPool<i64> = HeapPool::with_capacity(keys.len());
-        let h = pool.from_keys_parallel_with(&keys, Engine::Rayon);
+        let h = pool.from_keys_parallel(&keys);
         assert_eq!(pool.stats().allocs, keys.len() as u64);
         assert_eq!(pool.stats().copies, 0, "parallel build must never copy");
         pool.validate_heap(&h).unwrap();
@@ -1345,17 +1272,15 @@ mod tests {
         // force the unions inside the slab, at a nonzero base offset.
         for n in [0usize, 1, 2, 3, 7, 64, 1000] {
             let keys: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 13).collect();
-            for engine in [Engine::Sequential, Engine::Rayon] {
-                for cutoff in [1, 5] {
-                    let mut pool: HeapPool<i64> = HeapPool::new();
-                    let pad = pool.from_keys([5, 6, 7]);
-                    let h = pool.build_slab(&keys, engine, cutoff).unwrap();
-                    crate::check::check_pool(&pool, &[&pad, &h]).unwrap();
-                    assert_eq!(pool.stats().copies, 0);
-                    let mut expected = keys.clone();
-                    expected.sort_unstable();
-                    assert_eq!(pool.into_sorted_vec(h), expected, "n {n}, {engine:?}");
-                }
+            for cutoff in [1, 5] {
+                let mut pool: HeapPool<i64> = HeapPool::new();
+                let pad = pool.from_keys([5, 6, 7]);
+                let h = pool.build_slab(&keys, cutoff).unwrap();
+                crate::check::check_pool(&pool, &[&pad, &h]).unwrap();
+                assert_eq!(pool.stats().copies, 0);
+                let mut expected = keys.clone();
+                expected.sort_unstable();
+                assert_eq!(pool.into_sorted_vec(h), expected, "n {n}, cutoff {cutoff}");
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Graphviz rendering of heap structures — the inspection tool behind the
 //! `union_anatomy --dot` example and handy in test failure triage.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::heap::ParBinomialHeap;
 use crate::lazy::LazyBinomialHeap;
 

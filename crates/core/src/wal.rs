@@ -42,7 +42,7 @@
 //!   valid checkpoint (if any), replay every WAL record with a later
 //!   sequence number, and truncate the log at the first torn or
 //!   CRC-failing record. The recovered pool must pass
-//!   [`check_pool`](crate::check::check_pool) before it is served.
+//!   [`check_pool`] before it is served.
 //!
 //! Torn-write rules: a record is accepted iff it is completely present and
 //! its trailer CRC matches; the first rejected record ends the log — all
@@ -62,8 +62,18 @@ use obs::flight::{self, EventKind};
 
 use crate::arena::{Arena, Node, NodeId};
 use crate::check::check_pool;
-use crate::heap::Engine;
 use crate::pool::{CapacityError, HeapPool, PooledHeap};
+
+/// The second parameter of [`recover_dir`], which recovery ignores. The
+/// crate plans every host `Union` with one planner
+/// ([`crate::plan::build_plan_into`]), so there is nothing to choose; the
+/// type stays, with its one variant, only because the `perfbench/` harness
+/// compiles against `recover_dir`'s two-parameter signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The sequential planner, the only one.
+    Sequential,
+}
 
 /// The log file inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -610,7 +620,7 @@ struct RecoveredCheckpoint {
 /// or parent id naming no live slot, a duplicate heap slot, leftover
 /// words, an inconsistent free list — yields `None`: the checkpoint is
 /// advisory, recovery then replays the WAL from genesis.
-fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
+fn read_checkpoint(dir: &Path) -> Option<RecoveredCheckpoint> {
     let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).ok()?;
     if bytes.len() % 8 != 0 {
         return None;
@@ -657,7 +667,7 @@ fn read_checkpoint(dir: &Path, engine: Engine) -> Option<RecoveredCheckpoint> {
         }
     }
     let free = (0..n_free).map(|_| r.u32()).collect::<Option<Vec<u32>>>()?;
-    let pool = HeapPool::from_arena(Arena::from_raw_parts(nodes, free)?, engine);
+    let pool = HeapPool::from_arena(Arena::from_raw_parts(nodes, free)?);
     let mut heaps: Vec<Option<(u32, PooledHeap)>> = Vec::new();
     for _ in 0..n_heaps {
         let slot = r.u32()? as usize;
@@ -745,8 +755,7 @@ fn apply_op(
         }
         WalOp::FromKeys { slot, keys } => {
             let (_, heap) = live(slots, *slot)?;
-            let engine = pool.engine();
-            let built = pool.try_from_keys_parallel_with(keys, engine)?;
+            let built = pool.try_from_keys_parallel(keys)?;
             pool.meld(heap, built);
             Ok(Vec::new())
         }
@@ -803,18 +812,12 @@ pub struct RecoveredState {
 /// Recover a durability directory: last valid checkpoint + WAL suffix
 /// replay + physical truncation of any torn tail. The result has passed
 /// `check_pool`; a missing directory recovers to the empty state.
-pub fn recover_dir(dir: &Path, engine: Engine) -> Result<RecoveredState, WalError> {
+/// `_engine` is ignored (see [`Engine`]).
+pub fn recover_dir(dir: &Path, _engine: Engine) -> Result<RecoveredState, WalError> {
     std::fs::create_dir_all(dir)?;
-    let (ckpt_seq, image, mut pool, mut heaps, mut free_slots) = match read_checkpoint(dir, engine)
-    {
+    let (ckpt_seq, image, mut pool, mut heaps, mut free_slots) = match read_checkpoint(dir) {
         Some(c) => (c.seq, c.image, c.pool, c.heaps, c.free_slots),
-        None => (
-            0,
-            0,
-            HeapPool::new().with_engine(engine),
-            Vec::new(),
-            Vec::new(),
-        ),
+        None => (0, 0, HeapPool::new(), Vec::new(), Vec::new()),
     };
     let wal_path = dir.join(WAL_FILE);
     let log = read_wal(&wal_path)?;
@@ -923,7 +926,7 @@ impl HeapPool<i64> {
     /// valid checkpoint, replay the WAL suffix, truncate any torn tail,
     /// and return the pool wrapped in its logging front-end.
     pub fn recover(path: &Path) -> Result<DurablePool, WalError> {
-        DurablePool::open(path, Engine::Sequential)
+        DurablePool::open(path)
     }
 }
 
@@ -945,8 +948,8 @@ pub struct DurablePool {
 impl DurablePool {
     /// Open `dir`, recovering whatever state it holds (an empty or missing
     /// directory opens as an empty pool).
-    pub fn open(dir: &Path, engine: Engine) -> Result<DurablePool, WalError> {
-        let state = recover_dir(dir, engine)?;
+    pub fn open(dir: &Path) -> Result<DurablePool, WalError> {
+        let state = recover_dir(dir, Engine::Sequential)?;
         let writer = WalWriter::append_to(&dir.join(WAL_FILE), state.next_seq)?;
         Ok(DurablePool {
             dir: dir.to_path_buf(),
@@ -1007,7 +1010,7 @@ impl DurablePool {
         Ok(())
     }
 
-    /// Bulk-admit keys (logged as one record, built with the pool engine).
+    /// Bulk-admit keys (logged as one record, built by the parallel slab builder).
     pub fn from_keys(&mut self, slot: u32, keys: &[i64]) -> Result<(), WalError> {
         self.require_live(slot)?;
         self.log_apply(&WalOp::FromKeys {
@@ -1293,7 +1296,7 @@ mod tests {
     fn checkpoint_image_roundtrips_after_churn() {
         let dir = tmp_dir("image");
         let dp = churned(&dir);
-        let ck = read_checkpoint(&dir, Engine::Sequential).expect("valid image");
+        let ck = read_checkpoint(&dir).expect("valid image");
         assert_eq!(ck.seq, dp.writer.next_seq() - 1);
         assert_eq!(contents(&ck.pool, &ck.heaps), contents(&dp.pool, &dp.slots));
         assert_eq!(ck.free_slots, dp.free_slots);
@@ -1370,10 +1373,7 @@ mod tests {
 
         for (what, bytes) in cases {
             std::fs::write(&ck, &bytes).unwrap();
-            assert!(
-                read_checkpoint(&dir, Engine::Sequential).is_none(),
-                "{what}: accepted"
-            );
+            assert!(read_checkpoint(&dir).is_none(), "{what}: accepted");
             let state = recover_dir(&dir, Engine::Sequential).unwrap();
             assert_eq!(state.replayed, records, "{what}: not a genesis replay");
             assert_eq!(

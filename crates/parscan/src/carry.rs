@@ -107,7 +107,7 @@ pub fn carries_ripple(a: &[bool], b: &[bool]) -> Vec<bool> {
 }
 
 /// Carries via the status-monoid prefix scan (sequential execution; the PRAM
-/// and rayon executions use the same operator through their scan primitives).
+/// execution uses the same operator through its scan primitives).
 pub fn carries_by_scan(a: &[bool], b: &[bool]) -> Vec<bool> {
     assert_eq!(a.len(), b.len());
     let statuses: Vec<CarryStatus> = a.iter().zip(b).map(|(&x, &y)| carry_status(x, y)).collect();

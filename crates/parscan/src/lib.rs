@@ -5,17 +5,15 @@
 //! Phase I of the paper's `Union` computes binary-addition carries, and
 //! Phase II computes *segmented prefix minima* over the linking chains; both
 //! are instances of prefix computation over an associative operator. This
-//! crate provides the operators and three interchangeable execution
-//! strategies:
+//! crate provides the operators, a sequential oracle and two PRAM-hosted
+//! execution strategies:
 //!
-//! * [`seq`] — plain sequential scans (oracles and the `Sequential` engine's
-//!   backend);
+//! * [`seq`] — plain sequential scans (the oracles);
 //! * [`pram_host`] — work-efficient EREW Blelloch up/down-sweep scans executed
 //!   *on the [`pram`] simulator*, used by the `Pram` engine of `meldpq` and by
 //!   the Theorem 1 experiments;
 //! * [`pram_crew`] — the CREW Hillis–Steele scan and the EREW doubling
-//!   broadcast, including the executable CREW/EREW model separation;
-//! * [`par`] — rayon chunked two-pass scans for real-thread wall-clock runs.
+//!   broadcast, including the executable CREW/EREW model separation.
 //!
 //! The domain-specific operators live in:
 //!
@@ -38,7 +36,6 @@
 //! ```
 
 pub mod carry;
-pub mod par;
 pub mod pram_crew;
 pub mod pram_host;
 pub mod segmin;

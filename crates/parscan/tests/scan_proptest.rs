@@ -1,5 +1,5 @@
 //! Property-based tests of the scan toolkit: every execution strategy
-//! (sequential, rayon, PRAM-EREW Blelloch, PRAM-CREW Hillis–Steele) computes
+//! (sequential, PRAM-EREW Blelloch, PRAM-CREW Hillis–Steele) computes
 //! the same prefixes for arbitrary inputs and for both commutative and
 //! non-commutative associative operators.
 
@@ -12,15 +12,13 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All four scan strategies agree on prefix sums.
+    /// All three scan strategies agree on prefix sums.
     #[test]
-    fn four_strategies_agree_on_sums(
+    fn scan_strategies_agree_on_sums(
         xs in proptest::collection::vec(-1000i64..1000, 0..96),
         p in 1usize..7,
     ) {
         let oracle = seq::scan_inclusive(&xs, |a, b| a + b);
-        let par = parscan::par::scan_inclusive(&xs, 0, |a, b| a + b);
-        prop_assert_eq!(&par, &oracle);
 
         if !xs.is_empty() {
             let mut m = Pram::new(Model::Erew, p);
@@ -45,8 +43,6 @@ proptest! {
         let flags: Vec<bool> = pairs.iter().map(|(f, _)| *f).collect();
         let values: Vec<i64> = pairs.iter().map(|(_, v)| *v).collect();
         let oracle = seq::segmented_prefix_min(&flags, &values);
-        let par = parscan::par::segmented_prefix_min(&flags, &values, i64::MAX);
-        prop_assert_eq!(&par, &oracle);
 
         let mut m = Pram::new(Model::Erew, p);
         let flags_w: Vec<Word> = flags.iter().map(|&f| f as Word).collect();

@@ -10,7 +10,7 @@
 //! cargo run --example event_simulation
 //! ```
 
-use meldpq::{Engine, ParBinomialHeap};
+use meldpq::ParBinomialHeap;
 use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
 /// An event: fires at `time`, at `station`, with a deterministic service
@@ -73,9 +73,9 @@ fn simulate<H: MeldablePq<i64> + Default>(horizon: usize) -> Vec<(u64, u16)> {
     trace
 }
 
-/// The same simulation on the paper's parallel heap (the initial meld is
-/// planned by `engine`).
-fn simulate_parallel(engine: Engine, horizon: usize) -> Vec<(u64, u16)> {
+/// The same simulation on the paper's parallel heap. The initial meld is
+/// planned on the host, or with `pram` on the PRAM simulator.
+fn simulate_parallel(pram: bool, horizon: usize) -> Vec<(u64, u16)> {
     let mut lcg = Lcg(42);
     let mut fed_a = ParBinomialHeap::new();
     let mut fed_b = ParBinomialHeap::new();
@@ -88,7 +88,11 @@ fn simulate_parallel(engine: Engine, horizon: usize) -> Vec<(u64, u16)> {
             fed_b.insert(pack(t, 50 + station));
         }
     }
-    fed_a.meld(fed_b, engine);
+    if pram {
+        fed_a.meld_pram(fed_b, 4);
+    } else {
+        fed_a.meld(fed_b);
+    }
     let mut trace = Vec::with_capacity(horizon);
     let mut completed = 0;
     while completed < horizon {
@@ -112,14 +116,14 @@ fn main() {
     let t_leftist = simulate::<LeftistHeap<i64>>(horizon);
     let t_skew = simulate::<SkewHeap<i64>>(horizon);
     let t_pairing = simulate::<PairingHeap<i64>>(horizon);
-    let t_par_seq = simulate_parallel(Engine::Sequential, horizon);
-    let t_par_ray = simulate_parallel(Engine::Rayon, horizon);
+    let t_par_seq = simulate_parallel(false, horizon);
+    let t_par_pram = simulate_parallel(true, horizon);
 
     assert_eq!(t_binomial, t_leftist, "leftist trace diverged");
     assert_eq!(t_binomial, t_skew, "skew trace diverged");
     assert_eq!(t_binomial, t_pairing, "pairing trace diverged");
     assert_eq!(t_binomial, t_par_seq, "parallel/seq trace diverged");
-    assert_eq!(t_binomial, t_par_ray, "parallel/rayon trace diverged");
+    assert_eq!(t_binomial, t_par_pram, "parallel/pram trace diverged");
 
     println!("all six queue implementations produced identical traces ✓");
     println!("first 10 completions (time, station):");

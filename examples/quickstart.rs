@@ -5,7 +5,7 @@
 //! ```
 
 use meldable_binomial_heaps::*;
-use meldpq::{Engine, ParBinomialHeap};
+use meldpq::ParBinomialHeap;
 use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq};
 
 fn main() {
@@ -27,11 +27,11 @@ fn main() {
     );
     println!("sorted drain: {:?}\n", a.drain_sorted());
 
-    // --- 2. the parallel heap: same API, three engines
+    // --- 2. the parallel heap: same API, planned on the host or the PRAM
     let mut p1 = ParBinomialHeap::from_keys([10, 30, 50, 70]);
     let p2 = ParBinomialHeap::from_keys([20, 40, 60]);
-    p1.meld(p2, Engine::Rayon); // or Engine::Sequential
-    println!("parallel heap min after rayon meld: {:?}", p1.min());
+    p1.meld(p2);
+    println!("parallel heap min after meld: {:?}", p1.min());
 
     // The PRAM engine *measures* the Theorem 1 cost of the same meld:
     let h1 = ParBinomialHeap::from_keys(0..127);

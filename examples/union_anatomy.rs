@@ -7,7 +7,7 @@
 //! ```
 
 use meldpq::plan::{build_plan_seq, plan_width, PointType};
-use meldpq::{Engine, ParBinomialHeap};
+use meldpq::ParBinomialHeap;
 
 fn type_str(t: PointType) -> &'static str {
     match t {
@@ -90,7 +90,7 @@ fn main() {
 
     // Execute it for real and validate.
     let mut a = h1;
-    a.meld(h2, Engine::Sequential);
+    a.meld(h2);
     a.validate().expect("valid result");
     println!("meld executed and validated ✓ (min = {:?})", a.min());
 

@@ -1,10 +1,10 @@
 //! Cross-implementation integration tests: every queue in the workspace —
-//! five sequential baselines, the parallel heap under each engine, the lazy
-//! heap, and the distributed hypercube queue — must agree on shared
+//! five sequential baselines, the parallel heap through both extract paths,
+//! the lazy heap, and the distributed hypercube queue — must agree on shared
 //! workloads.
 
 use meldpq::lazy::LazyBinomialHeap;
-use meldpq::{Engine, ParBinomialHeap};
+use meldpq::ParBinomialHeap;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
@@ -36,15 +36,15 @@ fn all_nine_implementations_sort_identically() {
         expected
     );
 
-    // The parallel heap, both engines.
+    // The parallel heap: one bulk drain, and one planned extract at a time.
     let h = ParBinomialHeap::from_keys(keys.iter().copied());
     assert_eq!(h.into_sorted_vec(), expected);
     let mut h = ParBinomialHeap::from_keys(keys.iter().copied());
-    let mut rayon_out = Vec::with_capacity(keys.len());
-    while let Some(k) = h.multi_extract_min(1, Engine::Rayon).pop() {
-        rayon_out.push(k);
+    let mut peeled = Vec::with_capacity(keys.len());
+    while let Some(k) = h.multi_extract_min(1).pop() {
+        peeled.push(k);
     }
-    assert_eq!(rayon_out, expected);
+    assert_eq!(peeled, expected);
 
     // The lazy heap (PRAM-measured ops).
     let mut lazy = LazyBinomialHeap::new(3);
@@ -82,15 +82,10 @@ fn meld_heavy_workload_agrees_across_meldable_queues() {
     assert_eq!(run::<SkewHeap<i64>>(&parts), expected);
     assert_eq!(run::<PairingHeap<i64>>(&parts), expected);
 
-    // Parallel heap with alternating engines per meld.
+    // The parallel heap, validated after every meld.
     let mut acc = ParBinomialHeap::new();
-    for (i, p) in parts.iter().enumerate() {
-        let engine = if i % 2 == 0 {
-            Engine::Sequential
-        } else {
-            Engine::Rayon
-        };
-        acc.meld(ParBinomialHeap::from_keys(p.iter().copied()), engine);
+    for p in &parts {
+        acc.meld(ParBinomialHeap::from_keys(p.iter().copied()));
         acc.validate().expect("valid after meld");
     }
     assert_eq!(acc.into_sorted_vec(), expected);
@@ -110,7 +105,8 @@ fn meld_heavy_workload_agrees_across_meldable_queues() {
 
 #[test]
 fn interleaved_ops_agree_with_oracle_for_every_engine() {
-    for engine in [Engine::Sequential, Engine::Rayon] {
+    // Extract through the ripple path and through a planned one-key peel.
+    for planned in [false, true] {
         let mut rng = StdRng::seed_from_u64(5);
         let mut heap = ParBinomialHeap::new();
         let mut oracle: Vec<i64> = Vec::new();
@@ -120,7 +116,11 @@ fn interleaved_ops_agree_with_oracle_for_every_engine() {
                 heap.insert(k);
                 oracle.push(k);
             } else {
-                let got = heap.multi_extract_min(1, engine).pop();
+                let got = if planned {
+                    heap.multi_extract_min(1).pop()
+                } else {
+                    heap.extract_min()
+                };
                 let (i, _) = oracle
                     .iter()
                     .enumerate()

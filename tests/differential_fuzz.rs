@@ -4,9 +4,8 @@
 //! Two fleets:
 //!
 //! * [`all_engines_agree_on_mixed_programs`] drives every engine through the
-//!   unified [`MeldablePq`] trait — `ParBinomialHeap` under the sequential
-//!   and rayon planners and with every melded batch built by the parallel
-//!   slab builder, the measured EREW PRAM wrapper (`PramMeasured`),
+//!   unified [`MeldablePq`] trait — `ParBinomialHeap` as it ships and with
+//!   every melded batch built by the parallel slab builder, the measured EREW PRAM wrapper (`PramMeasured`),
 //!   `LazyBinomialHeap`, `dmpq::DistributedPq` (behind a fault-free local
 //!   adapter) and a seqheaps baseline — against a sorted-vector oracle over
 //!   mixed insert / meld / extract-min / min programs. The fleet is a
@@ -30,7 +29,7 @@ use dmpq::DistributedPq;
 use meldpq::check::check_pool;
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{
-    DecreaseKeyPq, Engine, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq, NodeId,
+    DecreaseKeyPq, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq, NodeId,
     ParBinomialHeap, PqHandle, PramMeasured,
 };
 use proptest::prelude::*;
@@ -114,16 +113,16 @@ fn pool_op_strategy() -> impl Strategy<Value = PoolOp> {
 /// One step of a bulk-threshold program: batch sizes are drawn to straddle
 /// a pinned admission cutoff, so a single program exercises the
 /// ripple-insert path (below) and the pooled slab kernel (at/above) in
-/// interleaved succession, under both planning engines.
+/// interleaved succession.
 #[derive(Debug, Clone)]
 enum BulkOp {
     /// Multi-insert a batch of `len` keys derived from `salt`.
     MultiInsert { len: usize, salt: i64 },
-    /// Extract the `k % 12` smallest everywhere; results must agree.
+    /// Extract the `k % 12` smallest; the result must match the oracle.
     MultiExtract(usize),
     /// Single insert — keeps the resident heap irregular between batches.
     Insert(i64),
-    /// Extract the minimum everywhere.
+    /// Extract the minimum.
     ExtractMin,
 }
 
@@ -261,10 +260,10 @@ impl MeldablePq<i64> for SlabBuilt {
         self.0.extract_min()
     }
     fn meld(&mut self, other: Self) {
-        self.0.meld(other.0, Engine::Sequential);
+        self.0.meld(other.0);
     }
     fn meld_from_keys(&mut self, keys: &[i64]) {
-        self.0.multi_insert_at(keys, Engine::Sequential, 0);
+        self.0.multi_insert_at(keys, 0);
     }
     fn check_invariants(&self) -> Result<(), String> {
         self.0.check_invariants()
@@ -324,10 +323,6 @@ impl MeldablePq<i64> for FaultFree {
 fn fleet(p: usize) -> Vec<(&'static str, Box<dyn MeldablePq<i64>>)> {
     vec![
         ("seq", Box::new(ParBinomialHeap::new())),
-        (
-            "rayon",
-            Box::new(ParBinomialHeap::new().with_engine(Engine::Rayon)),
-        ),
         ("pram", Box::new(PramMeasured::new(p))),
         ("lazy", Box::new(LazyBinomialHeap::new(p))),
         ("dist", Box::new(FaultFree::new(2, 4))),
@@ -403,16 +398,13 @@ proptest! {
 
     /// Both sides of the bulk-admission threshold in one program: batches
     /// straddling [`BULK_ADMISSION`] flip between ripple-insert and the
-    /// pooled slab kernel mid-program, under the sequential and rayon
-    /// planners in lockstep against the sorted-vec oracle.
+    /// pooled slab kernel mid-program, in lockstep with the sorted-vec
+    /// oracle.
     #[test]
     fn bulk_threshold_boundary_programs_agree(
         ops in proptest::collection::vec(bulk_op_strategy(), 0..32),
     ) {
-        let mut heaps = [
-            ("seq", Engine::Sequential, ParBinomialHeap::new()),
-            ("rayon", Engine::Rayon, ParBinomialHeap::new()),
-        ];
+        let mut h = ParBinomialHeap::new();
         let mut oracle = Oracle::default();
         for (step, op) in ops.iter().enumerate() {
             match op {
@@ -422,50 +414,33 @@ proptest! {
                     for k in &keys {
                         oracle.insert(*k);
                     }
-                    for (_, engine, h) in heaps.iter_mut() {
-                        h.multi_insert_at(&keys, *engine, BULK_ADMISSION);
-                    }
+                    h.multi_insert_at(&keys, BULK_ADMISSION);
                 }
                 BulkOp::MultiExtract(k) => {
                     let k = k % 12;
                     let want: Vec<i64> =
                         (0..k).map_while(|_| oracle.extract_min()).collect();
-                    for (name, engine, h) in heaps.iter_mut() {
-                        prop_assert_eq!(
-                            &h.multi_extract_min(k, *engine), &want,
-                            "{} multi-extract at step {}", name, step
-                        );
-                    }
+                    prop_assert_eq!(
+                        &h.multi_extract_min(k), &want,
+                        "multi-extract at step {}", step
+                    );
                 }
                 BulkOp::Insert(k) => {
                     oracle.insert(*k);
-                    for (_, _, h) in heaps.iter_mut() {
-                        h.insert(*k);
-                    }
+                    h.insert(*k);
                 }
                 BulkOp::ExtractMin => {
                     let want = oracle.extract_min();
-                    for (name, _, h) in heaps.iter_mut() {
-                        prop_assert_eq!(
-                            h.extract_min(), want,
-                            "{} extract at step {}", name, step
-                        );
-                    }
+                    prop_assert_eq!(h.extract_min(), want, "extract at step {}", step);
                 }
             }
             if step % 8 == 7 {
-                for (name, _, h) in heaps.iter() {
-                    if let Err(e) = h.validate() {
-                        panic!("{name} invariants broken after step {step}: {e}");
-                    }
+                if let Err(e) = h.validate() {
+                    panic!("invariants broken after step {step}: {e}");
                 }
             }
         }
-        let want = oracle.keys;
-        for (name, _, h) in heaps.iter_mut() {
-            let drained = std::mem::take(h).into_sorted_vec();
-            prop_assert_eq!(&drained, &want, "{} drain", name);
-        }
+        prop_assert_eq!(&h.into_sorted_vec(), &oracle.keys, "drain");
     }
 
     #[test]
@@ -557,7 +532,6 @@ proptest! {
         let mut lazy_oracle = Oracle::default();
         let mut handles: Vec<NodeId> = Vec::new();
         for (step, op) in ops.iter().enumerate() {
-            let engine = if step % 2 == 0 { Engine::Sequential } else { Engine::Rayon };
             match op {
                 PoolOp::Insert(k) => {
                     pool.insert(&mut main, *k);
@@ -578,7 +552,7 @@ proptest! {
                 PoolOp::Meld(keys) => {
                     let part = pool.from_keys(keys.iter().copied());
                     let before = pool.stats();
-                    pool.meld_with(&mut main, part, engine);
+                    pool.meld(&mut main, part);
                     prop_assert_eq!(before, pool.stats(),
                         "same-pool meld allocated or copied at step {}", step);
                     for &k in keys { pool_oracle.insert(k); }
@@ -588,7 +562,7 @@ proptest! {
                 PoolOp::CrossMeld(keys) => {
                     let mut other: HeapPool<i64> = HeapPool::new();
                     let h = other.from_keys(keys.iter().copied());
-                    pool.meld_cross_pool_with(&mut main, &mut other, h, engine);
+                    pool.meld_cross_pool(&mut main, &mut other, h);
                     prop_assert_eq!(other.live_nodes(), 0, "source pool drained at step {}", step);
                     for &k in keys { pool_oracle.insert(k); }
                 }

@@ -4,10 +4,9 @@
 
 use dmpq::DistributedPq;
 use meldpq::engine_pram::build_plan_pram;
-use meldpq::engine_rayon::build_plan_rayon;
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::plan::{build_plan_seq, plan_width, RootRef};
-use meldpq::{Engine, MeldablePq, ParBinomialHeap};
+use meldpq::{MeldablePq, ParBinomialHeap};
 
 #[test]
 fn plan_width_small_n() {
@@ -29,7 +28,6 @@ fn union_plan_of_two_empty_heaps_is_empty() {
     assert!(seq.links.is_empty());
     assert!(seq.new_roots.is_empty());
     seq.validate().expect("empty plan is valid");
-    assert_eq!(seq, build_plan_rayon(&h, &h));
     assert_eq!(seq, build_plan_pram(&h, &h, 3).expect("EREW-legal").plan);
 }
 
@@ -64,25 +62,23 @@ fn union_plan_with_one_empty_side_copies_the_other() {
 
 #[test]
 fn meld_with_empty_heap_both_directions_all_engines() {
-    for engine in [Engine::Sequential, Engine::Rayon] {
-        // empty ⊔ empty
-        let mut e: ParBinomialHeap<i64> = ParBinomialHeap::new();
-        e.meld(ParBinomialHeap::new(), engine);
-        assert!(e.min().is_none());
-        e.check_invariants().unwrap();
+    // empty ⊔ empty
+    let mut e: ParBinomialHeap<i64> = ParBinomialHeap::new();
+    e.meld(ParBinomialHeap::new());
+    assert!(e.min().is_none());
+    e.check_invariants().unwrap();
 
-        // nonempty ⊔ empty
-        let mut h = ParBinomialHeap::from_keys([3, 1, 2]);
-        h.meld(ParBinomialHeap::new(), engine);
-        h.check_invariants().unwrap();
-        assert_eq!(h.min(), Some(1));
+    // nonempty ⊔ empty
+    let mut h = ParBinomialHeap::from_keys([3, 1, 2]);
+    h.meld(ParBinomialHeap::new());
+    h.check_invariants().unwrap();
+    assert_eq!(h.min(), Some(1));
 
-        // empty ⊔ nonempty
-        let mut e = ParBinomialHeap::new();
-        e.meld(ParBinomialHeap::from_keys([3, 1, 2]), engine);
-        e.check_invariants().unwrap();
-        assert_eq!(e.into_sorted_vec(), vec![1, 2, 3]);
-    }
+    // empty ⊔ nonempty
+    let mut e = ParBinomialHeap::new();
+    e.meld(ParBinomialHeap::from_keys([3, 1, 2]));
+    e.check_invariants().unwrap();
+    assert_eq!(e.into_sorted_vec(), vec![1, 2, 3]);
     // Measured PRAM meld with an empty operand.
     let mut h = ParBinomialHeap::from_keys([5, 4]);
     h.meld_pram(ParBinomialHeap::new(), 2);
@@ -97,7 +93,7 @@ fn meld_with_empty_heap_both_directions_all_engines() {
 fn extract_from_empty_heaps_returns_none() {
     let mut h = ParBinomialHeap::new();
     assert_eq!(h.extract_min(), None);
-    assert!(h.multi_extract_min(1, Engine::Rayon).is_empty());
+    assert!(h.multi_extract_min(1).is_empty());
     assert_eq!(h.extract_min_pram(2), None);
     let mut l = LazyBinomialHeap::new(2);
     assert_eq!(l.extract_min(), None);

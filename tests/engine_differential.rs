@@ -1,10 +1,10 @@
-//! Property-based differential tests: the three Union engines must produce
-//! bit-identical plans, and the plans must obey the union–addition
-//! isomorphism, on arbitrary inputs.
+//! Property-based differential tests: the two Union planners (sequential
+//! and PRAM) must produce bit-identical plans, their links and new root
+//! array must equal an independent ripple-carry reference, and the plans
+//! must obey the union–addition isomorphism, on arbitrary inputs.
 
 use meldpq::engine_pram::build_plan_pram;
-use meldpq::engine_rayon::{build_plan_fused_into, build_plan_rayon, FUSED_CHUNK};
-use meldpq::plan::{build_plan_seq, plan_width, RootRef, UnionPlan};
+use meldpq::plan::{build_plan_seq, plan_width, LinkOp, RootRef, UnionPlan};
 use meldpq::NodeId;
 use proptest::prelude::*;
 
@@ -20,19 +20,55 @@ fn side(n: usize, width: usize, keys: &[i64], base: u32) -> Vec<Option<RootRef>>
         .collect()
 }
 
-/// A side from an explicit occupancy vector — widths past 64 positions are
-/// out of reach for the `usize`-bitmask builder above. The top slot stays
-/// empty so the union's carry-out always fits inside `width`.
-fn side_occ(occ: &[bool], width: usize, keys: &[i64], base: u32) -> Vec<Option<RootRef>> {
-    let mut k = keys.iter().copied().cycle();
-    (0..width)
-        .map(|i| {
-            (i + 1 < width && occ.get(i).copied().unwrap_or(false)).then(|| RootRef {
-                key: k.next().expect("cycle"),
-                id: NodeId(base + i as u32),
-            })
-        })
-        .collect()
+/// The third engine: `Union` as plain binary addition over the two root
+/// arrays, one link per carry, written from the tie contract alone. The
+/// first operand wins equal keys; at a position holding both heaps' trees,
+/// h1's is the first operand; a carry is the first operand against the one
+/// tree it meets, and stays a root when it meets two. Returns the links in
+/// slot order and the new root array.
+fn ripple_union(
+    h1: &[Option<RootRef>],
+    h2: &[Option<RootRef>],
+) -> (Vec<LinkOp>, Vec<Option<NodeId>>) {
+    let mut links = Vec::new();
+    let mut link = |x: RootRef, y: RootRef, slot: usize| {
+        let (win, lose) = if y.key < x.key { (y, x) } else { (x, y) };
+        links.push(LinkOp {
+            child: lose.id,
+            parent: win.id,
+            slot,
+        });
+        win
+    };
+    let mut roots = vec![None; h1.len()];
+    let mut carry: Option<RootRef> = None;
+    for (i, (&a, &b)) in h1.iter().zip(h2).enumerate() {
+        let (root, next) = match (carry, a, b) {
+            (c, Some(x), Some(y)) => (c, Some(link(x, y, i))),
+            (Some(c), Some(t), None) | (Some(c), None, Some(t)) => (None, Some(link(c, t, i))),
+            (t, None, None) | (None, t, None) | (None, None, t) => (t, None),
+        };
+        roots[i] = root.map(|r| r.id);
+        carry = next;
+    }
+    assert!(carry.is_none(), "the plan width holds the carry-out");
+    (links, roots)
+}
+
+/// Both planners and the ripple reference agree on `h1 ⊔ h2`; returns the
+/// sequential plan.
+fn three_way(h1: &[Option<RootRef>], h2: &[Option<RootRef>], p: usize) -> UnionPlan {
+    let seq = build_plan_seq(h1, h2);
+    let pram = build_plan_pram(h1, h2, p).expect("EREW-legal");
+    assert_eq!(seq, pram.plan, "pram diverged");
+    let (links, roots) = ripple_union(h1, h2);
+    assert_eq!(seq.links, links, "links differ from the ripple reference");
+    assert_eq!(
+        seq.new_roots, roots,
+        "roots differ from the ripple reference"
+    );
+    seq.validate().expect("structurally sound");
+    seq
 }
 
 proptest! {
@@ -48,12 +84,7 @@ proptest! {
         let width = plan_width(n1, n2);
         let h1 = side(n1, width, &keys, 0);
         let h2 = side(n2, width, &keys[keys.len() / 2..].iter().chain(&keys).copied().collect::<Vec<_>>(), 10_000);
-        let seq = build_plan_seq(&h1, &h2);
-        let ray = build_plan_rayon(&h1, &h2);
-        prop_assert_eq!(&seq, &ray, "rayon diverged");
-        let pram = build_plan_pram(&h1, &h2, p).expect("EREW-legal");
-        prop_assert_eq!(&seq, &pram.plan, "pram diverged");
-        seq.validate().expect("structurally sound");
+        let seq = three_way(&h1, &h2, p);
 
         // Union-addition isomorphism.
         let result: usize = seq
@@ -66,18 +97,15 @@ proptest! {
         prop_assert_eq!(result, n1 + n2);
     }
 
-    /// The melded heap preserves every key and all invariants under random
-    /// engine choices.
+    /// The melded heap preserves every key and all invariants.
     #[test]
     fn meld_preserves_multiset(
         a in proptest::collection::vec(-1000i64..1000, 0..300),
         b in proptest::collection::vec(-1000i64..1000, 0..300),
-        use_rayon in any::<bool>(),
     ) {
-        use meldpq::{Engine, ParBinomialHeap};
-        let engine = if use_rayon { Engine::Rayon } else { Engine::Sequential };
+        use meldpq::ParBinomialHeap;
         let mut h = ParBinomialHeap::from_keys(a.iter().copied());
-        h.meld(ParBinomialHeap::from_keys(b.iter().copied()), engine);
+        h.meld(ParBinomialHeap::from_keys(b.iter().copied()));
         h.validate().expect("valid");
         let mut expected: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
         expected.sort_unstable();
@@ -87,7 +115,7 @@ proptest! {
     /// Duplicate keys: with keys drawn from a two-value set, equal-key
     /// ties happen at almost every position, and the tie-breaking contract
     /// (first/left operand wins — see `meldpq::plan` docs) must keep all
-    /// three engines bit-identical.
+    /// three engines identical.
     #[test]
     fn three_engines_agree_on_duplicate_keys(
         n1 in 0usize..100_000,
@@ -99,12 +127,7 @@ proptest! {
         let width = plan_width(n1, n2);
         let h1 = side(n1, width, &keys, 0);
         let h2 = side(n2, width, &keys, 10_000);
-        let seq = build_plan_seq(&h1, &h2);
-        let ray = build_plan_rayon(&h1, &h2);
-        prop_assert_eq!(&seq, &ray, "rayon diverged on duplicates");
-        let pram = build_plan_pram(&h1, &h2, p).expect("EREW-legal");
-        prop_assert_eq!(&seq, &pram.plan, "pram diverged on duplicates");
-        seq.validate().expect("structurally sound");
+        three_way(&h1, &h2, p);
     }
 
     /// All-equal keys, the extreme of the previous test: every comparison
@@ -122,11 +145,7 @@ proptest! {
         let keys = [7i64];
         let h1 = side(n1, width, &keys, 0);
         let h2 = side(n2, width, &keys, 10_000);
-        let seq = build_plan_seq(&h1, &h2);
-        let ray = build_plan_rayon(&h1, &h2);
-        let pram = build_plan_pram(&h1, &h2, p).expect("EREW-legal");
-        prop_assert_eq!(&seq, &ray);
-        prop_assert_eq!(&seq, &pram.plan);
+        let seq = three_way(&h1, &h2, p);
         // Indexing four parallel vectors; an iterator over one obscures that.
         #[allow(clippy::needless_range_loop)]
         for i in 0..width {
@@ -150,46 +169,12 @@ proptest! {
         }
     }
 
-    /// The calibrated-cutoff boundary: at widths `cutoff−1 / cutoff /
-    /// cutoff+1` the public rayon entry flips from the sequential
-    /// fall-through to the fused chunked sweeps, and both schedules must
-    /// stay bit-identical to the sequential oracle across the flip. Also
-    /// drives the fused kernel directly at every boundary width, so the
-    /// equivalence holds even on a host whose calibration never engages it.
-    #[test]
-    fn engines_agree_across_the_plan_cutoff_boundary(
-        occ1 in proptest::collection::vec(any::<bool>(), 80..81),
-        occ2 in proptest::collection::vec(any::<bool>(), 80..81),
-        keys in proptest::collection::vec(-1_000i64..1_000, 1..32),
-        chunk in 1usize..40,
-    ) {
-        let c = meldpq::cutoff::plan_par_cutoff();
-        for width in [c - 1, c, c + 1] {
-            let h1 = side_occ(&occ1, width, &keys, 0);
-            let h2 = side_occ(&occ2, width, &keys[keys.len() / 2..], 10_000);
-            let seq = build_plan_seq(&h1, &h2);
-            let ray = build_plan_rayon(&h1, &h2);
-            prop_assert_eq!(&seq, &ray, "rayon diverged at width {} (cutoff {})", width, c);
-            let mut fused = UnionPlan::default();
-            build_plan_fused_into(&mut fused, &h1, &h2, chunk);
-            prop_assert_eq!(&seq, &fused, "fused diverged at width {} chunk {}", width, chunk);
-            let mut fused_default = UnionPlan::default();
-            build_plan_fused_into(&mut fused_default, &h1, &h2, FUSED_CHUNK);
-            prop_assert_eq!(&seq, &fused_default, "fused diverged at width {}", width);
-            seq.validate().expect("structurally sound");
-        }
-    }
-
     /// The batch-admission boundary: at `cutoff−1` keys the bulk build
     /// ripple-inserts, at `cutoff` and `cutoff+1` it runs the pooled slab
-    /// kernel — same multiset, valid structure, under both engines.
+    /// kernel — same multiset, valid structure.
     #[test]
-    fn bulk_build_agrees_across_the_admission_boundary(
-        salt in any::<u64>(),
-        use_rayon in any::<bool>(),
-    ) {
-        use meldpq::{Engine, ParBinomialHeap};
-        let engine = if use_rayon { Engine::Rayon } else { Engine::Sequential };
+    fn bulk_build_agrees_across_the_admission_boundary(salt in any::<u64>()) {
+        use meldpq::ParBinomialHeap;
         // An explicit admission cutoff: the calibrated one is host-dependent
         // and may exceed what a proptest case can afford to insert.
         let admission = 24usize;
@@ -197,7 +182,7 @@ proptest! {
             let keys: Vec<i64> = (0..n as i64)
                 .map(|i| (i * 31 + salt as i64 % 97).rem_euclid(53))
                 .collect();
-            let h = ParBinomialHeap::from_keys_parallel_at(&keys, engine, admission);
+            let h = ParBinomialHeap::from_keys_parallel_at(&keys, admission);
             h.validate().expect("valid across the admission boundary");
             let mut expected = keys.clone();
             expected.sort_unstable();

@@ -5,7 +5,7 @@
 //! the bulk kernels must match their sequential oracles exactly.
 
 use meldpq::check::check_pool;
-use meldpq::{Engine, HeapPool, ParBinomialHeap};
+use meldpq::{HeapPool, ParBinomialHeap};
 
 fn keys(n: usize, seed: i64) -> Vec<i64> {
     (0..n as i64)
@@ -23,14 +23,9 @@ fn same_pool_meld_counts_zero_copies_and_allocs() {
     let before = pool.stats();
     let slab_before = pool.arena().slab_len();
     let mut total = acc.len();
-    for (i, part) in parts.drain(..).enumerate() {
+    for part in parts.drain(..) {
         total += part.len();
-        let engine = if i % 2 == 0 {
-            Engine::Sequential
-        } else {
-            Engine::Rayon
-        };
-        pool.meld_with(&mut acc, part, engine);
+        pool.meld(&mut acc, part);
         assert_eq!(acc.len(), total);
     }
     let after = pool.stats();
@@ -56,8 +51,8 @@ fn pooled_meld_matches_absorb_meld_semantics() {
     for s in 0..4 {
         let ks = keys(90 + 13 * s, s as i64);
         let part = pool.from_keys(ks.iter().copied());
-        pool.meld_with(&mut p_acc, part, Engine::Sequential);
-        h_acc.meld(ParBinomialHeap::from_keys(ks), Engine::Sequential);
+        pool.meld(&mut p_acc, part);
+        h_acc.meld(ParBinomialHeap::from_keys(ks));
     }
     assert_eq!(p_acc.len(), h_acc.len());
     let p_roots: Vec<usize> = p_acc
@@ -83,7 +78,7 @@ fn extract_min_interleaved_with_zero_copy_melds() {
         }
         let extra = keys(30, 100 + round);
         let part = pool.from_keys(extra.iter().copied());
-        pool.meld_with(&mut h, part, Engine::Rayon);
+        pool.meld(&mut h, part);
         reference.extend(extra);
         pool.validate_heap(&h).unwrap();
     }
@@ -95,7 +90,7 @@ fn extract_min_interleaved_with_zero_copy_melds() {
 fn parallel_pool_build_is_pure_allocation() {
     let ks = keys(60_000, 9);
     let mut pool: HeapPool<i64> = HeapPool::with_capacity(ks.len());
-    let h = pool.from_keys_parallel_with(&ks, Engine::Sequential);
+    let h = pool.from_keys_parallel(&ks);
     assert_eq!(pool.stats().allocs, ks.len() as u64);
     assert_eq!(pool.stats().copies, 0);
     check_pool(&pool, &[&h]).unwrap();
@@ -110,21 +105,13 @@ fn heap_multi_insert_builds_in_its_own_slab() {
     // own slab and melds without moving a node — on both sides of the
     // bulk-admission cutoff and through the calibrated public entry point.
     let batch = keys(3_000, 21);
-    for (engine, admission) in [
-        (Engine::Sequential, 0),
-        (Engine::Rayon, 0),
-        (Engine::Sequential, usize::MAX),
-    ] {
+    for admission in [0, usize::MAX] {
         let mut h = ParBinomialHeap::from_keys(keys(700, 4));
-        h.multi_insert_at(&batch, engine, admission);
+        h.multi_insert_at(&batch, admission);
         h.multi_insert(&batch[..100]);
         let stats = h.arena().stats();
-        assert_eq!(stats.copies, 0, "{engine:?}, admission {admission}");
-        assert_eq!(
-            stats.allocs,
-            700 + 3_100,
-            "{engine:?}, admission {admission}"
-        );
+        assert_eq!(stats.copies, 0, "admission {admission}");
+        assert_eq!(stats.allocs, 700 + 3_100, "admission {admission}");
         h.validate().unwrap();
         assert_eq!(h.len(), 3_800);
     }
@@ -136,7 +123,7 @@ fn multi_extract_min_equals_k_sequential_extracts() {
     for k in [1usize, 31, 1024, 5_000] {
         let mut fast = ParBinomialHeap::from_keys(ks.iter().copied());
         let mut slow = ParBinomialHeap::from_keys(ks.iter().copied());
-        let got = fast.multi_extract_min(k, Engine::Rayon);
+        let got = fast.multi_extract_min(k);
         let mut expected = Vec::new();
         for _ in 0..k {
             expected.extend(slow.extract_min());

@@ -5,7 +5,7 @@
 //! extract...) show up here if anywhere.
 
 use meldpq::lazy::LazyBinomialHeap;
-use meldpq::{Engine, NodeId, ParBinomialHeap};
+use meldpq::{NodeId, ParBinomialHeap};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
@@ -31,8 +31,11 @@ struct Fleet {
     leftist: LeftistHeap<i64>,
     skew: SkewHeap<i64>,
     pairing: PairingHeap<i64>,
+    /// Ripple `extract_min`; meld operands built by ripple insertion.
     par_seq: ParBinomialHeap,
-    par_ray: ParBinomialHeap,
+    /// Planned one-key `multi_extract_min`; meld operands built by the
+    /// parallel slab builder.
+    par_peel: ParBinomialHeap,
     lazy: LazyBinomialHeap,
     lazy_handles: Vec<(NodeId, i64)>,
     dq: dmpq::DistributedPq,
@@ -47,7 +50,7 @@ impl Fleet {
             skew: SkewHeap::new(),
             pairing: PairingHeap::new(),
             par_seq: ParBinomialHeap::new(),
-            par_ray: ParBinomialHeap::new(),
+            par_peel: ParBinomialHeap::new(),
             lazy: LazyBinomialHeap::new(3),
             lazy_handles: Vec::new(),
             dq: dmpq::DistributedPq::new(2, 5),
@@ -61,7 +64,7 @@ impl Fleet {
         self.skew.insert(k);
         self.pairing.insert(k);
         self.par_seq.insert(k);
-        self.par_ray.insert(k);
+        self.par_peel.insert(k);
         self.lazy_handles.push((self.lazy.insert(k), k));
         self.dq.insert(k).expect("fault-free net");
     }
@@ -76,7 +79,7 @@ impl Fleet {
         assert_eq!(self.skew.extract_min(), Some(want));
         assert_eq!(self.pairing.extract_min(), Some(want));
         assert_eq!(self.par_seq.extract_min(), Some(want));
-        assert_eq!(self.par_ray.multi_extract_min(1, Engine::Rayon), [want]);
+        assert_eq!(self.par_peel.multi_extract_min(1), [want]);
         assert_eq!(self.lazy.extract_min(), Some(want));
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(want));
     }
@@ -112,7 +115,7 @@ impl Fleet {
         assert_eq!(self.skew.extract_min(), Some(min));
         assert_eq!(self.pairing.extract_min(), Some(min));
         assert_eq!(self.par_seq.extract_min(), Some(min));
-        assert_eq!(self.par_ray.multi_extract_min(1, Engine::Rayon), [min]);
+        assert_eq!(self.par_peel.multi_extract_min(1), [min]);
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(min));
         let _ = rng;
     }
@@ -123,14 +126,10 @@ impl Fleet {
         self.leftist.meld(built(keys));
         self.skew.meld(built(keys));
         self.pairing.meld(built(keys));
-        self.par_seq.meld(
-            ParBinomialHeap::from_keys(keys.iter().copied()),
-            Engine::Sequential,
-        );
-        self.par_ray.meld(
-            ParBinomialHeap::from_keys(keys.iter().copied()),
-            Engine::Rayon,
-        );
+        self.par_seq
+            .meld(ParBinomialHeap::from_keys(keys.iter().copied()));
+        self.par_peel
+            .meld(ParBinomialHeap::from_keys_parallel(keys));
         let mut other = LazyBinomialHeap::new(3);
         for &k in keys {
             other.insert(k);
@@ -151,7 +150,7 @@ impl Fleet {
         assert_eq!(self.skew.len(), n);
         assert_eq!(self.pairing.len(), n);
         assert_eq!(self.par_seq.len(), n);
-        assert_eq!(self.par_ray.len(), n);
+        assert_eq!(self.par_peel.len(), n);
         assert_eq!(self.lazy.len(), n);
         assert_eq!(self.dq.len(), n);
         assert_eq!(self.binomial.peek_min(), min);
@@ -162,7 +161,7 @@ impl Fleet {
         self.skew.check_invariants().expect("skew");
         self.pairing.check_invariants().expect("pairing");
         self.par_seq.validate().expect("par_seq");
-        self.par_ray.validate().expect("par_ray");
+        self.par_peel.validate().expect("par_peel");
         self.lazy.validate().expect("lazy");
         self.dq.heap().validate().expect("dq");
     }
@@ -201,7 +200,7 @@ fn soak_every_queue_through_one_long_workload() {
     let mut expected = fleet.oracle.clone();
     expected.sort_unstable();
     assert_eq!(fleet.binomial.drain_sorted(), expected);
-    assert_eq!(fleet.par_ray.into_sorted_vec(), expected);
+    assert_eq!(fleet.par_peel.into_sorted_vec(), expected);
     assert_eq!(fleet.lazy.into_sorted_vec(), expected);
     assert_eq!(
         fleet.dq.into_sorted_vec().expect("fault-free net"),

@@ -264,7 +264,7 @@ fn run_plan(seed: u64) {
     // Phase 1 — live run: issue ops, tracking each op's model delta and the
     // WAL byte offset its record ends at.
     let n_ops = 24 + (splitmix(&mut s) % 40) as usize;
-    let mut pool = DurablePool::open(&dir, meldpq::Engine::Sequential).expect("fresh open");
+    let mut pool = DurablePool::open(&dir).expect("fresh open");
     // No automatic checkpoints: a checkpoint is written *after* its WAL
     // prefix is durable, so cutting the log before an auto-checkpoint's
     // position would simulate a crash that cannot happen. Plans that want a
