@@ -14,26 +14,30 @@
 //! [`ParBinomialHeap`](crate::ParBinomialHeap) both run it through
 //! `HeapPool::multi_extract_min`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::arena::{Arena, NodeId};
+use crate::arena::{Arena, NodeId, NIL};
 use crate::pool::carry_add;
 
-/// Peel the `take` smallest keys off a forest in one frontier pass.
+/// Peel the `take` smallest keys off a forest in one frontier pass (all of
+/// them if the forest holds fewer; the caller passes `take ≤` its length).
 ///
 /// The frontier is a min-heap over "nodes whose parent has already been
 /// peeled (or who are roots)". By BH1 every parent key ≤ its children's, so
 /// the peeled set is ancestor-closed and equals the multiset a sequence of
 /// `take` `Extract-Min`s would remove. On return:
 ///
+/// * the first value holds the peeled keys in ascending order,
 /// * `roots` holds only the untouched trees (peeled roots' slots cleared),
 /// * the second value is a dense root array of the orphaned subtrees
 ///   (children of peeled nodes, carry-combined to one tree per order),
 /// * the third is the total size of those orphans.
 ///
-/// The caller subtracts `take + orphan_len` from its length and melds the
-/// orphans back in — one planned union for the whole batch.
+/// The caller subtracts the peeled count plus `orphan_len` from its length
+/// and melds the orphans back in — one planned union for the whole batch.
 pub(crate) fn peel_k_smallest<K: Ord + Copy>(
     arena: &mut Arena<K>,
     roots: &mut Vec<Option<NodeId>>,
@@ -46,12 +50,16 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
         .collect();
     let mut out = Vec::with_capacity(take);
     let mut peeled = Vec::with_capacity(take);
-    for _ in 0..take {
-        let Reverse((key, raw)) = frontier.pop().expect("take <= total keys");
+    while out.len() < take {
+        let Some(Reverse((key, raw))) = frontier.pop() else {
+            break;
+        };
         let id = NodeId(raw);
         out.push(key);
         peeled.push(id);
-        for &c in &arena.get(id).children {
+        // Ascending, as the frontier's final order (and so the orphans'
+        // carry order below) depends on the push order.
+        for &c in arena.children_ascending(id).iter() {
             frontier.push(Reverse((arena.get(c).key, c.0)));
         }
     }
@@ -59,8 +67,9 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
     // their subtree bookkeeping (their un-peeled children become orphans —
     // they are exactly the frontier remnant with a parent pointer).
     for &id in &peeled {
-        if arena.get(id).parent.is_none() {
-            let order = arena.get(id).children.len();
+        let n = arena.get(id);
+        if n.parent().is_none() {
+            let order = n.degree();
             debug_assert_eq!(roots[order], Some(id));
             roots[order] = None;
         }
@@ -72,11 +81,13 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
     let mut comb: Vec<Option<NodeId>> = Vec::new();
     for Reverse((_, raw)) in frontier.into_vec() {
         let id = NodeId(raw);
-        if arena.get(id).parent.is_none() {
+        let n = arena.get_mut(id);
+        if n.parent().is_none() {
             continue; // a surviving root, already in `roots`
         }
-        arena.get_mut(id).parent = None;
-        let order = arena.get(id).children.len();
+        n.parent = NIL;
+        n.sibling = NIL;
+        let order = n.degree();
         orphan_len += 1usize << order;
         // Ripple-carry the orphan into `comb`: orders collide across
         // different peeled parents, so link equal-order pairs as we go.

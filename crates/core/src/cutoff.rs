@@ -124,19 +124,19 @@ fn probe_keys(n: usize) -> Vec<i64> {
 fn calibrate_bulk() -> usize {
     const N: usize = 8 * 1024;
     let keys = probe_keys(N);
-    let mut slab: Vec<Option<Node<i64>>> = Vec::new();
+    let mut slab: Vec<Node<i64>> = Vec::with_capacity(N);
     let seq_ns = time_ns(3, || {
         slab.clear();
-        slab.resize_with(N, || None);
-        std::hint::black_box(crate::pool::build_slab_leaf(&keys, &mut slab, 0));
+        slab.extend(keys.iter().map(|&k| Node::leaf(k)));
+        std::hint::black_box(crate::pool::build_slab_leaf(&mut slab, 0));
     });
     let par_ns = time_ns(3, || {
         slab.clear();
-        slab.resize_with(N, || None);
+        slab.extend(keys.iter().map(|&k| Node::leaf(k)));
         let (left, right) = slab.split_at_mut(N / 2);
         std::hint::black_box(rayon::join(
-            || crate::pool::build_slab_leaf(&keys[..N / 2], left, 0),
-            || crate::pool::build_slab_leaf(&keys[N / 2..], right, (N / 2) as u32),
+            || crate::pool::build_slab_leaf(left, 0),
+            || crate::pool::build_slab_leaf(right, (N / 2) as u32),
         ));
     });
     let join_ns = time_ns(16, || {

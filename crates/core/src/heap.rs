@@ -341,7 +341,7 @@ mod tests {
     fn validate_detects_heap_order_corruption() {
         let mut h = ParBinomialHeap::from_keys(0..8);
         let root = h.roots()[3].expect("B_3 root");
-        let child = h.arena().get(root).children[0];
+        let child = h.arena().children_ascending(root)[0];
         h.pool.arena_mut().get_mut(child).key = -100;
         assert!(h.validate().unwrap_err().contains("heap order"));
     }
@@ -350,8 +350,8 @@ mod tests {
     fn validate_detects_parent_pointer_corruption() {
         let mut h = ParBinomialHeap::from_keys(0..8);
         let root = h.roots()[3].expect("B_3 root");
-        let child = h.arena().get(root).children[1];
-        h.pool.arena_mut().get_mut(child).parent = None;
+        let child = h.arena().children_ascending(root)[1];
+        h.pool.arena_mut().get_mut(child).parent = crate::arena::NIL;
         assert!(h.validate().unwrap_err().contains("parent"));
     }
 

@@ -44,7 +44,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::arena::{Arena, ArenaStats, Node, NodeId};
+use crate::arena::{Arena, ArenaStats, ChildBuf, Node, NodeId, NIL};
 use crate::plan::{build_plan_into, plan_width, RootRef, UnionPlan};
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -297,29 +297,35 @@ impl<K> Nodes<K> for Arena<K> {
 }
 
 /// A segment of the builder's slab whose slot `i` holds node `base + i`.
-/// `build_slab_leaf` writes each slot before it links that node, so every
-/// id the builder links names a live node.
+/// The builder fills every slot with its leaf before it links any node.
 struct Segment<'a, K> {
-    slab: &'a mut [Option<Node<K>>],
+    slab: &'a mut [Node<K>],
     base: u32,
 }
 
 impl<K> Nodes<K> for Segment<'_, K> {
     #[inline]
     fn node(&self, id: NodeId) -> &Node<K> {
-        let Some(node) = &self.slab[(id.0 - self.base) as usize] else {
-            unreachable!("slab node {id:?} is read before the leaf wrote it");
-        };
-        node
+        &self.slab[(id.0 - self.base) as usize]
     }
 
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node<K> {
-        let Some(node) = &mut self.slab[(id.0 - self.base) as usize] else {
-            unreachable!("slab node {id:?} is linked before the leaf wrote it");
-        };
-        node
+        &mut self.slab[(id.0 - self.base) as usize]
     }
+}
+
+/// Make root `child` the new highest-order child of `parent`: a prepend to
+/// `parent`'s child list. `child`'s order must equal `parent`'s degree.
+#[inline]
+fn adopt<K>(nodes: &mut impl Nodes<K>, parent: NodeId, child: NodeId) {
+    let p = nodes.node_mut(parent);
+    let head = p.child;
+    p.child = child.0;
+    p.degree += 1;
+    let c = nodes.node_mut(child);
+    c.sibling = head;
+    c.parent = parent.0;
 }
 
 /// The binomial link under the workspace tie contract (`plan.rs`): the
@@ -336,12 +342,8 @@ pub(crate) fn link<K: Ord + Copy>(
     } else {
         (first, second)
     };
-    debug_assert_eq!(
-        nodes.node(win).children.len(),
-        nodes.node(lose).children.len()
-    );
-    nodes.node_mut(win).children.push(lose);
-    nodes.node_mut(lose).parent = Some(win);
+    debug_assert_eq!(nodes.node(win).degree, nodes.node(lose).degree);
+    adopt(nodes, win, lose);
     win
 }
 
@@ -405,8 +407,9 @@ type RootRefs<K> = [Option<RootRef<K>>];
 /// `Union(dst, other)` of two root arrays whose nodes live in `nodes`,
 /// holding `dst_len` and `other_len` keys: the crate's one Phase I–III
 /// path. Pads both operands into `scratch`, builds the plan with `plan`,
-/// then carries out Phase III: the links in ascending slot order (so child
-/// vectors stay dense) and the new root array into `dst`. A union with an
+/// then carries out Phase III: the links in ascending slot order (each a
+/// prepend, so every child list stays highest order first with degree ==
+/// slot at each link) and the new root array into `dst`. A union with an
 /// empty side plans nothing, as in the paper's accounting.
 fn union_into<K: Ord + Copy>(
     nodes: &mut impl Nodes<K>,
@@ -437,15 +440,14 @@ fn union_into<K: Ord + Copy>(
     }
     debug_assert!(plan.links.windows(2).all(|w| w[0].slot <= w[1].slot));
     for l in &plan.links {
-        debug_assert_eq!(nodes.node(l.child).children.len(), l.slot);
-        debug_assert_eq!(nodes.node(l.parent).children.len(), l.slot);
-        nodes.node_mut(l.parent).children.push(l.child);
-        nodes.node_mut(l.child).parent = Some(l.parent);
+        debug_assert_eq!(nodes.node(l.child).degree(), l.slot);
+        debug_assert_eq!(nodes.node(l.parent).degree(), l.slot);
+        adopt(nodes, l.parent, l.child);
     }
     dst.clear();
     dst.extend_from_slice(&plan.new_roots);
     for &r in dst.iter().flatten() {
-        nodes.node_mut(r).parent = None;
+        nodes.node_mut(r).parent = NIL;
     }
     trim(dst);
 }
@@ -529,17 +531,21 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
     }
 
     /// Unlink root `id` from `h` and free it. Returns its key and its
-    /// children `B_0 … B_{k-1}`, now parentless roots; `h.len` drops by the
-    /// whole tree, `2^k`, and the caller melds the children back.
-    fn detach_root(&mut self, h: &mut PooledHeap, id: NodeId) -> (K, Vec<NodeId>) {
-        let order = self.arena.get(id).children.len();
+    /// children `B_0 … B_{k-1}` in ascending order, now parentless roots;
+    /// `h.len` drops by the whole tree, `2^k`, and the caller melds the
+    /// children back.
+    fn detach_root(&mut self, h: &mut PooledHeap, id: NodeId) -> (K, ChildBuf) {
+        let children = self.arena.children_ascending(id);
+        let order = children.len();
         debug_assert_eq!(h.roots[order], Some(id));
         h.roots[order] = None;
         trim(&mut h.roots);
-        let Node { key, children, .. } = self.arena.dealloc(id);
+        let key = self.arena.dealloc(id).key;
         h.len -= 1 << order;
-        for &c in &children {
-            self.arena.get_mut(c).parent = None;
+        for &c in children.iter() {
+            let n = self.arena.get_mut(c);
+            n.parent = NIL;
+            n.sibling = NIL;
         }
         (key, children)
     }
@@ -578,7 +584,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         }
         let (out, orphan_roots, orphan_len) =
             crate::bulk::peel_k_smallest(&mut self.arena, &mut h.roots, take);
-        h.len -= take + orphan_len;
+        h.len -= out.len() + orphan_len;
         self.meld_roots(h, &orphan_roots, orphan_len, build_plan_into);
         self.debug_validate(h);
         out
@@ -609,7 +615,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let mut roots = vec![None; h.roots.len()];
         for (slot, r) in h.roots.iter().enumerate() {
             if let Some(id) = r {
-                roots[slot] = Some(copy_subtree(&mut self.arena, *id, None));
+                roots[slot] = Some(copy_subtree(&mut self.arena, *id));
             }
         }
         let out = PooledHeap {
@@ -648,7 +654,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let roots: Vec<Option<NodeId>> = src
             .roots
             .iter()
-            .map(|r| r.map(|id| move_subtree(&mut self.arena, &mut src_pool.arena, id, None)))
+            .map(|r| r.map(|id| move_subtree(&mut self.arena, &mut src_pool.arena, id)))
             .collect();
         PooledHeap {
             pool: self.id,
@@ -674,8 +680,12 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
                 if !self.arena.contains(*id) {
                     return Err(format!("root {id:?} is not a live pool node"));
                 }
-                if self.arena.get(*id).parent.is_some() {
+                let root = self.arena.get(*id);
+                if root.parent().is_some() {
                     return Err(format!("root {id:?} has a parent pointer"));
+                }
+                if root.sibling().is_some() {
+                    return Err(format!("root {id:?} has a sibling"));
                 }
                 total += walk_tree(&self.arena, *id, i)?;
             }
@@ -715,7 +725,7 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         let mut stack: Vec<NodeId> = h.roots.iter().flatten().copied().collect();
         while let Some(id) = stack.pop() {
             out.push(id);
-            stack.extend(self.arena.get(id).children.iter().copied());
+            stack.extend(self.arena.children(id));
         }
     }
 
@@ -748,9 +758,8 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
             requested: keys.len(),
             slab_len,
         })?;
-        let mut slab: Vec<Option<Node<K>>> = Vec::new();
-        slab.resize_with(keys.len(), || None);
-        let mut roots = build_slab_rec(keys, &mut slab, base, cutoff);
+        let mut slab: Vec<Node<K>> = keys.iter().map(|&k| Node::leaf(k)).collect();
+        let mut roots = build_slab_rec(&mut slab, base, cutoff);
         self.arena.extend_slab(slab);
         trim(&mut roots);
         let h = PooledHeap {
@@ -858,93 +867,94 @@ impl HeapPool<i64> {
     }
 }
 
-/// Walk one binomial tree verifying shape, heap order and parent pointers;
-/// returns the subtree size.
+/// Walk one binomial tree verifying shape, heap order, parent pointers and
+/// that each child list holds exactly the node's degree; returns the
+/// subtree size. The orders strictly fall on the way down, so the walk
+/// ends even on a corrupt slab.
 fn walk_tree<K: Ord + Copy>(
     arena: &Arena<K>,
     id: NodeId,
     expected_order: usize,
 ) -> Result<usize, String> {
     let n = arena.get(id);
-    if n.children.len() != expected_order {
+    if n.degree() != expected_order {
         return Err(format!(
             "node {id:?}: degree {} expected {expected_order}",
-            n.children.len()
+            n.degree()
         ));
     }
     let mut size = 1;
-    for (i, &c) in n.children.iter().enumerate() {
-        let cn = arena.get(c);
+    let mut order = expected_order;
+    let mut kids = arena.children(id);
+    for c in kids.by_ref() {
+        let Some(cn) = arena.try_get(c) else {
+            return Err(format!("node {id:?}: child {c:?} is not a live pool node"));
+        };
         if cn.key < n.key {
             return Err("heap order violated".into());
         }
-        if cn.parent != Some(id) {
+        if cn.parent() != Some(id) {
             return Err(format!("child {c:?} has wrong parent pointer"));
         }
-        size += walk_tree(arena, c, i)?;
+        // Children come highest order first: B_{d-1}, …, B_0.
+        order -= 1;
+        size += walk_tree(arena, c, order)?;
+    }
+    if order != 0 || kids.rest().is_some() {
+        return Err(format!(
+            "node {id:?}: child list does not hold exactly its degree {expected_order}"
+        ));
     }
     Ok(size)
 }
 
 /// Deep-copy a subtree within one arena (recursion depth = tree order ≤ 32).
-fn copy_subtree<K: Ord + Copy>(arena: &mut Arena<K>, id: NodeId, parent: Option<NodeId>) -> NodeId {
-    let key = arena.get(id).key;
-    let kids = arena.get(id).children.clone();
-    let new = arena.alloc_node(Node {
-        key,
-        parent,
-        children: Vec::with_capacity(kids.len()),
-    });
-    for c in kids {
-        let nc = copy_subtree(arena, c, Some(new));
-        arena.get_mut(new).children.push(nc);
+/// Nodes are allocated in preorder, children in ascending order.
+fn copy_subtree<K: Ord + Copy>(arena: &mut Arena<K>, id: NodeId) -> NodeId {
+    let kids = arena.children_ascending(id);
+    let new = arena.alloc_copy(arena.get(id).key);
+    for &c in kids.iter() {
+        let nc = copy_subtree(arena, c);
+        adopt(arena, new, nc);
     }
     new
 }
 
-/// Move a subtree out of `src` into `dst` (recursion depth = order ≤ 32).
-fn move_subtree<K>(
-    dst: &mut Arena<K>,
-    src: &mut Arena<K>,
-    id: NodeId,
-    parent: Option<NodeId>,
-) -> NodeId {
-    let node = src.dealloc(id);
-    let new = dst.alloc_node(Node {
-        key: node.key,
-        parent,
-        children: Vec::with_capacity(node.children.len()),
-    });
-    for c in node.children {
-        let nc = move_subtree(dst, src, c, Some(new));
-        dst.get_mut(new).children.push(nc);
+/// Move a subtree out of `src` into `dst` (recursion depth = order ≤ 32),
+/// in the order of [`copy_subtree`].
+fn move_subtree<K: Copy>(dst: &mut Arena<K>, src: &mut Arena<K>, id: NodeId) -> NodeId {
+    let kids = src.children_ascending(id);
+    let new = dst.alloc_copy(src.dealloc(id).key);
+    for &c in kids.iter() {
+        let nc = move_subtree(dst, src, c);
+        adopt(dst, new, nc);
     }
     new
 }
 
-/// Recursive slab builder: build `keys` into `slab` (a disjoint slice of the
-/// final arena slab) with node `i` at global id `base + i`, melding the two
-/// halves' root arrays inside the slab on the way up. `cutoff` is the
-/// calibrated minimum sub-range worth a `rayon::join` split
-/// ([`crate::cutoff::bulk_join_cutoff`]); smaller ranges run the leaf kernel.
+/// Recursive slab builder: `slab` is a disjoint slice of the final arena
+/// slab, filled with leaves, whose node `i` has global id `base + i`. Each
+/// half builds its trees in place and the two root arrays meld inside the
+/// slab on the way up. `cutoff` is the calibrated minimum sub-range worth a
+/// `rayon::join` split ([`crate::cutoff::bulk_join_cutoff`]); smaller
+/// ranges run the leaf kernel.
 fn build_slab_rec<K: Ord + Copy + Send + Sync>(
-    keys: &[K],
-    slab: &mut [Option<Node<K>>],
+    slab: &mut [Node<K>],
     base: u32,
     cutoff: usize,
 ) -> Vec<Option<NodeId>> {
-    debug_assert_eq!(keys.len(), slab.len());
-    // Admission (`can_admit`) bounds base + keys.len() below u32::MAX, so
-    // the u32 offset arithmetic below cannot wrap.
-    debug_assert!((base as u64) + (keys.len() as u64) < u32::MAX as u64);
-    if keys.len() <= cutoff {
-        return build_slab_leaf(keys, slab, base);
+    let n = slab.len();
+    // Admission (`can_admit`) bounds base + n below u32::MAX, so the u32
+    // offset arithmetic below cannot wrap.
+    debug_assert!((base as u64) + (n as u64) < u32::MAX as u64);
+    if n <= cutoff {
+        return build_slab_leaf(slab, base);
     }
-    let mid = keys.len() / 2;
+    let mid = n / 2;
     let (left_slab, right_slab) = slab.split_at_mut(mid);
     let (mut roots, right_roots) = rayon::join(
-        || build_slab_rec(&keys[..mid], left_slab, base, cutoff),
-        || build_slab_rec(&keys[mid..], right_slab, base + mid as u32, cutoff),
+        || build_slab_rec(left_slab, base, cutoff),
+        || build_slab_rec(right_slab, base + mid as u32, cutoff),
     );
     union_into(
         &mut Segment { slab, base },
@@ -952,29 +962,25 @@ fn build_slab_rec<K: Ord + Copy + Send + Sync>(
         &mut roots,
         mid,
         &right_roots,
-        keys.len() - mid,
+        n - mid,
         build_plan_into,
     );
     roots
 }
 
-/// Sequential ripple-carry build of one slab segment (ids = `base + index`):
-/// the same [`carry_add`] as [`HeapPool::insert`], one key at a time.
-/// `pub(crate)` so the cutoff calibrator can probe its per-key cost.
+/// Sequential ripple-carry build of one slab segment of leaves (ids =
+/// `base + index`): the same [`carry_add`] as [`HeapPool::insert`], one
+/// node at a time. `pub(crate)` so the cutoff calibrator can probe its
+/// per-key cost.
 pub(crate) fn build_slab_leaf<K: Ord + Copy>(
-    keys: &[K],
-    slab: &mut [Option<Node<K>>],
+    slab: &mut [Node<K>],
     base: u32,
 ) -> Vec<Option<NodeId>> {
+    let n = slab.len() as u32;
     let mut seg = Segment { slab, base };
     let mut roots: Vec<Option<NodeId>> = Vec::new();
-    for (i, &k) in keys.iter().enumerate() {
-        seg.slab[i] = Some(Node {
-            key: k,
-            parent: None,
-            children: Vec::new(),
-        });
-        carry_add(&mut seg, &mut roots, &[NodeId(base + i as u32)], 0);
+    for i in 0..n {
+        carry_add(&mut seg, &mut roots, &[NodeId(base + i)], 0);
     }
     roots
 }
@@ -1014,12 +1020,13 @@ mod tests {
         assert_eq!(rest, vec![3, 5, 7, 8, 9]);
     }
 
-    /// Every live node as `(id, key, parent, children)`, in id order.
+    /// Every live node as `(id, key, parent, children)`, in id order, the
+    /// children as the arena's child list walks them.
     type Shape = Vec<(NodeId, i64, Option<NodeId>, Vec<NodeId>)>;
     fn shape(arena: &Arena<i64>) -> Shape {
         arena
             .iter()
-            .map(|(id, n)| (id, n.key, n.parent, n.children.clone()))
+            .map(|(id, n)| (id, n.key, n.parent(), arena.children(id).collect()))
             .collect()
     }
 
@@ -1173,7 +1180,7 @@ mod tests {
         let mut bad = pool.from_keys([3, 1, 2]);
         bad.min = bad.roots[0];
         assert!(pool.validate_heap(&bad).unwrap_err().contains("min cache"));
-        let child = pool.arena.get(bad.roots[1].unwrap()).children[0];
+        let child = pool.arena.children(bad.roots[1].unwrap()).next().unwrap();
         bad.min = Some(child);
         assert!(pool.validate_heap(&bad).unwrap_err().contains("min cache"));
     }

@@ -21,10 +21,10 @@ pub fn par_heap_dot(h: &ParBinomialHeap) -> String {
         }
     }
     for (id, node) in h.arena().iter() {
-        if node.parent.is_some() {
+        if node.parent().is_some() {
             out.push_str(&format!("  n{} [label=\"{}\"];\n", id.0, node.key));
         }
-        for (slot, c) in node.children.iter().enumerate() {
+        for (slot, c) in h.arena().children_ascending(id).iter().enumerate() {
             out.push_str(&format!("  n{} -> n{} [label=\"{slot}\"];\n", id.0, c.0));
         }
     }

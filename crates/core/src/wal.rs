@@ -17,14 +17,15 @@
 //!   FNV-1a trailer, folded as the words stream out through one
 //!   `BufWriter` to a temp file that is `sync_data`'d and atomically
 //!   renamed, after which the directory itself is `sync_all`'d so the
-//!   rename survives a power cut, not just a process kill. A free slab
-//!   slot is a single `u64::MAX` tombstone; the full
-//!   layout is on [`write_checkpoint`]. The reader treats the image as
+//!   rename survives a power cut, not just a process kill. Every slab
+//!   slot, free or live, is a fixed 3-word record of the arena's node; the
+//!   full layout is on [`write_checkpoint`]. The reader treats the image as
 //!   untrusted input: a length that is not a multiple of 8, a bad trailer,
 //!   magic or version, a count or id that overflows or outruns the image,
-//!   a child or parent naming no live slot, a duplicate heap slot or
-//!   leftover words discards it; the rest still goes through
-//!   `Arena::from_raw_parts`, and the recovered pool through `check_pool`.
+//!   a link naming a dead or out-of-range slot, a sibling chain whose
+//!   length is not its node's degree, a duplicate heap slot or leftover
+//!   words discards it; the recovered pool then goes through
+//!   `check_pool`.
 //!   A checkpoint bounds replay work; the WAL keeps its full history so a
 //!   discarded checkpoint degrades to a full genesis replay, never to data
 //!   loss. For the same reason a `checkpoint.json` from the earlier JSON
@@ -445,10 +446,12 @@ pub fn truncate_wal(path: &Path, len: u64) -> std::io::Result<()> {
 
 /// First word of a checkpoint image (`"MPQCKPT\0"` little-endian).
 const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"MPQCKPT\0");
-/// Checkpoint image layout version.
-const CHECKPOINT_VERSION: u64 = 1;
-/// Tombstone word in a checkpoint image: a free slab slot, an absent
-/// parent, an absent root. No id or degree ever takes this value.
+/// Checkpoint image layout version. Version 1 stored a node as `3 +
+/// degree` words; its images are not read (recovery replays from genesis).
+const CHECKPOINT_VERSION: u64 = 2;
+/// Words per slab slot in a checkpoint image.
+const SLOT_WORDS: usize = 3;
+/// An absent root in a checkpoint image. No id takes this value.
 const NIL: u64 = u64::MAX;
 
 /// Streams `u64` LE words to `out`, folding each into the FNV-1a trailer.
@@ -534,16 +537,21 @@ impl Iterator for Words<'_> {
 /// skips every record with `seq' <= seq` — then `sync_all` the directory
 /// so the rename itself is durable. Returns the image's size in bytes,
 /// which sets the next [`CheckpointCadence`] interval. The image is `u64`
-/// LE words:
+/// LE words (version 2):
 ///
 /// ```text
 /// [magic, version, seq, n_slots, n_free, n_heaps, n_free_slots]
-/// n_slots × (NIL | [degree, key, parent|NIL, child × degree])
+/// n_slots × [key, parent | child << 32, sibling | degree << 32]
 /// n_free  × slot                          free list, pop order
 /// n_heaps × [slot, gen, len, n_roots, (root|NIL) × n_roots]
 /// n_free_slots × [slot, gen]
 /// crc                                     FNV-1a over every word before it
 /// ```
+///
+/// A slot record is the arena's node as it stands: `u32` link words with
+/// `u32::MAX` for none, `child` the highest-order child and `sibling` the
+/// next lower-order one. A free slot has every link `u32::MAX` and degree
+/// `u32::MAX`; its key word is whatever the slot last held.
 pub fn write_checkpoint<'a, I>(
     dir: &Path,
     seq: u64,
@@ -570,18 +578,12 @@ where
         heaps.len() as u64,
         free_slots.len() as u64,
     ])?;
-    for slot in slab {
-        match slot {
-            None => out.words([NIL])?,
-            Some(n) => {
-                out.words([
-                    n.children.len() as u64,
-                    n.key as u64,
-                    n.parent.map_or(NIL, |p| p.0 as u64),
-                ])?;
-                out.words(n.children.iter().map(|c| c.0 as u64))?;
-            }
-        }
+    for n in slab {
+        out.words([
+            n.key as u64,
+            n.parent as u64 | (n.child as u64) << 32,
+            n.sibling as u64 | (n.degree as u64) << 32,
+        ])?;
     }
     out.words(free.iter().map(|&f| f as u64))?;
     for (slot, gen, h) in &heaps {
@@ -604,6 +606,11 @@ where
     Ok(image)
 }
 
+/// The low and high `u32` halves of a slot-record word.
+fn split_word(w: u64) -> (u32, u32) {
+    (w as u32, (w >> 32) as u32)
+}
+
 /// A checkpoint decoded back into live structures.
 struct RecoveredCheckpoint {
     seq: u64,
@@ -616,10 +623,12 @@ struct RecoveredCheckpoint {
 
 /// Load `dir/checkpoint.bin`. The image crosses a trust boundary, so any
 /// failure — missing file, length not a multiple of 8, trailer mismatch,
-/// wrong magic or version, a value that overflows `u32`/`usize`, a child
-/// or parent id naming no live slot, a duplicate heap slot, leftover
-/// words, an inconsistent free list — yields `None`: the checkpoint is
-/// advisory, recovery then replays the WAL from genesis.
+/// wrong magic or version (a version-1 image included), a value that
+/// overflows `u32`/`usize`, a slot count the words left cannot hold, a
+/// link naming a dead or out-of-range slot, a sibling chain whose length
+/// is not its node's degree, a duplicate heap slot, leftover words, an
+/// inconsistent free list — yields `None`: the checkpoint is advisory,
+/// recovery then replays the WAL from genesis.
 fn read_checkpoint(dir: &Path) -> Option<RecoveredCheckpoint> {
     let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).ok()?;
     if bytes.len() % 8 != 0 {
@@ -638,34 +647,24 @@ fn read_checkpoint(dir: &Path) -> Option<RecoveredCheckpoint> {
     let n_free = r.next_count()?;
     let n_heaps = r.next_count()?;
     let n_free_slots = r.next_count()?;
-    let mut nodes: Vec<Option<Node<i64>>> = Vec::with_capacity(n_slots);
+    if n_slots > r.left() / SLOT_WORDS {
+        return None;
+    }
+    let mut nodes: Vec<Node<i64>> = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
-        let degree = match r.next()? {
-            NIL => {
-                nodes.push(None);
-                continue;
-            }
-            d => r.fits(d)?,
-        };
         let key = r.next()? as i64;
-        let parent = r.opt_id()?;
-        let children = (0..degree)
-            .map(|_| r.opt_id()?)
-            .collect::<Option<Vec<NodeId>>>()?;
-        nodes.push(Some(Node {
+        let (parent, child) = split_word(r.next()?);
+        let (sibling, degree) = split_word(r.next()?);
+        nodes.push(Node {
             key,
             parent,
-            children,
-        }));
+            child,
+            sibling,
+            degree,
+        });
     }
-    // Every id a live node names must be a live node: `check_pool` walks
-    // children through the slab and must never index past it.
-    let live = |id: &NodeId| matches!(nodes.get(id.0 as usize), Some(Some(_)));
-    for n in nodes.iter().flatten() {
-        if !n.children.iter().all(live) || !n.parent.iter().all(live) {
-            return None;
-        }
-    }
+    // `from_raw_parts` checks every link and chain length: `check_pool`
+    // walks children through the slab and must never index past it.
     let free = (0..n_free).map(|_| r.u32()).collect::<Option<Vec<u32>>>()?;
     let pool = HeapPool::from_arena(Arena::from_raw_parts(nodes, free)?);
     let mut heaps: Vec<Option<(u32, PooledHeap)>> = Vec::new();
@@ -1350,21 +1349,42 @@ mod tests {
         let mut extra = body.to_vec();
         extra.push(0);
         cases.push(("one trailing extra word".into(), seal(&extra)));
-        // Walk the slab to the live entries and the sections after it.
-        let mut live = Vec::new();
-        let mut at = 7;
-        for _ in 0..n_slots {
-            if body[at] != NIL {
-                live.push(at);
-                at += 3 + body[at] as usize;
-            } else {
-                at += 1;
-            }
-        }
-        let parent_of_some = *live.iter().find(|&&e| body[e] > 0).unwrap();
+        let mut v1 = body.to_vec();
+        v1[1] = 1;
+        cases.push(("a version-1 header".into(), seal(&v1)));
+        let mut short = body.to_vec();
+        short[3] = (body.len() as u64 - 7) / 3 + 1;
+        cases.push(("more slots than words left".into(), seal(&short)));
+        // Slot `i`'s record is words `7 + 3i ..`: key, parent | child << 32,
+        // sibling | degree << 32.
+        let rec = |i: u64| 7 + 3 * i as usize;
+        let links = |w: u64| (w & 0xFFFF_FFFF, w >> 32);
+        let with_low = |w: u64, lo: u64| w & !0xFFFF_FFFF | lo;
+        let with_high = |w: u64, hi: u64| w & 0xFFFF_FFFF | hi << 32;
+        // A node with at least two children, and its first two.
+        let p = (0..n_slots)
+            .find(|&i| links(body[rec(i) + 2]).1 >= 2 && links(body[rec(i) + 2]).1 < 32)
+            .unwrap();
+        let first = links(body[rec(p) + 1]).1;
+        let second = links(body[rec(first) + 2]).0;
+        let mut cycle = body.to_vec();
+        cycle[rec(second) + 2] = with_low(cycle[rec(second) + 2], first);
+        cases.push(("a sibling cycle".into(), seal(&cycle)));
+        let mut long = body.to_vec();
+        let degree = links(body[rec(p) + 2]).1;
+        long[rec(p) + 2] = with_high(long[rec(p) + 2], degree - 1);
+        cases.push(("a chain longer than its degree".into(), seal(&long)));
+        let mut chain_short = body.to_vec();
+        chain_short[rec(p) + 2] = with_high(chain_short[rec(p) + 2], degree + 1);
+        cases.push(("a chain shorter than its degree".into(), seal(&chain_short)));
         let mut child = body.to_vec();
-        child[parent_of_some + 3] = n_slots + 5;
+        child[rec(p) + 1] = with_high(child[rec(p) + 1], n_slots + 5);
         cases.push(("child id out of range".into(), seal(&child)));
+        let free_slot = body[rec(n_slots)];
+        let mut freed = body.to_vec();
+        freed[rec(p) + 1] = with_high(freed[rec(p) + 1], free_slot);
+        cases.push(("a child naming a free slot".into(), seal(&freed)));
+        let at = rec(n_slots);
         let first_heap = at + body[4] as usize;
         let second_heap = first_heap + 4 + body[first_heap + 3] as usize;
         let mut dup = body.to_vec();

@@ -11,14 +11,14 @@
 //! * **corruption stops the log, not the process** — a bit flip anywhere in
 //!   a record fails its CRC and ends replay *before* that record; a bit
 //!   flip in the checkpoint — or a checkpoint torn mid-write, with its temp
-//!   file left behind — discards the checkpoint and recovery falls back to
-//!   full-log replay;
+//!   file left behind, or a CRC-valid image with one node link rewritten —
+//!   discards the checkpoint and recovery falls back to full-log replay;
 //! * **idempotence** — recovering twice from the same directory yields the
 //!   identical state (the first recovery's truncation is convergent);
 //! * **structural integrity** — every recovered pool passes `check_pool`
 //!   and keeps serving (the reopened WAL continues the sequence).
 //!
-//! Plan count defaults to 320, about 53 per kind (`WAL_CRASH_PLANS` raises
+//! Plan count defaults to 320, about 46 per kind (`WAL_CRASH_PLANS` raises
 //! it; the soak job
 //! sets `SOAK_STEPS`). A failing plan's seed is written to
 //! `target/wal-failing-seed.txt` so CI uploads it as the repro artifact.
@@ -63,16 +63,23 @@ enum Kind {
     /// Write a checkpoint mid-run, then cut it at a random byte offset and
     /// leave a stray `.tmp` beside it (a crash mid-checkpoint).
     TornCheckpoint,
+    /// Write a checkpoint mid-run, then rewrite one link word of one slab
+    /// slot and reseal the trailer: an image only the structural checks
+    /// can reject.
+    CorruptLinkCheckpoint,
 }
 
+const KINDS: u64 = 7;
+
 fn kind_for(seed: u64) -> Kind {
-    match seed % 6 {
+    match seed % KINDS {
         0 => Kind::KillAtOffset,
         1 => Kind::TornTail,
         2 => Kind::BitFlipWal,
         3 => Kind::BitFlipCheckpoint,
         4 => Kind::DoubleRecover,
-        _ => Kind::TornCheckpoint,
+        5 => Kind::TornCheckpoint,
+        _ => Kind::CorruptLinkCheckpoint,
     }
 }
 
@@ -245,6 +252,33 @@ impl Drop for TmpDir {
     }
 }
 
+/// Rewrite one link word of one slab slot of a checkpoint image and reseal
+/// its trailer. The image is little-endian `u64` words: a 7-word header
+/// whose word 3 is the slot count, then 3 words per slot (`key`,
+/// `parent | child << 32`, `sibling | degree << 32`), and a trailing
+/// word-folded FNV-1a over every word before it.
+fn corrupt_link(path: &Path, r: u64) {
+    let bytes = std::fs::read(path).expect("read checkpoint");
+    let mut words: Vec<u64> = bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect();
+    let n_slots = words[3];
+    assert!(n_slots > 0, "the plan's checkpoint holds nodes");
+    let word = 7 + 3 * (r % n_slots) as usize + 1 + (r >> 40 & 1) as usize;
+    let half = 32 * (r >> 41 & 1);
+    let flip = 1 + (r >> 8) % 0xFFFF_FFFF;
+    words[word] ^= flip << half;
+    let body = words.len() - 1;
+    words[body] = words[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let out: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    std::fs::write(path, out).expect("write corrupted checkpoint");
+}
+
 fn flip_bit(path: &Path, r: u64) {
     let mut bytes = std::fs::read(path).expect("read for bit flip");
     assert!(!bytes.is_empty(), "cannot flip a bit in an empty file");
@@ -278,7 +312,11 @@ fn run_plan(seed: u64) {
         issue(&mut pool, &op);
         model.apply(&op);
         ops.push((op, pool.wal_bytes()));
-        if matches!(kind, Kind::BitFlipCheckpoint | Kind::TornCheckpoint) && i == n_ops / 2 {
+        if matches!(
+            kind,
+            Kind::BitFlipCheckpoint | Kind::TornCheckpoint | Kind::CorruptLinkCheckpoint
+        ) && i == n_ops / 2
+        {
             pool.checkpoint().expect("explicit checkpoint");
             checkpoint_cut_floor = pool.wal_bytes();
         }
@@ -353,6 +391,14 @@ fn run_plan(seed: u64) {
             // Torn checkpoint discarded, WAL intact: full-log replay.
             (checkpoint_cut_floor.max(total), survived_prefix(total))
         }
+        Kind::CorruptLinkCheckpoint => {
+            let ckpt = dir.join(CHECKPOINT_FILE);
+            assert!(ckpt.exists(), "plan wrote a checkpoint");
+            corrupt_link(&ckpt, r);
+            // The trailer still matches, the links do not: the image is
+            // discarded and the WAL replays in full.
+            (checkpoint_cut_floor.max(total), survived_prefix(total))
+        }
     };
     let _ = cut;
 
@@ -411,5 +457,9 @@ fn wal_crash_fuzz_seeded_plans_vs_oracle() {
         }
     }
     // Every crash kind must actually have been exercised.
-    assert_eq!(by_kind.len(), 6, "all plan kinds covered: {by_kind:?}");
+    assert_eq!(
+        by_kind.len() as u64,
+        KINDS,
+        "all plan kinds covered: {by_kind:?}"
+    );
 }
