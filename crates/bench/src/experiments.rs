@@ -193,19 +193,21 @@ pub fn figure3() -> Fig3State {
     h.validate().expect("3(b) state valid");
 
     let root = h.roots_snapshot()[3].expect("B_3 root");
-    let key = |id: NodeId| h.raw_key(id);
+    // A node's figure label is its insertion index, the key it was given:
+    // an empty node's key is `-∞`.
+    let label = |id: NodeId| ids.iter().position(|&i| i == id).expect("inserted node") as i64;
     let view = |v: Vec<Option<NodeId>>| -> Vec<(usize, i64)> {
         v.into_iter()
             .enumerate()
-            .filter_map(|(i, c)| c.map(|id| (i, key(id))))
+            .filter_map(|(i, c)| c.map(|id| (i, label(id))))
             .collect()
     };
     let d_p = view(h.dead_view(root));
     let l_p = view(h.live_view(root));
     let x = ids[4];
     let y = ids[2];
-    let x_children: Vec<i64> = h.children_of(x).into_iter().flatten().map(key).collect();
-    let y_children: Vec<i64> = h.children_of(y).into_iter().flatten().map(key).collect();
+    let x_children: Vec<i64> = h.children_of(x).into_iter().map(label).collect();
+    let y_children: Vec<i64> = h.children_of(y).into_iter().map(label).collect();
     Fig3State {
         d_p,
         l_p,

@@ -19,7 +19,6 @@
 use std::sync::OnceLock;
 
 use crate::heap::ParBinomialHeap;
-use crate::lazy::LazyBinomialHeap;
 use crate::meldable::MeldablePq;
 
 /// Every constructible queue engine in the workspace (the shootout roster).
@@ -29,8 +28,6 @@ pub enum Backend {
     /// The §3 parallel binomial heap (`ParBinomialHeap`, a one-heap
     /// `HeapPool`), sequential planner.
     Pooled,
-    /// The §4 lazy binomial heap with empty nodes.
-    Lazy,
     /// Sequential CLRS binomial heap.
     Binomial,
     /// Leftist heap.
@@ -47,9 +44,8 @@ pub enum Backend {
 
 impl Backend {
     /// The full roster, in shootout order.
-    pub const ALL: [Backend; 8] = [
+    pub const ALL: [Backend; 7] = [
         Backend::Pooled,
-        Backend::Lazy,
         Backend::Binomial,
         Backend::Leftist,
         Backend::Pairing,
@@ -62,7 +58,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Pooled => "pooled",
-            Backend::Lazy => "lazy",
             Backend::Binomial => "binomial",
             Backend::Leftist => "leftist",
             Backend::Pairing => "pairing",
@@ -79,10 +74,8 @@ impl Backend {
 
     /// Construct an empty queue of this backend.
     pub fn make(self) -> Box<dyn MeldablePq<i64> + Send> {
-        let p = std::thread::available_parallelism().map_or(2, |n| n.get());
         match self {
             Backend::Pooled => Box::new(ParBinomialHeap::new()),
-            Backend::Lazy => Box::new(LazyBinomialHeap::new(p)),
             Backend::Binomial => Box::new(seqheaps::BinomialHeap::new()),
             Backend::Leftist => Box::new(seqheaps::LeftistHeap::new()),
             Backend::Pairing => Box::new(seqheaps::PairingHeap::new()),
@@ -97,13 +90,11 @@ impl Backend {
     /// reinsert-and-skip-stale simulation (the classic Dijkstra workaround),
     /// which is exactly what the shootout charges it for.
     pub fn make_decrease(self) -> Option<Box<dyn crate::decrease::DecreaseKeyPq<i64> + Send>> {
-        let p = std::thread::available_parallelism().map_or(2, |n| n.get());
         match self {
             Backend::Binomial => Some(Box::new(seqheaps::BinomialHeap::new())),
             Backend::Leftist => Some(Box::new(seqheaps::LeftistHeap::new())),
             Backend::Pairing => Some(Box::new(seqheaps::PairingHeap::new())),
             Backend::Hollow => Some(Box::new(seqheaps::HollowHeap::new())),
-            Backend::Lazy => Some(Box::new(crate::decrease::LazyDecreasePq::new(p))),
             Backend::Pooled | Backend::Dary4 | Backend::Binary => None,
         }
     }
@@ -262,7 +253,7 @@ mod tests {
             assert_eq!(q.extract_min(), Some(5), "{}", b.name());
             assert_eq!(q.extract_min(), Some(20), "{}", b.name());
         }
-        assert_eq!(native, 5, "decrease-key roster drifted");
+        assert_eq!(native, 4, "decrease-key roster drifted");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn check_heap<K: Ord + Copy + Send + Sync>(h: &ParBinomialHeap<K>) -> Result
 pub fn check_lazy(h: &LazyBinomialHeap) -> Result<(), String> {
     h.validate()?;
     for (i, d) in h.del_buffer.iter().enumerate() {
-        if h.arena.contains(*d) && !h.arena.get(*d).empty {
+        if h.key_of(*d).is_some() {
             return Err(format!(
                 "Del buffer entry {i} ({d:?}) refers to a live node"
             ));

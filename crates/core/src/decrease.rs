@@ -178,8 +178,8 @@ impl LazyDecreasePq {
 }
 
 /// Locate a live node of `heap` holding `key`: the `hint` if still
-/// accurate, else a full walk (empty nodes hold garbage keys and are
-/// skipped; their children are real and descended into).
+/// accurate, else a full walk (empty nodes are skipped; their children are
+/// real and descended into).
 fn find_live_with_key(heap: &LazyBinomialHeap, hint: Option<NodeId>, key: i64) -> Option<NodeId> {
     if let Some(hint) = hint {
         if heap.key_of(hint) == Some(key) {
@@ -188,10 +188,10 @@ fn find_live_with_key(heap: &LazyBinomialHeap, hint: Option<NodeId>, key: i64) -
     }
     let mut stack: Vec<NodeId> = heap.roots_snapshot().into_iter().flatten().collect();
     while let Some(id) = stack.pop() {
-        if !heap.is_empty_node(id) && heap.raw_key(id) == key {
+        if heap.key_of(id) == Some(key) {
             return Some(id);
         }
-        stack.extend(heap.children_of(id).into_iter().flatten());
+        stack.extend(heap.children_of(id));
     }
     None
 }
@@ -236,12 +236,8 @@ impl MeldablePq<i64> for LazyDecreasePq {
         self.tracked.check()?;
         // Sub-multiset: count live keys once, then subtract tracked ones.
         let mut live: HashMap<i64, usize> = HashMap::new();
-        let mut stack: Vec<NodeId> = self.heap.roots_snapshot().into_iter().flatten().collect();
-        while let Some(id) = stack.pop() {
-            if !self.heap.is_empty_node(id) {
-                *live.entry(self.heap.raw_key(id)).or_default() += 1;
-            }
-            stack.extend(self.heap.children_of(id).into_iter().flatten());
+        for k in self.heap.live_keys() {
+            *live.entry(k).or_default() += 1;
         }
         for (k, tracked) in self.tracked.buckets() {
             let avail = live.get(k).copied().unwrap_or(0);

@@ -12,6 +12,8 @@
 //!    then `H'` melds with the untouched trees of `H`. Every `Union` here is
 //!    measured on the PRAM simulator.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use pram::Cost;
 
 use crate::arena::NodeId;
@@ -27,7 +29,7 @@ impl LazyBinomialHeap {
         // ---- gather the live set of empty markers ----
         let mut empties: Vec<NodeId> = std::mem::take(&mut self.del_buffer)
             .into_iter()
-            .filter(|&id| self.arena.contains(id) && self.arena.get(id).empty)
+            .filter(|&id| self.arena.contains(id) && self.is_empty_node(id))
             .collect();
         empties.sort_unstable();
         empties.dedup();
@@ -40,9 +42,12 @@ impl LazyBinomialHeap {
         // ---- 1. distances: a measured CREW PRAM program (converging
         //         ancestor paths read cells concurrently) ----
         let sp_stage = obs::span("distance");
-        let (depths, dist_cost) = self
-            .distances_pram(&empties, self.p, pram::Model::Crew)
-            .expect("the distance program is CREW-legal");
+        let (depths, dist_cost) = match self.distances_pram(&empties, self.p, pram::Model::Crew) {
+            Ok(found) => found,
+            // Processors only read ancestor cells and write nothing shared:
+            // CREW admits every such step.
+            Err(e) => unreachable!("the distance program is CREW-legal: {e}"),
+        };
         meter.add(dist_cost);
         // Roots of the dirty trees (host bookkeeping; the climb itself was
         // charged above).
@@ -50,7 +55,7 @@ impl LazyBinomialHeap {
             .iter()
             .map(|&e| {
                 let mut cur = e;
-                while let Some(p) = self.arena.get(cur).parent {
+                while let Some(p) = self.parent_of(cur) {
                     cur = p;
                 }
                 cur
@@ -68,15 +73,18 @@ impl LazyBinomialHeap {
             .collect();
         order.sort_unstable_by_key(|(d, id)| (*d, id.0));
         let markers: Vec<NodeId> = order.into_iter().map(|(_, id)| id).collect();
-        let out = self
-            .bubble_up_pram(&markers, self.p, pram::Model::Crew)
-            .expect("the pipelined swap schedule is conflict-free (Fact 3)");
+        let out = match self.bubble_up_pram(&markers, self.p, pram::Model::Crew) {
+            Ok(out) => out,
+            // The schedule admits a swap only when its two cells are
+            // untouched this round, so no step has a conflict.
+            Err(e) => unreachable!("the pipelined swap schedule is conflict-free (Fact 3): {e}"),
+        };
         meter.add(out.cost);
         let crown = out.crown;
         dirty_roots.sort_unstable();
         dirty_roots.dedup();
         debug_assert!(
-            dirty_roots.iter().all(|&r| self.arena.get(r).empty),
+            dirty_roots.iter().all(|&r| self.is_empty_node(r)),
             "the shallowest marker of every dirty tree must reach its root"
         );
 
@@ -85,15 +93,9 @@ impl LazyBinomialHeap {
         // ---- 3a. collect the live child lists of the crown ----
         let mut lists: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(crown.len());
         for &c in &crown {
-            let list: Vec<Option<NodeId>> = self
-                .arena
-                .get(c)
-                .children
-                .iter()
-                .map(|ch| ch.filter(|&id| !self.arena.get(id).empty))
-                .collect();
-            for r in list.iter().flatten() {
-                self.arena.get_mut(*r).parent = None;
+            let list = self.live_view(c);
+            for &r in list.iter().flatten() {
+                self.orphan(r);
             }
             if list.iter().any(|r| r.is_some()) {
                 lists.push(list);
@@ -128,7 +130,7 @@ impl LazyBinomialHeap {
             while let Some(a) = it.next() {
                 match it.next() {
                     Some(b) => {
-                        let (merged, c) = self.planned_union(&a, &b, p_eff);
+                        let (merged, c) = self.union(a, &b, p_eff);
                         round_time = round_time.max(c.time);
                         round_work += c.work;
                         next.push(merged);
@@ -146,7 +148,7 @@ impl LazyBinomialHeap {
         // ---- 3d. meld H' with the untouched trees ----
         if let Some(h_prime) = round.pop() {
             let old = std::mem::take(&mut self.roots);
-            let (roots, c) = self.planned_union(&old, &h_prime, p_total);
+            let (roots, c) = self.union(old, &h_prime, p_total);
             self.roots = roots;
             meter.add(c);
         }
@@ -171,7 +173,7 @@ mod tests {
         // force the rebuild directly.
         let mut deleted = Vec::new();
         for &id in ids.iter().rev() {
-            if h.arena.get(id).parent.is_some() {
+            if h.parent_of(id).is_some() {
                 h.delete(id);
                 deleted.push(id);
                 if deleted.len() == 2 {
@@ -186,7 +188,7 @@ mod tests {
         for slot in 0..64u32 {
             let id = crate::arena::NodeId(slot);
             if h.arena.contains(id) {
-                assert!(!h.arena.get(id).empty);
+                assert!(!h.is_empty_node(id));
             }
         }
         assert_eq!(h.len(), 30);
@@ -223,7 +225,7 @@ mod tests {
             while deletions > 0 {
                 let idx = rng.gen_range(0..live.len());
                 let (id, k) = live[idx];
-                if h.arena.contains(id) && !h.arena.get(id).empty && h.key_of(id) == Some(k) {
+                if h.key_of(id) == Some(k) {
                     h.delete(id);
                     h.validate().expect("invariant violated");
                     live.swap_remove(idx);
@@ -248,7 +250,7 @@ mod tests {
         let mut h = LazyBinomialHeap::new(4);
         let ids: Vec<_> = (0..64).map(|k| h.insert(k)).collect();
         for &id in ids.iter().rev().take(20) {
-            if h.arena.contains(id) && !h.arena.get(id).empty && h.arena.get(id).parent.is_some() {
+            if h.key_of(id).is_some() && h.parent_of(id).is_some() {
                 h.delete(id);
             }
         }

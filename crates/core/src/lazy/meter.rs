@@ -56,10 +56,10 @@ impl CostMeter {
     /// for requiring CREW). Time `⌈markers/p⌉ · max_depth`, work
     /// `Σ depths ≤ markers · max_depth` (we charge the actual sum).
     pub fn charge_distance_computation(&mut self, depths: &[usize]) {
-        if depths.is_empty() {
+        let Some(&max) = depths.iter().max() else {
             return;
-        }
-        let max = *depths.iter().max().expect("nonempty") as u64;
+        };
+        let max = max as u64;
         let rounds = depths.len().div_ceil(self.p) as u64;
         self.cost += Cost {
             time: rounds * max,

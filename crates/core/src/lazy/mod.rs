@@ -1,9 +1,10 @@
 //! Lazy deletion (paper §4): `Delete` and `Change-Key` with persistent empty
 //! nodes.
 //!
-//! A deleted non-root node is not removed: it is marked *empty* (key = `-∞`)
-//! and the structure is repaired *locally* by `Take-Up`,
-//! which re-melds the node's child lists into its parent so that
+//! A deleted non-root node is not removed: its key becomes `EMPTY_KEY`
+//! (`i64::MIN`, the paper's literal `key = -∞`) and the structure is
+//! repaired *locally* by `Take-Up`, which re-melds the node's child lists
+//! into its parent so that
 //!
 //! * **Invariant 1.2** — an empty node's entire sub-binomial-tree is empty,
 //! * **Invariant 1.3** — every tree stays *complete*: each child slot of a
@@ -15,11 +16,19 @@
 //! all-live subtrees with a balanced binary tree of Unions — Theorem 2's
 //! amortization.
 //!
+//! The nodes are the pool's flat [`Arena`] nodes: a key plus `u32`
+//! parent/child/sibling/degree words, with `L` as a child list highest order
+//! first. Invariant 1.3 makes that list the paper's slot array: the
+//! order-`i` child is position `i` of `Arena::children_ascending`. The
+//! paper's `L_x`/`D_x` arrays are derived from it by key
+//! ([`LazyBinomialHeap::live_view`], [`LazyBinomialHeap::dead_view`]).
+//!
 //! Every `Union` performed by these procedures runs as an actual program on
-//! the EREW PRAM simulator (through [`crate::engine_pram::build_plan_pram`])
-//! so the reported [`Cost`]s are measured, not estimated; the remaining
-//! phases (bubble-up, distance computation) are charged per the paper's CREW
-//! schedule by [`CostMeter`].
+//! the EREW PRAM simulator (through `pool::union_into` with the
+//! [`crate::engine_pram::build_plan_pram`] planner) so the reported
+//! [`Cost`]s are measured, not estimated; the remaining phases (bubble-up,
+//! distance computation) are charged per the paper's CREW schedule by
+//! [`CostMeter`].
 //!
 //! Note on Invariant 1.1: the paper additionally asserts every live node
 //! keeps at least one live child in `L`. When the *only* live descendant of a
@@ -28,95 +37,23 @@
 //! depend on it, and our validator checks the operationally load-bearing
 //! invariants (1.2, 1.3, live roots, heap order among live nodes) instead.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod arrange;
 pub mod bubble;
 pub mod meter;
 
 use pram::Cost;
 
-use crate::arena::NodeId;
-use crate::engine_pram::build_plan_pram;
-use crate::plan::{plan_width, RootRef, UnionPlan};
+use crate::arena::{Arena, NodeId, NIL};
+use crate::plan::RootRef;
+use crate::pool::{carry_add, root_refs_into, union_pram, UnionScratch};
 
 pub use meter::CostMeter;
 
-/// Key sentinel: empty nodes sort below every live key (the paper's `-∞`).
+/// The empty-node key: the paper's `-∞`, below every live key. A node is
+/// empty exactly when its key is `EMPTY_KEY`.
 pub(crate) const EMPTY_KEY: i64 = i64::MIN;
-
-/// A node of the lazy structure. The paper stores two child arrays `L`/`D`;
-/// we store one slot array and *derive* the live/dead views from the child's
-/// `empty` flag — identical information without stale-classification bugs.
-#[derive(Debug, Clone)]
-pub struct LazyNode {
-    /// The key; meaningless when `empty`.
-    pub key: i64,
-    /// Whether this node was deleted (the paper's `key = -∞` marker).
-    pub empty: bool,
-    /// Parent pointer (`None` for roots).
-    pub parent: Option<NodeId>,
-    /// Slot array: `children[i]` is the root of the order-`i` child subtree.
-    /// Complete trees have every slot occupied (Invariant 1.3).
-    pub children: Vec<Option<NodeId>>,
-}
-
-impl LazyNode {
-    /// Degree = number of child slots.
-    pub fn degree(&self) -> usize {
-        self.children.len()
-    }
-}
-
-/// Slab arena specialised for [`LazyNode`].
-#[derive(Debug, Clone, Default)]
-pub struct LazyArena {
-    nodes: Vec<Option<LazyNode>>,
-    free: Vec<u32>,
-}
-
-impl LazyArena {
-    fn alloc(&mut self, key: i64) -> NodeId {
-        let node = LazyNode {
-            key,
-            empty: false,
-            parent: None,
-            children: Vec::new(),
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Some(node);
-                NodeId(i)
-            }
-            None => {
-                self.nodes.push(Some(node));
-                NodeId((self.nodes.len() - 1) as u32)
-            }
-        }
-    }
-
-    fn dealloc(&mut self, id: NodeId) -> LazyNode {
-        let n = self.nodes[id.0 as usize].take().expect("dead node");
-        self.free.push(id.0);
-        n
-    }
-
-    /// Borrow a node.
-    pub fn get(&self, id: NodeId) -> &LazyNode {
-        self.nodes[id.0 as usize].as_ref().expect("dead node")
-    }
-
-    fn get_mut(&mut self, id: NodeId) -> &mut LazyNode {
-        self.nodes[id.0 as usize].as_mut().expect("dead node")
-    }
-
-    /// Whether `id` is a live arena slot.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes.get(id.0 as usize).is_some_and(|s| s.is_some())
-    }
-
-    fn len(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-}
 
 /// Per-operation cost record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +74,17 @@ pub enum OpKind {
     Union,
 }
 
+/// Node count of a root collection: `2^i` per occupied order `i`, empty
+/// nodes included. This is the operand size that fixes a plan's width.
+fn collection_size(roots: &[Option<NodeId>]) -> usize {
+    roots
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.is_some())
+        .map(|(i, _)| 1usize << i)
+        .sum()
+}
+
 /// The §4 meldable priority queue with lazy deletion.
 ///
 /// All keys must lie strictly between `i64::MIN` and `i64::MAX` (both are
@@ -144,9 +92,11 @@ pub enum OpKind {
 /// from [`LazyBinomialHeap::insert`].
 #[derive(Debug, Clone, Default)]
 pub struct LazyBinomialHeap {
-    pub(crate) arena: LazyArena,
+    pub(crate) arena: Arena<i64>,
     /// Root array `H`; roots are always live.
     pub(crate) roots: Vec<Option<NodeId>>,
+    /// Reused planning buffers of every `Union`.
+    scratch: UnionScratch<i64>,
     /// Number of live (non-deleted) keys.
     live_len: usize,
     /// The paper's `deleted` counter (Take-Ups since the last Arrange-Heap).
@@ -165,6 +115,10 @@ pub struct LazyBinomialHeap {
 
 impl LazyBinomialHeap {
     /// `Make-Queue` with `p` processors for cost accounting.
+    ///
+    /// # Panics
+    ///
+    /// If `p` is 0.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1);
         LazyBinomialHeap {
@@ -238,7 +192,7 @@ impl LazyBinomialHeap {
 
     /// Whether the node is an empty (deleted) marker.
     pub fn is_empty_node(&self, id: NodeId) -> bool {
-        self.arena.get(id).empty
+        self.arena.get(id).key == EMPTY_KEY
     }
 
     /// Snapshot of the root array `H`.
@@ -246,24 +200,22 @@ impl LazyBinomialHeap {
         self.roots.clone()
     }
 
-    /// Raw key of a node regardless of liveness (figure reproductions).
-    pub fn raw_key(&self, id: NodeId) -> i64 {
-        self.arena.get(id).key
-    }
-
     /// Parent handle of a node.
     pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
-        self.arena.get(id).parent
+        self.arena.get(id).parent()
     }
 
-    /// Child slot array of a node.
-    pub fn children_of(&self, id: NodeId) -> Vec<Option<NodeId>> {
-        self.arena.get(id).children.clone()
+    /// Children of a node, the order-`i` child at position `i`.
+    pub fn children_of(&self, id: NodeId) -> Vec<NodeId> {
+        self.arena.children_ascending(id).to_vec()
     }
 
-    /// Key of a node (for tests/examples holding handles).
+    /// Key of a live node; `None` for an empty node or a freed handle.
     pub fn key_of(&self, id: NodeId) -> Option<i64> {
-        (self.arena.contains(id) && !self.arena.get(id).empty).then(|| self.arena.get(id).key)
+        self.arena
+            .try_get(id)
+            .map(|n| n.key)
+            .filter(|&k| k != EMPTY_KEY)
     }
 
     // ---------------- derived L/D views ----------------
@@ -271,97 +223,77 @@ impl LazyBinomialHeap {
     /// The live-children view `L_x` (paper §4): slot `i` holds the child iff
     /// that child is live.
     pub fn live_view(&self, x: NodeId) -> Vec<Option<NodeId>> {
-        self.arena
-            .get(x)
-            .children
-            .iter()
-            .map(|c| c.filter(|&id| !self.arena.get(id).empty))
-            .collect()
+        self.view(x, false)
     }
 
     /// The dead-children view `D_x`.
     pub fn dead_view(&self, x: NodeId) -> Vec<Option<NodeId>> {
+        self.view(x, true)
+    }
+
+    fn view(&self, x: NodeId, empty: bool) -> Vec<Option<NodeId>> {
         self.arena
-            .get(x)
-            .children
+            .children_ascending(x)
             .iter()
-            .map(|c| c.filter(|&id| self.arena.get(id).empty))
+            .map(|&c| (self.is_empty_node(c) == empty).then_some(c))
             .collect()
     }
 
-    // ---------------- planned unions on the PRAM ----------------
+    // ---------------- tree surgery ----------------
 
-    fn refs_of(&self, roots: &[Option<NodeId>], width: usize) -> Vec<Option<RootRef>> {
-        (0..width)
-            .map(|i| {
-                roots.get(i).copied().flatten().map(|id| {
-                    let n = self.arena.get(id);
-                    RootRef {
-                        key: if n.empty { EMPTY_KEY } else { n.key },
-                        id,
-                    }
-                })
-            })
-            .collect()
+    /// Detach `id` from its parent's child list, ahead of a re-meld: the
+    /// parent's list is rewritten (or freed) afterwards.
+    fn orphan(&mut self, id: NodeId) {
+        let n = self.arena.get_mut(id);
+        n.parent = NIL;
+        n.sibling = NIL;
     }
 
-    fn collection_size(&self, roots: &[Option<NodeId>]) -> usize {
-        roots
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| 1usize << i)
-            .sum()
+    /// Make `slots` the child list of `parent`: the order-`i` child at slot
+    /// `i`. A hole (an Invariant 1.3 violation) shortens the chain below
+    /// the degree, which [`Self::validate`] reports.
+    fn set_children(&mut self, parent: NodeId, slots: &[Option<NodeId>]) {
+        let mut head = NIL;
+        for &c in slots.iter().flatten() {
+            let n = self.arena.get_mut(c);
+            n.parent = parent.0;
+            n.sibling = head;
+            head = c.0;
+        }
+        let p = self.arena.get_mut(parent);
+        p.child = head;
+        p.degree = slots.len() as u32;
     }
 
-    /// Union two root collections living in this arena; returns the new root
-    /// array and the measured PRAM cost. Uses `p_eff` processors.
-    pub(crate) fn planned_union(
+    /// `Union(dst, other)` of two root collections of this arena, planned
+    /// on the `p_eff`-processor PRAM. Returns the new root array and the
+    /// measured cost.
+    fn union(
         &mut self,
-        h1: &[Option<NodeId>],
-        h2: &[Option<NodeId>],
+        mut dst: Vec<Option<NodeId>>,
+        other: &[Option<NodeId>],
         p_eff: usize,
     ) -> (Vec<Option<NodeId>>, Cost) {
-        let s1 = self.collection_size(h1);
-        let s2 = self.collection_size(h2);
-        if s2 == 0 {
-            return (h1.to_vec(), Cost::ZERO);
-        }
-        if s1 == 0 {
-            return (h2.to_vec(), Cost::ZERO);
-        }
-        let width = plan_width(s1, s2);
-        let r1 = self.refs_of(h1, width);
-        let r2 = self.refs_of(h2, width);
-        let out = build_plan_pram(&r1, &r2, p_eff).expect("union program is EREW-legal");
-        let new_roots = self.apply_lazy_plan(&out.plan);
-        (new_roots, out.cost)
-    }
-
-    /// Phase III surgery on the lazy arena.
-    fn apply_lazy_plan(&mut self, plan: &UnionPlan) -> Vec<Option<NodeId>> {
-        for l in &plan.links {
-            debug_assert_eq!(self.arena.get(l.child).degree(), l.slot);
-            debug_assert_eq!(self.arena.get(l.parent).degree(), l.slot);
-            self.arena.get_mut(l.parent).children.push(Some(l.child));
-            self.arena.get_mut(l.child).parent = Some(l.parent);
-        }
-        let mut out = plan.new_roots.clone();
-        while matches!(out.last(), Some(None)) {
-            out.pop();
-        }
-        for r in out.iter().flatten() {
-            self.arena.get_mut(*r).parent = None;
-        }
-        out
+        let (n1, n2) = (collection_size(&dst), collection_size(other));
+        let cost = union_pram(
+            &mut self.arena,
+            &mut self.scratch,
+            &mut dst,
+            n1,
+            other,
+            n2,
+            p_eff,
+        );
+        (dst, cost)
     }
 
     // ---------------- the standard operations ----------------
 
-    /// Fast *unmetered* construction: ripple-carry inserts performed host-
-    /// side with no PRAM runs and no ledger entries. Experiments use this to
-    /// set up large heaps cheaply before measuring the operations of
-    /// interest; semantically identical to repeated [`Self::insert`].
+    /// Fast *unmetered* construction: carry-add inserts performed host-side
+    /// with no PRAM runs and no ledger entries. Experiments use this to set
+    /// up large heaps cheaply before measuring the operations of interest.
+    /// It builds exactly the trees of repeated [`Self::insert`], because
+    /// `pool::carry_add` follows the planner's tie rule.
     pub fn from_keys_fast<I: IntoIterator<Item = i64>>(p: usize, keys: I) -> Self {
         let mut h = Self::new(p);
         for k in keys {
@@ -370,50 +302,29 @@ impl LazyBinomialHeap {
         h
     }
 
-    /// One unmetered ripple-carry insert (see [`Self::from_keys_fast`]).
+    /// One unmetered carry-add insert (see [`Self::from_keys_fast`]).
+    ///
+    /// # Panics
+    ///
+    /// If `key` is `i64::MIN` or `i64::MAX`, the reserved sentinels.
     pub fn insert_unmetered(&mut self, key: i64) -> NodeId {
         assert!(key > i64::MIN && key < i64::MAX, "sentinel keys reserved");
         let id = self.arena.alloc(key);
-        let mut carry = id;
-        let mut i = 0usize;
-        loop {
-            if self.roots.len() <= i {
-                self.roots.resize(i + 1, None);
-            }
-            match self.roots[i].take() {
-                None => {
-                    self.roots[i] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    // Linking rule: the smaller root wins (ties to the
-                    // resident tree, matching the planners' tie rule where
-                    // the heap is the first operand).
-                    let (win, lose) = if self.arena.get(existing).key <= self.arena.get(carry).key {
-                        (existing, carry)
-                    } else {
-                        (carry, existing)
-                    };
-                    debug_assert_eq!(self.arena.get(win).children.len(), i);
-                    self.arena.get_mut(win).children.push(Some(lose));
-                    self.arena.get_mut(lose).parent = Some(win);
-                    carry = win;
-                    i += 1;
-                }
-            }
-        }
-        self.arena.get_mut(carry).parent = None;
+        carry_add(&mut self.arena, &mut self.roots, &[id], 0);
         self.live_len += 1;
         id
     }
 
     /// `Insert(Q, x)`: returns the handle for later `Delete`/`Change-Key`.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is `i64::MIN` or `i64::MAX`, the reserved sentinels.
     pub fn insert(&mut self, key: i64) -> NodeId {
         assert!(key > i64::MIN && key < i64::MAX, "sentinel keys reserved");
         let id = self.arena.alloc(key);
-        let single = vec![Some(id)];
         let old = std::mem::take(&mut self.roots);
-        let (roots, cost) = self.planned_union(&old, &single, self.p);
+        let (roots, cost) = self.union(old, &[Some(id)], self.p);
         self.roots = roots;
         self.live_len += 1;
         self.cost_log.push((OpKind::Insert, cost));
@@ -421,23 +332,29 @@ impl LazyBinomialHeap {
         id
     }
 
-    /// `Min(Q)`: the minimum live key (roots are always live), measured by an
-    /// EREW reduction.
-    pub fn min(&mut self) -> Option<i64> {
-        let width = self.roots.len();
-        let refs = self.refs_of(&self.roots.clone(), width);
-        let (min, cost) = crate::engine_pram::min_pram(&refs, self.p).expect("EREW-legal");
+    /// The minimum root (roots are always live), found by a measured EREW
+    /// reduction whose cost is logged as `Min`.
+    fn min_root(&mut self) -> Option<RootRef> {
+        let mut refs = Vec::new();
+        root_refs_into(&self.arena, &self.roots, self.roots.len(), &mut refs);
+        let (min, cost) = match crate::engine_pram::min_pram(&refs, self.p) {
+            Ok(found) => found,
+            // One processor per pair of positions, disjoint at every level
+            // of the reduction tree: never a conflict.
+            Err(e) => unreachable!("the min-reduction is EREW-legal: {e}"),
+        };
         self.cost_log.push((OpKind::Min, cost));
-        min.map(|r| r.key)
+        min
+    }
+
+    /// `Min(Q)`: the minimum live key, measured by an EREW reduction.
+    pub fn min(&mut self) -> Option<i64> {
+        self.min_root().map(|r| r.key)
     }
 
     /// `Extract-Min(Q)`.
     pub fn extract_min(&mut self) -> Option<i64> {
-        let width = self.roots.len();
-        let refs = self.refs_of(&self.roots.clone(), width);
-        let (min, cost) = crate::engine_pram::min_pram(&refs, self.p).expect("EREW-legal");
-        self.cost_log.push((OpKind::Min, cost));
-        let root = min?.id;
+        let root = self.min_root()?.id;
         Some(self.extract_root(root))
     }
 
@@ -457,51 +374,38 @@ impl LazyBinomialHeap {
         for d in dead.into_iter().flatten() {
             self.free_empty_subtree(d);
         }
-        let node = self.arena.dealloc(root);
-        for c in live.iter().flatten() {
-            self.arena.get_mut(*c).parent = None;
+        let key = self.arena.dealloc(root).key;
+        for &c in live.iter().flatten() {
+            self.orphan(c);
         }
         let old = std::mem::take(&mut self.roots);
-        let (roots, cost) = self.planned_union(&old, &live, self.p);
+        let (roots, cost) = self.union(old, &live, self.p);
         self.roots = roots;
         self.live_len -= 1;
         self.cost_log.push((OpKind::ExtractMin, cost));
         self.debug_validate();
-        node.key
+        key
     }
 
     /// `Union(Q1, Q2)`: meld another lazy heap in. `other`'s node handles are
     /// invalidated (its arena is re-indexed).
     pub fn meld(&mut self, other: LazyBinomialHeap) {
         // Move other's nodes into our arena. This is the cross-arena
-        // fallback path (Θ(n) copies); the *re-melds* inside `planned_union`
-        // and `arrange_heap` stay within one arena and are zero-copy, like
-        // the pooled representation (`meldpq::pool`). Reserve the net growth
-        // up front so the copy loop does one slab growth, not log(n).
-        self.arena
-            .nodes
-            .reserve(other.arena.len().saturating_sub(self.arena.free.len()));
-        let mut map: Vec<u32> = vec![u32::MAX; other.arena.nodes.len()];
-        for (i, slot) in other.arena.nodes.iter().enumerate() {
-            if slot.is_some() {
-                let nid = match self.arena.free.pop() {
-                    Some(f) => f,
-                    None => {
-                        self.arena.nodes.push(None);
-                        (self.arena.nodes.len() - 1) as u32
-                    }
-                };
-                map[i] = nid;
-            }
+        // fallback path (Θ(n) copies); the *re-melds* inside `union` and
+        // `arrange_heap` stay within one arena and are zero-copy, like the
+        // pooled representation (`meldpq::pool`). New ids are handed out in
+        // `other`'s id order.
+        let mut map: Vec<u32> = vec![NIL; other.arena.slab_len()];
+        for (id, n) in other.arena.iter() {
+            map[id.0 as usize] = self.arena.alloc_copy(n.key).0;
         }
-        for (i, slot) in other.arena.nodes.into_iter().enumerate() {
-            if let Some(mut n) = slot {
-                n.parent = n.parent.map(|p| NodeId(map[p.0 as usize]));
-                for c in n.children.iter_mut() {
-                    *c = c.map(|id| NodeId(map[id.0 as usize]));
-                }
-                self.arena.nodes[map[i] as usize] = Some(n);
-            }
+        let remap = |w: u32| if w == NIL { NIL } else { map[w as usize] };
+        for (id, n) in other.arena.iter() {
+            let m = self.arena.get_mut(NodeId(map[id.0 as usize]));
+            m.parent = remap(n.parent);
+            m.child = remap(n.child);
+            m.sibling = remap(n.sibling);
+            m.degree = n.degree;
         }
         let other_roots: Vec<Option<NodeId>> = other
             .roots
@@ -509,13 +413,13 @@ impl LazyBinomialHeap {
             .map(|r| r.map(|id| NodeId(map[id.0 as usize])))
             .collect();
         for d in &other.del_buffer {
-            if map[d.0 as usize] != u32::MAX {
-                self.del_buffer.push(NodeId(map[d.0 as usize]));
+            if let Some(&m) = map.get(d.0 as usize).filter(|&&m| m != NIL) {
+                self.del_buffer.push(NodeId(m));
             }
         }
         self.deleted_since_arrange += other.deleted_since_arrange;
         let old = std::mem::take(&mut self.roots);
-        let (roots, cost) = self.planned_union(&old, &other_roots, self.p);
+        let (roots, cost) = self.union(old, &other_roots, self.p);
         self.roots = roots;
         self.live_len += other.live_len;
         self.cost_log.push((OpKind::Union, cost));
@@ -528,16 +432,18 @@ impl LazyBinomialHeap {
     /// `Delete(Q, x)`. Roots are handled like `Extract-Min`; internal nodes
     /// go through `Take-Up`, and every `⌊log n / log log n⌋`-th deletion
     /// triggers `Arrange-Heap`.
+    ///
+    /// # Panics
+    ///
+    /// If `x` is a freed handle or an already deleted node.
     pub fn delete(&mut self, x: NodeId) -> i64 {
-        assert!(self.arena.contains(x), "deleting a dead handle");
-        assert!(!self.arena.get(x).empty, "node already deleted");
-        if self.arena.get(x).parent.is_none() {
+        let key = self.live_key(x);
+        let Some(parent) = self.parent_of(x) else {
             return self.extract_root(x);
-        }
-        let key = self.arena.get(x).key;
+        };
         self.deleted_since_arrange += 1;
         self.del_buffer.push(x);
-        self.take_up(x);
+        self.take_up(x, parent);
         self.live_len -= 1;
         if self.auto_arrange && self.deleted_since_arrange >= self.arrange_threshold() {
             self.arrange_heap();
@@ -546,18 +452,31 @@ impl LazyBinomialHeap {
         key
     }
 
+    /// The key of the live node `x`: the handle check of the deletions.
+    #[track_caller]
+    fn live_key(&self, x: NodeId) -> i64 {
+        assert!(self.arena.contains(x), "deleting a dead handle");
+        let key = self.arena.get(x).key;
+        assert!(key != EMPTY_KEY, "node already deleted");
+        key
+    }
+
     /// *Eager* deletion (the sequential textbook strategy, ablation A2):
     /// bubble the node's slot to the root by repeated content swaps, then
     /// extract that root. Costs `O(log n)` sequential time per deletion —
     /// the baseline the lazy scheme amortizes away.
+    ///
+    /// # Panics
+    ///
+    /// If `x` is a freed handle or an already deleted node.
     pub fn delete_eager(&mut self, x: NodeId) -> i64 {
-        assert!(self.arena.contains(x), "deleting a dead handle");
-        assert!(!self.arena.get(x).empty, "node already deleted");
-        let key = self.arena.get(x).key;
+        let key = self.live_key(x);
         let mut meter = CostMeter::new(self.p);
         let mut pos = x;
         let mut depth = 0u64;
-        while let Some(par) = self.arena.get(pos).parent {
+        // Every ancestor of a live node is live (Invariant 1.2), so the
+        // swaps move live keys only.
+        while let Some(par) = self.parent_of(pos) {
             let pk = self.arena.get(par).key;
             self.arena.get_mut(pos).key = pk;
             self.arena.get_mut(par).key = key;
@@ -574,6 +493,10 @@ impl LazyBinomialHeap {
 
     /// `Change-Key(Q, x, k)` = `Delete` + `Insert` (paper §4 end); returns
     /// the node's new handle.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::delete`] and [`Self::insert`].
     pub fn change_key(&mut self, x: NodeId, k: i64) -> NodeId {
         self.delete(x);
         self.insert(k)
@@ -581,66 +504,64 @@ impl LazyBinomialHeap {
 
     // ---------------- Take-Up (paper §4.1) ----------------
 
-    /// Locally repair the structure around the freshly deleted non-root `x`.
-    fn take_up(&mut self, x: NodeId) {
+    /// Locally repair the structure around the freshly deleted non-root `x`
+    /// whose parent is `p_id`.
+    fn take_up(&mut self, x: NodeId, p_id: NodeId) {
         let _sp = obs::span("lazy/take_up");
         let mut meter = CostMeter::new(self.p);
-        let p_id = self.arena.get(x).parent.expect("take_up on a root");
         let kx = self.arena.get(x).degree();
         let kp = self.arena.get(p_id).degree();
 
-        // Mark empty, detach x from its parent slot, split x's child views.
+        // Split x's child views, then mark x empty.
         let lx = self.live_view(x);
         let dx = self.dead_view(x);
-        {
-            let xn = self.arena.get_mut(x);
-            xn.empty = true;
-            xn.children.clear();
-            xn.parent = None;
-        }
+        self.arena.get_mut(x).key = EMPTY_KEY;
         meter.charge_const(2);
 
-        // x is already marked empty, so the live view of p excludes it and
-        // the dead view contains it at slot kx — remove it there (the paper
-        // sets L_p[k_x] := nil; x re-enters D_p as a *single* node below).
+        // x is now empty, so the live view of p excludes it and the dead
+        // view contains it at slot kx — remove it there (the paper sets
+        // L_p[k_x] := nil; x re-enters D_p as a *single* node below).
         let lp = self.live_view(p_id);
         let mut dp = self.dead_view(p_id);
         debug_assert_eq!(dp[kx], Some(x));
         dp[kx] = None;
 
-        // Orphan every sub-root so unions can re-parent them.
+        // Orphan every sub-root so unions can re-parent them, and make x a
+        // single node.
         for r in lp.iter().chain(dx.iter()).chain(dp.iter()).chain(lx.iter()) {
             if let Some(id) = *r {
-                self.arena.get_mut(id).parent = None;
+                self.orphan(id);
             }
         }
+        self.orphan(x);
+        let xn = self.arena.get_mut(x);
+        xn.child = NIL;
+        xn.degree = 0;
         meter.charge_par(2 * kp + 2 * kx);
 
         // D_p := Union(D_p, {x} ∪ D_x);  L_p := Union(L_p, L_x).
         // The single node x is united with its own dead children first (with
         // x preferred by the tie rule), which reproduces Figure 3(b): x ends
         // up rooting the empty tree formed from itself and D_x.
-        let single_x = vec![Some(x)];
-        let (d1, c1) = self.planned_union(&single_x, &dx, self.p);
-        let (d2, c2) = self.planned_union(&dp, &d1, self.p);
-        let (l2, c3) = self.planned_union(&lp, &lx, self.p);
+        let (d1, c1) = self.union(vec![Some(x)], &dx, self.p);
+        let (d2, c2) = self.union(dp, &d1, self.p);
+        let (l2, c3) = self.union(lp, &lx, self.p);
         meter.add(c1 + c2 + c3);
 
-        // Reassemble the parent's slot array: the two collections partition
+        // Reassemble the parent's child list: the two collections partition
         // the orders 0..kp (completeness, Invariant 1.3).
         let mut slots: Vec<Option<NodeId>> = vec![None; kp];
         for (i, r) in d2.iter().enumerate().chain(l2.iter().enumerate()) {
             if let Some(id) = r {
                 debug_assert!(slots[i].is_none(), "D/L collections must be disjoint");
                 slots[i] = Some(*id);
-                self.arena.get_mut(*id).parent = Some(p_id);
             }
         }
         debug_assert!(
             slots.iter().all(|s| s.is_some()),
             "Invariant 1.3: parent stays complete"
         );
-        self.arena.get_mut(p_id).children = slots;
+        self.set_children(p_id, &slots);
         meter.charge_par(kp);
 
         self.cost_log.push((OpKind::TakeUp, meter.total()));
@@ -650,9 +571,13 @@ impl LazyBinomialHeap {
     pub(crate) fn free_empty_subtree(&mut self, root: NodeId) {
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
+            let kids = self.arena.children_ascending(id);
             let n = self.arena.dealloc(id);
-            debug_assert!(n.empty, "Invariant 1.2: empty subtrees are all-empty");
-            stack.extend(n.children.into_iter().flatten());
+            debug_assert_eq!(
+                n.key, EMPTY_KEY,
+                "Invariant 1.2: empty subtrees are all-empty"
+            );
+            stack.extend_from_slice(&kids);
         }
     }
 
@@ -660,6 +585,9 @@ impl LazyBinomialHeap {
 
     /// Check the operational invariants: tree shapes (1.3), all-empty empty
     /// subtrees (1.2), live heap order, live roots, and the size ledger.
+    /// Children are walked through their sibling chains with no more steps
+    /// than the degree, so a corrupt list gives an error, never a panic or
+    /// a loop.
     pub fn validate(&self) -> Result<(), String> {
         fn walk(
             h: &LazyBinomialHeap,
@@ -667,30 +595,45 @@ impl LazyBinomialHeap {
             expected_order: usize,
             parent: Option<NodeId>,
         ) -> Result<(usize, usize), String> {
-            let n = h.arena.get(id);
+            let Some(n) = h.arena.try_get(id) else {
+                return Err(format!("{id:?} is not an arena node"));
+            };
             if n.degree() != expected_order {
                 return Err(format!(
                     "degree {} != slot order {expected_order}",
                     n.degree()
                 ));
             }
-            if n.parent != parent {
+            if n.parent() != parent {
                 return Err("parent pointer mismatch".into());
             }
-            let mut live = usize::from(!n.empty);
+            let empty = n.key == EMPTY_KEY;
+            let mut live = usize::from(!empty);
             let mut total = 1usize;
-            for (i, c) in n.children.iter().enumerate() {
-                let c = c.ok_or("Invariant 1.3 violated: missing child slot")?;
-                let cn = h.arena.get(c);
-                if n.empty && !cn.empty {
+            // Children come highest order first: B_{d-1}, …, B_0.
+            let mut order = expected_order;
+            let mut kids = h.arena.children(id);
+            for c in kids.by_ref() {
+                let Some(cn) = h.arena.try_get(c) else {
+                    return Err(format!("child {c:?} of {id:?} is not an arena node"));
+                };
+                let child_empty = cn.key == EMPTY_KEY;
+                if empty && !child_empty {
                     return Err("Invariant 1.2 violated: live node under empty".into());
                 }
-                if !n.empty && !cn.empty && cn.key < n.key {
+                if !empty && !child_empty && cn.key < n.key {
                     return Err("live heap order violated".into());
                 }
-                let (l, t) = walk(h, c, i, Some(id))?;
+                order -= 1;
+                let (l, t) = walk(h, c, order, Some(id))?;
                 live += l;
                 total += t;
+            }
+            if order != 0 {
+                return Err("Invariant 1.3 violated: missing child slot".into());
+            }
+            if kids.rest().is_some() {
+                return Err(format!("child list of {id:?} is longer than its degree"));
             }
             Ok((live, total))
         }
@@ -698,8 +641,13 @@ impl LazyBinomialHeap {
         let mut total = 0usize;
         for (i, r) in self.roots.iter().enumerate() {
             if let Some(id) = r {
-                if self.arena.get(*id).empty {
-                    return Err("empty root in H".into());
+                match self.arena.try_get(*id) {
+                    None => return Err(format!("root {id:?} is not an arena node")),
+                    Some(n) if n.key == EMPTY_KEY => return Err("empty root in H".into()),
+                    Some(n) if n.sibling().is_some() => {
+                        return Err(format!("root {id:?} has a sibling"))
+                    }
+                    Some(_) => {}
                 }
                 let (l, t) = walk(self, *id, i, None)?;
                 live += l;
@@ -732,11 +680,8 @@ impl LazyBinomialHeap {
         let mut out = Vec::with_capacity(self.live_len);
         let mut stack: Vec<NodeId> = self.roots.iter().flatten().copied().collect();
         while let Some(id) = stack.pop() {
-            let n = self.arena.get(id);
-            if !n.empty {
-                out.push(n.key);
-            }
-            stack.extend(n.children.iter().flatten());
+            out.extend(self.key_of(id));
+            stack.extend(self.arena.children(id));
         }
         out
     }
@@ -774,7 +719,7 @@ mod tests {
         h.validate().unwrap();
         // Node with key 7 is certainly not the root of B_3 (root holds 0).
         let victim = ids[7];
-        assert!(h.arena.get(victim).parent.is_some());
+        assert!(h.parent_of(victim).is_some());
         let k = h.delete(victim);
         assert_eq!(k, 7);
         h.validate().unwrap();
@@ -814,7 +759,7 @@ mod tests {
         let mut expected: Vec<i64> = Vec::new();
         let mut arranged = false;
         for (i, &id) in ids.iter().enumerate() {
-            if i % 3 == 1 && h.arena.contains(id) && !h.arena.get(id).empty {
+            if i % 3 == 1 && h.key_of(id).is_some() {
                 h.delete(id);
                 h.validate().unwrap();
             }
@@ -862,33 +807,98 @@ mod tests {
         let ids: Vec<NodeId> = (0..256).map(|k| h.insert(k)).collect();
         assert!(h.arrange_threshold() >= 2);
         let victim = ids[255];
-        assert!(h.arena.get(victim).parent.is_some());
+        assert!(h.parent_of(victim).is_some());
         h.delete(victim);
         h.delete(victim);
     }
 
     #[test]
     fn validate_detects_missing_child_slot() {
-        // Invariant 1.3: every slot of a node must be occupied.
+        // Invariant 1.3: every slot of a node must be occupied. Cutting the
+        // B_3 root's sibling chain after its first child leaves a list
+        // shorter than the degree: an error, with no panic and no loop.
         let mut h = LazyBinomialHeap::new(2);
-        let _ids: Vec<NodeId> = (0..8).map(|k| h.insert(k)).collect();
+        for k in 0..8 {
+            h.insert(k);
+        }
         let root = h.roots[3].expect("B_3 root");
-        h.arena.get_mut(root).children[1] = None;
+        let first = h.arena.children(root).next().expect("order-2 child");
+        h.arena.get_mut(first).sibling = NIL;
         assert!(h.validate().unwrap_err().contains("Invariant 1.3"));
+    }
+
+    #[test]
+    fn validate_detects_a_root_with_a_sibling() {
+        let mut h = LazyBinomialHeap::new(2);
+        for k in 0..3 {
+            h.insert(k);
+        }
+        let [Some(r0), Some(r1)] = h.roots[..] else {
+            panic!("3 keys make B_0 and B_1")
+        };
+        h.arena.get_mut(r1).sibling = r0.0;
+        assert!(h.validate().unwrap_err().contains("sibling"));
     }
 
     #[test]
     fn validate_detects_live_under_empty() {
         // Invariant 1.2: an empty node's subtree must be all-empty.
         let mut h = LazyBinomialHeap::new(2);
-        let ids: Vec<NodeId> = (0..8).map(|k| h.insert(k)).collect();
+        for k in 0..8 {
+            h.insert(k);
+        }
         let root = h.roots[3].expect("B_3 root");
         // Mark a mid-level node empty without Take-Up repair.
-        let victim = h.arena.get(root).children[2].expect("slot 2");
-        assert!(h.arena.get(victim).children.iter().any(|c| c.is_some()));
-        h.arena.get_mut(victim).empty = true;
+        let victim = h.children_of(root)[2];
+        assert_eq!(h.arena.get(victim).degree(), 2);
+        h.arena.get_mut(victim).key = EMPTY_KEY;
         assert!(h.validate().is_err());
-        let _ = ids;
+    }
+
+    #[test]
+    fn extracting_the_last_root_leaves_a_trimmed_root_array() {
+        // Deleting keys 3 then 2 leaves B_2 rooted at 0 with the order-1
+        // child empty; extracting 0 re-melds its one live child, B_0 (key
+        // 1), into an otherwise empty H. An untrimmed H would also charge
+        // the next Min over width 2.
+        let mut h = LazyBinomialHeap::new(2);
+        h.set_auto_arrange(false);
+        let ids: Vec<NodeId> = (0..4).map(|k| h.insert(k)).collect();
+        h.delete(ids[3]);
+        h.delete(ids[2]);
+        assert_eq!(h.extract_min(), Some(0));
+        h.validate().unwrap();
+        assert_eq!(h.roots_snapshot(), vec![Some(ids[1])]);
+        assert_eq!(h.min(), Some(1));
+        let (_, min_cost) = *h.cost_log().last().expect("Min logged");
+        assert_eq!(min_cost, Cost { time: 2, work: 2 });
+    }
+
+    /// Every node as (id, key, parent, children in ascending order).
+    fn shape(h: &LazyBinomialHeap) -> Vec<(NodeId, i64, Option<NodeId>, Vec<NodeId>)> {
+        h.arena
+            .iter()
+            .map(|(id, n)| (id, n.key, n.parent(), h.children_of(id)))
+            .collect()
+    }
+
+    #[test]
+    fn fast_build_makes_the_planned_inserts_trees() {
+        // Duplicate keys make the link tie rule visible: a carry beats the
+        // tree it meets, as in the planner.
+        for m in 1..=3i64 {
+            for n in 1..64i64 {
+                let keys: Vec<i64> = (0..n).map(|k| (7 * k) % (m + 1)).collect();
+                let fast = LazyBinomialHeap::from_keys_fast(2, keys.iter().copied());
+                let mut planned = LazyBinomialHeap::new(2);
+                for &k in &keys {
+                    planned.insert(k);
+                }
+                fast.validate().unwrap();
+                assert_eq!(fast.roots, planned.roots, "m={m} n={n}");
+                assert_eq!(shape(&fast), shape(&planned), "m={m} n={n}");
+            }
+        }
     }
 
     #[test]

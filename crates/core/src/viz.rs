@@ -40,13 +40,9 @@ pub fn lazy_heap_dot(h: &LazyBinomialHeap) -> String {
     let mut stack: Vec<crate::arena::NodeId> = h.roots_snapshot().into_iter().flatten().collect();
     let roots = stack.clone();
     while let Some(id) = stack.pop() {
-        let empty = h.is_empty_node(id);
-        let label = if empty {
-            "-inf".to_string()
-        } else {
-            h.raw_key(id).to_string()
-        };
-        let style = if empty {
+        let key = h.key_of(id);
+        let label = key.map_or_else(|| "-inf".to_string(), |k| k.to_string());
+        let style = if key.is_none() {
             ", style=filled, fillcolor=gray70"
         } else {
             ""
@@ -58,18 +54,16 @@ pub fn lazy_heap_dot(h: &LazyBinomialHeap) -> String {
         };
         out.push_str(&format!("  n{} [label=\"{label}\"{style}{pen}];\n", id.0));
         for (slot, c) in h.children_of(id).into_iter().enumerate() {
-            if let Some(c) = c {
-                let dashed = if h.is_empty_node(c) {
-                    ", style=dashed"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(
-                    "  n{} -> n{} [label=\"{slot}\"{dashed}];\n",
-                    id.0, c.0
-                ));
-                stack.push(c);
-            }
+            let dashed = if h.is_empty_node(c) {
+                ", style=dashed"
+            } else {
+                ""
+            };
+            out.push_str(&format!(
+                "  n{} -> n{} [label=\"{slot}\"{dashed}];\n",
+                id.0, c.0
+            ));
+            stack.push(c);
         }
     }
     out.push_str("}\n");

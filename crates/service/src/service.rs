@@ -701,7 +701,7 @@ mod tests {
         // Non-pooled tenants route through TenantHeap::Boxed: melds fall
         // back to drain + bulk reinsert but the observable semantics are
         // identical to the zero-copy pooled path.
-        for backend in [Backend::Hollow, Backend::Pairing, Backend::Lazy] {
+        for backend in [Backend::Hollow, Backend::Pairing, Backend::Binomial] {
             let svc = ServiceBuilder::new().shards(2).backend(backend).build();
             assert_eq!(svc.backend(), backend);
             let a = svc.create_queue(); // shard 0

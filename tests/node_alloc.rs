@@ -1,14 +1,17 @@
-//! Allocation guard for the pool's single-key ops: a node is a flat slab
-//! record, so ripple inserts and `extract_min`s on a pre-sized pool make no
-//! heap allocation per node. Only two vectors may grow, each by doubling:
-//! the root array `H` and the slab's free list. That is `O(log n)`
-//! allocations in all, where one allocation per linked node would be
-//! `Θ(n)`. A counting global allocator sees every allocation this test's
-//! thread makes.
+//! Allocation guard for the single-key ops: a node is a flat slab record,
+//! so ripple inserts and `extract_min`s on a pre-sized pool make no heap
+//! allocation per node. Only two vectors may grow, each by doubling: the
+//! root array `H` and the slab's free list. That is `O(log n)` allocations
+//! in all, where one allocation per linked node would be `Θ(n)`. The §4
+//! lazy heap keeps the same node in its own slab, so its unmetered build is
+//! bounded the same way (there the slab itself grows by doubling). A
+//! counting global allocator sees every allocation this test's thread
+//! makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use meldpq::lazy::LazyBinomialHeap;
 use meldpq::HeapPool;
 
 struct Counting;
@@ -77,5 +80,16 @@ fn single_key_ops_allocate_only_root_array_growth() {
         );
         assert_eq!(h.len(), n - n / 2);
         pool.validate_heap(&h).expect("valid heap");
+
+        // The lazy heap's unmetered build: the same node, in a slab that
+        // starts empty and doubles.
+        let before = allocs();
+        let lazy = LazyBinomialHeap::from_keys_fast(2, keys.iter().copied());
+        let used = allocs() - before;
+        assert!(
+            used <= 2 * u64::from(log_n),
+            "{used} heap allocations for a {n}-key lazy build"
+        );
+        lazy.validate().expect("valid lazy heap");
     }
 }
