@@ -1,22 +1,22 @@
 //! W2: the wall-clock trajectory — what the hardware actually sees.
 //!
 //! The deterministic PRAM meters (`BENCH_baseline.json`) prove the *theorem*
-//! bounds; this suite measures *seconds*. It covers the operations the
-//! zero-copy representation (`meldpq::pool`) and the bulk kernels are
-//! about:
+//! bounds; this suite measures *seconds* on one host thread. It covers the
+//! operations the zero-copy representation (`meldpq::pool`) and the batch
+//! kernels are about:
 //!
 //! * `meld` — same-pool zero-copy plan application vs melding two
 //!   separately owned heaps (the `absorb` arm: the second heap's nodes move
 //!   into the first one's slab), with a hard gate: zero-copy must win by
 //!   ≥10× at n = 2^20 (it is O(log n) pointer writes vs Θ(n) node moves).
 //! * `multi_insert` — the paper's sequential reference (a batch of n keys is
-//!   n `Insert`s, each a planned singleton `Union`) vs the fused bulk kernel
-//!   (pooled slab build + one meld). Gate: the kernel must win by ≥2× at
-//!   n = 2^18.
+//!   n `Insert`s, each a planned singleton `Union`) vs
+//!   `ParBinomialHeap::multi_insert` (one ripple per key, no plan). Gate:
+//!   `multi_insert` must win by ≥2× at n = 2^18.
 //! * `b_union` — the b-Union preprocessing sort: the general path must sort
 //!   the concatenated key streams, the chunk-order fast path merges two
-//!   already-sorted streams with the merge-path kernel (`dmpq::soa`).
-//!   Gate: the merge must win by ≥2× at N = 2^18.
+//!   already-sorted streams (`dmpq::soa::merged_stream`). Gate: the merge
+//!   must win by ≥2× at N = 2^18.
 //! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, with
 //!   every op planned.
 //! * `multi_extract_min`, plus the prefix-scan and build primitives.
@@ -27,9 +27,7 @@
 //! plumbing as telemetry) so every PR extends a perf trajectory; the process
 //! exits non-zero if **any** gate fails. Quick mode for CI: `cargo bench
 //! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
-//! `--full` (nightly) to add the 2^20/2^22 sizes. Pin `MELDPQ_BULK_CUTOFF`
-//! and `MELDPQ_BATCH_CUTOFF` to bypass the calibration when determinism
-//! matters.
+//! `--full` (nightly) to add the 2^20/2^22 sizes.
 
 use std::time::Duration;
 
@@ -61,8 +59,8 @@ fn pooled_pair(n: usize, seed: u64) -> (HeapPool<i64>, meldpq::PooledHeap, meldp
     let mut rng = workloads::rng(seed ^ n as u64);
     let keys = workloads::random_keys(&mut rng, n);
     let mut pool = HeapPool::with_capacity(n);
-    let a = pool.from_keys_parallel(&keys[..n / 2]);
-    let b = pool.from_keys_parallel(&keys[n / 2..]);
+    let a = pool.from_keys(keys[..n / 2].iter().copied());
+    let b = pool.from_keys(keys[n / 2..].iter().copied());
     (pool, a, b)
 }
 
@@ -72,8 +70,8 @@ fn heap_pair(n: usize, seed: u64) -> (ParBinomialHeap<i64>, ParBinomialHeap<i64>
     let mut rng = workloads::rng(seed ^ n as u64);
     let keys = workloads::random_keys(&mut rng, n);
     (
-        ParBinomialHeap::from_keys_parallel(&keys[..n / 2]),
-        ParBinomialHeap::from_keys_parallel(&keys[n / 2..]),
+        ParBinomialHeap::from_keys(keys[..n / 2].iter().copied()),
+        ParBinomialHeap::from_keys(keys[n / 2..].iter().copied()),
     )
 }
 
@@ -108,7 +106,7 @@ fn bench_meld(c: &mut Criterion, full: bool) {
 /// more keys.
 fn pooled_base(keys: &[i64], extra: usize) -> (HeapPool<i64>, meldpq::PooledHeap) {
     let mut pool = HeapPool::with_capacity(keys.len() + extra);
-    let h = pool.from_keys_parallel(keys);
+    let h = pool.from_keys(keys.iter().copied());
     (pool, h)
 }
 
@@ -121,15 +119,15 @@ fn planned_insert(pool: &mut HeapPool<i64>, h: &mut meldpq::PooledHeap, key: i64
 
 /// `Multi-Insert` of a batch of n keys into a resident heap. The `seq` arm
 /// is the paper's sequential reference — a batch is semantically n repeated
-/// `Insert`s, each a planned singleton `Union` — and the `bulk` arm is the
-/// bulk kernel: pooled slab build of the batch plus one planned meld.
+/// `Insert`s, each a planned singleton `Union` — and the `bulk` arm is
+/// `ParBinomialHeap::multi_insert`: one ripple per key, no plan.
 fn bench_multi_insert(c: &mut Criterion, full: bool) {
     let mut group = c.benchmark_group("multi_insert");
     const BASE: usize = 1 << 12;
     for n in bulk_sizes(full) {
         let mut rng = workloads::rng(23 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, BASE + n);
-        let base = ParBinomialHeap::from_keys_parallel(&keys[..BASE]);
+        let base = ParBinomialHeap::from_keys(keys[..BASE].iter().copied());
         let batch: Vec<i64> = keys[BASE..].to_vec();
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
             b.iter_batched(
@@ -147,7 +145,7 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
             b.iter_batched(
                 || base.clone(),
                 |mut h| {
-                    h.multi_insert(&batch);
+                    h.multi_insert(&batch).expect("fits the id space");
                     h
                 },
                 BatchSize::LargeInput,
@@ -160,9 +158,9 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
 /// The b-Union preprocessing sort over N total keys. The `seq` arm is what
 /// the general path must do — sort the concatenation from scratch (the
 /// wall-clock stand-in for the metered bitonic network). The `merge_path`
-/// arm is the chunk-order fast path: both sides' SoA streams are already sorted, so
-/// the union collapses to the merge-path kernel at the calibrated chunk
-/// granularity.
+/// arm (named for the kernel it once ran) is the chunk-order fast path:
+/// both sides' SoA streams are already sorted, so `merged_stream` collapses
+/// the union to one two-pointer merge.
 fn bench_b_union(c: &mut Criterion, full: bool) {
     let mut group = c.benchmark_group("b_union");
     for n in bulk_sizes(full) {
@@ -180,11 +178,24 @@ fn bench_b_union(c: &mut Criterion, full: bool) {
                 all
             })
         });
+        let (soa1, soa2) = (soa_side(&s1), soa_side(&s2));
         group.bench_with_input(BenchmarkId::new("merge_path", n), &n, |b, _| {
-            b.iter(|| dmpq::soa::par_merge(&s1, &s2, meldpq::cutoff::bulk_join_cutoff()))
+            b.iter(|| dmpq::soa::merged_stream(&soa1, &soa2).expect("both sides sorted"))
         });
     }
     group.finish();
+}
+
+/// One side of a b-Union as `dmpq::soa` sees it: the sorted stream cut
+/// into 256-key blocks of one `BbHeap`.
+fn soa_side(sorted: &[i64]) -> dmpq::soa::SoaBlocks {
+    const B: usize = 256;
+    let mut heap = dmpq::BbHeap::new(B);
+    let roots: Vec<_> = sorted
+        .chunks(B)
+        .map(|block| Some(heap.alloc(block.to_vec())))
+        .collect();
+    dmpq::soa::SoaBlocks::gather(&heap, &roots)
 }
 
 fn bench_multi_extract(c: &mut Criterion, full: bool) {
@@ -193,7 +204,7 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
         let k = n / 16;
         let mut rng = workloads::rng(31 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n);
-        let base = ParBinomialHeap::from_keys_parallel(&keys);
+        let base = ParBinomialHeap::from_keys(keys.iter().copied());
         group.bench_with_input(BenchmarkId::new("frontier_seq", n), &n, |b, _| {
             b.iter_batched(
                 || base.clone(),
@@ -295,9 +306,8 @@ fn bench_flight(c: &mut Criterion, _full: bool) {
 
 /// Durability's wall-clock price: the same batched service workload with
 /// the write-ahead log on (`durable/wal_on`) and off (`durable/wal_off`).
-/// Each round is one bulk `multi_insert` (well past the batch cutoff, so
-/// it takes the coalesced bulk path) plus one `extract_k`; through the
-/// sync surface each op appends one record (`FromKeys` /
+/// Each round is one 1024-key `multi_insert` plus one `extract_k`; through
+/// the sync surface each op appends one record (`FromKeys` /
 /// `MultiExtractMin`) and flushes once, so a round pays two `write(2)`
 /// calls plus a word-folded CRC over the batch — costs that amortize over
 /// the 1024-key batch. That amortization is the durability story the
@@ -369,7 +379,7 @@ fn bench_peek(c: &mut Criterion, _full: bool) {
     let n = PEEK_GATE_N;
     let mut rng = workloads::rng(0x9EE4 ^ n as u64);
     let keys = workloads::random_keys(&mut rng, n);
-    let h = ParBinomialHeap::from_keys_parallel(&keys);
+    let h = ParBinomialHeap::from_keys(keys.iter().copied());
     group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
         b.iter(|| {
             for _ in 0..1024 {
@@ -406,9 +416,6 @@ fn bench_bulk_build(c: &mut Criterion, full: bool) {
         let keys = workloads::random_keys(&mut rng, n);
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| ParBinomialHeap::from_keys(keys.iter().copied()))
-        });
-        group.bench_with_input(BenchmarkId::new("pooled_slab", n), &n, |b, _| {
-            b.iter(|| ParBinomialHeap::<i64>::from_keys_parallel(&keys))
         });
     }
     group.finish();
@@ -484,10 +491,10 @@ const FLIGHT_GATE_N: usize = 4096;
 const PEEK_GATE_N: usize = 1 << 18;
 /// The recorder-on arm may cost at most 1.1× the recorder-off arm.
 const FLIGHT_BOUND: f64 = 1.1;
-/// Keys per coalesced batch in the durability overhead workload — far past
-/// the CI pin `MELDPQ_BATCH_CUTOFF=64`, so every batch takes the bulk path
-/// and the per-record WAL cost (one CRC + one `write(2)`) amortizes the
-/// way a batched durable deployment would run it.
+/// Keys per batch in the durability overhead workload: each batch is one
+/// `multi_insert` and one `FromKeys` record, so the per-record WAL cost
+/// (one CRC + one `write(2)`) amortizes the way a batched durable
+/// deployment would run it.
 const DURABLE_BATCH: usize = 1024;
 /// Total keys the durability workload admits per iteration (8 rounds).
 const DURABLE_GATE_N: usize = 8 * DURABLE_BATCH;
@@ -566,7 +573,6 @@ fn write_report(results: &[BenchResult], gates: Vec<J>, path: &std::path::Path) 
                     .into(),
             ),
         ),
-        ("cutoffs", J::Str(meldpq::cutoff::describe())),
         ("results", J::Arr(rows)),
         ("gates", J::Arr(gates)),
     ]);
@@ -580,9 +586,6 @@ fn write_report(results: &[BenchResult], gates: Vec<J>, path: &std::path::Path) 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
-    // Calibrate (or read the env pins) before any timing so the probe cost
-    // never lands inside a measurement window.
-    println!("{}", meldpq::cutoff::describe());
     let mut c = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))

@@ -330,8 +330,8 @@ fn main() {
         .registry
         .record("seq_witness/binomial", seq_witness.stats());
 
-    // Drain every thread's spans, not just main's — the theorem-2/3 kernels
-    // run under rayon, whose workers record into their own sinks.
+    // Drain every thread's spans, not just main's: each thread records
+    // into its own sink.
     telemetry.spans = obs::take_all_spans();
     telemetry.conformance = conf;
 

@@ -5,7 +5,7 @@
 //! built from the *same* per-thread op streams:
 //!
 //! 1. the sharded [`service::QueueService`] (flat-combining admission,
-//!    coalesced bulk kernels), queues spread round-robin over the shards;
+//!    coalesced batch kernels), queues spread round-robin over the shards;
 //! 2. the baseline every service talk starts with: one
 //!    `Mutex<ParBinomialHeap<i64>>` shared by all threads, driven through
 //!    the same [`meldpq::MeldablePq`] surface.
@@ -286,14 +286,12 @@ fn main() {
     // Batching evidence: summed shard counters from the service run.
     let mut batches = 0u64;
     let mut max_batch = 0u64;
-    let mut bulk_builds = 0u64;
     let mut coalesced = 0u64;
     let mut multi_extracts = 0u64;
     for s in 0..args.shards {
         let st = svc.shard_stats(s);
         batches += st.batches;
         max_batch = max_batch.max(st.max_batch);
-        bulk_builds += st.bulk_builds;
         coalesced += st.coalesced_inserts + st.coalesced_pops;
         multi_extracts += st.multi_extracts;
     }
@@ -382,7 +380,6 @@ fn main() {
             J::obj([
                 ("batches", J::UInt(batches)),
                 ("max_batch", J::UInt(max_batch)),
-                ("bulk_builds", J::UInt(bulk_builds)),
                 ("coalesced_ops", J::UInt(coalesced)),
                 ("multi_extracts", J::UInt(multi_extracts)),
             ]),

@@ -204,7 +204,7 @@ impl<K> Arena<K> {
     }
 
     /// Number of slab slots (live + free) — the id space upper bound, used
-    /// by the pool builder to reserve a fresh contiguous id range.
+    /// by the pool's capacity check.
     pub fn slab_len(&self) -> usize {
         self.nodes.len()
     }
@@ -357,19 +357,6 @@ impl<K> Arena<K> {
             .enumerate()
             .filter(|(_, n)| !n.is_free())
             .map(|(i, n)| (NodeId(i as u32), n))
-    }
-
-    /// Append a pre-built contiguous slab of live nodes whose ids were baked
-    /// against `self.slab_len()` at build time (the pool's parallel builder).
-    /// No remapping happens — the ids are already final.
-    pub(crate) fn extend_slab(&mut self, slab: Vec<Node<K>>) {
-        debug_assert!(slab.iter().all(|n| !n.is_free()), "slab must be dense");
-        self.stats.allocs += slab.len() as u64;
-        if self.nodes.is_empty() && self.free.is_empty() {
-            self.nodes = slab;
-        } else {
-            self.nodes.extend(slab);
-        }
     }
 
     /// Raw slab view for checkpoint serialization: every slot, free or

@@ -5,8 +5,8 @@
 //! build each `B_i` by `i` rounds of pairwise linking. All rounds across all
 //! trees run concurrently, so with `p` processors the whole build takes
 //! `O(n/p + log n)` time and `O(n)` work — measured here on the EREW
-//! simulator (`ParBinomialHeap::from_keys_pram`), with a rayon twin for
-//! wall clock (`HeapPool::from_keys_parallel`).
+//! simulator (`ParBinomialHeap::from_keys_pram`). Unmetered host builds
+//! do not use it: they ripple the keys in (`HeapPool::multi_insert`).
 //!
 //! The PRAM program per round: one processor per surviving pair reads the
 //! two roots' keys and writes the comparison outcome; the host mirrors the
@@ -50,7 +50,7 @@ impl HeapPool<i64> {
         let dec = m.alloc(max_pairs.max(1), 0);
         m.reset_cost();
 
-        // Segment the keys: the lowest set bit takes the first 2^i keys, etc.
+        // Carve the keys: the lowest set bit takes the first 2^i keys, etc.
         // (Any fixed assignment works; this one keeps segments contiguous.)
         let mut segments: Vec<(usize, usize)> = Vec::new(); // (start, order)
         let mut start = 0usize;

@@ -1,13 +1,11 @@
-//! The `Multi-Extract-Min` kernel — bulk operations are where real threads
-//! and whole-batch planning pay off.
+//! The `Multi-Extract-Min` kernel: whole-batch work instead of `k` rounds.
 //!
-//! A single `Union` touches only `O(log n)` root positions, far below the
-//! granularity at which thread dispatch wins (DESIGN.md §5). Bulk builds are
-//! different: [`HeapPool::from_keys_parallel`](crate::HeapPool::from_keys_parallel)
-//! writes every worker's keys into a disjoint slice of one pre-sized slab,
-//! and a build of `n` keys performs exactly `n` allocations and zero copies.
+//! `Multi-Insert` needs no kernel of its own:
+//! [`HeapPool::multi_insert`](crate::HeapPool::multi_insert) ripples each
+//! key in as `Insert` does (amortised `O(1)` links per key), so a batch of
+//! `n` keys performs exactly `n` allocations, zero copies and no plan.
 //!
-//! `Multi-Extract-Min` is a real kernel too: instead of `k` sequential
+//! `Multi-Extract-Min` does have one: instead of `k` sequential
 //! `Extract-Min` rounds, a root-frontier heap-of-heaps peels the `k`
 //! smallest in one pass (`peel_k_smallest`), and the orphaned subtrees
 //! re-meld with a single planned union. `HeapPool` and
@@ -103,6 +101,13 @@ pub(crate) fn peel_k_smallest<K: Ord + Copy>(
 mod tests {
     use crate::ParBinomialHeap;
 
+    /// A heap built by one `multi_insert` into an empty heap.
+    fn batch(keys: &[i64]) -> ParBinomialHeap {
+        let mut h = ParBinomialHeap::new();
+        h.multi_insert(keys).unwrap();
+        h
+    }
+
     #[test]
     fn tuple_keys_carry_payloads() {
         // (priority, payload) tuples order lexicographically — the idiomatic
@@ -123,7 +128,7 @@ mod tests {
         let keys: Vec<i64> = (0..100_000)
             .map(|i| (i * 2654435761u64 as i64) % 99991)
             .collect();
-        let par = ParBinomialHeap::from_keys_parallel(&keys);
+        let par = batch(&keys);
         par.validate().unwrap();
         assert_eq!(par.len(), keys.len());
         let mut expected = keys.clone();
@@ -134,10 +139,10 @@ mod tests {
     #[test]
     fn parallel_build_is_zero_copy() {
         let keys: Vec<i64> = (0..40_000).map(|i| (i * 7919) % 6007).collect();
-        let par = ParBinomialHeap::from_keys_parallel(&keys);
+        let par = batch(&keys);
         par.validate().unwrap();
         assert_eq!(par.arena().stats().allocs, keys.len() as u64);
-        assert_eq!(par.arena().stats().copies, 0, "pooled build must not copy");
+        assert_eq!(par.arena().stats().copies, 0, "multi_insert must not copy");
         let mut expected = keys.clone();
         expected.sort_unstable();
         assert_eq!(par.into_sorted_vec(), expected);
@@ -145,9 +150,9 @@ mod tests {
 
     #[test]
     fn parallel_build_small_input() {
-        let par = ParBinomialHeap::from_keys_parallel(&[3, 1, 2]);
+        let par = batch(&[3, 1, 2]);
         assert_eq!(par.into_sorted_vec(), vec![1, 2, 3]);
-        let empty = ParBinomialHeap::<i64>::from_keys_parallel(&[]);
+        let empty = batch(&[]);
         assert!(empty.is_empty());
     }
 
@@ -165,7 +170,7 @@ mod tests {
     #[test]
     fn multi_insert_and_extract() {
         let mut h = ParBinomialHeap::from_keys([50, 60, 70]);
-        h.multi_insert(&[10, 20, 30, 40]);
+        h.multi_insert(&[10, 20, 30, 40]).unwrap();
         h.validate().unwrap();
         assert_eq!(h.len(), 7);
         assert_eq!(h.multi_extract_min(4), vec![10, 20, 30, 40]);
@@ -203,7 +208,7 @@ mod tests {
         let keys: Vec<i64> = (0..20_000)
             .map(|i| (i * 2654435761u64 as i64) % 9973)
             .collect();
-        let mut h = ParBinomialHeap::from_keys_parallel(&keys);
+        let mut h = batch(&keys);
         let got = h.multi_extract_min(5_000);
         h.validate().unwrap();
         let mut expected = keys.clone();

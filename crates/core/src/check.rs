@@ -35,7 +35,7 @@ use crate::pool::{HeapPool, PooledHeap};
 /// min, and the binary-representation isomorphism — the orders present in
 /// `H` are exactly the set bits of `len`, paper §2), plus no stray node in
 /// its slab.
-pub fn check_heap<K: Ord + Copy + Send + Sync>(h: &ParBinomialHeap<K>) -> Result<(), String> {
+pub fn check_heap<K: Ord + Copy>(h: &ParBinomialHeap<K>) -> Result<(), String> {
     h.validate()
 }
 
@@ -127,10 +127,7 @@ pub fn check_plan<K: Ord + Copy>(plan: &UnionPlan<K>) -> Result<(), String> {
 /// representation — a corrupted meld could splice one tree under two
 /// parents), and the heaps together account for every live node of the
 /// pool (no leaks, no strays).
-pub fn check_pool<K: Ord + Copy + Send + Sync>(
-    pool: &HeapPool<K>,
-    heaps: &[&PooledHeap],
-) -> Result<(), String> {
+pub fn check_pool<K: Ord + Copy>(pool: &HeapPool<K>, heaps: &[&PooledHeap]) -> Result<(), String> {
     let mut seen: HashSet<u32> = HashSet::new();
     let mut ids = Vec::new();
     for (hi, h) in heaps.iter().enumerate() {

@@ -4,10 +4,10 @@
 //! [`PooledHeap`], plus a ledger of measured PRAM cost. Every operation
 //! delegates to the pool, so the free-standing heap and the service's
 //! pooled heaps share one representation, one `Union` path and one
-//! validator. `Insert` and `Extract-Min` link directly; `Union`,
-//! `Multi-Extract-Min` and the bulk builders plan with the sequential
-//! planner ([`crate::plan::build_plan_into`]), or on the PRAM simulator in
-//! the `*_pram` methods. Melding two free-standing heaps moves the second
+//! validator. `Insert`, `Multi-Insert` and `Extract-Min` link directly;
+//! `Union` and `Multi-Extract-Min` plan with the sequential planner
+//! ([`crate::plan::build_plan_into`]), or on the PRAM simulator in the
+//! `*_pram` methods. Melding two free-standing heaps moves the second
 //! one's nodes into the first one's slab (counted as copies); heaps that
 //! must meld without copies live in one shared [`HeapPool`].
 
@@ -15,7 +15,7 @@
 
 use crate::arena::{Arena, NodeId};
 use crate::plan::RootRef;
-use crate::pool::{root_refs_into, scan_min, HeapPool, PooledHeap};
+use crate::pool::{root_refs_into, scan_min, CapacityError, HeapPool, PooledHeap};
 
 /// A meldable priority queue backed by a binomial heap.
 ///
@@ -64,7 +64,7 @@ impl<K> ParBinomialHeap<K> {
     }
 }
 
-impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
+impl<K: Ord + Copy> ParBinomialHeap<K> {
     /// `Make-Queue`: an empty heap.
     pub fn new() -> Self {
         Self::default()
@@ -150,49 +150,12 @@ impl<K: Ord + Copy + Send + Sync> ParBinomialHeap<K> {
             .meld_cross_pool(&mut self.heap, &mut other.pool, other.heap);
     }
 
-    /// Build a heap from keys using all rayon workers: the slab halves build
-    /// concurrently, and the per-level unions plan sequentially, since a
-    /// single union touches only `O(log n)` positions. Batches below the
-    /// calibrated admission cutoff ([`crate::cutoff::batch_bulk_cutoff`])
-    /// ripple-insert instead, because the slab staging cost dominates at
-    /// tiny sizes. Either path makes exactly `keys.len()` allocations and
-    /// no copies.
-    pub fn from_keys_parallel(keys: &[K]) -> Self {
-        Self::from_keys_parallel_at(keys, crate::cutoff::batch_bulk_cutoff())
-    }
-
-    /// [`Self::from_keys_parallel`] with an explicit admission cutoff
-    /// instead of the calibrated one. Differential tests pin the cutoff to
-    /// exercise both sides of the threshold in one deterministic program
-    /// (the calibrated value is host-dependent and `OnceLock`-cached, so it
-    /// cannot be varied within a process).
-    #[doc(hidden)]
-    pub fn from_keys_parallel_at(keys: &[K], admission: usize) -> Self {
-        let mut h = Self::in_pool(HeapPool::with_capacity(keys.len()));
-        h.multi_insert_at(keys, admission);
-        h
-    }
-
-    /// Insert a batch of keys at once (parallel build + one meld) — the
-    /// shared-memory analogue of the hypercube queue's `Multi-Insert`. The
-    /// batch builds in this heap's own slab, so the meld moves no node.
-    pub fn multi_insert(&mut self, keys: &[K]) {
-        self.multi_insert_at(keys, crate::cutoff::batch_bulk_cutoff());
-    }
-
-    /// [`Self::multi_insert`] with an explicit admission cutoff; see
-    /// [`Self::from_keys_parallel_at`]. Below the cutoff the keys
-    /// ripple-insert one at a time.
-    #[doc(hidden)]
-    pub fn multi_insert_at(&mut self, keys: &[K], admission: usize) {
-        if keys.len() < admission {
-            for &k in keys {
-                self.insert(k);
-            }
-        } else {
-            let batch = self.pool.from_keys_parallel(keys);
-            self.pool.meld(&mut self.heap, batch);
-        }
+    /// `Multi-Insert`: the keys ripple into this heap's slab through
+    /// [`HeapPool::multi_insert`], building exactly the trees of an
+    /// [`Self::insert`] loop. A batch that would overflow the `u32` node-id
+    /// space is refused whole with [`CapacityError`].
+    pub fn multi_insert(&mut self, keys: &[K]) -> Result<(), CapacityError> {
+        self.pool.multi_insert(&mut self.heap, keys)
     }
 
     /// Extract the `k` smallest keys — the shared-memory analogue of
@@ -301,13 +264,13 @@ impl ParBinomialHeap<i64> {
     }
 }
 
-impl<K: Ord + Copy + Send + Sync> FromIterator<K> for ParBinomialHeap<K> {
+impl<K: Ord + Copy> FromIterator<K> for ParBinomialHeap<K> {
     fn from_iter<T: IntoIterator<Item = K>>(iter: T) -> Self {
         ParBinomialHeap::from_keys(iter)
     }
 }
 
-impl<K: Ord + Copy + Send + Sync> Extend<K> for ParBinomialHeap<K> {
+impl<K: Ord + Copy> Extend<K> for ParBinomialHeap<K> {
     fn extend<T: IntoIterator<Item = K>>(&mut self, iter: T) {
         for k in iter {
             self.insert(k);
@@ -315,7 +278,7 @@ impl<K: Ord + Copy + Send + Sync> Extend<K> for ParBinomialHeap<K> {
     }
 }
 
-impl<K: Ord + Copy + Send + Sync> IntoIterator for ParBinomialHeap<K> {
+impl<K: Ord + Copy> IntoIterator for ParBinomialHeap<K> {
     type Item = K;
     type IntoIter = std::vec::IntoIter<K>;
 

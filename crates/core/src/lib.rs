@@ -9,9 +9,9 @@
 //!   chains + segmented prefix minima + one parallel link round, planned on
 //!   the host by the sequential [`plan::build_plan_into`] or on the PRAM
 //!   simulator ([`engine_pram`], which returns measured [`pram::Cost`]).
-//!   Real threads are tried only in the slab builder
-//!   ([`pool::HeapPool::from_keys_parallel`]), behind a calibrated cutoff
-//!   ([`cutoff`]); one `O(log n)`-wide union never runs on threads.
+//!   Nothing runs on host threads: inserts, single or batched
+//!   ([`pool::HeapPool::multi_insert`]), ripple in, and the paper's
+//!   parallelism is measured on the simulators, where `p` is exact.
 //!   It is a [`pool::HeapPool`] holding one heap: the service's shards keep
 //!   many heaps in one pool so that their melds copy no node.
 //! * [`lazy::LazyBinomialHeap`] — the §4 structure with `Delete` /

@@ -99,7 +99,7 @@ pub struct UnionPlan<K = i64> {
     pub s: Vec<bool>,
     /// Point classification.
     pub class: Vec<PointType>,
-    /// Segment limits: `true` starts a fragment (`I_lim[i] = 1`).
+    /// Fragment limits: `true` starts a fragment (`I_lim[i] = 1`).
     pub i_lim: Vec<bool>,
     /// `I_value` before the prefix: the smaller of the two roots at `i`.
     pub i_value_b: Vec<Option<RootRef<K>>>,

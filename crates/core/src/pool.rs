@@ -19,34 +19,29 @@
 //! ([`crate::lazy::LazyBinomialHeap`]) keeps its nodes in the same kind of
 //! [`Arena`] and unions through the same function.
 //!
-//! Single-key ops do not plan. `Insert` is a binary-counter increment: the
-//! new node ripples up `H`, one `link` per carry (amortised `O(1)`).
-//! `Extract-Min` carry-adds the removed root's children `B_0 … B_{k-1}` back
-//! into `H` in place. Both build exactly the trees the planner would,
-//! because `link` follows the planner's tie contract. Every multi-key op
-//! (`meld`, `meld_cross_pool`, `multi_extract_min`, `from_keys_parallel`)
-//! still runs the paper's Phases I–III. Each heap caches its min root,
-//! exact after every op: `insert` updates it in `O(1)`, and the ops that
-//! rebuild `H` rescan its `≤ log n` roots once.
+//! Inserts do not plan. `Insert` is a binary-counter increment: the new
+//! node ripples up `H`, one `link` per carry (amortised `O(1)`).
+//! `Multi-Insert` is the same ripple once per key, under one ownership and
+//! one capacity check, so a batch builds exactly the trees of an `insert`
+//! loop and reuses free slots as it does. `Extract-Min` carry-adds the
+//! removed root's children `B_0 … B_{k-1}` back into `H` in place. All of
+//! them build exactly the trees the planner would, because `link` follows
+//! the planner's tie contract. `meld`, `meld_cross_pool` and
+//! `multi_extract_min` run the paper's Phases I–III. Each heap caches its
+//! min root, exact after every op: `insert` updates it in `O(1)`, and the
+//! ops that rebuild `H` rescan its `≤ log n` roots once.
 //!
 //! Heaps of different pools meld through [`HeapPool::meld_cross_pool`],
 //! which moves the source trees node by node (counted copies). Ownership is
 //! enforced by a generational [`PoolId`] stamped into every handle — using a
 //! handle against the wrong pool panics immediately instead of silently
 //! corrupting two slabs.
-//!
-//! The parallel builder ([`HeapPool::from_keys_parallel`]) removes the last
-//! copy from the bulk path: the key range is split recursively, each half
-//! builds into a *disjoint* sub-slice of one pre-sized slab (ids baked
-//! against the final base offset, so nothing is ever remapped), and the
-//! halves meld on the way up inside the shared slab — the tree of unions
-//! costs `O(log² n)` pointer writes in total.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::arena::{Arena, ArenaStats, ChildBuf, Node, NodeId, NIL};
+use crate::arena::{Arena, ArenaStats, ChildBuf, NodeId, NIL};
 use crate::plan::{build_plan_into, plan_width, RootRef, UnionPlan};
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -57,9 +52,8 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 pub struct PoolId(u64);
 
 /// Typed admission error: accepting `requested` more nodes would push the
-/// slab past the `u32` [`NodeId`] space, so the build is refused *before*
-/// any id is baked. (The old behavior was a silent `as u32` wrap deep in
-/// the parallel builder — corrupted NodeIds instead of an error.)
+/// slab past the `u32` [`NodeId`] space, so the batch is refused *before*
+/// any of its keys is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityError {
     /// Nodes the caller asked to admit.
@@ -135,9 +129,9 @@ impl<K> Default for UnionScratch<K> {
 
 /// A pool of binomial heaps sharing one node slab. See the module docs.
 ///
-/// Every multi-key op (`meld`, `multi_extract_min`, `from_keys_parallel`,
-/// `meld_cross_pool`) plans with [`build_plan_into`]; `insert` and
-/// `extract_min` link directly and plan nothing.
+/// `meld`, `multi_extract_min` and `meld_cross_pool` plan with
+/// [`build_plan_into`]; `insert`, `multi_insert` and `extract_min` link
+/// directly and plan nothing.
 #[derive(Debug)]
 pub struct HeapPool<K = i64> {
     id: PoolId,
@@ -205,9 +199,10 @@ impl<K> HeapPool<K> {
         }
     }
 
-    /// Check that `requested` more nodes fit in the `u32` id space. Bulk
-    /// admission paths call this before any id is baked so oversized builds
-    /// fail with a typed error instead of wrapping NodeIds mid-build.
+    /// Check that `requested` more nodes fit in the `u32` id space.
+    /// [`Self::multi_insert`] and the service's admission call this before
+    /// any key is allocated, so an oversized batch fails with a typed error
+    /// instead of panicking halfway in [`Arena::alloc`].
     pub fn can_admit(&self, requested: usize) -> Result<(), CapacityError> {
         let slab_len = self.arena.slab_len();
         // `checked_add` first: `slab_len + requested` itself can overflow
@@ -277,55 +272,15 @@ pub(crate) fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Op
     best
 }
 
-/// Node storage that binomial links write into: the pool's [`Arena`], or
-/// one disjoint segment of the parallel builder's slab.
-pub(crate) trait Nodes<K> {
-    /// The live node `id`.
-    fn node(&self, id: NodeId) -> &Node<K>;
-    /// The live node `id`, mutably.
-    fn node_mut(&mut self, id: NodeId) -> &mut Node<K>;
-}
-
-impl<K> Nodes<K> for Arena<K> {
-    #[inline]
-    fn node(&self, id: NodeId) -> &Node<K> {
-        self.get(id)
-    }
-
-    #[inline]
-    fn node_mut(&mut self, id: NodeId) -> &mut Node<K> {
-        self.get_mut(id)
-    }
-}
-
-/// A segment of the builder's slab whose slot `i` holds node `base + i`.
-/// The builder fills every slot with its leaf before it links any node.
-struct Segment<'a, K> {
-    slab: &'a mut [Node<K>],
-    base: u32,
-}
-
-impl<K> Nodes<K> for Segment<'_, K> {
-    #[inline]
-    fn node(&self, id: NodeId) -> &Node<K> {
-        &self.slab[(id.0 - self.base) as usize]
-    }
-
-    #[inline]
-    fn node_mut(&mut self, id: NodeId) -> &mut Node<K> {
-        &mut self.slab[(id.0 - self.base) as usize]
-    }
-}
-
 /// Make root `child` the new highest-order child of `parent`: a prepend to
 /// `parent`'s child list. `child`'s order must equal `parent`'s degree.
 #[inline]
-fn adopt<K>(nodes: &mut impl Nodes<K>, parent: NodeId, child: NodeId) {
-    let p = nodes.node_mut(parent);
+fn adopt<K>(arena: &mut Arena<K>, parent: NodeId, child: NodeId) {
+    let p = arena.get_mut(parent);
     let head = p.child;
     p.child = child.0;
     p.degree += 1;
-    let c = nodes.node_mut(child);
+    let c = arena.get_mut(child);
     c.sibling = head;
     c.parent = parent.0;
 }
@@ -334,18 +289,14 @@ fn adopt<K>(nodes: &mut impl Nodes<K>, parent: NodeId, child: NodeId) {
 /// **first** operand wins equal keys. `first` and `second` are roots of
 /// equal order; the loser becomes the winner's next child. Returns the
 /// winner.
-pub(crate) fn link<K: Ord + Copy>(
-    nodes: &mut impl Nodes<K>,
-    first: NodeId,
-    second: NodeId,
-) -> NodeId {
-    let (win, lose) = if nodes.node(second).key < nodes.node(first).key {
+pub(crate) fn link<K: Ord + Copy>(arena: &mut Arena<K>, first: NodeId, second: NodeId) -> NodeId {
+    let (win, lose) = if arena.get(second).key < arena.get(first).key {
         (second, first)
     } else {
         (first, second)
     };
-    debug_assert_eq!(nodes.node(win).degree, nodes.node(lose).degree);
-    adopt(nodes, win, lose);
+    debug_assert_eq!(arena.get(win).degree, arena.get(lose).degree);
+    adopt(arena, win, lose);
     win
 }
 
@@ -359,7 +310,7 @@ pub(crate) fn link<K: Ord + Copy>(
 /// minimum keeps the lower position on ties. A carry that meets two trees
 /// stays as the root while those two link.
 pub(crate) fn carry_add<K: Ord + Copy>(
-    nodes: &mut impl Nodes<K>,
+    arena: &mut Arena<K>,
     roots: &mut Vec<Option<NodeId>>,
     add: &[NodeId],
     from: usize,
@@ -374,8 +325,8 @@ pub(crate) fn carry_add<K: Ord + Copy>(
             roots.push(None);
         }
         let (root, next) = match (carry, roots[i], add.get(i - from).copied()) {
-            (c, Some(x), Some(y)) => (c, Some(link(nodes, x, y))),
-            (Some(c), Some(t), None) | (Some(c), None, Some(t)) => (None, Some(link(nodes, c, t))),
+            (c, Some(x), Some(y)) => (c, Some(link(arena, x, y))),
+            (Some(c), Some(t), None) | (Some(c), None, Some(t)) => (None, Some(link(arena, c, t))),
             (t, None, None) | (None, t, None) | (None, None, t) => (t, None),
         };
         roots[i] = root;
@@ -387,7 +338,7 @@ pub(crate) fn carry_add<K: Ord + Copy>(
 /// Pad `roots` to `width` positions of [`RootRef`]s (a planner's input),
 /// refilling `out` in place.
 pub(crate) fn root_refs_into<K: Copy>(
-    nodes: &impl Nodes<K>,
+    arena: &Arena<K>,
     roots: &[Option<NodeId>],
     width: usize,
     out: &mut Vec<Option<RootRef<K>>>,
@@ -395,7 +346,7 @@ pub(crate) fn root_refs_into<K: Copy>(
     out.clear();
     out.extend((0..width).map(|i| {
         roots.get(i).copied().flatten().map(|id| RootRef {
-            key: nodes.node(id).key,
+            key: arena.get(id).key,
             id,
         })
     }));
@@ -406,7 +357,7 @@ pub(crate) fn root_refs_into<K: Copy>(
 /// [`UnionPlan`] from two of these.
 type RootRefs<K> = [Option<RootRef<K>>];
 
-/// `Union(dst, other)` of two root arrays whose nodes live in `nodes`,
+/// `Union(dst, other)` of two root arrays whose nodes live in `arena`,
 /// holding `dst_len` and `other_len` keys: the crate's one Phase I–III
 /// path. Pads both operands into `scratch`, builds the plan with `plan`,
 /// then carries out Phase III: the links in ascending slot order (each a
@@ -414,7 +365,7 @@ type RootRefs<K> = [Option<RootRef<K>>];
 /// slot at each link) and the new root array into `dst`. A union with an
 /// empty side plans nothing, as in the paper's accounting.
 pub(crate) fn union_into<K: Ord + Copy>(
-    nodes: &mut impl Nodes<K>,
+    arena: &mut Arena<K>,
     scratch: &mut UnionScratch<K>,
     dst: &mut Vec<Option<NodeId>>,
     dst_len: usize,
@@ -432,8 +383,8 @@ pub(crate) fn union_into<K: Ord + Copy>(
         return;
     }
     let width = plan_width(dst_len, other_len);
-    root_refs_into(nodes, dst, width, &mut scratch.h1);
-    root_refs_into(nodes, other, width, &mut scratch.h2);
+    root_refs_into(arena, dst, width, &mut scratch.h1);
+    root_refs_into(arena, other, width, &mut scratch.h2);
     plan(&mut scratch.plan, &scratch.h1, &scratch.h2);
     let plan = &scratch.plan;
     #[cfg(feature = "debug-validate")]
@@ -442,19 +393,19 @@ pub(crate) fn union_into<K: Ord + Copy>(
     }
     debug_assert!(plan.links.windows(2).all(|w| w[0].slot <= w[1].slot));
     for l in &plan.links {
-        debug_assert_eq!(nodes.node(l.child).degree(), l.slot);
-        debug_assert_eq!(nodes.node(l.parent).degree(), l.slot);
-        adopt(nodes, l.parent, l.child);
+        debug_assert_eq!(arena.get(l.child).degree(), l.slot);
+        debug_assert_eq!(arena.get(l.parent).degree(), l.slot);
+        adopt(arena, l.parent, l.child);
     }
     dst.clear();
     dst.extend_from_slice(&plan.new_roots);
     for &r in dst.iter().flatten() {
-        nodes.node_mut(r).parent = NIL;
+        arena.get_mut(r).parent = NIL;
     }
     trim(dst);
 }
 
-impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
+impl<K: Ord + Copy> HeapPool<K> {
     /// With `--features debug-validate`, deep-check a heap after a hot-path
     /// mutation; a no-op otherwise.
     #[inline]
@@ -518,6 +469,25 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
             _ => top,
         };
         self.debug_validate(h);
+    }
+
+    /// `Multi-Insert(Q, keys)`: every key ripples in as [`Self::insert`]
+    /// would, one [`Arena::alloc`] and one carry chain each, so the trees,
+    /// node ids and reused free slots are exactly those of an `insert`
+    /// loop. The ownership and capacity checks run once for the batch, and
+    /// the min is rescanned once at the end. A batch that would overflow
+    /// the `u32` id space is refused whole, before any key is allocated.
+    pub fn multi_insert(&mut self, h: &mut PooledHeap, keys: &[K]) -> Result<(), CapacityError> {
+        self.assert_owner(h);
+        self.can_admit(keys.len())?;
+        for &key in keys {
+            let id = self.arena.alloc(key);
+            carry_add(&mut self.arena, &mut h.roots, &[id], 0);
+        }
+        h.len += keys.len();
+        h.min = scan_min(&self.arena, &h.roots);
+        self.debug_validate(h);
+        Ok(())
     }
 
     /// The root holding the minimum key (ties to the lowest order): the
@@ -731,47 +701,10 @@ impl<K: Ord + Copy + Send + Sync> HeapPool<K> {
         }
     }
 
-    /// Build a heap from keys using all rayon workers, entirely inside the
-    /// pool's slab: the key range splits recursively, each half builds into
-    /// a disjoint slice of one pre-sized slab with ids baked against the
-    /// final base offset, and the halves meld zero-copy on the way up. No
-    /// absorb, no remap — ever.
-    ///
-    /// Panics if the build would overflow the `u32` id space; callers that
-    /// want a typed error use [`Self::try_from_keys_parallel`].
+    /// [`Self::from_keys`] over a slice. Kept only for the `perfbench/`
+    /// replay layer, which calls it by this name.
     pub fn from_keys_parallel(&mut self, keys: &[K]) -> PooledHeap {
-        self.try_from_keys_parallel(keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::from_keys_parallel`] with capacity checked at admission: an
-    /// oversized build returns [`CapacityError`] before any id is baked.
-    pub fn try_from_keys_parallel(&mut self, keys: &[K]) -> Result<PooledHeap, CapacityError> {
-        self.build_slab(keys, crate::cutoff::bulk_join_cutoff())
-    }
-
-    /// The parallel slab build, splitting sub-ranges longer than `cutoff`.
-    fn build_slab(&mut self, keys: &[K], cutoff: usize) -> Result<PooledHeap, CapacityError> {
-        self.can_admit(keys.len())?;
-        let slab_len = self.arena.slab_len();
-        // `can_admit` proved base + keys.len() < u32::MAX, so every id the
-        // recursive builder bakes (`base ..= base + keys.len() - 1`) fits.
-        let base = u32::try_from(slab_len).map_err(|_| CapacityError {
-            requested: keys.len(),
-            slab_len,
-        })?;
-        let mut slab: Vec<Node<K>> = keys.iter().map(|&k| Node::leaf(k)).collect();
-        let mut roots = build_slab_rec(&mut slab, base, cutoff);
-        self.arena.extend_slab(slab);
-        trim(&mut roots);
-        let h = PooledHeap {
-            pool: self.id,
-            min: scan_min(&self.arena, &roots),
-            roots,
-            len: keys.len(),
-        };
-        self.debug_validate(&h);
-        Ok(h)
+        self.from_keys(keys.iter().copied())
     }
 
     /// Meld `other_roots` (nodes already in this pool's slab) into `dst`
@@ -968,59 +901,6 @@ fn move_subtree<K: Copy>(dst: &mut Arena<K>, src: &mut Arena<K>, id: NodeId) -> 
     new
 }
 
-/// Recursive slab builder: `slab` is a disjoint slice of the final arena
-/// slab, filled with leaves, whose node `i` has global id `base + i`. Each
-/// half builds its trees in place and the two root arrays meld inside the
-/// slab on the way up. `cutoff` is the calibrated minimum sub-range worth a
-/// `rayon::join` split ([`crate::cutoff::bulk_join_cutoff`]); smaller
-/// ranges run the leaf kernel.
-fn build_slab_rec<K: Ord + Copy + Send + Sync>(
-    slab: &mut [Node<K>],
-    base: u32,
-    cutoff: usize,
-) -> Vec<Option<NodeId>> {
-    let n = slab.len();
-    // Admission (`can_admit`) bounds base + n below u32::MAX, so the u32
-    // offset arithmetic below cannot wrap.
-    debug_assert!((base as u64) + (n as u64) < u32::MAX as u64);
-    if n <= cutoff {
-        return build_slab_leaf(slab, base);
-    }
-    let mid = n / 2;
-    let (left_slab, right_slab) = slab.split_at_mut(mid);
-    let (mut roots, right_roots) = rayon::join(
-        || build_slab_rec(left_slab, base, cutoff),
-        || build_slab_rec(right_slab, base + mid as u32, cutoff),
-    );
-    union_into(
-        &mut Segment { slab, base },
-        &mut UnionScratch::default(),
-        &mut roots,
-        mid,
-        &right_roots,
-        n - mid,
-        build_plan_into,
-    );
-    roots
-}
-
-/// Sequential ripple-carry build of one slab segment of leaves (ids =
-/// `base + index`): the same [`carry_add`] as [`HeapPool::insert`], one
-/// node at a time. `pub(crate)` so the cutoff calibrator can probe its
-/// per-key cost.
-pub(crate) fn build_slab_leaf<K: Ord + Copy>(
-    slab: &mut [Node<K>],
-    base: u32,
-) -> Vec<Option<NodeId>> {
-    let n = slab.len() as u32;
-    let mut seg = Segment { slab, base };
-    let mut roots: Vec<Option<NodeId>> = Vec::new();
-    for i in 0..n {
-        carry_add(&mut seg, &mut roots, &[NodeId(base + i)], 0);
-    }
-    roots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1206,8 +1086,9 @@ mod tests {
         assert_eq!(pool.multi_extract_min(&mut z, 1), vec![1]);
         exact(&pool, &z, "multi_extract_min without orphans");
         assert_eq!(pool.min(&z), Some(5));
-        let p = pool.from_keys_parallel(&[8, -2, 8, 5, -2, 40, 3]);
-        exact(&pool, &p, "from_keys_parallel");
+        pool.multi_insert(&mut z, &[8, -2, 8, 5, -2, 40, 3])
+            .unwrap();
+        exact(&pool, &z, "multi_insert");
         let c = pool.clone_heap(&h);
         exact(&pool, &c, "clone_heap");
         let (fork, f) = pool.fork(&h);
@@ -1299,9 +1180,10 @@ mod tests {
             .map(|i| (i * 2654435761u64 as i64) % 9973)
             .collect();
         let mut pool: HeapPool<i64> = HeapPool::with_capacity(keys.len());
-        let h = pool.from_keys_parallel(&keys);
+        let mut h = pool.new_heap();
+        pool.multi_insert(&mut h, &keys).unwrap();
         assert_eq!(pool.stats().allocs, keys.len() as u64);
-        assert_eq!(pool.stats().copies, 0, "parallel build must never copy");
+        assert_eq!(pool.stats().copies, 0, "multi_insert must never copy");
         pool.validate_heap(&h).unwrap();
         let mut expected = keys.clone();
         expected.sort_unstable();
@@ -1309,23 +1191,60 @@ mod tests {
     }
 
     #[test]
-    fn slab_builder_unions_build_valid_heaps() {
-        // The calibrated join cutoff is at least 1024 keys, and resolves to
-        // its ceiling on hosts where splitting never pays; tiny cutoffs
-        // force the unions inside the slab, at a nonzero base offset.
-        for n in [0usize, 1, 2, 3, 7, 64, 1000] {
-            let keys: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 13).collect();
-            for cutoff in [1, 5] {
-                let mut pool: HeapPool<i64> = HeapPool::new();
-                let pad = pool.from_keys([5, 6, 7]);
-                let h = pool.build_slab(&keys, cutoff).unwrap();
-                crate::check::check_pool(&pool, &[&pad, &h]).unwrap();
-                assert_eq!(pool.stats().copies, 0);
-                let mut expected = keys.clone();
-                expected.sort_unstable();
-                assert_eq!(pool.into_sorted_vec(h), expected, "n {n}, cutoff {cutoff}");
+    fn multi_insert_builds_the_insert_loops_trees() {
+        // One ripple per key: node ids, parents, child order and the cached
+        // min match an insert loop's, however many keys are equal, and the
+        // free slots left by earlier pops are reused in the same order.
+        for m in [1i64, 2, 3] {
+            let mut batched: HeapPool<i64> = HeapPool::new();
+            let mut b = batched.new_heap();
+            let mut looped: HeapPool<i64> = HeapPool::new();
+            let mut l = looped.new_heap();
+            for round in 0..40i64 {
+                let keys: Vec<i64> = (0..round * 7 + 1).map(|i| (i * 7919 + round) % m).collect();
+                batched.multi_insert(&mut b, &keys).unwrap();
+                for &k in &keys {
+                    looped.insert(&mut l, k);
+                }
+                assert_eq!(b.roots(), l.roots(), "mod {m}, round {round}");
+                assert_eq!(b.min, l.min, "mod {m}, round {round}");
+                assert_eq!(b.len(), l.len());
+                assert_eq!(
+                    shape(batched.arena()),
+                    shape(looped.arena()),
+                    "mod {m}, round {round}"
+                );
+                assert_eq!(batched.arena().slab_len(), looped.arena().slab_len());
+                batched.validate_heap(&b).unwrap();
+                // Free slots for the next round's keys to reuse.
+                let k = (round as usize * 3) % (b.len() + 1);
+                assert_eq!(
+                    batched.multi_extract_min(&mut b, k),
+                    looped.multi_extract_min(&mut l, k)
+                );
+                assert_eq!(batched.extract_min(&mut b), looped.extract_min(&mut l));
             }
+            assert!(
+                batched.arena().len() < batched.arena().slab_len(),
+                "free slots present"
+            );
         }
+    }
+
+    #[test]
+    fn multi_insert_refuses_an_oversized_batch_whole() {
+        // Zero-sized keys: a batch past the u32 id space costs no memory.
+        let mut pool: HeapPool<()> = HeapPool::new();
+        let mut h = pool.from_keys([(), ()]);
+        let keys = vec![(); u32::MAX as usize - 2];
+        let err = pool.multi_insert(&mut h, &keys).unwrap_err();
+        assert_eq!(err.requested, keys.len());
+        assert_eq!(err.slab_len, 2);
+        // Nothing was allocated and the heap is as it was.
+        assert_eq!(pool.stats().allocs, 2);
+        pool.validate_heap(&h).unwrap();
+        pool.multi_insert(&mut h, &keys[..1]).unwrap();
+        assert_eq!(h.len(), 3);
     }
 
     #[test]

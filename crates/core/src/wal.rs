@@ -125,7 +125,8 @@ pub enum WalOp {
         /// The inserted key.
         key: i64,
     },
-    /// A bulk build was melded into the heap at `slot`.
+    /// A batch of keys was inserted into the heap at `slot` with one
+    /// `HeapPool::multi_insert`.
     FromKeys {
         /// Target slot.
         slot: u32,
@@ -276,7 +277,7 @@ pub enum WalError {
     },
     /// An op named a slot with no live heap.
     UnknownSlot(u32),
-    /// A logged bulk build no longer fits the `u32` id space.
+    /// A logged `FromKeys` batch no longer fits the `u32` id space.
     Capacity(CapacityError),
 }
 
@@ -754,8 +755,7 @@ fn apply_op(
         }
         WalOp::FromKeys { slot, keys } => {
             let (_, heap) = live(slots, *slot)?;
-            let built = pool.try_from_keys_parallel(keys)?;
-            pool.meld(heap, built);
+            pool.multi_insert(heap, keys)?;
             Ok(Vec::new())
         }
         WalOp::ExtractMin { slot } => {
@@ -1009,7 +1009,8 @@ impl DurablePool {
         Ok(())
     }
 
-    /// Bulk-admit keys (logged as one record, built by the parallel slab builder).
+    /// Insert a batch of keys (logged as one record, applied by one
+    /// `HeapPool::multi_insert`).
     pub fn from_keys(&mut self, slot: u32, keys: &[i64]) -> Result<(), WalError> {
         self.require_live(slot)?;
         self.log_apply(&WalOp::FromKeys {

@@ -1,4 +1,4 @@
-//! SoA key blocks and the merge-path kernel for b-Union preprocessing.
+//! SoA key blocks and the merge kernel for b-Union preprocessing.
 //!
 //! The b-Union preprocessing (paper §5) re-establishes the *chunk order*
 //! invariant: listing roots by ascending max key, their key ranges must not
@@ -16,19 +16,12 @@
 //!   the roots in max-key order. Gathering into SoA is what makes the merge
 //!   kernel run over one contiguous stream per side instead of hopping
 //!   through per-node `Vec`s.
-//! * [`merge_path`] — the diagonal binary search of the Merge Path
-//!   formulation (Odeh et al.): the crossing point of diagonal `d` splits
-//!   both inputs so chunks of the output can be produced independently.
-//! * [`par_merge`] / [`merge_into`] — the chunked parallel merge and its
-//!   sequential in-chunk kernel. Chunk granularity comes from the calibrated
-//!   cutoff ([`meldpq::cutoff::bulk_join_cutoff`]) rather than a guessed
-//!   constant, so on a host where thread dispatch never pays the kernel
-//!   degenerates to one sequential merge — the wall-clock optimum there.
+//! * [`merge_into`] — the sequential two-pointer merge of the two streams,
+//!   run once per union by [`merged_stream`]. The win is algorithmic (a
+//!   merge instead of a sort), so the merge runs on one thread.
 //!
 //! Ties break toward the **first** operand, matching the workspace-wide
 //! tie-break contract of the planners.
-
-use rayon::prelude::*;
 
 use crate::bheap::{BbHeap, BbNodeId};
 
@@ -75,26 +68,6 @@ impl SoaBlocks {
     }
 }
 
-/// Merge Path diagonal search: for diagonal `d` (0 ≤ d ≤ a.len()+b.len()),
-/// return `(i, j)` with `i + j = d` such that `a[..i]` and `b[..j]` are
-/// exactly the first `d` elements of the tie-stable merge (ties to `a`).
-pub fn merge_path(a: &[i64], b: &[i64], d: usize) -> (usize, usize) {
-    debug_assert!(d <= a.len() + b.len());
-    let mut lo = d.saturating_sub(b.len());
-    let mut hi = d.min(a.len());
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        // a[mid] still belongs to the first d outputs iff it does not
-        // exceed the b-element it competes with on the diagonal.
-        if a[mid] <= b[d - mid - 1] {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, d - lo)
-}
-
 /// Sequential two-pointer merge of sorted `a` and `b` into `out`
 /// (`out.len() == a.len() + b.len()`), ties taken from `a` first.
 pub fn merge_into(a: &[i64], b: &[i64], out: &mut [i64]) {
@@ -112,114 +85,23 @@ pub fn merge_into(a: &[i64], b: &[i64], out: &mut [i64]) {
     }
 }
 
-/// Chunked parallel merge of two sorted streams: the output is cut at
-/// `chunk`-spaced diagonals, [`merge_path`] locates each chunk's input
-/// windows, and the chunks fill disjoint output slices in parallel. With
-/// `chunk >= a.len() + b.len()` this is a single sequential [`merge_into`].
-pub fn par_merge(a: &[i64], b: &[i64], chunk: usize) -> Vec<i64> {
-    let n = a.len() + b.len();
-    let chunk = chunk.max(1);
-    let mut out = vec![0i64; n];
-    if n == 0 {
-        return out;
-    }
-    let mut parts: Vec<(usize, &mut [i64])> = Vec::with_capacity(n.div_ceil(chunk));
-    {
-        let mut rest = &mut out[..];
-        let mut d = 0usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            parts.push((d, head));
-            rest = tail;
-            d += take;
-        }
-    }
-    parts.into_par_iter().for_each(|(d0, slice)| {
-        let (i0, j0) = merge_path(a, b, d0);
-        let (i1, j1) = merge_path(a, b, d0 + slice.len());
-        merge_into(&a[i0..i1], &b[j0..j1], slice);
-    });
-    out
-}
-
 /// The preprocessing fast path: if both sides' SoA streams are sorted (the
 /// chunk-order invariant holds), return the globally sorted union stream via
-/// the calibrated chunked merge; `None` means the caller must fall back to
-/// the general sort (e.g. the orphaned children of an extracted root are not
+/// one [`merge_into`]; `None` means the caller must fall back to the general
+/// sort (e.g. the orphaned children of an extracted root are not
 /// chunk-ordered among themselves).
 pub fn merged_stream(s1: &SoaBlocks, s2: &SoaBlocks) -> Option<Vec<i64>> {
     if !s1.is_sorted() || !s2.is_sorted() {
         return None;
     }
-    Some(par_merge(
-        &s1.keys,
-        &s2.keys,
-        meldpq::cutoff::bulk_join_cutoff(),
-    ))
+    let mut out = vec![0i64; s1.keys.len() + s2.keys.len()];
+    merge_into(&s1.keys, &s2.keys, &mut out);
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reference_merge(a: &[i64], b: &[i64]) -> Vec<i64> {
-        let mut out = vec![0; a.len() + b.len()];
-        merge_into(a, b, &mut out);
-        out
-    }
-
-    #[test]
-    fn merge_path_splits_every_diagonal() {
-        let a = [1i64, 3, 3, 5, 9, 9, 12];
-        let b = [2i64, 3, 4, 9, 10];
-        let merged = reference_merge(&a, &b);
-        let mut sorted = merged.clone();
-        sorted.sort_unstable();
-        assert_eq!(merged, sorted);
-        for d in 0..=a.len() + b.len() {
-            let (i, j) = merge_path(&a, &b, d);
-            assert_eq!(i + j, d);
-            // The prefix property: every taken element ≤ every untaken one.
-            let taken_max = a[..i].iter().chain(b[..j].iter()).max();
-            let rest_min = a[i..].iter().chain(b[j..].iter()).min();
-            if let (Some(t), Some(r)) = (taken_max, rest_min) {
-                assert!(t <= r, "d={d}: {t} > {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_merge_equals_sequential_at_every_chunking() {
-        let a: Vec<i64> = (0..500).map(|i| (i * 7) % 101).collect();
-        let b: Vec<i64> = (0..377).map(|i| (i * 13) % 89).collect();
-        let (mut a, mut b) = (a, b);
-        a.sort_unstable();
-        b.sort_unstable();
-        let expected = reference_merge(&a, &b);
-        for chunk in [1usize, 2, 3, 64, 500, 876, 877, 10_000] {
-            assert_eq!(par_merge(&a, &b, chunk), expected, "chunk={chunk}");
-        }
-        // Empty sides.
-        assert_eq!(par_merge(&a, &[], 64), a);
-        assert_eq!(par_merge(&[], &b, 64), b);
-        assert_eq!(par_merge(&[], &[], 64), Vec::<i64>::new());
-    }
-
-    #[test]
-    fn ties_resolve_to_first_operand() {
-        let a = [5i64, 5, 5];
-        let b = [5i64, 5];
-        // With all-equal keys the output is well-defined either way, but the
-        // merge path must still produce consistent splits (i+j=d and a
-        // non-decreasing result) — the stability contract.
-        for d in 0..=5 {
-            let (i, j) = merge_path(&a, &b, d);
-            assert_eq!(i + j, d);
-            // Ties to `a`: a-elements are exhausted before any b-element.
-            assert!(j == 0 || i == a.len(), "d={d}: i={i} j={j}");
-        }
-    }
 
     #[test]
     fn gather_orders_blocks_and_detects_chunk_order() {
@@ -254,5 +136,8 @@ mod tests {
         let mut expected = [1, 2, 3, 7, 8, 9, 2, 4, 6, 10, 11, 12].to_vec();
         expected.sort_unstable();
         assert_eq!(merged, expected);
+        let empty = SoaBlocks::gather(&h, &[]);
+        assert_eq!(merged_stream(&s1, &empty), Some(s1.keys.clone()));
+        assert_eq!(merged_stream(&empty, &s2), Some(s2.keys.clone()));
     }
 }

@@ -94,8 +94,8 @@ pub enum EventKind {
     TicketPark = 5,
     /// A parked waiter observed its published result (arg = shard index).
     TicketUnpark = 6,
-    /// A coalesced batch was admitted to the bulk slab builder
-    /// (arg = coalesced key count).
+    /// A multi-key group was admitted to one `multi_insert`
+    /// (arg = key count).
     BulkAdmission = 7,
     /// A coalesced pop demand was served by one multi-extract
     /// (arg = keys pulled).

@@ -17,9 +17,6 @@
 //!   family implements [`Recorder`] in its home crate.
 //! * [`bounds`] — the Theorem 1–3 cost envelopes with explicitly fitted
 //!   constants, and the measured-vs-bound conformance rows.
-//! * [`calib`] — the same fitting discipline pointed at scheduling: affine
-//!   sequential-vs-parallel cost models and the crossover cutoffs the hybrid
-//!   kernels run on (instead of hardcoded thresholds).
 //! * [`Telemetry`] — the run-level document tying spans + meters +
 //!   conformance together, with hand-rolled JSON export ([`json::J`]) and a
 //!   human-readable phase-tree rendering.
@@ -38,7 +35,6 @@
 //! ```
 
 pub mod bounds;
-pub mod calib;
 pub mod flight;
 pub mod json;
 pub mod latency;

@@ -5,7 +5,7 @@
 //! end: clients deposit operations into a *Waiting* buffer (the
 //! [`Ingress`]); whichever thread wins the shard's state lock becomes the
 //! combiner, drains the whole buffer as one batch (the *Forehead*), executes
-//! it against the shard's [`meldpq::HeapPool`] with the bulk kernels, and
+//! it against the shard's [`meldpq::HeapPool`] with the batch kernels, and
 //! publishes each result through its [`OpSlot`].
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};

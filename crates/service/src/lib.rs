@@ -15,7 +15,7 @@
 //!   deposit requests into the shard's ingress; whichever thread next takes
 //!   the shard lock drains and executes the whole batch ([`shard`] module).
 //! * **Admission batching** — a drained batch coalesces: concurrent inserts
-//!   become one `from_keys_parallel` bulk build + single zero-copy meld,
+//!   become one `multi_insert` under one capacity check and one WAL record,
 //!   concurrent pops one `multi_extract_min` root-frontier peel. The
 //!   [`ShardStats`] counters (and the pool's `ArenaStats`) prove it.
 //! * **Handles, not borrows** — [`QueueId`] is a `Copy + Send + Sync`
@@ -47,7 +47,7 @@ pub enum ServiceError {
     /// (it keeps serving), but this op's effect on the queue is unknown —
     /// the client must treat it as failed.
     Internal(QueueId),
-    /// A bulk admission was refused because it would overflow the shard
+    /// A multi-key admission was refused because it would overflow the shard
     /// pool's `u32` node-id space ([`meldpq::CapacityError`]). The queue
     /// is untouched; no key of the rejected batch was admitted.
     Capacity {

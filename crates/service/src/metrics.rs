@@ -1,11 +1,10 @@
 //! Per-shard counters proving the admission layer actually batches.
 //!
-//! The interesting invariantly-testable facts live here: how many inserts
-//! arrived coalesced vs. alone, how often the bulk build kernel fired, how
-//! much pop demand one `multi_extract_min` served. The batching-ingress unit
-//! test asserts on these (together with `meldpq::ArenaStats`) to prove
-//! coalescing triggers the bulk kernels rather than degenerate one-by-one
-//! execution.
+//! The interesting invariantly-testable facts live here: how many inserted
+//! keys went through one `multi_insert` vs. alone, how much pop demand one
+//! `multi_extract_min` served. The batching-ingress unit test asserts on
+//! these (together with `meldpq::ArenaStats`) to prove coalescing triggers
+//! the batch kernels rather than one-by-one execution.
 
 use obs::Recorder;
 
@@ -20,13 +19,11 @@ pub struct ShardStats {
     pub max_batch: u64,
     /// Requests executed in total.
     pub requests: u64,
-    /// Keys inserted one-by-one (batch for their queue was below the bulk
-    /// threshold).
+    /// Keys inserted alone: their queue's group held exactly one key.
     pub single_inserts: u64,
-    /// Keys inserted through a coalesced bulk build.
+    /// Keys inserted through a `multi_insert` of a group of two or more
+    /// keys (coalesced requests, or one multi-key request).
     pub coalesced_inserts: u64,
-    /// Bulk `from_keys_parallel` builds triggered by coalescing.
-    pub bulk_builds: u64,
     /// Keys served to pop requests through a shared `multi_extract_min`
     /// (batches whose pop demand exceeded one key).
     pub coalesced_pops: u64,
@@ -87,7 +84,6 @@ impl Recorder for ShardStats {
             ("requests", self.requests),
             ("single_inserts", self.single_inserts),
             ("coalesced_inserts", self.coalesced_inserts),
-            ("bulk_builds", self.bulk_builds),
             ("coalesced_pops", self.coalesced_pops),
             ("multi_extracts", self.multi_extracts),
             ("melds_same_shard", self.melds_same_shard),

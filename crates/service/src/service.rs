@@ -70,7 +70,6 @@ impl std::fmt::Display for QueueId {
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     shards: usize,
-    bulk_threshold: usize,
     backend: Backend,
     durable: Option<PathBuf>,
 }
@@ -79,11 +78,6 @@ impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             shards: 4,
-            // The admission batcher and the bulk kernels must agree on when
-            // a batch is worth the slab builder: default to the calibrated
-            // crossover (probed at first use, env-overridable with
-            // MELDPQ_BATCH_CUTOFF) instead of a guessed constant.
-            bulk_threshold: meldpq::cutoff::batch_bulk_cutoff().max(2),
             // The measured-fastest engine for the service workload class
             // (the committed shootout selection table), env-pinnable with
             // MELDPQ_BACKEND.
@@ -94,8 +88,8 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Start from the defaults (4 shards, bulk builds from the calibrated
-    /// batch cutoff up, backend from the shootout selection table).
+    /// Start from the defaults (4 shards, backend from the shootout
+    /// selection table).
     pub fn new() -> Self {
         Self::default()
     }
@@ -103,13 +97,6 @@ impl ServiceBuilder {
     /// Number of shards (each an independent pool + lock). Clamped to ≥ 1.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Coalesced-insert count at which a batch switches from one-by-one
-    /// inserts to the parallel slab builder. Clamped to ≥ 2.
-    pub fn bulk_threshold(mut self, n: usize) -> Self {
-        self.bulk_threshold = n.max(2);
         self
     }
 
@@ -145,13 +132,10 @@ impl ServiceBuilder {
     pub fn try_build(self) -> Result<QueueService, WalError> {
         let shards = (0..self.shards)
             .map(|i| match &self.durable {
-                None => Ok(Shard::new(i as u16, self.bulk_threshold, self.backend)),
-                Some(root) => Shard::new_durable(
-                    i as u16,
-                    self.bulk_threshold,
-                    self.backend,
-                    root.join(format!("shard{i}")),
-                ),
+                None => Ok(Shard::new(i as u16, self.backend)),
+                Some(root) => {
+                    Shard::new_durable(i as u16, self.backend, root.join(format!("shard{i}")))
+                }
             })
             .collect::<Result<Vec<_>, WalError>>()?;
         Ok(QueueService {
@@ -330,7 +314,7 @@ impl QueueService {
     /// later synchronous op, a [`Ticket::wait`], or [`QueueService::flush`].
     /// Depositing `k` inserts and then flushing hands the combiner all `k`
     /// as one batch, which is the deterministic way to exercise (and test)
-    /// the coalesced bulk kernels.
+    /// the coalesced kernels (`multi_insert`, `multi_extract_min`).
     pub fn enqueue(&self, req: Request) -> Result<Ticket, ServiceError> {
         let id = req.queue();
         let shard = self.shard(id)?;
@@ -470,10 +454,13 @@ impl QueueService {
             match (&mut q.heap, src_heap) {
                 // Same pool: zero-copy plan application.
                 (TenantHeap::Pooled(d), TenantHeap::Pooled(s)) => pool.meld(d, s),
-                // Backend-agnostic fallback: drain ascending, reinsert bulk.
+                // Backend-agnostic fallback: drain ascending, reinsert in
+                // one multi_insert.
                 (dst_heap, mut src_heap) => {
                     let keys = src_heap.drain_all(pool);
-                    dst_heap.bulk_insert(pool, &keys);
+                    dst_heap
+                        .multi_insert(pool, &keys)
+                        .map_err(|err| ServiceError::Capacity { queue: dst, err })?;
                 }
             }
             stats.melds_same_shard += 1;
@@ -535,7 +522,8 @@ impl QueueService {
                 };
                 pool.meld_cross_pool(d, &mut src_state.pool, s);
             }
-            // Backend-agnostic fallback: drain ascending, reinsert bulk.
+            // Backend-agnostic fallback: drain ascending, reinsert in one
+            // multi_insert.
             mut src_heap => {
                 let keys = src_heap.drain_all(&mut src_state.pool);
                 if dst_durable && !keys.is_empty() {
@@ -551,7 +539,9 @@ impl QueueService {
                 let Some(q) = queues[dst.slot() as usize].as_mut() else {
                     return Err(ServiceError::UnknownQueue(dst));
                 };
-                q.heap.bulk_insert(pool, &keys);
+                q.heap
+                    .multi_insert(pool, &keys)
+                    .map_err(|err| ServiceError::Capacity { queue: dst, err })?;
             }
         }
         dst_state.stats.melds_cross_shard += 1;
@@ -699,7 +689,7 @@ mod tests {
     #[test]
     fn boxed_backends_serve_the_full_request_surface() {
         // Non-pooled tenants route through TenantHeap::Boxed: melds fall
-        // back to drain + bulk reinsert but the observable semantics are
+        // back to drain + multi_insert but the observable semantics are
         // identical to the zero-copy pooled path.
         for backend in [Backend::Hollow, Backend::Pairing, Backend::Binomial] {
             let svc = ServiceBuilder::new().shards(2).backend(backend).build();
@@ -801,7 +791,6 @@ mod tests {
         let open = |side: &str| {
             ServiceBuilder::new()
                 .shards(1)
-                .bulk_threshold(4)
                 .backend(Backend::Pooled)
                 .durable(root.join(side))
                 .build()
@@ -857,6 +846,11 @@ mod tests {
         assert!(b.combines > 0);
         (a.combines, a.combine_ns, b.combines, b.combine_ns) = (0, 0, 0, 0);
         assert_eq!(a, b);
+        assert_eq!(
+            (a.single_inserts, a.coalesced_inserts),
+            (2, 6),
+            "one key inserts, more multi_insert"
+        );
         drop((sync, deposit));
         let log = |side: &str| {
             meldpq::wal::read_wal(&root.join(side).join("shard0").join(meldpq::wal::WAL_FILE))
@@ -933,7 +927,6 @@ mod tests {
         // MELDPQ_BACKEND env pin can't redirect the assertion target.
         let svc = ServiceBuilder::new()
             .shards(1)
-            .bulk_threshold(2)
             .backend(Backend::Pooled)
             .build();
         let q = svc.create_queue();
@@ -952,7 +945,7 @@ mod tests {
         );
         let arena = svc.arena_stats(0);
         assert_eq!(arena.allocs, 64);
-        assert_eq!(arena.copies, 0, "bulk insert path must be zero-copy");
+        assert_eq!(arena.copies, 0, "multi_insert must be zero-copy");
     }
 
     #[test]

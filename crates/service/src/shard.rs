@@ -3,13 +3,12 @@
 //! Clients never touch the pool directly. They deposit requests into the
 //! shard's [`Ingress`] and whoever acquires the state mutex next — client or
 //! waiter, there is no dedicated server thread — becomes the *combiner*: it
-//! drains the whole buffer, executes it as one batch with the bulk kernels,
-//! and publishes results through the per-request [`OpSlot`]s. Lock hand-off
-//! therefore amortises: under contention, one lock acquisition serves many
+//! drains the whole buffer, executes it as one batch, and publishes
+//! results through the per-request [`OpSlot`]s. Lock hand-off therefore
+//! amortises: under contention, one lock acquisition serves many
 //! clients' operations, and the batch exposes exactly the coalescing the
 //! paper's Forehead/Waiting buffers exist for — concurrent inserts become
-//! one `from_keys_parallel` bulk build, concurrent pops one
-//! `multi_extract_min` peel.
+//! one `multi_insert`, concurrent pops one `multi_extract_min` peel.
 //!
 //! An uncontended synchronous call (`Shard::execute_now`) is a batch of
 //! one through the same executor, under the same panic barrier and with the
@@ -27,9 +26,11 @@
 //! execution in that order would observe.
 //!
 //! The kernels and WAL records follow the group's totals: one inserted key
-//! ripples in and logs `Insert`, more log one `FromKeys` (bulk-built from
-//! the bulk threshold up); a demand of one key runs `extract_min` and logs
+//! runs `insert` and logs `Insert`, more run one `multi_insert` and log one
+//! `FromKeys`; a demand of one key runs `extract_min` and logs
 //! `ExtractMin`, more one `multi_extract_min` logged as `MultiExtractMin`.
+//! WAL replay applies each record with the same kernel, so a recovered pool
+//! is the live one node for node.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::borrow::Cow;
@@ -40,7 +41,7 @@ use std::time::Instant;
 use meldpq::check::check_pool;
 use meldpq::pool::PooledHeap;
 use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
-use meldpq::{Backend, Engine, HeapPool, MeldablePq};
+use meldpq::{Backend, CapacityError, Engine, HeapPool, MeldablePq};
 use obs::flight::{self, EventKind};
 use obs::{LatencyHistogram, TraceId};
 
@@ -51,9 +52,8 @@ use crate::ServiceError;
 
 /// One tenant queue's storage. The shard's configured [`Backend`] decides
 /// the variant at creation: [`Backend::Pooled`] queues live in the shard's
-/// shared [`HeapPool`] slab (zero-copy melds, bulk slab builds); every
-/// other backend is a self-contained boxed engine behind the
-/// [`MeldablePq`] surface.
+/// shared [`HeapPool`] slab (zero-copy melds); every other backend is a
+/// self-contained boxed engine behind the [`MeldablePq`] surface.
 pub(crate) enum TenantHeap {
     /// A heap in the shard's shared pool.
     Pooled(PooledHeap),
@@ -87,16 +87,20 @@ impl TenantHeap {
         }
     }
 
-    /// Coalesced bulk admission: the pooled variant goes through the
-    /// parallel slab builder + one meld; boxed engines use their own
-    /// `multi_insert` (which batched engines override).
-    pub(crate) fn bulk_insert(&mut self, pool: &mut HeapPool<i64>, keys: &[i64]) {
+    /// `Multi-Insert`: the pooled variant ripples the keys in with one
+    /// [`HeapPool::multi_insert`], which refuses a batch past the pool's
+    /// `u32` id space whole; boxed engines use their own `multi_insert`.
+    pub(crate) fn multi_insert(
+        &mut self,
+        pool: &mut HeapPool<i64>,
+        keys: &[i64],
+    ) -> Result<(), CapacityError> {
         match self {
-            TenantHeap::Pooled(h) => {
-                let built = pool.from_keys_parallel(keys);
-                pool.meld(h, built);
+            TenantHeap::Pooled(h) => pool.multi_insert(h, keys),
+            TenantHeap::Boxed(q) => {
+                q.multi_insert(keys);
+                Ok(())
             }
-            TenantHeap::Boxed(q) => q.multi_insert(keys),
         }
     }
 
@@ -180,9 +184,6 @@ pub(crate) struct ShardState {
     /// Deposit-to-publish latency of every request served on this shard
     /// (fast-path ops charge their inline execution time).
     pub(crate) latency: LatencyHistogram,
-    /// Coalesced insert batches at or above this size go through the bulk
-    /// slab builder instead of one-by-one ripple inserts.
-    bulk_threshold: usize,
     /// Which engine newly created tenant queues get.
     backend: Backend,
     /// Write-ahead log, present iff the shard was built durable. Any WAL
@@ -220,14 +221,13 @@ fn wal_flush(wal: &mut Option<ShardWal>, stats: &mut ShardStats) {
 
 impl ShardState {
     /// An empty, non-durable shard state.
-    fn new(bulk_threshold: usize, backend: Backend) -> Self {
+    fn new(backend: Backend) -> Self {
         ShardState {
             pool: HeapPool::new(),
             queues: Vec::new(),
             free_slots: Vec::new(),
             stats: ShardStats::default(),
             latency: LatencyHistogram::new(),
-            bulk_threshold: bulk_threshold.max(2),
             backend,
             wal: None,
         }
@@ -382,8 +382,8 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(index: u16, bulk_threshold: usize, backend: Backend) -> Arc<Self> {
-        Self::with_state(index, ShardState::new(bulk_threshold, backend))
+    pub(crate) fn new(index: u16, backend: Backend) -> Arc<Self> {
+        Self::with_state(index, ShardState::new(backend))
     }
 
     fn with_state(index: u16, state: ShardState) -> Arc<Self> {
@@ -399,11 +399,10 @@ impl Shard {
     /// WAL replay for boxed engines), then reopen the log for appending.
     pub(crate) fn new_durable(
         index: u16,
-        bulk_threshold: usize,
         backend: Backend,
         dir: PathBuf,
     ) -> Result<Arc<Self>, WalError> {
-        let mut st = ShardState::new(bulk_threshold, backend);
+        let mut st = ShardState::new(backend);
         let (next_seq, cadence) = if backend == Backend::Pooled {
             let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
             st.pool = recovered.pool;
@@ -735,7 +734,6 @@ fn execute_group<R: Replies + ?Sized>(
         queues,
         stats,
         latency,
-        bulk_threshold,
         wal,
         ..
     } = st;
@@ -799,20 +797,22 @@ fn execute_group<R: Replies + ?Sized>(
         wal_flush(wal, stats);
     }
 
-    // Phase 1 — every insert of the group: ripples, or one bulk build once
-    // the group is big enough to pay for the slab builder.
-    if refused.is_some() {
-        // Nothing admitted; the pop phases below still run.
-    } else if keys.len() >= *bulk_threshold {
-        flight::record(replies.trace(), EventKind::BulkAdmission, keys.len() as u64);
-        q.heap.bulk_insert(pool, &keys);
-        stats.bulk_builds += 1;
-        stats.coalesced_inserts += keys.len() as u64;
-    } else {
-        for &k in keys.iter() {
-            q.heap.insert(pool, k);
+    // Phase 1 — every insert of the group, with the kernel its WAL record
+    // names: one key `insert`, more one `multi_insert`. A refused group
+    // admits nothing; the pop phases below still run.
+    match &*keys {
+        _ if refused.is_some() => {}
+        [] => {}
+        [key] => {
+            q.heap.insert(pool, *key);
+            stats.single_inserts += 1;
         }
-        stats.single_inserts += keys.len() as u64;
+        keys => {
+            flight::record(replies.trace(), EventKind::BulkAdmission, keys.len() as u64);
+            let admitted = q.heap.multi_insert(pool, keys);
+            debug_assert!(admitted.is_ok(), "the group passed can_admit above");
+            stats.coalesced_inserts += keys.len() as u64;
+        }
     }
 
     // Phase 2 — the whole pop demand as one ascending pull.
@@ -869,7 +869,7 @@ fn execute_group<R: Replies + ?Sized>(
 
 /// Replay one WAL record into a boxed-backend shard being recovered.
 /// Mirrors `meldpq::wal`'s pooled replay, but applies ops through the
-/// [`MeldablePq`] surface (meld degrades to drain + bulk insert).
+/// [`MeldablePq`] surface (meld degrades to drain + `multi_insert`).
 fn replay_boxed(st: &mut ShardState, seq: u64, op: &WalOp) -> Result<(), WalError> {
     fn live(queues: &mut [Option<TenantQueue>], slot: u32) -> Result<&mut TenantQueue, WalError> {
         queues
@@ -905,7 +905,7 @@ fn replay_boxed(st: &mut ShardState, seq: u64, op: &WalOp) -> Result<(), WalErro
             });
         }
         WalOp::Insert { slot, key } => live(queues, *slot)?.heap.insert(pool, *key),
-        WalOp::FromKeys { slot, keys } => live(queues, *slot)?.heap.bulk_insert(pool, keys),
+        WalOp::FromKeys { slot, keys } => live(queues, *slot)?.heap.multi_insert(pool, keys)?,
         WalOp::ExtractMin { slot } => {
             live(queues, *slot)?.heap.extract_min(pool);
         }
@@ -921,7 +921,7 @@ fn replay_boxed(st: &mut ShardState, seq: u64, op: &WalOp) -> Result<(), WalErro
                 .ok_or(WalError::UnknownSlot(*src))?;
             let keys = taken.heap.drain_all(pool);
             free_slots.push((*src, taken.gen.wrapping_add(1)));
-            live(queues, *dst)?.heap.bulk_insert(pool, &keys);
+            live(queues, *dst)?.heap.multi_insert(pool, &keys)?;
         }
         WalOp::FreeHeap { slot } => {
             let taken = queues
@@ -952,7 +952,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_thread_batch_semantics() {
-        let shard = Shard::new(0, 4, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let q = shard.create_queue();
         // Deposit a mixed batch without combining in between: the shard has
         // no state-lock holder, so each submit's try_combine serves it — use
@@ -988,7 +988,7 @@ pub(crate) mod tests {
 
     #[test]
     fn stale_handle_is_rejected() {
-        let shard = Shard::new(0, 8, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let q = shard.create_queue();
         {
             let mut st = shard.lock_state();
@@ -1032,7 +1032,7 @@ pub(crate) mod tests {
 
     #[test]
     fn combiner_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0, 8, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let good = shard.create_queue();
         let bad = shard.create_queue();
         // Swap the second queue's engine for the panicking one.
@@ -1065,7 +1065,7 @@ pub(crate) mod tests {
 
     #[test]
     fn fast_path_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0, 8, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let good = shard.create_queue();
         let bad = shard.create_queue();
         shard.lock_state().queue_mut(bad).unwrap().heap = TenantHeap::Boxed(Box::new(PanickingPq));
@@ -1096,7 +1096,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poisoned_lock_is_healed_not_cascaded() {
-        let shard = Shard::new(0, 8, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let q = shard.create_queue();
         {
             let slot = shard.submit(Request::Insert { queue: q, key: 1 });
@@ -1125,7 +1125,7 @@ pub(crate) mod tests {
         // after exactly 2^32 destroy/create cycles an ancient handle would
         // validate again. Simulate the wrap by pinning the free slot's next
         // generation to u32::MAX and cycling it twice.
-        let shard = Shard::new(0, 8, Backend::Pooled);
+        let shard = Shard::new(0, Backend::Pooled);
         let q0 = shard.create_queue(); // slot 0, gen 0
         {
             let mut st = shard.lock_state();
@@ -1155,7 +1155,7 @@ pub(crate) mod tests {
 
     #[test]
     fn over_demand_pops_return_empty() {
-        let shard = Shard::new(3, 8, Backend::Pooled);
+        let shard = Shard::new(3, Backend::Pooled);
         let q = shard.create_queue();
         let s1 = shard.ingress.push(Request::Insert { queue: q, key: 7 });
         let s2 = shard.ingress.push(Request::ExtractMin { queue: q });
@@ -1168,12 +1168,116 @@ pub(crate) mod tests {
         assert_eq!(s4.try_take(), Some(Response::Keys(vec![])));
     }
 
+    /// Every live node of `pool` as `(id, key, parent, children)`, the
+    /// children in list order, plus the slab length.
+    type PoolShape = (
+        Vec<(
+            meldpq::NodeId,
+            i64,
+            Option<meldpq::NodeId>,
+            Vec<meldpq::NodeId>,
+        )>,
+        usize,
+    );
+    fn pool_shape(pool: &HeapPool<i64>) -> PoolShape {
+        let arena = pool.arena();
+        let nodes = arena
+            .iter()
+            .map(|(id, n)| (id, n.key, n.parent(), arena.children(id).collect()))
+            .collect();
+        (nodes, arena.slab_len())
+    }
+
+    #[test]
+    fn genesis_replay_rebuilds_the_live_pool_node_for_node() {
+        // The live shard and WAL replay run one kernel per record (`Insert`
+        // → insert, `FromKeys` → multi_insert), so the recovered pool is the
+        // live one node for node: ids, keys, parents, child order, free
+        // slots reused, slab length and every heap's roots and cached min.
+        let dir =
+            std::env::temp_dir().join(format!("meldpq-shard-replay-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shard = Shard::new_durable(0, Backend::Pooled, dir.clone()).unwrap();
+        let (a, b) = (shard.create_queue(), shard.create_queue());
+        let submit = |req| shard.submit(req).try_take().unwrap();
+        for round in 0..6i64 {
+            for q in [a, b] {
+                let keys = (0..40 + round * 13)
+                    .map(|i| (i * 7919 + round) % 17)
+                    .collect();
+                assert_eq!(
+                    submit(Request::MultiInsert { queue: q, keys }),
+                    Response::Done
+                );
+            }
+            // Pops free slots for the next round's inserts to reuse.
+            assert!(matches!(
+                submit(Request::ExtractK { queue: a, k: 25 }),
+                Response::Keys(_)
+            ));
+            assert!(matches!(
+                submit(Request::ExtractMin { queue: b }),
+                Response::Key(Some(_))
+            ));
+            assert_eq!(
+                submit(Request::Insert {
+                    queue: b,
+                    key: round
+                }),
+                Response::Done
+            );
+        }
+        type Heaps = Vec<
+            Option<(
+                u32,
+                Vec<Option<meldpq::NodeId>>,
+                usize,
+                Option<meldpq::NodeId>,
+            )>,
+        >;
+        let (live, live_heaps): (PoolShape, Heaps) = {
+            let st = shard.lock_state();
+            let heaps = st
+                .queues
+                .iter()
+                .map(|q| {
+                    q.as_ref().map(|q| match &q.heap {
+                        TenantHeap::Pooled(h) => {
+                            (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
+                        }
+                        TenantHeap::Boxed(_) => panic!("pooled shard"),
+                    })
+                })
+                .collect();
+            (pool_shape(&st.pool), heaps)
+        };
+        drop(shard);
+        assert!(live.0.len() < live.1, "the pops left free slots");
+        assert!(
+            !dir.join(wal::CHECKPOINT_FILE).exists(),
+            "recovery replays from genesis"
+        );
+        let rec = wal::recover_dir(&dir, Engine::Sequential).unwrap();
+        assert!(rec.replayed > 0);
+        assert_eq!(pool_shape(&rec.pool), live);
+        let rec_heaps: Heaps = rec
+            .heaps
+            .iter()
+            .map(|s| {
+                s.as_ref()
+                    .map(|(gen, h)| (*gen, h.roots().to_vec(), h.len(), rec.pool.min_root(h)))
+            })
+            .collect();
+        assert_eq!(rec_heaps, live_heaps);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn reset_after_damage_restarts_the_checkpoint_cadence() {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-reset-cadence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, 4, Backend::Pooled, dir.clone()).unwrap();
+        let shard = Shard::new_durable(0, Backend::Pooled, dir.clone()).unwrap();
         let insert = |q: QueueId, key: i64| {
             let slot = shard.submit(Request::Insert { queue: q, key });
             assert_eq!(slot.try_take(), Some(Response::Done));

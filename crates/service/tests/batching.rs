@@ -10,7 +10,7 @@ use service::{Request, Response, ServiceBuilder};
 
 #[test]
 fn pipelined_inserts_coalesce_into_one_bulk_build() {
-    let svc = ServiceBuilder::new().shards(1).bulk_threshold(4).build();
+    let svc = ServiceBuilder::new().shards(1).build();
     let q = svc.create_queue();
     let tickets: Vec<_> = (0..64)
         .map(|k| svc.enqueue(Request::Insert { queue: q, key: k }).unwrap())
@@ -23,37 +23,40 @@ fn pipelined_inserts_coalesce_into_one_bulk_build() {
     assert_eq!(stats.batches, 1, "one drain served all 64 deposits");
     assert_eq!(stats.max_batch, 64);
     assert_eq!(
-        stats.bulk_builds, 1,
-        "inserts went through the slab builder"
+        stats.coalesced_inserts, 64,
+        "all 64 keys went through one multi_insert"
     );
-    assert_eq!(stats.coalesced_inserts, 64);
-    assert_eq!(stats.single_inserts, 0, "no ripple inserts");
+    assert_eq!(stats.single_inserts, 0, "no lone inserts");
     let arena = svc.arena_stats(0);
     assert_eq!(arena.allocs, 64, "one node per key");
-    assert_eq!(arena.copies, 0, "bulk build + same-pool meld is zero-copy");
+    assert_eq!(arena.copies, 0, "multi_insert is zero-copy");
     assert_eq!(svc.len(q).unwrap(), 64);
 }
 
 #[test]
 fn below_threshold_batches_use_ripple_inserts() {
-    let svc = ServiceBuilder::new().shards(1).bulk_threshold(8).build();
-    let q = svc.create_queue();
-    let tickets: Vec<_> = (0..3)
-        .map(|k| svc.enqueue(Request::Insert { queue: q, key: k }).unwrap())
+    // One batch, three queues, one key each: every queue's group is below
+    // the two keys a `multi_insert` takes, so each key runs `insert`.
+    let svc = ServiceBuilder::new().shards(1).build();
+    let queues: Vec<_> = (0..3).map(|_| svc.create_queue()).collect();
+    let tickets: Vec<_> = queues
+        .iter()
+        .zip(0..)
+        .map(|(&q, key)| svc.enqueue(Request::Insert { queue: q, key }).unwrap())
         .collect();
     svc.flush();
     for t in tickets {
         assert_eq!(t.wait(), Response::Done);
     }
     let stats = svc.shard_stats(0);
-    assert_eq!(stats.bulk_builds, 0, "3 < threshold 8: no slab build");
+    assert_eq!(stats.batches, 1);
     assert_eq!(stats.single_inserts, 3);
     assert_eq!(stats.coalesced_inserts, 0);
 }
 
 #[test]
 fn pipelined_pops_coalesce_into_one_multi_extract() {
-    let svc = ServiceBuilder::new().shards(1).bulk_threshold(4).build();
+    let svc = ServiceBuilder::new().shards(1).build();
     let q = svc.create_queue();
     svc.multi_insert(q, (0..32).rev().collect()).unwrap();
     let pops: Vec<_> = (0..8)
@@ -73,7 +76,7 @@ fn pipelined_pops_coalesce_into_one_multi_extract() {
 
 #[test]
 fn one_batch_serves_many_queues_independently() {
-    let svc = ServiceBuilder::new().shards(1).bulk_threshold(4).build();
+    let svc = ServiceBuilder::new().shards(1).build();
     let a = svc.create_queue();
     let b = svc.create_queue();
     let ta: Vec<_> = [5i64, 1, 3]

@@ -36,7 +36,7 @@ fn concurrent_multiset_conservation() {
     let producers = 4 * m;
     let consumers = 2 * m;
     let keys_per_producer: i64 = 512;
-    let svc = Arc::new(ServiceBuilder::new().shards(4).bulk_threshold(4).build());
+    let svc = Arc::new(ServiceBuilder::new().shards(4).build());
     let queues: Arc<Vec<QueueId>> = Arc::new((0..8).map(|_| svc.create_queue()).collect());
     let barrier = Arc::new(Barrier::new(producers + consumers));
     let extracted = Arc::new(Mutex::new(Vec::<i64>::new()));
@@ -50,8 +50,8 @@ fn concurrent_multiset_conservation() {
             let keys: Vec<i64> = (0..keys_per_producer)
                 .map(|i| ((tid as i64) << 32) | i)
                 .collect();
-            // Alternate chunk-wise between bulk and single inserts so both
-            // admission paths run under contention.
+            // Alternate chunk-wise between multi-key and single inserts so
+            // both insert kernels run under contention.
             for (c, chunk) in keys.chunks(5).enumerate() {
                 let q = queues[(tid + c) % queues.len()];
                 if c % 2 == 0 {
@@ -102,6 +102,18 @@ fn concurrent_multiset_conservation() {
     }
 
     svc.validate().unwrap();
+    // Every key was admitted once, alone or in a multi_insert group, and
+    // the multi-key requests took the multi_insert kernel.
+    let (single, coalesced) = (0..4)
+        .map(|i| svc.shard_stats(i))
+        .fold((0, 0), |(s, c), st| {
+            (s + st.single_inserts, c + st.coalesced_inserts)
+        });
+    assert_eq!(
+        single + coalesced,
+        producers as u64 * keys_per_producer as u64
+    );
+    assert!(coalesced > 0, "no group reached multi_insert");
     // Meld every queue into the first (same- and cross-shard paths), then
     // drain what the consumers left behind.
     let sink = queues[0];
@@ -176,7 +188,7 @@ proptest! {
     fn sequential_programs_match_oracle(
         ops in proptest::collection::vec(svc_op_strategy(), 1..64),
     ) {
-        let svc = ServiceBuilder::new().shards(2).bulk_threshold(3).build();
+        let svc = ServiceBuilder::new().shards(2).build();
         // (handle, sorted oracle) per live queue.
         let mut queues: Vec<(QueueId, Vec<i64>)> = vec![(svc.create_queue(), Vec::new())];
         for (step, op) in ops.into_iter().enumerate() {

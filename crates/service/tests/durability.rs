@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use meldpq::wal::{self, CheckpointCadence};
-use meldpq::{Backend, Engine};
+use meldpq::{Backend, Engine, WalOp};
 use service::{Response, ServiceBuilder};
 
 struct TmpRoot(PathBuf);
@@ -29,7 +29,6 @@ fn builder(root: &TmpRoot, backend: Backend) -> ServiceBuilder {
     ServiceBuilder::new()
         .shards(2)
         .backend(backend)
-        .bulk_threshold(4)
         .durable(root.0.clone())
 }
 
@@ -52,6 +51,38 @@ fn durable_service_survives_restart_pooled() {
         assert!(stats.wal_appends >= 5, "ops were logged: {stats:?}");
         assert_eq!(stats.wal_errors, 0);
     } // drop = crash (records are flushed before every mutation)
+
+    // A lone key logs `Insert`, a multi-key group one `FromKeys`.
+    let log = |shard: usize| -> Vec<WalOp> {
+        let path = root.0.join(format!("shard{shard}")).join(wal::WAL_FILE);
+        let log = wal::read_wal(&path).expect("readable log");
+        log.records.into_iter().map(|(_, op)| op).collect()
+    };
+    assert_eq!(
+        log(0),
+        [
+            WalOp::CreateHeap { slot: 0, gen: 0 },
+            WalOp::CreateHeap { slot: 1, gen: 0 },
+            WalOp::FromKeys {
+                slot: 0,
+                keys: vec![5, 1, 9, 3]
+            },
+            WalOp::FromKeys {
+                slot: 1,
+                keys: vec![2, 8]
+            },
+            WalOp::ExtractMin { slot: 0 },
+            WalOp::Meld { dst: 0, src: 1 },
+        ]
+    );
+    assert_eq!(
+        log(1),
+        [
+            WalOp::CreateHeap { slot: 0, gen: 0 },
+            WalOp::Insert { slot: 0, key: 7 },
+            WalOp::FreeHeap { slot: 0 },
+        ]
+    );
 
     let svc = builder(&root, Backend::Pooled)
         .try_build()

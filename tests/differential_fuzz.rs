@@ -4,9 +4,8 @@
 //! Two fleets:
 //!
 //! * [`all_engines_agree_on_mixed_programs`] drives every engine through the
-//!   unified [`MeldablePq`] trait — `ParBinomialHeap` as it ships and with
-//!   every melded batch built by the parallel slab builder, the measured EREW PRAM wrapper (`PramMeasured`),
-//!   `LazyBinomialHeap`, `dmpq::DistributedPq` (behind a fault-free local
+//!   unified [`MeldablePq`] trait — `ParBinomialHeap`, the measured EREW
+//!   PRAM wrapper (`PramMeasured`), `LazyBinomialHeap`, `dmpq::DistributedPq` (behind a fault-free local
 //!   adapter) and a seqheaps baseline — against a sorted-vector oracle over
 //!   mixed insert / meld / extract-min / min programs. The fleet is a
 //!   `Vec<Box<dyn MeldablePq<i64>>>`: one generic dispatch loop, zero
@@ -88,6 +87,9 @@ enum PoolOp {
     Min,
     /// Same-pool meld — must be zero-copy (asserted on the slab counters).
     Meld(Vec<i64>),
+    /// Ripple a batch into the pooled heap (pool side only), reusing the
+    /// slots earlier extracts freed.
+    MultiInsert(Vec<i64>),
     /// Cross-pool meld — the counted fallback path (pool side only).
     CrossMeld(Vec<i64>),
     /// Deep-copy the pooled heap, drain the copy, compare with the oracle;
@@ -104,42 +106,10 @@ fn pool_op_strategy() -> impl Strategy<Value = PoolOp> {
         3 => Just(PoolOp::ExtractMin),
         1 => Just(PoolOp::Min),
         2 => proptest::collection::vec(key_strategy(), 0..10).prop_map(PoolOp::Meld),
+        2 => proptest::collection::vec(key_strategy(), 0..10).prop_map(PoolOp::MultiInsert),
         1 => proptest::collection::vec(key_strategy(), 1..8).prop_map(PoolOp::CrossMeld),
         1 => Just(PoolOp::CloneCheck),
         2 => any::<usize>().prop_map(PoolOp::Delete),
-    ]
-}
-
-/// One step of a bulk-threshold program: batch sizes are drawn to straddle
-/// a pinned admission cutoff, so a single program exercises the
-/// ripple-insert path (below) and the pooled slab kernel (at/above) in
-/// interleaved succession.
-#[derive(Debug, Clone)]
-enum BulkOp {
-    /// Multi-insert a batch of `len` keys derived from `salt`.
-    MultiInsert { len: usize, salt: i64 },
-    /// Extract the `k % 12` smallest; the result must match the oracle.
-    MultiExtract(usize),
-    /// Single insert — keeps the resident heap irregular between batches.
-    Insert(i64),
-    /// Extract the minimum.
-    ExtractMin,
-}
-
-/// The pinned admission cutoff for [`BulkOp`] programs. The calibrated
-/// value is host-dependent and `OnceLock`-cached, so the boundary is pinned
-/// explicitly and handed to `multi_insert_at` — batch lengths are drawn
-/// from `0..=2·BULK_ADMISSION`, putting roughly half of every program on
-/// each side of the threshold.
-const BULK_ADMISSION: usize = 8;
-
-fn bulk_op_strategy() -> impl Strategy<Value = BulkOp> {
-    prop_oneof![
-        4 => (0usize..2 * BULK_ADMISSION + 1, key_strategy())
-            .prop_map(|(len, salt)| BulkOp::MultiInsert { len, salt }),
-        3 => any::<usize>().prop_map(BulkOp::MultiExtract),
-        2 => key_strategy().prop_map(BulkOp::Insert),
-        2 => Just(BulkOp::ExtractMin),
     ]
 }
 
@@ -240,36 +210,6 @@ impl Oracle {
     }
 }
 
-/// `ParBinomialHeap` whose melded batches always take the parallel slab
-/// builder (`from_keys_parallel`), whatever the calibrated admission cutoff:
-/// the batch builds in the heap's own slab and melds zero-copy.
-#[derive(Default)]
-struct SlabBuilt(ParBinomialHeap);
-
-impl MeldablePq<i64> for SlabBuilt {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn insert(&mut self, key: i64) {
-        self.0.insert(key);
-    }
-    fn peek_min(&mut self) -> Option<i64> {
-        self.0.min()
-    }
-    fn extract_min(&mut self) -> Option<i64> {
-        self.0.extract_min()
-    }
-    fn meld(&mut self, other: Self) {
-        self.0.meld(other.0);
-    }
-    fn meld_from_keys(&mut self, keys: &[i64]) {
-        self.0.multi_insert_at(keys, 0);
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        self.0.check_invariants()
-    }
-}
-
 /// `DistributedPq` behind the trait. The orphan rule forbids implementing
 /// the workspace trait for the dmpq type from this test crate, and the
 /// distributed API is fallible (message faults), so this local newtype
@@ -326,7 +266,6 @@ fn fleet(p: usize) -> Vec<(&'static str, Box<dyn MeldablePq<i64>>)> {
         ("pram", Box::new(PramMeasured::new(p))),
         ("lazy", Box::new(LazyBinomialHeap::new(p))),
         ("dist", Box::new(FaultFree::new(2, 4))),
-        ("slab", Box::new(SlabBuilt::default())),
         (
             "seq-binomial",
             Box::new(seqheaps::BinomialHeap::<i64>::new()),
@@ -395,54 +334,6 @@ proptest! {
             prop_assert_eq!(q.len(), 0, "{} empty after drain", name);
         }
     }
-
-    /// Both sides of the bulk-admission threshold in one program: batches
-    /// straddling [`BULK_ADMISSION`] flip between ripple-insert and the
-    /// pooled slab kernel mid-program, in lockstep with the sorted-vec
-    /// oracle.
-    #[test]
-    fn bulk_threshold_boundary_programs_agree(
-        ops in proptest::collection::vec(bulk_op_strategy(), 0..32),
-    ) {
-        let mut h = ParBinomialHeap::new();
-        let mut oracle = Oracle::default();
-        for (step, op) in ops.iter().enumerate() {
-            match op {
-                BulkOp::MultiInsert { len, salt } => {
-                    let keys: Vec<i64> =
-                        (0..*len as i64).map(|i| (i * 13 + salt).rem_euclid(64)).collect();
-                    for k in &keys {
-                        oracle.insert(*k);
-                    }
-                    h.multi_insert_at(&keys, BULK_ADMISSION);
-                }
-                BulkOp::MultiExtract(k) => {
-                    let k = k % 12;
-                    let want: Vec<i64> =
-                        (0..k).map_while(|_| oracle.extract_min()).collect();
-                    prop_assert_eq!(
-                        &h.multi_extract_min(k), &want,
-                        "multi-extract at step {}", step
-                    );
-                }
-                BulkOp::Insert(k) => {
-                    oracle.insert(*k);
-                    h.insert(*k);
-                }
-                BulkOp::ExtractMin => {
-                    let want = oracle.extract_min();
-                    prop_assert_eq!(h.extract_min(), want, "extract at step {}", step);
-                }
-            }
-            if step % 8 == 7 {
-                if let Err(e) = h.validate() {
-                    panic!("invariants broken after step {step}: {e}");
-                }
-            }
-        }
-        prop_assert_eq!(&h.into_sorted_vec(), &oracle.keys, "drain");
-    }
-
     #[test]
     fn lazy_delete_programs_match_multiset_oracle(
         ops in proptest::collection::vec(lazy_op_strategy(), 0..48),
@@ -515,8 +406,9 @@ proptest! {
 
     /// The pooled-representation fleet: a [`HeapPool`]-resident heap runs
     /// the program against the sorted-vec oracle, with the slab counters
-    /// asserting that every same-pool meld is zero-copy, the cross-pool
-    /// fallback and clone-heap exercised mid-program, and a lazy heap
+    /// asserting that every same-pool meld is zero-copy and every
+    /// `multi_insert` allocates one node per key, the cross-pool fallback
+    /// and clone-heap exercised mid-program, and a lazy heap
     /// running the same inserts/melds *plus* deletes interleaved between
     /// the zero-copy melds (against its own multiset oracle). `check_pool`
     /// guards ownership + aliasing every eighth step.
@@ -558,6 +450,14 @@ proptest! {
                     for &k in keys { pool_oracle.insert(k); }
                     lazy.meld(LazyBinomialHeap::from_keys_fast(p, keys.iter().copied()));
                     for &k in keys { lazy_oracle.insert(k); }
+                }
+                PoolOp::MultiInsert(keys) => {
+                    let before = pool.stats();
+                    pool.multi_insert(&mut main, keys).unwrap();
+                    prop_assert_eq!(pool.stats().allocs - before.allocs, keys.len() as u64,
+                        "one allocation per key at step {}", step);
+                    prop_assert_eq!(pool.stats().copies, before.copies);
+                    for &k in keys { pool_oracle.insert(k); }
                 }
                 PoolOp::CrossMeld(keys) => {
                     let mut other: HeapPool<i64> = HeapPool::new();

@@ -169,27 +169,6 @@ proptest! {
         }
     }
 
-    /// The batch-admission boundary: at `cutoff−1` keys the bulk build
-    /// ripple-inserts, at `cutoff` and `cutoff+1` it runs the pooled slab
-    /// kernel — same multiset, valid structure.
-    #[test]
-    fn bulk_build_agrees_across_the_admission_boundary(salt in any::<u64>()) {
-        use meldpq::ParBinomialHeap;
-        // An explicit admission cutoff: the calibrated one is host-dependent
-        // and may exceed what a proptest case can afford to insert.
-        let admission = 24usize;
-        for n in [admission - 1, admission, admission + 1] {
-            let keys: Vec<i64> = (0..n as i64)
-                .map(|i| (i * 31 + salt as i64 % 97).rem_euclid(53))
-                .collect();
-            let h = ParBinomialHeap::from_keys_parallel_at(&keys, admission);
-            h.validate().expect("valid across the admission boundary");
-            let mut expected = keys.clone();
-            expected.sort_unstable();
-            prop_assert_eq!(h.into_sorted_vec(), expected, "n={}", n);
-        }
-    }
-
     /// PRAM Min agrees with the host min on arbitrary root arrays.
     #[test]
     fn pram_min_agrees(

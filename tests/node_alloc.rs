@@ -93,3 +93,28 @@ fn single_key_ops_allocate_only_root_array_growth() {
         lazy.validate().expect("valid lazy heap");
     }
 }
+
+#[test]
+fn multi_insert_keeps_the_slab_at_its_high_water_mark() {
+    // A batch ripples through `Arena::alloc`, which takes a free slot before
+    // it grows the slab. Filling and draining 4096 keys a thousand times
+    // therefore keeps the slab at the live high-water mark, and after the
+    // first round a batch makes no heap allocation at all.
+    const N: usize = 4096;
+    let keys: Vec<i64> = (0..N as i64)
+        .map(|i| (i * 2_654_435_761) % 100_003)
+        .collect();
+    let mut pool: HeapPool<i64> = HeapPool::new();
+    let mut h = pool.new_heap();
+    for round in 0..1000 {
+        let before = allocs();
+        pool.multi_insert(&mut h, &keys).expect("fits the id space");
+        if round > 0 {
+            assert_eq!(allocs(), before, "round {round} allocated");
+        }
+        assert_eq!(pool.arena().slab_len(), N, "round {round}");
+        assert_eq!(pool.multi_extract_min(&mut h, N).len(), N);
+    }
+    assert!(h.is_empty());
+    assert_eq!(pool.stats().allocs, 1000 * N as u64);
+}

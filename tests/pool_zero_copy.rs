@@ -90,7 +90,8 @@ fn extract_min_interleaved_with_zero_copy_melds() {
 fn parallel_pool_build_is_pure_allocation() {
     let ks = keys(60_000, 9);
     let mut pool: HeapPool<i64> = HeapPool::with_capacity(ks.len());
-    let h = pool.from_keys_parallel(&ks);
+    let mut h = pool.new_heap();
+    pool.multi_insert(&mut h, &ks).unwrap();
     assert_eq!(pool.stats().allocs, ks.len() as u64);
     assert_eq!(pool.stats().copies, 0);
     check_pool(&pool, &[&h]).unwrap();
@@ -101,20 +102,24 @@ fn parallel_pool_build_is_pure_allocation() {
 
 #[test]
 fn heap_multi_insert_builds_in_its_own_slab() {
-    // `ParBinomialHeap` is a one-heap pool, so a batch builds in the heap's
-    // own slab and melds without moving a node — on both sides of the
-    // bulk-admission cutoff and through the calibrated public entry point.
+    // `ParBinomialHeap` is a one-heap pool, so a batch ripples into the
+    // heap's own slab without moving a node, and reuses the slots that
+    // extracts freed before growing the slab.
     let batch = keys(3_000, 21);
-    for admission in [0, usize::MAX] {
-        let mut h = ParBinomialHeap::from_keys(keys(700, 4));
-        h.multi_insert_at(&batch, admission);
-        h.multi_insert(&batch[..100]);
-        let stats = h.arena().stats();
-        assert_eq!(stats.copies, 0, "admission {admission}");
-        assert_eq!(stats.allocs, 700 + 3_100, "admission {admission}");
-        h.validate().unwrap();
-        assert_eq!(h.len(), 3_800);
-    }
+    let mut h = ParBinomialHeap::from_keys(keys(700, 4));
+    h.multi_insert(&batch).unwrap();
+    assert_eq!(h.multi_extract_min(100).len(), 100);
+    h.multi_insert(&batch[..100]).unwrap();
+    let stats = h.arena().stats();
+    assert_eq!(stats.copies, 0);
+    assert_eq!(stats.allocs, 700 + 3_100);
+    assert_eq!(
+        h.arena().slab_len(),
+        3_700,
+        "the second batch reused freed slots"
+    );
+    h.validate().unwrap();
+    assert_eq!(h.len(), 3_700);
 }
 
 #[test]

@@ -128,8 +128,9 @@ impl Fleet {
         self.pairing.meld(built(keys));
         self.par_seq
             .meld(ParBinomialHeap::from_keys(keys.iter().copied()));
-        self.par_peel
-            .meld(ParBinomialHeap::from_keys_parallel(keys));
+        let mut batch = ParBinomialHeap::new();
+        batch.multi_insert(keys).expect("fits the id space");
+        self.par_peel.meld(batch);
         let mut other = LazyBinomialHeap::new(3);
         for &k in keys {
             other.insert(k);
