@@ -29,7 +29,6 @@ use meldpq::backend::{describe, table_pick};
 use meldpq::{Backend, DecreaseKeyPq, MeldablePq, PqHandle, WorkloadClass};
 use rand::rngs::StdRng;
 use rand::Rng;
-use service::ServiceBuilder;
 
 /// The selected backend may lose at most this factor to the measured best
 /// on its own class before the gate fails (the CI `shootout-smoke` bound).
@@ -228,62 +227,12 @@ fn run_dijkstra(backend: Backend, n: usize, trial: usize) -> (std::time::Duratio
     }
 }
 
-/// The service class: the full `QueueService` pinned to `backend`, driven
-/// with the shard layer's real mix — bulk admission, melds, paced
-/// extraction.
-fn run_service(backend: Backend, n: usize, trial: usize) -> (std::time::Duration, u64) {
-    let mut rng = workloads::rng(0x5E41_11CE ^ (n as u64) ^ ((trial as u64) << 40));
-    let keys = workloads::random_keys(&mut rng, n);
-    let mut ops = 0u64;
-    let t0 = Instant::now();
-    let svc = ServiceBuilder::new().shards(2).backend(backend).build();
-    let queues: Vec<_> = (0..4).map(|_| svc.create_queue()).collect();
-    for (i, chunk) in keys.chunks(64.max(n / 16)).enumerate() {
-        let q = queues[i % queues.len()];
-        svc.multi_insert(q, chunk.to_vec()).expect("live queue");
-        ops += chunk.len() as u64;
-    }
-    for i in 0..n / 4 {
-        svc.extract_min(queues[i % queues.len()])
-            .expect("live queue");
-        ops += 1;
-    }
-    // Melds every generation — meld is the op this service exists for, so
-    // the class weights it like the tenant churn the shard layer sees:
-    // feeder queues are melded into survivors and respawned with fresh
-    // bulk admissions, eight generations deep.
-    let mut queues = queues;
-    for _ in 0..8 {
-        svc.meld(queues[1], queues[0]).expect("live queues");
-        svc.meld(queues[3], queues[2]).expect("live queues");
-        ops += 2;
-        let r1 = svc.create_queue();
-        let r3 = svc.create_queue();
-        let refill = workloads::random_keys(&mut rng, (n / 16).max(1));
-        svc.multi_insert(r1, refill.clone()).expect("live queue");
-        svc.multi_insert(r3, refill).expect("live queue");
-        ops += 2 * (n as u64 / 16).max(1);
-        queues = vec![queues[1], r1, queues[3], r3];
-        for q in &queues[..2] {
-            svc.extract_min(*q).expect("live queue");
-            ops += 1;
-        }
-    }
-    for &q in &queues {
-        let len = svc.len(q).expect("live queue");
-        svc.extract_k(q, len).expect("live queue");
-        ops += len as u64;
-    }
-    (t0.elapsed(), ops)
-}
-
 /// Best-of-trials per-op ns for one cell.
 fn measure(cfg: &Config, class: WorkloadClass, backend: Backend, n: usize) -> f64 {
     let mut best = f64::INFINITY;
     for trial in 0..cfg.trials {
         let (dt, ops) = match class {
             WorkloadClass::Dijkstra => run_dijkstra(backend, n, trial),
-            WorkloadClass::Service => run_service(backend, n, trial),
             _ => run_stream_class(class, backend, n, trial),
         };
         best = best.min(dt.as_nanos() as f64 / ops.max(1) as f64);

@@ -1,22 +1,15 @@
-//! Workload-adaptive backend selection for the service layer.
+//! The shootout roster and its record of measured winners.
 //!
 //! The workspace carries many queue engines behind one [`MeldablePq`]
-//! surface; [`Backend`] lists the ones worth constructing: the measured
-//! winners, the paper's baselines and the hollow heap. Which one should a
-//! [`crate::MeldablePq`]-generic harness (most importantly
-//! `svc::QueueService`) construct by default? The honest answer is
-//! *measured, per workload class*: the shootout benchmark
+//! surface; [`Backend`] lists the ones worth constructing: the §3 binomial
+//! heap, the paper's baselines and the hollow heap. The shootout benchmark
 //! (`crates/bench/src/bin/shootout.rs`) races every backend over uniform,
-//! adversarial and Dijkstra-style workloads and writes
+//! adversarial and Dijkstra-style sequential workloads and writes
 //! `reports/BENCH_shootout.json`; the selection table in this module is the
-//! committed distillation of that run.
+//! committed record of which engine won each class.
 //!
-//! Like the cutoffs in [`crate::cutoff`], the choice honors an environment
-//! override read once per process — `MELDPQ_BACKEND=<name>` pins every
-//! class to one engine, so CI gates and A/B experiments can force any
-//! backend regardless of the table.
-
-use std::sync::OnceLock;
+//! Nothing dispatches on the table: the service's tenant queues are always
+//! heaps of a shard's [`crate::HeapPool`], whatever the table says.
 
 use crate::heap::ParBinomialHeap;
 use crate::meldable::MeldablePq;
@@ -54,7 +47,7 @@ impl Backend {
         Backend::Binary,
     ];
 
-    /// Stable snake_case name (report keys, env values).
+    /// Stable snake_case name (report keys).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Pooled => "pooled",
@@ -67,13 +60,8 @@ impl Backend {
         }
     }
 
-    /// Parse a [`Backend::name`] (the `MELDPQ_BACKEND` format).
-    pub fn from_name(s: &str) -> Option<Backend> {
-        Backend::ALL.iter().copied().find(|b| b.name() == s.trim())
-    }
-
     /// Construct an empty queue of this backend.
-    pub fn make(self) -> Box<dyn MeldablePq<i64> + Send> {
+    pub fn make(self) -> Box<dyn MeldablePq<i64>> {
         match self {
             Backend::Pooled => Box::new(ParBinomialHeap::new()),
             Backend::Binomial => Box::new(seqheaps::BinomialHeap::new()),
@@ -89,7 +77,7 @@ impl Backend {
     /// has one. `None` means the engine must fall back to the
     /// reinsert-and-skip-stale simulation (the classic Dijkstra workaround),
     /// which is exactly what the shootout charges it for.
-    pub fn make_decrease(self) -> Option<Box<dyn crate::decrease::DecreaseKeyPq<i64> + Send>> {
+    pub fn make_decrease(self) -> Option<Box<dyn crate::decrease::DecreaseKeyPq<i64>>> {
         match self {
             Backend::Binomial => Some(Box::new(seqheaps::BinomialHeap::new())),
             Backend::Leftist => Some(Box::new(seqheaps::LeftistHeap::new())),
@@ -114,19 +102,16 @@ pub enum WorkloadClass {
     DupHeavy,
     /// SSSP-style: tracked inserts, decrease-key bursts, extract-all.
     Dijkstra,
-    /// The service layer's mix: bulk admission, melds, paced extraction.
-    Service,
 }
 
 impl WorkloadClass {
     /// Every class, in shootout order.
-    pub const ALL: [WorkloadClass; 6] = [
+    pub const ALL: [WorkloadClass; 5] = [
         WorkloadClass::Uniform,
         WorkloadClass::Sorted,
         WorkloadClass::Reverse,
         WorkloadClass::DupHeavy,
         WorkloadClass::Dijkstra,
-        WorkloadClass::Service,
     ];
 
     /// Stable snake_case name (report keys).
@@ -137,16 +122,7 @@ impl WorkloadClass {
             WorkloadClass::Reverse => "reverse",
             WorkloadClass::DupHeavy => "dup_heavy",
             WorkloadClass::Dijkstra => "dijkstra",
-            WorkloadClass::Service => "service",
         }
-    }
-
-    /// Parse a [`WorkloadClass::name`].
-    pub fn from_name(s: &str) -> Option<WorkloadClass> {
-        WorkloadClass::ALL
-            .iter()
-            .copied()
-            .find(|c| c.name() == s.trim())
     }
 }
 
@@ -158,20 +134,16 @@ impl WorkloadClass {
 /// Measured 2026-08: `binary` (std `BinaryHeap` behind the adapter) sweeps
 /// every sequential class at every size — even Dijkstra, where its
 /// reinsert-and-skip-stale simulation beats the native decrease-key
-/// engines' pointer chasing, a well-documented real-world result. The
-/// service class is the one place structure pays: `pooled` zero-copy melds
-/// win on geomean (crossover: `binary` edges ahead at n ≥ 4096, but the
-/// table is per-class and geomean picks `pooled`).
-const SELECTION: [(WorkloadClass, Backend); 6] = [
+/// engines' pointer chasing, a well-documented real-world result.
+const SELECTION: [(WorkloadClass, Backend); 5] = [
     (WorkloadClass::Uniform, Backend::Binary),
     (WorkloadClass::Sorted, Backend::Binary),
     (WorkloadClass::Reverse, Backend::Binary),
     (WorkloadClass::DupHeavy, Backend::Binary),
     (WorkloadClass::Dijkstra, Backend::Binary),
-    (WorkloadClass::Service, Backend::Pooled),
 ];
 
-/// The measured-fastest backend for `class` (no env consultation).
+/// The measured-fastest backend for `class`.
 pub fn table_pick(class: WorkloadClass) -> Backend {
     SELECTION
         .iter()
@@ -180,52 +152,18 @@ pub fn table_pick(class: WorkloadClass) -> Backend {
         .expect("selection table covers every class")
 }
 
-/// The backend to use for `class`: the `MELDPQ_BACKEND` pin when set (read
-/// once per process), else the committed selection table.
-pub fn pick_for(class: WorkloadClass) -> Backend {
-    env_pin().unwrap_or_else(|| table_pick(class))
-}
-
-/// The default backend for the service layer ([`WorkloadClass::Service`]).
-pub fn default_backend() -> Backend {
-    pick_for(WorkloadClass::Service)
-}
-
-/// The `MELDPQ_BACKEND` pin, if set to a recognized name.
-pub fn env_pin() -> Option<Backend> {
-    static PIN: OnceLock<Option<Backend>> = OnceLock::new();
-    *PIN.get_or_init(|| {
-        std::env::var("MELDPQ_BACKEND")
-            .ok()
-            .as_deref()
-            .and_then(Backend::from_name)
-    })
-}
-
-/// One-line rendering of the live table (bench logs, provenance).
+/// One-line rendering of the selection table (bench logs, provenance).
 pub fn describe() -> String {
     let rows: Vec<String> = WorkloadClass::ALL
         .iter()
-        .map(|c| format!("{}={}", c.name(), pick_for(*c).name()))
+        .map(|c| format!("{}={}", c.name(), table_pick(*c).name()))
         .collect();
-    let pin = env_pin().map_or_else(String::new, |b| format!(" (pinned: {})", b.name()));
-    format!("backends: {}{pin}", rows.join(" "))
+    format!("backends: {}", rows.join(" "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::from_name(b.name()), Some(b));
-        }
-        for c in WorkloadClass::ALL {
-            assert_eq!(WorkloadClass::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Backend::from_name("no-such-engine"), None);
-    }
 
     #[test]
     fn every_backend_constructs_a_working_queue() {

@@ -9,9 +9,9 @@
 //!
 //! Every baseline in this crate implements the traits directly; the
 //! parallel and lazy engines in `meldpq` implement them next to their own
-//! types, so generic harnesses (the differential fuzzer, the shootout, the
-//! service layer's boxed tenants) dispatch over any backend through one
-//! surface. Both traits are object safe.
+//! types, so generic harnesses (the differential fuzzer, the shootout)
+//! dispatch over any backend through one surface. Both traits are object
+//! safe.
 
 use crate::decrease::PqHandle;
 

@@ -14,7 +14,7 @@ use obs::Registry;
 
 use crate::batch::{OpSlot, Request, Response};
 use crate::metrics::ShardStats;
-use crate::shard::{Shard, ShardState, TenantHeap, TenantQueue};
+use crate::shard::{Shard, ShardState};
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::ServiceError;
 
@@ -70,7 +70,6 @@ impl std::fmt::Display for QueueId {
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     shards: usize,
-    backend: Backend,
     durable: Option<PathBuf>,
 }
 
@@ -78,18 +77,13 @@ impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             shards: 4,
-            // The measured-fastest engine for the service workload class
-            // (the committed shootout selection table), env-pinnable with
-            // MELDPQ_BACKEND.
-            backend: meldpq::backend::default_backend(),
             durable: None,
         }
     }
 }
 
 impl ServiceBuilder {
-    /// Start from the defaults (4 shards, backend from the shootout
-    /// selection table).
+    /// Start from the defaults (4 shards, not durable).
     pub fn new() -> Self {
         Self::default()
     }
@@ -100,21 +94,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Queue engine newly created tenant queues use. Defaults to
-    /// [`meldpq::backend::default_backend`] — the measured shootout winner
-    /// for the service workload class, overridable with `MELDPQ_BACKEND`.
-    /// [`Backend::Pooled`] keeps the zero-copy shared-slab path; any other
-    /// backend boxes a self-contained engine per queue.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Make the service durable, rooted at `root`: each shard keeps a
-    /// write-ahead log (and, on the pooled backend, periodic checkpoints)
-    /// under `root/shard<i>/`. [`ServiceBuilder::try_build`] recovers
-    /// whatever state those directories already hold, so building twice
-    /// from the same root is crash recovery.
+    /// write-ahead log and periodic checkpoints under `root/shard<i>/`.
+    /// [`ServiceBuilder::try_build`] recovers whatever state those
+    /// directories already hold, so building twice from the same root is
+    /// crash recovery.
     pub fn durable(mut self, root: impl Into<PathBuf>) -> Self {
         self.durable = Some(root.into());
         self
@@ -132,16 +116,13 @@ impl ServiceBuilder {
     pub fn try_build(self) -> Result<QueueService, WalError> {
         let shards = (0..self.shards)
             .map(|i| match &self.durable {
-                None => Ok(Shard::new(i as u16, self.backend)),
-                Some(root) => {
-                    Shard::new_durable(i as u16, self.backend, root.join(format!("shard{i}")))
-                }
+                None => Ok(Shard::new(i as u16)),
+                Some(root) => Shard::new_durable(i as u16, root.join(format!("shard{i}"))),
             })
             .collect::<Result<Vec<_>, WalError>>()?;
         Ok(QueueService {
             shards,
             rr: AtomicUsize::new(0),
-            backend: self.backend,
         })
     }
 }
@@ -210,7 +191,6 @@ impl Ticket {
 pub struct QueueService {
     shards: Vec<Arc<Shard>>,
     rr: AtomicUsize,
-    backend: Backend,
 }
 
 impl Default for QueueService {
@@ -230,9 +210,11 @@ impl QueueService {
         self.shards.len()
     }
 
-    /// The queue engine this service creates tenant queues with.
+    /// The queue engine of every tenant queue: always [`Backend::Pooled`],
+    /// a heap in its shard's [`HeapPool`]. Kept for callers that record the
+    /// engine next to their measurements.
     pub fn backend(&self) -> Backend {
-        self.backend
+        Backend::Pooled
     }
 
     fn shard(&self, id: QueueId) -> Result<&Arc<Shard>, ServiceError> {
@@ -257,10 +239,8 @@ impl QueueService {
             return Err(ServiceError::UnknownQueue(id));
         }
         Shard::log_ops(&mut st, &[WalOp::FreeHeap { slot: id.slot() }]);
-        match st.take_queue(id)? {
-            TenantHeap::Pooled(heap) => Ok(st.pool.free_heap(heap)),
-            TenantHeap::Boxed(q) => Ok(q.len()),
-        }
+        let heap = st.take_queue(id)?;
+        Ok(st.pool.free_heap(heap))
     }
 
     // ----- async surface: deposit now, wait on the ticket later ---------
@@ -451,18 +431,8 @@ impl QueueService {
             let Some(q) = queues[dst.slot() as usize].as_mut() else {
                 return Err(ServiceError::UnknownQueue(dst));
             };
-            match (&mut q.heap, src_heap) {
-                // Same pool: zero-copy plan application.
-                (TenantHeap::Pooled(d), TenantHeap::Pooled(s)) => pool.meld(d, s),
-                // Backend-agnostic fallback: drain ascending, reinsert in
-                // one multi_insert.
-                (dst_heap, mut src_heap) => {
-                    let keys = src_heap.drain_all(pool);
-                    dst_heap
-                        .multi_insert(pool, &keys)
-                        .map_err(|err| ServiceError::Capacity { queue: dst, err })?;
-                }
-            }
+            // Same pool: zero-copy plan application.
+            pool.meld(&mut q.heap, src_heap);
             stats.melds_same_shard += 1;
             return Ok(());
         }
@@ -494,56 +464,21 @@ impl QueueService {
         // (at-most-once, never duplicated); see DESIGN.md §15.
         Shard::log_ops(src_state, &[WalOp::FreeHeap { slot: src.slot() }]);
         let src_heap = src_state.take_queue(src)?;
-        let dst_durable = dst_state.is_durable();
-        let dst_is_pooled = matches!(
-            dst_state.queue_mut(dst).map(|q| &q.heap),
-            Some(TenantHeap::Pooled(_))
-        );
-        match src_heap {
-            // Same engine on both sides: zero-copy node moves.
-            TenantHeap::Pooled(s) if dst_is_pooled => {
-                if dst_durable {
-                    let keys = pooled_keys_unsorted(&src_state.pool, &s);
-                    Shard::log_ops(
-                        dst_state,
-                        &[WalOp::FromKeys {
-                            slot: dst.slot(),
-                            keys,
-                        }],
-                    );
-                }
-                let ShardState { pool, queues, .. } = dst_state;
-                let Some(TenantQueue {
-                    heap: TenantHeap::Pooled(d),
-                    ..
-                }) = queues[dst.slot() as usize].as_mut()
-                else {
-                    return Err(ServiceError::UnknownQueue(dst));
-                };
-                pool.meld_cross_pool(d, &mut src_state.pool, s);
-            }
-            // Backend-agnostic fallback: drain ascending, reinsert in one
-            // multi_insert.
-            mut src_heap => {
-                let keys = src_heap.drain_all(&mut src_state.pool);
-                if dst_durable && !keys.is_empty() {
-                    Shard::log_ops(
-                        dst_state,
-                        &[WalOp::FromKeys {
-                            slot: dst.slot(),
-                            keys: keys.clone(),
-                        }],
-                    );
-                }
-                let ShardState { pool, queues, .. } = dst_state;
-                let Some(q) = queues[dst.slot() as usize].as_mut() else {
-                    return Err(ServiceError::UnknownQueue(dst));
-                };
-                q.heap
-                    .multi_insert(pool, &keys)
-                    .map_err(|err| ServiceError::Capacity { queue: dst, err })?;
-            }
+        if dst_state.is_durable() {
+            let keys = pooled_keys_unsorted(&src_state.pool, &src_heap);
+            Shard::log_ops(
+                dst_state,
+                &[WalOp::FromKeys {
+                    slot: dst.slot(),
+                    keys,
+                }],
+            );
         }
+        let ShardState { pool, queues, .. } = dst_state;
+        let Some(q) = queues[dst.slot() as usize].as_mut() else {
+            return Err(ServiceError::UnknownQueue(dst));
+        };
+        pool.meld_cross_pool(&mut q.heap, &mut src_state.pool, src_heap);
         dst_state.stats.melds_cross_shard += 1;
         Ok(())
     }
@@ -616,17 +551,15 @@ impl QueueService {
         self.snapshot().record_into(reg);
     }
 
-    /// Deep structural validation of every live queue on every shard:
-    /// pooled heaps through the pool's ownership-aware check, boxed
-    /// backends through their own `MeldablePq::check_invariants`.
+    /// Deep structural validation of every shard's pool: each live queue's
+    /// heap (ownership stamp included), no node reachable from two heaps,
+    /// and no live node outside every heap — the check the panic barrier
+    /// runs before a shard keeps serving.
     pub fn validate(&self) -> Result<(), String> {
         for (i, s) in self.shards.iter().enumerate() {
-            let st = s.lock_state();
-            for q in st.queues.iter().flatten() {
-                q.heap
-                    .check_invariants(&st.pool)
-                    .map_err(|e| format!("shard {i}: {e}"))?;
-            }
+            s.lock_state()
+                .revalidate()
+                .map_err(|e| format!("shard {i}: {e}"))?;
         }
         Ok(())
     }
@@ -642,6 +575,7 @@ fn pooled_keys_unsorted(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -687,79 +621,37 @@ mod tests {
     }
 
     #[test]
-    fn boxed_backends_serve_the_full_request_surface() {
-        // Non-pooled tenants route through TenantHeap::Boxed: melds fall
-        // back to drain + multi_insert but the observable semantics are
-        // identical to the zero-copy pooled path.
-        for backend in [Backend::Hollow, Backend::Pairing, Backend::Binomial] {
-            let svc = ServiceBuilder::new().shards(2).backend(backend).build();
-            assert_eq!(svc.backend(), backend);
-            let a = svc.create_queue(); // shard 0
-            let b = svc.create_queue(); // shard 1
-            let c = svc.create_queue(); // shard 0
-            svc.multi_insert(a, vec![4, 1]).unwrap();
-            svc.multi_insert(b, vec![5, 2]).unwrap();
-            svc.multi_insert(c, vec![6, 3]).unwrap();
-            svc.meld(a, c).unwrap(); // same shard
-            svc.meld(a, b).unwrap(); // cross shard
-            assert_eq!(svc.peek_min(a).unwrap(), Some(1), "{}", backend.name());
-            assert_eq!(
-                svc.extract_k(a, 6).unwrap(),
-                vec![1, 2, 3, 4, 5, 6],
-                "{}",
-                backend.name()
-            );
-            svc.validate().unwrap();
-            assert_eq!(svc.destroy_queue(a).unwrap(), 0);
-        }
-    }
-
-    /// A boxed engine whose self-check always fails: stands in for a
-    /// corrupted backend so `validate` must surface it.
-    struct CorruptPq;
-
-    impl meldpq::MeldablePq<i64> for CorruptPq {
-        fn len(&self) -> usize {
-            0
-        }
-        fn insert(&mut self, _key: i64) {}
-        fn peek_min(&mut self) -> Option<i64> {
-            None
-        }
-        fn extract_min(&mut self) -> Option<i64> {
-            None
-        }
-        fn meld(&mut self, _other: Self) {}
-        fn check_invariants(&self) -> Result<(), String> {
-            Err("injected corruption".into())
-        }
-    }
-
-    #[test]
-    fn validate_checks_boxed_tenants() {
-        let svc = ServiceBuilder::new()
-            .shards(1)
-            .backend(Backend::Pairing)
-            .build();
+    fn validate_catches_foreign_and_leaked_heaps() {
+        let svc = ServiceBuilder::new().shards(1).build();
         let q = svc.create_queue();
-        svc.insert(q, 3).unwrap();
+        svc.multi_insert(q, vec![3, 1, 2]).unwrap();
         svc.validate().unwrap();
-        svc.shards[0].lock_state().queue_mut(q).unwrap().heap =
-            TenantHeap::Boxed(Box::new(CorruptPq));
+        let swap = |heap: PooledHeap| {
+            let mut st = svc.shards[0].lock_state();
+            std::mem::replace(&mut st.queue_mut(q).unwrap().heap, heap)
+        };
+        // A heap stamped by another pool fails the ownership check.
+        let foreign = HeapPool::<i64>::new().new_heap();
+        let own = swap(foreign);
         let err = svc.validate().unwrap_err();
-        assert!(err.contains("injected corruption"), "got: {err}");
+        assert!(err.contains("ownership"), "got: {err}");
+        // An empty heap of the shard's own pool validates on its own, but
+        // the replaced heap's three nodes are now reachable from no queue.
+        let empty = svc.shards[0].lock_state().pool.new_heap();
+        swap(empty);
+        let err = svc.validate().unwrap_err();
+        assert!(err.contains("leaked"), "got: {err}");
+        // Handing the nodes back heals the pool.
+        swap(own);
+        svc.validate().unwrap();
     }
 
     #[test]
     fn sync_call_into_a_panicking_tenant_is_contained() {
-        let svc = ServiceBuilder::new()
-            .shards(1)
-            .backend(Backend::Pooled)
-            .build();
+        let svc = ServiceBuilder::new().shards(1).build();
         let good = svc.create_queue();
         let bad = svc.create_queue();
-        svc.shards[0].lock_state().queue_mut(bad).unwrap().heap =
-            TenantHeap::Boxed(Box::new(crate::shard::tests::PanickingPq));
+        crate::shard::tests::arm_fail_point(bad);
         assert_eq!(svc.insert(bad, 9), Err(ServiceError::Internal(bad)));
         let stats = svc.shard_stats(0);
         assert_eq!(stats.combiner_panics, 1);
@@ -791,7 +683,6 @@ mod tests {
         let open = |side: &str| {
             ServiceBuilder::new()
                 .shards(1)
-                .backend(Backend::Pooled)
                 .durable(root.join(side))
                 .build()
         };
@@ -923,12 +814,7 @@ mod tests {
 
     #[test]
     fn registry_and_arena_snapshots() {
-        // Arena counters are a pooled-backend property: pin it so a
-        // MELDPQ_BACKEND env pin can't redirect the assertion target.
-        let svc = ServiceBuilder::new()
-            .shards(1)
-            .backend(Backend::Pooled)
-            .build();
+        let svc = ServiceBuilder::new().shards(1).build();
         let q = svc.create_queue();
         svc.multi_insert(q, (0..64).collect()).unwrap();
         let mut reg = Registry::new();

@@ -1,4 +1,6 @@
 //! One shard: a [`HeapPool`] of tenant queues behind a flat-combining lock.
+//! Every tenant queue is a [`PooledHeap`] of that pool, so a same-shard meld
+//! is the paper's zero-copy `Union` and one checkpoint images the shard.
 //!
 //! Clients never touch the pool directly. They deposit requests into the
 //! shard's [`Ingress`] and whoever acquires the state mutex next — client or
@@ -41,7 +43,7 @@ use std::time::Instant;
 use meldpq::check::check_pool;
 use meldpq::pool::PooledHeap;
 use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
-use meldpq::{Backend, CapacityError, Engine, HeapPool, MeldablePq};
+use meldpq::{Engine, HeapPool};
 use obs::flight::{self, EventKind};
 use obs::{LatencyHistogram, TraceId};
 
@@ -50,106 +52,12 @@ use crate::metrics::ShardStats;
 use crate::service::QueueId;
 use crate::ServiceError;
 
-/// One tenant queue's storage. The shard's configured [`Backend`] decides
-/// the variant at creation: [`Backend::Pooled`] queues live in the shard's
-/// shared [`HeapPool`] slab (zero-copy melds); every other backend is a
-/// self-contained boxed engine behind the [`MeldablePq`] surface.
-pub(crate) enum TenantHeap {
-    /// A heap in the shard's shared pool.
-    Pooled(PooledHeap),
-    /// A self-contained engine chosen by the backend table.
-    Boxed(Box<dyn MeldablePq<i64> + Send>),
-}
-
-impl std::fmt::Debug for TenantHeap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TenantHeap::Pooled(h) => write!(f, "TenantHeap::Pooled(len={})", h.len()),
-            TenantHeap::Boxed(q) => write!(f, "TenantHeap::Boxed(len={})", q.len()),
-        }
-    }
-}
-
-impl TenantHeap {
-    /// Number of keys stored.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            TenantHeap::Pooled(h) => h.len(),
-            TenantHeap::Boxed(q) => q.len(),
-        }
-    }
-
-    /// `Insert` one key.
-    pub(crate) fn insert(&mut self, pool: &mut HeapPool<i64>, key: i64) {
-        match self {
-            TenantHeap::Pooled(h) => pool.insert(h, key),
-            TenantHeap::Boxed(q) => q.insert(key),
-        }
-    }
-
-    /// `Multi-Insert`: the pooled variant ripples the keys in with one
-    /// [`HeapPool::multi_insert`], which refuses a batch past the pool's
-    /// `u32` id space whole; boxed engines use their own `multi_insert`.
-    pub(crate) fn multi_insert(
-        &mut self,
-        pool: &mut HeapPool<i64>,
-        keys: &[i64],
-    ) -> Result<(), CapacityError> {
-        match self {
-            TenantHeap::Pooled(h) => pool.multi_insert(h, keys),
-            TenantHeap::Boxed(q) => {
-                q.multi_insert(keys);
-                Ok(())
-            }
-        }
-    }
-
-    /// `Extract-Min`.
-    pub(crate) fn extract_min(&mut self, pool: &mut HeapPool<i64>) -> Option<i64> {
-        match self {
-            TenantHeap::Pooled(h) => pool.extract_min(h),
-            TenantHeap::Boxed(q) => q.extract_min(),
-        }
-    }
-
-    /// `Multi-Extract-Min`: up to `k` smallest keys, ascending.
-    pub(crate) fn multi_extract(&mut self, pool: &mut HeapPool<i64>, k: usize) -> Vec<i64> {
-        match self {
-            TenantHeap::Pooled(h) => pool.multi_extract_min(h, k),
-            TenantHeap::Boxed(q) => q.multi_extract_min(k),
-        }
-    }
-
-    /// `Min` without removal (`&mut` because lazy engines tidy on reads).
-    pub(crate) fn peek_min(&mut self, pool: &mut HeapPool<i64>) -> Option<i64> {
-        match self {
-            TenantHeap::Pooled(h) => pool.min(h),
-            TenantHeap::Boxed(q) => q.peek_min(),
-        }
-    }
-
-    /// Drain everything ascending (the backend-agnostic meld fallback).
-    pub(crate) fn drain_all(&mut self, pool: &mut HeapPool<i64>) -> Vec<i64> {
-        let n = self.len();
-        self.multi_extract(pool, n)
-    }
-
-    /// Deep structural validation: the pool's ownership-aware heap check,
-    /// or the boxed engine's own `check_invariants`.
-    pub(crate) fn check_invariants(&self, pool: &HeapPool<i64>) -> Result<(), String> {
-        match self {
-            TenantHeap::Pooled(h) => pool.validate_heap(h),
-            TenantHeap::Boxed(q) => q.check_invariants(),
-        }
-    }
-}
-
-/// One tenant queue: its storage plus the generation stamped into the
-/// handles that may address it.
+/// One tenant queue: its heap in the shard's pool plus the generation
+/// stamped into the handles that may address it.
 #[derive(Debug)]
 pub(crate) struct TenantQueue {
     pub(crate) gen: u32,
-    pub(crate) heap: TenantHeap,
+    pub(crate) heap: PooledHeap,
 }
 
 /// A durable shard's write-ahead log handle: the open appender, the shard's
@@ -184,8 +92,6 @@ pub(crate) struct ShardState {
     /// Deposit-to-publish latency of every request served on this shard
     /// (fast-path ops charge their inline execution time).
     pub(crate) latency: LatencyHistogram,
-    /// Which engine newly created tenant queues get.
-    backend: Backend,
     /// Write-ahead log, present iff the shard was built durable. Any WAL
     /// I/O failure disables it (`None`) rather than failing requests.
     wal: Option<ShardWal>,
@@ -221,14 +127,13 @@ fn wal_flush(wal: &mut Option<ShardWal>, stats: &mut ShardStats) {
 
 impl ShardState {
     /// An empty, non-durable shard state.
-    fn new(backend: Backend) -> Self {
+    fn new() -> Self {
         ShardState {
             pool: HeapPool::new(),
             queues: Vec::new(),
             free_slots: Vec::new(),
             stats: ShardStats::default(),
             latency: LatencyHistogram::new(),
-            backend,
             wal: None,
         }
     }
@@ -241,17 +146,9 @@ impl ShardState {
             .filter(|q| q.gen == id.generation())
     }
 
-    /// A fresh, empty tenant heap of the shard's configured backend.
-    pub(crate) fn new_tenant_heap(&mut self) -> TenantHeap {
-        match self.backend {
-            Backend::Pooled => TenantHeap::Pooled(self.pool.new_heap()),
-            other => TenantHeap::Boxed(other.make()),
-        }
-    }
-
     /// Remove the queue addressed by `id`, freeing its slot for reuse under
     /// a bumped generation.
-    pub(crate) fn take_queue(&mut self, id: QueueId) -> Result<TenantHeap, ServiceError> {
+    pub(crate) fn take_queue(&mut self, id: QueueId) -> Result<PooledHeap, ServiceError> {
         let Some(q) = self
             .queues
             .get_mut(id.slot() as usize)
@@ -266,20 +163,13 @@ impl ShardState {
         Ok(q.heap)
     }
 
-    /// Structurally validate every pooled heap against the shard's pool.
-    /// Used after recovering a poisoned lock: the panicking combiner may
-    /// have left a mutation half-applied.
+    /// Structurally validate the shard's pool: every tenant heap, no node
+    /// shared between heaps and none leaked. Used after recovering a
+    /// poisoned lock (the panicking combiner may have left a mutation
+    /// half-applied) and by [`crate::QueueService::validate`].
     pub(crate) fn revalidate(&self) -> Result<(), String> {
-        let pooled: Vec<&PooledHeap> = self
-            .queues
-            .iter()
-            .flatten()
-            .filter_map(|q| match &q.heap {
-                TenantHeap::Pooled(h) => Some(h),
-                TenantHeap::Boxed(_) => None,
-            })
-            .collect();
-        check_pool(&self.pool, &pooled)
+        let heaps: Vec<&PooledHeap> = self.queues.iter().flatten().map(|q| &q.heap).collect();
+        check_pool(&self.pool, &heaps)
     }
 
     /// Last-resort recovery when [`ShardState::revalidate`] finds the state
@@ -330,34 +220,23 @@ impl ShardState {
     }
 
     /// Write a checkpoint now (durable shards only; no-op otherwise).
-    ///
-    /// Only the pooled backend has a serializable slab; boxed engines are
-    /// recovered by full-log replay, so their "checkpoint" just restarts
-    /// the cadence with a zero-byte image.
     pub(crate) fn force_checkpoint(&mut self) {
         let ShardState {
             pool,
             queues,
             free_slots,
             stats,
-            backend,
             wal,
             ..
         } = self;
         let Some(w) = wal else { return };
-        if *backend != Backend::Pooled {
-            w.cadence.checkpointed(w.writer.bytes_logged(), 0);
-            return;
-        }
         let wrote = (|| -> std::io::Result<u64> {
             w.writer.sync()?;
             let seq = w.writer.next_seq().saturating_sub(1);
-            let heaps = queues.iter().enumerate().filter_map(|(i, s)| {
-                s.as_ref().and_then(|q| match &q.heap {
-                    TenantHeap::Pooled(h) => Some((i as u32, q.gen, h)),
-                    TenantHeap::Boxed(_) => None,
-                })
-            });
+            let heaps = queues
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|q| (i as u32, q.gen, &q.heap)));
             wal::write_checkpoint(&w.dir, seq, pool, heaps, free_slots)
         })();
         match wrote {
@@ -382,8 +261,8 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(index: u16, backend: Backend) -> Arc<Self> {
-        Self::with_state(index, ShardState::new(backend))
+    pub(crate) fn new(index: u16) -> Arc<Self> {
+        Self::with_state(index, ShardState::new())
     }
 
     fn with_state(index: u16, state: ShardState) -> Arc<Self> {
@@ -395,51 +274,23 @@ impl Shard {
     }
 
     /// Build a durable shard rooted at `dir`: recover whatever state the
-    /// directory holds (checkpoint + WAL suffix for the pooled backend, full
-    /// WAL replay for boxed engines), then reopen the log for appending.
-    pub(crate) fn new_durable(
-        index: u16,
-        backend: Backend,
-        dir: PathBuf,
-    ) -> Result<Arc<Self>, WalError> {
-        let mut st = ShardState::new(backend);
-        let (next_seq, cadence) = if backend == Backend::Pooled {
-            let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
-            st.pool = recovered.pool;
-            st.queues = recovered
-                .heaps
-                .into_iter()
-                .map(|s| {
-                    s.map(|(gen, h)| TenantQueue {
-                        gen,
-                        heap: TenantHeap::Pooled(h),
-                    })
-                })
-                .collect();
-            st.free_slots = recovered.free_slots;
-            (recovered.next_seq, recovered.cadence)
-        } else {
-            // Boxed engines have no serializable slab, so there is no
-            // checkpoint to load — replay the whole log from genesis.
-            std::fs::create_dir_all(&dir)?;
-            let wal_path = dir.join(WAL_FILE);
-            let log = wal::read_wal(&wal_path)?;
-            if log.valid_len < log.file_len {
-                wal::truncate_wal(&wal_path, log.valid_len)?;
-            }
-            let mut next_seq = 1u64;
-            for (seq, op) in &log.records {
-                replay_boxed(&mut st, *seq, op)?;
-                next_seq = seq + 1;
-            }
-            flight::record_here(EventKind::Recover, log.records.len() as u64);
-            (next_seq, CheckpointCadence::default())
-        };
-        let writer = WalWriter::append_to(&dir.join(WAL_FILE), next_seq)?;
+    /// directory holds (checkpoint + WAL suffix), then reopen the log for
+    /// appending.
+    pub(crate) fn new_durable(index: u16, dir: PathBuf) -> Result<Arc<Self>, WalError> {
+        let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
+        let mut st = ShardState::new();
+        st.pool = recovered.pool;
+        st.queues = recovered
+            .heaps
+            .into_iter()
+            .map(|s| s.map(|(gen, heap)| TenantQueue { gen, heap }))
+            .collect();
+        st.free_slots = recovered.free_slots;
+        let writer = WalWriter::append_to(&dir.join(WAL_FILE), recovered.next_seq)?;
         st.wal = Some(ShardWal {
             writer,
             dir,
-            cadence,
+            cadence: recovered.cadence,
         });
         Ok(Self::with_state(index, st))
     }
@@ -589,7 +440,7 @@ impl Shard {
             wal_flush(wal, stats);
         }
         st.stats.queues_created += 1;
-        let heap = st.new_tenant_heap();
+        let heap = st.pool.new_heap();
         if st.free_slots.last().map(|&(s, _)| s) == Some(slot) {
             st.free_slots.pop();
             st.queues[slot as usize] = Some(TenantQueue { gen, heap });
@@ -696,10 +547,10 @@ impl Replies for Inline {
 }
 
 /// The panic barrier around [`execute_group`]: a panic inside one tenant's
-/// kernels (a buggy boxed engine, a violated invariant) must not poison the
-/// shard for every other tenant. The group's unanswered requests get
-/// [`ServiceError::Internal`], the panic is counted, the state is
-/// revalidated (and reset if damaged), and the shard keeps serving.
+/// kernels (a violated invariant caught by a `debug-validate` check) must
+/// not poison the shard for every other tenant. The group's unanswered
+/// requests get [`ServiceError::Internal`], the panic is counted, the state
+/// is revalidated (and reset if damaged), and the shard keeps serving.
 fn serve_group<R: Replies + ?Sized>(
     st: &mut ShardState,
     qid: QueueId,
@@ -771,9 +622,9 @@ fn execute_group<R: Replies + ?Sized>(
     // Admission control + write-ahead logging, both strictly before any
     // mutation: a refused group leaves the queue untouched (pops are still
     // served), and every logged op is flushed before it is applied.
-    let refused = match q.heap {
-        TenantHeap::Pooled(_) if !keys.is_empty() => pool.can_admit(keys.len()).err(),
-        _ => None,
+    let refused = match keys.len() {
+        0 => None,
+        n => pool.can_admit(n).err(),
     };
     if wal.is_some() {
         let slot = qid.slot();
@@ -800,16 +651,18 @@ fn execute_group<R: Replies + ?Sized>(
     // Phase 1 — every insert of the group, with the kernel its WAL record
     // names: one key `insert`, more one `multi_insert`. A refused group
     // admits nothing; the pop phases below still run.
+    #[cfg(test)]
+    tests::hit_fail_point(qid);
     match &*keys {
         _ if refused.is_some() => {}
         [] => {}
         [key] => {
-            q.heap.insert(pool, *key);
+            pool.insert(&mut q.heap, *key);
             stats.single_inserts += 1;
         }
         keys => {
             flight::record(replies.trace(), EventKind::BulkAdmission, keys.len() as u64);
-            let admitted = q.heap.multi_insert(pool, keys);
+            let admitted = pool.multi_insert(&mut q.heap, keys);
             debug_assert!(admitted.is_ok(), "the group passed can_admit above");
             stats.coalesced_inserts += keys.len() as u64;
         }
@@ -820,11 +673,11 @@ fn execute_group<R: Replies + ?Sized>(
     let mut pulled: Cow<[i64]> = match demand {
         0 => Cow::Borrowed(&[]),
         1 => {
-            popped = q.heap.extract_min(pool);
+            popped = pool.extract_min(&mut q.heap);
             Cow::Borrowed(popped.as_slice())
         }
         _ => {
-            let out = q.heap.multi_extract(pool, demand);
+            let out = pool.multi_extract_min(&mut q.heap, demand);
             flight::record(replies.trace(), EventKind::MultiExtract, out.len() as u64);
             stats.multi_extracts += 1;
             stats.coalesced_pops += out.len() as u64;
@@ -859,7 +712,7 @@ fn execute_group<R: Replies + ?Sized>(
             }
             Request::PeekMin { .. } => Response::Key(match pulled.get(j) {
                 Some(&key) => Some(key),
-                None => q.heap.peek_min(pool),
+                None => pool.min(&q.heap),
             }),
             Request::Len { .. } => Response::Len(q.heap.len() + (pulled.len() - j)),
         };
@@ -867,76 +720,32 @@ fn execute_group<R: Replies + ?Sized>(
     }
 }
 
-/// Replay one WAL record into a boxed-backend shard being recovered.
-/// Mirrors `meldpq::wal`'s pooled replay, but applies ops through the
-/// [`MeldablePq`] surface (meld degrades to drain + `multi_insert`).
-fn replay_boxed(st: &mut ShardState, seq: u64, op: &WalOp) -> Result<(), WalError> {
-    fn live(queues: &mut [Option<TenantQueue>], slot: u32) -> Result<&mut TenantQueue, WalError> {
-        queues
-            .get_mut(slot as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or(WalError::UnknownSlot(slot))
-    }
-    let ShardState {
-        pool,
-        queues,
-        free_slots,
-        backend,
-        ..
-    } = st;
-    match op {
-        WalOp::CreateHeap { slot, gen } => {
-            let i = *slot as usize;
-            if queues.len() <= i {
-                queues.resize_with(i + 1, || None);
-            }
-            if queues[i].is_some() {
-                return Err(WalError::Corrupt {
-                    seq,
-                    reason: format!("create of occupied slot {slot}"),
-                });
-            }
-            if let Some(at) = free_slots.iter().rposition(|(s, _)| s == slot) {
-                free_slots.remove(at);
-            }
-            queues[i] = Some(TenantQueue {
-                gen: *gen,
-                heap: TenantHeap::Boxed(backend.make()),
-            });
-        }
-        WalOp::Insert { slot, key } => live(queues, *slot)?.heap.insert(pool, *key),
-        WalOp::FromKeys { slot, keys } => live(queues, *slot)?.heap.multi_insert(pool, keys)?,
-        WalOp::ExtractMin { slot } => {
-            live(queues, *slot)?.heap.extract_min(pool);
-        }
-        WalOp::MultiExtractMin { slot, k } => {
-            let q = live(queues, *slot)?;
-            let k = usize::try_from(*k).unwrap_or(usize::MAX).min(q.heap.len());
-            q.heap.multi_extract(pool, k);
-        }
-        WalOp::Meld { dst, src } => {
-            let mut taken = queues
-                .get_mut(*src as usize)
-                .and_then(|s| s.take())
-                .ok_or(WalError::UnknownSlot(*src))?;
-            let keys = taken.heap.drain_all(pool);
-            free_slots.push((*src, taken.gen.wrapping_add(1)));
-            live(queues, *dst)?.heap.multi_insert(pool, &keys)?;
-        }
-        WalOp::FreeHeap { slot } => {
-            let taken = queues
-                .get_mut(*slot as usize)
-                .and_then(|s| s.take())
-                .ok_or(WalError::UnknownSlot(*slot))?;
-            free_slots.push((*slot, taken.gen.wrapping_add(1)));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 pub(crate) mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// The queue whose groups panic on this thread, if any.
+        static FAIL_POINT: Cell<Option<QueueId>> = const { Cell::new(None) };
+    }
+
+    /// Make every later group for `q` executed on this thread panic just
+    /// before its Phase 1 kernel call: the injected fault the panic-barrier
+    /// tests contain. The queue itself is left intact, so revalidation
+    /// passes and the shard keeps serving.
+    pub(crate) fn arm_fail_point(q: QueueId) {
+        FAIL_POINT.set(Some(q));
+    }
+
+    /// Panic if `q` is this thread's armed fail point.
+    pub(super) fn hit_fail_point(q: QueueId) {
+        if FAIL_POINT.get() == Some(q) {
+            panic!("injected fault in {q}");
+        }
+    }
 
     fn drain(shard: &Arc<Shard>, q: QueueId) -> Vec<i64> {
         let slot = shard.submit(Request::ExtractK {
@@ -952,7 +761,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_thread_batch_semantics() {
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let q = shard.create_queue();
         // Deposit a mixed batch without combining in between: the shard has
         // no state-lock holder, so each submit's try_combine serves it — use
@@ -988,7 +797,7 @@ pub(crate) mod tests {
 
     #[test]
     fn stale_handle_is_rejected() {
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let q = shard.create_queue();
         {
             let mut st = shard.lock_state();
@@ -1007,39 +816,12 @@ pub(crate) mod tests {
         assert_ne!(q2.generation(), q.generation());
     }
 
-    /// A deliberately broken engine: any insert panics. Stands in for a
-    /// buggy backend to prove the combiner's panic barrier.
-    pub(crate) struct PanickingPq;
-
-    impl MeldablePq<i64> for PanickingPq {
-        fn len(&self) -> usize {
-            0
-        }
-        fn insert(&mut self, _key: i64) {
-            panic!("injected engine fault");
-        }
-        fn peek_min(&mut self) -> Option<i64> {
-            None
-        }
-        fn extract_min(&mut self) -> Option<i64> {
-            None
-        }
-        fn meld(&mut self, _other: Self) {}
-        fn check_invariants(&self) -> Result<(), String> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn combiner_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let good = shard.create_queue();
         let bad = shard.create_queue();
-        // Swap the second queue's engine for the panicking one.
-        {
-            let mut st = shard.lock_state();
-            st.queue_mut(bad).unwrap().heap = TenantHeap::Boxed(Box::new(PanickingPq));
-        }
+        arm_fail_point(bad);
         // One batch with ops for both queues: the bad group panics, the
         // good group must still execute and the shard must stay usable.
         let s_good = shard.ingress.push(Request::Insert {
@@ -1065,10 +847,10 @@ pub(crate) mod tests {
 
     #[test]
     fn fast_path_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let good = shard.create_queue();
         let bad = shard.create_queue();
-        shard.lock_state().queue_mut(bad).unwrap().heap = TenantHeap::Boxed(Box::new(PanickingPq));
+        arm_fail_point(bad);
         // The uncontended synchronous path runs under the same barrier as a
         // drained batch: the panic becomes this call's `Internal` answer.
         let now = flight::now_nanos();
@@ -1096,7 +878,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poisoned_lock_is_healed_not_cascaded() {
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let q = shard.create_queue();
         {
             let slot = shard.submit(Request::Insert { queue: q, key: 1 });
@@ -1125,7 +907,7 @@ pub(crate) mod tests {
         // after exactly 2^32 destroy/create cycles an ancient handle would
         // validate again. Simulate the wrap by pinning the free slot's next
         // generation to u32::MAX and cycling it twice.
-        let shard = Shard::new(0, Backend::Pooled);
+        let shard = Shard::new(0);
         let q0 = shard.create_queue(); // slot 0, gen 0
         {
             let mut st = shard.lock_state();
@@ -1155,7 +937,7 @@ pub(crate) mod tests {
 
     #[test]
     fn over_demand_pops_return_empty() {
-        let shard = Shard::new(3, Backend::Pooled);
+        let shard = Shard::new(3);
         let q = shard.create_queue();
         let s1 = shard.ingress.push(Request::Insert { queue: q, key: 7 });
         let s2 = shard.ingress.push(Request::ExtractMin { queue: q });
@@ -1197,7 +979,7 @@ pub(crate) mod tests {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-replay-shape-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, Backend::Pooled, dir.clone()).unwrap();
+        let shard = Shard::new_durable(0, dir.clone()).unwrap();
         let (a, b) = (shard.create_queue(), shard.create_queue());
         let submit = |req| shard.submit(req).try_take().unwrap();
         for round in 0..6i64 {
@@ -1241,11 +1023,9 @@ pub(crate) mod tests {
                 .queues
                 .iter()
                 .map(|q| {
-                    q.as_ref().map(|q| match &q.heap {
-                        TenantHeap::Pooled(h) => {
-                            (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
-                        }
-                        TenantHeap::Boxed(_) => panic!("pooled shard"),
+                    q.as_ref().map(|q| {
+                        let h = &q.heap;
+                        (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
                     })
                 })
                 .collect();
@@ -1277,7 +1057,7 @@ pub(crate) mod tests {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-reset-cadence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, Backend::Pooled, dir.clone()).unwrap();
+        let shard = Shard::new_durable(0, dir.clone()).unwrap();
         let insert = |q: QueueId, key: i64| {
             let slot = shard.submit(Request::Insert { queue: q, key });
             assert_eq!(slot.try_take(), Some(Response::Done));

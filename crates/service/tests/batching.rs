@@ -5,6 +5,7 @@
 //! (`meldpq::ArenaStats`) pin down *which* kernel ran.
 //!
 //! [`QueueService::enqueue`]: service::QueueService::enqueue
+#![allow(clippy::unwrap_used)] // test code: panics are the failure mode
 
 use service::{Request, Response, ServiceBuilder};
 

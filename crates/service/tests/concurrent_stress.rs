@@ -14,6 +14,7 @@
 //!   list with a replayable seed.
 //!
 //! [`QueueService`]: service::QueueService
+#![allow(clippy::unwrap_used)] // test code: panics are the failure mode
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};

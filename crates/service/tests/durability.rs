@@ -1,11 +1,12 @@
 //! Durable service integration: build → mutate → drop → rebuild from the
-//! same root recovers every tenant queue, for the pooled backend
-//! (checkpoint + WAL suffix) and a boxed backend (full-log replay).
+//! same root recovers every tenant queue from its shard's last checkpoint
+//! plus the WAL suffix.
+#![allow(clippy::unwrap_used)] // test code: panics are the failure mode
 
 use std::path::PathBuf;
 
 use meldpq::wal::{self, CheckpointCadence};
-use meldpq::{Backend, Engine, WalOp};
+use meldpq::{Engine, WalOp};
 use service::{Response, ServiceBuilder};
 
 struct TmpRoot(PathBuf);
@@ -25,11 +26,8 @@ impl Drop for TmpRoot {
     }
 }
 
-fn builder(root: &TmpRoot, backend: Backend) -> ServiceBuilder {
-    ServiceBuilder::new()
-        .shards(2)
-        .backend(backend)
-        .durable(root.0.clone())
+fn builder(root: &TmpRoot) -> ServiceBuilder {
+    ServiceBuilder::new().shards(2).durable(root.0.clone())
 }
 
 #[test]
@@ -37,7 +35,7 @@ fn durable_service_survives_restart_pooled() {
     let root = TmpRoot::new("pooled");
     let (a, b, c);
     {
-        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let svc = builder(&root).try_build().expect("build");
         a = svc.create_queue(); // shard 0
         b = svc.create_queue(); // shard 1
         c = svc.create_queue(); // shard 0
@@ -84,9 +82,7 @@ fn durable_service_survives_restart_pooled() {
         ]
     );
 
-    let svc = builder(&root, Backend::Pooled)
-        .try_build()
-        .expect("recover");
+    let svc = builder(&root).try_build().expect("recover");
     svc.validate().expect("recovered state validates");
     assert_eq!(
         svc.extract_k(a, 10).unwrap(),
@@ -104,28 +100,11 @@ fn durable_service_survives_restart_pooled() {
 }
 
 #[test]
-fn durable_service_survives_restart_boxed_backend() {
-    // No checkpoint exists for boxed engines: recovery is full-log replay.
-    let root = TmpRoot::new("boxed");
-    let q;
-    {
-        let svc = builder(&root, Backend::Pairing).try_build().expect("build");
-        q = svc.create_queue();
-        svc.multi_insert(q, vec![30, 10, 20]).unwrap();
-        assert_eq!(svc.extract_min(q).unwrap(), Some(10));
-    }
-    let svc = builder(&root, Backend::Pairing)
-        .try_build()
-        .expect("recover");
-    assert_eq!(svc.extract_k(q, 5).unwrap(), vec![20, 30]);
-}
-
-#[test]
 fn cross_shard_meld_is_durable() {
     let root = TmpRoot::new("xshard");
     let (a, b);
     {
-        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let svc = builder(&root).try_build().expect("build");
         a = svc.create_queue(); // shard 0
         b = svc.create_queue(); // shard 1
         svc.multi_insert(a, vec![4, 6]).unwrap();
@@ -134,9 +113,7 @@ fn cross_shard_meld_is_durable() {
         // in shard 0's — both flushed before the mutation.
         svc.meld(a, b).unwrap();
     }
-    let svc = builder(&root, Backend::Pooled)
-        .try_build()
-        .expect("recover");
+    let svc = builder(&root).try_build().expect("recover");
     assert_eq!(svc.extract_k(a, 10).unwrap(), vec![1, 4, 6, 9]);
     assert!(svc.len(b).is_err(), "melded-away source is stale");
 }
@@ -146,7 +123,7 @@ fn explicit_checkpoint_bounds_replay() {
     let root = TmpRoot::new("ckpt");
     let q;
     {
-        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let svc = builder(&root).try_build().expect("build");
         q = svc.create_queue();
         svc.multi_insert(q, (0..32).collect()).unwrap();
         svc.checkpoint();
@@ -155,9 +132,7 @@ fn explicit_checkpoint_bounds_replay() {
         // Post-checkpoint ops land in the WAL suffix.
         svc.insert(q, -1).unwrap();
     }
-    let svc = builder(&root, Backend::Pooled)
-        .try_build()
-        .expect("recover");
+    let svc = builder(&root).try_build().expect("recover");
     assert_eq!(svc.extract_min(q).unwrap(), Some(-1));
     assert_eq!(svc.len(q).unwrap(), 32);
 }
@@ -167,16 +142,14 @@ fn async_surface_is_logged_too() {
     let root = TmpRoot::new("async");
     let q;
     {
-        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let svc = builder(&root).try_build().expect("build");
         q = svc.create_queue();
         let t1 = svc.insert_async(q, 3).unwrap();
         let t2 = svc.insert_async(q, 1).unwrap();
         assert_eq!(t1.wait(), Response::Done);
         assert_eq!(t2.wait(), Response::Done);
     }
-    let svc = builder(&root, Backend::Pooled)
-        .try_build()
-        .expect("recover");
+    let svc = builder(&root).try_build().expect("recover");
     assert_eq!(svc.extract_k(q, 4).unwrap(), vec![1, 3]);
 }
 
@@ -188,7 +161,7 @@ fn legacy_json_checkpoint_is_ignored() {
     let root = TmpRoot::new("legacy");
     let (a, b);
     {
-        let svc = builder(&root, Backend::Pooled).try_build().expect("build");
+        let svc = builder(&root).try_build().expect("build");
         a = svc.create_queue(); // shard 0
         b = svc.create_queue(); // shard 1
         svc.multi_insert(a, vec![8, 3, 5, 1]).unwrap();
@@ -210,9 +183,7 @@ fn legacy_json_checkpoint_is_ignored() {
         )
         .unwrap();
     }
-    let svc = builder(&root, Backend::Pooled)
-        .try_build()
-        .expect("recover");
+    let svc = builder(&root).try_build().expect("recover");
     svc.validate().expect("recovered state validates");
     assert_eq!(svc.extract_k(a, 10).unwrap(), vec![3, 5, 8]);
     assert_eq!(svc.extract_k(b, 10).unwrap(), vec![10, 15, 20]);
@@ -225,7 +196,6 @@ fn automatic_checkpoints_are_paced_by_the_image_size() {
     let one_shard = || {
         ServiceBuilder::new()
             .shards(1)
-            .backend(Backend::Pooled)
             .durable(root.0.clone())
             .try_build()
             .expect("build")
