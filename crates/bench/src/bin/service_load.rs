@@ -4,8 +4,9 @@
 //! 30% extract-min, 7% extract-k(8), 5% peek, 3% len) against two targets
 //! built from the *same* per-thread op streams:
 //!
-//! 1. the sharded [`service::QueueService`] (flat-combining admission,
-//!    coalesced batch kernels), queues spread round-robin over the shards;
+//! 1. the sharded [`service::QueueService`] through its sync calls (one
+//!    lock per shard, each call run inline under it), queues spread
+//!    round-robin over the shards;
 //! 2. the baseline every service talk starts with: one
 //!    `Mutex<ParBinomialHeap<i64>>` shared by all threads, driven through
 //!    the same [`meldpq::MeldablePq`] surface.
@@ -16,8 +17,8 @@
 //! `"service_load"`. The run **gates** twice: the service must beat the
 //! global-lock baseline on throughput, and its p99 latency may exceed the
 //! baseline's p99 by at most [`P99_BOUND`]× (override with
-//! `SERVICE_P99_BOUND`) — flat combining trades tail latency for
-//! throughput, and this bound is where "trade" becomes "regression".
+//! `SERVICE_P99_BOUND`) — this bound is where a tail regression fails the
+//! run.
 //! Both targets run [`TRIALS`] times and each gate is judged on its best
 //! trial (see [`TRIALS`] for why); either miss exits non-zero.
 //!
@@ -34,11 +35,11 @@ use obs::{LatencyHistogram, Registry};
 use rand::Rng;
 use service::{QueueId, QueueService, ServiceBuilder};
 
-/// Default ceiling on `service_p99 / mutex_p99`. The combining queue parks
-/// ops behind a shard lock, so its tail is structurally worse than the
-/// uncontended-mutex fast path (~11× at the seed measurement); 16× leaves
-/// headroom for scheduler noise while still catching a real tail collapse
-/// (the pre-gate suite let an 11× tail land silently with no bound at all).
+/// Default ceiling on `service_p99 / mutex_p99`. A contended sync call
+/// spins on its shard's lock, then blocks in `lock()`, as a global-mutex
+/// call does, so neither tail is structurally worse; 16× leaves headroom
+/// for scheduler noise on a small shared host while still catching a real
+/// tail collapse.
 const P99_BOUND: f64 = 16.0;
 
 /// Trials per target; each gate is judged on its best trial (max throughput
@@ -362,7 +363,7 @@ fn main() {
             "note",
             J::Str(
                 "N client threads, identical pre-generated mixed op streams \
-                 against the sharded flat-combining service vs one mutexed \
+                 against the sharded service's sync calls vs one mutexed \
                  ParBinomialHeap; latencies in ns from obs::LatencyHistogram \
                  (log2 buckets, 6.25% relative error)"
                     .into(),

@@ -46,6 +46,10 @@ use crate::json::J;
 /// Events each thread's ring retains (oldest overwritten beyond this).
 pub const RING_CAPACITY: usize = 4096;
 
+/// Trace ids a thread takes from the shared counter at a time
+/// (see [`TraceId::next`]).
+const TRACE_ID_BLOCK: u64 = 1 << 16;
+
 /// A process-unique causal trace id. `0` is reserved for "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
@@ -55,9 +59,27 @@ impl TraceId {
     pub const NONE: TraceId = TraceId(0);
 
     /// Mint a fresh process-unique id (never [`TraceId::NONE`]).
+    ///
+    /// Each thread hands out ids from its own block of 2^16 consecutive ids
+    /// and takes a new block with one shared `fetch_add` when it runs out,
+    /// so minting writes no cache line another thread writes. Ids are
+    /// unique but neither dense nor ordered across threads.
     pub fn next() -> TraceId {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        TraceId(NEXT.fetch_add(1, Ordering::Relaxed))
+        // Blocks start at 1, so no block holds the sentinel 0.
+        static NEXT_BLOCK: AtomicU64 = AtomicU64::new(1);
+        thread_local! {
+            /// The next id this thread hands out and the end of its block.
+            static BLOCK: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        }
+        BLOCK.with(|b| {
+            let (mut next, mut end) = b.get();
+            if next == end {
+                next = NEXT_BLOCK.fetch_add(TRACE_ID_BLOCK, Ordering::Relaxed);
+                end = next + TRACE_ID_BLOCK;
+            }
+            b.set((next + 1, end));
+            TraceId(next)
+        })
     }
 
     /// The raw id word.
@@ -90,9 +112,11 @@ pub enum EventKind {
     BatchFlush = 3,
     /// A thread became the combiner with work pending (arg = shard index).
     CombinerHandoff = 4,
-    /// A ticket waiter parked on its completion slot (arg = shard index).
+    /// An operation waited for its shard's lock or its ticket
+    /// (arg = shard index).
     TicketPark = 5,
-    /// A parked waiter observed its published result (arg = shard index).
+    /// An operation that waited for its shard's lock or its ticket got it
+    /// (arg = shard index).
     TicketUnpark = 6,
     /// A multi-key group was admitted to one `multi_insert`
     /// (arg = key count).
@@ -553,6 +577,19 @@ mod tests {
         assert!(!is_enabled());
         set_enabled(true);
         assert_eq!(snapshot().len(), before, "disabled recorder stays silent");
+    }
+
+    #[test]
+    fn trace_ids_are_unique_across_threads() {
+        let minted: Vec<Vec<TraceId>> = (0..4)
+            .map(|_| std::thread::spawn(|| (0..200_000).map(|_| TraceId::next()).collect()))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("minting thread"))
+            .collect();
+        let all: std::collections::HashSet<TraceId> = minted.iter().flatten().copied().collect();
+        assert_eq!(all.len(), 4 * 200_000, "every id is distinct");
+        assert!(!all.contains(&TraceId::NONE));
     }
 
     #[test]
