@@ -2,15 +2,10 @@
 //!
 //! Drives a mixed background load (the `service-load` op mix) against an
 //! in-process [`service::QueueService`] and refreshes a `top`-style view:
-//! the [`service::ServiceSnapshot`] shard table (backlog, combiner
-//! occupancy, latency quantiles) over the tail of the flight recorder's
-//! event stream. On exit it drains the recorder into
-//! `reports/FLIGHT_<run>.json` so a run leaves the same evidence a failing
-//! chaos test attaches to its panic.
-//!
-//! The snapshot path never combines — what you watch is the backlog the
-//! combiners actually face, not one the observer just served (see
-//! DESIGN.md §13).
+//! the [`service::ServiceSnapshot`] shard table (queues, keys, requests,
+//! latency quantiles) over the tail of the flight recorder's event stream.
+//! On exit it drains the recorder into `reports/FLIGHT_<run>.json` so a run
+//! leaves the same evidence a failing chaos test attaches to its panic.
 //!
 //! Flags: `--seconds N` (4) · `--hz N` (10 refreshes/s) · `--threads N` (4)
 //! · `--queues N` (8) · `--shards N` (4) · `--once` (single plain snapshot,
@@ -150,7 +145,6 @@ fn main() {
     for w in workers {
         w.join().expect("load worker panicked");
     }
-    svc.flush();
     svc.validate()
         .expect("service state corrupt after pqtop load");
     if !args.once {

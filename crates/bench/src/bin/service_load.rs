@@ -44,8 +44,8 @@ const P99_BOUND: f64 = 16.0;
 
 /// Trials per target; each gate is judged on its best trial (max throughput
 /// ratio, min p99 ratio). On an oversubscribed host a single scheduler
-/// preemption inside a combining flush inflates that one trial's p99 by a
-/// full timeslice (tens of µs against a µs-scale baseline — observed 0.8× /
+/// preemption while a call holds its shard's lock inflates that one trial's
+/// p99 by a full timeslice (tens of µs against a µs-scale baseline — observed 0.8× /
 /// 5× / 48× across back-to-back identical runs on one core). A real tail
 /// regression shifts *every* trial, so best-of-N keeps [`P99_BOUND`]
 /// meaningful without widening it past the point of catching anything.
@@ -284,15 +284,11 @@ fn main() {
     let (svc_tput, mtx_tput) = (best_tput.0, best_tput.2);
     let (svc_hist, mtx_hist) = (&best_tail.1, &best_tail.3);
 
-    // Batching evidence: summed shard counters from the service run.
-    let mut batches = 0u64;
-    let mut max_batch = 0u64;
+    // Kernel evidence: summed shard counters from the service run.
     let mut coalesced = 0u64;
     let mut multi_extracts = 0u64;
     for s in 0..args.shards {
         let st = svc.shard_stats(s);
-        batches += st.batches;
-        max_batch = max_batch.max(st.max_batch);
         coalesced += st.coalesced_inserts + st.coalesced_pops;
         multi_extracts += st.multi_extracts;
     }
@@ -307,7 +303,7 @@ fn main() {
     // snapshot land in an obs::Registry, and the registry rides inside
     // SERVICE_load.json — scrapers and the report read one document and
     // cannot drift apart. The client-side histograms are the gated numbers;
-    // the `service/shard*` families are the combiner's view of the same run.
+    // the `service/shard*` families are the shards' view of the same run.
     let mut reg = Registry::new();
     reg.record("service_load/service", svc_hist);
     reg.record("service_load/mutex", mtx_hist);
@@ -379,8 +375,6 @@ fn main() {
         (
             "batching",
             J::obj([
-                ("batches", J::UInt(batches)),
-                ("max_batch", J::UInt(max_batch)),
                 ("coalesced_ops", J::UInt(coalesced)),
                 ("multi_extracts", J::UInt(multi_extracts)),
             ]),

@@ -3,7 +3,7 @@
 //! selection table covers ([`meldpq::WorkloadClass::ALL`]).
 //!
 //! Each (class, backend, size) cell replays the same seeded operation
-//! script and records best-of-[`TRIALS`] total nanoseconds divided by the
+//! script and records the best-of-trials total nanoseconds divided by the
 //! *logical* op count. Logical matters for the Dijkstra class: engines
 //! without native decrease-key run the classic reinsert-and-skip-stale
 //! simulation, and the extra stale pops are charged to their clock, not

@@ -8,8 +8,8 @@
 //!
 //! * **[`TraceId`]** — a process-unique causal id minted at an operation's
 //!   ingress and threaded (via an ambient per-thread scope) through every
-//!   layer it touches, so one logical op's journey — service ingress →
-//!   combiner → bulk kernel → dmpq `b-Union` rounds → transport retries —
+//!   layer it touches, so one logical op's journey — service call → shard
+//!   lock wait → bulk kernel → dmpq `b-Union` rounds → transport retries —
 //!   reconstructs from the event stream by filtering on one id.
 //! * **[`FlightEvent`]** — a fixed-size record: relative timestamp, trace
 //!   id, [`EventKind`], one argument word, recording thread.
@@ -20,7 +20,7 @@
 //!   ([`snapshot`], [`tail`]) skip slots whose version changed mid-read
 //!   instead of blocking writers.
 //!
-//! Unlike [`crate::span`], none of this is feature-gated: the recorder is
+//! Unlike [`mod@crate::span`], none of this is feature-gated: the recorder is
 //! compiled in always and guarded by a single relaxed [`set_enabled`]
 //! switch, with a wall-clock gate in the bench suite holding the recorder's
 //! overhead on a mixed service workload to ≤ 1.1× of recorder-off.
@@ -99,7 +99,7 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// What happened. The argument word's meaning is per-kind (batch length,
+/// What happened. The argument word's meaning is per-kind (key count,
 /// node index, retry attempt, …) and documented at each recording site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -108,20 +108,18 @@ pub enum EventKind {
     OpBegin = 1,
     /// The operation's result was published (arg = operation code).
     OpEnd = 2,
-    /// A combiner drained one ingress batch (arg = batch length).
-    BatchFlush = 3,
-    /// A thread became the combiner with work pending (arg = shard index).
-    CombinerHandoff = 4,
-    /// An operation waited for its shard's lock or its ticket
+    // Codes 3 and 4 are retired: a recorded word must never change
+    // meaning, so they stay unassigned.
+    /// An operation found its shard's lock held and began to wait for it
     /// (arg = shard index).
     TicketPark = 5,
-    /// An operation that waited for its shard's lock or its ticket got it
+    /// An operation that waited for its shard's lock got it
     /// (arg = shard index).
     TicketUnpark = 6,
-    /// A multi-key group was admitted to one `multi_insert`
+    /// A multi-key insert was admitted to one `multi_insert`
     /// (arg = key count).
     BulkAdmission = 7,
-    /// A coalesced pop demand was served by one multi-extract
+    /// A multi-key pop demand was served by one multi-extract
     /// (arg = keys pulled).
     MultiExtract = 8,
     /// The transport retried an unacknowledged message (arg = receiver).
@@ -146,8 +144,6 @@ impl EventKind {
         match self {
             EventKind::OpBegin => "op_begin",
             EventKind::OpEnd => "op_end",
-            EventKind::BatchFlush => "batch_flush",
-            EventKind::CombinerHandoff => "combiner_handoff",
             EventKind::TicketPark => "ticket_park",
             EventKind::TicketUnpark => "ticket_unpark",
             EventKind::BulkAdmission => "bulk_admission",
@@ -166,8 +162,6 @@ impl EventKind {
         Some(match w {
             1 => EventKind::OpBegin,
             2 => EventKind::OpEnd,
-            3 => EventKind::BatchFlush,
-            4 => EventKind::CombinerHandoff,
             5 => EventKind::TicketPark,
             6 => EventKind::TicketUnpark,
             7 => EventKind::BulkAdmission,
@@ -551,7 +545,7 @@ mod tests {
         // still merge into one snapshot.
         let t2 = TraceId::next();
         std::thread::spawn(move || {
-            record(t2, EventKind::BatchFlush, 3);
+            record(t2, EventKind::BulkAdmission, 3);
         })
         .join()
         .expect("recorder thread");

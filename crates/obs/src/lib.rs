@@ -9,7 +9,7 @@
 //! crate is the leaf they all depend on so those meters can be *captured in
 //! one place*:
 //!
-//! * [`span`] — nestable wall-clock spans at the algorithm's phase
+//! * [`mod@span`] — nestable wall-clock spans at the algorithm's phase
 //!   boundaries (`union/phase2`, `lazy/arrange_heap;bubble_up`,
 //!   `dmpq/b_union;preprocess`, …). Compiled to zero-cost no-ops unless the
 //!   `telemetry` feature is on, so the bench hot loops pay nothing.

@@ -2,39 +2,36 @@
 #![warn(missing_docs)]
 //! # service — a sharded, multi-tenant meldable priority-queue front end
 //!
-//! The paper's machine model puts an I/O processor in front of the queue:
-//! operations land in a *Waiting* buffer, move to the *Forehead* as a batch,
-//! and the parallel kernels serve whole batches at once. This crate is that
-//! admission layer for shared-memory clients, built on the workspace's
-//! zero-copy pools:
+//! Shared-memory clients address many tenant queues through one
+//! [`QueueService`], built on the workspace's zero-copy pools:
 //!
 //! * **Sharding** — a [`QueueService`] owns `n` shards, each an independent
 //!   [`meldpq::HeapPool`] behind its own lock; queues are assigned
 //!   round-robin, so unrelated tenants never contend.
-//! * **Flat-combining hand-off** — there are no server threads. Clients
-//!   deposit requests into the shard's ingress; whichever thread next takes
-//!   the shard lock drains and executes the whole batch ([`shard`] module).
-//! * **Admission batching** — a drained batch coalesces: concurrent inserts
-//!   become one `multi_insert` under one capacity check and one WAL record,
-//!   concurrent pops one `multi_extract_min` root-frontier peel. The
-//!   [`ShardStats`] counters (and the pool's `ArenaStats`) prove it.
+//! * **Lock and run** — there are no server threads and no request
+//!   buffer. Every operation is one synchronous call: it takes its shard's
+//!   lock (spinning briefly, then blocking) and runs under a panic barrier
+//!   ([`shard`] module). A multi-key insert runs one `multi_insert` under
+//!   one capacity check and one WAL record, and a multi-key pop one
+//!   `multi_extract_min` root-frontier peel; the [`ShardStats`] counters
+//!   (and the pool's `ArenaStats`) show which kernel ran.
 //! * **Handles, not borrows** — [`QueueId`] is a `Copy + Send + Sync`
 //!   token (shard, slot, generation). Destroyed or melded-away queues turn
 //!   handles stale ([`ServiceError::UnknownQueue`]) instead of dangling,
 //!   and the API shape survives a future network front end unchanged.
 //!
-//! See DESIGN.md §9 at the workspace root for the shard map and the batch
-//! linearization argument.
+//! The paper's I/O-processor `Waiting`/`Forehead` buffers are reproduced in
+//! the `dmpq` crate, not here. See DESIGN.md §9 at the workspace root for
+//! the shard map and how a request picks its kernel.
 
-pub mod batch;
+mod batch;
 pub mod metrics;
 pub mod service;
 pub mod shard;
 pub mod snapshot;
 
-pub use batch::{Request, Response};
 pub use metrics::ShardStats;
-pub use service::{QueueId, QueueService, ServiceBuilder, Ticket};
+pub use service::{QueueId, QueueService, ServiceBuilder};
 pub use snapshot::{ServiceSnapshot, ShardSnapshot};
 
 /// Why the service refused an operation.
@@ -43,15 +40,15 @@ pub enum ServiceError {
     /// The handle does not name a live queue — it was destroyed, melded
     /// away, or never existed on this service.
     UnknownQueue(QueueId),
-    /// The operation's combiner panicked mid-batch. The shard recovered
-    /// (it keeps serving), but this op's effect on the queue is unknown —
-    /// the client must treat it as failed.
+    /// The request panicked while it ran. The shard recovered (it keeps
+    /// serving), but this op's effect on the queue is unknown — the client
+    /// must treat it as failed.
     Internal(QueueId),
-    /// A multi-key admission was refused because it would overflow the shard
-    /// pool's `u32` node-id space ([`meldpq::CapacityError`]). The queue
-    /// is untouched; no key of the rejected batch was admitted.
+    /// An insert was refused because it would overflow the shard pool's
+    /// `u32` node-id space ([`meldpq::CapacityError`]). The queue is
+    /// untouched; no key of the rejected request was admitted.
     Capacity {
-        /// The queue the batch targeted.
+        /// The queue the request targeted.
         queue: QueueId,
         /// The typed capacity refusal from the pool.
         err: meldpq::CapacityError,
@@ -63,7 +60,10 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::UnknownQueue(q) => write!(f, "unknown or stale queue handle {q}"),
             ServiceError::Internal(q) => {
-                write!(f, "internal failure while serving {q}: combiner panicked")
+                write!(
+                    f,
+                    "internal failure while serving {q}: the request panicked"
+                )
             }
             ServiceError::Capacity { queue, err } => write!(f, "queue {queue}: {err}"),
         }

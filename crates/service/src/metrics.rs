@@ -1,10 +1,7 @@
-//! Per-shard counters proving the admission layer actually batches.
-//!
-//! The interesting invariantly-testable facts live here: how many inserted
-//! keys went through one `multi_insert` vs. alone, how much pop demand one
-//! `multi_extract_min` served. The batching-ingress unit test asserts on
-//! these (together with `meldpq::ArenaStats`) to prove coalescing triggers
-//! the batch kernels rather than one-by-one execution.
+//! Per-shard counters: how many requests ran, which kernels served them,
+//! and what the WAL and the panic barrier did. Unit and integration tests
+//! assert on these (together with `meldpq::ArenaStats`) to prove which
+//! kernel a request ran.
 
 use obs::Recorder;
 
@@ -13,19 +10,18 @@ use obs::Recorder;
 /// under the `service.shard` family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Combiner rounds that executed at least one request.
+    /// Always equal to `requests`: every request runs alone. Kept because
+    /// the benchmark reads it, until the benchmark stops reading it.
     pub batches: u64,
-    /// Largest single batch drained from the ingress.
-    pub max_batch: u64,
     /// Requests executed in total.
     pub requests: u64,
-    /// Keys inserted alone: their queue's group held exactly one key.
+    /// Keys inserted alone: their request held exactly one key.
     pub single_inserts: u64,
-    /// Keys inserted through a `multi_insert` of a group of two or more
-    /// keys (coalesced requests, or one multi-key request).
+    /// Keys inserted through the `multi_insert` of a request holding two
+    /// or more keys.
     pub coalesced_inserts: u64,
-    /// Keys served to pop requests through a shared `multi_extract_min`
-    /// (batches whose pop demand exceeded one key).
+    /// Keys served by `multi_extract_min` (requests whose pop demand
+    /// exceeded one key).
     pub coalesced_pops: u64,
     /// `multi_extract_min` kernel invocations serving ≥ 2 keys of demand.
     pub multi_extracts: u64,
@@ -39,20 +35,19 @@ pub struct ShardStats {
     pub queues_created: u64,
     /// Queues destroyed (or consumed by meld) on this shard.
     pub queues_destroyed: u64,
-    /// Combiner sessions that served at least one batch (one lock tenure
-    /// may drain several batches; this counts tenures, not drains).
+    /// Always 0: no code writes it. Read only by the benchmark, and kept
+    /// out of [`Recorder::fields`], until the benchmark stops reading it.
     pub combines: u64,
-    /// Total wall-clock nanoseconds spent inside working combiner
-    /// sessions. `combine_ns / combines` is the mean combiner occupancy.
+    /// Always 0, like [`ShardStats::combines`].
     pub combine_ns: u64,
-    /// Times a poisoned state lock was recovered (a combiner panicked while
+    /// Times a poisoned state lock was recovered (a thread panicked while
     /// holding it and the next locker cleared the poison).
     pub poison_recoveries: u64,
     /// Poison recoveries where `check_pool` found the state damaged and the
     /// shard was reset to empty (every queue lost).
     pub poison_resets: u64,
-    /// Per-queue batch executions that panicked and were contained by the
-    /// combiner's catch-unwind barrier.
+    /// Requests that panicked and were contained by the executor's
+    /// catch-unwind barrier.
     pub combiner_panics: u64,
     /// Logical ops appended to this shard's write-ahead log.
     pub wal_appends: u64,
@@ -63,15 +58,6 @@ pub struct ShardStats {
     pub wal_errors: u64,
 }
 
-impl ShardStats {
-    /// Count one executed batch of `n` requests.
-    pub(crate) fn count_batch(&mut self, n: usize) {
-        self.batches += 1;
-        self.max_batch = self.max_batch.max(n as u64);
-        self.requests += n as u64;
-    }
-}
-
 impl Recorder for ShardStats {
     fn family(&self) -> &'static str {
         "service.shard"
@@ -80,7 +66,6 @@ impl Recorder for ShardStats {
     fn fields(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("batches", self.batches),
-            ("max_batch", self.max_batch),
             ("requests", self.requests),
             ("single_inserts", self.single_inserts),
             ("coalesced_inserts", self.coalesced_inserts),
@@ -91,8 +76,6 @@ impl Recorder for ShardStats {
             ("stale_ops", self.stale_ops),
             ("queues_created", self.queues_created),
             ("queues_destroyed", self.queues_destroyed),
-            ("combines", self.combines),
-            ("combine_ns", self.combine_ns),
             ("poison_recoveries", self.poison_recoveries),
             ("poison_resets", self.poison_resets),
             ("combiner_panics", self.combiner_panics),
@@ -118,5 +101,10 @@ mod tests {
         let f = s.fields();
         assert!(f.contains(&("batches", 3)));
         assert!(f.contains(&("coalesced_inserts", 12)));
+        assert!(
+            f.iter()
+                .all(|(k, _)| !["combines", "combine_ns"].contains(k)),
+            "counters nothing writes stay out"
+        );
     }
 }

@@ -3,7 +3,6 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use meldpq::pool::PooledHeap;
 use meldpq::wal::{WalError, WalOp};
@@ -11,9 +10,9 @@ use meldpq::{ArenaStats, Backend, HeapPool};
 use obs::flight::{self, EventKind};
 use obs::Registry;
 
-use crate::batch::{OpSlot, Request, Response};
+use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
-use crate::shard::{Shard, ShardState, WAIT_SLICE};
+use crate::shard::{Shard, ShardState};
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::ServiceError;
 
@@ -120,58 +119,15 @@ impl ServiceBuilder {
     }
 }
 
-/// An in-flight operation: the completion slot plus the shard whose
-/// combiner will (or whose next waiter will) execute it.
-#[derive(Debug, Clone)]
-pub struct Ticket {
-    slot: Arc<OpSlot>,
-    shard: Arc<Shard>,
-}
-
-impl Ticket {
-    /// Block until the result arrives. Waiters are not passive: each wait
-    /// slice they retry becoming the combiner themselves, so progress never
-    /// depends on any other thread surviving.
-    pub fn wait(self) -> Response {
-        let mut parked = false;
-        let r = loop {
-            if let Some(r) = self.slot.try_take() {
-                break r;
-            }
-            self.shard.try_combine();
-            if !parked {
-                // First time this waiter actually blocks (it lost the
-                // combiner race); recorded once, not per wait slice.
-                parked = true;
-                flight::record(
-                    self.slot.trace(),
-                    EventKind::TicketPark,
-                    self.shard.index() as u64,
-                );
-            }
-            if let Some(r) = self.slot.wait_for(WAIT_SLICE) {
-                break r;
-            }
-        };
-        if parked {
-            flight::record(
-                self.slot.trace(),
-                EventKind::TicketUnpark,
-                self.shard.index() as u64,
-            );
-        }
-        r
-    }
-}
-
 /// A sharded, thread-safe, multi-tenant meldable priority-queue service.
 ///
-/// Shard = one [`meldpq::HeapPool`] + flat-combining lock; queues are
-/// assigned to shards round-robin at creation. All methods take `&self` —
-/// share the service across client threads with an `Arc`.
+/// Shard = one [`meldpq::HeapPool`] behind one lock; queues are assigned
+/// to shards round-robin at creation. Every operation is one synchronous
+/// call that takes its shard's lock. All methods take `&self` — share the
+/// service across client threads with an `Arc`.
 ///
 /// ```
-/// use service::{Response, ServiceBuilder};
+/// use service::ServiceBuilder;
 ///
 /// let svc = ServiceBuilder::new().shards(2).build();
 /// let q = svc.create_queue();
@@ -182,7 +138,7 @@ impl Ticket {
 /// ```
 #[derive(Debug)]
 pub struct QueueService {
-    shards: Vec<Arc<Shard>>,
+    shards: Vec<Shard>,
     rr: AtomicUsize,
 }
 
@@ -210,7 +166,7 @@ impl QueueService {
         Backend::Pooled
     }
 
-    fn shard(&self, id: QueueId) -> Result<&Arc<Shard>, ServiceError> {
+    fn shard(&self, id: QueueId) -> Result<&Shard, ServiceError> {
         self.shards
             .get(id.shard() as usize)
             .ok_or(ServiceError::UnknownQueue(id))
@@ -236,85 +192,18 @@ impl QueueService {
         Ok(st.pool.free_heap(heap))
     }
 
-    // ----- async surface: deposit now, wait on the ticket later ---------
-
-    /// `Insert(Q, x)`, asynchronously.
-    pub fn insert_async(&self, id: QueueId, key: i64) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::Insert { queue: id, key })
-    }
-
-    /// `Multi-Insert(Q, keys)`, asynchronously.
-    pub fn multi_insert_async(&self, id: QueueId, keys: Vec<i64>) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::MultiInsert { queue: id, keys })
-    }
-
-    /// `Extract-Min(Q)`, asynchronously.
-    pub fn extract_min_async(&self, id: QueueId) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::ExtractMin { queue: id })
-    }
-
-    /// `Multi-Extract-Min(Q, k)`, asynchronously.
-    pub fn extract_k_async(&self, id: QueueId, k: usize) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::ExtractK { queue: id, k })
-    }
-
-    /// `Min(Q)`, asynchronously.
-    pub fn peek_min_async(&self, id: QueueId) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::PeekMin { queue: id })
-    }
-
-    /// Queue length, asynchronously.
-    pub fn len_async(&self, id: QueueId) -> Result<Ticket, ServiceError> {
-        self.submit(id, Request::Len { queue: id })
-    }
-
-    fn submit(&self, id: QueueId, req: Request) -> Result<Ticket, ServiceError> {
-        let shard = self.shard(id)?;
-        // Mint (or adopt) the op's trace before depositing: the slot
-        // captures the ambient trace, so the combiner thread tags this
-        // op's events with it.
-        let (trace, _scope) = flight::ambient_or_new();
-        flight::record(trace, EventKind::OpBegin, req.op_code());
-        Ok(Ticket {
-            slot: shard.submit(req),
-            shard: Arc::clone(shard),
-        })
-    }
-
-    /// Deposit a raw request *without* serving it — the pipelined variant of
-    /// the `*_async` methods, i.e. the paper's Waiting buffer driven
-    /// explicitly. The request executes at the next combine on its shard: a
-    /// later synchronous op, a [`Ticket::wait`], or [`QueueService::flush`].
-    /// Depositing `k` inserts and then flushing hands the combiner all `k`
-    /// as one batch, which is the deterministic way to exercise (and test)
-    /// the coalesced kernels (`multi_insert`, `multi_extract_min`).
-    pub fn enqueue(&self, req: Request) -> Result<Ticket, ServiceError> {
-        let id = req.queue();
-        let shard = self.shard(id)?;
-        let (trace, _scope) = flight::ambient_or_new();
-        flight::record(trace, EventKind::OpBegin, req.op_code());
-        Ok(Ticket {
-            slot: shard.enqueue(req),
-            shard: Arc::clone(shard),
-        })
-    }
-
-    // ----- sync surface -------------------------------------------------
-    //
-    // Each sync op locks its shard and runs inline (`Shard::execute`):
-    // pending deposits are served first, then the op runs as a batch of one
-    // and is answered with no completion slot. Under contention it spins on
-    // the lock, then blocks on it; it never deposits. The executor answers
-    // each request kind with its own response variant or an error, so the
-    // remaining arm of each method's match is unreachable.
+    // Each op locks its shard and runs inline (`Shard::execute`): under
+    // contention it spins on the lock, then blocks on it. The executor
+    // answers each request kind with its own response variant or an error,
+    // so the remaining arm of each method's match is unreachable.
 
     fn execute(&self, id: QueueId, req: Request) -> Result<Response, ServiceError> {
         let shard = self.shard(id)?;
         let (trace, _scope) = flight::ambient_or_new();
         // One clock read stamps op_begin AND starts the latency sample;
         // `Shard::execute` hands back its post-execution reading so op_end
-        // costs no clock read either. No slot exists, so no combiner can
-        // close the trace: this thread ran the op.
+        // costs no clock read either. The calling thread runs its own op,
+        // so it both opens and closes the op's trace.
         let begun = flight::now_nanos();
         flight::record_at(begun, trace, EventKind::OpBegin, req.op_code());
         let (resp, end) = shard.execute(&req, begun);
@@ -381,13 +270,13 @@ impl QueueService {
     /// cross-shard melds move nodes (counted on the arenas).
     ///
     /// Both shard locks are taken in shard-index order, so concurrent melds
-    /// cannot deadlock; pending batches on both shards are served first.
+    /// cannot deadlock.
     pub fn meld(&self, dst: QueueId, src: QueueId) -> Result<(), ServiceError> {
         if dst == src {
             return Ok(());
         }
-        let dshard = Arc::clone(self.shard(dst)?);
-        let sshard = Arc::clone(self.shard(src)?);
+        let dshard = self.shard(dst)?;
+        let sshard = self.shard(src)?;
         if dst.shard() == src.shard() {
             let mut st = dshard.lock_state();
             // Look before taking: if dst is stale we must not destroy src.
@@ -424,9 +313,9 @@ impl QueueService {
         }
         // Cross-shard: lock in shard-index order.
         let (first, second) = if dst.shard() < src.shard() {
-            (&dshard, &sshard)
+            (dshard, sshard)
         } else {
-            (&sshard, &dshard)
+            (sshard, dshard)
         };
         let mut st_first = first.lock_state();
         let mut st_second = second.lock_state();
@@ -480,40 +369,24 @@ impl QueueService {
 
     // ----- observability ------------------------------------------------
 
-    /// Serve every pending batch on every shard (quiesce point for tests
-    /// and shutdown).
-    pub fn flush(&self) {
-        for s in &self.shards {
-            let mut st = s.lock_state();
-            s.combine_locked(&mut st);
-        }
-    }
-
-    /// Snapshot one shard's batching counters.
+    /// Snapshot one shard's counters.
     pub fn shard_stats(&self, shard: usize) -> ShardStats {
         self.shards[shard].lock_state().stats
     }
 
     /// Live introspection: a point-in-time view of every shard — queue and
-    /// key counts, ingress backlog, combiner occupancy, stale-op counts and
-    /// the latency histogram. Deliberately does **not** combine pending
-    /// batches: serving the backlog here would destroy the very state a
-    /// monitor polls this method to observe. Safe to call concurrently
-    /// with live traffic.
+    /// key counts, counters and the latency histogram. Safe to call
+    /// concurrently with live traffic.
     pub fn snapshot(&self) -> ServiceSnapshot {
         let shards = self
             .shards
             .iter()
             .map(|s| {
-                // Read the backlog before taking the state lock: depth is
-                // what's waiting *while someone else combines*.
-                let ingress_depth = s.ingress_depth();
-                let st = s.peek_state();
+                let st = s.lock_state();
                 ShardSnapshot {
                     shard: s.index(),
                     live_queues: st.queues.iter().flatten().count(),
                     total_keys: st.queues.iter().flatten().map(|q| q.heap.len()).sum(),
-                    ingress_depth,
                     stats: st.stats,
                     latency: st.latency.clone(),
                 }
@@ -530,10 +403,8 @@ impl QueueService {
 
     /// Record every shard's counters *and* latency histogram into an
     /// [`obs::Registry`]: `service.shard` rows under `service/shard<i>`,
-    /// `latency.histogram` rows under `service/shard<i>/latency`. Pending
-    /// batches are served first so the registry reflects a quiesced state.
+    /// `latency.histogram` rows under `service/shard<i>/latency`.
     pub fn record_into(&self, reg: &mut Registry) {
-        self.flush();
         self.snapshot().record_into(reg);
     }
 
@@ -563,7 +434,10 @@ fn pooled_keys_unsorted(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::shard::WAIT_SLICE;
 
     #[test]
     fn create_insert_extract_roundtrip() {
@@ -698,8 +572,6 @@ mod tests {
             .map(|h| h.join().unwrap())
             .fold((0, 0), |(i, p), (ci, cp)| (i + ci, p + cp));
         let stats = svc.shard_stats(0);
-        assert_eq!(stats.combines, 0, "no sync call was served by a combiner");
-        assert_eq!(svc.snapshot().total_backlog(), 0, "nothing was deposited");
         assert_eq!(stats.batches, stats.requests, "every call ran alone");
         svc.validate().unwrap();
         let left: usize = queues.iter().map(|&q| svc.len(q).unwrap()).sum();
@@ -742,7 +614,7 @@ mod tests {
         let holder = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
-                let _st = svc.shards[0].peek_state();
+                let _st = svc.shards[0].lock_state();
                 locked.send(()).unwrap();
                 await_event(trace, EventKind::TicketPark);
                 // Far past the caller's spin: it is blocked in lock() now.
@@ -788,76 +660,63 @@ mod tests {
     fn fast_path_and_batch_of_one_take_one_path() {
         let root = std::env::temp_dir().join(format!("svc-one-path-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let open = |side: &str| {
-            ServiceBuilder::new()
-                .shards(1)
-                .durable(root.join(side))
-                .build()
-        };
-        let (sync, deposit) = (open("sync"), open("deposit"));
-        let mut queues = Vec::new();
-        for svc in [&sync, &deposit] {
-            let q = svc.create_queue();
-            let stale = svc.create_queue();
-            svc.destroy_queue(stale).unwrap();
-            queues.push((q, stale));
-        }
-        assert_eq!(queues[0], queues[1], "both services mint the same handles");
-        let (q, stale) = queues[0];
+        let svc = ServiceBuilder::new().shards(1).durable(&root).build();
+        let q = svc.create_queue();
+        let stale = svc.create_queue();
+        svc.destroy_queue(stale).unwrap();
         let script = [
-            Request::Insert { queue: q, key: 5 },
-            Request::MultiInsert {
-                queue: q,
-                keys: vec![3],
-            },
-            Request::MultiInsert {
-                queue: q,
-                keys: vec![9, 1, 7, 2, 8, 6],
-            },
-            Request::ExtractMin { queue: q },
-            Request::ExtractK { queue: q, k: 1 },
-            Request::ExtractK { queue: q, k: 3 },
-            Request::PeekMin { queue: q },
-            Request::Len { queue: q },
-            Request::Insert {
-                queue: stale,
-                key: 4,
-            },
+            (Request::Insert { queue: q, key: 5 }, Response::Done),
+            (
+                Request::MultiInsert {
+                    queue: q,
+                    keys: vec![3],
+                },
+                Response::Done,
+            ),
+            (
+                Request::MultiInsert {
+                    queue: q,
+                    keys: vec![9, 1, 7, 2, 8, 6],
+                },
+                Response::Done,
+            ),
+            (Request::ExtractMin { queue: q }, Response::Key(Some(1))),
+            (
+                Request::ExtractK { queue: q, k: 1 },
+                Response::Keys(vec![2]),
+            ),
+            (
+                Request::ExtractK { queue: q, k: 3 },
+                Response::Keys(vec![3, 5, 6]),
+            ),
+            (Request::PeekMin { queue: q }, Response::Key(Some(7))),
+            (Request::Len { queue: q }, Response::Len(3)),
+            (
+                Request::Insert {
+                    queue: stale,
+                    key: 4,
+                },
+                Response::Err(ServiceError::UnknownQueue(stale)),
+            ),
         ];
-        for req in script {
-            let via_sync = call(&sync, req.clone());
-            let ticket = deposit.enqueue(req.clone()).unwrap();
-            deposit.flush();
-            assert_eq!(via_sync, ticket.wait(), "{req:?}");
+        for (req, want) in script {
+            assert_eq!(call(&svc, req.clone()), want, "{req:?}");
         }
         assert_eq!(
-            sync.extract_k(q, usize::MAX).unwrap(),
+            svc.extract_k(q, usize::MAX).unwrap(),
             vec![7, 8, 9],
             "drained contents"
         );
-        assert_eq!(deposit.extract_k(q, usize::MAX).unwrap(), vec![7, 8, 9]);
-        let [mut a, mut b] = [sync.shard_stats(0), deposit.shard_stats(0)];
+        let stats = svc.shard_stats(0);
         assert_eq!(
-            (a.combines, a.combine_ns),
-            (0, 0),
-            "a sync call never combines"
-        );
-        assert!(b.combines > 0);
-        (a.combines, a.combine_ns, b.combines, b.combine_ns) = (0, 0, 0, 0);
-        assert_eq!(a, b);
-        assert_eq!(
-            (a.single_inserts, a.coalesced_inserts),
+            (stats.single_inserts, stats.coalesced_inserts),
             (2, 6),
             "one key inserts, more multi_insert"
         );
-        drop((sync, deposit));
-        let log = |side: &str| {
-            meldpq::wal::read_wal(&root.join(side).join("shard0").join(meldpq::wal::WAL_FILE))
-                .unwrap()
-                .records
-        };
-        let records = log("sync");
-        assert_eq!(records, log("deposit"));
+        drop(svc);
+        let records = meldpq::wal::read_wal(&root.join("shard0").join(meldpq::wal::WAL_FILE))
+            .unwrap()
+            .records;
         let kinds: Vec<&str> = records
             .iter()
             .map(|(_, op)| match op {
@@ -909,18 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn tickets_resolve_out_of_order() {
-        let svc = ServiceBuilder::new().shards(1).build();
-        let q = svc.create_queue();
-        let t1 = svc.insert_async(q, 4).unwrap();
-        let t2 = svc.insert_async(q, 2).unwrap();
-        let t3 = svc.extract_min_async(q).unwrap();
-        assert_eq!(t3.wait(), Response::Key(Some(2)));
-        assert_eq!(t1.wait(), Response::Done);
-        assert_eq!(t2.wait(), Response::Done);
-    }
-
-    #[test]
     fn registry_and_arena_snapshots() {
         let svc = ServiceBuilder::new().shards(1).build();
         let q = svc.create_queue();
@@ -940,36 +787,11 @@ mod tests {
         let arena = svc.arena_stats(0);
         assert_eq!(arena.allocs, 64);
         assert_eq!(arena.copies, 0, "multi_insert must be zero-copy");
-    }
-
-    #[test]
-    fn snapshot_observes_backlog_without_serving_it() {
-        let svc = ServiceBuilder::new().shards(2).build();
-        let q = svc.create_queue(); // shard 0
-        svc.insert(q, 3).unwrap();
-        // Deposit without combining: the pipelined enqueue leaves the
-        // request in the Waiting buffer.
-        let t = svc
-            .enqueue(Request::Insert { queue: q, key: 9 })
-            .expect("enqueue");
         let snap = svc.snapshot();
-        assert_eq!(snap.shards.len(), 2);
+        assert_eq!(snap.shards.len(), 1);
         assert_eq!(snap.shards[0].live_queues, 1);
-        assert_eq!(snap.shards[0].total_keys, 1);
-        assert_eq!(
-            snap.shards[0].ingress_depth, 1,
-            "snapshot must not combine the pending batch away"
-        );
-        assert_eq!(snap.total_backlog(), 1);
-        assert_eq!(t.wait(), Response::Done);
-        let snap = svc.snapshot();
-        assert_eq!(snap.total_backlog(), 0);
-        assert_eq!(snap.shards[0].total_keys, 2);
-        assert!(
-            snap.shards[0].stats.combines >= 1,
-            "serving the deposited batch counts a combiner session"
-        );
-        assert!(snap.latency().count() >= 2);
+        assert_eq!(snap.total_keys(), 64);
+        assert_eq!(snap.latency().count(), 1, "one call served");
     }
 
     #[test]

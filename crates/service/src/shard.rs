@@ -1,66 +1,42 @@
-//! One shard: a [`HeapPool`] of tenant queues behind a flat-combining lock.
-//! Every tenant queue is a [`PooledHeap`] of that pool, so a same-shard meld
-//! is the paper's zero-copy `Union` and one checkpoint images the shard.
+//! One shard: a [`HeapPool`] of tenant queues behind one lock. Every
+//! tenant queue is a [`PooledHeap`] of that pool, so a same-shard meld is
+//! the paper's zero-copy `Union` and one checkpoint images the shard.
 //!
-//! Clients never touch the pool directly. Asynchronous and pipelined
-//! callers deposit requests into the shard's [`Ingress`] and whoever
-//! acquires the state mutex next — client or waiter, there is no dedicated
-//! server thread — becomes the *combiner*: it drains the whole buffer,
-//! executes it as one batch, and publishes results through the per-request
-//! [`OpSlot`]s. Under contention one lock acquisition then serves many
-//! deposits, and the batch exposes exactly the coalescing the paper's
-//! Forehead/Waiting buffers exist for — concurrent inserts become one
-//! `multi_insert`, concurrent pops one `multi_extract_min` peel.
+//! Clients never touch the pool directly. Every request is one synchronous
+//! call (`Shard::execute`): it spins on the state lock for at most
+//! `WAIT_SLICE`, then blocks on it, and runs its request under a panic
+//! barrier. There is no server thread and no request buffer; requests to
+//! one shard are linearized by its lock.
 //!
-//! A synchronous call (`Shard::execute`) never deposits: it spins on the
-//! state lock for at most `WAIT_SLICE`, then blocks on it, serves any
-//! pending deposits and runs its own request as a batch of one through the
-//! same executor, under the same panic barrier and with the same
-//! linearization; only its response leaves differently, returned to the
-//! caller instead of filled into a slot. With few clients per shard a
-//! deposit rarely finds company to batch with, and a parked waiter pays a
-//! timed wake; lock-and-run pays neither.
+//! ## Kernels and WAL records
 //!
-//! ## Linearization of a batch
-//!
-//! All requests in a drained batch are concurrent (none had completed when
-//! the combiner took the buffer), so *any* permutation is a valid
-//! linearization. The combiner picks, per queue: every insert first, then
-//! the reads/pops in arrival order with the pop demand served from one
-//! ascending pull. `PeekMin`/`Len` interleaved between pops read
-//! `pulled[j]` / `len + (pulled.len() - j)` — the exact state a sequential
-//! execution in that order would observe.
-//!
-//! The kernels and WAL records follow the group's totals: one inserted key
-//! runs `insert` and logs `Insert`, more run one `multi_insert` and log one
-//! `FromKeys`; a demand of one key runs `extract_min` and logs
-//! `ExtractMin`, more one `multi_extract_min` logged as `MultiExtractMin`.
-//! WAL replay applies each record with the same kernel, so a recovered pool
-//! is the live one node for node.
+//! A request picks its kernel from its key count and pop demand, and logs
+//! the record that names that kernel: one inserted key runs `insert` and
+//! logs `Insert`, more run one `multi_insert` and log one `FromKeys`; a
+//! demand of one key runs `extract_min` and logs `ExtractMin`, more one
+//! `multi_extract_min` logged as `MultiExtractMin`; a demand of zero logs
+//! nothing. WAL replay applies each record with the same kernel, so a
+//! recovered pool is the live one node for node.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::time::Duration;
 
 use meldpq::check::check_pool;
 use meldpq::pool::PooledHeap;
 use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
 use meldpq::{Engine, HeapPool};
 use obs::flight::{self, EventKind};
-use obs::{LatencyHistogram, TraceId};
+use obs::LatencyHistogram;
 
-use crate::batch::{Ingress, OpSlot, Request, Response};
+use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
 use crate::service::QueueId;
 use crate::ServiceError;
 
-/// The longest a contended synchronous call spins on its shard's lock
-/// before it blocks ([`Shard::execute`]), and how long a ticket waiter
-/// parks between attempts to combine ([`crate::Ticket::wait`]). Short,
-/// because a request deposited just after the combiner's final drain is
-/// only served when its waiter wakes and combines it itself.
+/// The longest a contended call spins on its shard's lock before it
+/// blocks in `lock()` ([`Shard::execute`]).
 pub(crate) const WAIT_SLICE: Duration = Duration::from_micros(20);
 
 /// One tenant queue: its heap in the shard's pool plus the generation
@@ -73,7 +49,7 @@ pub(crate) struct TenantQueue {
 
 /// A durable shard's write-ahead log handle: the open appender, the shard's
 /// durability directory, and the checkpoint cadence. Lives inside the state
-/// mutex so WAL appends are ordered exactly like the combiner's mutations.
+/// mutex so WAL appends are ordered exactly like the mutations they log.
 #[derive(Debug)]
 pub(crate) struct ShardWal {
     writer: WalWriter,
@@ -100,8 +76,8 @@ pub(crate) struct ShardState {
     /// lease. `aba_generation_wraparound` below pins the behaviour.
     free_slots: Vec<(u32, u32)>,
     pub(crate) stats: ShardStats,
-    /// Deposit-to-publish latency of every request served on this shard
-    /// (sync calls charge their lock wait and inline execution time).
+    /// Call latency of every request served on this shard: its lock wait
+    /// plus its execution, as the caller saw it.
     pub(crate) latency: LatencyHistogram,
     /// Write-ahead log, present iff the shard was built durable. Any WAL
     /// I/O failure disables it (`None`) rather than failing requests.
@@ -176,7 +152,7 @@ impl ShardState {
 
     /// Structurally validate the shard's pool: every tenant heap, no node
     /// shared between heaps and none leaked. Used after recovering a
-    /// poisoned lock (the panicking combiner may have left a mutation
+    /// poisoned lock (the panicking request may have left a mutation
     /// half-applied) and by [`crate::QueueService::validate`].
     pub(crate) fn revalidate(&self) -> Result<(), String> {
         let heaps: Vec<&PooledHeap> = self.queues.iter().flatten().map(|q| &q.heap).collect();
@@ -263,31 +239,25 @@ impl ShardState {
     }
 }
 
-/// A shard: ingress buffer + lock-protected pool state. See module docs.
+/// A shard: the lock-protected pool state. See module docs.
 #[derive(Debug)]
 pub struct Shard {
     index: u16,
-    ingress: Ingress,
     state: Mutex<ShardState>,
 }
 
 impl Shard {
-    pub(crate) fn new(index: u16) -> Arc<Self> {
-        Self::with_state(index, ShardState::new())
-    }
-
-    fn with_state(index: u16, state: ShardState) -> Arc<Self> {
-        Arc::new(Shard {
+    pub(crate) fn new(index: u16) -> Self {
+        Shard {
             index,
-            ingress: Ingress::new(),
-            state: Mutex::new(state),
-        })
+            state: Mutex::new(ShardState::new()),
+        }
     }
 
     /// Build a durable shard rooted at `dir`: recover whatever state the
     /// directory holds (checkpoint + WAL suffix), then reopen the log for
     /// appending.
-    pub(crate) fn new_durable(index: u16, dir: PathBuf) -> Result<Arc<Self>, WalError> {
+    pub(crate) fn new_durable(index: u16, dir: PathBuf) -> Result<Self, WalError> {
         let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
         let mut st = ShardState::new();
         st.pool = recovered.pool;
@@ -303,7 +273,10 @@ impl Shard {
             dir,
             cadence: recovered.cadence,
         });
-        Ok(Self::with_state(index, st))
+        Ok(Shard {
+            index,
+            state: Mutex::new(st),
+        })
     }
 
     /// This shard's index in the service's shard map.
@@ -311,32 +284,16 @@ impl Shard {
         self.index
     }
 
-    /// Deposit a request and opportunistically combine. The returned slot
-    /// completes once some combiner executes the batch containing it.
-    pub(crate) fn submit(&self, req: Request) -> Arc<OpSlot> {
-        let slot = self.ingress.push(req);
-        self.try_combine();
-        slot
-    }
-
-    /// Deposit without combining — the pipelined variant of [`Shard::submit`].
-    /// The request sits in the Waiting buffer until the next combine.
-    pub(crate) fn enqueue(&self, req: Request) -> Arc<OpSlot> {
-        self.ingress.push(req)
-    }
-
-    /// Serve a synchronous call: take the state lock, serve any pending
-    /// batch, then execute `req` as a batch of one — through the
-    /// combiner's executor and panic barrier, but answered inline, with no
-    /// completion slot. A held lock is retried for at most [`WAIT_SLICE`],
-    /// then waited for in `lock()`; a poisoned one is healed.
+    /// Serve one request: take the state lock, run `req` under the panic
+    /// barrier and answer it. A held lock is retried for at most
+    /// [`WAIT_SLICE`], then waited for in `lock()`; a poisoned one is
+    /// healed.
     ///
     /// `begun` is the caller's [`flight::now_nanos`] reading from the op's
-    /// ingress; the returned timestamp is taken after execution, so the
+    /// start; the returned timestamp is taken after execution, so the
     /// caller can stamp its `op_end` event without another clock read. The
-    /// latency charged to the shard's histogram spans `begun..end` —
-    /// end-to-end as the client saw it, including any lock wait and any
-    /// pending batch this thread served first.
+    /// latency charged to the shard's histogram spans `begun..end`: the
+    /// call as the client saw it, lock wait included.
     pub(crate) fn execute(&self, req: &Request, begun: u64) -> (Response, u64) {
         let mut st = match self.try_state() {
             Some(st) => st,
@@ -356,7 +313,7 @@ impl Shard {
                     std::hint::spin_loop();
                     now = flight::now_nanos();
                     if now >= deadline {
-                        let st = self.peek_state();
+                        let st = self.lock_state();
                         now = flight::now_nanos();
                         break st;
                     }
@@ -365,14 +322,13 @@ impl Shard {
                 st
             }
         };
-        self.combine_locked(&mut st);
-        st.stats.count_batch(1);
-        let mut reply = Inline(Response::Err(ServiceError::Internal(req.queue())));
-        serve_group(&mut st, req.queue(), std::slice::from_ref(req), &mut reply);
+        st.stats.requests += 1;
+        st.stats.batches += 1;
+        let resp = serve(&mut st, req);
         st.maybe_checkpoint();
         let end = flight::now_nanos();
         st.latency.record(end.saturating_sub(begun));
-        (reply.0, end)
+        (resp, end)
     }
 
     /// The state lock if it is free right now (a poisoned one healed).
@@ -384,39 +340,12 @@ impl Shard {
         }
     }
 
-    /// Become the combiner if the state lock is free; never blocks.
-    /// Returns whether any batch was executed.
-    pub(crate) fn try_combine(&self) -> bool {
-        self.try_state()
-            .is_some_and(|mut st| self.combine_locked(&mut st))
-    }
-
-    /// Drain-and-execute until the ingress is empty. Caller holds the lock.
-    /// The combiner's tenure is timed from its first non-empty drain, so
-    /// the common empty check costs no clock read.
-    pub(crate) fn combine_locked(&self, st: &mut ShardState) -> bool {
-        let mut batch = self.ingress.drain();
-        if batch.is_empty() {
-            return false;
+    /// Blocking-lock the state. A poisoned lock is healed, not propagated.
+    pub(crate) fn lock_state(&self) -> MutexGuard<'_, ShardState> {
+        match self.state.lock() {
+            Ok(st) => st,
+            Err(p) => self.heal(p.into_inner()),
         }
-        let start = Instant::now();
-        // This thread just became the combiner with work pending.
-        flight::record_here(EventKind::CombinerHandoff, self.index as u64);
-        while !batch.is_empty() {
-            flight::record_here(EventKind::BatchFlush, batch.len() as u64);
-            execute_batch(st, batch);
-            batch = self.ingress.drain();
-        }
-        st.maybe_checkpoint();
-        st.stats.combines += 1;
-        // A tenure longer than u64 nanoseconds (585 years) can only be
-        // clock corruption — saturate rather than erasing the tenure from
-        // the occupancy average.
-        st.stats.combine_ns = st
-            .stats
-            .combine_ns
-            .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        true
     }
 
     /// Recover a poisoned state lock instead of cascading the panic to
@@ -431,33 +360,6 @@ impl Shard {
             st.reset_after_damage();
         }
         st
-    }
-
-    /// Blocking-lock the state, first serving any pending batch. A poisoned
-    /// lock is healed, not propagated.
-    pub(crate) fn lock_state(&self) -> MutexGuard<'_, ShardState> {
-        let mut st = match self.state.lock() {
-            Ok(st) => st,
-            Err(p) => self.heal(p.into_inner()),
-        };
-        self.combine_locked(&mut st);
-        st
-    }
-
-    /// Blocking-lock the state *without* combining. Introspection uses it
-    /// because serving pending batches would perturb exactly what a
-    /// snapshot wants to observe (ingress backlog, combiner behaviour);
-    /// [`Shard::execute`] because it combines once it holds the lock.
-    pub(crate) fn peek_state(&self) -> MutexGuard<'_, ShardState> {
-        match self.state.lock() {
-            Ok(st) => st,
-            Err(p) => self.heal(p.into_inner()),
-        }
-    }
-
-    /// Requests currently waiting in this shard's ingress buffer.
-    pub(crate) fn ingress_depth(&self) -> usize {
-        self.ingress.depth()
     }
 
     /// Create a queue on this shard and hand back its (current-generation)
@@ -486,9 +388,9 @@ impl Shard {
         QueueId::new(self.index, slot, gen)
     }
 
-    /// Log one op on behalf of the service front end (meld/destroy run
-    /// outside the combiner), flushing before the caller mutates state.
-    /// No-op on non-durable shards.
+    /// Log ops on behalf of the service front end (meld and destroy run
+    /// outside [`Shard::execute`]), flushing before the caller mutates
+    /// state. No-op on non-durable shards.
     pub(crate) fn log_ops(st: &mut ShardState, ops: &[WalOp]) {
         if st.wal.is_none() {
             return;
@@ -501,125 +403,31 @@ impl Shard {
     }
 }
 
-/// A drained request plus the slot its response is delivered through.
-type PendingOp = (Request, Arc<OpSlot>);
-
-/// Execute one drained batch against the shard state, one queue group at a
-/// time. See the module docs for the linearization argument.
-fn execute_batch(st: &mut ShardState, batch: Vec<PendingOp>) {
-    st.stats.count_batch(batch.len());
-    // Group per target queue, preserving arrival order within each group.
-    let mut groups: Vec<(QueueId, Vec<Request>, Vec<Arc<OpSlot>>)> = Vec::new();
-    for (req, slot) in batch {
-        let qid = req.queue();
-        match groups.iter_mut().find(|(g, ..)| *g == qid) {
-            Some((_, reqs, slots)) => {
-                reqs.push(req);
-                slots.push(slot);
-            }
-            None => groups.push((qid, vec![req], vec![slot])),
-        }
-    }
-    for (qid, reqs, mut slots) in groups {
-        serve_group(st, qid, &reqs, &mut slots[..]);
-    }
-}
-
-/// Where a queue group's responses leave the executor, one per request in
-/// arrival order.
-trait Replies {
-    /// The trace a coalesced phase's flight events are charged to.
-    fn trace(&self) -> TraceId;
-    /// Deliver the response to request `i`.
-    fn reply(&mut self, i: usize, req: &Request, resp: Response, latency: &mut LatencyHistogram);
-    /// After a contained panic: answer `err` to every request not yet
-    /// answered.
-    fn fail_unanswered(&mut self, err: ServiceError);
-}
-
-/// A drained group answers through its [`OpSlot`]s, charging each op's
-/// deposit-to-publish latency and closing its trace.
-impl Replies for [Arc<OpSlot>] {
-    // The flight events of a coalesced phase are charged to the first
-    // participating op's trace: the phase exists because that op's batch
-    // did, and a timeline filtered on any participant still shows when
-    // its batch's kernels ran.
-    fn trace(&self) -> TraceId {
-        self.first().map_or(TraceId::NONE, |slot| slot.trace())
-    }
-
-    fn reply(&mut self, i: usize, req: &Request, resp: Response, latency: &mut LatencyHistogram) {
-        let slot = &self[i];
-        let now = flight::now_nanos();
-        latency.record(slot.age_nanos_at(now));
-        flight::record_at(now, slot.trace(), EventKind::OpEnd, req.op_code());
-        slot.fill(resp);
-    }
-
-    fn fail_unanswered(&mut self, err: ServiceError) {
-        for slot in self.iter() {
-            slot.fill_if_empty(Response::Err(err));
-        }
-    }
-}
-
-/// A synchronous call's group of one answers into this cell; [`Shard::execute`]
-/// charges the latency itself and hands the response back to its caller. It
-/// starts out holding the `Internal` error, so an op left unanswered by a
-/// contained panic already reads as failed.
-struct Inline(Response);
-
-impl Replies for Inline {
-    fn trace(&self) -> TraceId {
-        flight::current()
-    }
-
-    fn reply(&mut self, _: usize, _: &Request, resp: Response, _: &mut LatencyHistogram) {
-        self.0 = resp;
-    }
-
-    fn fail_unanswered(&mut self, _: ServiceError) {}
-}
-
-/// The panic barrier around [`execute_group`]: a panic inside one tenant's
+/// The panic barrier around [`execute_one`]: a panic inside one tenant's
 /// kernels (a violated invariant caught by a `debug-validate` check) must
-/// not poison the shard for every other tenant. The group's unanswered
-/// requests get [`ServiceError::Internal`], the panic is counted, the state
-/// is revalidated (and reset if damaged), and the shard keeps serving.
-fn serve_group<R: Replies + ?Sized>(
-    st: &mut ShardState,
-    qid: QueueId,
-    reqs: &[Request],
-    replies: &mut R,
-) {
-    let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_group(st, qid, reqs, replies);
-    }));
-    if contained.is_err() {
+/// not poison the shard for every other tenant. The request is answered
+/// [`ServiceError::Internal`], the panic is counted, the state is
+/// revalidated (and reset if damaged), and the shard keeps serving.
+fn serve(st: &mut ShardState, req: &Request) -> Response {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(st, req)));
+    run.unwrap_or_else(|_| {
         st.stats.combiner_panics += 1;
-        replies.fail_unanswered(ServiceError::Internal(qid));
         if st.revalidate().is_err() {
             st.reset_after_damage();
         }
-    }
+        Response::Err(ServiceError::Internal(req.queue()))
+    })
 }
 
-/// The shard's one executor: serve one queue's requests — a drained batch's
-/// group or a sync call's batch of one — in the order the module docs
-/// give. Admission, the WAL records, the kernels and the counters are all
-/// decided here from the group's insert total and pop demand.
-fn execute_group<R: Replies + ?Sized>(
-    st: &mut ShardState,
-    qid: QueueId,
-    reqs: &[Request],
-    replies: &mut R,
-) {
+/// The shard's one executor: admit, log and run one request with the
+/// kernel its key count and pop demand pick (see the module docs).
+fn execute_one(st: &mut ShardState, req: &Request) -> Response {
+    let qid = req.queue();
     // Split borrows: the pool and the queue table are disjoint fields.
     let ShardState {
         pool,
         queues,
         stats,
-        latency,
         wal,
         ..
     } = st;
@@ -628,130 +436,79 @@ fn execute_group<R: Replies + ?Sized>(
         .and_then(|s| s.as_mut())
         .filter(|q| q.gen == qid.generation())
     else {
-        stats.stale_ops += reqs.len() as u64;
-        let stale = Response::Err(ServiceError::UnknownQueue(qid));
-        for (i, req) in reqs.iter().enumerate() {
-            replies.reply(i, req, stale.clone(), latency);
-        }
-        return;
+        stats.stale_ops += 1;
+        return Response::Err(ServiceError::UnknownQueue(qid));
     };
 
-    // The group's inserted keys, borrowed from the request when there is
-    // only one (so a batch of one copies and allocates nothing for them).
-    let keys: Cow<[i64]> = match reqs {
-        [req] => Cow::Borrowed(req.inserted_keys()),
-        _ => reqs
-            .iter()
-            .flat_map(Request::inserted_keys)
-            .copied()
-            .collect(),
-    };
-    let mut demand = 0usize;
-    for req in reqs {
-        match req {
-            Request::ExtractMin { .. } => demand = demand.saturating_add(1),
-            Request::ExtractK { k, .. } => demand = demand.saturating_add(*k),
-            _ => {}
-        }
-    }
     // Admission control + write-ahead logging, both strictly before any
-    // mutation: a refused group leaves the queue untouched (pops are still
-    // served), and every logged op is flushed before it is applied.
+    // mutation: a refused insert leaves the queue untouched, and a logged
+    // op is flushed before it is applied.
+    let keys = req.inserted_keys();
     let refused = match keys.len() {
         0 => None,
         n => pool.can_admit(n).err(),
     };
     if wal.is_some() {
         let slot = qid.slot();
-        let admitted: &[i64] = if refused.is_some() { &[] } else { &keys };
-        let inserts = match admitted {
-            [] => None,
-            [key] => Some(WalOp::Insert { slot, key: *key }),
-            keys => Some(WalOp::FromKeys {
-                slot,
-                keys: keys.to_vec(),
-            }),
+        let op = match req {
+            _ if refused.is_some() => None,
+            Request::ExtractMin { .. } | Request::ExtractK { k: 1, .. } => {
+                Some(WalOp::ExtractMin { slot })
+            }
+            Request::ExtractK { k, .. } if *k > 1 => {
+                Some(WalOp::MultiExtractMin { slot, k: *k as u64 })
+            }
+            _ => match keys {
+                [] => None,
+                [key] => Some(WalOp::Insert { slot, key: *key }),
+                keys => Some(WalOp::FromKeys {
+                    slot,
+                    keys: keys.to_vec(),
+                }),
+            },
         };
-        let pops = match demand {
-            0 => None,
-            1 => Some(WalOp::ExtractMin { slot }),
-            k => Some(WalOp::MultiExtractMin { slot, k: k as u64 }),
-        };
-        for op in inserts.iter().chain(&pops) {
-            wal_log(wal, stats, op);
+        if let Some(op) = op {
+            wal_log(wal, stats, &op);
+            wal_flush(wal, stats);
         }
-        wal_flush(wal, stats);
     }
 
-    // Phase 1 — every insert of the group, with the kernel its WAL record
-    // names: one key `insert`, more one `multi_insert`. A refused group
-    // admits nothing; the pop phases below still run.
     #[cfg(test)]
     tests::hit_fail_point(qid);
-    match &*keys {
-        _ if refused.is_some() => {}
-        [] => {}
-        [key] => {
-            pool.insert(&mut q.heap, *key);
-            stats.single_inserts += 1;
-        }
-        keys => {
-            flight::record(replies.trace(), EventKind::BulkAdmission, keys.len() as u64);
-            let admitted = pool.multi_insert(&mut q.heap, keys);
-            debug_assert!(admitted.is_ok(), "the group passed can_admit above");
-            stats.coalesced_inserts += keys.len() as u64;
-        }
-    }
-
-    // Phase 2 — the whole pop demand as one ascending pull.
-    let popped;
-    let mut pulled: Cow<[i64]> = match demand {
-        0 => Cow::Borrowed(&[]),
-        1 => {
-            popped = pool.extract_min(&mut q.heap);
-            Cow::Borrowed(popped.as_slice())
-        }
-        _ => {
-            let out = pool.multi_extract_min(&mut q.heap, demand);
-            flight::record(replies.trace(), EventKind::MultiExtract, out.len() as u64);
-            stats.multi_extracts += 1;
-            stats.coalesced_pops += out.len() as u64;
-            Cow::Owned(out)
-        }
-    };
-
-    // Phase 3 — answer in arrival order, cursoring through the pull.
-    let mut j = 0usize;
-    for (i, req) in reqs.iter().enumerate() {
-        let resp = match req {
-            Request::Insert { .. } | Request::MultiInsert { .. } => match refused {
-                Some(err) => Response::Err(ServiceError::Capacity { queue: qid, err }),
-                None => Response::Done,
-            },
-            Request::ExtractMin { .. } => {
-                let got = pulled.get(j).copied();
-                if got.is_some() {
-                    j += 1;
+    match req {
+        Request::Insert { .. } | Request::MultiInsert { .. } => {
+            if let Some(err) = refused {
+                return Response::Err(ServiceError::Capacity { queue: qid, err });
+            }
+            match keys {
+                [] => {}
+                [key] => {
+                    pool.insert(&mut q.heap, *key);
+                    stats.single_inserts += 1;
                 }
-                Response::Key(got)
+                keys => {
+                    flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
+                    let admitted = pool.multi_insert(&mut q.heap, keys);
+                    debug_assert!(admitted.is_ok(), "the keys passed can_admit above");
+                    stats.coalesced_inserts += keys.len() as u64;
+                }
             }
-            Request::ExtractK { k, .. } => {
-                let take = (*k).min(pulled.len() - j);
-                Response::Keys(if j == 0 && take == pulled.len() {
-                    // The whole pull: hand it over instead of copying it.
-                    std::mem::take(&mut pulled).into_owned()
-                } else {
-                    j += take;
-                    pulled[j - take..j].to_vec()
-                })
+            Response::Done
+        }
+        Request::ExtractMin { .. } => Response::Key(pool.extract_min(&mut q.heap)),
+        Request::ExtractK { k, .. } => Response::Keys(match *k {
+            0 => Vec::new(),
+            1 => pool.extract_min(&mut q.heap).into_iter().collect(),
+            k => {
+                let out = pool.multi_extract_min(&mut q.heap, k);
+                flight::record_here(EventKind::MultiExtract, out.len() as u64);
+                stats.multi_extracts += 1;
+                stats.coalesced_pops += out.len() as u64;
+                out
             }
-            Request::PeekMin { .. } => Response::Key(match pulled.get(j) {
-                Some(&key) => Some(key),
-                None => pool.min(&q.heap),
-            }),
-            Request::Len { .. } => Response::Len(q.heap.len() + (pulled.len() - j)),
-        };
-        replies.reply(i, req, resp, latency);
+        }),
+        Request::PeekMin { .. } => Response::Key(pool.min(&q.heap)),
+        Request::Len { .. } => Response::Len(q.heap.len()),
     }
 }
 
@@ -782,52 +539,9 @@ pub(crate) mod tests {
         }
     }
 
-    fn drain(shard: &Arc<Shard>, q: QueueId) -> Vec<i64> {
-        let slot = shard.submit(Request::ExtractK {
-            queue: q,
-            k: usize::MAX,
-        });
-        shard.try_combine();
-        match slot.try_take() {
-            Some(Response::Keys(v)) => v,
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn single_thread_batch_semantics() {
-        let shard = Shard::new(0);
-        let q = shard.create_queue();
-        // Deposit a mixed batch without combining in between: the shard has
-        // no state-lock holder, so each submit's try_combine serves it — use
-        // raw ingress pushes to force one big batch instead.
-        let slots: Vec<_> = [
-            Request::Insert { queue: q, key: 5 },
-            Request::Insert { queue: q, key: 1 },
-            Request::ExtractMin { queue: q },
-            Request::PeekMin { queue: q },
-            Request::MultiInsert {
-                queue: q,
-                keys: vec![9, 3],
-            },
-            Request::ExtractMin { queue: q },
-            Request::Len { queue: q },
-        ]
-        .into_iter()
-        .map(|r| shard.ingress.push(r))
-        .collect();
-        assert!(shard.try_combine());
-        let got: Vec<_> = slots.iter().map(|s| s.try_take().unwrap()).collect();
-        // Inserts first ({1,3,5,9}), then pops in arrival order from the
-        // ascending pull [1, 3].
-        assert_eq!(got[0], Response::Done);
-        assert_eq!(got[1], Response::Done);
-        assert_eq!(got[2], Response::Key(Some(1)));
-        assert_eq!(got[3], Response::Key(Some(3)), "peek sees the next pull");
-        assert_eq!(got[4], Response::Done);
-        assert_eq!(got[5], Response::Key(Some(3)));
-        assert_eq!(got[6], Response::Len(2));
-        assert_eq!(drain(&shard, q), vec![5, 9]);
+    /// Run `req` through the shard's one executor.
+    fn run(shard: &Shard, req: Request) -> Response {
+        shard.execute(&req, flight::now_nanos()).0
     }
 
     #[test]
@@ -838,11 +552,9 @@ pub(crate) mod tests {
             let mut st = shard.lock_state();
             st.take_queue(q).unwrap();
         }
-        let slot = shard.submit(Request::Insert { queue: q, key: 1 });
-        shard.try_combine();
         assert_eq!(
-            slot.try_take(),
-            Some(Response::Err(ServiceError::UnknownQueue(q)))
+            run(&shard, Request::Insert { queue: q, key: 1 }),
+            Response::Err(ServiceError::UnknownQueue(q))
         );
         // The freed slot is reused under a new generation; the old handle
         // stays dead.
@@ -852,42 +564,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn combiner_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0);
-        let good = shard.create_queue();
-        let bad = shard.create_queue();
-        arm_fail_point(bad);
-        // One batch with ops for both queues: the bad group panics, the
-        // good group must still execute and the shard must stay usable.
-        let s_good = shard.ingress.push(Request::Insert {
-            queue: good,
-            key: 4,
-        });
-        let s_bad = shard.ingress.push(Request::Insert { queue: bad, key: 9 });
-        assert!(shard.try_combine());
-        assert_eq!(s_good.try_take(), Some(Response::Done));
-        assert_eq!(
-            s_bad.try_take(),
-            Some(Response::Err(ServiceError::Internal(bad)))
-        );
-        // The shard still serves: the panic neither poisoned the lock nor
-        // wedged the combiner.
-        let s2 = shard.submit(Request::ExtractMin { queue: good });
-        shard.try_combine();
-        assert_eq!(s2.try_take(), Some(Response::Key(Some(4))));
-        let st = shard.peek_state();
-        assert_eq!(st.stats.combiner_panics, 1);
-        assert_eq!(st.stats.poison_recoveries, 0, "lock never poisoned");
-    }
-
-    #[test]
     fn fast_path_panic_is_contained_and_shard_keeps_serving() {
         let shard = Shard::new(0);
         let good = shard.create_queue();
         let bad = shard.create_queue();
         arm_fail_point(bad);
-        // The uncontended synchronous path runs under the same barrier as a
-        // drained batch: the panic becomes this call's `Internal` answer.
+        // The executor runs under a panic barrier: the panic becomes this
+        // call's `Internal` answer.
         let now = flight::now_nanos();
         let (resp, _) = shard.execute(&Request::Insert { queue: bad, key: 9 }, now);
         assert_eq!(resp, Response::Err(ServiceError::Internal(bad)));
@@ -905,7 +588,7 @@ pub(crate) mod tests {
         }
         let (resp, _) = shard.execute(&Request::Len { queue: good }, now);
         assert_eq!(resp, Response::Len(0), "the good queue served both ops");
-        let st = shard.peek_state();
+        let st = shard.lock_state();
         assert_eq!(st.stats.combiner_panics, 1);
         assert_eq!(st.stats.poison_recoveries, 0, "lock never poisoned");
     }
@@ -914,23 +597,23 @@ pub(crate) mod tests {
     fn poisoned_lock_is_healed_not_cascaded() {
         let shard = Shard::new(0);
         let q = shard.create_queue();
-        {
-            let slot = shard.submit(Request::Insert { queue: q, key: 1 });
-            shard.try_combine();
-            assert_eq!(slot.try_take(), Some(Response::Done));
-        }
+        assert_eq!(
+            run(&shard, Request::Insert { queue: q, key: 1 }),
+            Response::Done
+        );
         // Poison the state mutex by panicking while holding it, without
         // touching the state (so revalidation finds it intact).
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _st = shard.peek_state();
+            let _st = shard.lock_state();
             panic!("injected panic under the state lock");
         }));
         assert!(res.is_err());
         // Every lock path must recover instead of propagating the poison.
-        let slot = shard.submit(Request::ExtractMin { queue: q });
-        shard.try_combine();
-        assert_eq!(slot.try_take(), Some(Response::Key(Some(1))));
-        let st = shard.peek_state();
+        assert_eq!(
+            run(&shard, Request::ExtractMin { queue: q }),
+            Response::Key(Some(1))
+        );
+        let st = shard.lock_state();
         assert!(st.stats.poison_recoveries >= 1);
         assert_eq!(st.stats.poison_resets, 0, "state was intact");
     }
@@ -964,24 +647,27 @@ pub(crate) mod tests {
         // The wrapped handle is bit-identical to the original: the stale q0
         // handle addresses the new queue. This is the accepted ABA window.
         assert_eq!(q_wrapped, q0);
-        let slot = shard.submit(Request::Insert { queue: q0, key: 5 });
-        shard.try_combine();
-        assert_eq!(slot.try_take(), Some(Response::Done));
+        assert_eq!(
+            run(&shard, Request::Insert { queue: q0, key: 5 }),
+            Response::Done
+        );
     }
 
     #[test]
     fn over_demand_pops_return_empty() {
         let shard = Shard::new(3);
         let q = shard.create_queue();
-        let s1 = shard.ingress.push(Request::Insert { queue: q, key: 7 });
-        let s2 = shard.ingress.push(Request::ExtractMin { queue: q });
-        let s3 = shard.ingress.push(Request::ExtractMin { queue: q });
-        let s4 = shard.ingress.push(Request::ExtractK { queue: q, k: 5 });
-        shard.try_combine();
-        assert_eq!(s1.try_take(), Some(Response::Done));
-        assert_eq!(s2.try_take(), Some(Response::Key(Some(7))));
-        assert_eq!(s3.try_take(), Some(Response::Key(None)));
-        assert_eq!(s4.try_take(), Some(Response::Keys(vec![])));
+        let call = |req| run(&shard, req);
+        assert_eq!(call(Request::Insert { queue: q, key: 7 }), Response::Done);
+        assert_eq!(
+            call(Request::ExtractMin { queue: q }),
+            Response::Key(Some(7))
+        );
+        assert_eq!(call(Request::ExtractMin { queue: q }), Response::Key(None));
+        assert_eq!(
+            call(Request::ExtractK { queue: q, k: 5 }),
+            Response::Keys(vec![])
+        );
     }
 
     /// Every live node of `pool` as `(id, key, parent, children)`, the
@@ -1015,28 +701,28 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let shard = Shard::new_durable(0, dir.clone()).unwrap();
         let (a, b) = (shard.create_queue(), shard.create_queue());
-        let submit = |req| shard.submit(req).try_take().unwrap();
+        let call = |req| run(&shard, req);
         for round in 0..6i64 {
             for q in [a, b] {
                 let keys = (0..40 + round * 13)
                     .map(|i| (i * 7919 + round) % 17)
                     .collect();
                 assert_eq!(
-                    submit(Request::MultiInsert { queue: q, keys }),
+                    call(Request::MultiInsert { queue: q, keys }),
                     Response::Done
                 );
             }
             // Pops free slots for the next round's inserts to reuse.
             assert!(matches!(
-                submit(Request::ExtractK { queue: a, k: 25 }),
+                call(Request::ExtractK { queue: a, k: 25 }),
                 Response::Keys(_)
             ));
             assert!(matches!(
-                submit(Request::ExtractMin { queue: b }),
+                call(Request::ExtractMin { queue: b }),
                 Response::Key(Some(_))
             ));
             assert_eq!(
-                submit(Request::Insert {
+                call(Request::Insert {
                     queue: b,
                     key: round
                 }),
@@ -1093,13 +779,17 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let shard = Shard::new_durable(0, dir.clone()).unwrap();
         let insert = |q: QueueId, key: i64| {
-            let slot = shard.submit(Request::Insert { queue: q, key });
-            assert_eq!(slot.try_take(), Some(Response::Done));
+            assert_eq!(
+                run(&shard, Request::Insert { queue: q, key }),
+                Response::Done
+            );
         };
         let q = shard.create_queue();
         let keys: Vec<i64> = (0..4096).collect();
-        let slot = shard.submit(Request::MultiInsert { queue: q, keys });
-        assert_eq!(slot.try_take(), Some(Response::Done));
+        assert_eq!(
+            run(&shard, Request::MultiInsert { queue: q, keys }),
+            Response::Done
+        );
         // An image far larger than the op floor's worth of log: carried into
         // the fresh log, its byte baseline would stall checkpoints.
         shard.lock_state().force_checkpoint();

@@ -1,12 +1,10 @@
 //! Live introspection: a point-in-time view of every shard, cheap enough
 //! to poll while the service is under load.
 //!
-//! [`crate::QueueService::snapshot`] observes without perturbing: ingress
-//! depths are read *before* the shard locks are taken, and the state lock
-//! is taken without combining (a snapshot that served pending batches
-//! would destroy the backlog it set out to measure). The result renders
-//! as JSON ([`ServiceSnapshot::to_json`], consumed by the `pqtop` binary)
-//! or as a text table ([`ServiceSnapshot::render`]).
+//! [`crate::QueueService::snapshot`] takes each shard's lock in turn and
+//! copies its counters and latency histogram. The result renders as JSON
+//! ([`ServiceSnapshot::to_json`], consumed by the `pqtop` binary) or as a
+//! text table ([`ServiceSnapshot::render`]).
 
 use obs::json::J;
 use obs::{LatencyHistogram, Recorder, Registry};
@@ -22,22 +20,10 @@ pub struct ShardSnapshot {
     pub live_queues: usize,
     /// Total keys across the shard's live queues.
     pub total_keys: usize,
-    /// Requests waiting in the ingress buffer at observation time.
-    pub ingress_depth: usize,
-    /// Cumulative batching/combining counters.
+    /// Cumulative counters.
     pub stats: ShardStats,
-    /// Deposit-to-publish latency of every request served so far.
+    /// Call latency of every request served so far.
     pub latency: LatencyHistogram,
-}
-
-impl ShardSnapshot {
-    /// Mean nanoseconds one working combiner session keeps the shard lock.
-    pub fn combiner_occupancy_ns(&self) -> u64 {
-        self.stats
-            .combine_ns
-            .checked_div(self.stats.combines)
-            .unwrap_or(0)
-    }
 }
 
 /// Point-in-time view of the whole service (one entry per shard).
@@ -48,11 +34,6 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Requests waiting across all shards.
-    pub fn total_backlog(&self) -> usize {
-        self.shards.iter().map(|s| s.ingress_depth).sum()
-    }
-
     /// Keys held across all shards.
     pub fn total_keys(&self) -> usize {
         self.shards.iter().map(|s| s.total_keys).sum()
@@ -99,8 +80,6 @@ impl ServiceSnapshot {
                                 ("shard", J::UInt(s.shard as u64)),
                                 ("live_queues", J::UInt(s.live_queues as u64)),
                                 ("total_keys", J::UInt(s.total_keys as u64)),
-                                ("ingress_depth", J::UInt(s.ingress_depth as u64)),
-                                ("combiner_occupancy_ns", J::UInt(s.combiner_occupancy_ns())),
                                 ("stats", fields(&s.stats)),
                                 ("latency", fields(&s.latency)),
                             ])
@@ -115,20 +94,15 @@ impl ServiceSnapshot {
     /// totals row — what `pqtop` refreshes on screen.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "shard  queues      keys  backlog  batches  combines  occ_us   p50_us   p99_us    stale\n",
-        );
+        out.push_str("shard  queues      keys  requests   p50_us   p99_us    stale\n");
         let us = |ns: u64| ns / 1_000;
         for s in &self.shards {
             out.push_str(&format!(
-                "{:>5}  {:>6}  {:>8}  {:>7}  {:>7}  {:>8}  {:>6}  {:>7}  {:>7}  {:>7}\n",
+                "{:>5}  {:>6}  {:>8}  {:>8}  {:>7}  {:>7}  {:>7}\n",
                 s.shard,
                 s.live_queues,
                 s.total_keys,
-                s.ingress_depth,
-                s.stats.batches,
-                s.stats.combines,
-                us(s.combiner_occupancy_ns()),
+                s.stats.requests,
                 us(s.latency.quantile(0.50)),
                 us(s.latency.quantile(0.99)),
                 s.stats.stale_ops,
@@ -136,10 +110,9 @@ impl ServiceSnapshot {
         }
         let all = self.latency();
         out.push_str(&format!(
-            "total  {:>6}  {:>8}  {:>7}  ops={} p50={}us p99={}us max={}us\n",
+            "total  {:>6}  {:>8}  ops={} p50={}us p99={}us max={}us\n",
             self.shards.iter().map(|s| s.live_queues).sum::<usize>(),
             self.total_keys(),
-            self.total_backlog(),
             all.count(),
             us(all.quantile(0.50)),
             us(all.quantile(0.99)),
@@ -164,11 +137,8 @@ mod tests {
                     shard: 0,
                     live_queues: 2,
                     total_keys: 100,
-                    ingress_depth: 3,
                     stats: ShardStats {
-                        batches: 5,
-                        combines: 4,
-                        combine_ns: 8_000,
+                        requests: 5,
                         ..Default::default()
                     },
                     latency,
@@ -177,7 +147,6 @@ mod tests {
                     shard: 1,
                     live_queues: 0,
                     total_keys: 0,
-                    ingress_depth: 0,
                     stats: ShardStats::default(),
                     latency: LatencyHistogram::new(),
                 },
@@ -188,14 +157,16 @@ mod tests {
     #[test]
     fn totals_occupancy_and_render() {
         let snap = sample();
-        assert_eq!(snap.total_backlog(), 3);
         assert_eq!(snap.total_keys(), 100);
-        assert_eq!(snap.shards[0].combiner_occupancy_ns(), 2_000);
-        assert_eq!(snap.shards[1].combiner_occupancy_ns(), 0, "no div-by-zero");
         assert_eq!(snap.latency().count(), 3);
         let table = snap.render();
         assert_eq!(table.lines().count(), 4, "header + 2 shards + totals");
-        assert!(table.contains("backlog"));
+        assert!(table.contains("requests"));
+        let total = table.lines().last().expect("totals row");
+        assert!(
+            total.starts_with("total       2       100  ops=3"),
+            "{total}"
+        );
     }
 
     #[test]
@@ -206,14 +177,13 @@ mod tests {
         let shards = parsed.get("shards").and_then(J::as_arr).expect("shards");
         assert_eq!(shards.len(), 2);
         assert_eq!(
-            shards[0].get("ingress_depth"),
-            Some(&J::UInt(3)),
-            "backlog survives the JSON round trip"
+            shards[0].get("total_keys"),
+            Some(&J::UInt(100)),
+            "totals survive the JSON round trip"
         );
-        assert_eq!(
-            shards[0].get("combiner_occupancy_ns"),
-            Some(&J::UInt(2_000))
-        );
+        let stats = shards[0].get("stats").expect("stats");
+        assert_eq!(stats.get("requests"), Some(&J::UInt(5)));
+        assert_eq!(stats.get("combines"), None, "unwritten counters stay out");
 
         let mut reg = Registry::new();
         snap.record_into(&mut reg);

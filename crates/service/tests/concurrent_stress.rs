@@ -134,10 +134,10 @@ fn concurrent_multiset_conservation() {
         .collect();
     want.sort_unstable();
     if got != want {
-        // Conservation broke somewhere in the combiner/batch machinery:
-        // drain the flight recorder so the panic carries the ops the
-        // combiners were serving when keys went missing (full dump for the
-        // CI artifact, tail inline for the log).
+        // Conservation broke somewhere in the shard executor: drain the
+        // flight recorder so the panic carries the ops the shards were
+        // serving when keys went missing (full dump for the CI artifact,
+        // tail inline for the log).
         obs::flight::dump(std::path::Path::new("target/service-stress-flight.json"));
         panic!(
             "multiset conservation broken across {producers}p/{consumers}c: \

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use meldpq::wal::{self, CheckpointCadence};
 use meldpq::{Engine, WalOp};
-use service::{Response, ServiceBuilder};
+use service::ServiceBuilder;
 
 struct TmpRoot(PathBuf);
 
@@ -138,16 +138,14 @@ fn explicit_checkpoint_bounds_replay() {
 }
 
 #[test]
-fn async_surface_is_logged_too() {
-    let root = TmpRoot::new("async");
+fn single_key_inserts_survive_recovery() {
+    let root = TmpRoot::new("single");
     let q;
     {
         let svc = builder(&root).try_build().expect("build");
         q = svc.create_queue();
-        let t1 = svc.insert_async(q, 3).unwrap();
-        let t2 = svc.insert_async(q, 1).unwrap();
-        assert_eq!(t1.wait(), Response::Done);
-        assert_eq!(t2.wait(), Response::Done);
+        assert_eq!(svc.insert(q, 3), Ok(()));
+        assert_eq!(svc.insert(q, 1), Ok(()));
     }
     let svc = builder(&root).try_build().expect("recover");
     assert_eq!(svc.extract_k(q, 4).unwrap(), vec![1, 3]);
