@@ -18,8 +18,9 @@
 //!   already-sorted streams (`dmpq::soa::merged_stream`). Gate: the merge
 //!   must win by ≥2× at N = 2^18.
 //! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, with
-//!   every op planned.
-//! * `multi_extract_min`, plus the prefix-scan and build primitives.
+//!   every insert planned.
+//! * `multi_extract_min` (`k` ripple `Extract-Min` rounds), plus the
+//!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
 //!
@@ -205,7 +206,7 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
         let mut rng = workloads::rng(31 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n);
         let base = ParBinomialHeap::from_keys(keys.iter().copied());
-        group.bench_with_input(BenchmarkId::new("frontier_seq", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("extract_loop", n), &n, |b, _| {
             b.iter_batched(
                 || base.clone(),
                 |mut h| {
@@ -215,27 +216,12 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
                 BatchSize::LargeInput,
             )
         });
-        // The baseline: k sequential Extract-Min rounds.
-        group.bench_with_input(BenchmarkId::new("extract_loop", n), &n, |b, _| {
-            b.iter_batched(
-                || base.clone(),
-                |mut h| {
-                    let mut out = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        out.push(h.extract_min());
-                    }
-                    (h, out)
-                },
-                BatchSize::LargeInput,
-            )
-        });
     }
     group.finish();
 }
 
-/// W1's insert/extract mix with every op planned: inserts are planned
-/// singleton `Union`s, and each extract re-melds the orphaned children with
-/// one planned union.
+/// W1's insert/extract mix: inserts are planned singleton `Union`s, and
+/// each extract is a ripple `Extract-Min`.
 fn bench_mixed(c: &mut Criterion, _full: bool) {
     let mut group = c.benchmark_group("mixed");
     const OPS: usize = 1024;
@@ -252,7 +238,7 @@ fn bench_mixed(c: &mut Criterion, _full: bool) {
                         if i % 3 < 2 {
                             planned_insert(&mut pool, &mut h, k);
                         } else {
-                            pool.multi_extract_min(&mut h, 1);
+                            pool.extract_min(&mut h);
                         }
                     }
                     (pool, h)

@@ -4,10 +4,10 @@
 //! [`PooledHeap`], plus a ledger of measured PRAM cost. Every operation
 //! delegates to the pool, so the free-standing heap and the service's
 //! pooled heaps share one representation, one `Union` path and one
-//! validator. `Insert`, `Multi-Insert` and `Extract-Min` link directly;
-//! `Union` and `Multi-Extract-Min` plan with the sequential planner
-//! ([`crate::plan::build_plan_into`]), or on the PRAM simulator in the
-//! `*_pram` methods. Melding two free-standing heaps moves the second
+//! validator. `Insert`, `Multi-Insert`, `Extract-Min` and
+//! `Multi-Extract-Min` link directly; `Union` plans with the sequential
+//! planner ([`crate::plan::build_plan_into`]), or on the PRAM simulator in
+//! the `*_pram` methods. Melding two free-standing heaps moves the second
 //! one's nodes into the first one's slab (counted as copies); heaps that
 //! must meld without copies live in one shared [`HeapPool`].
 
@@ -159,8 +159,8 @@ impl<K: Ord + Copy> ParBinomialHeap<K> {
     }
 
     /// Extract the `k` smallest keys — the shared-memory analogue of
-    /// `Multi-Extract-Min`: one root-frontier peel, then **one** planned
-    /// union re-melds the orphaned subtrees (see [`crate::bulk`]).
+    /// `Multi-Extract-Min`: `k` [`Self::extract_min`] rounds through
+    /// [`HeapPool::multi_extract_min`].
     pub fn multi_extract_min(&mut self, k: usize) -> Vec<K> {
         self.pool.multi_extract_min(&mut self.heap, k)
     }
@@ -432,5 +432,122 @@ mod tests {
         let h = ParBinomialHeap::from_keys([3, 3, 3, 1, 1]);
         h.validate().unwrap();
         assert_eq!(h.into_sorted_vec(), vec![1, 1, 3, 3, 3]);
+    }
+
+    /// A heap built by one `multi_insert` into an empty heap.
+    fn batch(keys: &[i64]) -> ParBinomialHeap {
+        let mut h = ParBinomialHeap::new();
+        h.multi_insert(keys).unwrap();
+        h
+    }
+
+    #[test]
+    fn tuple_keys_carry_payloads() {
+        // (priority, payload) tuples order lexicographically — the idiomatic
+        // way to attach data to entries.
+        let mut h: ParBinomialHeap<(i32, u32)> = ParBinomialHeap::new();
+        h.insert((5, 100));
+        h.insert((1, 200));
+        h.insert((5, 50));
+        h.meld(ParBinomialHeap::from_keys([(0, 9), (3, 7)]));
+        h.validate().unwrap();
+        assert_eq!(h.extract_min(), Some((0, 9)));
+        assert_eq!(h.extract_min(), Some((1, 200)));
+        assert_eq!(h.into_sorted_vec(), vec![(3, 7), (5, 50), (5, 100)]);
+    }
+
+    #[test]
+    fn parallel_build_equals_sequential_content() {
+        let keys: Vec<i64> = (0..100_000)
+            .map(|i| (i * 2654435761u64 as i64) % 99991)
+            .collect();
+        let par = batch(&keys);
+        par.validate().unwrap();
+        assert_eq!(par.len(), keys.len());
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        assert_eq!(par.into_sorted_vec(), expected);
+    }
+
+    #[test]
+    fn parallel_build_is_zero_copy() {
+        let keys: Vec<i64> = (0..40_000).map(|i| (i * 7919) % 6007).collect();
+        let par = batch(&keys);
+        par.validate().unwrap();
+        assert_eq!(par.arena().stats().allocs, keys.len() as u64);
+        assert_eq!(par.arena().stats().copies, 0, "multi_insert must not copy");
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        assert_eq!(par.into_sorted_vec(), expected);
+    }
+
+    #[test]
+    fn parallel_build_small_input() {
+        let par = batch(&[3, 1, 2]);
+        assert_eq!(par.into_sorted_vec(), vec![1, 2, 3]);
+        let empty = batch(&[]);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn measured_multi_insert() {
+        let mut h = ParBinomialHeap::from_keys([100, 200, 300]);
+        h.multi_insert_pram(&[5, 1, 4, 1, 5], 3);
+        let c = *h.pram_ledger();
+        assert!(c.time > 0 && c.work >= c.time);
+        h.validate().unwrap();
+        assert_eq!(h.len(), 8);
+        assert_eq!(h.min(), Some(1));
+    }
+
+    #[test]
+    fn multi_insert_and_extract() {
+        let mut h = ParBinomialHeap::from_keys([50, 60, 70]);
+        h.multi_insert(&[10, 20, 30, 40]).unwrap();
+        h.validate().unwrap();
+        assert_eq!(h.len(), 7);
+        assert_eq!(h.multi_extract_min(4), vec![10, 20, 30, 40]);
+        assert_eq!(h.len(), 3);
+        // Asking for more than available drains and stops.
+        assert_eq!(h.multi_extract_min(10), vec![50, 60, 70]);
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn multi_extract_matches_sequential_extracts() {
+        // Multi-Extract-Min returns exactly what k sequential Extract-Mins
+        // return, for every k, duplicates included.
+        let keys: Vec<i64> = (0..300).map(|i| (i * 37) % 53).collect();
+        for k in [0usize, 1, 2, 7, 64, 255, 300, 400] {
+            let mut fast = ParBinomialHeap::from_keys(keys.iter().copied());
+            let mut slow = ParBinomialHeap::from_keys(keys.iter().copied());
+            let got = fast.multi_extract_min(k);
+            fast.validate().unwrap();
+            let mut expected = Vec::new();
+            for _ in 0..k {
+                match slow.extract_min() {
+                    Some(x) => expected.push(x),
+                    None => break,
+                }
+            }
+            assert_eq!(got, expected, "k={k}");
+            assert_eq!(fast.len(), slow.len(), "k={k}");
+            assert_eq!(fast.into_sorted_vec(), slow.into_sorted_vec(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn multi_extract_with_engine_on_large_heap() {
+        let keys: Vec<i64> = (0..20_000)
+            .map(|i| (i * 2654435761u64 as i64) % 9973)
+            .collect();
+        let mut h = batch(&keys);
+        let got = h.multi_extract_min(5_000);
+        h.validate().unwrap();
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        assert_eq!(got, expected[..5_000]);
+        assert_eq!(h.len(), 15_000);
+        assert_eq!(h.into_sorted_vec(), expected[5_000..]);
     }
 }

@@ -46,7 +46,6 @@
 pub mod arena;
 pub mod backend;
 pub mod build;
-pub mod bulk;
 pub mod check;
 pub mod cutoff;
 pub mod decrease;

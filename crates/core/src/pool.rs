@@ -19,17 +19,18 @@
 //! ([`crate::lazy::LazyBinomialHeap`]) keeps its nodes in the same kind of
 //! [`Arena`] and unions through the same function.
 //!
-//! Inserts do not plan. `Insert` is a binary-counter increment: the new
-//! node ripples up `H`, one `link` per carry (amortised `O(1)`).
-//! `Multi-Insert` is the same ripple once per key, under one ownership and
-//! one capacity check, so a batch builds exactly the trees of an `insert`
-//! loop and reuses free slots as it does. `Extract-Min` carry-adds the
-//! removed root's children `B_0 … B_{k-1}` back into `H` in place. All of
-//! them build exactly the trees the planner would, because `link` follows
-//! the planner's tie contract. `meld`, `meld_cross_pool` and
-//! `multi_extract_min` run the paper's Phases I–III. Each heap caches its
-//! min root, exact after every op: `insert` updates it in `O(1)`, and the
-//! ops that rebuild `H` rescan its `≤ log n` roots once.
+//! Inserts and extracts do not plan. `Insert` is a binary-counter
+//! increment: the new node ripples up `H`, one `link` per carry (amortised
+//! `O(1)`). `Multi-Insert` is the same ripple once per key, under one
+//! ownership and one capacity check, so a batch builds exactly the trees of
+//! an `insert` loop and reuses free slots as it does. `Extract-Min`
+//! carry-adds the removed root's children `B_0 … B_{k-1}` back into `H` in
+//! place, and `Multi-Extract-Min` is `k` of those under one ownership check.
+//! All of them build exactly the trees the planner would, because `link`
+//! follows the planner's tie contract. `meld` and `meld_cross_pool` run the
+//! paper's Phases I–III. Each heap caches its min root, exact after every
+//! op: `insert` updates it in `O(1)`, and the ops that rebuild `H` rescan
+//! its `≤ log n` roots once.
 //!
 //! Heaps of different pools meld through [`HeapPool::meld_cross_pool`],
 //! which moves the source trees node by node (counted copies). Ownership is
@@ -129,9 +130,9 @@ impl<K> Default for UnionScratch<K> {
 
 /// A pool of binomial heaps sharing one node slab. See the module docs.
 ///
-/// `meld`, `multi_extract_min` and `meld_cross_pool` plan with
-/// [`build_plan_into`]; `insert`, `multi_insert` and `extract_min` link
-/// directly and plan nothing.
+/// `meld` and `meld_cross_pool` plan with [`build_plan_into`]; `insert`,
+/// `multi_insert`, `extract_min` and `multi_extract_min` link directly and
+/// plan nothing.
 #[derive(Debug)]
 pub struct HeapPool<K = i64> {
     id: PoolId,
@@ -527,12 +528,19 @@ impl<K: Ord + Copy> HeapPool<K> {
     /// no allocation, zero copies — then the `≤ log n` roots are rescanned
     /// for the new min.
     pub fn extract_min(&mut self, h: &mut PooledHeap) -> Option<K> {
-        let min_id = self.min_root(h)?;
-        let (key, children) = self.detach_root(h, min_id);
+        self.assert_owner(h);
+        let key = self.pop_min(h);
+        self.debug_validate(h);
+        key
+    }
+
+    /// [`Self::extract_min`] without the ownership and `debug-validate`
+    /// checks, which its callers run once.
+    fn pop_min(&mut self, h: &mut PooledHeap) -> Option<K> {
+        let (key, children) = self.detach_root(h, h.min?);
         carry_add(&mut self.arena, &mut h.roots, &children, 0);
         h.len += (1 << children.len()) - 1;
         h.min = scan_min(&self.arena, &h.roots);
-        self.debug_validate(h);
         Some(key)
     }
 
@@ -546,18 +554,15 @@ impl<K: Ord + Copy> HeapPool<K> {
         self.debug_validate(a);
     }
 
-    /// Extract the `k` smallest keys with the root-frontier kernel: one
-    /// peel + one re-meld instead of `k` sequential `Extract-Min` plans.
+    /// `Multi-Extract-Min(Q, k)`: the `min(k, len)` smallest keys in
+    /// ascending order, by that many [`Self::extract_min`] rounds under one
+    /// ownership check. The trees, node ids and freed slots are exactly
+    /// those of an `extract_min` loop.
     pub fn multi_extract_min(&mut self, h: &mut PooledHeap, k: usize) -> Vec<K> {
         self.assert_owner(h);
         let take = k.min(h.len);
-        if take == 0 {
-            return Vec::new();
-        }
-        let (out, orphan_roots, orphan_len) =
-            crate::bulk::peel_k_smallest(&mut self.arena, &mut h.roots, take);
-        h.len -= out.len() + orphan_len;
-        self.meld_roots(h, &orphan_roots, orphan_len, build_plan_into);
+        let mut out = Vec::with_capacity(take);
+        out.extend(std::iter::from_fn(|| self.pop_min(h)).take(take));
         self.debug_validate(h);
         out
     }
@@ -710,7 +715,7 @@ impl<K: Ord + Copy> HeapPool<K> {
     /// Meld `other_roots` (nodes already in this pool's slab) into `dst`
     /// through [`union_into`] with `plan` as the planner, then rescan
     /// `dst`'s roots for its min — also when there is nothing to meld,
-    /// since the extract paths remove roots before calling this.
+    /// since [`Self::extract_min_pram`] removes a root before calling this.
     fn meld_roots(
         &mut self,
         dst: &mut PooledHeap,
@@ -1077,14 +1082,13 @@ mod tests {
         pool.meld_cross_pool(&mut h, &mut other, src);
         exact(&pool, &h, "meld_cross_pool");
         assert_eq!(pool.min(&h), Some(-11));
-        // Multi-extract with orphans (peeled roots had children) ...
+        // Multi-extract of roots with children ...
         assert_eq!(pool.multi_extract_min(&mut h, 3), vec![-11, -7, -3]);
-        exact(&pool, &h, "multi_extract_min with orphans");
-        // ... and without: [5, 6, 1] is B_1 {5, 6} plus B_0 {1}, so peeling
-        // one key takes a childless root and melds nothing back.
+        exact(&pool, &h, "multi_extract_min of roots with children");
+        // ... and of a childless root: [5, 6, 1] is B_1 {5, 6} plus B_0 {1}.
         let mut z = pool.from_keys([5, 6, 1]);
         assert_eq!(pool.multi_extract_min(&mut z, 1), vec![1]);
-        exact(&pool, &z, "multi_extract_min without orphans");
+        exact(&pool, &z, "multi_extract_min of a childless root");
         assert_eq!(pool.min(&z), Some(5));
         pool.multi_insert(&mut z, &[8, -2, 8, 5, -2, 40, 3])
             .unwrap();
@@ -1228,6 +1232,36 @@ mod tests {
                 batched.arena().len() < batched.arena().slab_len(),
                 "free slots present"
             );
+        }
+    }
+
+    #[test]
+    fn multi_extract_leaves_the_extract_loops_pool() {
+        // Multi-Extract-Min is k Extract-Min rounds: the keys, node ids,
+        // parents, child order, roots and cached min match an extract_min
+        // loop's, however many keys are equal, and later allocs reuse the
+        // freed slots in the same order.
+        for m in [1i64, 2, 3] {
+            let keys: Vec<i64> = (0..300).map(|i| (i * 7919) % m).collect();
+            for k in [0, 1, 2, 8, keys.len(), keys.len() + 5] {
+                let mut batched: HeapPool<i64> = HeapPool::new();
+                let mut b = batched.from_keys(keys.iter().copied());
+                let mut looped: HeapPool<i64> = HeapPool::new();
+                let mut l = looped.from_keys(keys.iter().copied());
+                let got = batched.multi_extract_min(&mut b, k);
+                let want: Vec<i64> = (0..k).map_while(|_| looped.extract_min(&mut l)).collect();
+                assert_eq!(got, want, "mod {m}, k {k}");
+                for later in [&keys[..0], &keys[..40]] {
+                    batched.multi_insert(&mut b, later).unwrap();
+                    looped.multi_insert(&mut l, later).unwrap();
+                    let at = format!("mod {m}, k {k}, {} later allocs", later.len());
+                    assert_eq!(b.roots(), l.roots(), "{at}");
+                    assert_eq!(b.min, l.min, "{at}");
+                    assert_eq!(b.len(), l.len(), "{at}");
+                    assert_eq!(shape(batched.arena()), shape(looped.arena()), "{at}");
+                    batched.validate_heap(&b).unwrap();
+                }
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //!   lock (spinning briefly, then blocking) and runs under a panic barrier
 //!   ([`shard`] module). A multi-key insert runs one `multi_insert` under
 //!   one capacity check and one WAL record, and a multi-key pop one
-//!   `multi_extract_min` root-frontier peel; the [`ShardStats`] counters
+//!   `multi_extract_min` under one WAL record; the [`ShardStats`] counters
 //!   (and the pool's `ArenaStats`) show which kernel ran.
 //! * **Handles, not borrows** — [`QueueId`] is a `Copy + Send + Sync`
 //!   token (shard, slot, generation). Destroyed or melded-away queues turn

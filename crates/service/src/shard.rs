@@ -690,19 +690,52 @@ pub(crate) mod tests {
         (nodes, arena.slab_len())
     }
 
-    #[test]
-    fn genesis_replay_rebuilds_the_live_pool_node_for_node() {
-        // The live shard and WAL replay run one kernel per record (`Insert`
-        // → insert, `FromKeys` → multi_insert), so the recovered pool is the
-        // live one node for node: ids, keys, parents, child order, free
-        // slots reused, slab length and every heap's roots and cached min.
-        let dir =
-            std::env::temp_dir().join(format!("meldpq-shard-replay-shape-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, dir.clone()).unwrap();
-        let (a, b) = (shard.create_queue(), shard.create_queue());
-        let call = |req| run(&shard, req);
-        for round in 0..6i64 {
+    /// Each live heap of a pool as `(generation, roots, len, cached min)`.
+    type Heaps = Vec<
+        Option<(
+            u32,
+            Vec<Option<meldpq::NodeId>>,
+            usize,
+            Option<meldpq::NodeId>,
+        )>,
+    >;
+
+    /// The live shard's pool and heaps.
+    fn live_state(shard: &Shard) -> (PoolShape, Heaps) {
+        let st = shard.lock_state();
+        let heaps = st
+            .queues
+            .iter()
+            .map(|q| {
+                q.as_ref().map(|q| {
+                    let h = &q.heap;
+                    (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
+                })
+            })
+            .collect();
+        (pool_shape(&st.pool), heaps)
+    }
+
+    /// The pool and heaps recovered from `dir`, and the records replayed.
+    fn recovered_state(dir: &std::path::Path) -> (PoolShape, Heaps, usize) {
+        let rec = wal::recover_dir(dir, Engine::Sequential).unwrap();
+        let heaps = rec
+            .heaps
+            .iter()
+            .map(|s| {
+                s.as_ref()
+                    .map(|(gen, h)| (*gen, h.roots().to_vec(), h.len(), rec.pool.min_root(h)))
+            })
+            .collect();
+        (pool_shape(&rec.pool), heaps, rec.replayed)
+    }
+
+    /// Rounds of batched inserts and pops of every demand the executor
+    /// tells apart: one key, `k` keys (`MultiExtractMin`) and more keys
+    /// than `c` holds.
+    fn churn(shard: &Shard, [a, b, c]: [QueueId; 3], rounds: std::ops::Range<i64>) {
+        let call = |req| run(shard, req);
+        for round in rounds {
             for q in [a, b] {
                 let keys = (0..40 + round * 13)
                     .map(|i| (i * 7919 + round) % 17)
@@ -718,8 +751,19 @@ pub(crate) mod tests {
                 Response::Keys(_)
             ));
             assert!(matches!(
+                call(Request::ExtractK { queue: b, k: 8 }),
+                Response::Keys(keys) if keys.len() == 8
+            ));
+            assert!(matches!(
                 call(Request::ExtractMin { queue: b }),
                 Response::Key(Some(_))
+            ));
+            for key in [round, -round, round] {
+                assert_eq!(call(Request::Insert { queue: c, key }), Response::Done);
+            }
+            assert!(matches!(
+                call(Request::ExtractK { queue: c, k: 5 }),
+                Response::Keys(keys) if keys.len() == 3
             ));
             assert_eq!(
                 call(Request::Insert {
@@ -729,46 +773,50 @@ pub(crate) mod tests {
                 Response::Done
             );
         }
-        type Heaps = Vec<
-            Option<(
-                u32,
-                Vec<Option<meldpq::NodeId>>,
-                usize,
-                Option<meldpq::NodeId>,
-            )>,
-        >;
-        let (live, live_heaps): (PoolShape, Heaps) = {
-            let st = shard.lock_state();
-            let heaps = st
-                .queues
-                .iter()
-                .map(|q| {
-                    q.as_ref().map(|q| {
-                        let h = &q.heap;
-                        (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
-                    })
-                })
-                .collect();
-            (pool_shape(&st.pool), heaps)
-        };
+    }
+
+    #[test]
+    fn genesis_replay_rebuilds_the_live_pool_node_for_node() {
+        // The live shard and WAL replay run one kernel per record (`Insert`
+        // → insert, `FromKeys` → multi_insert, `ExtractMin` → extract_min,
+        // `MultiExtractMin` → multi_extract_min), so the recovered pool is
+        // the live one node for node: ids, keys, parents, child order, free
+        // slots reused, slab length and every heap's roots and cached min.
+        // That holds for a replay from genesis and for a checkpoint image
+        // plus the log suffix after it.
+        let dir =
+            std::env::temp_dir().join(format!("meldpq-shard-replay-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shard = Shard::new_durable(0, dir.clone()).unwrap();
+        let queues = [
+            shard.create_queue(),
+            shard.create_queue(),
+            shard.create_queue(),
+        ];
+        churn(&shard, queues, 0..6);
+        let live = live_state(&shard);
         drop(shard);
-        assert!(live.0.len() < live.1, "the pops left free slots");
+        let ((nodes, slab_len), _) = &live;
+        assert!(nodes.len() < *slab_len, "the pops left free slots");
         assert!(
             !dir.join(wal::CHECKPOINT_FILE).exists(),
             "recovery replays from genesis"
         );
-        let rec = wal::recover_dir(&dir, Engine::Sequential).unwrap();
-        assert!(rec.replayed > 0);
-        assert_eq!(pool_shape(&rec.pool), live);
-        let rec_heaps: Heaps = rec
-            .heaps
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|(gen, h)| (*gen, h.roots().to_vec(), h.len(), rec.pool.min_root(h)))
-            })
-            .collect();
-        assert_eq!(rec_heaps, live_heaps);
+        let (pool, heaps, replayed) = recovered_state(&dir);
+        assert!(replayed > 0);
+        assert_eq!((pool, heaps), live);
+
+        // Reopen, checkpoint, and log a suffix that pops through every
+        // kernel again.
+        let shard = Shard::new_durable(0, dir.clone()).unwrap();
+        assert_eq!(live_state(&shard), live, "reopened from genesis replay");
+        shard.lock_state().force_checkpoint();
+        churn(&shard, queues, 6..9);
+        let live = live_state(&shard);
+        drop(shard);
+        let (pool, heaps, replayed) = recovered_state(&dir);
+        assert!(replayed > 0, "the suffix after the image is replayed");
+        assert_eq!((pool, heaps), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

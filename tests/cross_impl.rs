@@ -36,7 +36,8 @@ fn all_nine_implementations_sort_identically() {
         expected
     );
 
-    // The parallel heap: one bulk drain, and one planned extract at a time.
+    // The parallel heap: one `multi_extract_min` drain, and one key of
+    // `multi_extract_min` at a time.
     let h = ParBinomialHeap::from_keys(keys.iter().copied());
     assert_eq!(h.into_sorted_vec(), expected);
     let mut h = ParBinomialHeap::from_keys(keys.iter().copied());
@@ -105,7 +106,7 @@ fn meld_heavy_workload_agrees_across_meldable_queues() {
 
 #[test]
 fn interleaved_ops_agree_with_oracle_for_every_engine() {
-    // Extract through the ripple path and through a planned one-key peel.
+    // Extract through the ripple path and through the PRAM-planned one.
     for planned in [false, true] {
         let mut rng = StdRng::seed_from_u64(5);
         let mut heap = ParBinomialHeap::new();
@@ -117,7 +118,7 @@ fn interleaved_ops_agree_with_oracle_for_every_engine() {
                 oracle.push(k);
             } else {
                 let got = if planned {
-                    heap.multi_extract_min(1).pop()
+                    heap.extract_min_pram(2)
                 } else {
                     heap.extract_min()
                 };

@@ -33,9 +33,9 @@ struct Fleet {
     pairing: PairingHeap<i64>,
     /// Ripple `extract_min`; meld operands built by ripple insertion.
     par_seq: ParBinomialHeap,
-    /// Planned one-key `multi_extract_min`; meld operands built by the
-    /// parallel slab builder.
-    par_peel: ParBinomialHeap,
+    /// PRAM-planned `extract_min_pram`; meld operands built by
+    /// `multi_insert`.
+    par_pram: ParBinomialHeap,
     lazy: LazyBinomialHeap,
     lazy_handles: Vec<(NodeId, i64)>,
     dq: dmpq::DistributedPq,
@@ -50,7 +50,7 @@ impl Fleet {
             skew: SkewHeap::new(),
             pairing: PairingHeap::new(),
             par_seq: ParBinomialHeap::new(),
-            par_peel: ParBinomialHeap::new(),
+            par_pram: ParBinomialHeap::new(),
             lazy: LazyBinomialHeap::new(3),
             lazy_handles: Vec::new(),
             dq: dmpq::DistributedPq::new(2, 5),
@@ -64,7 +64,7 @@ impl Fleet {
         self.skew.insert(k);
         self.pairing.insert(k);
         self.par_seq.insert(k);
-        self.par_peel.insert(k);
+        self.par_pram.insert(k);
         self.lazy_handles.push((self.lazy.insert(k), k));
         self.dq.insert(k).expect("fault-free net");
     }
@@ -79,7 +79,7 @@ impl Fleet {
         assert_eq!(self.skew.extract_min(), Some(want));
         assert_eq!(self.pairing.extract_min(), Some(want));
         assert_eq!(self.par_seq.extract_min(), Some(want));
-        assert_eq!(self.par_peel.multi_extract_min(1), [want]);
+        assert_eq!(self.par_pram.extract_min_pram(2), Some(want));
         assert_eq!(self.lazy.extract_min(), Some(want));
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(want));
     }
@@ -115,7 +115,7 @@ impl Fleet {
         assert_eq!(self.skew.extract_min(), Some(min));
         assert_eq!(self.pairing.extract_min(), Some(min));
         assert_eq!(self.par_seq.extract_min(), Some(min));
-        assert_eq!(self.par_peel.multi_extract_min(1), [min]);
+        assert_eq!(self.par_pram.extract_min_pram(2), Some(min));
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(min));
         let _ = rng;
     }
@@ -130,7 +130,7 @@ impl Fleet {
             .meld(ParBinomialHeap::from_keys(keys.iter().copied()));
         let mut batch = ParBinomialHeap::new();
         batch.multi_insert(keys).expect("fits the id space");
-        self.par_peel.meld(batch);
+        self.par_pram.meld(batch);
         let mut other = LazyBinomialHeap::new(3);
         for &k in keys {
             other.insert(k);
@@ -151,7 +151,7 @@ impl Fleet {
         assert_eq!(self.skew.len(), n);
         assert_eq!(self.pairing.len(), n);
         assert_eq!(self.par_seq.len(), n);
-        assert_eq!(self.par_peel.len(), n);
+        assert_eq!(self.par_pram.len(), n);
         assert_eq!(self.lazy.len(), n);
         assert_eq!(self.dq.len(), n);
         assert_eq!(self.binomial.peek_min(), min);
@@ -162,7 +162,7 @@ impl Fleet {
         self.skew.check_invariants().expect("skew");
         self.pairing.check_invariants().expect("pairing");
         self.par_seq.validate().expect("par_seq");
-        self.par_peel.validate().expect("par_peel");
+        self.par_pram.validate().expect("par_pram");
         self.lazy.validate().expect("lazy");
         self.dq.heap().validate().expect("dq");
     }
@@ -201,7 +201,7 @@ fn soak_every_queue_through_one_long_workload() {
     let mut expected = fleet.oracle.clone();
     expected.sort_unstable();
     assert_eq!(fleet.binomial.drain_sorted(), expected);
-    assert_eq!(fleet.par_peel.into_sorted_vec(), expected);
+    assert_eq!(fleet.par_pram.into_sorted_vec(), expected);
     assert_eq!(fleet.lazy.into_sorted_vec(), expected);
     assert_eq!(
         fleet.dq.into_sorted_vec().expect("fault-free net"),
