@@ -172,20 +172,22 @@ impl WalOp {
         }
     }
 
-    fn arg_words(&self, out: &mut Vec<u64>) {
-        match self {
-            WalOp::CreateHeap { slot, gen } => out.extend([*slot as u64, *gen as u64]),
-            WalOp::Insert { slot, key } => out.extend([*slot as u64, *key as u64]),
-            WalOp::FromKeys { slot, keys } => {
-                out.push(*slot as u64);
-                out.push(keys.len() as u64);
-                out.extend(keys.iter().map(|k| *k as u64));
-            }
-            WalOp::ExtractMin { slot } => out.push(*slot as u64),
-            WalOp::MultiExtractMin { slot, k } => out.extend([*slot as u64, *k]),
-            WalOp::Meld { dst, src } => out.extend([*dst as u64, *src as u64]),
-            WalOp::FreeHeap { slot } => out.push(*slot as u64),
-        }
+    /// The argument words that follow `[seq, tag]`: up to two fixed words,
+    /// then a `FromKeys` record's keys.
+    fn arg_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let (fixed, keys): ([u64; 2], &[i64]) = match self {
+            WalOp::CreateHeap { slot, gen } => ([*slot as u64, *gen as u64], &[]),
+            WalOp::Insert { slot, key } => ([*slot as u64, *key as u64], &[]),
+            WalOp::FromKeys { slot, keys } => ([*slot as u64, keys.len() as u64], keys),
+            WalOp::ExtractMin { slot } | WalOp::FreeHeap { slot } => ([*slot as u64, 0], &[]),
+            WalOp::MultiExtractMin { slot, k } => ([*slot as u64, *k], &[]),
+            WalOp::Meld { dst, src } => ([*dst as u64, *src as u64], &[]),
+        };
+        let fixed_len = self.arg_len() - keys.len();
+        fixed
+            .into_iter()
+            .take(fixed_len)
+            .chain(keys.iter().map(|k| *k as u64))
     }
 
     /// Number of words [`WalOp::arg_words`] emits.
@@ -245,20 +247,17 @@ impl WalOp {
     }
 }
 
-/// Encode one record: `[N][seq, tag, args…][crc]`, all `u64` LE.
-fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut words: Vec<u64> = Vec::with_capacity(2 + op.arg_len());
-    words.extend([seq, op.tag()]);
-    op.arg_words(&mut words);
-    let n = words.len() as u64;
-    let crc = fnv1a_words(std::iter::once(n).chain(words.iter().copied()));
-    let mut bytes = Vec::with_capacity(8 * (words.len() + 2));
-    bytes.extend_from_slice(&n.to_le_bytes());
-    for w in &words {
-        bytes.extend_from_slice(&w.to_le_bytes());
+/// Encode one record, `[N][seq, tag, args…][crc]`, all `u64` LE, straight
+/// into `out`, folding the CRC word by word. Returns the bytes written.
+fn encode_record(out: &mut impl Write, seq: u64, op: &WalOp) -> std::io::Result<u64> {
+    let n = 2 + op.arg_len() as u64;
+    let mut crc = FNV_OFFSET;
+    for w in [n, seq, op.tag()].into_iter().chain(op.arg_words()) {
+        crc = fnv1a_step(crc, w);
+        out.write_all(&w.to_le_bytes())?;
     }
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    out.write_all(&crc.to_le_bytes())?;
+    Ok(op.record_len())
 }
 
 /// A durability failure.
@@ -344,11 +343,10 @@ impl WalWriter {
     /// Append one op, returning the sequence number it was logged under.
     pub fn append(&mut self, op: &WalOp) -> std::io::Result<u64> {
         let seq = self.next_seq;
-        let rec = encode_record(seq, op);
-        self.file.write_all(&rec)?;
+        let len = encode_record(&mut self.file, seq, op)?;
         self.next_seq += 1;
-        self.bytes += rec.len() as u64;
-        flight::record_here(EventKind::WalAppend, rec.len() as u64);
+        self.bytes += len;
+        flight::record_here(EventKind::WalAppend, len);
         Ok(seq)
     }
 
@@ -1186,6 +1184,49 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6, 7]);
         let lens: u64 = all_ops().iter().map(WalOp::record_len).sum();
         assert_eq!(lens, read.file_len, "record_len matches the encoding");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn golden_record_per_op_kind() {
+        // One record per `WalOp` kind as the log holds it, `[N][seq, tag,
+        // args…][crc]` in LE words, so logs already on disk keep reading.
+        let golden: [&[u64]; 7] = [
+            &[4, 1, 1, 3, 7, 0x1ab2_fb26_dea3_6a1f],
+            &[4, 2, 2, 3, -42i64 as u64, 0x9f51_d2e1_8656_0592],
+            &[
+                9,
+                3,
+                3,
+                3,
+                5,
+                i64::MIN as u64,
+                u64::MAX,
+                0,
+                1,
+                i64::MAX as u64,
+                0x5fff_781d_4f22_29bd,
+            ],
+            &[3, 4, 4, 3, 0x0fd3_a588_07af_5623],
+            &[4, 5, 5, 3, 999, 0xbd41_3748_4b16_4def],
+            &[4, 6, 6, 1, 2, 0xbdf9_d13f_bee6_da54],
+            &[3, 7, 7, 3, 0x0704_cc88_02a7_9b81],
+        ];
+        let dir = tmp_dir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(WAL_FILE);
+        let mut w = WalWriter::create(&path).unwrap();
+        for op in all_ops() {
+            w.append(&op).unwrap();
+        }
+        w.flush().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap().into_iter();
+        for (op, words) in all_ops().iter().zip(golden) {
+            let want: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let got: Vec<u8> = bytes.by_ref().take(want.len()).collect();
+            assert_eq!(got, want, "{op:?}");
+        }
+        assert_eq!(bytes.next(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

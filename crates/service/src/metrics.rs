@@ -1,17 +1,35 @@
 //! Per-shard counters: how many requests ran, which kernels served them,
 //! and what the WAL and the panic barrier did. Unit and integration tests
 //! assert on these (together with `meldpq::ArenaStats`) to prove which
-//! kernel a request ran.
+//! kernel a request ran. A shard keeps one per bookkeeping lane
+//! ([`crate::shard`]) and sums them when read.
 
 use obs::Recorder;
 
+/// Declares [`ShardStats`] and its field-wise sum from one field list, so
+/// a counter added later cannot be left out when lanes are summed.
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: u64,)* }) => {
+        $(#[$meta])*
+        pub struct $name { $($(#[$doc])* pub $field: u64,)* }
+
+        impl $name {
+            /// Add every counter of `other` into `self`.
+            pub(crate) fn add(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+counters! {
 /// Cumulative counters for one shard. Snapshot via
 /// [`crate::QueueService::shard_stats`]; reported through [`obs::Recorder`]
 /// under the `service.shard` family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Always equal to `requests`: every request runs alone. Kept because
-    /// the benchmark reads it, until the benchmark stops reading it.
+    /// `requests`, copied in when the lanes are summed: every request runs
+    /// alone, so no op writes it. Kept because the benchmark reads it.
     pub batches: u64,
     /// Requests executed in total.
     pub requests: u64,
@@ -56,6 +74,7 @@ pub struct ShardStats {
     /// WAL/checkpoint I/O failures. Any failure disables durability on the
     /// shard (it keeps serving from memory) rather than failing requests.
     pub wal_errors: u64,
+}
 }
 
 impl Recorder for ShardStats {

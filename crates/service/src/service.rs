@@ -184,7 +184,7 @@ impl QueueService {
         let mut st = shard.lock_state();
         // Look before logging: a stale handle must not reach the WAL.
         if st.queue_mut(id).is_none() {
-            st.stats.stale_ops += 1;
+            st.stats().stale_ops += 1;
             return Err(ServiceError::UnknownQueue(id));
         }
         Shard::log_ops(&mut st, &[WalOp::FreeHeap { slot: id.slot() }]);
@@ -281,7 +281,7 @@ impl QueueService {
             let mut st = dshard.lock_state();
             // Look before taking: if dst is stale we must not destroy src.
             if st.queue_mut(dst).is_none() {
-                st.stats.stale_ops += 1;
+                st.stats().stale_ops += 1;
                 return Err(ServiceError::UnknownQueue(dst));
             }
             if st.queue_mut(src).is_some() {
@@ -296,19 +296,14 @@ impl QueueService {
                 );
             }
             let src_heap = st.take_queue(src)?;
-            // Split borrows: pool, queue table and stats are disjoint fields.
-            let ShardState {
-                pool,
-                queues,
-                stats,
-                ..
-            } = &mut *st;
+            // Split borrows: the pool and the queue table are disjoint fields.
+            let ShardState { pool, queues, .. } = &mut *st;
             let Some(q) = queues[dst.slot() as usize].as_mut() else {
                 return Err(ServiceError::UnknownQueue(dst));
             };
             // Same pool: zero-copy plan application.
             pool.meld(&mut q.heap, src_heap);
-            stats.melds_same_shard += 1;
+            st.stats().melds_same_shard += 1;
             return Ok(());
         }
         // Cross-shard: lock in shard-index order.
@@ -325,11 +320,11 @@ impl QueueService {
             (&mut *st_second, &mut *st_first)
         };
         if dst_state.queue_mut(dst).is_none() {
-            dst_state.stats.stale_ops += 1;
+            dst_state.stats().stale_ops += 1;
             return Err(ServiceError::UnknownQueue(dst));
         }
         if src_state.queue_mut(src).is_none() {
-            src_state.stats.stale_ops += 1;
+            src_state.stats().stale_ops += 1;
             return Err(ServiceError::UnknownQueue(src));
         }
         // Durability of a cross-shard meld is two records in two logs:
@@ -354,7 +349,7 @@ impl QueueService {
             return Err(ServiceError::UnknownQueue(dst));
         };
         pool.meld_cross_pool(&mut q.heap, &mut src_state.pool, src_heap);
-        dst_state.stats.melds_cross_shard += 1;
+        dst_state.stats().melds_cross_shard += 1;
         Ok(())
     }
 
@@ -371,7 +366,7 @@ impl QueueService {
 
     /// Snapshot one shard's counters.
     pub fn shard_stats(&self, shard: usize) -> ShardStats {
-        self.shards[shard].lock_state().stats
+        self.shards[shard].lock_state().totals().0
     }
 
     /// Live introspection: a point-in-time view of every shard — queue and
@@ -383,12 +378,13 @@ impl QueueService {
             .iter()
             .map(|s| {
                 let st = s.lock_state();
+                let (stats, latency) = st.totals();
                 ShardSnapshot {
                     shard: s.index(),
                     live_queues: st.queues.iter().flatten().count(),
                     total_keys: st.queues.iter().flatten().map(|q| q.heap.len()).sum(),
-                    stats: st.stats,
-                    latency: st.latency.clone(),
+                    stats,
+                    latency,
                 }
             })
             .collect();
@@ -435,6 +431,8 @@ fn pooled_keys_unsorted(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use std::sync::Arc;
+
+    use obs::Recorder;
 
     use super::*;
     use crate::shard::WAIT_SLICE;
@@ -576,6 +574,79 @@ mod tests {
         svc.validate().unwrap();
         let left: usize = queues.iter().map(|&q| svc.len(q).unwrap()).sum();
         assert_eq!(left, inserted - popped, "keys conserved");
+    }
+
+    #[test]
+    fn lanes_sum_to_the_calls_made_by_more_threads_than_lanes() {
+        // More threads than a shard has bookkeeping lanes, so some threads
+        // share a lane; every read must still sum to the calls made.
+        const THREADS: u64 = 11;
+        const ROUNDS: u64 = 20;
+        let svc = Arc::new(ServiceBuilder::new().shards(1).build());
+        let stale = svc.create_queue();
+        svc.destroy_queue(stale).unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let clients: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (svc, barrier) = (Arc::clone(&svc), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let q = svc.create_queue();
+                    barrier.wait();
+                    for r in 0..ROUNDS as i64 {
+                        for key in 0..5 {
+                            svc.insert(q, r * 100 + key).unwrap();
+                        }
+                        for b in 0..3 {
+                            svc.multi_insert(q, vec![r, r + b, r + 7, r + 9]).unwrap();
+                        }
+                        for _ in 0..2 {
+                            assert!(svc.extract_min(q).unwrap().is_some());
+                            assert_eq!(svc.extract_k(q, 3).unwrap().len(), 3);
+                        }
+                        assert_eq!(svc.extract_k(q, 1).unwrap().len(), 1);
+                        svc.peek_min(q).unwrap();
+                        svc.len(q).unwrap();
+                        assert!(svc.insert(stale, 0).is_err());
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        // Per thread and round: 5 + 3 inserts, 2 + 2 + 1 pops, a peek, a
+        // len and a stale insert.
+        let calls = THREADS * ROUNDS;
+        let want = ShardStats {
+            batches: 16 * calls,
+            requests: 16 * calls,
+            single_inserts: 5 * calls,
+            coalesced_inserts: 12 * calls,
+            coalesced_pops: 6 * calls,
+            multi_extracts: 2 * calls,
+            stale_ops: calls,
+            queues_created: THREADS + 1,
+            queues_destroyed: 1,
+            ..ShardStats::default()
+        };
+        assert_eq!(svc.shard_stats(0), want);
+        let snap = svc.snapshot();
+        assert_eq!(snap.shards[0].stats, want);
+        assert_eq!(snap.latency().count(), want.requests);
+        let mut reg = Registry::new();
+        svc.record_into(&mut reg);
+        let rows = reg.records();
+        assert_eq!(rows[0].family, "service.shard");
+        let fields: Vec<(String, u64)> = want
+            .fields()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(rows[0].fields, fields);
+        assert!(rows[1]
+            .fields
+            .contains(&("count".to_string(), want.requests)));
+        svc.validate().unwrap();
     }
 
     #[test]

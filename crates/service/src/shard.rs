@@ -17,9 +17,18 @@
 //! `multi_extract_min` logged as `MultiExtractMin`; a demand of zero logs
 //! nothing. WAL replay applies each record with the same kernel, so a
 //! recovered pool is the live one node for node.
+//!
+//! ## Cache-line layout
+//!
+//! `ShardState` is aligned to a 64-byte line, so the mutex's lock word
+//! sits alone: a caller spinning on `try_lock` takes no line the lock
+//! holder reads. Per-op bookkeeping goes to `LANES` line-aligned lanes, a
+//! thread's lane picked round-robin at its first call and guarded by the
+//! shard lock like the rest; reads sum the lanes. See DESIGN.md §9.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
@@ -38,6 +47,25 @@ use crate::ServiceError;
 /// The longest a contended call spins on its shard's lock before it
 /// blocks in `lock()` ([`Shard::execute`]).
 pub(crate) const WAIT_SLICE: Duration = Duration::from_micros(20);
+
+/// Bookkeeping lanes per shard; threads past this many share lanes.
+const LANES: usize = 8;
+
+/// The calling thread's lane, handed out round-robin at its first call.
+fn lane() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local!(static LANE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % LANES);
+    LANE.with(|l| *l)
+}
+
+/// One lane of a shard's per-op bookkeeping, on cache lines of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Lane {
+    stats: ShardStats,
+    /// Call latency as the caller saw it: lock wait plus execution.
+    latency: LatencyHistogram,
+}
 
 /// One tenant queue: its heap in the shard's pool plus the generation
 /// stamped into the handles that may address it.
@@ -58,8 +86,10 @@ pub(crate) struct ShardWal {
     cadence: CheckpointCadence,
 }
 
-/// The lock-protected half of a shard.
+/// The lock-protected half of a shard. Line-aligned so the mutex's lock
+/// word shares no cache line with it (module docs).
 #[derive(Debug)]
+#[repr(align(64))]
 pub(crate) struct ShardState {
     pub(crate) pool: HeapPool<i64>,
     /// Slot-indexed tenant queues; `None` = destroyed/free.
@@ -75,14 +105,16 @@ pub(crate) struct ShardState {
     /// across 2³² reuses of its slot has long violated any reasonable
     /// lease. `aba_generation_wraparound` below pins the behaviour.
     free_slots: Vec<(u32, u32)>,
-    pub(crate) stats: ShardStats,
-    /// Call latency of every request served on this shard: its lock wait
-    /// plus its execution, as the caller saw it.
-    pub(crate) latency: LatencyHistogram,
+    /// Counters and call latency, one lane per thread (module docs).
+    lanes: [Lane; LANES],
     /// Write-ahead log, present iff the shard was built durable. Any WAL
     /// I/O failure disables it (`None`) rather than failing requests.
     wal: Option<ShardWal>,
 }
+
+// The layout the module docs rely on: the lock word and each lane alone.
+const _: () = assert!(std::mem::align_of::<ShardState>() >= 64);
+const _: () = assert!(std::mem::size_of::<Lane>().is_multiple_of(64));
 
 /// Append one logical op to the shard's WAL, if durability is on. An I/O
 /// failure counts a `wal_error` and turns durability off — the shard keeps
@@ -119,10 +151,26 @@ impl ShardState {
             pool: HeapPool::new(),
             queues: Vec::new(),
             free_slots: Vec::new(),
-            stats: ShardStats::default(),
-            latency: LatencyHistogram::new(),
+            lanes: Default::default(),
             wal: None,
         }
+    }
+
+    /// The calling thread's counters.
+    pub(crate) fn stats(&mut self) -> &mut ShardStats {
+        &mut self.lanes[lane()].stats
+    }
+
+    /// Every lane summed: the counters, `batches` set to `requests`, and
+    /// the call latency.
+    pub(crate) fn totals(&self) -> (ShardStats, LatencyHistogram) {
+        let (mut stats, mut latency) = (ShardStats::default(), LatencyHistogram::new());
+        for l in &self.lanes {
+            stats.add(&l.stats);
+            latency.merge(&l.latency);
+        }
+        stats.batches = stats.requests;
+        (stats, latency)
     }
 
     /// The queue addressed by `id`, if the handle is current.
@@ -142,11 +190,11 @@ impl ShardState {
             .filter(|s| s.as_ref().is_some_and(|q| q.gen == id.generation()))
             .and_then(Option::take)
         else {
-            self.stats.stale_ops += 1;
+            self.stats().stale_ops += 1;
             return Err(ServiceError::UnknownQueue(id));
         };
         self.free_slots.push((id.slot(), q.gen.wrapping_add(1)));
-        self.stats.queues_destroyed += 1;
+        self.stats().queues_destroyed += 1;
         Ok(q.heap)
     }
 
@@ -169,7 +217,7 @@ impl ShardState {
         self.pool = HeapPool::new();
         self.queues.clear();
         self.free_slots.clear();
-        self.stats.poison_resets += 1;
+        self.stats().poison_resets += 1;
         if let Some(w) = self.wal.take() {
             let restarted = (|| -> std::io::Result<ShardWal> {
                 let ckpt = w.dir.join(wal::CHECKPOINT_FILE);
@@ -185,7 +233,7 @@ impl ShardState {
             })();
             match restarted {
                 Ok(w) => self.wal = Some(w),
-                Err(_) => self.stats.wal_errors += 1,
+                Err(_) => self.stats().wal_errors += 1,
             }
         }
     }
@@ -212,10 +260,10 @@ impl ShardState {
             pool,
             queues,
             free_slots,
-            stats,
+            lanes,
             wal,
-            ..
         } = self;
+        let stats = &mut lanes[lane()].stats;
         let Some(w) = wal else { return };
         let wrote = (|| -> std::io::Result<u64> {
             w.writer.sync()?;
@@ -322,12 +370,12 @@ impl Shard {
                 st
             }
         };
-        st.stats.requests += 1;
-        st.stats.batches += 1;
+        let lane = lane();
+        st.lanes[lane].stats.requests += 1;
         let resp = serve(&mut st, req);
         st.maybe_checkpoint();
         let end = flight::now_nanos();
-        st.latency.record(end.saturating_sub(begun));
+        st.lanes[lane].latency.record(end.saturating_sub(begun));
         (resp, end)
     }
 
@@ -355,7 +403,7 @@ impl Shard {
     /// handles stale) via [`ShardState::reset_after_damage`].
     fn heal<'a>(&'a self, mut st: MutexGuard<'a, ShardState>) -> MutexGuard<'a, ShardState> {
         self.state.clear_poison();
-        st.stats.poison_recoveries += 1;
+        st.stats().poison_recoveries += 1;
         if st.revalidate().is_err() {
             st.reset_after_damage();
         }
@@ -371,12 +419,8 @@ impl Shard {
             Some(&(s, g)) => (s, g),
             None => (st.queues.len() as u32, 0),
         };
-        {
-            let ShardState { stats, wal, .. } = &mut *st;
-            wal_log(wal, stats, &WalOp::CreateHeap { slot, gen });
-            wal_flush(wal, stats);
-        }
-        st.stats.queues_created += 1;
+        Shard::log_ops(&mut st, &[WalOp::CreateHeap { slot, gen }]);
+        st.stats().queues_created += 1;
         let heap = st.pool.new_heap();
         if st.free_slots.last().map(|&(s, _)| s) == Some(slot) {
             st.free_slots.pop();
@@ -395,7 +439,8 @@ impl Shard {
         if st.wal.is_none() {
             return;
         }
-        let ShardState { stats, wal, .. } = st;
+        let ShardState { lanes, wal, .. } = st;
+        let stats = &mut lanes[lane()].stats;
         for op in ops {
             wal_log(wal, stats, op);
         }
@@ -411,7 +456,7 @@ impl Shard {
 fn serve(st: &mut ShardState, req: &Request) -> Response {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(st, req)));
     run.unwrap_or_else(|_| {
-        st.stats.combiner_panics += 1;
+        st.stats().combiner_panics += 1;
         if st.revalidate().is_err() {
             st.reset_after_damage();
         }
@@ -427,10 +472,11 @@ fn execute_one(st: &mut ShardState, req: &Request) -> Response {
     let ShardState {
         pool,
         queues,
-        stats,
+        lanes,
         wal,
         ..
     } = st;
+    let stats = &mut lanes[lane()].stats;
     let Some(q) = queues
         .get_mut(qid.slot() as usize)
         .and_then(|s| s.as_mut())
@@ -589,8 +635,8 @@ pub(crate) mod tests {
         let (resp, _) = shard.execute(&Request::Len { queue: good }, now);
         assert_eq!(resp, Response::Len(0), "the good queue served both ops");
         let st = shard.lock_state();
-        assert_eq!(st.stats.combiner_panics, 1);
-        assert_eq!(st.stats.poison_recoveries, 0, "lock never poisoned");
+        assert_eq!(st.totals().0.combiner_panics, 1);
+        assert_eq!(st.totals().0.poison_recoveries, 0, "lock never poisoned");
     }
 
     #[test]
@@ -614,8 +660,8 @@ pub(crate) mod tests {
             Response::Key(Some(1))
         );
         let st = shard.lock_state();
-        assert!(st.stats.poison_recoveries >= 1);
-        assert_eq!(st.stats.poison_resets, 0, "state was intact");
+        assert!(st.totals().0.poison_recoveries >= 1);
+        assert_eq!(st.totals().0.poison_resets, 0, "state was intact");
     }
 
     #[test]
@@ -846,14 +892,14 @@ pub(crate) mod tests {
             .len();
         assert!(image > 2 * 48 * CheckpointCadence::MIN_OPS, "image {image}");
         shard.lock_state().reset_after_damage();
-        assert_eq!(shard.lock_state().stats.wal_checkpoints, 1);
+        assert_eq!(shard.lock_state().totals().0.wal_checkpoints, 1);
         let q = shard.create_queue(); // op 1 of the fresh log
         for key in 2..CheckpointCadence::MIN_OPS as i64 {
             insert(q, key);
         }
-        assert_eq!(shard.lock_state().stats.wal_checkpoints, 1);
+        assert_eq!(shard.lock_state().totals().0.wal_checkpoints, 1);
         insert(q, 0); // the op floor: the fresh log has no image yet
-        assert_eq!(shard.lock_state().stats.wal_checkpoints, 2);
+        assert_eq!(shard.lock_state().totals().0.wal_checkpoints, 2);
         drop(shard);
         let state = wal::recover_dir(&dir, Engine::Sequential).unwrap();
         assert_eq!(state.replayed, 0, "the checkpoint covers the fresh log");

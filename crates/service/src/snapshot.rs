@@ -2,9 +2,9 @@
 //! to poll while the service is under load.
 //!
 //! [`crate::QueueService::snapshot`] takes each shard's lock in turn and
-//! copies its counters and latency histogram. The result renders as JSON
-//! ([`ServiceSnapshot::to_json`], consumed by the `pqtop` binary) or as a
-//! text table ([`ServiceSnapshot::render`]).
+//! sums its lanes' counters and latency histograms. The result renders as
+//! JSON ([`ServiceSnapshot::to_json`], consumed by the `pqtop` binary) or
+//! as a text table ([`ServiceSnapshot::render`]).
 
 use obs::json::J;
 use obs::{LatencyHistogram, Recorder, Registry};
