@@ -19,16 +19,18 @@
 //!   must win by ≥2× at N = 2^18.
 //! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, with
 //!   every insert planned.
-//! * `multi_extract_min` (`k` ripple `Extract-Min` rounds), plus the
+//! * `multi_extract_min` (`k` ripple `Extract-Min` rounds): `k = n/16`, and
+//!   the service's `extract_k` shape, `k = 8` from 4,096 keys. Plus the
 //!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
-//! plumbing as telemetry) so every PR extends a perf trajectory; the process
-//! exits non-zero if **any** gate fails. Quick mode for CI: `cargo bench
-//! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
-//! `--full` (nightly) to add the 2^20/2^22 sizes.
+//! plumbing as telemetry), with the host's core count, so every PR extends a
+//! perf trajectory; the process exits non-zero if **any** gate fails. Quick
+//! mode for CI: `cargo bench --bench wallclock -- --warm-up-time 0.2
+//! --measurement-time 0.5`; pass `--full` (nightly) to add the 2^20/2^22
+//! sizes.
 
 use std::time::Duration;
 
@@ -217,6 +219,20 @@ fn bench_multi_extract(c: &mut Criterion, full: bool) {
             )
         });
     }
+    // One `extract_k(8)` call of the service on a shard-sized heap.
+    let n = 1usize << 12;
+    let mut rng = workloads::rng(31 ^ n as u64);
+    let base = ParBinomialHeap::from_keys(workloads::random_keys(&mut rng, n));
+    group.bench_with_input(BenchmarkId::new("k8", n), &n, |b, _| {
+        b.iter_batched(
+            || base.clone(),
+            |mut h| {
+                let out = h.multi_extract_min(8);
+                (h, out)
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 
@@ -558,6 +574,10 @@ fn write_report(results: &[BenchResult], gates: Vec<J>, path: &std::path::Path) 
                  BENCH_baseline.json"
                     .into(),
             ),
+        ),
+        (
+            "nproc",
+            J::UInt(std::thread::available_parallelism().map_or(0, |n| n.get()) as u64),
         ),
         ("results", J::Arr(rows)),
         ("gates", J::Arr(gates)),

@@ -136,16 +136,28 @@ impl<K> Iterator for Children<'_, K> {
 }
 
 /// The children of one node in ascending order, `B_0` first, held on the
-/// stack: the operand shape `pool::carry_add` takes.
+/// stack: what [`Arena::take_children`] hands the pop's carry, so child
+/// `i` is the tree that lands in root slot `i`.
 #[derive(Debug)]
 pub(crate) struct ChildBuf {
     ids: [NodeId; MAX_DEGREE],
     len: usize,
 }
 
+impl ChildBuf {
+    /// An empty buffer.
+    pub(crate) const fn new() -> Self {
+        ChildBuf {
+            ids: [NodeId(NIL); MAX_DEGREE],
+            len: 0,
+        }
+    }
+}
+
 impl std::ops::Deref for ChildBuf {
     type Target = [NodeId];
 
+    #[inline]
     fn deref(&self) -> &[NodeId] {
         &self.ids[..self.len]
     }
@@ -334,10 +346,7 @@ impl<K> Arena<K> {
     /// with no allocation.
     #[track_caller]
     pub(crate) fn children_ascending(&self, id: NodeId) -> ChildBuf {
-        let mut buf = ChildBuf {
-            ids: [NodeId(NIL); MAX_DEGREE],
-            len: 0,
-        };
+        let mut buf = ChildBuf::new();
         let d = self.get(id).degree().min(MAX_DEGREE);
         for (j, c) in self.children(id).take(d).enumerate() {
             buf.ids[d - 1 - j] = c;
@@ -348,6 +357,37 @@ impl<K> Arena<K> {
             "child list of {id:?} is shorter than its degree"
         );
         buf
+    }
+
+    /// Detach every child of live node `id` in one walk of its child list:
+    /// `out` receives them in ascending order, `B_0` first, each now a
+    /// parentless root with no sibling, and `id` is left childless. The
+    /// caller owns the buffer, so no copy of it is returned.
+    ///
+    /// # Panics
+    ///
+    /// If `id` or a node on its child list is not live, as [`Arena::get`]
+    /// (a chain shorter than the degree ends in NIL, which is never live).
+    #[inline]
+    #[track_caller]
+    pub(crate) fn take_children(&mut self, id: NodeId, out: &mut ChildBuf) {
+        let n = self.get_mut(id);
+        let d = n.degree().min(MAX_DEGREE);
+        let mut next = n.child;
+        n.child = NIL;
+        n.degree = 0;
+        out.len = d;
+        // The list runs highest order first, so it fills the buffer from
+        // the top.
+        for slot in out.ids[..d].iter_mut().rev() {
+            let c = NodeId(next);
+            let child = self.get_mut(c);
+            next = child.sibling;
+            child.parent = NIL;
+            child.sibling = NIL;
+            *slot = c;
+        }
+        debug_assert_eq!(next, NIL, "child list of {id:?} is longer than its degree");
     }
 
     /// Iterate over `(id, node)` for all live nodes.
@@ -488,6 +528,18 @@ mod tests {
         assert_eq!(a.children(p).collect::<Vec<_>>(), vec![c1, c0]);
         assert_eq!(&*a.children_ascending(p), &[c0, c1]);
         assert_eq!(a.get(c1).sibling(), Some(c0));
+        // Taking the children walks the list once and leaves every link of
+        // the two children and of p cleared, g still under c1.
+        let mut t = a.clone();
+        let mut taken = ChildBuf::new();
+        t.take_children(p, &mut taken);
+        assert_eq!(&*taken, &[c0, c1]);
+        for id in [c0, c1] {
+            assert_eq!(t.get(id).parent(), None, "{id:?}");
+            assert_eq!(t.get(id).sibling(), None, "{id:?}");
+        }
+        assert_eq!((t.get(p).degree(), t.get(p).child), (0, NIL));
+        assert_eq!(t.children(c1).collect::<Vec<_>>(), vec![g]);
         for id in [g, c0, c1, p] {
             a.dealloc(id);
         }

@@ -137,8 +137,8 @@ impl<K: Ord + Copy> ParBinomialHeap<K> {
     }
 
     /// `Extract-Min(Q)`: remove and return the minimum key. The children of
-    /// the removed root — exactly `B_{k-1}, …, B_0` — carry-add back into
-    /// the root array.
+    /// the removed root — exactly `B_0, …, B_{k-1}` — carry back into the
+    /// root array in one pass ([`HeapPool::extract_min`]).
     pub fn extract_min(&mut self) -> Option<K> {
         self.pool.extract_min(&mut self.heap)
     }

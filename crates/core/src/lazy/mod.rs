@@ -47,7 +47,7 @@ use pram::Cost;
 
 use crate::arena::{Arena, NodeId, NIL};
 use crate::plan::RootRef;
-use crate::pool::{carry_add, root_refs_into, union_pram, UnionScratch};
+use crate::pool::{ripple_in, root_refs_into, union_pram, UnionScratch};
 
 pub use meter::CostMeter;
 
@@ -289,11 +289,11 @@ impl LazyBinomialHeap {
 
     // ---------------- the standard operations ----------------
 
-    /// Fast *unmetered* construction: carry-add inserts performed host-side
+    /// Fast *unmetered* construction: ripple inserts performed host-side
     /// with no PRAM runs and no ledger entries. Experiments use this to set
     /// up large heaps cheaply before measuring the operations of interest.
     /// It builds exactly the trees of repeated [`Self::insert`], because
-    /// `pool::carry_add` follows the planner's tie rule.
+    /// `pool::ripple_in` follows the planner's tie rule.
     pub fn from_keys_fast<I: IntoIterator<Item = i64>>(p: usize, keys: I) -> Self {
         let mut h = Self::new(p);
         for k in keys {
@@ -302,7 +302,7 @@ impl LazyBinomialHeap {
         h
     }
 
-    /// One unmetered carry-add insert (see [`Self::from_keys_fast`]).
+    /// One unmetered ripple insert (see [`Self::from_keys_fast`]).
     ///
     /// # Panics
     ///
@@ -310,7 +310,7 @@ impl LazyBinomialHeap {
     pub fn insert_unmetered(&mut self, key: i64) -> NodeId {
         assert!(key > i64::MIN && key < i64::MAX, "sentinel keys reserved");
         let id = self.arena.alloc(key);
-        carry_add(&mut self.arena, &mut self.roots, &[id], 0);
+        ripple_in(&mut self.arena, &mut self.roots, id);
         self.live_len += 1;
         id
     }
@@ -374,6 +374,9 @@ impl LazyBinomialHeap {
         for d in dead.into_iter().flatten() {
             self.free_empty_subtree(d);
         }
+        // A freed empty node leaves `Del`: its slot may be recycled by the
+        // next insert, and the entry would then name a live node.
+        self.del_buffer.retain(|&d| self.arena.contains(d));
         let key = self.arena.dealloc(root).key;
         for &c in live.iter().flatten() {
             self.orphan(c);
@@ -725,6 +728,25 @@ mod tests {
         h.validate().unwrap();
         assert_eq!(h.len(), 7);
         assert_eq!(h.into_sorted_vec(), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn freed_empty_nodes_leave_the_del_buffer() {
+        // A deleted node stays in Del until its empty subtree is freed with
+        // the root above it. Its recycled slot must then not be in Del.
+        let mut h = LazyBinomialHeap::new(2);
+        h.set_auto_arrange(false);
+        let ids: Vec<NodeId> = (0..8).map(|k| h.insert(k)).collect();
+        h.delete(ids[7]);
+        assert_eq!(h.del_buffer, vec![ids[7]]);
+        let drained: Vec<i64> = std::iter::from_fn(|| h.extract_min()).collect();
+        assert_eq!(drained, (0..7).collect::<Vec<_>>());
+        assert!(h.del_buffer.is_empty());
+        for k in 0..8 {
+            h.insert(k);
+        }
+        assert!(h.node_exists(ids[7]), "the slot was recycled");
+        crate::check::check_lazy(&h).unwrap();
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //! increment: the new node ripples up `H`, one `link` per carry (amortised
 //! `O(1)`). `Multi-Insert` is the same ripple once per key, under one
 //! ownership and one capacity check, so a batch builds exactly the trees of
-//! an `insert` loop and reuses free slots as it does. `Extract-Min`
-//! carry-adds the removed root's children `B_0 … B_{k-1}` back into `H` in
-//! place, and `Multi-Extract-Min` is `k` of those under one ownership check.
-//! All of them build exactly the trees the planner would, because `link`
-//! follows the planner's tie contract. `meld` and `meld_cross_pool` run the
+//! an `insert` loop and reuses free slots as it does. `Extract-Min` is one
+//! pass over the removed root's children: a single walk of its child list
+//! detaches `B_0 … B_{k-1}` into a stack buffer, they carry into slots
+//! `0 … k` of `H` (slot `k` is the one the root left, so the last carry
+//! settles there), and a branch-free scan of the roots finds the new min.
+//! `Multi-Extract-Min` is `k` of those under one ownership check. All of
+//! them build exactly the trees the planner would, because `link` follows
+//! the planner's tie contract. `meld` and `meld_cross_pool` run the
 //! paper's Phases I–III. Each heap caches its min root, exact after every
 //! op: `insert` updates it in `O(1)`, and the ops that rebuild `H` rescan
 //! its `≤ log n` roots once.
@@ -262,15 +265,21 @@ fn trim(roots: &mut Vec<Option<NodeId>>) {
 }
 
 /// The root with the minimum key, ties to the lowest order — the value a
-/// heap's cached `min` must always equal.
+/// heap's cached `min` must always equal. Past the first root each key
+/// comparison is a select, not a branch: an empty slot stands in for the
+/// best so far, which never beats itself under the strict `<`.
 pub(crate) fn scan_min<K: Ord>(arena: &Arena<K>, roots: &[Option<NodeId>]) -> Option<NodeId> {
-    let mut best: Option<NodeId> = None;
-    for &id in roots.iter().flatten() {
-        if best.is_none_or(|b| arena.get(id).key < arena.get(b).key) {
-            best = Some(id);
-        }
+    let first = roots.iter().position(Option::is_some)?;
+    let mut best = roots[first]?;
+    let mut best_key = &arena.get(best).key;
+    for &r in &roots[first + 1..] {
+        let id = r.unwrap_or(best);
+        let key = &arena.get(id).key;
+        let less = key < best_key;
+        best = std::hint::select_unpredictable(less, id, best);
+        best_key = std::hint::select_unpredictable(less, key, best_key);
     }
-    best
+    Some(best)
 }
 
 /// Make root `child` the new highest-order child of `parent`: a prepend to
@@ -301,39 +310,31 @@ pub(crate) fn link<K: Ord + Copy>(arena: &mut Arena<K>, first: NodeId, second: N
     win
 }
 
-/// Carry-add a dense forest into `roots` in place: binary addition with one
-/// [`link`] per carry. Tree `j` of `add` has order `from + j`.
+/// Ripple the single-node tree `id` into `roots`: a binary-counter
+/// increment with one [`link`] per carry.
 ///
-/// The trees built are exactly those of the Phase I–III plan for
-/// `Union(roots, add)`. At a position holding two trees, the resident (the
-/// plan's first operand) is `link`'s first operand. A carry is the first
-/// operand against the one tree it meets, since the plan's segmented prefix
-/// minimum keeps the lower position on ties. A carry that meets two trees
-/// stays as the root while those two link.
-pub(crate) fn carry_add<K: Ord + Copy>(
+/// The trees built are exactly those of the Phase I–III plan for the
+/// singleton `Union(roots, {id})`. At slot 0 the resident (the plan's first
+/// operand) is `link`'s first operand. Above it the carry is, since the
+/// plan's segmented prefix minimum keeps the lower position on ties.
+pub(crate) fn ripple_in<K: Ord + Copy>(
     arena: &mut Arena<K>,
     roots: &mut Vec<Option<NodeId>>,
-    add: &[NodeId],
-    from: usize,
+    id: NodeId,
 ) {
-    if roots.len() < from {
-        roots.resize(from, None);
-    }
-    let mut carry: Option<NodeId> = None;
-    let mut i = from;
-    while i - from < add.len() || carry.is_some() {
-        if i == roots.len() {
-            roots.push(None);
-        }
-        let (root, next) = match (carry, roots[i], add.get(i - from).copied()) {
-            (c, Some(x), Some(y)) => (c, Some(link(arena, x, y))),
-            (Some(c), Some(t), None) | (Some(c), None, Some(t)) => (None, Some(link(arena, c, t))),
-            (t, None, None) | (None, t, None) | (None, None, t) => (t, None),
+    let mut carry = id;
+    for (i, slot) in roots.iter_mut().enumerate() {
+        let Some(resident) = slot.take() else {
+            *slot = Some(carry);
+            return;
         };
-        roots[i] = root;
-        carry = next;
-        i += 1;
+        carry = if i == 0 {
+            link(arena, resident, carry)
+        } else {
+            link(arena, carry, resident)
+        };
     }
+    roots.push(Some(carry));
 }
 
 /// Pad `roots` to `width` positions of [`RootRef`]s (a planner's input),
@@ -455,7 +456,7 @@ impl<K: Ord + Copy> HeapPool<K> {
     pub fn insert(&mut self, h: &mut PooledHeap, key: K) {
         self.assert_owner(h);
         let id = self.arena.alloc(key);
-        carry_add(&mut self.arena, &mut h.roots, &[id], 0);
+        ripple_in(&mut self.arena, &mut h.roots, id);
         h.len += 1;
         // The ripple emptied every order below the one its carry settled in
         // and left the orders above untouched. So that root, the lowest-order
@@ -483,7 +484,7 @@ impl<K: Ord + Copy> HeapPool<K> {
         self.can_admit(keys.len())?;
         for &key in keys {
             let id = self.arena.alloc(key);
-            carry_add(&mut self.arena, &mut h.roots, &[id], 0);
+            ripple_in(&mut self.arena, &mut h.roots, id);
         }
         h.len += keys.len();
         h.min = scan_min(&self.arena, &h.roots);
@@ -503,30 +504,25 @@ impl<K: Ord + Copy> HeapPool<K> {
         self.min_root(h).map(|id| self.arena.get(id).key)
     }
 
-    /// Unlink root `id` from `h` and free it. Returns its key and its
-    /// children `B_0 … B_{k-1}` in ascending order, now parentless roots;
-    /// `h.len` drops by the whole tree, `2^k`, and the caller melds the
-    /// children back.
-    fn detach_root(&mut self, h: &mut PooledHeap, id: NodeId) -> (K, ChildBuf) {
-        let children = self.arena.children_ascending(id);
+    /// Unlink root `id` from `h`, free it and return its key. One walk of
+    /// its child list ([`Arena::take_children`]) leaves its children
+    /// `B_0 … B_{k-1}` in `children`, ascending and already parentless
+    /// roots. `h.len` drops by the whole tree, `2^k`, slot `k` is left
+    /// empty and `H` untrimmed, and the caller melds the children back.
+    #[inline]
+    fn detach_root(&mut self, h: &mut PooledHeap, id: NodeId, children: &mut ChildBuf) -> K {
+        self.arena.take_children(id, children);
         let order = children.len();
         debug_assert_eq!(h.roots[order], Some(id));
         h.roots[order] = None;
-        trim(&mut h.roots);
-        let key = self.arena.dealloc(id).key;
         h.len -= 1 << order;
-        for &c in children.iter() {
-            let n = self.arena.get_mut(c);
-            n.parent = NIL;
-            n.sibling = NIL;
-        }
-        (key, children)
+        self.arena.dealloc(id).key
     }
 
     /// `Extract-Min(Q)`: remove and return the minimum. The removed root's
-    /// children `B_0 … B_{k-1}` carry-add back into `H` in place — no plan,
-    /// no allocation, zero copies — then the `≤ log n` roots are rescanned
-    /// for the new min.
+    /// children `B_0 … B_{k-1}` carry back into slots `0 … k` of `H` in
+    /// place — no plan, no allocation, zero copies — then the `≤ log n`
+    /// roots are rescanned for the new min.
     pub fn extract_min(&mut self, h: &mut PooledHeap) -> Option<K> {
         self.assert_owner(h);
         let key = self.pop_min(h);
@@ -536,10 +532,32 @@ impl<K: Ord + Copy> HeapPool<K> {
 
     /// [`Self::extract_min`] without the ownership and `debug-validate`
     /// checks, which its callers run once.
+    ///
+    /// Child `i` has order `i`, so the re-meld is binary addition of a dense
+    /// forest into slots `0 … k-1`, one [`link`] per carry. Slot `k` held
+    /// the removed root, so the last carry always settles there and `H`
+    /// never grows. The trees are those of the planned `Union` of `H` and
+    /// the children: a resident is `link`'s first operand against the child
+    /// of its order, otherwise a carry is, and a carry that meets both stays
+    /// in the slot while they link.
     fn pop_min(&mut self, h: &mut PooledHeap) -> Option<K> {
-        let (key, children) = self.detach_root(h, h.min?);
-        carry_add(&mut self.arena, &mut h.roots, &children, 0);
-        h.len += (1 << children.len()) - 1;
+        let mut children = ChildBuf::new();
+        let key = self.detach_root(h, h.min?, &mut children);
+        let order = children.len();
+        let mut carry = None;
+        for (slot, &child) in h.roots[..order].iter_mut().zip(children.iter()) {
+            let (first, stay) = match *slot {
+                Some(resident) => (Some(resident), carry),
+                None => (carry, None),
+            };
+            (*slot, carry) = match first {
+                Some(first) => (stay, Some(link(&mut self.arena, first, child))),
+                None => (Some(child), None),
+            };
+        }
+        h.roots[order] = carry;
+        trim(&mut h.roots);
+        h.len += (1 << order) - 1;
         h.min = scan_min(&self.arena, &h.roots);
         Some(key)
     }
@@ -788,7 +806,9 @@ impl HeapPool<i64> {
         let Some(min) = min else {
             return (None, cost);
         };
-        let (key, children) = self.detach_root(h, min.id);
+        let mut children = ChildBuf::new();
+        let key = self.detach_root(h, min.id, &mut children);
+        trim(&mut h.roots);
         let orphans: Vec<Option<NodeId>> = children.iter().copied().map(Some).collect();
         cost += self.meld_roots_pram(h, &orphans, (1 << children.len()) - 1, p);
         (Some(key), cost)
@@ -955,7 +975,9 @@ mod tests {
     /// then meld its children back with a planned `Union`.
     fn planned_extract_min(pool: &mut HeapPool<i64>, h: &mut PooledHeap) -> Option<i64> {
         let min = pool.min_root(h)?;
-        let (key, children) = pool.detach_root(h, min);
+        let mut children = ChildBuf::new();
+        let key = pool.detach_root(h, min, &mut children);
+        trim(&mut h.roots);
         let orphans: Vec<Option<NodeId>> = children.iter().copied().map(Some).collect();
         let orphan_len = (1 << children.len()) - 1;
         pool.meld_roots(h, &orphans, orphan_len, build_plan_into);
@@ -1260,6 +1282,42 @@ mod tests {
                     assert_eq!(b.len(), l.len(), "{at}");
                     assert_eq!(shape(batched.arena()), shape(looped.arena()), "{at}");
                     batched.validate_heap(&b).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_extract_leaves_the_planned_extracts_pool() {
+        // The one-pass pop against an independent spelling of Extract-Min:
+        // detach the min root, then meld its children back with a planned
+        // Union. After k rounds the keys, node ids, parents, child order,
+        // roots and cached min match, however many keys are equal, and
+        // later allocs reuse the freed slots in the same order.
+        for m in [1i64, 2, 3] {
+            for len in [1usize, 2, 15, 16, 255, 256, 1023, 1024] {
+                let keys: Vec<i64> = (0..len as i64).map(|i| (i * 7919) % m).collect();
+                for k in [1, 2, 8, len, len + 5] {
+                    let mut pool: HeapPool<i64> = HeapPool::new();
+                    let mut h = pool.from_keys(keys.iter().copied());
+                    let mut planned_pool: HeapPool<i64> = HeapPool::new();
+                    let mut p = planned_pool.from_keys(keys.iter().copied());
+                    let got = pool.multi_extract_min(&mut h, k);
+                    let want: Vec<i64> = (0..k)
+                        .map_while(|_| planned_extract_min(&mut planned_pool, &mut p))
+                        .collect();
+                    assert_eq!(got, want, "mod {m}, len {len}, k {k}");
+                    for later in [&keys[..0], &keys[..len.min(40)]] {
+                        pool.multi_insert(&mut h, later).unwrap();
+                        planned_pool.multi_insert(&mut p, later).unwrap();
+                        let at = format!("mod {m}, len {len}, k {k}, {} later", later.len());
+                        assert_eq!(h.roots(), p.roots(), "{at}");
+                        assert_eq!(h.min, p.min, "{at}");
+                        assert_eq!(h.len(), p.len(), "{at}");
+                        assert_eq!(shape(pool.arena()), shape(planned_pool.arena()), "{at}");
+                        assert_eq!(pool.arena().slab_len(), planned_pool.arena().slab_len());
+                        pool.validate_heap(&h).unwrap();
+                    }
                 }
             }
         }

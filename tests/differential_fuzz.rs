@@ -83,6 +83,9 @@ enum PoolOp {
     Insert(i64),
     /// Extract the minimum everywhere; results must match the oracles.
     ExtractMin,
+    /// `multi_extract_min(k)` on the pooled heap (pool side only); the keys
+    /// must be the oracle's next `k` pops.
+    MultiExtract(usize),
     /// Read the minimum everywhere.
     Min,
     /// Same-pool meld — must be zero-copy (asserted on the slab counters).
@@ -104,6 +107,7 @@ fn pool_op_strategy() -> impl Strategy<Value = PoolOp> {
     prop_oneof![
         5 => key_strategy().prop_map(PoolOp::Insert),
         3 => Just(PoolOp::ExtractMin),
+        2 => (0usize..13).prop_map(PoolOp::MultiExtract),
         1 => Just(PoolOp::Min),
         2 => proptest::collection::vec(key_strategy(), 0..10).prop_map(PoolOp::Meld),
         2 => proptest::collection::vec(key_strategy(), 0..10).prop_map(PoolOp::MultiInsert),
@@ -405,9 +409,10 @@ proptest! {
     }
 
     /// The pooled-representation fleet: a [`HeapPool`]-resident heap runs
-    /// the program against the sorted-vec oracle, with the slab counters
-    /// asserting that every same-pool meld is zero-copy and every
-    /// `multi_insert` allocates one node per key, the cross-pool fallback
+    /// the program, multi-extracts included, against the sorted-vec oracle,
+    /// with the slab counters asserting that every same-pool meld is
+    /// zero-copy and every `multi_insert` allocates one node per key, the
+    /// cross-pool fallback
     /// and clone-heap exercised mid-program, and a lazy heap
     /// running the same inserts/melds *plus* deletes interleaved between
     /// the zero-copy melds (against its own multiset oracle). `check_pool`
@@ -436,6 +441,11 @@ proptest! {
                     prop_assert_eq!(got, pool_oracle.extract_min(), "pool extract at step {}", step);
                     prop_assert_eq!(lazy.extract_min(), lazy_oracle.extract_min(),
                         "lazy extract at step {}", step);
+                }
+                PoolOp::MultiExtract(k) => {
+                    let got = pool.multi_extract_min(&mut main, *k);
+                    let want: Vec<i64> = (0..*k).map_while(|_| pool_oracle.extract_min()).collect();
+                    prop_assert_eq!(got, want, "pool multi-extract of {} at step {}", k, step);
                 }
                 PoolOp::Min => {
                     prop_assert_eq!(pool.min(&main), pool_oracle.min(), "pool min at step {}", step);
