@@ -9,6 +9,9 @@
 //!   separately owned heaps (the `absorb` arm: the second heap's nodes move
 //!   into the first one's slab), with a hard gate: zero-copy must win by
 //!   ≥10× at n = 2^20 (it is O(log n) pointer writes vs Θ(n) node moves).
+//!   Both arms are timed by hand, interleaved; a zero-copy meld takes
+//!   microseconds, so one zero-copy sample averages `MELDS_PER_SAMPLE`
+//!   melds, each on a freshly built pair.
 //! * `multi_insert` — the paper's sequential reference (a batch of n keys is
 //!   n `Insert`s, each a planned singleton `Union`) vs
 //!   `ParBinomialHeap::multi_insert` (one ripple per key, no plan). Gate:
@@ -24,15 +27,18 @@
 //!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
+//!   The two overhead gates time their arms as interleaved pairs and
+//!   derive a noise floor from those pairs: a margin inside the floor is
+//!   reported `inconclusive` rather than passing or failing.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
 //! plumbing as telemetry), with the host's core count, so every PR extends a
-//! perf trajectory; the process exits non-zero if **any** gate fails. Quick
-//! mode for CI: `cargo bench --bench wallclock -- --warm-up-time 0.2
-//! --measurement-time 0.5`; pass `--full` (nightly) to add the 2^20/2^22
-//! sizes.
+//! perf trajectory; the process exits non-zero if **any** gate fails (an
+//! inconclusive overhead gate does not). Quick mode for CI: `cargo bench
+//! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
+//! `--full` (nightly) to add the 2^20/2^22 sizes.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bench::workloads;
 use criterion::{BatchSize, BenchResult, BenchmarkId, Criterion};
@@ -78,31 +84,62 @@ fn heap_pair(n: usize, seed: u64) -> (ParBinomialHeap<i64>, ParBinomialHeap<i64>
     )
 }
 
-fn bench_meld(c: &mut Criterion, full: bool) {
-    let mut group = c.benchmark_group("meld");
+/// Rounds per meld size: each times one `absorb` sample and one
+/// `zero_copy` sample.
+const MELD_ROUNDS: usize = 10;
+/// Melds averaged into one `meld/zero_copy` sample.
+const MELDS_PER_SAMPLE: usize = 8;
+
+/// The `meld` rows, timed by hand with the two arms interleaved round by
+/// round, so both see the same state of the host and of the process.
+/// Every meld runs on a freshly built pair and is timed alone (setup
+/// excluded; memory holds one pair at a time). One zero-copy meld of two
+/// fresh 2^19-key heaps takes 7–50 µs on a 2-vCPU host, too short and too
+/// noisy for one reading to be a sample, so a `zero_copy` sample is the
+/// mean of `MELDS_PER_SAMPLE` melds; an `absorb` sample is one meld.
+fn meld_rows(full: bool) -> Vec<BenchResult> {
+    let mut seed = 11;
+    let mut rows = Vec::new();
     for n in meld_sizes(full) {
-        group.bench_with_input(BenchmarkId::new("zero_copy", n), &n, |b, &n| {
-            b.iter_batched(
-                || pooled_pair(n, 11),
-                |(mut pool, mut a, b)| {
-                    pool.meld(&mut a, b);
-                    (pool, a)
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("absorb", n), &n, |b, &n| {
-            b.iter_batched(
-                || heap_pair(n, 11),
-                |(mut a, b)| {
-                    a.meld(b);
-                    a
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        let (mut zero_copy, mut absorb) = (Vec::new(), Vec::new());
+        for _ in 0..MELD_ROUNDS {
+            let mut sum = Duration::ZERO;
+            for _ in 0..MELDS_PER_SAMPLE {
+                let (mut pool, mut a, b) = pooled_pair(n, seed);
+                seed += 1;
+                let start = Instant::now();
+                pool.meld(&mut a, b);
+                sum += start.elapsed();
+                criterion::black_box(&a);
+            }
+            zero_copy.push(sum / MELDS_PER_SAMPLE as u32);
+            let (mut a, b) = heap_pair(n, seed);
+            let start = Instant::now();
+            a.meld(b);
+            absorb.push(start.elapsed());
+            criterion::black_box(&a);
+        }
+        rows.push(row(format!("meld/zero_copy/{n}"), &zero_copy));
+        rows.push(row(format!("meld/absorb/{n}"), &absorb));
     }
-    group.finish();
+    rows
+}
+
+/// A result row from samples timed outside the shim, printed the way the
+/// shim prints its own.
+fn row(id: String, samples: &[Duration]) -> BenchResult {
+    let mean = samples.iter().sum::<Duration>() / samples.len().max(1) as u32;
+    let min = samples.iter().min().copied().unwrap_or_default();
+    println!(
+        "{id:<40} mean {mean:>12?}  min {min:>12?}  ({} samples)",
+        samples.len()
+    );
+    BenchResult {
+        id,
+        mean_ns: mean.as_nanos() as u64,
+        min_ns: min.as_nanos() as u64,
+        samples: samples.len(),
+    }
 }
 
 /// A pool holding one heap built from `keys`, with slab room for `extra`
@@ -266,110 +303,203 @@ fn bench_mixed(c: &mut Criterion, _full: bool) {
     group.finish();
 }
 
-/// The always-on flight recorder's overhead on a mixed `QueueService`
-/// workload: the `recorder_on` arm is the shipping configuration, the
-/// `recorder_off` arm flips the process-wide kill switch. The gate holds
-/// `on` within 1.1× of `off` — the budget that justifies leaving the
-/// recorder enabled in release builds.
-fn bench_flight(c: &mut Criterion, _full: bool) {
-    let mut group = c.benchmark_group("flight");
-    const OPS: usize = 4096;
-    let mut rng = workloads::rng(83);
-    let keys = workloads::random_keys(&mut rng, OPS);
-    for (arm, enabled) in [("recorder_on", true), ("recorder_off", false)] {
-        let id = BenchmarkId::new(arm, OPS);
-        group.bench_with_input(id, &OPS, |b, _| {
-            obs::flight::set_enabled(enabled);
-            b.iter_batched(
-                || {
-                    let svc = ServiceBuilder::new().shards(1).build();
-                    let q = svc.create_queue();
-                    (svc, q)
-                },
-                |(svc, q)| {
-                    // W1's 2:1 insert/extract mix through the sync surface
-                    // (each op records begin/end events when enabled).
-                    for (i, &k) in keys.iter().enumerate() {
-                        if i % 3 < 2 {
-                            svc.insert(q, k).expect("insert");
-                        } else {
-                            let _ = svc.extract_min(q).expect("extract");
-                        }
-                    }
-                    svc
-                },
-                BatchSize::LargeInput,
-            )
-        });
+/// One run of the flight-recorder workload: W1's 2:1 insert/extract mix
+/// through the sync surface of a fresh one-shard service (each op records
+/// begin/end events when the recorder is on). The recorder-on arm is the
+/// shipping configuration; the off arm flips the process-wide kill
+/// switch. Only the ops are timed.
+fn flight_arm(keys: &[i64], enabled: bool) -> Duration {
+    obs::flight::set_enabled(enabled);
+    let svc = ServiceBuilder::new().shards(1).build();
+    let q = svc.create_queue();
+    let start = Instant::now();
+    for (i, &k) in keys.iter().enumerate() {
+        if i % 3 < 2 {
+            svc.insert(q, k).expect("insert");
+        } else {
+            let _ = svc.extract_min(q).expect("extract");
+        }
     }
-    obs::flight::set_enabled(true);
-    group.finish();
+    start.elapsed()
 }
 
-/// Durability's wall-clock price: the same batched service workload with
-/// the write-ahead log on (`durable/wal_on`) and off (`durable/wal_off`).
-/// Each round is one 1024-key `multi_insert` plus one `extract_k`; through
-/// the sync surface each op appends one record (`FromKeys` /
-/// `MultiExtractMin`) and flushes once, so a round pays two `write(2)`
-/// calls plus a word-folded CRC over the batch — costs that amortize over
-/// the 1024-key batch. That amortization is the durability story the
-/// gate's ≤1.15× bound holds the service to: per-record overhead must
-/// stay an accounting charge, not a second copy of the workload.
-fn bench_durable(c: &mut Criterion, _full: bool) {
-    let mut group = c.benchmark_group("durable");
-    const ROUNDS: usize = DURABLE_GATE_N / DURABLE_BATCH;
-    let mut rng = workloads::rng(0xD1AB);
-    let keys = workloads::random_keys(&mut rng, ROUNDS * DURABLE_BATCH);
-    let root = std::env::temp_dir().join(format!("meldpq-bench-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let run = |svc: service::QueueService| {
-        let q = svc.create_queue();
-        for round in 0..ROUNDS {
-            let batch = keys[round * DURABLE_BATCH..(round + 1) * DURABLE_BATCH].to_vec();
-            svc.multi_insert(q, batch).expect("insert batch");
-            let got = svc.extract_k(q, DURABLE_BATCH / 4).expect("extract");
-            assert_eq!(got.len(), DURABLE_BATCH / 4);
+/// One run of the durability workload on a fresh one-shard service, with
+/// the write-ahead log in `dir` (`wal_on`) or none (`wal_off`). Each round
+/// is one 1024-key `multi_insert` plus one `extract_k`; through the sync
+/// surface each op appends one record (`FromKeys` / `MultiExtractMin`)
+/// and flushes once, so a round pays two `write(2)` calls plus a
+/// word-folded CRC over the batch — costs that amortize over the
+/// 1024-key batch. That amortization is the durability story the gate's
+/// ≤1.15× bound holds the service to: per-record overhead must stay an
+/// accounting charge, not a second copy of the workload. Building the
+/// service (recovery of the empty directory) and removing the directory
+/// are not timed.
+fn durable_arm(keys: &[i64], dir: Option<&std::path::Path>) -> Duration {
+    let svc = match dir {
+        Some(dir) => ServiceBuilder::new().shards(1).durable(dir).try_build(),
+        None => Ok(ServiceBuilder::new().shards(1).build()),
+    }
+    .expect("build");
+    let q = svc.create_queue();
+    let start = Instant::now();
+    for batch in keys.chunks(DURABLE_BATCH) {
+        svc.multi_insert(q, batch.to_vec()).expect("insert batch");
+        let got = svc.extract_k(q, DURABLE_BATCH / 4).expect("extract");
+        assert_eq!(got.len(), DURABLE_BATCH / 4);
+    }
+    let elapsed = start.elapsed();
+    drop(svc);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    elapsed
+}
+
+/// Timed pairs per overhead gate, after `OVERHEAD_WARMUP` untimed ones.
+const OVERHEAD_PAIRS: usize = 200;
+const OVERHEAD_WARMUP: usize = 10;
+/// Blocks of consecutive pairs an overhead gate's noise floor compares.
+const OVERHEAD_BLOCKS: usize = 10;
+
+/// The median of `xs`.
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+}
+
+/// An overhead gate's two arms as interleaved pairs: each pair runs both
+/// arms back to back, the first arm alternating from pair to pair, so a
+/// drift of the host hits both arms alike. Returns each arm's samples.
+fn interleave(
+    mut fast: impl FnMut() -> Duration,
+    mut slow: impl FnMut() -> Duration,
+) -> (Vec<Duration>, Vec<Duration>) {
+    for _ in 0..OVERHEAD_WARMUP {
+        fast();
+        slow();
+    }
+    let (mut f, mut s) = (Vec::new(), Vec::new());
+    for pair in 0..OVERHEAD_PAIRS {
+        if pair % 2 == 0 {
+            f.push(fast());
+            s.push(slow());
+        } else {
+            s.push(slow());
+            f.push(fast());
         }
-        svc
-    };
-    let fresh_id = std::sync::atomic::AtomicU64::new(0);
-    group.bench_with_input(
-        BenchmarkId::new("wal_on", DURABLE_GATE_N),
-        &DURABLE_GATE_N,
-        |b, _| {
-            b.iter_batched(
-                || {
-                    // A fresh directory per iteration: recovery cost stays in
-                    // the (untimed) setup and never compounds.
-                    let dir = root.join(
-                        fresh_id
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                            .to_string(),
-                    );
-                    ServiceBuilder::new()
-                        .shards(1)
-                        .durable(dir)
-                        .try_build()
-                        .expect("durable build")
-                },
-                run,
-                BatchSize::LargeInput,
-            )
-        },
+    }
+    (f, s)
+}
+
+/// An overhead bound, "`fast` within `bound`× of `slow`", checked on
+/// interleaved pairs. The gate's ratio is the median over pairs of
+/// `slow / fast`, which must reach `1 / bound`. Its noise floor is half
+/// the range of the medians of `OVERHEAD_BLOCKS` consecutive blocks of
+/// pairs: how far the run disagrees with itself over time. (The
+/// confidence interval of the overall median, 0.004–0.013 on a 2-vCPU
+/// host, was narrower than the medians of repeated runs spread, 0.90 to
+/// 0.92 for the flight gate.) A margin beyond the floor passes or
+/// fails; a margin inside it is `inconclusive` and does not fail the run.
+struct Overhead {
+    name: &'static str,
+    fast: String,
+    slow: String,
+    bound: f64,
+}
+
+impl Overhead {
+    /// Evaluate on the arms' samples; returns (json, not failed).
+    fn eval(&self, fast: &[Duration], slow: &[Duration]) -> (J, bool) {
+        let ratios: Vec<f64> = fast
+            .iter()
+            .zip(slow)
+            .map(|(f, s)| s.as_secs_f64() / f.as_secs_f64().max(1e-12))
+            .collect();
+        let n = ratios.len();
+        let blocks: Vec<f64> = ratios
+            .chunks(n / OVERHEAD_BLOCKS)
+            .take(OVERHEAD_BLOCKS)
+            .map(median)
+            .collect();
+        let (lo, hi) = blocks
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &b| (lo.min(b), hi.max(b)));
+        let floor = (hi - lo) / 2.0;
+        let median = median(&ratios);
+        let threshold = 1.0 / self.bound;
+        let verdict = match median - threshold {
+            m if m > floor => "pass",
+            m if m < -floor => "fail",
+            _ => "inconclusive",
+        };
+        let mean = |d: &[Duration]| d.iter().sum::<Duration>().as_nanos() as f64 / d.len() as f64;
+        println!(
+            "gate {}: median {} / {} over {n} pairs = {median:.3}x (need >={threshold:.3}x, \
+             noise floor {floor:.3}) {verdict}",
+            self.name, self.slow, self.fast,
+        );
+        let row = J::obj([
+            ("name", J::Str(self.name.into())),
+            ("fast", J::Str(self.fast.clone())),
+            ("slow", J::Str(self.slow.clone())),
+            ("fast_mean_ns", J::Num(mean(fast))),
+            ("slow_mean_ns", J::Num(mean(slow))),
+            ("pairs", J::UInt(n as u64)),
+            ("ratio", J::Num(median)),
+            ("noise_floor", J::Num(floor)),
+            ("threshold", J::Num(threshold)),
+            ("verdict", J::Str(verdict.into())),
+            ("pass", J::Bool(verdict == "pass")),
+        ]);
+        (row, verdict != "fail")
+    }
+}
+
+/// The flight-recorder and WAL overhead gates, each on its interleaved
+/// pairs: result rows for the four arms, and a gate row each.
+fn overhead_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
+    let mut rng = workloads::rng(83);
+    let flight_keys = workloads::random_keys(&mut rng, FLIGHT_GATE_N);
+    let (on, off) = interleave(
+        || flight_arm(&flight_keys, true),
+        || flight_arm(&flight_keys, false),
     );
-    group.bench_with_input(
-        BenchmarkId::new("wal_off", DURABLE_GATE_N),
-        &DURABLE_GATE_N,
-        |b, _| {
-            b.iter_batched(
-                || ServiceBuilder::new().shards(1).build(),
-                run,
-                BatchSize::LargeInput,
-            )
+    obs::flight::set_enabled(true);
+    let mut rng = workloads::rng(0xD1AB);
+    let durable_keys = workloads::random_keys(&mut rng, DURABLE_GATE_N);
+    let root = std::env::temp_dir().join(format!("meldpq-bench-durable-{}", std::process::id()));
+    let fresh = std::cell::Cell::new(0u64);
+    let (wal_on, wal_off) = interleave(
+        || {
+            fresh.set(fresh.get() + 1);
+            durable_arm(&durable_keys, Some(&root.join(fresh.get().to_string())))
         },
+        || durable_arm(&durable_keys, None),
     );
-    group.finish();
     let _ = std::fs::remove_dir_all(&root);
+    let flight = Overhead {
+        name: "flight_recorder_overhead",
+        fast: format!("flight/recorder_on/{FLIGHT_GATE_N}"),
+        slow: format!("flight/recorder_off/{FLIGHT_GATE_N}"),
+        bound: FLIGHT_BOUND,
+    };
+    let wal = Overhead {
+        name: "wal_append_overhead",
+        fast: format!("durable/wal_on/{DURABLE_GATE_N}"),
+        slow: format!("durable/wal_off/{DURABLE_GATE_N}"),
+        bound: WAL_BOUND,
+    };
+    let rows = vec![
+        row(flight.fast.clone(), &on),
+        row(flight.slow.clone(), &off),
+        row(wal.fast.clone(), &wal_on),
+        row(wal.slow.clone(), &wal_off),
+    ];
+    (
+        rows,
+        vec![flight.eval(&on, &off), wal.eval(&wal_on, &wal_off)],
+    )
 }
 
 /// The O(1) peek satellite: `min_root` answers from the cached `NodeId`
@@ -424,8 +554,7 @@ fn bench_bulk_build(c: &mut Criterion, full: bool) {
 }
 
 /// A speedup gate between two recorded means: `slow / fast >= threshold`.
-/// An overhead bound is the same check with `threshold < 1` — e.g. "on
-/// within 1.1× of off" is `off / on >= 1/1.1`.
+/// The overhead bounds are [`Overhead`] gates instead.
 struct Gate {
     name: &'static str,
     /// The arm that must be fast.
@@ -491,7 +620,8 @@ const FLIGHT_GATE_N: usize = 4096;
 /// Heap size for the peek-cache regression arm (2^18 keys ⇒ a root list
 /// long enough that a rescan visibly costs).
 const PEEK_GATE_N: usize = 1 << 18;
-/// The recorder-on arm may cost at most 1.1× the recorder-off arm.
+/// The recorder-on arm may cost at most 1.1× the recorder-off arm: the
+/// budget that justifies leaving the recorder on in release builds.
 const FLIGHT_BOUND: f64 = 1.1;
 /// Keys per batch in the durability overhead workload: each batch is one
 /// `multi_insert` and one `FromKeys` record, so the per-record WAL cost
@@ -528,18 +658,6 @@ fn gates() -> Vec<Gate> {
             fast: format!("peek/cached/{PEEK_GATE_N}"),
             slow: format!("peek/rescan/{PEEK_GATE_N}"),
             threshold: 2.0,
-        },
-        Gate {
-            name: "flight_recorder_overhead",
-            fast: format!("flight/recorder_on/{FLIGHT_GATE_N}"),
-            slow: format!("flight/recorder_off/{FLIGHT_GATE_N}"),
-            threshold: 1.0 / FLIGHT_BOUND,
-        },
-        Gate {
-            name: "wal_append_overhead",
-            fast: format!("durable/wal_on/{DURABLE_GATE_N}"),
-            slow: format!("durable/wal_off/{DURABLE_GATE_N}"),
-            threshold: 1.0 / WAL_BOUND,
         },
     ]
 }
@@ -598,22 +716,22 @@ fn main() {
         .measurement_time(Duration::from_millis(800))
         .configure_from_args();
 
-    bench_meld(&mut c, full);
+    let melds = meld_rows(full);
     bench_multi_insert(&mut c, full);
     bench_b_union(&mut c, full);
     bench_multi_extract(&mut c, full);
     bench_mixed(&mut c, full);
-    bench_flight(&mut c, full);
-    bench_durable(&mut c, full);
     bench_peek(&mut c, full);
     bench_scans(&mut c);
     bench_bulk_build(&mut c, full);
 
-    let results = criterion::take_results();
+    let mut results = criterion::take_results();
+    results.extend(melds);
+    let (overhead_rows, overhead) = overhead_gates();
+    results.extend(overhead_rows);
     let mut all_pass = true;
     let mut rows = Vec::new();
-    for gate in gates() {
-        let (row, pass) = gate.eval(&results);
+    for (row, pass) in gates().iter().map(|g| g.eval(&results)).chain(overhead) {
         all_pass &= pass;
         rows.push(row);
     }

@@ -65,4 +65,4 @@ pub use heap::ParBinomialHeap;
 pub use meldable::{MeldablePq, PramMeasured};
 pub use plan::{LinkOp, PointType, RootRef, UnionPlan};
 pub use pool::{CapacityError, HeapPool, PooledHeap};
-pub use wal::{DurablePool, Engine, WalError, WalOp, WalWriter};
+pub use wal::{DurablePool, Engine, HeapId, WalError, WalOp, WalWriter};

@@ -1137,13 +1137,16 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut dp = crate::wal::DurablePool::open(&dir).unwrap();
-            let (a, _) = dp.create_heap().unwrap();
-            dp.from_keys(a, &[9, 3, 3, 7, 1, 12, 1]).unwrap();
-            dp.extract_min(a).unwrap();
-            let (b, _) = dp.create_heap().unwrap();
-            dp.insert(b, 4).unwrap();
-            dp.checkpoint().unwrap();
+            use crate::wal::{DurablePool, HeapOp, WalCounts};
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let c = &mut WalCounts::default();
+            let a = dp.create_heap(c);
+            dp.apply(a, HeapOp::FromKeys(&[9, 3, 3, 7, 1, 12, 1]), c)
+                .unwrap();
+            dp.apply(a, HeapOp::ExtractMin, c).unwrap();
+            let b = dp.create_heap(c);
+            dp.apply(b, HeapOp::Insert(4), c).unwrap();
+            dp.checkpoint(c);
         }
         let rec = crate::wal::recover_dir(&dir, crate::wal::Engine::Sequential).unwrap();
         assert_eq!(

@@ -37,9 +37,14 @@
 //!   size. The images written then total at most the log's own size plus
 //!   the latest image — O(1) checkpoint bytes per logged byte however
 //!   many keys are live — and recovery replays at most one image's worth
-//!   of log past the checkpoint, or the op floor's records. The service's
-//!   shards and [`DurablePool`] share it.
-//! * **Recovery** ([`HeapPool::recover`] / [`recover_dir`]): load the last
+//!   of log past the checkpoint, or the op floor's records.
+//! * **Store** ([`DurablePool`]): the one type that holds a pool, its
+//!   `(slot, generation)` heap table and its open log — every service
+//!   shard runs one, and the crash fuzzer drives it. A live op is logged
+//!   and flushed, then applied; replay applies each record through the
+//!   same code. An I/O error closes the log and the store keeps serving
+//!   from memory.
+//! * **Recovery** ([`DurablePool::open`] / [`recover_dir`]): load the last
 //!   valid checkpoint (if any), replay every WAL record with a later
 //!   sequence number, and truncate the log at the first torn or
 //!   CRC-failing record. The recovered pool must pass
@@ -105,10 +110,9 @@ fn fnv1a_step(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// One logical pool mutation, as logged. Slots and generations are the
-/// *caller's* handle space (the service's queue table or
-/// [`DurablePool`]'s slot table) so recovered handles stay valid across a
-/// restart.
+/// One logical pool mutation, as logged. Slots and generations are
+/// [`DurablePool`]'s handle space, so recovered handles stay valid across
+/// a restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     /// A heap was created at `slot` with generation `gen`.
@@ -610,14 +614,12 @@ fn split_word(w: u64) -> (u32, u32) {
     (w as u32, (w >> 32) as u32)
 }
 
-/// A checkpoint decoded back into live structures.
+/// A checkpoint decoded back into a store with no log.
 struct RecoveredCheckpoint {
     seq: u64,
     /// Size of the image on disk, bytes.
     image: u64,
-    pool: HeapPool<i64>,
-    heaps: Vec<Option<(u32, PooledHeap)>>,
-    free_slots: Vec<(u32, u32)>,
+    store: DurablePool,
 }
 
 /// Load `dir/checkpoint.bin`. The image crosses a trust boundary, so any
@@ -689,107 +691,21 @@ fn read_checkpoint(dir: &Path) -> Option<RecoveredCheckpoint> {
     if r.left() != 0 {
         return None;
     }
-    Some(RecoveredCheckpoint {
-        seq,
-        image: bytes.len() as u64,
+    let store = DurablePool {
         pool,
         heaps,
         free_slots,
+        log: None,
+    };
+    Some(RecoveredCheckpoint {
+        seq,
+        image: bytes.len() as u64,
+        store,
     })
 }
 
-/// Apply one logged op to a pool + slot table. Shared by replay and the
-/// live [`DurablePool`] path so the two can never diverge. Returns the
-/// extracted keys (empty for non-extracting ops).
-fn apply_op(
-    pool: &mut HeapPool<i64>,
-    slots: &mut Vec<Option<(u32, PooledHeap)>>,
-    free_slots: &mut Vec<(u32, u32)>,
-    seq: u64,
-    op: &WalOp,
-) -> Result<Vec<i64>, WalError> {
-    fn live(
-        slots: &mut [Option<(u32, PooledHeap)>],
-        s: u32,
-    ) -> Result<&mut (u32, PooledHeap), WalError> {
-        slots
-            .get_mut(s as usize)
-            .and_then(Option::as_mut)
-            .ok_or(WalError::UnknownSlot(s))
-    }
-    fn take_live(
-        slots: &mut [Option<(u32, PooledHeap)>],
-        s: u32,
-    ) -> Result<(u32, PooledHeap), WalError> {
-        slots
-            .get_mut(s as usize)
-            .and_then(Option::take)
-            .ok_or(WalError::UnknownSlot(s))
-    }
-    match op {
-        WalOp::CreateHeap { slot, gen } => {
-            let i = *slot as usize;
-            if slots.len() <= i {
-                slots.resize_with(i + 1, || None);
-            }
-            if slots[i].is_some() {
-                return Err(WalError::Corrupt {
-                    seq,
-                    reason: format!("create_heap on occupied slot {slot}"),
-                });
-            }
-            // Retire the free-list entry this create consumed (search from
-            // the back: allocation is LIFO).
-            if let Some(at) = free_slots.iter().rposition(|(s, _)| s == slot) {
-                free_slots.remove(at);
-            }
-            slots[i] = Some((*gen, pool.new_heap()));
-            Ok(Vec::new())
-        }
-        WalOp::Insert { slot, key } => {
-            let (_, heap) = live(slots, *slot)?;
-            pool.insert(heap, *key);
-            Ok(Vec::new())
-        }
-        WalOp::FromKeys { slot, keys } => {
-            let (_, heap) = live(slots, *slot)?;
-            pool.multi_insert(heap, keys)?;
-            Ok(Vec::new())
-        }
-        WalOp::ExtractMin { slot } => {
-            let (_, heap) = live(slots, *slot)?;
-            Ok(pool.extract_min(heap).into_iter().collect())
-        }
-        WalOp::MultiExtractMin { slot, k } => {
-            let (_, heap) = live(slots, *slot)?;
-            let k = usize::try_from(*k).unwrap_or(usize::MAX).min(heap.len());
-            Ok(pool.multi_extract_min(heap, k))
-        }
-        WalOp::Meld { dst, src } => {
-            if dst == src {
-                return Err(WalError::Corrupt {
-                    seq,
-                    reason: format!("meld of slot {dst} into itself"),
-                });
-            }
-            live(slots, *dst)?; // refuse before `src` is taken
-            let (sgen, sheap) = take_live(slots, *src)?;
-            let (_, dheap) = live(slots, *dst)?;
-            pool.meld(dheap, sheap);
-            free_slots.push((*src, sgen.wrapping_add(1)));
-            Ok(Vec::new())
-        }
-        WalOp::FreeHeap { slot } => {
-            let (gen, heap) = take_live(slots, *slot)?;
-            pool.free_heap(heap);
-            free_slots.push((*slot, gen.wrapping_add(1)));
-            Ok(Vec::new())
-        }
-    }
-}
-
-/// Everything recovery reconstructs from a durability directory. The
-/// service's shard recovery and [`DurablePool::open`] both build on this.
+/// Everything recovery reconstructs from a durability directory;
+/// [`DurablePool::open`] builds on it.
 pub struct RecoveredState {
     /// The pool, checkpoint-restored and replayed up to the valid WAL tail.
     pub pool: HeapPool<i64>,
@@ -807,14 +723,15 @@ pub struct RecoveredState {
 }
 
 /// Recover a durability directory: last valid checkpoint + WAL suffix
-/// replay + physical truncation of any torn tail. The result has passed
-/// `check_pool`; a missing directory recovers to the empty state.
-/// `_engine` is ignored (see [`Engine`]).
+/// replay + physical truncation of any torn tail. Each record replays
+/// through the live ops of a [`DurablePool`] with no log open. The result
+/// has passed `check_pool`; a missing directory recovers to the empty
+/// state. `_engine` is ignored (see [`Engine`]).
 pub fn recover_dir(dir: &Path, _engine: Engine) -> Result<RecoveredState, WalError> {
     std::fs::create_dir_all(dir)?;
-    let (ckpt_seq, image, mut pool, mut heaps, mut free_slots) = match read_checkpoint(dir) {
-        Some(c) => (c.seq, c.image, c.pool, c.heaps, c.free_slots),
-        None => (0, 0, HeapPool::new(), Vec::new(), Vec::new()),
+    let (ckpt_seq, image, mut store) = match read_checkpoint(dir) {
+        Some(c) => (c.seq, c.image, c.store),
+        None => (0, 0, DurablePool::default()),
     };
     let wal_path = dir.join(WAL_FILE);
     let log = read_wal(&wal_path)?;
@@ -824,6 +741,8 @@ pub fn recover_dir(dir: &Path, _engine: Engine) -> Result<RecoveredState, WalErr
     let mut last_seq = ckpt_seq;
     let mut replayed = 0usize;
     let mut replayed_bytes = 0u64;
+    // No log is open, so replay appends and counts nothing.
+    let mut unlogged = WalCounts::default();
     for (seq, op) in &log.records {
         if *seq <= ckpt_seq {
             continue; // already folded into the checkpoint
@@ -834,21 +753,20 @@ pub fn recover_dir(dir: &Path, _engine: Engine) -> Result<RecoveredState, WalErr
                 reason: format!("sequence went backwards (after {last_seq})"),
             });
         }
-        apply_op(&mut pool, &mut heaps, &mut free_slots, *seq, op)?;
+        store.replay(*seq, op, &mut unlogged)?;
         last_seq = *seq;
         replayed += 1;
         replayed_bytes += op.record_len();
     }
-    let refs: Vec<&PooledHeap> = heaps.iter().flatten().map(|(_, h)| h).collect();
-    check_pool(&pool, &refs).map_err(|reason| WalError::Corrupt {
+    store.validate().map_err(|reason| WalError::Corrupt {
         seq: last_seq,
         reason,
     })?;
     flight::record_here(EventKind::Recover, replayed as u64);
     Ok(RecoveredState {
-        pool,
-        heaps,
-        free_slots,
+        pool: store.pool,
+        heaps: store.heaps,
+        free_slots: store.free_slots,
         next_seq: last_seq + 1,
         replayed,
         cadence: CheckpointCadence {
@@ -918,221 +836,466 @@ impl CheckpointCadence {
     }
 }
 
-impl HeapPool<i64> {
-    /// Recover (or initialize) a durable pool from `path`: load the last
-    /// valid checkpoint, replay the WAL suffix, truncate any torn tail,
-    /// and return the pool wrapped in its logging front-end.
-    pub fn recover(path: &Path) -> Result<DurablePool, WalError> {
-        DurablePool::open(path)
+/// A heap's address in a [`DurablePool`]: its slot in the table and the
+/// generation stamped at its creation. A freed slot's next occupant gets
+/// the next generation, so an old address goes stale instead of naming it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HeapId {
+    /// Slot in the store's table.
+    pub slot: u32,
+    /// Generation of the slot's occupant.
+    pub gen: u32,
+}
+
+/// What a store's log did, counted by the caller.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalCounts {
+    /// Records appended and flushed.
+    pub appends: u64,
+    /// Checkpoints written.
+    pub checkpoints: u64,
+    /// I/O failures. Each one closed the log.
+    pub errors: u64,
+}
+
+/// One op on one heap. [`DurablePool::apply`] logs it as the [`WalOp`]
+/// named here, then runs the kernel named here; replay runs the same.
+#[derive(Debug, Clone, Copy)]
+pub enum HeapOp<'a> {
+    /// `insert`, logged as `Insert`.
+    Insert(i64),
+    /// One `multi_insert`, logged as `FromKeys`.
+    FromKeys(&'a [i64]),
+    /// `extract_min`, logged as `ExtractMin`.
+    ExtractMin,
+    /// `multi_extract_min(k)`, logged as `MultiExtractMin`.
+    MultiExtractMin(usize),
+}
+
+impl HeapOp<'_> {
+    /// The record that logs this op on `slot`.
+    fn record(self, slot: u32) -> WalOp {
+        match self {
+            HeapOp::Insert(key) => WalOp::Insert { slot, key },
+            HeapOp::FromKeys(keys) => WalOp::FromKeys {
+                slot,
+                keys: keys.to_vec(),
+            },
+            HeapOp::ExtractMin => WalOp::ExtractMin { slot },
+            HeapOp::MultiExtractMin(k) => WalOp::MultiExtractMin { slot, k: k as u64 },
+        }
     }
 }
 
-/// A [`HeapPool`] whose every mutation is logged ahead of application, with
-/// automatic checkpoints paced by a [`CheckpointCadence`] (seeded on open
-/// from the checkpoint on disk). Heaps are addressed by `(slot,
-/// generation)` pairs (the same generational-handle scheme the service's
-/// queue table uses) so handles survive a restart.
+/// What a [`HeapOp`] answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Applied {
+    /// An insert ran.
+    Done,
+    /// The key `extract_min` removed, `None` when the heap was empty.
+    Key(Option<i64>),
+    /// The keys `multi_extract_min` removed, ascending.
+    Keys(Vec<i64>),
+}
+
+/// A durable store's open log.
 #[derive(Debug)]
-pub struct DurablePool {
-    dir: PathBuf,
-    pool: HeapPool<i64>,
-    slots: Vec<Option<(u32, PooledHeap)>>,
-    free_slots: Vec<(u32, u32)>,
+struct Log {
     writer: WalWriter,
+    dir: PathBuf,
+    /// When the next automatic checkpoint is due.
     cadence: CheckpointCadence,
 }
 
+/// The heaps of one [`HeapPool`], addressed by [`HeapId`], behind an
+/// optional write-ahead log: the service's shard state, and the type the
+/// crash fuzzer drives.
+///
+/// `DurablePool::default()` keeps everything in memory.
+/// [`DurablePool::open`] recovers a directory and keeps its log open:
+/// every op is then appended and flushed before it touches the pool, and
+/// a checkpoint is written when the [`CheckpointCadence`] says one is
+/// due. An I/O error never fails an op: it counts in
+/// [`WalCounts::errors`], closes the log and the store keeps serving from
+/// memory, so ops acknowledged after it are not recoverable
+/// ([`DurablePool::is_durable`] turns false; DESIGN.md §15).
+#[derive(Debug, Default)]
+pub struct DurablePool {
+    pool: HeapPool<i64>,
+    /// `heaps[slot] = Some((generation, heap))` for live slots.
+    heaps: Vec<Option<(u32, PooledHeap)>>,
+    /// Reusable slots with the generation their next occupant gets, reused
+    /// last-freed first.
+    ///
+    /// Generations wrap (`gen.wrapping_add(1)`), so a slot freed and
+    /// reused exactly 2³² times returns to a generation issued before, and
+    /// an address from that epoch would validate again: the classic ABA
+    /// window. It is accepted: at one create and free per microsecond on
+    /// one slot, the wrap takes over an hour of doing nothing else.
+    free_slots: Vec<(u32, u32)>,
+    /// Present iff the store is durable; an I/O error closes it.
+    log: Option<Log>,
+}
+
+/// The heap `id` names, if its slot holds that generation.
+#[inline]
+fn entry(heaps: &mut [Option<(u32, PooledHeap)>], id: HeapId) -> Result<&mut PooledHeap, WalError> {
+    match heaps.get_mut(id.slot as usize) {
+        Some(Some((gen, heap))) if *gen == id.gen => Ok(heap),
+        _ => Err(WalError::UnknownSlot(id.slot)),
+    }
+}
+
+/// Append `op()` to an open log and flush it to the OS: the write-ahead
+/// half of a live op, run before the op touches the pool. With no log
+/// open the record is never built. An I/O error counts and closes the log.
+#[inline]
+fn log_ahead(log: &mut Option<Log>, c: &mut WalCounts, op: impl FnOnce() -> WalOp) {
+    let Some(l) = log else { return };
+    match l.writer.append(&op()).and_then(|_| l.writer.flush()) {
+        Ok(()) => {
+            c.appends += 1;
+            l.cadence.logged();
+        }
+        Err(_) => {
+            c.errors += 1;
+            *log = None;
+        }
+    }
+}
+
+/// Every key of `h`, in arbitrary order.
+fn keys_of(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
+    let mut ids = Vec::with_capacity(h.len());
+    pool.collect_node_ids(h, &mut ids);
+    ids.into_iter().map(|id| pool.arena().get(id).key).collect()
+}
+
 impl DurablePool {
-    /// Open `dir`, recovering whatever state it holds (an empty or missing
-    /// directory opens as an empty pool).
+    /// Open `dir` as a durable store: recover whatever it holds (an empty
+    /// or missing directory opens empty), then reopen its log for
+    /// appending.
     pub fn open(dir: &Path) -> Result<DurablePool, WalError> {
         let state = recover_dir(dir, Engine::Sequential)?;
         let writer = WalWriter::append_to(&dir.join(WAL_FILE), state.next_seq)?;
         Ok(DurablePool {
-            dir: dir.to_path_buf(),
             pool: state.pool,
-            slots: state.heaps,
+            heaps: state.heaps,
             free_slots: state.free_slots,
-            writer,
-            cadence: state.cadence,
+            log: Some(Log {
+                writer,
+                dir: dir.to_path_buf(),
+                cadence: state.cadence,
+            }),
         })
     }
 
-    /// Log-then-apply: the write-ahead contract lives here. The op reaches
-    /// the OS before the slab changes, so recovery can only be ahead of
-    /// (never behind) acknowledged state.
-    fn log_apply(&mut self, op: &WalOp) -> Result<Vec<i64>, WalError> {
-        if let WalOp::FromKeys { keys, .. } = op {
-            // Refuse at admission: the log must never hold an op that
-            // cannot replay.
-            self.pool.can_admit(keys.len())?;
+    /// Whether a log is open: false for an in-memory store, and after an
+    /// I/O error closed the log.
+    pub fn is_durable(&self) -> bool {
+        self.log.is_some()
+    }
+
+    /// Create an empty heap in the last freed slot, else a new one.
+    pub fn create_heap(&mut self, c: &mut WalCounts) -> HeapId {
+        let fresh = (self.heaps.len() as u32, 0);
+        let (slot, gen) = self.free_slots.last().copied().unwrap_or(fresh);
+        let id = HeapId { slot, gen };
+        self.create(id, c);
+        id
+    }
+
+    /// `CreateHeap`: occupy `id.slot` and retire the free-slot entry it
+    /// consumed (searched from the back: slots are reused last-freed
+    /// first).
+    fn create(&mut self, id: HeapId, c: &mut WalCounts) {
+        log_ahead(&mut self.log, c, || WalOp::CreateHeap {
+            slot: id.slot,
+            gen: id.gen,
+        });
+        let i = id.slot as usize;
+        if self.heaps.len() <= i {
+            self.heaps.resize_with(i + 1, || None);
         }
-        let seq = self.writer.append(op)?;
-        self.writer.flush()?;
-        let out = apply_op(
-            &mut self.pool,
-            &mut self.slots,
-            &mut self.free_slots,
-            seq,
-            op,
-        )?;
-        self.cadence.logged();
-        if self.cadence.due(self.writer.bytes_logged()) {
-            self.checkpoint()?;
+        if let Some(at) = self.free_slots.iter().rposition(|&(s, _)| s == id.slot) {
+            self.free_slots.remove(at);
         }
+        self.heaps[i] = Some((id.gen, self.pool.new_heap()));
+        self.maybe_checkpoint(c);
+    }
+
+    /// Run `op` on heap `id`: one slot lookup, then admission (keys the
+    /// pool cannot hold are refused before they are logged: the log never
+    /// holds an op that cannot replay), the write-ahead record, and the
+    /// kernel. Always inlined: it is the shard's per-op path.
+    #[inline(always)]
+    pub fn apply(
+        &mut self,
+        id: HeapId,
+        op: HeapOp<'_>,
+        c: &mut WalCounts,
+    ) -> Result<Applied, WalError> {
+        let heap = entry(&mut self.heaps, id)?;
+        match op {
+            HeapOp::Insert(_) => self.pool.can_admit(1)?,
+            HeapOp::FromKeys(keys) => self.pool.can_admit(keys.len())?,
+            _ => {}
+        }
+        log_ahead(&mut self.log, c, || op.record(id.slot));
+        let out = match op {
+            HeapOp::Insert(key) => {
+                self.pool.insert(heap, key);
+                Applied::Done
+            }
+            HeapOp::FromKeys(keys) => {
+                self.pool.multi_insert(heap, keys)?;
+                Applied::Done
+            }
+            HeapOp::ExtractMin => Applied::Key(self.pool.extract_min(heap)),
+            HeapOp::MultiExtractMin(k) => Applied::Keys(self.pool.multi_extract_min(heap, k)),
+        };
+        self.maybe_checkpoint(c);
         Ok(out)
     }
 
-    fn require_live(&self, slot: u32) -> Result<(), WalError> {
-        match self.slots.get(slot as usize) {
-            Some(Some(_)) => Ok(()),
+    /// Destroy heap `id`, freeing its nodes and its slot. Returns how many
+    /// keys it held.
+    pub fn free_heap(&mut self, id: HeapId, c: &mut WalCounts) -> Result<usize, WalError> {
+        entry(&mut self.heaps, id)?;
+        log_ahead(&mut self.log, c, || WalOp::FreeHeap { slot: id.slot });
+        let heap = self.release(id.slot)?;
+        let freed = self.pool.free_heap(heap);
+        self.maybe_checkpoint(c);
+        Ok(freed)
+    }
+
+    /// `Union` within the store: meld heap `src` into heap `dst` zero-copy
+    /// and free `src`'s slot. Melding a heap into itself changes nothing.
+    pub fn meld(&mut self, dst: HeapId, src: HeapId, c: &mut WalCounts) -> Result<(), WalError> {
+        entry(&mut self.heaps, dst)?;
+        entry(&mut self.heaps, src)?;
+        if dst == src {
+            return Ok(());
+        }
+        log_ahead(&mut self.log, c, || WalOp::Meld {
+            dst: dst.slot,
+            src: src.slot,
+        });
+        let moved = self.release(src.slot)?;
+        self.pool.meld(entry(&mut self.heaps, dst)?, moved);
+        self.maybe_checkpoint(c);
+        Ok(())
+    }
+
+    /// `Union` across stores: move heap `src` of `from` into heap `dst` of
+    /// this store. `FreeHeap` goes to `from`'s log, then the moved keys as
+    /// `FromKeys` to this store's log, each flushed before its store
+    /// changes. A crash between the two flushes loses the moved keys: at
+    /// most once, never twice (DESIGN.md §15). `c` and `from_c` count the
+    /// two logs.
+    pub fn meld_from(
+        &mut self,
+        dst: HeapId,
+        from: &mut DurablePool,
+        src: HeapId,
+        c: &mut WalCounts,
+        from_c: &mut WalCounts,
+    ) -> Result<(), WalError> {
+        let heap = entry(&mut self.heaps, dst)?;
+        entry(&mut from.heaps, src)?;
+        log_ahead(&mut from.log, from_c, || WalOp::FreeHeap { slot: src.slot });
+        let moved = from.release(src.slot)?;
+        log_ahead(&mut self.log, c, || WalOp::FromKeys {
+            slot: dst.slot,
+            keys: keys_of(&from.pool, &moved),
+        });
+        self.pool.meld_cross_pool(heap, &mut from.pool, moved);
+        from.maybe_checkpoint(from_c);
+        self.maybe_checkpoint(c);
+        Ok(())
+    }
+
+    /// Free `slot` for its next occupant under a bumped generation and
+    /// hand back its heap.
+    fn release(&mut self, slot: u32) -> Result<PooledHeap, WalError> {
+        let (gen, heap) = self
+            .heaps
+            .get_mut(slot as usize)
+            .and_then(Option::take)
+            .ok_or(WalError::UnknownSlot(slot))?;
+        self.free_slots.push((slot, gen.wrapping_add(1)));
+        Ok(heap)
+    }
+
+    /// Replay one logged record through the live ops above. No log is
+    /// open during replay, so nothing is logged twice.
+    fn replay(&mut self, seq: u64, op: &WalOp, c: &mut WalCounts) -> Result<(), WalError> {
+        let corrupt = |reason: String| Err(WalError::Corrupt { seq, reason });
+        match *op {
+            WalOp::CreateHeap { slot, .. } if self.id_at(slot).is_ok() => {
+                corrupt(format!("create_heap on occupied slot {slot}"))
+            }
+            WalOp::CreateHeap { slot, gen } => {
+                self.create(HeapId { slot, gen }, c);
+                Ok(())
+            }
+            WalOp::Insert { slot, key } => self.replay_on(slot, HeapOp::Insert(key), c),
+            WalOp::FromKeys { slot, ref keys } => self.replay_on(slot, HeapOp::FromKeys(keys), c),
+            WalOp::ExtractMin { slot } => self.replay_on(slot, HeapOp::ExtractMin, c),
+            WalOp::MultiExtractMin { slot, k } => {
+                let k = usize::try_from(k).unwrap_or(usize::MAX);
+                self.replay_on(slot, HeapOp::MultiExtractMin(k), c)
+            }
+            WalOp::Meld { dst, src } if dst == src => {
+                corrupt(format!("meld of slot {dst} into itself"))
+            }
+            WalOp::Meld { dst, src } => {
+                let (dst, src) = (self.id_at(dst)?, self.id_at(src)?);
+                self.meld(dst, src, c)
+            }
+            WalOp::FreeHeap { slot } => {
+                let id = self.id_at(slot)?;
+                self.free_heap(id, c).map(drop)
+            }
+        }
+    }
+
+    /// Replay a heap op on whatever heap occupies `slot`.
+    fn replay_on(&mut self, slot: u32, op: HeapOp<'_>, c: &mut WalCounts) -> Result<(), WalError> {
+        let id = self.id_at(slot)?;
+        self.apply(id, op, c).map(drop)
+    }
+
+    /// The address of the heap occupying `slot`.
+    fn id_at(&self, slot: u32) -> Result<HeapId, WalError> {
+        match self.heaps.get(slot as usize) {
+            Some(Some((gen, _))) => Ok(HeapId { slot, gen: *gen }),
             _ => Err(WalError::UnknownSlot(slot)),
         }
     }
 
-    /// Create a heap; returns its `(slot, generation)` handle.
-    pub fn create_heap(&mut self) -> Result<(u32, u32), WalError> {
-        let (slot, gen) = match self.free_slots.last() {
-            Some(&(s, g)) => (s, g),
-            None => (self.slots.len() as u32, 0),
-        };
-        self.log_apply(&WalOp::CreateHeap { slot, gen })?;
-        Ok((slot, gen))
-    }
-
-    /// Insert one key.
-    pub fn insert(&mut self, slot: u32, key: i64) -> Result<(), WalError> {
-        self.require_live(slot)?;
-        self.log_apply(&WalOp::Insert { slot, key })?;
-        Ok(())
-    }
-
-    /// Insert a batch of keys (logged as one record, applied by one
-    /// `HeapPool::multi_insert`).
-    pub fn from_keys(&mut self, slot: u32, keys: &[i64]) -> Result<(), WalError> {
-        self.require_live(slot)?;
-        self.log_apply(&WalOp::FromKeys {
-            slot,
-            keys: keys.to_vec(),
-        })?;
-        Ok(())
-    }
-
-    /// Extract the minimum key.
-    pub fn extract_min(&mut self, slot: u32) -> Result<Option<i64>, WalError> {
-        self.require_live(slot)?;
-        let out = self.log_apply(&WalOp::ExtractMin { slot })?;
-        Ok(out.into_iter().next())
-    }
-
-    /// Extract the `k` smallest keys.
-    pub fn multi_extract_min(&mut self, slot: u32, k: usize) -> Result<Vec<i64>, WalError> {
-        self.require_live(slot)?;
-        self.log_apply(&WalOp::MultiExtractMin { slot, k: k as u64 })
-    }
-
-    /// Meld the heap at `src` into the heap at `dst`; `src` dies.
-    pub fn meld(&mut self, dst: u32, src: u32) -> Result<(), WalError> {
-        self.require_live(dst)?;
-        self.require_live(src)?;
-        if dst == src {
-            return Err(WalError::Corrupt {
-                seq: self.writer.next_seq(),
-                reason: "meld of a slot into itself".into(),
-            });
+    /// Write a checkpoint if the cadence says one is due.
+    #[inline]
+    fn maybe_checkpoint(&mut self, c: &mut WalCounts) {
+        if let Some(l) = &self.log {
+            if l.cadence.due(l.writer.bytes_logged()) {
+                self.checkpoint(c);
+            }
         }
-        self.log_apply(&WalOp::Meld { dst, src })?;
-        Ok(())
     }
 
-    /// Destroy the heap at `slot`, recycling its nodes and slot.
-    pub fn free_heap(&mut self, slot: u32) -> Result<(), WalError> {
-        self.require_live(slot)?;
-        self.log_apply(&WalOp::FreeHeap { slot })?;
-        Ok(())
-    }
-
-    /// Write a checkpoint now and restart the cadence. The WAL keeps
-    /// its history (compaction is future work); replay skips everything the
-    /// checkpoint already folded in.
-    pub fn checkpoint(&mut self) -> Result<(), WalError> {
-        self.writer.sync()?;
-        let seq = self.writer.next_seq() - 1;
+    /// Write a checkpoint now and restart the cadence (a no-op with no log
+    /// open). The log keeps its history; replay skips every record the
+    /// image covers.
+    pub fn checkpoint(&mut self, c: &mut WalCounts) {
+        let Some(l) = &mut self.log else { return };
         let heaps = self
-            .slots
+            .heaps
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|(g, h)| (i as u32, *g, h)));
-        let image = write_checkpoint(&self.dir, seq, &self.pool, heaps, &self.free_slots)?;
-        self.cadence.checkpointed(self.writer.bytes_logged(), image);
-        Ok(())
+        let seq = l.writer.next_seq().saturating_sub(1);
+        let wrote = l
+            .writer
+            .sync()
+            .and_then(|()| write_checkpoint(&l.dir, seq, &self.pool, heaps, &self.free_slots));
+        match wrote {
+            Ok(image) => {
+                l.cadence.checkpointed(l.writer.bytes_logged(), image);
+                c.checkpoints += 1;
+            }
+            Err(_) => {
+                c.errors += 1;
+                self.log = None;
+            }
+        }
+    }
+
+    /// Empty the store: every heap, every node and every free slot. An
+    /// open log restarts too, in two file steps: the checkpoint image is
+    /// deleted, then the log is truncated and its cadence restarted (the
+    /// op floor kept). A crash between the two recovers the state before
+    /// the reset from the intact log, never a mix of the two.
+    pub fn reset(&mut self, c: &mut WalCounts) {
+        self.pool = HeapPool::new();
+        self.heaps.clear();
+        self.free_slots.clear();
+        let Some(l) = self.log.take() else { return };
+        let restarted = match std::fs::remove_file(l.dir.join(CHECKPOINT_FILE)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => WalWriter::create(&l.dir.join(WAL_FILE)),
+        };
+        match restarted {
+            Ok(writer) => {
+                let cadence = CheckpointCadence {
+                    min_ops: l.cadence.min_ops,
+                    ..CheckpointCadence::default()
+                };
+                self.log = Some(Log {
+                    writer,
+                    dir: l.dir,
+                    cadence,
+                })
+            }
+            Err(_) => c.errors += 1,
+        }
     }
 
     /// Set the cadence's op floor: no automatic checkpoint before this
     /// many ops are logged since the last one (`u64::MAX` disables them).
     pub fn set_checkpoint_every(&mut self, every: u64) {
-        self.cadence.set_min_ops(every);
+        if let Some(l) = &mut self.log {
+            l.cadence.set_min_ops(every);
+        }
     }
 
-    /// The underlying pool (read-only).
+    /// The pool every heap lives in.
     pub fn pool(&self) -> &HeapPool<i64> {
         &self.pool
     }
 
-    /// Number of keys in the heap at `slot`, if live.
-    pub fn len(&self, slot: u32) -> Option<usize> {
-        match self.slots.get(slot as usize) {
-            Some(Some((_, h))) => Some(h.len()),
+    /// The heap `id` names, if live.
+    pub fn heap(&self, id: HeapId) -> Option<&PooledHeap> {
+        match self.heaps.get(id.slot as usize) {
+            Some(Some((gen, heap))) if *gen == id.gen => Some(heap),
             _ => None,
         }
     }
 
-    /// Whether the heap at `slot` is live but empty (`None` if not live).
-    pub fn is_empty(&self, slot: u32) -> Option<bool> {
-        self.len(slot).map(|l| l == 0)
+    /// The heap `id` names, for a change that bypasses the log: tests use
+    /// it to damage a store on purpose.
+    pub fn heap_mut(&mut self, id: HeapId) -> Option<&mut PooledHeap> {
+        entry(&mut self.heaps, id).ok()
     }
 
-    /// Generation of the heap at `slot`, if live.
-    pub fn generation(&self, slot: u32) -> Option<u32> {
-        match self.slots.get(slot as usize) {
-            Some(Some((g, _))) => Some(*g),
-            _ => None,
-        }
+    /// Every live heap with its address, by ascending slot.
+    pub fn heaps(&self) -> impl Iterator<Item = (HeapId, &PooledHeap)> + '_ {
+        self.heaps.iter().enumerate().filter_map(|(slot, s)| {
+            s.as_ref().map(|(gen, h)| {
+                let id = HeapId {
+                    slot: slot as u32,
+                    gen: *gen,
+                };
+                (id, h)
+            })
+        })
     }
 
-    /// Live slot indices, ascending.
-    pub fn live_slots(&self) -> Vec<u32> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i as u32))
-            .collect()
+    /// Every key of heap `id`, in arbitrary order (oracle checks).
+    pub fn keys_unsorted(&self, id: HeapId) -> Option<Vec<i64>> {
+        self.heap(id).map(|h| keys_of(&self.pool, h))
     }
 
-    /// Every key in the heap at `slot`, in arbitrary order (oracle checks).
-    pub fn keys_unsorted(&self, slot: u32) -> Option<Vec<i64>> {
-        match self.slots.get(slot as usize) {
-            Some(Some((_, h))) => {
-                let mut ids = Vec::with_capacity(h.len());
-                self.pool.collect_node_ids(h, &mut ids);
-                Some(
-                    ids.into_iter()
-                        .map(|id| self.pool.arena().get(id).key)
-                        .collect(),
-                )
-            }
-            _ => None,
-        }
-    }
-
-    /// Bytes in the WAL — the offsets a crash harness cuts at.
+    /// Bytes in the open log (0 with none): the offsets a crash harness
+    /// cuts at.
     pub fn wal_bytes(&self) -> u64 {
-        self.writer.bytes_logged()
+        self.log.as_ref().map_or(0, |l| l.writer.bytes_logged())
     }
 
-    /// Deep validation of every live heap via `check_pool`.
+    /// Deep validation of every live heap, and of the pool as a whole, via
+    /// `check_pool`.
     pub fn validate(&self) -> Result<(), String> {
-        let refs: Vec<&PooledHeap> = self.slots.iter().flatten().map(|(_, h)| h).collect();
+        let refs: Vec<&PooledHeap> = self.heaps.iter().flatten().map(|(_, h)| h).collect();
         check_pool(&self.pool, &refs)
     }
 }
@@ -1140,6 +1303,55 @@ impl DurablePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Log-count-free shorthands over the store's live ops.
+    trait Shorthand {
+        fn new_heap(&mut self) -> HeapId;
+        fn put(&mut self, id: HeapId, key: i64);
+        fn put_all(&mut self, id: HeapId, keys: &[i64]);
+        fn pop(&mut self, id: HeapId) -> Option<i64>;
+        fn pop_k(&mut self, id: HeapId, k: usize) -> Vec<i64>;
+        fn free(&mut self, id: HeapId);
+        fn last_seq(&self) -> u64;
+    }
+
+    impl Shorthand for DurablePool {
+        fn new_heap(&mut self) -> HeapId {
+            self.create_heap(&mut WalCounts::default())
+        }
+        fn put(&mut self, id: HeapId, key: i64) {
+            self.apply(id, HeapOp::Insert(key), &mut WalCounts::default())
+                .unwrap();
+        }
+        fn put_all(&mut self, id: HeapId, keys: &[i64]) {
+            self.apply(id, HeapOp::FromKeys(keys), &mut WalCounts::default())
+                .unwrap();
+        }
+        fn pop(&mut self, id: HeapId) -> Option<i64> {
+            match self.apply(id, HeapOp::ExtractMin, &mut WalCounts::default()) {
+                Ok(Applied::Key(key)) => key,
+                other => panic!("extract_min answered {other:?}"),
+            }
+        }
+        fn pop_k(&mut self, id: HeapId, k: usize) -> Vec<i64> {
+            match self.apply(id, HeapOp::MultiExtractMin(k), &mut WalCounts::default()) {
+                Ok(Applied::Keys(keys)) => keys,
+                other => panic!("multi_extract_min answered {other:?}"),
+            }
+        }
+        fn free(&mut self, id: HeapId) {
+            self.free_heap(id, &mut WalCounts::default()).unwrap();
+        }
+        /// The last sequence number logged.
+        fn last_seq(&self) -> u64 {
+            self.log.as_ref().unwrap().writer.next_seq() - 1
+        }
+    }
+
+    /// The address of slot `slot` under generation `gen`.
+    fn at(slot: u32, gen: u32) -> HeapId {
+        HeapId { slot, gen }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1261,18 +1473,19 @@ mod tests {
     fn durable_pool_recovers_exactly() {
         let dir = tmp_dir("recover");
         let (slot, gen) = {
-            let mut dp = HeapPool::recover(&dir).unwrap();
-            let (slot, gen) = dp.create_heap().unwrap();
-            dp.from_keys(slot, &[5, 3, 9, 1, 7]).unwrap();
-            dp.insert(slot, -2).unwrap();
-            assert_eq!(dp.extract_min(slot).unwrap(), Some(-2));
-            let (other, _) = dp.create_heap().unwrap();
-            dp.from_keys(other, &[100, 50]).unwrap();
-            dp.meld(slot, other).unwrap();
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let slot = dp.new_heap();
+            let gen = slot.gen;
+            dp.put_all(slot, &[5, 3, 9, 1, 7]);
+            dp.put(slot, -2);
+            assert_eq!(dp.pop(slot), Some(-2));
+            let other = dp.new_heap();
+            dp.put_all(other, &[100, 50]);
+            dp.meld(slot, other, &mut WalCounts::default()).unwrap();
             (slot, gen)
         };
-        let dp = HeapPool::recover(&dir).unwrap();
-        assert_eq!(dp.generation(slot), Some(gen));
+        let dp = DurablePool::open(&dir).unwrap();
+        assert!(dp.heap(at(slot.slot, gen)).is_some());
         let mut keys = dp.keys_unsorted(slot).unwrap();
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 3, 5, 7, 9, 50, 100]);
@@ -1284,22 +1497,23 @@ mod tests {
     /// recycled queue slot and a recyclable `(slot, gen)` pair, with a
     /// checkpoint covering every logged op.
     fn churned(dir: &Path) -> DurablePool {
-        let mut dp = HeapPool::recover(dir).unwrap();
+        let mut dp = DurablePool::open(dir).unwrap();
         dp.set_checkpoint_every(u64::MAX);
-        let (a, _) = dp.create_heap().unwrap();
-        dp.from_keys(a, &(0..12).collect::<Vec<_>>()).unwrap();
-        let (b, _) = dp.create_heap().unwrap();
-        dp.from_keys(b, &[40, 41, 42, 43, 44]).unwrap();
-        let (c, _) = dp.create_heap().unwrap();
-        dp.insert(c, 7).unwrap();
-        dp.extract_min(a).unwrap();
-        dp.multi_extract_min(a, 3).unwrap();
-        dp.free_heap(b).unwrap();
-        let (d, gen) = dp.create_heap().unwrap();
-        assert_eq!((d, gen), (b, 1), "queue slot is recycled");
-        dp.from_keys(d, &[-5, 99, 6]).unwrap();
-        dp.free_heap(c).unwrap();
-        dp.checkpoint().unwrap();
+        let a = dp.new_heap();
+        dp.put_all(a, &(0..12).collect::<Vec<_>>());
+        let b = dp.new_heap();
+        dp.put_all(b, &[40, 41, 42, 43, 44]);
+        let c = dp.new_heap();
+        dp.put(c, 7);
+        dp.pop(a);
+        dp.pop_k(a, 3);
+        dp.free(b);
+        let d = dp.new_heap();
+        let gen = d.gen;
+        assert_eq!((d.slot, gen), (b.slot, 1), "queue slot is recycled");
+        dp.put_all(d, &[-5, 99, 6]);
+        dp.free(c);
+        dp.checkpoint(&mut WalCounts::default());
         assert!(!dp.pool().arena().free_list().is_empty(), "slab has holes");
         assert!(!dp.free_slots.is_empty(), "a slot awaits recycling");
         dp
@@ -1338,22 +1552,28 @@ mod tests {
         let dir = tmp_dir("image");
         let dp = churned(&dir);
         let ck = read_checkpoint(&dir).expect("valid image");
-        assert_eq!(ck.seq, dp.writer.next_seq() - 1);
-        assert_eq!(contents(&ck.pool, &ck.heaps), contents(&dp.pool, &dp.slots));
-        assert_eq!(ck.free_slots, dp.free_slots);
-        assert_eq!(ck.pool.arena().free_list(), dp.pool.arena().free_list());
+        assert_eq!(ck.seq, dp.last_seq());
         assert_eq!(
-            ck.pool.arena().raw_slots().len(),
+            contents(&ck.store.pool, &ck.store.heaps),
+            contents(&dp.pool, &dp.heaps)
+        );
+        assert_eq!(ck.store.free_slots, dp.free_slots);
+        assert_eq!(
+            ck.store.pool.arena().free_list(),
+            dp.pool.arena().free_list()
+        );
+        assert_eq!(
+            ck.store.pool.arena().raw_slots().len(),
             dp.pool.arena().raw_slots().len()
         );
-        let refs: Vec<&PooledHeap> = ck.heaps.iter().flatten().map(|(_, h)| h).collect();
-        check_pool(&ck.pool, &refs).unwrap();
+        let refs: Vec<&PooledHeap> = ck.store.heaps.iter().flatten().map(|(_, h)| h).collect();
+        check_pool(&ck.store.pool, &refs).unwrap();
         // Recovery starts from the checkpoint and has nothing to replay.
         let state = recover_dir(&dir, Engine::Sequential).unwrap();
         assert_eq!(state.replayed, 0);
         assert_eq!(
             contents(&state.pool, &state.heaps),
-            contents(&dp.pool, &dp.slots)
+            contents(&dp.pool, &dp.heaps)
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1362,8 +1582,8 @@ mod tests {
     fn malformed_checkpoints_fall_back_to_genesis_replay() {
         let dir = tmp_dir("reject");
         let dp = churned(&dir);
-        let want = contents(&dp.pool, &dp.slots);
-        let records = (dp.writer.next_seq() - 1) as usize;
+        let want = contents(&dp.pool, &dp.heaps);
+        let records = (dp.last_seq()) as usize;
         drop(dp);
         let ck = dir.join(CHECKPOINT_FILE);
         let good = std::fs::read(&ck).unwrap();
@@ -1451,16 +1671,16 @@ mod tests {
     fn checkpoint_roundtrip_and_corruption_fallback() {
         let dir = tmp_dir("ckpt");
         {
-            let mut dp = HeapPool::recover(&dir).unwrap();
-            let (slot, _) = dp.create_heap().unwrap();
-            dp.from_keys(slot, &(0..100).collect::<Vec<_>>()).unwrap();
-            dp.extract_min(slot).unwrap();
-            dp.checkpoint().unwrap();
-            dp.insert(slot, -5).unwrap(); // lives only in the WAL suffix
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let slot = dp.new_heap();
+            dp.put_all(slot, &(0..100).collect::<Vec<_>>());
+            dp.pop(slot);
+            dp.checkpoint(&mut WalCounts::default());
+            dp.put(slot, -5); // lives only in the WAL suffix
         }
         {
-            let dp = HeapPool::recover(&dir).unwrap();
-            let mut keys = dp.keys_unsorted(0).unwrap();
+            let dp = DurablePool::open(&dir).unwrap();
+            let mut keys = dp.keys_unsorted(at(0, 0)).unwrap();
             keys.sort_unstable();
             let mut want: Vec<i64> = (1..100).collect();
             want.insert(0, -5);
@@ -1473,8 +1693,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&ck, &bytes).unwrap();
-        let dp = HeapPool::recover(&dir).unwrap();
-        let mut keys = dp.keys_unsorted(0).unwrap();
+        let dp = DurablePool::open(&dir).unwrap();
+        let mut keys = dp.keys_unsorted(at(0, 0)).unwrap();
         keys.sort_unstable();
         let mut want: Vec<i64> = (1..100).collect();
         want.insert(0, -5);
@@ -1487,27 +1707,36 @@ mod tests {
     fn slot_recycling_survives_recovery() {
         let dir = tmp_dir("slots");
         {
-            let mut dp = HeapPool::recover(&dir).unwrap();
-            let (s0, g0) = dp.create_heap().unwrap();
-            dp.insert(s0, 1).unwrap();
-            dp.free_heap(s0).unwrap();
-            let (s1, g1) = dp.create_heap().unwrap();
-            assert_eq!(s1, s0, "slot is recycled");
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let s0 = dp.new_heap();
+            let g0 = s0.gen;
+            dp.put(s0, 1);
+            dp.free(s0);
+            let s1 = dp.new_heap();
+            let g1 = s1.gen;
+            assert_eq!(s1.slot, s0.slot, "slot is recycled");
             assert_eq!(g1, g0 + 1, "generation advances");
-            dp.insert(s1, 2).unwrap();
+            dp.put(s1, 2);
         }
-        let dp = HeapPool::recover(&dir).unwrap();
-        assert_eq!(dp.generation(0), Some(1));
-        assert_eq!(dp.keys_unsorted(0).unwrap(), vec![2]);
+        let dp = DurablePool::open(&dir).unwrap();
+        assert_eq!(dp.heaps().map(|(id, _)| id).collect::<Vec<_>>(), [at(0, 1)]);
+        assert_eq!(dp.keys_unsorted(at(0, 1)).unwrap(), vec![2]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unknown_slot_is_typed() {
         let dir = tmp_dir("unknown");
-        let mut dp = HeapPool::recover(&dir).unwrap();
-        assert!(matches!(dp.insert(9, 1), Err(WalError::UnknownSlot(9))));
-        assert!(matches!(dp.extract_min(0), Err(WalError::UnknownSlot(0))));
+        let mut dp = DurablePool::open(&dir).unwrap();
+        let mut c = WalCounts::default();
+        assert!(matches!(
+            dp.apply(at(9, 0), HeapOp::Insert(1), &mut c),
+            Err(WalError::UnknownSlot(9))
+        ));
+        assert!(matches!(
+            dp.apply(at(0, 0), HeapOp::ExtractMin, &mut c),
+            Err(WalError::UnknownSlot(0))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1515,16 +1744,16 @@ mod tests {
     fn double_recover_is_idempotent() {
         let dir = tmp_dir("double");
         {
-            let mut dp = HeapPool::recover(&dir).unwrap();
-            let (slot, _) = dp.create_heap().unwrap();
-            dp.from_keys(slot, &[8, 6, 7]).unwrap();
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let slot = dp.new_heap();
+            dp.put_all(slot, &[8, 6, 7]);
         }
-        let a = HeapPool::recover(&dir).unwrap();
-        let mut ka = a.keys_unsorted(0).unwrap();
+        let a = DurablePool::open(&dir).unwrap();
+        let mut ka = a.keys_unsorted(at(0, 0)).unwrap();
         ka.sort_unstable();
         drop(a);
-        let b = HeapPool::recover(&dir).unwrap();
-        let mut kb = b.keys_unsorted(0).unwrap();
+        let b = DurablePool::open(&dir).unwrap();
+        let mut kb = b.keys_unsorted(at(0, 0)).unwrap();
         kb.sort_unstable();
         assert_eq!(ka, kb);
         b.validate().unwrap();
@@ -1567,23 +1796,23 @@ mod tests {
         // counts the log it replays past that image.
         let dir = tmp_dir("cadence");
         let (slot, mark) = {
-            let mut dp = HeapPool::recover(&dir).unwrap();
-            let (slot, _) = dp.create_heap().unwrap();
-            dp.from_keys(slot, &(0..4096).collect::<Vec<_>>()).unwrap();
-            dp.checkpoint().unwrap();
+            let mut dp = DurablePool::open(&dir).unwrap();
+            let slot = dp.new_heap();
+            dp.put_all(slot, &(0..4096).collect::<Vec<_>>());
+            dp.checkpoint(&mut WalCounts::default());
             let mark = dp.wal_bytes();
             for key in 0..600 {
-                dp.insert(slot, key).unwrap();
+                dp.put(slot, key);
             }
             (slot, mark)
         };
         let image = std::fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
         assert!(image > 48 * 2 * FLOOR, "image {image}");
         let first = checkpoint_seq(&dir);
-        let mut dp = HeapPool::recover(&dir).unwrap();
+        let mut dp = DurablePool::open(&dir).unwrap();
         let mut key = 0;
         loop {
-            dp.insert(slot, key).unwrap();
+            dp.put(slot, key);
             key += 1;
             if dp.wal_bytes() - mark >= image {
                 break;
@@ -1591,7 +1820,7 @@ mod tests {
             assert_eq!(checkpoint_seq(&dir), first, "early checkpoint");
         }
         assert!(key as u64 > FLOOR, "the image bytes, not the floor, bind");
-        assert_eq!(checkpoint_seq(&dir), dp.writer.next_seq() - 1);
+        assert_eq!(checkpoint_seq(&dir), dp.last_seq());
         drop(dp);
         let state = recover_dir(&dir, Engine::Sequential).unwrap();
         assert_eq!(state.replayed, 0);

@@ -4,15 +4,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use meldpq::pool::PooledHeap;
-use meldpq::wal::{WalError, WalOp};
-use meldpq::{ArenaStats, Backend, HeapPool};
+use meldpq::wal::{DurablePool, HeapId, WalError};
+use meldpq::{ArenaStats, Backend};
 use obs::flight::{self, EventKind};
 use obs::Registry;
 
 use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
-use crate::shard::{Shard, ShardState};
+use crate::shard::Shard;
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::ServiceError;
 
@@ -23,17 +22,12 @@ use crate::ServiceError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueueId {
     shard: u16,
-    slot: u32,
-    generation: u32,
+    heap: HeapId,
 }
 
 impl QueueId {
-    pub(crate) fn new(shard: u16, slot: u32, generation: u32) -> Self {
-        QueueId {
-            shard,
-            slot,
-            generation,
-        }
+    pub(crate) fn new(shard: u16, heap: HeapId) -> Self {
+        QueueId { shard, heap }
     }
 
     /// The shard this queue lives on.
@@ -41,20 +35,15 @@ impl QueueId {
         self.shard
     }
 
-    /// Slot within the shard's queue table.
-    pub(crate) fn slot(&self) -> u32 {
-        self.slot
-    }
-
-    /// Generation guarding against slot reuse.
-    pub(crate) fn generation(&self) -> u32 {
-        self.generation
+    /// The queue's address in its shard's store.
+    pub(crate) fn heap(&self) -> HeapId {
+        self.heap
     }
 }
 
 impl std::fmt::Display for QueueId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "q{}.{}g{}", self.shard, self.slot, self.generation)
+        write!(f, "q{}.{}g{}", self.shard, self.heap.slot, self.heap.gen)
     }
 }
 
@@ -107,9 +96,12 @@ impl ServiceBuilder {
     /// directory when [`ServiceBuilder::durable`] was set.
     pub fn try_build(self) -> Result<QueueService, WalError> {
         let shards = (0..self.shards)
-            .map(|i| match &self.durable {
-                None => Ok(Shard::new(i as u16)),
-                Some(root) => Shard::new_durable(i as u16, root.join(format!("shard{i}"))),
+            .map(|i| {
+                let store = match &self.durable {
+                    None => DurablePool::default(),
+                    Some(root) => DurablePool::open(&root.join(format!("shard{i}")))?,
+                };
+                Ok(Shard::new(i as u16, store))
             })
             .collect::<Result<Vec<_>, WalError>>()?;
         Ok(QueueService {
@@ -160,8 +152,8 @@ impl QueueService {
     }
 
     /// The queue engine of every tenant queue: always [`Backend::Pooled`],
-    /// a heap in its shard's [`HeapPool`]. Kept for callers that record the
-    /// engine next to their measurements.
+    /// a heap in its shard's [`meldpq::HeapPool`]. Kept for callers that
+    /// record the engine next to their measurements.
     pub fn backend(&self) -> Backend {
         Backend::Pooled
     }
@@ -180,16 +172,7 @@ impl QueueService {
 
     /// Destroy a queue, freeing its nodes. Returns how many keys it held.
     pub fn destroy_queue(&self, id: QueueId) -> Result<usize, ServiceError> {
-        let shard = self.shard(id)?;
-        let mut st = shard.lock_state();
-        // Look before logging: a stale handle must not reach the WAL.
-        if st.queue_mut(id).is_none() {
-            st.stats().stale_ops += 1;
-            return Err(ServiceError::UnknownQueue(id));
-        }
-        Shard::log_ops(&mut st, &[WalOp::FreeHeap { slot: id.slot() }]);
-        let heap = st.take_queue(id)?;
-        Ok(st.pool.free_heap(heap))
+        self.shard(id)?.destroy_queue(id)
     }
 
     // Each op locks its shard and runs inline (`Shard::execute`): under
@@ -277,34 +260,23 @@ impl QueueService {
         }
         let dshard = self.shard(dst)?;
         let sshard = self.shard(src)?;
+        // A failed meld changed nothing: the stale handle is dst if dst is
+        // not live, else src.
         if dst.shard() == src.shard() {
             let mut st = dshard.lock_state();
-            // Look before taking: if dst is stale we must not destroy src.
-            if st.queue_mut(dst).is_none() {
-                st.stats().stale_ops += 1;
-                return Err(ServiceError::UnknownQueue(dst));
-            }
-            if st.queue_mut(src).is_some() {
-                // Both live: one logical Meld record, logged (and flushed)
-                // before either queue is touched.
-                Shard::log_ops(
-                    &mut st,
-                    &[WalOp::Meld {
-                        dst: dst.slot(),
-                        src: src.slot(),
-                    }],
-                );
-            }
-            let src_heap = st.take_queue(src)?;
-            // Split borrows: the pool and the queue table are disjoint fields.
-            let ShardState { pool, queues, .. } = &mut *st;
-            let Some(q) = queues[dst.slot() as usize].as_mut() else {
-                return Err(ServiceError::UnknownQueue(dst));
+            let (store, stats, wal) = st.split();
+            return match store.meld(dst.heap(), src.heap(), wal) {
+                Ok(()) => {
+                    stats.queues_destroyed += 1;
+                    stats.melds_same_shard += 1;
+                    Ok(())
+                }
+                Err(_) => {
+                    stats.stale_ops += 1;
+                    let live = store.heap(dst.heap()).is_some();
+                    Err(ServiceError::UnknownQueue(if live { src } else { dst }))
+                }
             };
-            // Same pool: zero-copy plan application.
-            pool.meld(&mut q.heap, src_heap);
-            st.stats().melds_same_shard += 1;
-            return Ok(());
         }
         // Cross-shard: lock in shard-index order.
         let (first, second) = if dst.shard() < src.shard() {
@@ -319,46 +291,31 @@ impl QueueService {
         } else {
             (&mut *st_second, &mut *st_first)
         };
-        if dst_state.queue_mut(dst).is_none() {
-            dst_state.stats().stale_ops += 1;
-            return Err(ServiceError::UnknownQueue(dst));
+        let (dstore, dstats, dwal) = dst_state.split();
+        let (sstore, sstats, swal) = src_state.split();
+        // Two records in two logs, at most once (DESIGN.md §15).
+        match dstore.meld_from(dst.heap(), sstore, src.heap(), dwal, swal) {
+            Ok(()) => {
+                sstats.queues_destroyed += 1;
+                dstats.melds_cross_shard += 1;
+                Ok(())
+            }
+            Err(_) if dstore.heap(dst.heap()).is_none() => {
+                dstats.stale_ops += 1;
+                Err(ServiceError::UnknownQueue(dst))
+            }
+            Err(_) => {
+                sstats.stale_ops += 1;
+                Err(ServiceError::UnknownQueue(src))
+            }
         }
-        if src_state.queue_mut(src).is_none() {
-            src_state.stats().stale_ops += 1;
-            return Err(ServiceError::UnknownQueue(src));
-        }
-        // Durability of a cross-shard meld is two records in two logs:
-        // `FreeHeap` in the source shard's WAL, then the moved keys as
-        // `FromKeys` in the destination's — each flushed before its shard
-        // mutates. A crash between the two flushes loses the moved keys
-        // (at-most-once, never duplicated); see DESIGN.md §15.
-        Shard::log_ops(src_state, &[WalOp::FreeHeap { slot: src.slot() }]);
-        let src_heap = src_state.take_queue(src)?;
-        if dst_state.is_durable() {
-            let keys = pooled_keys_unsorted(&src_state.pool, &src_heap);
-            Shard::log_ops(
-                dst_state,
-                &[WalOp::FromKeys {
-                    slot: dst.slot(),
-                    keys,
-                }],
-            );
-        }
-        let ShardState { pool, queues, .. } = dst_state;
-        let Some(q) = queues[dst.slot() as usize].as_mut() else {
-            return Err(ServiceError::UnknownQueue(dst));
-        };
-        pool.meld_cross_pool(&mut q.heap, &mut src_state.pool, src_heap);
-        dst_state.stats().melds_cross_shard += 1;
-        Ok(())
     }
 
     /// Force a durability checkpoint on every shard (no-op on non-durable
     /// services). Bounds replay time before a planned shutdown.
     pub fn checkpoint(&self) {
         for s in &self.shards {
-            let mut st = s.lock_state();
-            st.force_checkpoint();
+            s.lock_state().checkpoint();
         }
     }
 
@@ -381,8 +338,9 @@ impl QueueService {
                 let (stats, latency) = st.totals();
                 ShardSnapshot {
                     shard: s.index(),
-                    live_queues: st.queues.iter().flatten().count(),
-                    total_keys: st.queues.iter().flatten().map(|q| q.heap.len()).sum(),
+                    live_queues: st.store.heaps().count(),
+                    total_keys: st.store.heaps().map(|(_, h)| h.len()).sum(),
+                    durable: st.store.is_durable(),
                     stats,
                     latency,
                 }
@@ -394,7 +352,7 @@ impl QueueService {
     /// Snapshot one shard's arena counters (`allocs`/`copies` — the
     /// zero-copy proof surface).
     pub fn arena_stats(&self, shard: usize) -> ArenaStats {
-        self.shards[shard].lock_state().pool.stats()
+        self.shards[shard].lock_state().store.pool().stats()
     }
 
     /// Record every shard's counters *and* latency histogram into an
@@ -411,20 +369,12 @@ impl QueueService {
     pub fn validate(&self) -> Result<(), String> {
         for (i, s) in self.shards.iter().enumerate() {
             s.lock_state()
-                .revalidate()
+                .store
+                .validate()
                 .map_err(|e| format!("shard {i}: {e}"))?;
         }
         Ok(())
     }
-}
-
-/// Every key reachable from a pooled heap, in arbitrary order. Read-only —
-/// used to serialize a cross-shard move into the destination's WAL without
-/// giving up the zero-copy meld.
-fn pooled_keys_unsorted(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
-    let mut ids = Vec::with_capacity(h.len());
-    pool.collect_node_ids(h, &mut ids);
-    ids.into_iter().map(|id| pool.arena().get(id).key).collect()
 }
 
 #[cfg(test)]
@@ -432,6 +382,8 @@ fn pooled_keys_unsorted(pool: &HeapPool<i64>, h: &PooledHeap) -> Vec<i64> {
 mod tests {
     use std::sync::Arc;
 
+    use meldpq::pool::PooledHeap;
+    use meldpq::{HeapPool, WalOp};
     use obs::Recorder;
 
     use super::*;
@@ -486,7 +438,7 @@ mod tests {
         svc.validate().unwrap();
         let swap = |heap: PooledHeap| {
             let mut st = svc.shards[0].lock_state();
-            std::mem::replace(&mut st.queue_mut(q).unwrap().heap, heap)
+            std::mem::replace(st.store.heap_mut(q.heap()).unwrap(), heap)
         };
         // A heap stamped by another pool fails the ownership check.
         let foreign = HeapPool::<i64>::new().new_heap();
@@ -495,7 +447,7 @@ mod tests {
         assert!(err.contains("ownership"), "got: {err}");
         // An empty heap of the shard's own pool validates on its own, but
         // the replaced heap's three nodes are now reachable from no queue.
-        let empty = svc.shards[0].lock_state().pool.new_heap();
+        let empty = svc.shards[0].lock_state().store.pool().new_heap();
         swap(empty);
         let err = svc.validate().unwrap_err();
         assert!(err.contains("leaked"), "got: {err}");

@@ -1,8 +1,9 @@
-//! One shard: a [`HeapPool`] of tenant queues behind one lock. Every
-//! tenant queue is a [`PooledHeap`] of that pool, so a same-shard meld is
-//! the paper's zero-copy `Union` and one checkpoint images the shard.
+//! One shard: a [`DurablePool`] of tenant queues behind one lock. Every
+//! tenant queue is a heap of the store's one [`meldpq::HeapPool`], so a
+//! same-shard meld is the paper's zero-copy `Union` and one checkpoint
+//! images the shard.
 //!
-//! Clients never touch the pool directly. Every request is one synchronous
+//! Clients never touch the store directly. Every request is one synchronous
 //! call (`Shard::execute`): it spins on the state lock for at most
 //! `WAIT_SLICE`, then blocks on it, and runs its request under a panic
 //! barrier. There is no server thread and no request buffer; requests to
@@ -10,13 +11,13 @@
 //!
 //! ## Kernels and WAL records
 //!
-//! A request picks its kernel from its key count and pop demand, and logs
-//! the record that names that kernel: one inserted key runs `insert` and
-//! logs `Insert`, more run one `multi_insert` and log one `FromKeys`; a
-//! demand of one key runs `extract_min` and logs `ExtractMin`, more one
-//! `multi_extract_min` logged as `MultiExtractMin`; a demand of zero logs
-//! nothing. WAL replay applies each record with the same kernel, so a
-//! recovered pool is the live one node for node.
+//! A request picks its kernel from its key count and pop demand, as a
+//! [`HeapOp`]: one inserted key runs `insert`, more one `multi_insert`; a
+//! demand of one key runs `extract_min`, more one `multi_extract_min`. A
+//! durable store logs the record that names the kernel before running
+//! it, and WAL replay runs each record through the same code, so a
+//! recovered pool is the live one node for node. Reads, an empty insert
+//! and a demand of zero log nothing.
 //!
 //! ## Cache-line layout
 //!
@@ -27,15 +28,11 @@
 //! shard lock like the rest; reads sum the lanes. See DESIGN.md §9.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
-use meldpq::check::check_pool;
-use meldpq::pool::PooledHeap;
-use meldpq::wal::{self, CheckpointCadence, WalError, WalOp, WalWriter, WAL_FILE};
-use meldpq::{Engine, HeapPool};
+use meldpq::wal::{Applied, DurablePool, HeapOp, WalCounts, WalError};
 use obs::flight::{self, EventKind};
 use obs::LatencyHistogram;
 
@@ -63,231 +60,67 @@ fn lane() -> usize {
 #[repr(align(64))]
 pub(crate) struct Lane {
     stats: ShardStats,
+    /// What the store's log did on this lane's calls.
+    wal: WalCounts,
     /// Call latency as the caller saw it: lock wait plus execution.
     latency: LatencyHistogram,
 }
 
-/// One tenant queue: its heap in the shard's pool plus the generation
-/// stamped into the handles that may address it.
-#[derive(Debug)]
-pub(crate) struct TenantQueue {
-    pub(crate) gen: u32,
-    pub(crate) heap: PooledHeap,
-}
-
-/// A durable shard's write-ahead log handle: the open appender, the shard's
-/// durability directory, and the checkpoint cadence. Lives inside the state
-/// mutex so WAL appends are ordered exactly like the mutations they log.
-#[derive(Debug)]
-pub(crate) struct ShardWal {
-    writer: WalWriter,
-    dir: PathBuf,
-    /// When the next automatic checkpoint is due.
-    cadence: CheckpointCadence,
-}
-
-/// The lock-protected half of a shard. Line-aligned so the mutex's lock
-/// word shares no cache line with it (module docs).
+/// The lock-protected half of a shard: its store and its lanes.
+/// Line-aligned so the mutex's lock word shares no cache line with it
+/// (module docs).
 #[derive(Debug)]
 #[repr(align(64))]
 pub(crate) struct ShardState {
-    pub(crate) pool: HeapPool<i64>,
-    /// Slot-indexed tenant queues; `None` = destroyed/free.
-    pub(crate) queues: Vec<Option<TenantQueue>>,
-    /// Reusable slots with the generation their next occupant gets.
-    ///
-    /// Generations wrap (`gen.wrapping_add(1)` in [`ShardState::take_queue`]),
-    /// so a slot destroyed and recreated exactly 2³² times returns to a
-    /// previously issued generation and a handle from that ancient epoch
-    /// would validate again — the classic ABA window. We accept it: at one
-    /// create+destroy per microsecond on a single slot, wrap-around takes
-    /// over an hour of doing nothing else, and a client holding a handle
-    /// across 2³² reuses of its slot has long violated any reasonable
-    /// lease. `aba_generation_wraparound` below pins the behaviour.
-    free_slots: Vec<(u32, u32)>,
+    pub(crate) store: DurablePool,
     /// Counters and call latency, one lane per thread (module docs).
     lanes: [Lane; LANES],
-    /// Write-ahead log, present iff the shard was built durable. Any WAL
-    /// I/O failure disables it (`None`) rather than failing requests.
-    wal: Option<ShardWal>,
 }
 
 // The layout the module docs rely on: the lock word and each lane alone.
 const _: () = assert!(std::mem::align_of::<ShardState>() >= 64);
 const _: () = assert!(std::mem::size_of::<Lane>().is_multiple_of(64));
 
-/// Append one logical op to the shard's WAL, if durability is on. An I/O
-/// failure counts a `wal_error` and turns durability off — the shard keeps
-/// serving from memory rather than amplifying a disk fault into an outage.
-fn wal_log(wal: &mut Option<ShardWal>, stats: &mut ShardStats, op: &WalOp) {
-    let Some(w) = wal else { return };
-    match w.writer.append(op) {
-        Ok(_) => {
-            stats.wal_appends += 1;
-            w.cadence.logged();
-        }
-        Err(_) => {
-            stats.wal_errors += 1;
-            *wal = None;
-        }
-    }
-}
-
-/// Flush buffered WAL records to the OS before the mutations they describe
-/// are applied (the write-*ahead* half of the contract). Failure disables
-/// durability, like [`wal_log`].
-fn wal_flush(wal: &mut Option<ShardWal>, stats: &mut ShardStats) {
-    let Some(w) = wal else { return };
-    if w.writer.flush().is_err() {
-        stats.wal_errors += 1;
-        *wal = None;
-    }
-}
-
 impl ShardState {
-    /// An empty, non-durable shard state.
-    fn new() -> Self {
-        ShardState {
-            pool: HeapPool::new(),
-            queues: Vec::new(),
-            free_slots: Vec::new(),
-            lanes: Default::default(),
-            wal: None,
-        }
+    /// The store, with the calling thread's counters and log counts.
+    pub(crate) fn split(&mut self) -> (&mut DurablePool, &mut ShardStats, &mut WalCounts) {
+        let Lane { stats, wal, .. } = &mut self.lanes[lane()];
+        (&mut self.store, stats, wal)
     }
 
-    /// The calling thread's counters.
-    pub(crate) fn stats(&mut self) -> &mut ShardStats {
-        &mut self.lanes[lane()].stats
-    }
-
-    /// Every lane summed: the counters, `batches` set to `requests`, and
-    /// the call latency.
+    /// Every lane summed: the counters, `batches` set to `requests`, the
+    /// log counts as the `wal_*` counters, and the call latency.
     pub(crate) fn totals(&self) -> (ShardStats, LatencyHistogram) {
         let (mut stats, mut latency) = (ShardStats::default(), LatencyHistogram::new());
         for l in &self.lanes {
             stats.add(&l.stats);
+            stats.wal_appends += l.wal.appends;
+            stats.wal_checkpoints += l.wal.checkpoints;
+            stats.wal_errors += l.wal.errors;
             latency.merge(&l.latency);
         }
         stats.batches = stats.requests;
         (stats, latency)
     }
 
-    /// The queue addressed by `id`, if the handle is current.
-    pub(crate) fn queue_mut(&mut self, id: QueueId) -> Option<&mut TenantQueue> {
-        self.queues
-            .get_mut(id.slot() as usize)
-            .and_then(|s| s.as_mut())
-            .filter(|q| q.gen == id.generation())
+    /// Write a checkpoint now (a no-op on a shard with no open log).
+    pub(crate) fn checkpoint(&mut self) {
+        let (store, _, wal) = self.split();
+        store.checkpoint(wal);
     }
 
-    /// Remove the queue addressed by `id`, freeing its slot for reuse under
-    /// a bumped generation.
-    pub(crate) fn take_queue(&mut self, id: QueueId) -> Result<PooledHeap, ServiceError> {
-        let Some(q) = self
-            .queues
-            .get_mut(id.slot() as usize)
-            .filter(|s| s.as_ref().is_some_and(|q| q.gen == id.generation()))
-            .and_then(Option::take)
-        else {
-            self.stats().stale_ops += 1;
-            return Err(ServiceError::UnknownQueue(id));
-        };
-        self.free_slots.push((id.slot(), q.gen.wrapping_add(1)));
-        self.stats().queues_destroyed += 1;
-        Ok(q.heap)
-    }
-
-    /// Structurally validate the shard's pool: every tenant heap, no node
-    /// shared between heaps and none leaked. Used after recovering a
-    /// poisoned lock (the panicking request may have left a mutation
-    /// half-applied) and by [`crate::QueueService::validate`].
-    pub(crate) fn revalidate(&self) -> Result<(), String> {
-        let heaps: Vec<&PooledHeap> = self.queues.iter().flatten().map(|q| &q.heap).collect();
-        check_pool(&self.pool, &heaps)
-    }
-
-    /// Last-resort recovery when [`ShardState::revalidate`] finds the state
-    /// damaged: drop every queue and start the shard over empty. Stale
-    /// handles fail cleanly with `UnknownQueue`; a durable shard's log,
-    /// checkpoint and checkpoint cadence are restarted too, so recovery
-    /// reflects the reset rather than replaying the pre-damage history onto
-    /// an empty pool, and the fresh log checkpoints on its own schedule.
+    /// Last-resort recovery when the store fails validation after a
+    /// panic: drop every queue and start the shard over empty. Stale
+    /// handles fail cleanly with `UnknownQueue`; a durable shard's
+    /// checkpoint, log and cadence restart too ([`DurablePool::reset`]).
     pub(crate) fn reset_after_damage(&mut self) {
-        self.pool = HeapPool::new();
-        self.queues.clear();
-        self.free_slots.clear();
-        self.stats().poison_resets += 1;
-        if let Some(w) = self.wal.take() {
-            let restarted = (|| -> std::io::Result<ShardWal> {
-                let ckpt = w.dir.join(wal::CHECKPOINT_FILE);
-                if ckpt.exists() {
-                    std::fs::remove_file(&ckpt)?;
-                }
-                let writer = WalWriter::create(&w.dir.join(WAL_FILE))?;
-                Ok(ShardWal {
-                    writer,
-                    dir: w.dir,
-                    cadence: CheckpointCadence::default(),
-                })
-            })();
-            match restarted {
-                Ok(w) => self.wal = Some(w),
-                Err(_) => self.stats().wal_errors += 1,
-            }
-        }
-    }
-
-    /// Whether this shard currently has an open write-ahead log.
-    pub(crate) fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Write a checkpoint if the cadence says one is due.
-    pub(crate) fn maybe_checkpoint(&mut self) {
-        let due = match &self.wal {
-            Some(w) => w.cadence.due(w.writer.bytes_logged()),
-            None => false,
-        };
-        if due {
-            self.force_checkpoint();
-        }
-    }
-
-    /// Write a checkpoint now (durable shards only; no-op otherwise).
-    pub(crate) fn force_checkpoint(&mut self) {
-        let ShardState {
-            pool,
-            queues,
-            free_slots,
-            lanes,
-            wal,
-        } = self;
-        let stats = &mut lanes[lane()].stats;
-        let Some(w) = wal else { return };
-        let wrote = (|| -> std::io::Result<u64> {
-            w.writer.sync()?;
-            let seq = w.writer.next_seq().saturating_sub(1);
-            let heaps = queues
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|q| (i as u32, q.gen, &q.heap)));
-            wal::write_checkpoint(&w.dir, seq, pool, heaps, free_slots)
-        })();
-        match wrote {
-            Ok(image) => {
-                w.cadence.checkpointed(w.writer.bytes_logged(), image);
-                stats.wal_checkpoints += 1;
-            }
-            Err(_) => {
-                stats.wal_errors += 1;
-                *wal = None;
-            }
-        }
+        let (store, stats, wal) = self.split();
+        stats.poison_resets += 1;
+        store.reset(wal);
     }
 }
 
-/// A shard: the lock-protected pool state. See module docs.
+/// A shard: the lock-protected store. See module docs.
 #[derive(Debug)]
 pub struct Shard {
     index: u16,
@@ -295,36 +128,17 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(index: u16) -> Self {
+    /// Shard `index` over `store`: in memory ([`DurablePool::new`]) or
+    /// recovered from its directory ([`DurablePool::open`]).
+    pub(crate) fn new(index: u16, store: DurablePool) -> Self {
+        let state = ShardState {
+            store,
+            lanes: Default::default(),
+        };
         Shard {
             index,
-            state: Mutex::new(ShardState::new()),
+            state: Mutex::new(state),
         }
-    }
-
-    /// Build a durable shard rooted at `dir`: recover whatever state the
-    /// directory holds (checkpoint + WAL suffix), then reopen the log for
-    /// appending.
-    pub(crate) fn new_durable(index: u16, dir: PathBuf) -> Result<Self, WalError> {
-        let recovered = wal::recover_dir(&dir, Engine::Sequential)?;
-        let mut st = ShardState::new();
-        st.pool = recovered.pool;
-        st.queues = recovered
-            .heaps
-            .into_iter()
-            .map(|s| s.map(|(gen, heap)| TenantQueue { gen, heap }))
-            .collect();
-        st.free_slots = recovered.free_slots;
-        let writer = WalWriter::append_to(&dir.join(WAL_FILE), recovered.next_seq)?;
-        st.wal = Some(ShardWal {
-            writer,
-            dir,
-            cadence: recovered.cadence,
-        });
-        Ok(Shard {
-            index,
-            state: Mutex::new(st),
-        })
     }
 
     /// This shard's index in the service's shard map.
@@ -373,7 +187,6 @@ impl Shard {
         let lane = lane();
         st.lanes[lane].stats.requests += 1;
         let resp = serve(&mut st, req);
-        st.maybe_checkpoint();
         let end = flight::now_nanos();
         st.lanes[lane].latency.record(end.saturating_sub(begun));
         (resp, end)
@@ -398,13 +211,13 @@ impl Shard {
 
     /// Recover a poisoned state lock instead of cascading the panic to
     /// every future client of the shard. The poison flag is cleared, the
-    /// recovery counted, and the state structurally revalidated — intact
+    /// recovery counted, and the store structurally revalidated — intact
     /// state keeps serving; damaged state is reset to empty (queues lost,
     /// handles stale) via [`ShardState::reset_after_damage`].
     fn heal<'a>(&'a self, mut st: MutexGuard<'a, ShardState>) -> MutexGuard<'a, ShardState> {
         self.state.clear_poison();
-        st.stats().poison_recoveries += 1;
-        if st.revalidate().is_err() {
+        st.split().1.poison_recoveries += 1;
+        if st.store.validate().is_err() {
             st.reset_after_damage();
         }
         st
@@ -415,146 +228,95 @@ impl Shard {
     /// flushed) before the slot is occupied.
     pub(crate) fn create_queue(&self) -> QueueId {
         let mut st = self.lock_state();
-        let (slot, gen) = match st.free_slots.last() {
-            Some(&(s, g)) => (s, g),
-            None => (st.queues.len() as u32, 0),
-        };
-        Shard::log_ops(&mut st, &[WalOp::CreateHeap { slot, gen }]);
-        st.stats().queues_created += 1;
-        let heap = st.pool.new_heap();
-        if st.free_slots.last().map(|&(s, _)| s) == Some(slot) {
-            st.free_slots.pop();
-            st.queues[slot as usize] = Some(TenantQueue { gen, heap });
-        } else {
-            st.queues.push(Some(TenantQueue { gen, heap }));
-        }
-        st.maybe_checkpoint();
-        QueueId::new(self.index, slot, gen)
+        let (store, stats, wal) = st.split();
+        stats.queues_created += 1;
+        QueueId::new(self.index, store.create_heap(wal))
     }
 
-    /// Log ops on behalf of the service front end (meld and destroy run
-    /// outside [`Shard::execute`]), flushing before the caller mutates
-    /// state. No-op on non-durable shards.
-    pub(crate) fn log_ops(st: &mut ShardState, ops: &[WalOp]) {
-        if st.wal.is_none() {
-            return;
+    /// Destroy a queue, freeing its nodes. Returns how many keys it held.
+    pub(crate) fn destroy_queue(&self, id: QueueId) -> Result<usize, ServiceError> {
+        let mut st = self.lock_state();
+        let (store, stats, wal) = st.split();
+        match store.free_heap(id.heap(), wal) {
+            Ok(freed) => {
+                stats.queues_destroyed += 1;
+                Ok(freed)
+            }
+            Err(_) => {
+                stats.stale_ops += 1;
+                Err(ServiceError::UnknownQueue(id))
+            }
         }
-        let ShardState { lanes, wal, .. } = st;
-        let stats = &mut lanes[lane()].stats;
-        for op in ops {
-            wal_log(wal, stats, op);
-        }
-        wal_flush(wal, stats);
     }
 }
 
 /// The panic barrier around [`execute_one`]: a panic inside one tenant's
 /// kernels (a violated invariant caught by a `debug-validate` check) must
 /// not poison the shard for every other tenant. The request is answered
-/// [`ServiceError::Internal`], the panic is counted, the state is
+/// [`ServiceError::Internal`], the panic is counted, the store is
 /// revalidated (and reset if damaged), and the shard keeps serving.
 fn serve(st: &mut ShardState, req: &Request) -> Response {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(st, req)));
     run.unwrap_or_else(|_| {
-        st.stats().combiner_panics += 1;
-        if st.revalidate().is_err() {
+        st.split().1.combiner_panics += 1;
+        if st.store.validate().is_err() {
             st.reset_after_damage();
         }
         Response::Err(ServiceError::Internal(req.queue()))
     })
 }
 
-/// The shard's one executor: admit, log and run one request with the
-/// kernel its key count and pop demand pick (see the module docs).
+/// The shard's one executor: run one request as the [`HeapOp`] its key
+/// count and pop demand pick (see the module docs), or as a read.
 fn execute_one(st: &mut ShardState, req: &Request) -> Response {
     let qid = req.queue();
-    // Split borrows: the pool and the queue table are disjoint fields.
-    let ShardState {
-        pool,
-        queues,
-        lanes,
-        wal,
-        ..
-    } = st;
-    let stats = &mut lanes[lane()].stats;
-    let Some(q) = queues
-        .get_mut(qid.slot() as usize)
-        .and_then(|s| s.as_mut())
-        .filter(|q| q.gen == qid.generation())
-    else {
-        stats.stale_ops += 1;
-        return Response::Err(ServiceError::UnknownQueue(qid));
-    };
-
-    // Admission control + write-ahead logging, both strictly before any
-    // mutation: a refused insert leaves the queue untouched, and a logged
-    // op is flushed before it is applied.
-    let keys = req.inserted_keys();
-    let refused = match keys.len() {
-        0 => None,
-        n => pool.can_admit(n).err(),
-    };
-    if wal.is_some() {
-        let slot = qid.slot();
-        let op = match req {
-            _ if refused.is_some() => None,
-            Request::ExtractMin { .. } | Request::ExtractK { k: 1, .. } => {
-                Some(WalOp::ExtractMin { slot })
-            }
-            Request::ExtractK { k, .. } if *k > 1 => {
-                Some(WalOp::MultiExtractMin { slot, k: *k as u64 })
-            }
-            _ => match keys {
-                [] => None,
-                [key] => Some(WalOp::Insert { slot, key: *key }),
-                keys => Some(WalOp::FromKeys {
-                    slot,
-                    keys: keys.to_vec(),
-                }),
-            },
-        };
-        if let Some(op) = op {
-            wal_log(wal, stats, &op);
-            wal_flush(wal, stats);
+    let (store, stats, wal) = st.split();
+    let op = match (req, req.inserted_keys()) {
+        (Request::ExtractMin { .. } | Request::ExtractK { k: 1, .. }, _) => HeapOp::ExtractMin,
+        (Request::ExtractK { k, .. }, _) if *k > 1 => HeapOp::MultiExtractMin(*k),
+        (_, [key]) => HeapOp::Insert(*key),
+        (_, keys @ [_, _, ..]) => HeapOp::FromKeys(keys),
+        // Reads, an empty insert and a demand of zero change nothing.
+        _ => {
+            let Some(heap) = store.heap(qid.heap()) else {
+                stats.stale_ops += 1;
+                return Response::Err(ServiceError::UnknownQueue(qid));
+            };
+            return match req {
+                Request::PeekMin { .. } => Response::Key(store.pool().min(heap)),
+                Request::Len { .. } => Response::Len(heap.len()),
+                Request::ExtractK { .. } => Response::Keys(Vec::new()),
+                _ => Response::Done,
+            };
         }
-    }
-
+    };
     #[cfg(test)]
     tests::hit_fail_point(qid);
-    match req {
-        Request::Insert { .. } | Request::MultiInsert { .. } => {
-            if let Some(err) = refused {
-                return Response::Err(ServiceError::Capacity { queue: qid, err });
-            }
-            match keys {
-                [] => {}
-                [key] => {
-                    pool.insert(&mut q.heap, *key);
-                    stats.single_inserts += 1;
-                }
-                keys => {
-                    flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
-                    let admitted = pool.multi_insert(&mut q.heap, keys);
-                    debug_assert!(admitted.is_ok(), "the keys passed can_admit above");
-                    stats.coalesced_inserts += keys.len() as u64;
-                }
+    match store.apply(qid.heap(), op, wal) {
+        Ok(Applied::Done) => {
+            if let HeapOp::FromKeys(keys) = op {
+                flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
+                stats.coalesced_inserts += keys.len() as u64;
+            } else {
+                stats.single_inserts += 1;
             }
             Response::Done
         }
-        Request::ExtractMin { .. } => Response::Key(pool.extract_min(&mut q.heap)),
-        Request::ExtractK { k, .. } => Response::Keys(match *k {
-            0 => Vec::new(),
-            1 => pool.extract_min(&mut q.heap).into_iter().collect(),
-            k => {
-                let out = pool.multi_extract_min(&mut q.heap, k);
-                flight::record_here(EventKind::MultiExtract, out.len() as u64);
-                stats.multi_extracts += 1;
-                stats.coalesced_pops += out.len() as u64;
-                out
-            }
-        }),
-        Request::PeekMin { .. } => Response::Key(pool.min(&q.heap)),
-        Request::Len { .. } => Response::Len(q.heap.len()),
+        Ok(Applied::Key(key)) if matches!(req, Request::ExtractK { .. }) => {
+            Response::Keys(key.into_iter().collect())
+        }
+        Ok(Applied::Key(key)) => Response::Key(key),
+        Ok(Applied::Keys(out)) => {
+            flight::record_here(EventKind::MultiExtract, out.len() as u64);
+            stats.multi_extracts += 1;
+            stats.coalesced_pops += out.len() as u64;
+            Response::Keys(out)
+        }
+        Err(WalError::Capacity(err)) => Response::Err(ServiceError::Capacity { queue: qid, err }),
+        Err(_) => {
+            stats.stale_ops += 1;
+            Response::Err(ServiceError::UnknownQueue(qid))
+        }
     }
 }
 
@@ -563,6 +325,9 @@ fn execute_one(st: &mut ShardState, req: &Request) -> Response {
 pub(crate) mod tests {
     use std::cell::Cell;
 
+    use meldpq::wal::{self, CheckpointCadence, WalOp, WalWriter};
+    use meldpq::{Engine, HeapPool};
+
     use super::*;
 
     thread_local! {
@@ -570,8 +335,8 @@ pub(crate) mod tests {
         static FAIL_POINT: Cell<Option<QueueId>> = const { Cell::new(None) };
     }
 
-    /// Make every later group for `q` executed on this thread panic just
-    /// before its Phase 1 kernel call: the injected fault the panic-barrier
+    /// Make every later request for `q` executed on this thread panic just
+    /// before the store runs it: the injected fault the panic-barrier
     /// tests contain. The queue itself is left intact, so revalidation
     /// passes and the shard keeps serving.
     pub(crate) fn arm_fail_point(q: QueueId) {
@@ -592,12 +357,9 @@ pub(crate) mod tests {
 
     #[test]
     fn stale_handle_is_rejected() {
-        let shard = Shard::new(0);
+        let shard = Shard::new(0, DurablePool::default());
         let q = shard.create_queue();
-        {
-            let mut st = shard.lock_state();
-            st.take_queue(q).unwrap();
-        }
+        shard.destroy_queue(q).unwrap();
         assert_eq!(
             run(&shard, Request::Insert { queue: q, key: 1 }),
             Response::Err(ServiceError::UnknownQueue(q))
@@ -605,13 +367,13 @@ pub(crate) mod tests {
         // The freed slot is reused under a new generation; the old handle
         // stays dead.
         let q2 = shard.create_queue();
-        assert_eq!(q2.slot(), q.slot());
-        assert_ne!(q2.generation(), q.generation());
+        assert_eq!(q2.heap().slot, q.heap().slot);
+        assert_ne!(q2.heap().gen, q.heap().gen);
     }
 
     #[test]
     fn fast_path_panic_is_contained_and_shard_keeps_serving() {
-        let shard = Shard::new(0);
+        let shard = Shard::new(0, DurablePool::default());
         let good = shard.create_queue();
         let bad = shard.create_queue();
         arm_fail_point(bad);
@@ -641,7 +403,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poisoned_lock_is_healed_not_cascaded() {
-        let shard = Shard::new(0);
+        let shard = Shard::new(0, DurablePool::default());
         let q = shard.create_queue();
         assert_eq!(
             run(&shard, Request::Insert { queue: q, key: 1 }),
@@ -668,28 +430,35 @@ pub(crate) mod tests {
     fn aba_generation_wraparound() {
         // Documented ABA window: a slot's generation wraps modulo 2^32, so
         // after exactly 2^32 destroy/create cycles an ancient handle would
-        // validate again. Simulate the wrap by pinning the free slot's next
-        // generation to u32::MAX and cycling it twice.
-        let shard = Shard::new(0);
-        let q0 = shard.create_queue(); // slot 0, gen 0
-        {
-            let mut st = shard.lock_state();
-            st.take_queue(q0).unwrap();
-            st.free_slots.clear();
-            st.free_slots.push((q0.slot(), u32::MAX));
+        // validate again. Simulate the wrap with a log whose queue at slot
+        // 0 already holds generation u32::MAX, and cycle it once more.
+        let dir = std::env::temp_dir().join(format!("meldpq-shard-aba-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = WalWriter::create(&dir.join(wal::WAL_FILE)).unwrap();
+        for op in [
+            WalOp::CreateHeap { slot: 0, gen: 0 },
+            WalOp::FreeHeap { slot: 0 },
+            WalOp::CreateHeap {
+                slot: 0,
+                gen: u32::MAX,
+            },
+        ] {
+            log.append(&op).unwrap();
         }
-        let q_max = shard.create_queue();
-        assert_eq!(q_max.generation(), u32::MAX);
-        {
-            let mut st = shard.lock_state();
-            st.take_queue(q_max).unwrap();
-            assert_eq!(
-                st.free_slots.last(),
-                Some(&(q0.slot(), 0)),
-                "generation wraps to 0"
-            );
-        }
+        log.flush().unwrap();
+        let shard = Shard::new(0, DurablePool::open(&dir).unwrap());
+        let q0 = QueueId::new(0, meldpq::HeapId { slot: 0, gen: 0 });
+        let q_max = QueueId::new(
+            0,
+            meldpq::HeapId {
+                slot: 0,
+                gen: u32::MAX,
+            },
+        );
+        shard.destroy_queue(q_max).unwrap();
         let q_wrapped = shard.create_queue();
+        assert_eq!(q_wrapped.heap().gen, 0, "generation wraps to 0");
         // The wrapped handle is bit-identical to the original: the stale q0
         // handle addresses the new queue. This is the accepted ABA window.
         assert_eq!(q_wrapped, q0);
@@ -697,11 +466,13 @@ pub(crate) mod tests {
             run(&shard, Request::Insert { queue: q0, key: 5 }),
             Response::Done
         );
+        drop(shard);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn over_demand_pops_return_empty() {
-        let shard = Shard::new(3);
+        let shard = Shard::new(3, DurablePool::default());
         let q = shard.create_queue();
         let call = |req| run(&shard, req);
         assert_eq!(call(Request::Insert { queue: q, key: 7 }), Response::Done);
@@ -749,17 +520,18 @@ pub(crate) mod tests {
     /// The live shard's pool and heaps.
     fn live_state(shard: &Shard) -> (PoolShape, Heaps) {
         let st = shard.lock_state();
-        let heaps = st
-            .queues
-            .iter()
-            .map(|q| {
-                q.as_ref().map(|q| {
-                    let h = &q.heap;
-                    (q.gen, h.roots().to_vec(), h.len(), st.pool.min_root(h))
-                })
-            })
-            .collect();
-        (pool_shape(&st.pool), heaps)
+        let pool = st.store.pool();
+        let mut heaps: Heaps = Vec::new();
+        for (id, h) in st.store.heaps() {
+            heaps.resize(id.slot as usize, None);
+            heaps.push(Some((
+                id.gen,
+                h.roots().to_vec(),
+                h.len(),
+                pool.min_root(h),
+            )));
+        }
+        (pool_shape(pool), heaps)
     }
 
     /// The pool and heaps recovered from `dir`, and the records replayed.
@@ -833,7 +605,7 @@ pub(crate) mod tests {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-replay-shape-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, dir.clone()).unwrap();
+        let shard = Shard::new(0, DurablePool::open(&dir).unwrap());
         let queues = [
             shard.create_queue(),
             shard.create_queue(),
@@ -854,9 +626,9 @@ pub(crate) mod tests {
 
         // Reopen, checkpoint, and log a suffix that pops through every
         // kernel again.
-        let shard = Shard::new_durable(0, dir.clone()).unwrap();
+        let shard = Shard::new(0, DurablePool::open(&dir).unwrap());
         assert_eq!(live_state(&shard), live, "reopened from genesis replay");
-        shard.lock_state().force_checkpoint();
+        shard.lock_state().checkpoint();
         churn(&shard, queues, 6..9);
         let live = live_state(&shard);
         drop(shard);
@@ -871,7 +643,7 @@ pub(crate) mod tests {
         let dir =
             std::env::temp_dir().join(format!("meldpq-shard-reset-cadence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shard = Shard::new_durable(0, dir.clone()).unwrap();
+        let shard = Shard::new(0, DurablePool::open(&dir).unwrap());
         let insert = |q: QueueId, key: i64| {
             assert_eq!(
                 run(&shard, Request::Insert { queue: q, key }),
@@ -886,7 +658,7 @@ pub(crate) mod tests {
         );
         // An image far larger than the op floor's worth of log: carried into
         // the fresh log, its byte baseline would stall checkpoints.
-        shard.lock_state().force_checkpoint();
+        shard.lock_state().checkpoint();
         let image = std::fs::metadata(dir.join(wal::CHECKPOINT_FILE))
             .unwrap()
             .len();

@@ -20,6 +20,11 @@ pub struct ShardSnapshot {
     pub live_queues: usize,
     /// Total keys across the shard's live queues.
     pub total_keys: usize,
+    /// Whether the shard's write-ahead log is open. `false` with
+    /// `stats.wal_errors > 0` means an I/O error closed the log: ops
+    /// acknowledged since then are served from memory and are not
+    /// recoverable (DESIGN.md §15).
+    pub durable: bool,
     /// Cumulative counters.
     pub stats: ShardStats,
     /// Call latency of every request served so far.
@@ -80,6 +85,7 @@ impl ServiceSnapshot {
                                 ("shard", J::UInt(s.shard as u64)),
                                 ("live_queues", J::UInt(s.live_queues as u64)),
                                 ("total_keys", J::UInt(s.total_keys as u64)),
+                                ("durable", J::Bool(s.durable)),
                                 ("stats", fields(&s.stats)),
                                 ("latency", fields(&s.latency)),
                             ])
@@ -94,11 +100,11 @@ impl ServiceSnapshot {
     /// totals row — what `pqtop` refreshes on screen.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("shard  queues      keys  requests   p50_us   p99_us    stale\n");
+        out.push_str("shard  queues      keys  requests   p50_us   p99_us    stale  durable\n");
         let us = |ns: u64| ns / 1_000;
         for s in &self.shards {
             out.push_str(&format!(
-                "{:>5}  {:>6}  {:>8}  {:>8}  {:>7}  {:>7}  {:>7}\n",
+                "{:>5}  {:>6}  {:>8}  {:>8}  {:>7}  {:>7}  {:>7}  {:>7}\n",
                 s.shard,
                 s.live_queues,
                 s.total_keys,
@@ -106,6 +112,7 @@ impl ServiceSnapshot {
                 us(s.latency.quantile(0.50)),
                 us(s.latency.quantile(0.99)),
                 s.stats.stale_ops,
+                if s.durable { "yes" } else { "no" },
             ));
         }
         let all = self.latency();
@@ -137,6 +144,7 @@ mod tests {
                     shard: 0,
                     live_queues: 2,
                     total_keys: 100,
+                    durable: true,
                     stats: ShardStats {
                         requests: 5,
                         ..Default::default()
@@ -147,6 +155,7 @@ mod tests {
                     shard: 1,
                     live_queues: 0,
                     total_keys: 0,
+                    durable: false,
                     stats: ShardStats::default(),
                     latency: LatencyHistogram::new(),
                 },

@@ -260,3 +260,52 @@ fn automatic_checkpoints_are_paced_by_the_image_size() {
         state.replayed
     );
 }
+
+#[test]
+fn io_error_closes_the_log_and_the_snapshot_says_so() {
+    // After the first WAL I/O error a shard keeps answering `Ok` from
+    // memory, but what it acknowledges is no longer recoverable:
+    // `durable == false` with `wal_errors > 0` says so (DESIGN.md §15).
+    let root = TmpRoot::new("ioerr");
+    let dir = root.0.join("shard0");
+    let away = root.0.join("shard0.away");
+    let one_shard = || {
+        ServiceBuilder::new()
+            .shards(1)
+            .durable(root.0.clone())
+            .try_build()
+            .expect("build")
+    };
+    let svc = one_shard();
+    let q = svc.create_queue();
+    svc.multi_insert(q, vec![5, 1, 3]).unwrap();
+    assert!(svc.snapshot().shards[0].durable);
+    // With the directory moved away the checkpoint cannot create its
+    // temp file.
+    std::fs::rename(&dir, &away).unwrap();
+    svc.checkpoint();
+    std::fs::rename(&away, &dir).unwrap();
+    let shard = &svc.snapshot().shards[0];
+    assert!(!shard.durable, "the error closed the log");
+    assert_eq!(shard.stats.wal_errors, 1);
+    assert_eq!(shard.stats.wal_checkpoints, 0);
+    assert!(svc
+        .snapshot()
+        .render()
+        .lines()
+        .nth(1)
+        .unwrap()
+        .ends_with(" no"));
+    let json = svc.snapshot().to_json().to_string();
+    assert!(json.contains("\"durable\":false"), "{json}");
+    // Later ops still succeed, from memory only.
+    svc.insert(q, 0).unwrap();
+    assert_eq!(svc.extract_min(q).unwrap(), Some(0));
+    svc.insert(q, 2).unwrap();
+    assert_eq!(svc.len(q).unwrap(), 4);
+    drop(svc);
+    // Reopening recovers exactly the state at the error.
+    let svc = one_shard();
+    assert!(svc.snapshot().shards[0].durable);
+    assert_eq!(svc.extract_k(q, 10).unwrap(), vec![1, 3, 5]);
+}

@@ -1,7 +1,8 @@
-//! WAL crash fuzzer: the durable pool driven under hundreds of seeded
-//! crash plans — kills at arbitrary byte offsets, torn tail records,
-//! bit-flipped logs and checkpoints, torn checkpoints, double recovery —
-//! against a sorted-vec oracle.
+//! WAL crash fuzzer: `wal::DurablePool`, the store every service shard
+//! runs, driven under hundreds of seeded crash plans — kills at arbitrary
+//! byte offsets, torn tail records, bit-flipped logs and checkpoints, torn
+//! checkpoints, double recovery, an I/O error at a checkpoint, and the
+//! post-panic reset — against a sorted-vec oracle.
 //!
 //! Contract under crashes:
 //!
@@ -16,17 +17,22 @@
 //! * **idempotence** — recovering twice from the same directory yields the
 //!   identical state (the first recovery's truncation is convergent);
 //! * **structural integrity** — every recovered pool passes `check_pool`
-//!   and keeps serving (the reopened WAL continues the sequence).
+//!   and keeps serving (the reopened WAL continues the sequence);
+//! * **an I/O error closes the log, not the store** — it is counted once,
+//!   the store reports itself not durable and keeps applying ops in
+//!   memory, and reopening recovers exactly the ops logged before it;
+//! * **a reset restarts history** — after the post-panic reset a cut log
+//!   recovers a prefix of the ops issued since; a reset stopped after its
+//!   first file step (image deleted, old log intact) recovers the state
+//!   before it, never a mix of the two.
 //!
-//! Plan count defaults to 320, about 46 per kind (`WAL_CRASH_PLANS` raises
-//! it; the soak job
-//! sets `SOAK_STEPS`). A failing plan's seed is written to
+//! Plan count defaults to 414, 46 per kind (`WAL_CRASH_PLANS` raises it;
+//! the soak job sets `SOAK_STEPS`). A failing plan's seed is written to
 //! `target/wal-failing-seed.txt` so CI uploads it as the repro artifact.
 
 use std::path::{Path, PathBuf};
 
-use meldpq::wal::{DurablePool, CHECKPOINT_FILE, WAL_FILE};
-use meldpq::HeapPool;
+use meldpq::wal::{DurablePool, HeapId, HeapOp, WalCounts, CHECKPOINT_FILE, WAL_FILE};
 
 fn plan_count() -> u64 {
     let explicit = std::env::var("WAL_CRASH_PLANS")
@@ -36,7 +42,7 @@ fn plan_count() -> u64 {
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .map(|steps| steps.max(256) / 16);
-    explicit.or(soak).unwrap_or(320).max(320)
+    explicit.or(soak).unwrap_or(414).max(414)
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -67,9 +73,17 @@ enum Kind {
     /// slot and reseal the trailer: an image only the structural checks
     /// can reject.
     CorruptLinkCheckpoint,
+    /// Move the directory away so an explicit checkpoint cannot create its
+    /// temp file, move it back, keep issuing ops, then reopen.
+    IoErrorAtCheckpoint,
+    /// Checkpoint, then run the post-panic reset mid-run. Either more ops
+    /// follow and the fresh log is cut at an arbitrary offset, or the
+    /// reset is stopped after its first file step (image deleted, old log
+    /// intact).
+    ResetAfterDamage,
 }
 
-const KINDS: u64 = 7;
+const KINDS: u64 = 9;
 
 fn kind_for(seed: u64) -> Kind {
     match seed % KINDS {
@@ -79,15 +93,17 @@ fn kind_for(seed: u64) -> Kind {
         3 => Kind::BitFlipCheckpoint,
         4 => Kind::DoubleRecover,
         5 => Kind::TornCheckpoint,
-        _ => Kind::CorruptLinkCheckpoint,
+        6 => Kind::CorruptLinkCheckpoint,
+        7 => Kind::IoErrorAtCheckpoint,
+        _ => Kind::ResetAfterDamage,
     }
 }
 
-/// The oracle: per-slot key multisets plus the free-slot stack, mirroring
-/// `DurablePool`'s slot assignment exactly.
+/// The oracle: per slot, its occupant's generation and key multiset, plus
+/// the free-slot stack, mirroring `DurablePool`'s slot assignment exactly.
 #[derive(Debug, Clone, Default)]
 struct Model {
-    slots: Vec<Option<Vec<i64>>>,
+    slots: Vec<(u32, Option<Vec<i64>>)>,
     free: Vec<u32>,
 }
 
@@ -108,8 +124,40 @@ impl Model {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i as u32))
+            .filter_map(|(i, (_, s))| s.as_ref().map(|_| i as u32))
             .collect()
+    }
+
+    /// The address of the heap in `slot`.
+    fn id(&self, slot: u32) -> HeapId {
+        HeapId {
+            slot,
+            gen: self.slots[slot as usize].0,
+        }
+    }
+
+    /// The address the next `Create` gets: the last freed slot, else a new
+    /// one.
+    fn next_id(&self) -> HeapId {
+        match self.free.last() {
+            Some(&slot) => self.id(slot),
+            None => HeapId {
+                slot: self.slots.len() as u32,
+                gen: 0,
+            },
+        }
+    }
+
+    fn keys(&mut self, slot: u32) -> &mut Vec<i64> {
+        self.slots[slot as usize].1.as_mut().unwrap()
+    }
+
+    /// Empty `slot` and free it for its next occupant's generation.
+    fn release(&mut self, slot: u32) -> Vec<i64> {
+        let (gen, keys) = &mut self.slots[slot as usize];
+        *gen = gen.wrapping_add(1);
+        self.free.push(slot);
+        keys.take().unwrap()
     }
 
     fn apply(&mut self, op: &Op) {
@@ -118,23 +166,16 @@ impl Model {
                 let slot = match self.free.pop() {
                     Some(s) => s,
                     None => {
-                        self.slots.push(None);
+                        self.slots.push((0, None));
                         (self.slots.len() - 1) as u32
                     }
                 };
-                self.slots[slot as usize] = Some(Vec::new());
+                self.slots[slot as usize].1 = Some(Vec::new());
             }
-            Op::Insert { slot, key } => {
-                self.slots[*slot as usize].as_mut().unwrap().push(*key);
-            }
-            Op::FromKeys { slot, keys } => {
-                self.slots[*slot as usize]
-                    .as_mut()
-                    .unwrap()
-                    .extend_from_slice(keys);
-            }
+            Op::Insert { slot, key } => self.keys(*slot).push(*key),
+            Op::FromKeys { slot, keys } => self.keys(*slot).extend_from_slice(keys),
             Op::ExtractMin { slot } => {
-                let v = self.slots[*slot as usize].as_mut().unwrap();
+                let v = self.keys(*slot);
                 if let Some(i) = v
                     .iter()
                     .enumerate()
@@ -145,19 +186,17 @@ impl Model {
                 }
             }
             Op::MultiExtractMin { slot, k } => {
-                let v = self.slots[*slot as usize].as_mut().unwrap();
+                let v = self.keys(*slot);
                 v.sort_unstable();
                 let take = (*k).min(v.len());
                 v.drain(..take);
             }
             Op::Meld { dst, src } => {
-                let moved = self.slots[*src as usize].take().unwrap();
-                self.free.push(*src);
-                self.slots[*dst as usize].as_mut().unwrap().extend(moved);
+                let moved = self.release(*src);
+                self.keys(*dst).extend(moved);
             }
             Op::Free { slot } => {
-                self.slots[*slot as usize] = None;
-                self.free.push(*slot);
+                self.release(*slot);
             }
         }
     }
@@ -200,37 +239,50 @@ fn gen_op(s: &mut u64, model: &Model) -> Op {
     }
 }
 
-fn issue(pool: &mut DurablePool, op: &Op) {
+/// Issue `op` to the store, addressing heaps as `model` (the state before
+/// `op`) does.
+fn issue(store: &mut DurablePool, model: &Model, op: &Op, c: &mut WalCounts) {
     let r = match op {
-        Op::Create => pool.create_heap().map(|_| ()),
-        Op::Insert { slot, key } => pool.insert(*slot, *key),
-        Op::FromKeys { slot, keys } => pool.from_keys(*slot, keys),
-        Op::ExtractMin { slot } => pool.extract_min(*slot).map(|_| ()),
-        Op::MultiExtractMin { slot, k } => pool.multi_extract_min(*slot, *k).map(|_| ()),
-        Op::Meld { dst, src } => pool.meld(*dst, *src),
-        Op::Free { slot } => pool.free_heap(*slot),
+        Op::Create => {
+            let id = store.create_heap(c);
+            assert_eq!(id, model.next_id(), "create picked another slot");
+            Ok(())
+        }
+        Op::Insert { slot, key } => store
+            .apply(model.id(*slot), HeapOp::Insert(*key), c)
+            .map(drop),
+        Op::FromKeys { slot, keys } => store
+            .apply(model.id(*slot), HeapOp::FromKeys(keys), c)
+            .map(drop),
+        Op::ExtractMin { slot } => store
+            .apply(model.id(*slot), HeapOp::ExtractMin, c)
+            .map(drop),
+        Op::MultiExtractMin { slot, k } => store
+            .apply(model.id(*slot), HeapOp::MultiExtractMin(*k), c)
+            .map(drop),
+        Op::Meld { dst, src } => store.meld(model.id(*dst), model.id(*src), c),
+        Op::Free { slot } => store.free_heap(model.id(*slot), c).map(drop),
     };
     r.unwrap_or_else(|e| panic!("live op {op:?} failed: {e}"));
 }
 
-/// Assert the recovered pool is exactly the model: same live slots, same
-/// key multiset per slot, structurally valid.
-fn assert_matches(pool: &DurablePool, model: &Model, ctx: &str) {
-    pool.validate()
-        .unwrap_or_else(|e| panic!("{ctx}: recovered pool structurally invalid: {e}"));
-    assert_eq!(
-        pool.live_slots(),
-        model.live(),
-        "{ctx}: live slots diverged"
-    );
-    for slot in model.live() {
-        let mut want = model.slots[slot as usize].clone().unwrap();
+/// Assert the store is exactly the model: same live heaps under the same
+/// generations, same key multiset per heap, structurally valid.
+fn assert_matches(store: &DurablePool, model: &Model, ctx: &str) {
+    store
+        .validate()
+        .unwrap_or_else(|e| panic!("{ctx}: store structurally invalid: {e}"));
+    let live: Vec<HeapId> = model.live().into_iter().map(|s| model.id(s)).collect();
+    let got: Vec<HeapId> = store.heaps().map(|(id, _)| id).collect();
+    assert_eq!(got, live, "{ctx}: live heaps diverged");
+    for id in live {
+        let mut want = model.slots[id.slot as usize].1.clone().unwrap();
         want.sort_unstable();
-        let mut got = pool
-            .keys_unsorted(slot)
-            .unwrap_or_else(|| panic!("{ctx}: slot {slot} missing"));
+        let mut got = store
+            .keys_unsorted(id)
+            .unwrap_or_else(|| panic!("{ctx}: {id:?} missing"));
         got.sort_unstable();
-        assert_eq!(got, want, "{ctx}: slot {slot} keys diverged");
+        assert_eq!(got, want, "{ctx}: {id:?} keys diverged");
     }
 }
 
@@ -287,6 +339,32 @@ fn flip_bit(path: &Path, r: u64) {
     std::fs::write(path, bytes).expect("write flipped file");
 }
 
+/// Close `store`'s log with an I/O error at an explicit checkpoint: with
+/// the directory moved away, the checkpoint cannot create its temp file.
+fn fail_checkpoint(store: &mut DurablePool, dir: &Path, c: &mut WalCounts) {
+    let away = PathBuf::from(format!("{}.away", dir.display()));
+    std::fs::rename(dir, &away).expect("move the directory away");
+    store.checkpoint(c);
+    std::fs::rename(&away, dir).expect("move the directory back");
+    assert_eq!(c.errors, 1, "the failed checkpoint counts one error");
+    assert!(!store.is_durable(), "the error closed the log");
+}
+
+/// Run the post-panic reset but stop it after its first file step: with a
+/// directory standing where the log is recreated, the image is deleted
+/// and the truncation fails, leaving the old log intact.
+fn stop_reset_after_first_step(store: &mut DurablePool, dir: &Path, c: &mut WalCounts) {
+    let (wal, moved) = (dir.join(WAL_FILE), dir.join("wal.moved"));
+    std::fs::rename(&wal, &moved).expect("move the log aside");
+    std::fs::create_dir(&wal).expect("block the log's path");
+    store.reset(c);
+    std::fs::remove_dir(&wal).expect("unblock the log's path");
+    std::fs::rename(&moved, &wal).expect("put the old log back");
+    assert!(!dir.join(CHECKPOINT_FILE).exists(), "image deleted first");
+    assert_eq!(c.errors, 1, "the failed truncation counts one error");
+    assert!(!store.is_durable(), "the error closed the log");
+}
+
 /// One seeded crash plan, end to end. Panics on contract violation.
 fn run_plan(seed: u64) {
     let kind = kind_for(seed);
@@ -294,35 +372,70 @@ fn run_plan(seed: u64) {
     let dir = tmp.0.clone();
     let wal_path = dir.join(WAL_FILE);
     let mut s = seed ^ 0xC0FFEE;
+    // Half the reset plans stop the reset after its first file step.
+    let stop_mid_reset = kind == Kind::ResetAfterDamage && (seed / KINDS) % 2 == 1;
 
     // Phase 1 — live run: issue ops, tracking each op's model delta and the
-    // WAL byte offset its record ends at.
+    // WAL byte offset its record ends at (`u64::MAX` once the log is
+    // closed: such an op is never recoverable).
     let n_ops = 24 + (splitmix(&mut s) % 40) as usize;
-    let mut pool = DurablePool::open(&dir).expect("fresh open");
+    let mut store = DurablePool::open(&dir).expect("fresh open");
     // No automatic checkpoints: a checkpoint is written *after* its WAL
     // prefix is durable, so cutting the log before an auto-checkpoint's
     // position would simulate a crash that cannot happen. Plans that want a
     // checkpoint write one explicitly and only cut after it.
-    pool.set_checkpoint_every(u64::MAX);
+    store.set_checkpoint_every(u64::MAX);
+    let mut c = WalCounts::default();
     let mut model = Model::default();
     let mut ops: Vec<(Op, u64)> = Vec::new(); // op + offset its record ends at
     let mut checkpoint_cut_floor = 0u64; // earliest legal cut offset
     for i in 0..n_ops {
+        if i == n_ops / 2 {
+            match kind {
+                Kind::IoErrorAtCheckpoint => fail_checkpoint(&mut store, &dir, &mut c),
+                Kind::ResetAfterDamage if stop_mid_reset => {
+                    stop_reset_after_first_step(&mut store, &dir, &mut c);
+                    break; // crash
+                }
+                Kind::ResetAfterDamage => {
+                    store.reset(&mut c);
+                    assert!(!dir.join(CHECKPOINT_FILE).exists(), "image deleted");
+                    // The fresh log holds only what follows.
+                    model = Model::default();
+                    ops.clear();
+                }
+                _ => {}
+            }
+        }
         let op = gen_op(&mut s, &model);
-        issue(&mut pool, &op);
+        issue(&mut store, &model, &op, &mut c);
         model.apply(&op);
-        ops.push((op, pool.wal_bytes()));
+        let end = if store.is_durable() {
+            store.wal_bytes()
+        } else {
+            u64::MAX
+        };
+        ops.push((op, end));
+        if kind == Kind::ResetAfterDamage && i == n_ops / 4 {
+            // An image older than the reset: recovering it would mix states.
+            store.checkpoint(&mut c);
+        }
         if matches!(
             kind,
             Kind::BitFlipCheckpoint | Kind::TornCheckpoint | Kind::CorruptLinkCheckpoint
         ) && i == n_ops / 2
         {
-            pool.checkpoint().expect("explicit checkpoint");
-            checkpoint_cut_floor = pool.wal_bytes();
+            store.checkpoint(&mut c);
+            checkpoint_cut_floor = store.wal_bytes();
         }
     }
-    let total = pool.wal_bytes();
-    drop(pool); // crash: the BufWriter flushes, then we mutilate the files
+    if kind == Kind::IoErrorAtCheckpoint {
+        assert_matches(&store, &model, &format!("seed {seed}: ops after the error"));
+    } else if !stop_mid_reset {
+        assert_eq!(c.errors, 0, "seed {seed} ({kind:?}): no I/O error expected");
+    }
+    let total = store.wal_bytes();
+    drop(store); // crash: the BufWriter flushes, then we mutilate the files
 
     // Phase 2 — crash injection + expected surviving prefix.
     let survived_prefix = |cut: u64| -> Model {
@@ -335,15 +448,18 @@ fn run_plan(seed: u64) {
         m
     };
     let r = splitmix(&mut s);
-    let (cut, expect) = match kind {
-        Kind::KillAtOffset | Kind::DoubleRecover => {
+    let expect = match kind {
+        // The closed log holds exactly the ops issued before the error.
+        Kind::IoErrorAtCheckpoint => survived_prefix(u64::MAX - 1),
+        Kind::ResetAfterDamage if stop_mid_reset => survived_prefix(u64::MAX - 1),
+        Kind::KillAtOffset | Kind::DoubleRecover | Kind::ResetAfterDamage => {
             let cut = r % (total + 1);
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(&wal_path)
                 .and_then(|f| f.set_len(cut))
                 .expect("truncate wal");
-            (cut, survived_prefix(cut))
+            survived_prefix(cut)
         }
         Kind::TornTail => {
             // Cut strictly inside the final record.
@@ -355,7 +471,7 @@ fn run_plan(seed: u64) {
                 .open(&wal_path)
                 .and_then(|f| f.set_len(cut))
                 .expect("truncate wal");
-            (cut, survived_prefix(last_start))
+            survived_prefix(last_start)
         }
         Kind::BitFlipWal => {
             let at = r % total;
@@ -372,14 +488,14 @@ fn run_plan(seed: u64) {
             } else {
                 ops[flipped_in - 1].1
             };
-            (at, survived_prefix(keep))
+            survived_prefix(keep)
         }
         Kind::BitFlipCheckpoint => {
             let ckpt = dir.join(CHECKPOINT_FILE);
             assert!(ckpt.exists(), "plan wrote a checkpoint");
             flip_bit(&ckpt, r);
             // Checkpoint discarded, WAL intact: full-log replay, full model.
-            (checkpoint_cut_floor.max(total), survived_prefix(total))
+            survived_prefix(checkpoint_cut_floor.max(total))
         }
         Kind::TornCheckpoint => {
             let ckpt = dir.join(CHECKPOINT_FILE);
@@ -389,7 +505,7 @@ fn run_plan(seed: u64) {
             let stray = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
             std::fs::write(&stray, &bytes[..bytes.len() - cut]).expect("stray tmp");
             // Torn checkpoint discarded, WAL intact: full-log replay.
-            (checkpoint_cut_floor.max(total), survived_prefix(total))
+            survived_prefix(checkpoint_cut_floor.max(total))
         }
         Kind::CorruptLinkCheckpoint => {
             let ckpt = dir.join(CHECKPOINT_FILE);
@@ -397,22 +513,20 @@ fn run_plan(seed: u64) {
             corrupt_link(&ckpt, r);
             // The trailer still matches, the links do not: the image is
             // discarded and the WAL replays in full.
-            (checkpoint_cut_floor.max(total), survived_prefix(total))
+            survived_prefix(checkpoint_cut_floor.max(total))
         }
     };
-    let _ = cut;
 
     // Phase 3 — recover and compare against the oracle.
-    let recovered = HeapPool::<i64>::recover(&dir)
-        .unwrap_or_else(|e| panic!("recovery failed ({kind:?}): {e}"));
+    let mut recovered =
+        DurablePool::open(&dir).unwrap_or_else(|e| panic!("recovery failed ({kind:?}): {e}"));
     assert_matches(&recovered, &expect, &format!("seed {seed} ({kind:?})"));
 
     // Phase 4 — the recovered pool keeps serving: issue one more op through
     // the reopened log and recover again.
-    let mut recovered = recovered;
     let mut expect = expect;
     let more = gen_op(&mut s, &expect);
-    issue(&mut recovered, &more);
+    issue(&mut recovered, &expect, &more, &mut c);
     expect.apply(&more);
     assert_matches(
         &recovered,
@@ -420,7 +534,7 @@ fn run_plan(seed: u64) {
         &format!("seed {seed} ({kind:?}) post-recovery op"),
     );
     drop(recovered);
-    let again = HeapPool::<i64>::recover(&dir)
+    let again = DurablePool::open(&dir)
         .unwrap_or_else(|e| panic!("second recovery failed ({kind:?}): {e}"));
     assert_matches(
         &again,
