@@ -27,9 +27,9 @@
 //!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
-//!   The two overhead gates time their arms as interleaved pairs and
-//!   derive a noise floor from those pairs: a margin inside the floor is
-//!   reported `inconclusive` rather than passing or failing.
+//!   These three gates time their arms as interleaved pairs and derive a
+//!   noise floor from those pairs: a margin inside the floor is reported
+//!   `inconclusive` rather than passing or failing.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
 //! plumbing as telemetry), with the host's core count, so every PR extends a
@@ -355,11 +355,26 @@ fn durable_arm(keys: &[i64], dir: Option<&std::path::Path>) -> Duration {
     elapsed
 }
 
-/// Timed pairs per overhead gate, after `OVERHEAD_WARMUP` untimed ones.
-const OVERHEAD_PAIRS: usize = 200;
-const OVERHEAD_WARMUP: usize = 10;
-/// Blocks of consecutive pairs an overhead gate's noise floor compares.
-const OVERHEAD_BLOCKS: usize = 10;
+/// One run of the peek workload: 1024 calls of `peek` on `h`, either
+/// `min_root` (the cached `NodeId` every mutator keeps exact) or
+/// `min_root_scan` (a rescan of the root list). 1024 peeks put the
+/// ns-scale answers well above timer resolution.
+fn peek_arm(
+    h: &ParBinomialHeap<i64>,
+    peek: impl Fn(&ParBinomialHeap<i64>) -> Option<meldpq::NodeId>,
+) -> Duration {
+    let start = Instant::now();
+    for _ in 0..1024 {
+        std::hint::black_box(peek(std::hint::black_box(h)));
+    }
+    start.elapsed()
+}
+
+/// Timed pairs per paired gate, after `PAIRED_WARMUP` untimed ones.
+const PAIRED_PAIRS: usize = 200;
+const PAIRED_WARMUP: usize = 10;
+/// Blocks of consecutive pairs a paired gate's noise floor compares.
+const PAIRED_BLOCKS: usize = 10;
 
 /// The median of `xs`.
 fn median(xs: &[f64]) -> f64 {
@@ -368,19 +383,19 @@ fn median(xs: &[f64]) -> f64 {
     (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
 }
 
-/// An overhead gate's two arms as interleaved pairs: each pair runs both
+/// A paired gate's two arms as interleaved pairs: each pair runs both
 /// arms back to back, the first arm alternating from pair to pair, so a
 /// drift of the host hits both arms alike. Returns each arm's samples.
 fn interleave(
     mut fast: impl FnMut() -> Duration,
     mut slow: impl FnMut() -> Duration,
 ) -> (Vec<Duration>, Vec<Duration>) {
-    for _ in 0..OVERHEAD_WARMUP {
+    for _ in 0..PAIRED_WARMUP {
         fast();
         slow();
     }
     let (mut f, mut s) = (Vec::new(), Vec::new());
-    for pair in 0..OVERHEAD_PAIRS {
+    for pair in 0..PAIRED_PAIRS {
         if pair % 2 == 0 {
             f.push(fast());
             s.push(slow());
@@ -392,23 +407,23 @@ fn interleave(
     (f, s)
 }
 
-/// An overhead bound, "`fast` within `bound`× of `slow`", checked on
-/// interleaved pairs. The gate's ratio is the median over pairs of
-/// `slow / fast`, which must reach `1 / bound`. Its noise floor is half
-/// the range of the medians of `OVERHEAD_BLOCKS` consecutive blocks of
+/// A gate checked on interleaved pairs: the median over pairs of
+/// `slow / fast` must reach `threshold` (an overhead bound "`fast` within
+/// `b`× of `slow`" is the threshold `1 / b`). Its noise floor is half
+/// the range of the medians of `PAIRED_BLOCKS` consecutive blocks of
 /// pairs: how far the run disagrees with itself over time. (The
 /// confidence interval of the overall median, 0.004–0.013 on a 2-vCPU
 /// host, was narrower than the medians of repeated runs spread, 0.90 to
 /// 0.92 for the flight gate.) A margin beyond the floor passes or
 /// fails; a margin inside it is `inconclusive` and does not fail the run.
-struct Overhead {
+struct Paired {
     name: &'static str,
     fast: String,
     slow: String,
-    bound: f64,
+    threshold: f64,
 }
 
-impl Overhead {
+impl Paired {
     /// Evaluate on the arms' samples; returns (json, not failed).
     fn eval(&self, fast: &[Duration], slow: &[Duration]) -> (J, bool) {
         let ratios: Vec<f64> = fast
@@ -418,8 +433,8 @@ impl Overhead {
             .collect();
         let n = ratios.len();
         let blocks: Vec<f64> = ratios
-            .chunks(n / OVERHEAD_BLOCKS)
-            .take(OVERHEAD_BLOCKS)
+            .chunks(n / PAIRED_BLOCKS)
+            .take(PAIRED_BLOCKS)
             .map(median)
             .collect();
         let (lo, hi) = blocks
@@ -427,7 +442,7 @@ impl Overhead {
             .fold((f64::MAX, f64::MIN), |(lo, hi), &b| (lo.min(b), hi.max(b)));
         let floor = (hi - lo) / 2.0;
         let median = median(&ratios);
-        let threshold = 1.0 / self.bound;
+        let threshold = self.threshold;
         let verdict = match median - threshold {
             m if m > floor => "pass",
             m if m < -floor => "fail",
@@ -456,9 +471,10 @@ impl Overhead {
     }
 }
 
-/// The flight-recorder and WAL overhead gates, each on its interleaved
-/// pairs: result rows for the four arms, and a gate row each.
-fn overhead_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
+/// The flight-recorder and WAL overhead gates and the peek-cache gate,
+/// each on its interleaved pairs: result rows for the six arms, and a
+/// gate row each.
+fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
     let mut rng = workloads::rng(83);
     let flight_keys = workloads::random_keys(&mut rng, FLIGHT_GATE_N);
     let (on, off) = interleave(
@@ -478,55 +494,46 @@ fn overhead_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         || durable_arm(&durable_keys, None),
     );
     let _ = std::fs::remove_dir_all(&root);
-    let flight = Overhead {
+    let mut rng = workloads::rng(0x9EE4 ^ PEEK_GATE_N as u64);
+    let h = ParBinomialHeap::from_keys(workloads::random_keys(&mut rng, PEEK_GATE_N));
+    let (cached, rescan) = interleave(
+        || peek_arm(&h, ParBinomialHeap::min_root),
+        || peek_arm(&h, ParBinomialHeap::min_root_scan),
+    );
+    let flight = Paired {
         name: "flight_recorder_overhead",
         fast: format!("flight/recorder_on/{FLIGHT_GATE_N}"),
         slow: format!("flight/recorder_off/{FLIGHT_GATE_N}"),
-        bound: FLIGHT_BOUND,
+        threshold: 1.0 / FLIGHT_BOUND,
     };
-    let wal = Overhead {
+    let wal = Paired {
         name: "wal_append_overhead",
         fast: format!("durable/wal_on/{DURABLE_GATE_N}"),
         slow: format!("durable/wal_off/{DURABLE_GATE_N}"),
-        bound: WAL_BOUND,
+        threshold: 1.0 / WAL_BOUND,
+    };
+    let peek = Paired {
+        name: "peek_min_cache_speedup",
+        fast: format!("peek/cached/{PEEK_GATE_N}"),
+        slow: format!("peek/rescan/{PEEK_GATE_N}"),
+        threshold: 2.0,
     };
     let rows = vec![
         row(flight.fast.clone(), &on),
         row(flight.slow.clone(), &off),
         row(wal.fast.clone(), &wal_on),
         row(wal.slow.clone(), &wal_off),
+        row(peek.fast.clone(), &cached),
+        row(peek.slow.clone(), &rescan),
     ];
     (
         rows,
-        vec![flight.eval(&on, &off), wal.eval(&wal_on, &wal_off)],
+        vec![
+            flight.eval(&on, &off),
+            wal.eval(&wal_on, &wal_off),
+            peek.eval(&cached, &rescan),
+        ],
     )
-}
-
-/// The O(1) peek satellite: `min_root` answers from the cached `NodeId`
-/// every mutator keeps exact, vs rescanning the root list
-/// (`min_root_scan`). Each iter is 1024 peeks so the ns-scale answers land
-/// above timer resolution.
-fn bench_peek(c: &mut Criterion, _full: bool) {
-    let mut group = c.benchmark_group("peek");
-    let n = PEEK_GATE_N;
-    let mut rng = workloads::rng(0x9EE4 ^ n as u64);
-    let keys = workloads::random_keys(&mut rng, n);
-    let h = ParBinomialHeap::from_keys(keys.iter().copied());
-    group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
-        b.iter(|| {
-            for _ in 0..1024 {
-                std::hint::black_box(std::hint::black_box(&h).min_root());
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("rescan", n), &n, |b, _| {
-        b.iter(|| {
-            for _ in 0..1024 {
-                std::hint::black_box(std::hint::black_box(&h).min_root_scan());
-            }
-        })
-    });
-    group.finish();
 }
 
 fn bench_scans(c: &mut Criterion) {
@@ -554,7 +561,7 @@ fn bench_bulk_build(c: &mut Criterion, full: bool) {
 }
 
 /// A speedup gate between two recorded means: `slow / fast >= threshold`.
-/// The overhead bounds are [`Overhead`] gates instead.
+/// The gates timed as interleaved pairs are [`Paired`] gates instead.
 struct Gate {
     name: &'static str,
     /// The arm that must be fast.
@@ -617,8 +624,8 @@ const MELD_GATE_N: usize = 1 << 20;
 const KERNEL_GATE_N: usize = 1 << 18;
 /// Ops in the flight-recorder overhead workload.
 const FLIGHT_GATE_N: usize = 4096;
-/// Heap size for the peek-cache regression arm (2^18 keys ⇒ a root list
-/// long enough that a rescan visibly costs).
+/// Heap size for the peek-cache gate (2^18 keys ⇒ a root list long enough
+/// that a rescan visibly costs).
 const PEEK_GATE_N: usize = 1 << 18;
 /// The recorder-on arm may cost at most 1.1× the recorder-off arm: the
 /// budget that justifies leaving the recorder on in release builds.
@@ -651,12 +658,6 @@ fn gates() -> Vec<Gate> {
             name: "b_union_merge_path_speedup",
             fast: format!("b_union/merge_path/{KERNEL_GATE_N}"),
             slow: format!("b_union/seq/{KERNEL_GATE_N}"),
-            threshold: 2.0,
-        },
-        Gate {
-            name: "peek_min_cache_speedup",
-            fast: format!("peek/cached/{PEEK_GATE_N}"),
-            slow: format!("peek/rescan/{PEEK_GATE_N}"),
             threshold: 2.0,
         },
     ]
@@ -721,17 +722,16 @@ fn main() {
     bench_b_union(&mut c, full);
     bench_multi_extract(&mut c, full);
     bench_mixed(&mut c, full);
-    bench_peek(&mut c, full);
     bench_scans(&mut c);
     bench_bulk_build(&mut c, full);
 
     let mut results = criterion::take_results();
     results.extend(melds);
-    let (overhead_rows, overhead) = overhead_gates();
-    results.extend(overhead_rows);
+    let (paired_rows, paired) = paired_gates();
+    results.extend(paired_rows);
     let mut all_pass = true;
     let mut rows = Vec::new();
-    for (row, pass) in gates().iter().map(|g| g.eval(&results)).chain(overhead) {
+    for (row, pass) in gates().iter().map(|g| g.eval(&results)).chain(paired) {
         all_pass &= pass;
         rows.push(row);
     }

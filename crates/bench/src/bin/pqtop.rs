@@ -5,7 +5,7 @@
 //! the [`service::ServiceSnapshot`] shard table (queues, keys, requests,
 //! latency quantiles) over the tail of the flight recorder's event stream.
 //! On exit it drains the recorder into `reports/FLIGHT_<run>.json` so a run
-//! leaves the same evidence a failing chaos test attaches to its panic.
+//! leaves the same evidence a failing stress test attaches to its panic.
 //!
 //! Flags: `--seconds N` (4) · `--hz N` (10 refreshes/s) · `--threads N` (4)
 //! · `--queues N` (8) · `--shards N` (4) · `--once` (single plain snapshot,

@@ -8,10 +8,10 @@
 //! * **WAL** (`wal.log`): every logical mutation is appended *before* it is
 //!   applied in memory. Records are fixed-width `u64` little-endian words —
 //!   `[N][payload × N][crc]` — where the trailer word is FNV-1a folded one
-//!   64-bit word at a time over the length word plus payload (the chaos
-//!   network's trailer-word idea, widened from bytes to words so hashing a
-//!   multi-KiB `from_keys` record costs ⅛ the multiplies and stays off the
-//!   append path's critical ns budget). The payload is `[seq, tag, args…]`.
+//!   64-bit word at a time over the length word plus payload (word-wide
+//!   rather than byte-wide, so hashing a multi-KiB `from_keys` record costs
+//!   ⅛ the multiplies and stays off the append path's critical ns budget).
+//!   The payload is `[seq, tag, args…]`.
 //! * **Checkpoints** (`checkpoint.bin`): the whole slab + root tables as
 //!   one stream of the same `u64` LE words with the same word-folded
 //!   FNV-1a trailer, folded as the words stream out through one
@@ -91,7 +91,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// `from_keys`, far beyond any admission path).
 const MAX_PAYLOAD_WORDS: u64 = 1 << 26;
 
-// FNV-1a, the same constants as the chaos network's frame trailer.
+// The standard 64-bit FNV-1a offset basis and prime.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

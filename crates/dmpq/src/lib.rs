@@ -24,17 +24,17 @@
 //! Hamiltonian prefixes for Phases I–II, child-address and dominant-root
 //! transfers of Phase III) executes on the [`hypercube`] simulator, which
 //! enforces single-port legality and meters time/words; the host mirrors the
-//! structure for validation. The transport is fault-injectable
-//! ([`hypercube::FaultyNet`]); every communicating operation returns
-//! `Result<_, `[`QueueError`]`>` and fail-stopped processors are rehomed
-//! onto their Gray-code successors.
+//! structure for validation. As in the paper, the cube is reliable; every
+//! communicating operation still returns `Result<_, `[`QueueError`]`>`, so
+//! an illegal send pattern or a broken invariant is a typed error, not a
+//! panic.
 
 //! ```
 //! use dmpq::DistributedPq;
 //!
 //! let mut pq = DistributedPq::new(2, 4); // Q_2 cube, bandwidth 4
 //! for k in [7, 3, 9, 1, 5, 8, 2, 6] {
-//!     pq.insert(k).unwrap(); // fault-free plan: errors cannot occur
+//!     pq.insert(k).unwrap(); // the reliable cube: errors cannot occur
 //! }
 //! assert_eq!(pq.extract_min().unwrap(), Some(1));
 //! assert_eq!(pq.extract_min().unwrap(), Some(2));
@@ -49,4 +49,4 @@ pub mod soa;
 
 pub use bheap::{BbHeap, BbNodeId};
 pub use mapping::processor_of_degree;
-pub use queue::{stats_delta, DOp, DistributedPq, QueueError};
+pub use queue::{DOp, DistributedPq, QueueError};

@@ -3,8 +3,7 @@
 //!
 //! Communication model: the logical b-binomial heap lives host-side (for
 //! validation), but every data movement the distributed algorithm performs
-//! is executed on the [`hypercube::FaultyNet`] transport (a pure
-//! pass-through over [`hypercube::NetSim`] when the fault plan is empty):
+//! is executed on the [`hypercube::NetSim`] single-port cube:
 //!
 //! * **preprocessing** — all root keys are routed to bitonic blocks, sorted
 //!   on the cube, and the sorted chunks routed back to the roots (ordered by
@@ -22,29 +21,19 @@
 //! I/O processor and trigger `Multi-Insert`/`Multi-Extract-Min` every `b`
 //! operations — the amortization measured in experiment T3.
 //!
-//! # Fault tolerance
+//! # Errors
 //!
 //! Every operation that communicates returns `Result<_, `[`QueueError`]`>`.
-//! Message drops, duplicates, delays and corruption are absorbed below this
-//! layer by the transport's ack/retry protocol. Fail-stops surface here as
-//! [`NetError::Dead`] and trigger *rehoming*: the dead processor is banned
-//! from the degree→processor mapping, its resident b-nodes regenerate onto
-//! the Gray-code path successor (counted in `NetStats::rehomed_nodes`), a
-//! bounded outage is waited out, and the interrupted operation retries.
-//! Operations are structured so communication precedes irreversible host
-//! mutation (preprocessing is idempotent), which is what makes the retry
-//! sound. Death of the I/O processor (which owns `Forehead`/`Waiting`) is
-//! unrecoverable and reported as [`QueueError::IoProcDead`]. After an
-//! operation returns an error the queue may hold a partial state and should
-//! be abandoned — but it never panics.
+//! The cube is reliable, as in the paper, so an error means a malformed
+//! send pattern or a broken internal invariant — a bug, reported as a
+//! typed value instead of a panic. After an error the queue may hold a
+//! partial state and should be abandoned.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
-use hypercube::engine::{NetError, NetStats, Network, Word};
-use hypercube::fault::{FaultPlan, FaultyNet};
-use hypercube::gray::{gray, gray_inv};
+use hypercube::engine::{NetError, NetSim, NetStats, Word};
 use hypercube::prefix::hamiltonian_prefix_cyclic;
 use hypercube::routing::{route, Packet};
 use hypercube::sort::bitonic_sort;
@@ -54,31 +43,11 @@ use meldpq::NodeId;
 use crate::bheap::{BbHeap, BbNodeId};
 use crate::mapping::{processor_for, MappingKind};
 
-/// Difference of two cumulative [`NetStats`] snapshots.
-///
-/// Snapshot ordering contract: `after` must be the *later* snapshot of the
-/// same network meter and no `reset_stats` may run between the two —
-/// cumulative counters only grow, so under the contract every field of
-/// `after` dominates `before`. Delegates to [`NetStats::delta`], which
-/// saturates at zero instead of panicking in debug builds when the contract
-/// is broken (swapped arguments, an intervening reset).
-pub fn stats_delta(after: NetStats, before: NetStats) -> NetStats {
-    after.delta(&before)
-}
-
-/// Why a queue operation failed. The queue never panics on network faults;
-/// it degrades to one of these.
+/// Why a queue operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueueError {
-    /// A transport-level failure the recovery protocol could not absorb
-    /// (retry budget exhausted, permanent fail-stop, illegal pattern).
+    /// The simulator rejected a send pattern as illegal.
     Net(NetError),
-    /// The I/O processor — owner of the `Forehead`/`Waiting` buffers —
-    /// fail-stopped. Its buffered items are gone; no rehoming can help.
-    IoProcDead {
-        /// The fail-stopped I/O processor.
-        node: usize,
-    },
     /// An internal protocol invariant did not hold (e.g. a distributed scan
     /// returned a malformed word); recoverable by abandoning the queue.
     Protocol(&'static str),
@@ -88,9 +57,6 @@ impl fmt::Display for QueueError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueueError::Net(e) => write!(f, "network failure: {e}"),
-            QueueError::IoProcDead { node } => {
-                write!(f, "I/O processor {node} fail-stopped; buffers lost")
-            }
             QueueError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
     }
@@ -118,7 +84,7 @@ pub enum DOp {
 /// The distributed meldable priority queue.
 #[derive(Debug)]
 pub struct DistributedPq {
-    net: FaultyNet,
+    net: NetSim,
     heap: BbHeap,
     /// Bandwidth `b`.
     pub b: usize,
@@ -135,34 +101,19 @@ pub struct DistributedPq {
     local_heap_ops: u64,
     /// Degree→processor mapping (Gray per the paper; Identity for A3).
     mapping: MappingKind,
-    /// Fail-stopped processors evicted from the mapping; their residents
-    /// were rehomed onto Gray-code successors.
-    banned: BTreeSet<usize>,
 }
 
 impl DistributedPq {
     /// A queue on a `q`-cube with bandwidth `b` (paper's Gray mapping).
     pub fn new(q: usize, b: usize) -> Self {
-        Self::with_config(q, b, MappingKind::Gray, FaultPlan::none())
+        Self::with_mapping(q, b, MappingKind::Gray)
     }
 
     /// A queue with an explicit degree→processor mapping (ablation A3 uses
     /// [`MappingKind::Identity`]).
     pub fn with_mapping(q: usize, b: usize, mapping: MappingKind) -> Self {
-        Self::with_config(q, b, mapping, FaultPlan::none())
-    }
-
-    /// A queue whose network runs under a seeded [`FaultPlan`] (the chaos
-    /// harness entry point; `FaultPlan::none()` is a zero-overhead
-    /// pass-through).
-    pub fn with_faults(q: usize, b: usize, plan: FaultPlan) -> Self {
-        Self::with_config(q, b, MappingKind::Gray, plan)
-    }
-
-    /// A queue with both an explicit mapping and a fault plan.
-    pub fn with_config(q: usize, b: usize, mapping: MappingKind, plan: FaultPlan) -> Self {
         DistributedPq {
-            net: FaultyNet::new(q, plan),
+            net: NetSim::new(q),
             heap: BbHeap::new(b),
             b,
             forehead: VecDeque::new(),
@@ -171,28 +122,12 @@ impl DistributedPq {
             ledger: Vec::new(),
             local_heap_ops: 0,
             mapping,
-            banned: BTreeSet::new(),
         }
     }
 
-    /// Home processor of a degree-`deg` node, steering around fail-stopped
-    /// processors: a banned home's residents regenerate onto the first live
-    /// Gray-code path successor (Definition 4's `Π` walked forward).
+    /// Home processor of a degree-`deg` node (Definition 4).
     fn proc_of(&self, deg: usize) -> usize {
-        let home = processor_for(self.mapping, deg, self.net.q());
-        if !self.banned.contains(&home) {
-            return home;
-        }
-        let p = self.net.nodes();
-        let mut rank = gray_inv(home);
-        for _ in 0..p {
-            rank = (rank + 1) % p;
-            let cand = gray(rank);
-            if !self.banned.contains(&cand) {
-                return cand;
-            }
-        }
-        home
+        processor_for(self.mapping, deg, self.net.q())
     }
 
     /// Items currently stored (heap + buffers).
@@ -205,15 +140,9 @@ impl DistributedPq {
         self.len() == 0
     }
 
-    /// Cumulative network statistics (transport retries, redeliveries and
-    /// rehomed nodes included).
+    /// Cumulative network statistics.
     pub fn net_stats(&self) -> NetStats {
         self.net.stats()
-    }
-
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.net.plan()
     }
 
     /// Per-link word loads (congestion profile; see
@@ -282,83 +211,11 @@ impl DistributedPq {
     }
 
     // ------------------------------------------------------------------
-    // Fail-stop recovery
-    // ------------------------------------------------------------------
-
-    /// Run `body` and absorb [`NetError::Dead`] by rehoming the dead
-    /// processor's residents and retrying. Bodies must keep communication
-    /// ahead of irreversible host mutation and be idempotent up to their
-    /// last fallible call (all bodies in this module are). Bounded by the
-    /// processor count — each recovery permanently bans one processor.
-    fn recovering<T>(
-        &mut self,
-        mut body: impl FnMut(&mut Self) -> Result<T, QueueError>,
-    ) -> Result<T, QueueError> {
-        let max_recoveries = self.net.nodes();
-        let mut recoveries = 0;
-        loop {
-            match body(self) {
-                Err(QueueError::Net(NetError::Dead { node })) => {
-                    if node == self.io_proc {
-                        return Err(QueueError::IoProcDead { node });
-                    }
-                    if recoveries >= max_recoveries {
-                        return Err(QueueError::Net(NetError::Dead { node }));
-                    }
-                    recoveries += 1;
-                    self.rehome_dead(node);
-                }
-                r => return r,
-            }
-        }
-    }
-
-    /// Evict a fail-stopped processor from the mapping. Its resident
-    /// b-nodes regenerate onto the Gray-code successor (the lazy empty-node
-    /// path: host truth is already complete, so regeneration is counted and
-    /// the mapping is flipped — subsequent routes address the successor).
-    /// A bounded outage is then waited out so full-cube collectives can run
-    /// again; a permanent outage leaves the retry to fail cleanly.
-    fn rehome_dead(&mut self, node: usize) {
-        if !self.banned.contains(&node) {
-            let mut rehomed = 0u64;
-            let mut stack: Vec<BbNodeId> = self.heap.roots.iter().flatten().copied().collect();
-            while let Some(id) = stack.pop() {
-                if self.proc_of(self.heap.degree(id)) == node {
-                    rehomed += 1;
-                }
-                stack.extend(self.heap.get(id).children.iter().copied());
-            }
-            self.banned.insert(node);
-            self.net.note_rehomed(rehomed);
-        }
-        if let Some(until) = self.net.down_until(node) {
-            let now = self.net.physical_rounds();
-            if until > now {
-                self.net.idle(until - now);
-            }
-        }
-        // Buffer invariants survive recovery untouched (they live on the
-        // I/O processor, which is alive or we would have bailed above); the
-        // heap side is revalidated by the harnesses after the retried
-        // operation completes.
-        debug_assert!(self
-            .forehead
-            .iter()
-            .zip(self.forehead.iter().skip(1))
-            .all(|(a, b)| a <= b));
-    }
-
-    // ------------------------------------------------------------------
     // Buffered operations
     // ------------------------------------------------------------------
 
     /// `Insert(Q, x)`: buffer in `Waiting`; flush `b` at a time.
     pub fn insert(&mut self, key: i64) -> Result<(), QueueError> {
-        // Adopt the caller's flight-recorder trace (or mint one) for the
-        // whole op, so transport retries and rehomes triggered by a flush
-        // are linkable back to this insert.
-        let (_t, _scope) = obs::flight::ambient_or_new();
         assert!(key < i64::MAX, "i64::MAX is the pad sentinel");
         self.waiting.push(Reverse(key));
         self.local_heap_ops += (self.waiting.len().max(2)).ilog2() as u64;
@@ -399,7 +256,6 @@ impl DistributedPq {
 
     /// `Extract-Min(Q)`.
     pub fn extract_min(&mut self) -> Result<Option<i64>, QueueError> {
-        let (_t, _scope) = obs::flight::ambient_or_new();
         if self.forehead.is_empty() && self.heap.node_count() > 0 {
             self.multi_extract_min()?;
         }
@@ -441,11 +297,10 @@ impl DistributedPq {
     /// exactly `b` items directly into the b-binomial heap as a fresh `B_0`
     /// node, bypassing the buffers. Returns the communication delta.
     pub fn multi_insert(&mut self, keys: Vec<i64>) -> Result<NetStats, QueueError> {
-        let (_t, _scope) = obs::flight::ambient_or_new();
         assert_eq!(keys.len(), self.b, "Multi-Insert takes exactly b items");
         let before = self.net.stats();
         self.attach_chunk(keys)?;
-        let delta = stats_delta(self.net.stats(), before);
+        let delta = self.net.stats().delta(&before);
         self.ledger.push((DOp::MultiInsert, delta));
         Ok(delta)
     }
@@ -460,7 +315,6 @@ impl DistributedPq {
     /// (possibly shorter than `b`). This used to be a release-mode assert:
     /// a recoverable protocol state must not abort the process.
     pub fn multi_extract_min_direct(&mut self) -> Result<Option<Vec<i64>>, QueueError> {
-        let (_t, _scope) = obs::flight::ambient_or_new();
         if !self.forehead.is_empty() {
             return Ok(Some(self.forehead.drain(..).collect()));
         }
@@ -472,35 +326,22 @@ impl DistributedPq {
     }
 
     /// Route a `b`-chunk from the I/O processor to `Π(0)` and meld it into
-    /// `H` as a fresh `B_0` node. The allocation is remembered across
-    /// fail-stop retries so a recovered attempt reuses the same node.
+    /// `H` as a fresh `B_0` node.
     fn attach_chunk(&mut self, chunk: Vec<i64>) -> Result<(), QueueError> {
-        let payload: Vec<Word> = chunk.iter().map(|&k| k as Word).collect();
-        let mut alloced: Option<BbNodeId> = None;
-        let new_roots = self.recovering(|q| {
-            let dst = q.proc_of(0);
-            if dst != q.io_proc {
-                route(
-                    &mut q.net,
-                    vec![Packet {
-                        src: q.io_proc,
-                        dst,
-                        payload: payload.clone(),
-                    }],
-                )?;
-            }
-            let id = match alloced {
-                Some(id) => id,
-                None => {
-                    let id = q.heap.alloc(chunk.clone());
-                    alloced = Some(id);
-                    id
-                }
-            };
-            let old = q.heap.roots.clone();
-            q.b_union(&old, &[Some(id)])
-        })?;
-        self.heap.roots = new_roots;
+        let dst = self.proc_of(0);
+        if dst != self.io_proc {
+            route(
+                &mut self.net,
+                vec![Packet {
+                    src: self.io_proc,
+                    dst,
+                    payload: chunk.iter().map(|&k| k as Word).collect(),
+                }],
+            )?;
+        }
+        let id = self.heap.alloc(chunk);
+        let old = self.heap.roots.clone();
+        self.heap.roots = self.b_union(&old, &[Some(id)])?;
         Ok(())
     }
 
@@ -542,7 +383,7 @@ impl DistributedPq {
         // The chunk travels from the I/O processor to Π(0) (where a degree-0
         // node lives) and melds in.
         self.attach_chunk(chunk)?;
-        let delta = stats_delta(self.net.stats(), before);
+        let delta = self.net.stats().delta(&before);
         self.ledger.push((DOp::MultiInsert, delta));
         Ok(())
     }
@@ -554,31 +395,29 @@ impl DistributedPq {
         let before = self.net.stats();
         // The chunk-order invariant makes the root with the smallest max key
         // hold the globally smallest b items. Metered as a min-reduction
-        // over the root positions (a Hamiltonian prefix). Pure communication
-        // over host-read values: safe to retry wholesale.
-        let slot = self.recovering(|q| {
-            let width = q.heap.roots.len();
-            let elements: Vec<Vec<Word>> = (0..width)
-                .map(|i| {
-                    let k = q.heap.roots[i]
-                        .map(|r| q.heap.get(r).max_key())
-                        .unwrap_or(i64::MAX);
-                    vec![k, i as Word]
-                })
-                .collect();
-            let reduced =
-                hamiltonian_prefix_cyclic(&mut q.net, &elements, &[i64::MAX, -1], |a, b| {
-                    if b[0] < a[0] {
-                        b.to_vec()
-                    } else {
-                        a.to_vec()
-                    }
-                })?;
-            let last = reduced
-                .last()
-                .ok_or(QueueError::Protocol("min-reduction over an empty heap"))?;
-            Ok(last[1] as usize)
-        })?;
+        // over the root positions (a Hamiltonian prefix).
+        let elements: Vec<Vec<Word>> = self
+            .heap
+            .roots
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let k = r.map(|r| self.heap.get(r).max_key()).unwrap_or(i64::MAX);
+                vec![k, i as Word]
+            })
+            .collect();
+        let reduced =
+            hamiltonian_prefix_cyclic(&mut self.net, &elements, &[i64::MAX, -1], |a, b| {
+                if b[0] < a[0] {
+                    b.to_vec()
+                } else {
+                    a.to_vec()
+                }
+            })?;
+        let last = reduced
+            .last()
+            .ok_or(QueueError::Protocol("min-reduction over an empty heap"))?;
+        let slot = last[1] as usize;
         let root = self
             .heap
             .roots
@@ -600,22 +439,18 @@ impl DistributedPq {
         self.heap.roots[slot] = None;
         self.heap.trim();
         let node = self.heap.dealloc(root);
-        // Ship the keys home (idempotent: retried wholesale on fail-stop).
-        let payload: Vec<Word> = node.keys.iter().map(|&k| k as Word).collect();
-        self.recovering(|q| {
-            let src = q.proc_of(slot);
-            if src != q.io_proc {
-                route(
-                    &mut q.net,
-                    vec![Packet {
-                        src,
-                        dst: q.io_proc,
-                        payload: payload.clone(),
-                    }],
-                )?;
-            }
-            Ok(())
-        })?;
+        // Ship the keys home.
+        let src = self.proc_of(slot);
+        if src != self.io_proc {
+            route(
+                &mut self.net,
+                vec![Packet {
+                    src,
+                    dst: self.io_proc,
+                    payload: node.keys.iter().map(|&k| k as Word).collect(),
+                }],
+            )?;
+        }
         self.forehead = node.keys.into();
         // Children re-meld.
         let children: Vec<Option<BbNodeId>> = node.children.iter().copied().map(Some).collect();
@@ -624,7 +459,7 @@ impl DistributedPq {
         }
         let old = self.heap.roots.clone();
         self.heap.roots = self.b_union(&old, &children)?;
-        let delta = stats_delta(self.net.stats(), before);
+        let delta = self.net.stats().delta(&before);
         self.ledger.push((DOp::MultiExtractMin, delta));
         Ok(())
     }
@@ -632,7 +467,6 @@ impl DistributedPq {
     /// Meld another queue into this one (`b-Union` of the heaps; buffers are
     /// merged at the I/O processor).
     pub fn meld(&mut self, other: DistributedPq) -> Result<(), QueueError> {
-        let (_t, _scope) = obs::flight::ambient_or_new();
         assert_eq!(self.b, other.b, "bandwidths must match");
         assert_eq!(self.net.q(), other.net.q(), "cube sizes must match");
         let before = self.net.stats();
@@ -692,7 +526,7 @@ impl DistributedPq {
         while self.waiting.len() >= self.b {
             self.flush_waiting()?;
         }
-        let delta = stats_delta(self.net.stats(), before);
+        let delta = self.net.stats().delta(&before);
         self.ledger.push((DOp::Union, delta));
         Ok(())
     }
@@ -736,39 +570,26 @@ impl DistributedPq {
         if s1 + s2 == 0 {
             return Ok(Vec::new());
         }
-        let width = plan_width(s1, s2);
-        // All communication (and the plan it mirrors) happens inside the
-        // recovery scope; host surgery applies only after it succeeds.
-        // Preprocessing is idempotent (re-dealing an already-dealt key
-        // multiset reproduces the same assignment), so a fail-stop retry
-        // re-runs the whole pipeline soundly.
-        let plan = self.recovering(|q| {
-            // Preprocess unconditionally: even a one-sided union must
-            // restore the global chunk order (e.g. the children of an
-            // extracted root are not chunk-ordered among themselves).
-            q.preprocess(r1, r2)?;
-            if s1 == 0 || s2 == 0 {
-                return Ok(None);
+        // Preprocess unconditionally: even a one-sided union must restore
+        // the global chunk order (e.g. the children of an extracted root are
+        // not chunk-ordered among themselves).
+        self.preprocess(r1, r2)?;
+        if s1 == 0 || s2 == 0 {
+            let mut out = if s2 == 0 { r1.to_vec() } else { r2.to_vec() };
+            while matches!(out.last(), Some(None)) {
+                out.pop();
             }
-            // ---- Phases I–II: host plan + metered Hamiltonian prefixes ----
-            let refs1 = q.refs_of(r1, width);
-            let refs2 = q.refs_of(r2, width);
-            let plan = build_plan_seq(&refs1, &refs2);
-            q.run_metered_phases(&plan)?;
-            // ---- Phase III: data movement ----
-            q.phase3_movement(&plan)?;
-            Ok(Some(plan))
-        })?;
-        match plan {
-            None => {
-                let mut out = if s2 == 0 { r1.to_vec() } else { r2.to_vec() };
-                while matches!(out.last(), Some(None)) {
-                    out.pop();
-                }
-                Ok(out)
-            }
-            Some(plan) => Ok(self.apply_plan(&plan)),
+            return Ok(out);
         }
+        // ---- Phases I–II: host plan + metered Hamiltonian prefixes ----
+        let width = plan_width(s1, s2);
+        let refs1 = self.refs_of(r1, width);
+        let refs2 = self.refs_of(r2, width);
+        let plan = build_plan_seq(&refs1, &refs2);
+        self.run_metered_phases(&plan)?;
+        // ---- Phase III: data movement, then the host surgery ----
+        self.phase3_movement(&plan)?;
+        Ok(self.apply_plan(&plan))
     }
 
     /// Preprocessing (paper §5): sort all root keys on the cube and deal the
@@ -916,7 +737,7 @@ impl DistributedPq {
     /// Phase III communication: child addresses to dominants, changed-degree
     /// roots to their new processors.
     fn phase3_movement(&mut self, plan: &UnionPlan) -> Result<(), QueueError> {
-        let _sp = obs::span("rehome");
+        let _sp = obs::span("phase3");
         let mut packets: Vec<Packet> = Vec::new();
         for l in &plan.links {
             let child = BbNodeId(l.child.0);
@@ -1163,96 +984,11 @@ mod multiop_tests {
         pq.multi_insert(vec![9, 1, 5, 3]).unwrap();
         pq.multi_insert(vec![8, 2, 6, 4]).unwrap();
         let after = pq.net_stats();
-        let d = stats_delta(after, before);
+        let d = after.delta(&before);
         assert!(d.messages > 0);
         // The broken call order used to overflow-panic in debug builds; the
         // contract violation now degrades to zeroed fields.
-        let swapped = stats_delta(before, after);
+        let swapped = before.delta(&after);
         assert_eq!(swapped, NetStats::default());
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod fault_tests {
-    use super::*;
-
-    #[test]
-    fn queue_survives_droppy_network() {
-        let plan = FaultPlan::seeded(99)
-            .with_drop(0.2)
-            .with_duplicate(0.1)
-            .with_retries(64);
-        let mut pq = DistributedPq::with_faults(2, 4, plan);
-        for k in (0..32).rev() {
-            pq.insert(k).unwrap();
-        }
-        pq.validate().unwrap();
-        assert!(pq.net_stats().retries > 0, "0.2 drop must cost retries");
-        assert_eq!(pq.into_sorted_vec().unwrap(), (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn same_seed_replays_identical_ledger() {
-        let mk = || {
-            FaultPlan::seeded(1234)
-                .with_drop(0.15)
-                .with_delay(0.1)
-                .with_corrupt(0.1)
-                .with_retries(64)
-        };
-        let run = |plan: FaultPlan| {
-            let mut pq = DistributedPq::with_faults(2, 4, plan);
-            for k in 0..24 {
-                pq.insert((k * 7) % 24).unwrap();
-            }
-            for _ in 0..8 {
-                pq.extract_min().unwrap();
-            }
-            (pq.net_stats(), pq.ledger().to_vec())
-        };
-        let (s1, l1) = run(mk());
-        let (s2, l2) = run(mk());
-        assert_eq!(s1, s2);
-        assert_eq!(l1, l2);
-        assert!(s1.has_fault_activity());
-    }
-
-    #[test]
-    fn bounded_fail_stop_rehomes_and_recovers() {
-        // Π-path processor 1 crashes mid-workload for a long outage; the
-        // retry budget cannot ride it out, so the queue must rehome node 1's
-        // residents onto the Gray successor, wait out the outage, and retry.
-        let plan = FaultPlan::seeded(7)
-            .with_retries(4)
-            .with_fail_stop(1, 60, 5_000);
-        let mut pq = DistributedPq::with_faults(2, 2, plan);
-        for k in 0..24 {
-            pq.insert(k).unwrap();
-        }
-        pq.validate().unwrap();
-        assert!(
-            pq.net_stats().rehomed_nodes > 0,
-            "the outage window must force a rehoming"
-        );
-        assert_eq!(pq.into_sorted_vec().unwrap(), (0..24).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn io_proc_death_is_a_clean_typed_error() {
-        let plan = FaultPlan::seeded(3).with_retries(2).with_fail_stop(
-            0,
-            0,
-            hypercube::FailStop::PERMANENT,
-        );
-        let mut pq = DistributedPq::with_faults(2, 2, plan);
-        let mut saw_err = None;
-        for k in 0..8 {
-            if let Err(e) = pq.insert(k) {
-                saw_err = Some(e);
-                break;
-            }
-        }
-        assert_eq!(saw_err, Some(QueueError::IoProcDead { node: 0 }));
     }
 }

@@ -6,20 +6,13 @@
 //! variant, but a complete hypercube substrate ships the full set, and the
 //! tests double as single-port legality proofs for the classic schedules.
 
-use crate::engine::{NetError, Network, Send, Word};
+use crate::engine::{NetError, NetSim, Send, Word};
 use crate::routing::{route, Packet};
-
-/// A value the collective schedule guarantees present is missing — a
-/// protocol violation surfaced as a typed error (attempts = 0 marks it as a
-/// schedule fault, not a transport retry exhaustion) instead of a panic.
-fn holder_missing(node: usize) -> NetError {
-    NetError::Timeout { node, attempts: 0 }
-}
 
 /// Binomial-tree broadcast from `root`: after `q` rounds every node holds
 /// `payload`. Returns the per-node copies.
-pub fn broadcast<N: Network>(
-    net: &mut N,
+pub fn broadcast(
+    net: &mut NetSim,
     root: usize,
     payload: Vec<Word>,
 ) -> Result<Vec<Vec<Word>>, NetError> {
@@ -56,17 +49,18 @@ pub fn broadcast<N: Network>(
             }
         }
     }
-    have.into_iter()
-        .enumerate()
-        .map(|(node, p)| p.ok_or_else(|| holder_missing(node)))
-        .collect()
+    // After q rounds every relative label has been reached.
+    Ok(have
+        .into_iter()
+        .map(|p| p.expect("broadcast reaches every node"))
+        .collect())
 }
 
 /// Binomial-tree reduction to `root`: combines all nodes' values with `op`
 /// in `q` rounds; the result lands at `root` (left operand = lower relative
 /// label, so non-commutative operators see a fixed order).
-pub fn reduce<N: Network>(
-    net: &mut N,
+pub fn reduce(
+    net: &mut NetSim,
     root: usize,
     values: Vec<Vec<Word>>,
     op: impl Fn(&[Word], &[Word]) -> Vec<Word>,
@@ -89,7 +83,8 @@ pub fn reduce<N: Network>(
             if rel >> d != 1 {
                 continue;
             }
-            let payload = slot.take().ok_or_else(|| holder_missing(node))?;
+            // A node sends once, at its top relative bit, and has not sent yet.
+            let payload = slot.take().expect("a sender still holds its value");
             sends.push(Send {
                 from: node,
                 to: node ^ (1 << d),
@@ -99,20 +94,20 @@ pub fn reduce<N: Network>(
         let inbox = net.round(sends)?;
         for (node, got) in inbox.into_iter().enumerate() {
             if let Some((_, theirs)) = got {
-                let mine = acc[node].take().ok_or_else(|| holder_missing(node))?;
+                let mine = acc[node].take().expect("a receiver still holds its value");
                 // Receiver has the lower relative label: it is the left operand.
                 acc[node] = Some(op(&mine, &theirs));
             }
         }
     }
-    acc[root].take().ok_or_else(|| holder_missing(root))
+    Ok(acc[root].take().expect("the root never sends"))
 }
 
 /// Dimension-exchange all-reduce: every node ends with the total, `q` full
 /// exchange rounds. Requires a commutative-enough usage or acceptance of
 /// the butterfly order (left operand = lower label on each link).
-pub fn all_reduce<N: Network>(
-    net: &mut N,
+pub fn all_reduce(
+    net: &mut NetSim,
     values: Vec<Vec<Word>>,
     op: impl Fn(&[Word], &[Word]) -> Vec<Word>,
 ) -> Result<Vec<Vec<Word>>, NetError> {
@@ -124,7 +119,9 @@ pub fn all_reduce<N: Network>(
         let payloads: Vec<Option<Vec<Word>>> = acc.iter().cloned().map(Some).collect();
         let inbox = net.exchange(d, payloads)?;
         for node in 0..n {
-            let (_, theirs) = inbox[node].clone().ok_or_else(|| holder_missing(node))?;
+            let (_, theirs) = inbox[node]
+                .clone()
+                .expect("a full exchange delivers to every node");
             let mine = &acc[node];
             acc[node] = if node & (1 << d) == 0 {
                 op(mine, &theirs)
@@ -138,8 +135,8 @@ pub fn all_reduce<N: Network>(
 
 /// Gather all nodes' payloads at `root` (e-cube routed; the root's single
 /// port makes this inherently `Ω(P)` rounds — measured, not hidden).
-pub fn gather<N: Network>(
-    net: &mut N,
+pub fn gather(
+    net: &mut NetSim,
     root: usize,
     values: Vec<Vec<Word>>,
 ) -> Result<Vec<(usize, Vec<Word>)>, NetError> {
@@ -173,7 +170,6 @@ pub fn gather<N: Network>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::engine::NetSim;
 
     #[test]
     fn broadcast_reaches_all_nodes_every_root() {

@@ -55,23 +55,6 @@ pub enum NetError {
         /// The offending node.
         node: usize,
     },
-    /// Delivery to `node` failed even after exhausting the retry budget.
-    Timeout {
-        /// The unreachable node.
-        node: usize,
-        /// Attempts spent (initial send + retries).
-        attempts: u32,
-    },
-    /// A payload kept failing its CRC check past the retry budget.
-    Corrupt {
-        /// The receiver that kept seeing bad checksums.
-        node: usize,
-    },
-    /// A fail-stopped processor made delivery impossible.
-    Dead {
-        /// The fail-stopped node.
-        node: usize,
-    },
 }
 
 impl std::fmt::Display for NetError {
@@ -85,16 +68,6 @@ impl std::fmt::Display for NetError {
             NetError::MultiReceive { node } => {
                 write!(f, "node {node} would receive twice in one round")
             }
-            NetError::Timeout { node, attempts } => {
-                write!(
-                    f,
-                    "delivery to node {node} timed out after {attempts} attempts"
-                )
-            }
-            NetError::Corrupt { node } => {
-                write!(f, "node {node} kept receiving corrupt payloads")
-            }
-            NetError::Dead { node } => write!(f, "node {node} is fail-stopped"),
         }
     }
 }
@@ -112,15 +85,6 @@ pub struct NetStats {
     pub messages: u64,
     /// Total words moved across links (payload words × 1 hop each).
     pub word_hops: u64,
-    /// Resends issued by the ack/retry recovery protocol
-    /// (see [`crate::fault::FaultyNet`]); 0 on a fault-free transport.
-    pub retries: u64,
-    /// Duplicate deliveries detected and discarded by the receiver
-    /// (spurious duplicates, delayed copies racing a retry).
-    pub redeliveries: u64,
-    /// b-bandwidth heap nodes regenerated onto a new home processor after a
-    /// fail-stop (counted by the `dmpq` recovery layer).
-    pub rehomed_nodes: u64,
 }
 
 impl NetStats {
@@ -132,9 +96,6 @@ impl NetStats {
             rounds: self.rounds + other.rounds,
             messages: self.messages + other.messages,
             word_hops: self.word_hops + other.word_hops,
-            retries: self.retries + other.retries,
-            redeliveries: self.redeliveries + other.redeliveries,
-            rehomed_nodes: self.rehomed_nodes + other.rehomed_nodes,
         }
     }
 
@@ -151,15 +112,7 @@ impl NetStats {
             rounds: self.rounds.saturating_sub(before.rounds),
             messages: self.messages.saturating_sub(before.messages),
             word_hops: self.word_hops.saturating_sub(before.word_hops),
-            retries: self.retries.saturating_sub(before.retries),
-            redeliveries: self.redeliveries.saturating_sub(before.redeliveries),
-            rehomed_nodes: self.rehomed_nodes.saturating_sub(before.rehomed_nodes),
         }
-    }
-
-    /// Whether any fault-recovery counter is nonzero.
-    pub fn has_fault_activity(&self) -> bool {
-        self.retries != 0 || self.redeliveries != 0 || self.rehomed_nodes != 0
     }
 }
 
@@ -169,17 +122,7 @@ impl std::fmt::Display for NetStats {
             f,
             "time={} rounds={} messages={} word_hops={}",
             self.time, self.rounds, self.messages, self.word_hops
-        )?;
-        // Fault counters only appear once recovery did something, so
-        // fault-free runs keep the historical (and golden-tested) format.
-        if self.has_fault_activity() {
-            write!(
-                f,
-                " retries={} redeliveries={} rehomed_nodes={}",
-                self.retries, self.redeliveries, self.rehomed_nodes
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -193,9 +136,6 @@ impl obs::Recorder for NetStats {
             ("rounds", self.rounds),
             ("messages", self.messages),
             ("word_hops", self.word_hops),
-            ("retries", self.retries),
-            ("redeliveries", self.redeliveries),
-            ("rehomed_nodes", self.rehomed_nodes),
         ]
     }
 }
@@ -257,10 +197,8 @@ impl NetSim {
     }
 
     /// Check a round's send pattern against the model (node ranges,
-    /// adjacency, single-port send/receive) without executing it. The
-    /// fault-injection wrapper validates up front so that its retry
-    /// sub-rounds only ever carry known-legal subsets.
-    pub fn validate_sends(&self, sends: &[Send]) -> Result<(), NetError> {
+    /// adjacency, single-port send/receive) without executing it.
+    fn validate_sends(&self, sends: &[Send]) -> Result<(), NetError> {
         let n = self.nodes();
         let mut sent = vec![false; n];
         for s in sends {
@@ -350,77 +288,11 @@ impl NetSim {
     }
 }
 
-/// Abstraction over round-based transports.
-///
-/// [`NetSim`] is the pristine single-port cube; [`crate::fault::FaultyNet`]
-/// layers deterministic fault injection plus an ack/retry recovery protocol
-/// over it. The routing, collective, prefix and sort layers are generic over
-/// this trait, so every algorithm runs unchanged on either transport — and
-/// the fault-tolerance story lives in exactly one place.
-pub trait Network {
-    /// Cube dimension.
-    fn q(&self) -> usize;
-
-    /// Number of processors.
-    fn nodes(&self) -> usize {
-        1 << self.q()
-    }
-
-    /// Execute one logical synchronous round. A reliable transport may spend
-    /// several physical sub-rounds (retries, acks, backoff) delivering it;
-    /// on `Ok` the inbox reflects exactly the submitted pattern.
-    fn round(&mut self, sends: Vec<Send>) -> Result<Inbox, NetError>;
-
-    /// Pairwise exchange across dimension `d` (see [`NetSim::exchange`]).
-    fn exchange(&mut self, d: usize, payloads: Vec<Option<Vec<Word>>>) -> Result<Inbox, NetError> {
-        assert!(d < self.q().max(1), "dimension {d} out of range");
-        let sends: Vec<Send> = payloads
-            .into_iter()
-            .enumerate()
-            .filter_map(|(node, p)| {
-                p.map(|payload| Send {
-                    from: node,
-                    to: node ^ (1 << d),
-                    payload,
-                })
-            })
-            .collect();
-        self.round(sends)
-    }
-
-    /// Accumulated cost.
-    fn stats(&self) -> NetStats;
-
-    /// Zero the meters.
-    fn reset_stats(&mut self);
-
-    /// Whether `node` is currently up. Fault-free transports never lose a
-    /// processor; the default is therefore `true`.
-    fn is_alive(&self, _node: usize) -> bool {
-        true
-    }
-}
-
-impl Network for NetSim {
-    fn q(&self) -> usize {
-        NetSim::q(self)
-    }
-    fn round(&mut self, sends: Vec<Send>) -> Result<Inbox, NetError> {
-        NetSim::round(self, sends)
-    }
-    fn exchange(&mut self, d: usize, payloads: Vec<Option<Vec<Word>>>) -> Result<Inbox, NetError> {
-        NetSim::exchange(self, d, payloads)
-    }
-    fn stats(&self) -> NetStats {
-        NetSim::stats(self)
-    }
-    fn reset_stats(&mut self) {
-        NetSim::reset_stats(self)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
+// The stats literals end in `..NetStats::default()` so that they keep
+// compiling, and keep their meaning, if a meter is added.
+#[allow(clippy::needless_update)]
 mod tests {
     use super::*;
 
@@ -466,6 +338,20 @@ mod tests {
             }])
             .unwrap_err();
         assert_eq!(err, NetError::NotAdjacent { from: 0, to: 3 });
+    }
+
+    #[test]
+    fn out_of_range_receiver_rejected() {
+        let mut net = NetSim::new(2);
+        let err = net
+            .round(vec![Send {
+                from: 0,
+                to: 4,
+                payload: vec![1],
+            }])
+            .unwrap_err();
+        assert_eq!(err, NetError::BadNode { node: 4, size: 4 });
+        assert_eq!(net.stats(), NetStats::default());
     }
 
     #[test]
@@ -589,36 +475,5 @@ mod tests {
         use obs::Recorder;
         assert_eq!(a.family(), "hypercube.net");
         assert_eq!(a.fields()[3], ("word_hops", 7));
-    }
-
-    #[test]
-    fn fault_counters_merge_delta_and_display() {
-        let busy = NetStats {
-            time: 10,
-            rounds: 4,
-            messages: 6,
-            word_hops: 12,
-            retries: 3,
-            redeliveries: 1,
-            rehomed_nodes: 2,
-        };
-        let quiet = NetStats {
-            time: 1,
-            retries: 1,
-            ..NetStats::default()
-        };
-        let m = busy.merge(&quiet);
-        assert_eq!(m.retries, 4);
-        assert_eq!(m.delta(&quiet), busy);
-        // Underflow on swapped snapshots saturates for the fault counters too.
-        assert_eq!(quiet.delta(&busy), NetStats::default());
-        // Fault-free stats keep the historical format; fault activity appends.
-        assert!(!quiet.delta(&busy).has_fault_activity());
-        assert_eq!(
-            busy.to_string(),
-            "time=10 rounds=4 messages=6 word_hops=12 retries=3 redeliveries=1 rehomed_nodes=2"
-        );
-        use obs::Recorder;
-        assert_eq!(busy.fields()[6], ("rehomed_nodes", 2));
     }
 }

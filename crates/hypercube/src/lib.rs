@@ -21,10 +21,11 @@
 //! * [`sort`] — bitonic sort of block-distributed keys (the `b-Union`
 //!   preprocessing needs a hypercube sort);
 //! * [`collectives`] — broadcast / reduce / all-reduce / gather, the
-//!   classic `O(q)`-round schedules, single-port verified;
-//! * [`fault`] — a seeded, deterministic fault injector ([`FaultyNet`]) with
-//!   an ack/retry recovery protocol, so every primitive above also runs over
-//!   a lossy, corrupting, crash-prone cube.
+//!   classic `O(q)`-round schedules, single-port verified.
+//!
+//! The cube is the reliable machine of the paper's §5: every round
+//! delivers and every processor survives. A malformed send pattern is the
+//! only failure, reported as a typed [`NetError`].
 
 //! ```
 //! use hypercube::{NetSim, Send};
@@ -38,12 +39,10 @@
 
 pub mod collectives;
 pub mod engine;
-pub mod fault;
 pub mod gray;
 pub mod prefix;
 pub mod routing;
 pub mod sort;
 
-pub use engine::{NetError, NetSim, NetStats, Network, Send, Word};
-pub use fault::{FailStop, FaultPlan, FaultyNet};
+pub use engine::{NetError, NetSim, NetStats, Send, Word};
 pub use gray::{gray, gray_inv, hamming, is_adjacent};

@@ -13,7 +13,7 @@
 //! `O((m/2^q)·q)` time — `O(m/2^q + q)` in the `2^q = O(log n)` regime the
 //! paper operates in.
 
-use crate::engine::{NetError, Network, Word};
+use crate::engine::{NetError, NetSim, Word};
 use crate::gray::{gray, gray_inv};
 
 /// Element values are fixed-arity word tuples (e.g. `[flag, key, ptr]`).
@@ -21,13 +21,12 @@ pub type Tuple = Vec<Word>;
 
 /// Inclusive prefix in path-rank order: `values[r]` sits on node `gray(r)`;
 /// returns `out[r] = values[0] ⊕ … ⊕ values[r]`. Runs `q` exchange rounds.
-pub fn hamiltonian_prefix<N, Op>(
-    net: &mut N,
+pub fn hamiltonian_prefix<Op>(
+    net: &mut NetSim,
     values: &[Tuple],
     op: Op,
 ) -> Result<Vec<Tuple>, NetError>
 where
-    N: Network,
     Op: Fn(&[Word], &[Word]) -> Tuple,
 {
     let _sp = obs::span("hc/prefix");
@@ -43,7 +42,7 @@ where
         for node in 0..p {
             let (_, other_tot) = inbox[node]
                 .as_ref()
-                .ok_or(NetError::Timeout { node, attempts: 0 })?;
+                .expect("a full exchange delivers to every node");
             let r = gray_inv(node);
             if (r >> d) & 1 == 1 {
                 // Partner's half precedes mine in rank order.
@@ -60,14 +59,13 @@ where
 /// Inclusive prefix over `m` elements in the paper's cyclic layout
 /// (`element[i]` on node `Π(i mod 2^q)`): row-by-row Hamiltonian prefixes
 /// with locally composed carries. `identity` pads ragged rows.
-pub fn hamiltonian_prefix_cyclic<N, Op>(
-    net: &mut N,
+pub fn hamiltonian_prefix_cyclic<Op>(
+    net: &mut NetSim,
     elements: &[Tuple],
     identity: &[Word],
     op: Op,
 ) -> Result<Vec<Tuple>, NetError>
 where
-    N: Network,
     Op: Fn(&[Word], &[Word]) -> Tuple,
 {
     let _sp = obs::span("hc/prefix");
@@ -101,7 +99,6 @@ where
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::engine::NetSim;
 
     fn add(a: &[Word], b: &[Word]) -> Tuple {
         vec![a[0] + b[0]]

@@ -1,6 +1,6 @@
 //! E-cube (dimension-ordered) store-and-forward routing and path shifts.
 
-use crate::engine::{NetError, Network, Send, Word};
+use crate::engine::{NetError, NetSim, Send, Word};
 use crate::gray::gray;
 
 /// A packet travelling through the cube.
@@ -21,37 +21,14 @@ pub fn ecube_next_hop(at: usize, dst: usize) -> usize {
     at ^ (1 << d)
 }
 
-/// Fault-aware next hop: the lowest differing dimension whose neighbour is
-/// alive. At Hamming distance ≥ 2 a single crashed processor always leaves
-/// an alternative dimension (each hop still corrects a differing bit, so
-/// distance decreases monotonically — no livelock). At distance 1 the only
-/// hop is the destination itself; if that is dead we take it anyway and let
-/// the transport's retry budget ride out (or report) the outage.
-fn ecube_next_hop_avoiding<N: Network>(net: &N, at: usize, dst: usize) -> usize {
-    let mut diff = at ^ dst;
-    debug_assert_ne!(diff, 0);
-    while diff != 0 {
-        let d = diff.trailing_zeros();
-        let hop = at ^ (1 << d);
-        if net.is_alive(hop) {
-            return hop;
-        }
-        diff &= diff - 1;
-    }
-    ecube_next_hop(at, dst)
-}
-
 /// Deliver all packets with store-and-forward e-cube routing under the
 /// single-port rules. Each round every node forwards at most one resident
 /// packet (FIFO), deferring when the receiver is already claimed. Returns
 /// the packets grouped by destination, in delivery order.
 ///
-/// Runs over any [`Network`]: on a [`FaultyNet`](crate::FaultyNet) each
-/// store-and-forward round is individually made reliable by the transport's
-/// ack/retry protocol, and next hops steer around fail-stopped processors.
-/// Malformed packets (endpoints out of range) and unroutable states surface
-/// as [`NetError`]s instead of panics.
-pub fn route<N: Network>(net: &mut N, packets: Vec<Packet>) -> Result<Vec<Vec<Packet>>, NetError> {
+/// A packet whose endpoint is out of range is reported as
+/// [`NetError::BadNode`] before any round runs.
+pub fn route(net: &mut NetSim, packets: Vec<Packet>) -> Result<Vec<Vec<Packet>>, NetError> {
     let _sp = obs::span("hc/route");
     let n = net.nodes();
     let mut delivered: Vec<Vec<Packet>> = vec![Vec::new(); n];
@@ -83,10 +60,7 @@ pub fn route<N: Network>(net: &mut N, packets: Vec<Packet>) -> Result<Vec<Vec<Pa
             // round (single-port receive).
             let mut rotated = 0;
             while rotated < queues[node].len() {
-                let hop = {
-                    let pkt = &queues[node][0];
-                    ecube_next_hop_avoiding(net, node, pkt.dst)
-                };
+                let hop = ecube_next_hop(node, queues[node][0].dst);
                 if claimed[hop] {
                     queues[node].rotate_left(1);
                     rotated += 1;
@@ -110,15 +84,9 @@ pub fn route<N: Network>(net: &mut N, packets: Vec<Packet>) -> Result<Vec<Vec<Pa
                 break;
             }
         }
-        if sends.is_empty() {
-            // Defensive: with pending packets some node always has a
-            // schedulable front packet; if not, report instead of spinning.
-            let stuck = queues.iter().position(|qu| !qu.is_empty()).unwrap_or(0);
-            return Err(NetError::Timeout {
-                node: stuck,
-                attempts: 0,
-            });
-        }
+        // The lowest busy node finds no hop claimed yet, so every round
+        // moves at least one packet.
+        debug_assert!(!sends.is_empty());
         net.round(sends)?;
         for (to, pkt) in moving {
             if to == pkt.dst {
@@ -137,8 +105,8 @@ pub fn route<N: Network>(net: &mut N, packets: Vec<Packet>) -> Result<Vec<Vec<Pa
 /// dropped unless `wrap` is set, in which case it goes to `Π(0)` (also a
 /// neighbour: the path is a cycle). Returns the received payloads in rank
 /// order.
-pub fn shift_along_path<N: Network>(
-    net: &mut N,
+pub fn shift_along_path(
+    net: &mut NetSim,
     payloads: Vec<Option<Vec<Word>>>,
     wrap: bool,
 ) -> Result<Vec<Option<Vec<Word>>>, NetError> {
@@ -170,7 +138,6 @@ pub fn shift_along_path<N: Network>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::engine::NetSim;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -183,6 +150,22 @@ mod tests {
             hops += 1;
         }
         assert_eq!(hops, 2);
+    }
+
+    #[test]
+    fn out_of_range_destination_rejected() {
+        let mut net = NetSim::new(2);
+        let err = route(
+            &mut net,
+            vec![Packet {
+                src: 1,
+                dst: 4,
+                payload: vec![5],
+            }],
+        )
+        .unwrap_err();
+        assert_eq!(err, NetError::BadNode { node: 4, size: 4 });
+        assert_eq!(net.stats().rounds, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! experiments note the substitution (same `b log b`-style growth in the
 //! regime measured).
 
-use crate::engine::{NetError, Network, Word};
+use crate::engine::{NetError, NetSim, Word};
 
 /// Sentinel used to pad ragged blocks; callers' keys must be below it.
 pub const PAD: Word = i64::MAX;
@@ -22,7 +22,7 @@ pub const PAD: Word = i64::MAX;
 /// Sort `keys` ascending across the cube. Keys are dealt into `2^q` equal
 /// blocks in **node-id order**; the sorted sequence is returned (and
 /// internally lives) in node-id order, block `i` on node `i`.
-pub fn bitonic_sort<N: Network>(net: &mut N, keys: &[Word]) -> Result<Vec<Word>, NetError> {
+pub fn bitonic_sort(net: &mut NetSim, keys: &[Word]) -> Result<Vec<Word>, NetError> {
     let _sp = obs::span("hc/sort");
     let p = net.nodes();
     let m = keys.len().div_ceil(p).max(1);
@@ -48,7 +48,7 @@ pub fn bitonic_sort<N: Network>(net: &mut N, keys: &[Word]) -> Result<Vec<Word>,
             for node in 0..p {
                 let (_, other) = inbox[node]
                     .clone()
-                    .ok_or(NetError::Timeout { node, attempts: 0 })?;
+                    .expect("a full exchange delivers to every node");
                 let ascending = node & size == 0;
                 let low_side = node & stride == 0;
                 let mut merged = Vec::with_capacity(2 * m);
@@ -77,7 +77,6 @@ pub fn bitonic_sort<N: Network>(net: &mut N, keys: &[Word]) -> Result<Vec<Word>,
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::engine::NetSim;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]

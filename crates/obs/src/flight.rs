@@ -9,8 +9,8 @@
 //! * **[`TraceId`]** — a process-unique causal id minted at an operation's
 //!   ingress and threaded (via an ambient per-thread scope) through every
 //!   layer it touches, so one logical op's journey — service call → shard
-//!   lock wait → bulk kernel → dmpq `b-Union` rounds → transport retries —
-//!   reconstructs from the event stream by filtering on one id.
+//!   lock wait → bulk kernel → WAL append — reconstructs from the event
+//!   stream by filtering on one id.
 //! * **[`FlightEvent`]** — a fixed-size record: relative timestamp, trace
 //!   id, [`EventKind`], one argument word, recording thread.
 //! * **Per-thread rings** — each thread writes to its own fixed-capacity
@@ -100,7 +100,7 @@ impl std::fmt::Display for TraceId {
 }
 
 /// What happened. The argument word's meaning is per-kind (key count,
-/// node index, retry attempt, …) and documented at each recording site.
+/// shard index, record bytes, …) and documented at each recording site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -108,7 +108,7 @@ pub enum EventKind {
     OpBegin = 1,
     /// The operation's result was published (arg = operation code).
     OpEnd = 2,
-    // Codes 3 and 4 are retired: a recorded word must never change
+    // Codes 3, 4 and 9–12 are retired: a recorded word must never change
     // meaning, so they stay unassigned.
     /// An operation found its shard's lock held and began to wait for it
     /// (arg = shard index).
@@ -122,14 +122,6 @@ pub enum EventKind {
     /// A multi-key pop demand was served by one multi-extract
     /// (arg = keys pulled).
     MultiExtract = 8,
-    /// The transport retried an unacknowledged message (arg = receiver).
-    NetRetry = 9,
-    /// The transport discarded a duplicate delivery (arg = receiver).
-    NetRedelivery = 10,
-    /// A reliable round exhausted its retry budget (arg = blamed node).
-    NetTimeout = 11,
-    /// A dead processor's residents were rehomed (arg = node count).
-    NetRehome = 12,
     /// A logical op was appended to a write-ahead log (arg = record bytes).
     WalAppend = 13,
     /// A durability checkpoint was written (arg = checkpoint sequence).
@@ -148,10 +140,6 @@ impl EventKind {
             EventKind::TicketUnpark => "ticket_unpark",
             EventKind::BulkAdmission => "bulk_admission",
             EventKind::MultiExtract => "multi_extract",
-            EventKind::NetRetry => "net_retry",
-            EventKind::NetRedelivery => "net_redelivery",
-            EventKind::NetTimeout => "net_timeout",
-            EventKind::NetRehome => "net_rehome",
             EventKind::WalAppend => "wal_append",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Recover => "recover",
@@ -166,10 +154,6 @@ impl EventKind {
             6 => EventKind::TicketUnpark,
             7 => EventKind::BulkAdmission,
             8 => EventKind::MultiExtract,
-            9 => EventKind::NetRetry,
-            10 => EventKind::NetRedelivery,
-            11 => EventKind::NetTimeout,
-            12 => EventKind::NetRehome,
             13 => EventKind::WalAppend,
             14 => EventKind::Checkpoint,
             15 => EventKind::Recover,
@@ -386,9 +370,9 @@ pub fn trace_scope(t: TraceId) -> TraceScope {
 }
 
 /// The ambient trace if one is set, else a freshly minted id — either way
-/// scoped until the guard drops. This is how interior layers (the
-/// distributed queue, the bulk kernels) stay reconstructible both when
-/// driven through a traced front end and when driven directly.
+/// scoped until the guard drops. This is how an ingress stays
+/// reconstructible both when driven through a traced front end and when
+/// driven directly.
 pub fn ambient_or_new() -> (TraceId, TraceScope) {
     let cur = current();
     let t = if cur.is_traced() {
@@ -522,8 +506,8 @@ mod tests {
             assert_eq!(inner, outer, "ambient trace is reused, not replaced");
         }
         record_here(EventKind::OpBegin, 7);
-        record_here(EventKind::NetRetry, 1);
-        record_here(EventKind::NetRehome, 2);
+        record_here(EventKind::BulkAdmission, 1);
+        record_here(EventKind::MultiExtract, 2);
         record_here(EventKind::OpEnd, 7);
         drop(scope);
         assert_eq!(current(), TraceId::NONE);
@@ -536,8 +520,8 @@ mod tests {
         let line = trace_timeline(&events, outer);
         assert_eq!(line.len(), 4);
         assert_eq!(line[0].kind, EventKind::OpBegin);
-        assert_eq!(line[1].kind, EventKind::NetRetry);
-        assert_eq!(line[2].kind, EventKind::NetRehome);
+        assert_eq!(line[1].kind, EventKind::BulkAdmission);
+        assert_eq!(line[2].kind, EventKind::MultiExtract);
         assert_eq!(line[3].kind, EventKind::OpEnd);
         assert!(line.windows(2).all(|w| w[0].ts_nanos <= w[1].ts_nanos));
 
@@ -560,7 +544,7 @@ mod tests {
 
         // JSON and text renderings cover every event.
         let json = to_json(&events).to_string();
-        assert!(json.contains("\"kind\":\"net_rehome\""));
+        assert!(json.contains("\"kind\":\"multi_extract\""));
         assert!(json.contains(&format!("\"trace\":{}", outer.raw())));
         assert!(render(&tail(2)).lines().count() == 2);
 
@@ -598,6 +582,20 @@ mod tests {
         assert_eq!(out.len(), RING_CAPACITY);
         assert_eq!(out[0].arg, 100, "oldest 100 overwritten");
         assert_eq!(out.last().map(|e| e.arg), Some(n - 1));
+    }
+
+    #[test]
+    fn retired_kind_codes_are_skipped() {
+        let ring = Ring::new("test".into());
+        for code in [3u64, 4, 9, 10, 11, 12] {
+            assert_eq!(EventKind::from_word(code), None, "code {code} is retired");
+            ring.push(code, 1, code, code);
+        }
+        ring.push(99, 1, EventKind::OpEnd as u64, 99);
+        let mut out = Vec::new();
+        ring.read(0, &mut out);
+        assert_eq!(out.len(), 1, "only the live kind decodes");
+        assert_eq!((out[0].kind, out[0].arg), (EventKind::OpEnd, 99));
     }
 
     #[test]

@@ -216,8 +216,9 @@ impl Oracle {
 
 /// `DistributedPq` behind the trait. The orphan rule forbids implementing
 /// the workspace trait for the dmpq type from this test crate, and the
-/// distributed API is fallible (message faults), so this local newtype
-/// adapts it: every op runs on a fault-free net and unwraps.
+/// distributed API is fallible (an illegal send pattern or a broken
+/// invariant is a typed error), so this local newtype adapts it: on the
+/// reliable cube no op fails, and every op unwraps.
 struct FaultFree {
     pq: DistributedPq,
     q: usize,
