@@ -6,8 +6,7 @@ use std::time::Duration;
 use bench::workloads;
 use criterion::{criterion_group, criterion_main, Criterion};
 use seqheaps::{
-    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldablePq, OpStats, PairingHeap,
-    SkewHeap,
+    BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, OpStats, PairingHeap, SkewHeap,
 };
 
 /// A fresh `H` holding `keys`.
@@ -38,8 +37,6 @@ fn bench_heapsort(c: &mut Criterion) {
     group.bench_function("binary", |b| {
         b.iter(|| heapsort::<BinaryHeapAdapter<i64>>(&keys))
     });
-    group.bench_function("dary4", |b| b.iter(|| heapsort::<DaryHeap<i64, 4>>(&keys)));
-    group.bench_function("dary8", |b| b.iter(|| heapsort::<DaryHeap<i64, 8>>(&keys)));
     group.finish();
 }
 
@@ -72,9 +69,6 @@ fn bench_meld_storm(c: &mut Criterion) {
     });
     group.bench_function("binary", |b| {
         b.iter(|| meld_storm::<BinaryHeapAdapter<i64>>(&parts))
-    });
-    group.bench_function("dary4", |b| {
-        b.iter(|| meld_storm::<DaryHeap<i64, 4>>(&parts))
     });
     group.finish();
 }

@@ -19,7 +19,7 @@
 //! * `b_union` — the b-Union preprocessing sort: the general path must sort
 //!   the concatenated key streams, the chunk-order fast path merges two
 //!   already-sorted streams (`dmpq::soa::merged_stream`). Gate: the merge
-//!   must win by ≥2× at N = 2^18.
+//!   must win by ≥2× at N = 2^18, on interleaved pairs.
 //! * `mixed` — an insert/extract-heavy workload mirroring W1's op mix, with
 //!   every insert planned.
 //! * `multi_extract_min` (`k` ripple `Extract-Min` rounds): `k = n/16`, and
@@ -27,9 +27,9 @@
 //!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
-//!   These three gates time their arms as interleaved pairs and derive a
-//!   noise floor from those pairs: a margin inside the floor is reported
-//!   `inconclusive` rather than passing or failing.
+//!   These three gates and `b_union` time their arms as interleaved pairs
+//!   and derive a noise floor from those pairs: a margin inside the floor
+//!   is reported `inconclusive` rather than passing or failing.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
 //! plumbing as telemetry), with the host's core count, so every PR extends a
@@ -195,37 +195,6 @@ fn bench_multi_insert(c: &mut Criterion, full: bool) {
     group.finish();
 }
 
-/// The b-Union preprocessing sort over N total keys. The `seq` arm is what
-/// the general path must do — sort the concatenation from scratch (the
-/// wall-clock stand-in for the metered bitonic network). The `merge_path`
-/// arm (named for the kernel it once ran) is the chunk-order fast path:
-/// both sides' SoA streams are already sorted, so `merged_stream` collapses
-/// the union to one two-pointer merge.
-fn bench_b_union(c: &mut Criterion, full: bool) {
-    let mut group = c.benchmark_group("b_union");
-    for n in bulk_sizes(full) {
-        let mut rng = workloads::rng(61 ^ n as u64);
-        let keys = workloads::random_keys(&mut rng, n);
-        let (mut s1, mut s2) = (keys[..n / 2].to_vec(), keys[n / 2..].to_vec());
-        s1.sort_unstable();
-        s2.sort_unstable();
-        group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
-            b.iter(|| {
-                let mut all = Vec::with_capacity(n);
-                all.extend_from_slice(&s1);
-                all.extend_from_slice(&s2);
-                all.sort_unstable();
-                all
-            })
-        });
-        let (soa1, soa2) = (soa_side(&s1), soa_side(&s2));
-        group.bench_with_input(BenchmarkId::new("merge_path", n), &n, |b, _| {
-            b.iter(|| dmpq::soa::merged_stream(&soa1, &soa2).expect("both sides sorted"))
-        });
-    }
-    group.finish();
-}
-
 /// One side of a b-Union as `dmpq::soa` sees it: the sorted stream cut
 /// into 256-key blocks of one `BbHeap`.
 fn soa_side(sorted: &[i64]) -> dmpq::soa::SoaBlocks {
@@ -370,6 +339,34 @@ fn peek_arm(
     start.elapsed()
 }
 
+/// One run of the b-Union preprocessing sort over `s1` and `s2`, two
+/// sorted halves of N keys. The `seq` arm is what the general path must do:
+/// sort the concatenation from scratch (the wall-clock stand-in for the
+/// metered bitonic network). The `merge_path` arm (named for the kernel it
+/// once ran) is the chunk-order fast path: both sides' SoA streams are
+/// already sorted, so `merged_stream` collapses the union to one
+/// two-pointer merge. Only building the sorted stream is timed; freeing it
+/// is not.
+fn b_union_seq_arm(s1: &[i64], s2: &[i64]) -> Duration {
+    let start = Instant::now();
+    let mut all = Vec::with_capacity(s1.len() + s2.len());
+    all.extend_from_slice(s1);
+    all.extend_from_slice(s2);
+    all.sort_unstable();
+    let elapsed = start.elapsed();
+    std::hint::black_box(all);
+    elapsed
+}
+
+/// The `merge_path` arm of [`b_union_seq_arm`].
+fn b_union_merge_arm(soa1: &dmpq::soa::SoaBlocks, soa2: &dmpq::soa::SoaBlocks) -> Duration {
+    let start = Instant::now();
+    let merged = dmpq::soa::merged_stream(soa1, soa2).expect("both sides sorted");
+    let elapsed = start.elapsed();
+    std::hint::black_box(merged);
+    elapsed
+}
+
 /// Timed pairs per paired gate, after `PAIRED_WARMUP` untimed ones.
 const PAIRED_PAIRS: usize = 200;
 const PAIRED_WARMUP: usize = 10;
@@ -471,9 +468,9 @@ impl Paired {
     }
 }
 
-/// The flight-recorder and WAL overhead gates and the peek-cache gate,
-/// each on its interleaved pairs: result rows for the six arms, and a
-/// gate row each.
+/// The flight-recorder and WAL overhead gates, the peek-cache gate and the
+/// b-Union merge gate, each on its interleaved pairs: result rows for the
+/// eight arms, and a gate row each.
 fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
     let mut rng = workloads::rng(83);
     let flight_keys = workloads::random_keys(&mut rng, FLIGHT_GATE_N);
@@ -500,6 +497,19 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         || peek_arm(&h, ParBinomialHeap::min_root),
         || peek_arm(&h, ParBinomialHeap::min_root_scan),
     );
+    let mut rng = workloads::rng(61 ^ KERNEL_GATE_N as u64);
+    let keys = workloads::random_keys(&mut rng, KERNEL_GATE_N);
+    let (mut s1, mut s2) = (
+        keys[..KERNEL_GATE_N / 2].to_vec(),
+        keys[KERNEL_GATE_N / 2..].to_vec(),
+    );
+    s1.sort_unstable();
+    s2.sort_unstable();
+    let (soa1, soa2) = (soa_side(&s1), soa_side(&s2));
+    let (merge, sort) = interleave(
+        || b_union_merge_arm(&soa1, &soa2),
+        || b_union_seq_arm(&s1, &s2),
+    );
     let flight = Paired {
         name: "flight_recorder_overhead",
         fast: format!("flight/recorder_on/{FLIGHT_GATE_N}"),
@@ -518,6 +528,12 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         slow: format!("peek/rescan/{PEEK_GATE_N}"),
         threshold: 2.0,
     };
+    let b_union = Paired {
+        name: "b_union_merge_path_speedup",
+        fast: format!("b_union/merge_path/{KERNEL_GATE_N}"),
+        slow: format!("b_union/seq/{KERNEL_GATE_N}"),
+        threshold: 2.0,
+    };
     let rows = vec![
         row(flight.fast.clone(), &on),
         row(flight.slow.clone(), &off),
@@ -525,6 +541,8 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         row(wal.slow.clone(), &wal_off),
         row(peek.fast.clone(), &cached),
         row(peek.slow.clone(), &rescan),
+        row(b_union.fast.clone(), &merge),
+        row(b_union.slow.clone(), &sort),
     ];
     (
         rows,
@@ -532,6 +550,7 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
             flight.eval(&on, &off),
             wal.eval(&wal_on, &wal_off),
             peek.eval(&cached, &rescan),
+            b_union.eval(&merge, &sort),
         ],
     )
 }
@@ -654,12 +673,6 @@ fn gates() -> Vec<Gate> {
             slow: format!("multi_insert/seq/{KERNEL_GATE_N}"),
             threshold: 2.0,
         },
-        Gate {
-            name: "b_union_merge_path_speedup",
-            fast: format!("b_union/merge_path/{KERNEL_GATE_N}"),
-            slow: format!("b_union/seq/{KERNEL_GATE_N}"),
-            threshold: 2.0,
-        },
     ]
 }
 
@@ -719,7 +732,6 @@ fn main() {
 
     let melds = meld_rows(full);
     bench_multi_insert(&mut c, full);
-    bench_b_union(&mut c, full);
     bench_multi_extract(&mut c, full);
     bench_mixed(&mut c, full);
     bench_scans(&mut c);

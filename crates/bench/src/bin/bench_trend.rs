@@ -16,8 +16,8 @@
 //!                     [--shootout <baseline.json> [fresh.json]]`
 //! (fresh defaults to `reports/BENCH_wallclock.json`; the shootout fresh
 //! side defaults to `reports/BENCH_shootout.json`). The shootout gates use
-//! the same `name`/`ratio` shape — ratio = best/selected geomean per-op ns,
-//! higher is better — so one floor rule judges both documents.
+//! the same `name`/`ratio` shape — ratio = baseline/pooled geomean per-op
+//! ns, higher is better — so one floor rule judges both documents.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -173,4 +173,35 @@ fn main() -> ExitCode {
     }
     println!("bench-trend: all gate ratios within {tol_pct:.0}% of baseline");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gates(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        pairs.iter().map(|&(n, r)| (n.to_string(), r)).collect()
+    }
+
+    #[test]
+    fn shared_gate_below_the_floor_fails() {
+        let base = gates(&[("g", 2.0)]);
+        // Floor is 2.0 * (1 - 0.25) = 1.5.
+        assert!(compare_gates("t", &base, &gates(&[("g", 1.49)]), 0.25));
+    }
+
+    #[test]
+    fn shared_gate_at_or_above_the_floor_passes() {
+        let base = gates(&[("g", 2.0)]);
+        assert!(!compare_gates("t", &base, &gates(&[("g", 1.5)]), 0.25));
+        assert!(!compare_gates("t", &base, &gates(&[("g", 3.0)]), 0.25));
+    }
+
+    #[test]
+    fn one_sided_gates_never_fail() {
+        let base = gates(&[("retired", 5.0), ("shared", 1.0)]);
+        let fresh = gates(&[("new", 0.01), ("shared", 1.0)]);
+        assert!(!compare_gates("t", &base, &fresh, 0.25));
+        assert!(!compare_gates("t", &fresh, &base, 0.25));
+    }
 }

@@ -1,6 +1,6 @@
 //! `shootout` — per-op wall-clock race of every queue backend on the
-//! roster ([`meldpq::Backend::ALL`]) over the workload classes the
-//! selection table covers ([`meldpq::WorkloadClass::ALL`]).
+//! roster ([`meldpq::Backend::ALL`]) over five sequential workload classes,
+//! gating the paper's positioning (PAPER.md §2).
 //!
 //! Each (class, backend, size) cell replays the same seeded operation
 //! script and records the best-of-trials total nanoseconds divided by the
@@ -9,14 +9,15 @@
 //! simulation, and the extra stale pops are charged to their clock, not
 //! excused from their denominator.
 //!
-//! The run writes `reports/BENCH_shootout.json`: per-backend per-size ns,
-//! the winner at each size, crossover sizes (where the leader changes as n
-//! grows), and one gate per class — `shootout_<class>` fails when the
-//! committed selection-table pick ([`meldpq::backend::table_pick`]) loses
-//! to the measured best by more than [`GATE_FACTOR`]× on geomean per-op ns
-//! (ratio = best/selected, so higher is better and `bench-trend
-//! --shootout` can diff it with the wallclock semantics). Any gate miss
-//! exits non-zero.
+//! The run writes `reports/BENCH_shootout.json`: the host's core count,
+//! per-backend per-size ns, each backend's geomean over sizes, each class's
+//! winner, and two gates per class on geomean per-op ns. The §3 heap
+//! (`pooled`) must beat the sequential binomial heap it parallelises
+//! (`pooled_vs_binomial_<class>`: ratio binomial/pooled ≥ 1.0), and it may
+//! lose to the leftist heap, which the paper does not claim to beat, by at
+//! most 2× (`pooled_vs_leftist_<class>`: ratio leftist/pooled ≥ 0.5).
+//! Higher is better, so `bench-trend --shootout` diffs the ratios with the
+//! wallclock semantics. Any gate miss exits non-zero.
 //!
 //! Flags: `--quick` (CI smoke: sizes 256/1024, 2 trials) ·
 //! `--full` (default: sizes 256..16384, 3 trials).
@@ -25,14 +26,53 @@ use std::time::Instant;
 
 use bench::json::J;
 use bench::workloads;
-use meldpq::backend::{describe, table_pick};
-use meldpq::{Backend, DecreaseKeyPq, MeldablePq, PqHandle, WorkloadClass};
+use meldpq::{Backend, DecreaseKeyPq, MeldablePq, PqHandle};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The selected backend may lose at most this factor to the measured best
-/// on its own class before the gate fails (the CI `shootout-smoke` bound).
-const GATE_FACTOR: f64 = 1.25;
+/// The positioning gates: per class, `baseline / pooled` geomean per-op
+/// ns must reach the floor. The CLRS binomial heap is the sequential heap
+/// the §3 machinery parallelises, so pooled must be at least as fast; the
+/// leftist heap is the baseline the paper does not claim to beat, so
+/// pooled may be at most 2× slower.
+const POSITIONING: [(Backend, f64); 2] = [(Backend::Binomial, 1.0), (Backend::Leftist, 0.5)];
+
+/// The workload classes the shootout measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorkloadClass {
+    /// Well-mixed keys, insert/extract churn with periodic melds.
+    Uniform,
+    /// Ascending key stream (adversarial for self-adjusting shapes).
+    Sorted,
+    /// Descending key stream.
+    Reverse,
+    /// Heavy key duplication (16 distinct keys).
+    DupHeavy,
+    /// SSSP-style: tracked inserts, decrease-key bursts, extract-all.
+    Dijkstra,
+}
+
+impl WorkloadClass {
+    /// Every class, in shootout order.
+    const ALL: [WorkloadClass; 5] = [
+        WorkloadClass::Uniform,
+        WorkloadClass::Sorted,
+        WorkloadClass::Reverse,
+        WorkloadClass::DupHeavy,
+        WorkloadClass::Dijkstra,
+    ];
+
+    /// Stable snake_case name (report keys).
+    fn name(self) -> &'static str {
+        match self {
+            WorkloadClass::Uniform => "uniform",
+            WorkloadClass::Sorted => "sorted",
+            WorkloadClass::Reverse => "reverse",
+            WorkloadClass::DupHeavy => "dup_heavy",
+            WorkloadClass::Dijkstra => "dijkstra",
+        }
+    }
+}
 
 struct Config {
     sizes: Vec<usize>,
@@ -244,18 +284,27 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.max(1e-3).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// The roster index of `backend`.
+fn slot(backend: Backend) -> usize {
+    Backend::ALL
+        .iter()
+        .position(|&b| b == backend)
+        .expect("positioning baselines are on the roster")
+}
+
 fn main() {
     let cfg = parse_args();
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!(
-        "shootout ({}): {} backends x {} classes x sizes {:?}, best of {} trials",
+        "shootout ({}): {} backends x {} classes x sizes {:?}, best of {} trials, nproc {nproc}",
         cfg.mode,
         Backend::ALL.len(),
         WorkloadClass::ALL.len(),
         cfg.sizes,
         cfg.trials
     );
-    println!("{}", describe());
 
+    let pooled = slot(Backend::Pooled);
     let mut class_docs = Vec::new();
     let mut gates = Vec::new();
     let mut all_pass = true;
@@ -272,43 +321,43 @@ fn main() {
             })
             .collect();
         let geo: Vec<f64> = cells.iter().map(|row| geomean(row)).collect();
-
-        // Winner at each size, and the sizes where the leader changes.
-        let winner_at = |si: usize| -> usize {
-            (0..Backend::ALL.len())
-                .min_by(|&a, &b| cells[a][si].total_cmp(&cells[b][si]))
-                .expect("roster not empty")
-        };
-        let winners: Vec<usize> = (0..cfg.sizes.len()).map(winner_at).collect();
-        let crossovers: Vec<usize> = (1..cfg.sizes.len())
-            .filter(|&si| winners[si] != winners[si - 1])
-            .map(|si| cfg.sizes[si])
-            .collect();
         let best_i = (0..Backend::ALL.len())
             .min_by(|&a, &b| geo[a].total_cmp(&geo[b]))
             .expect("roster not empty");
 
-        let selected = table_pick(class);
-        let sel_i = Backend::ALL
-            .iter()
-            .position(|&b| b == selected)
-            .expect("selection is on the roster");
-        // best/selected: 1.0 = the table holds the crown, 0.8 = the 1.25×
-        // loss bound. Higher is better (bench-trend floor semantics).
-        let ratio = geo[best_i] / geo[sel_i].max(1e-3);
-        let pass = ratio >= 1.0 / GATE_FACTOR;
-        all_pass &= pass;
-
-        println!(
-            "  {:<9} winner {} ({:.0} ns/op) | table {} ({:.0} ns/op) ratio {:.2} {}",
+        let mut line = format!(
+            "  {:<9} winner {} ({:.0} ns/op) | pooled {:.0} ns/op",
             class.name(),
             Backend::ALL[best_i].name(),
             geo[best_i],
-            selected.name(),
-            geo[sel_i],
-            ratio,
-            if pass { "ok" } else { "GATE FAIL" }
+            geo[pooled],
         );
+        for (baseline, floor) in POSITIONING {
+            let bi = slot(baseline);
+            // baseline/pooled: above 1.0 pooled is the faster one.
+            let ratio = geo[bi] / geo[pooled].max(1e-3);
+            let pass = ratio >= floor;
+            all_pass &= pass;
+            line += &format!(
+                " | {} {ratio:.2}x (>= {floor}) {}",
+                baseline.name(),
+                if pass { "ok" } else { "GATE FAIL" }
+            );
+            gates.push(J::obj([
+                (
+                    "name",
+                    J::Str(format!("pooled_vs_{}_{}", baseline.name(), class.name())),
+                ),
+                ("fast", J::Str(Backend::Pooled.name().into())),
+                ("slow", J::Str(baseline.name().into())),
+                ("fast_geomean_ns", J::Num(geo[pooled])),
+                ("slow_geomean_ns", J::Num(geo[bi])),
+                ("ratio", J::Num(ratio)),
+                ("threshold", J::Num(floor)),
+                ("pass", J::Bool(pass)),
+            ]));
+        }
+        println!("{line}");
 
         let results: Vec<J> = Backend::ALL
             .iter()
@@ -334,45 +383,11 @@ fn main() {
             .collect();
         class_docs.push(J::obj([
             ("class", J::Str(class.name().into())),
-            ("selected", J::Str(selected.name().into())),
             ("winner", J::Str(Backend::ALL[best_i].name().into())),
-            (
-                "winner_by_size",
-                J::Arr(
-                    cfg.sizes
-                        .iter()
-                        .zip(&winners)
-                        .map(|(&n, &wi)| {
-                            J::obj([
-                                ("n", J::UInt(n as u64)),
-                                ("winner", J::Str(Backend::ALL[wi].name().into())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "crossover_sizes",
-                J::Arr(crossovers.iter().map(|&n| J::UInt(n as u64)).collect()),
-            ),
             ("results", J::Arr(results)),
-        ]));
-        gates.push(J::obj([
-            ("name", J::Str(format!("shootout_{}", class.name()))),
-            ("selected", J::Str(selected.name().into())),
-            ("selected_geomean_ns", J::Num(geo[sel_i])),
-            ("best", J::Str(Backend::ALL[best_i].name().into())),
-            ("best_geomean_ns", J::Num(geo[best_i])),
-            ("ratio", J::Num(ratio)),
-            ("threshold", J::Num(1.0 / GATE_FACTOR)),
-            ("pass", J::Bool(pass)),
         ]));
     }
 
-    let selection: Vec<(&str, J)> = WorkloadClass::ALL
-        .iter()
-        .map(|&c| (c.name(), J::Str(table_pick(c).name().into())))
-        .collect();
     let doc = J::obj([
         ("report", J::Str("shootout".into())),
         (
@@ -380,19 +395,19 @@ fn main() {
             J::Str(
                 "per-op ns = best-of-trials total time / logical ops; Dijkstra \
                  charges reinsert-simulation backends their stale pops on the \
-                 clock but not the denominator; gate ratio = best/selected \
-                 geomean (higher is better, floor = 1/1.25)"
+                 clock but not the denominator; gate ratio = baseline/pooled \
+                 geomean (higher is better; floor 1.0 for binomial, 0.5 for \
+                 leftist)"
                     .into(),
             ),
         ),
         ("mode", J::Str(cfg.mode.into())),
+        ("nproc", J::UInt(nproc as u64)),
         (
             "sizes",
             J::Arr(cfg.sizes.iter().map(|&n| J::UInt(n as u64)).collect()),
         ),
         ("trials", J::UInt(cfg.trials as u64)),
-        ("selection_table", J::obj(selection)),
-        ("backend_describe", J::Str(describe())),
         ("classes", J::Arr(class_docs)),
         ("gates", J::Arr(gates)),
     ]);
@@ -404,9 +419,7 @@ fn main() {
     println!("wrote {}", out.display());
 
     if !all_pass {
-        eprintln!(
-            "FAIL: a selection-table pick lost more than {GATE_FACTOR}x to the measured best"
-        );
+        eprintln!("FAIL: pooled missed a positioning gate (see lines above)");
         std::process::exit(1);
     }
 }

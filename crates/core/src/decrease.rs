@@ -2,8 +2,8 @@
 //!
 //! The trait ([`DecreaseKeyPq`]) and its handle type ([`PqHandle`]) live
 //! in `seqheaps` next to [`MeldablePq`], and the sequential baselines
-//! implement them directly (hollow / pairing / indexed d-ary natively,
-//! binomial / leftist / skew by content sift). This module adds the two
+//! implement them directly (pairing natively, binomial / leftist / skew
+//! by content sift). This module adds the two
 //! arena engines, so SSSP-style workloads (the shootout's Dijkstra class,
 //! the differential fuzzer's decrease ops) can dispatch over *any* backend:
 //!
@@ -312,11 +312,6 @@ mod tests {
         assert_eq!(transcript(seqheaps::LeftistHeap::new()), expected());
         assert_eq!(transcript(seqheaps::SkewHeap::new()), expected());
         assert_eq!(transcript(seqheaps::PairingHeap::new()), expected());
-        assert_eq!(transcript(seqheaps::HollowHeap::new()), expected());
-        assert_eq!(
-            transcript(seqheaps::IndexedDaryHeap::<i64, 4>::new()),
-            expected()
-        );
     }
 
     #[test]
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn object_safe_fleet() {
         let mut fleet: Vec<Box<dyn DecreaseKeyPq<i64>>> = vec![
-            Box::new(seqheaps::HollowHeap::new()),
+            Box::new(seqheaps::LeftistHeap::new()),
             Box::new(seqheaps::PairingHeap::new()),
             Box::new(seqheaps::BinomialHeap::new()),
             Box::new(IndexedBinomialPq::new()),

@@ -59,7 +59,7 @@ pub mod viz;
 pub mod wal;
 
 pub use arena::{Arena, ArenaStats, Node, NodeId};
-pub use backend::{Backend, WorkloadClass};
+pub use backend::Backend;
 pub use decrease::{DecreaseKeyPq, IndexedBinomialPq, LazyDecreasePq, PqHandle};
 pub use heap::ParBinomialHeap;
 pub use meldable::{MeldablePq, PramMeasured};

@@ -258,10 +258,7 @@ mod tests {
         }
         assert_eq!(transcript(seqheaps::BinomialHeap::new(), built), expected());
         assert_eq!(transcript(seqheaps::LeftistHeap::new(), built), expected());
-        assert_eq!(
-            transcript(seqheaps::DaryHeap::<i64, 4>::new(), built),
-            expected()
-        );
+        assert_eq!(transcript(seqheaps::PairingHeap::new(), built), expected());
     }
 
     #[test]

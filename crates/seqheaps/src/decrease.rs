@@ -16,9 +16,9 @@
 //!   node: `decrease_key` finds *an* element with the old key and sifts
 //!   it, and `extract_min` retires the oldest handle holding the popped
 //!   key. Under multiset semantics (what the differential fuzzer checks)
-//!   this is indistinguishable from physical identity; engines with real
-//!   node identity (hollow, pairing, indexed d-ary) track the node itself
-//!   and get O(1)/O(log n) decreases.
+//!   this is indistinguishable from physical identity; an engine with real
+//!   node identity (pairing) tracks the node itself and decreases by
+//!   cutting its subtree and relinking it with the root.
 
 use std::collections::{BTreeMap, HashMap};
 use std::mem;

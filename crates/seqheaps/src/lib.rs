@@ -16,22 +16,15 @@
 //! * [`BinaryHeapAdapter`] — `std`'s binary heap behind the same trait;
 //!   *not* efficiently meldable (meld rebuilds), included to demonstrate why
 //!   meldability matters in the W1 experiment.
-//! * [`DaryHeap`] — an implicit d-ary heap with const-generic fan-out, the
-//!   cache-friendly practical baseline.
 //! * [`IndexedBinomialHeap`] — the arena/handle variant supporting the full
 //!   Definition 1 (`Decrease-Key`, `Delete`, `Change-Key`) sequentially —
 //!   the textbook comparator for the paper's §4.
-//! * [`HollowHeap`] — Hansen–Kaplan–Tarjan–Zwick hollow heaps: lazy deletion
-//!   via hollow nodes (the sequential sibling of the paper's `-∞` empty
-//!   nodes), with O(1) `insert`/`meld`/`decrease_key`.
-//! * [`IndexedDaryHeap`] — the implicit d-ary heap plus a position index,
-//!   giving the deploy-grade O(log_D n) `decrease_key`.
 //!
 //! Every structure implements the workspace's one queue trait,
 //! [`MeldablePq`] (defined here, in the lowest crate, and re-exported by
 //! `meldpq`). Engines with a `decrease_key` additionally implement
-//! [`DecreaseKeyPq`] (hollow, pairing and indexed d-ary natively; binomial,
-//! leftist and skew via a sift-based fallback), so the whole fleet can run
+//! [`DecreaseKeyPq`] (pairing natively; binomial, leftist and skew via a
+//! sift-based fallback), so the whole fleet can run
 //! SSSP-style workloads under one trait. `Make-Queue` is `Default` or the
 //! inherent `new`; each structure also carries an [`OpStats`]
 //! instrumentation block (inherent `stats()`) counting key comparisons and
@@ -57,9 +50,7 @@
 
 pub mod binary;
 pub mod binomial;
-pub mod dary;
 pub mod decrease;
-pub mod hollow;
 pub mod indexed;
 pub mod leftist;
 pub mod pairing;
@@ -69,9 +60,7 @@ pub mod traits;
 
 pub use binary::BinaryHeapAdapter;
 pub use binomial::BinomialHeap;
-pub use dary::{DaryHeap, IndexedDaryHeap};
 pub use decrease::{PqHandle, TrackedKeys};
-pub use hollow::HollowHeap;
 pub use indexed::{IndexedBinomialHeap, ItemId};
 pub use leftist::LeftistHeap;
 pub use pairing::{MergeStrategy, PairingHeap};

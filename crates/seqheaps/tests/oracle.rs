@@ -2,9 +2,7 @@
 //! operation scripts, with structural validation after every mutation.
 
 use proptest::prelude::*;
-use seqheaps::{
-    BinaryHeapAdapter, BinomialHeap, DaryHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap,
-};
+use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -101,16 +99,6 @@ proptest! {
         run_script::<BinaryHeapAdapter<i64>>(&ops);
     }
 
-    #[test]
-    fn dary4_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<DaryHeap<i64, 4>>(&ops);
-    }
-
-    #[test]
-    fn dary8_matches_oracle(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        run_script::<DaryHeap<i64, 8>>(&ops);
-    }
-
     /// BH2 / binary-representation isomorphism: after any build, the orders of
     /// the binomial trees present are exactly the set bits of n (paper §2).
     #[test]
@@ -165,5 +153,4 @@ fn all_heaps_agree_on_heapsort() {
     assert_eq!(heapsort::<SkewHeap<i64>>(&keys), expected);
     assert_eq!(heapsort::<PairingHeap<i64>>(&keys), expected);
     assert_eq!(heapsort::<BinaryHeapAdapter<i64>>(&keys), expected);
-    assert_eq!(heapsort::<DaryHeap<i64, 4>>(&keys), expected);
 }

@@ -172,11 +172,6 @@ fn decrease_fleet(p: usize) -> Vec<(&'static str, Box<dyn DecreaseKeyPq<i64>>)> 
                 seqheaps::MergeStrategy::MultiPass,
             )),
         ),
-        ("hollow", Box::new(seqheaps::HollowHeap::<i64>::new())),
-        (
-            "indexed-dary",
-            Box::new(seqheaps::IndexedDaryHeap::<i64, 4>::new()),
-        ),
         ("indexed-binomial", Box::new(IndexedBinomialPq::new())),
         ("lazy-decrease", Box::new(LazyDecreasePq::new(p))),
     ]
