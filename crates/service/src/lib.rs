@@ -7,7 +7,9 @@
 //!
 //! * **Sharding** — a [`QueueService`] owns `n` shards, each an independent
 //!   [`meldpq::HeapPool`] behind its own lock; queues are assigned
-//!   round-robin, so unrelated tenants never contend.
+//!   round-robin, so unrelated tenants never contend. `n` defaults to
+//!   [`default_shards`] of the host's cores, and a durable root keeps the
+//!   count it was written with ([`ServiceBuilder`]).
 //! * **Lock and run** — there are no server threads and no request
 //!   buffer. Every operation is one synchronous call: it takes its shard's
 //!   lock (spinning briefly, then blocking) and runs under a panic barrier
@@ -31,7 +33,7 @@ pub mod shard;
 pub mod snapshot;
 
 pub use metrics::ShardStats;
-pub use service::{QueueId, QueueService, ServiceBuilder};
+pub use service::{default_shards, BuildError, QueueId, QueueService, ServiceBuilder};
 pub use snapshot::{ServiceSnapshot, ShardSnapshot};
 
 /// Why the service refused an operation.

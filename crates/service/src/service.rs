@@ -1,8 +1,9 @@
 //! The tenant-facing front end: [`QueueService`] and its handle type.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::{fs, io, thread};
 
 use meldpq::wal::{DurablePool, HeapId, WalError};
 use meldpq::{ArenaStats, Backend};
@@ -47,31 +48,59 @@ impl std::fmt::Display for QueueId {
     }
 }
 
+/// The default shard count on a host with `cores` cores:
+/// `(4 × cores).next_power_of_two()`, clamped to `4..=64`. That is 4 on one
+/// core, 8 on two, 16 on three or four, and 64 from sixteen cores up.
+///
+/// Queues go to shards round-robin, so two callers on two of `q` queues
+/// picked at random share a shard with probability `1/min(s, q)`: shards
+/// beyond the queue count stay empty. A shared shard passes its lock word,
+/// slab header and touched nodes between the callers' cores at every op:
+/// on a 2-core host, two callers sharing 1 block in 4 ran at two thirds of
+/// the throughput of two on disjoint shards (DESIGN.md §9, "Sharding").
+/// Four shards per core keep that chance at or below `1/(4 × cores)` when
+/// there are at least that many queues; the cap bounds the memory and the
+/// `shard<i>` directories of a durable service.
+pub fn default_shards(cores: usize) -> usize {
+    cores.saturating_mul(4).clamp(4, 64).next_power_of_two()
+}
+
 /// Configuration for a [`QueueService`].
-#[derive(Debug, Clone)]
+///
+/// **Shard count.** Unless [`ServiceBuilder::shards`] sets it, a service
+/// gets [`default_shards`] of the host's `available_parallelism`: 8 shards
+/// on a 2-core host. With at least as many shards as queues, every queue
+/// has a shard of its own and two callers meet only on the same queue: the
+/// host's version of the paper's EREW rule that no two processors write
+/// one cell in one step.
+///
+/// **Reopening a durable root.** A root that already holds `shard<i>`
+/// directories fixes the count, so a host-dependent default never orphans a
+/// shard's queues:
+/// * without an explicit count the service reopens exactly the shards the
+///   root holds;
+/// * an explicit count below it is [`BuildError::TooFewShards`];
+/// * a larger count adds empty shards after them, and every old
+///   [`QueueId`] stays valid.
+///
+/// The directories must run `shard0 … shard<n-1>` without a gap
+/// ([`BuildError::MissingShard`]).
+#[derive(Debug, Clone, Default)]
 pub struct ServiceBuilder {
-    shards: usize,
+    shards: Option<usize>,
     durable: Option<PathBuf>,
 }
 
-impl Default for ServiceBuilder {
-    fn default() -> Self {
-        ServiceBuilder {
-            shards: 4,
-            durable: None,
-        }
-    }
-}
-
 impl ServiceBuilder {
-    /// Start from the defaults (4 shards, not durable).
+    /// Start from the defaults ([`default_shards`] of the host, not durable).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of shards (each an independent pool + lock). Clamped to ≥ 1.
+    /// Number of shards (each an independent pool + lock). Clamped to
+    /// `1..=65536`: a [`QueueId`] names its shard in 16 bits.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
+        self.shards = Some(n.clamp(1, 1 << 16));
         self
     }
 
@@ -85,29 +114,124 @@ impl ServiceBuilder {
         self
     }
 
-    /// Build the service, panicking if durable recovery fails. Prefer
-    /// [`ServiceBuilder::try_build`] for durable services.
+    /// Build the service, panicking if [`ServiceBuilder::try_build`] fails.
+    /// Prefer `try_build` for durable services.
     pub fn build(self) -> QueueService {
         self.try_build()
-            .unwrap_or_else(|e| panic!("durable service recovery failed: {e}"))
+            .unwrap_or_else(|e| panic!("building the service failed: {e}"))
     }
 
     /// Build the service, recovering each shard from its durability
-    /// directory when [`ServiceBuilder::durable`] was set.
-    pub fn try_build(self) -> Result<QueueService, WalError> {
-        let shards = (0..self.shards)
+    /// directory when [`ServiceBuilder::durable`] was set. The shard count
+    /// follows the reopen rule of [`ServiceBuilder`].
+    pub fn try_build(self) -> Result<QueueService, BuildError> {
+        let held = match &self.durable {
+            Some(root) => shards_held(root)?,
+            None => 0,
+        };
+        let count = match self.shards {
+            Some(requested) if requested < held => {
+                return Err(BuildError::TooFewShards { held, requested })
+            }
+            Some(requested) => requested,
+            None if held > 0 => held,
+            None => default_shards(thread::available_parallelism().map_or(1, |n| n.get())),
+        };
+        let shards = (0..count)
             .map(|i| {
                 let store = match &self.durable {
                     None => DurablePool::default(),
-                    Some(root) => DurablePool::open(&root.join(format!("shard{i}")))?,
+                    Some(root) => DurablePool::open(&root.join(format!("shard{i}")))
+                        .map_err(|err| BuildError::Recover { shard: i, err })?,
                 };
                 Ok(Shard::new(i as u16, store))
             })
-            .collect::<Result<Vec<_>, WalError>>()?;
+            .collect::<Result<Vec<_>, BuildError>>()?;
         Ok(QueueService {
             shards,
             rr: AtomicUsize::new(0),
         })
+    }
+}
+
+/// How many shards the durable root holds: `shard0 … shard<n-1>`, with no
+/// gap. A missing root holds none; names other than `shard<i>` are ignored.
+fn shards_held(root: &Path) -> Result<usize, BuildError> {
+    let entries = match fs::read_dir(root) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(BuildError::Io(e)),
+    };
+    let mut held = Vec::new();
+    for entry in entries {
+        let name = entry.map_err(BuildError::Io)?.file_name();
+        held.extend(name.to_str().and_then(shard_index));
+    }
+    held.sort_unstable();
+    match held.iter().enumerate().find(|&(at, &i)| at != i) {
+        Some((missing, _)) => Err(BuildError::MissingShard { missing }),
+        None => Ok(held.len()),
+    }
+}
+
+/// `i` for a directory named exactly `shard<i>`.
+fn shard_index(name: &str) -> Option<usize> {
+    let i: usize = name.strip_prefix("shard")?.parse().ok()?;
+    (format!("shard{i}") == name).then_some(i)
+}
+
+/// Why [`ServiceBuilder::try_build`] refused to build a service.
+#[derive(Debug)]
+pub enum BuildError {
+    /// Listing the durable root failed.
+    Io(io::Error),
+    /// Shard `shard`'s directory did not recover.
+    Recover {
+        /// The shard's index.
+        shard: usize,
+        /// Why its store did not open.
+        err: WalError,
+    },
+    /// The root holds `held` shards and the builder asked for fewer;
+    /// building would leave the queues of the rest unread.
+    TooFewShards {
+        /// Shards the durable root holds.
+        held: usize,
+        /// The explicit count of [`ServiceBuilder::shards`].
+        requested: usize,
+    },
+    /// The root holds a `shard<i>` directory above `shard<missing>` but not
+    /// `shard<missing>` itself, so that shard's queues are gone.
+    MissingShard {
+        /// The lowest absent index.
+        missing: usize,
+    },
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::Io(e) => write!(f, "listing the durable root failed: {e}"),
+            BuildError::Recover { shard, err } => write!(f, "shard{shard}: {err}"),
+            BuildError::TooFewShards { held, requested } => write!(
+                f,
+                "the durable root holds {held} shards, more than the {requested} requested"
+            ),
+            BuildError::MissingShard { missing } => write!(
+                f,
+                "the durable root holds shards above shard{missing} but not shard{missing}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            BuildError::Io(e) => Some(e),
+            BuildError::Recover { err, .. } => Some(err),
+            _ => None,
+        }
     }
 }
 
@@ -409,6 +533,32 @@ mod tests {
         let svc = ServiceBuilder::new().shards(3).build();
         let shards: Vec<u16> = (0..6).map(|_| svc.create_queue().shard()).collect();
         assert_eq!(shards, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn default_shards_is_four_per_core_as_a_power_of_two() {
+        let got: Vec<usize> = [1, 2, 3, 16, 64].map(default_shards).to_vec();
+        assert_eq!(got, vec![4, 8, 16, 64, 64]);
+        assert_eq!(default_shards(0), 4);
+        assert_eq!(default_shards(usize::MAX), 64);
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(QueueService::new().shard_count(), default_shards(cores));
+    }
+
+    #[test]
+    fn only_exact_shard_names_count() {
+        assert_eq!(shard_index("shard0"), Some(0));
+        assert_eq!(shard_index("shard12"), Some(12));
+        for name in [
+            "shard",
+            "shard01",
+            "shard+1",
+            "shard-1",
+            "shard1.away",
+            "wal.log",
+        ] {
+            assert_eq!(shard_index(name), None, "{name}");
+        }
     }
 
     #[test]

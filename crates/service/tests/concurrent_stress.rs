@@ -6,7 +6,8 @@
 //!   predicted, but the multiset must be conserved: everything the consumers
 //!   extracted plus everything left after a full meld-and-drain must be
 //!   exactly the produced key set. `SERVICE_STRESS_MULT` scales the thread
-//!   counts (CI runs 4×).
+//!   counts (CI runs 4×). It runs on 4 shards and on the default count
+//!   ([`default_shards`] of the host).
 //! * [`sequential_programs_match_oracle`] — a seeded, shrinkable proptest:
 //!   random single-threaded programs over a dynamic set of queues (create /
 //!   destroy / insert / bulk ops / meld, including cross-shard) run against
@@ -14,6 +15,7 @@
 //!   list with a replayable seed.
 //!
 //! [`QueueService`]: service::QueueService
+//! [`default_shards`]: service::default_shards
 #![allow(clippy::unwrap_used)] // test code: panics are the failure mode
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,11 +35,22 @@ fn stress_mult() -> usize {
 
 #[test]
 fn concurrent_multiset_conservation() {
+    conserves_the_multiset(ServiceBuilder::new().shards(4));
+}
+
+/// The same stress on the default shard count, the service perfbench and
+/// callers that name no count run.
+#[test]
+fn concurrent_multiset_conservation_default_shards() {
+    conserves_the_multiset(ServiceBuilder::new());
+}
+
+fn conserves_the_multiset(builder: ServiceBuilder) {
     let m = stress_mult();
     let producers = 4 * m;
     let consumers = 2 * m;
     let keys_per_producer: i64 = 512;
-    let svc = Arc::new(ServiceBuilder::new().shards(4).build());
+    let svc = Arc::new(builder.build());
     let queues: Arc<Vec<QueueId>> = Arc::new((0..8).map(|_| svc.create_queue()).collect());
     let barrier = Arc::new(Barrier::new(producers + consumers));
     let extracted = Arc::new(Mutex::new(Vec::<i64>::new()));
@@ -105,7 +118,7 @@ fn concurrent_multiset_conservation() {
     svc.validate().unwrap();
     // Every key was admitted once, alone or in a multi_insert group, and
     // the multi-key requests took the multi_insert kernel.
-    let (single, coalesced) = (0..4)
+    let (single, coalesced) = (0..svc.shard_count())
         .map(|i| svc.shard_stats(i))
         .fold((0, 0), |(s, c), st| {
             (s + st.single_inserts, c + st.coalesced_inserts)

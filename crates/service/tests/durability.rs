@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use meldpq::wal::{self, CheckpointCadence};
 use meldpq::{Engine, WalOp};
-use service::ServiceBuilder;
+use service::{BuildError, QueueId, ServiceBuilder};
 
 struct TmpRoot(PathBuf);
 
@@ -308,4 +308,97 @@ fn io_error_closes_the_log_and_the_snapshot_says_so() {
     let svc = one_shard();
     assert!(svc.snapshot().shards[0].durable);
     assert_eq!(svc.extract_k(q, 10).unwrap(), vec![1, 3, 5]);
+}
+
+/// A 4-shard root with one queue per shard, each holding `[10 * s, 10 * s + 1]`.
+fn four_shard_root(root: &TmpRoot) -> Vec<QueueId> {
+    let svc = ServiceBuilder::new()
+        .shards(4)
+        .durable(root.0.clone())
+        .try_build()
+        .expect("build");
+    (0..4)
+        .map(|s| {
+            let q = svc.create_queue();
+            assert_eq!(q.shard(), s);
+            svc.multi_insert(q, vec![10 * s as i64 + 1, 10 * s as i64])
+                .unwrap();
+            q
+        })
+        .collect()
+}
+
+#[test]
+fn default_reopen_keeps_every_shard_the_root_holds() {
+    let root = TmpRoot::new("reopen-default");
+    let queues = four_shard_root(&root);
+    // The default count depends on the host; the root's count wins.
+    let svc = ServiceBuilder::new()
+        .durable(root.0.clone())
+        .try_build()
+        .expect("reopen");
+    assert_eq!(svc.shard_count(), 4);
+    svc.validate().expect("recovered state validates");
+    for (s, q) in queues.into_iter().enumerate() {
+        let lo = 10 * s as i64;
+        assert_eq!(svc.extract_k(q, 10).unwrap(), vec![lo, lo + 1]);
+    }
+}
+
+#[test]
+fn fewer_shards_than_the_root_holds_is_an_error() {
+    let root = TmpRoot::new("reopen-fewer");
+    four_shard_root(&root);
+    let reopen = |n| {
+        ServiceBuilder::new()
+            .shards(n)
+            .durable(root.0.clone())
+            .try_build()
+    };
+    match reopen(2) {
+        Err(BuildError::TooFewShards { held, requested }) => {
+            assert_eq!((held, requested), (4, 2));
+        }
+        other => panic!("2 of 4 shards must be refused, got {other:?}"),
+    }
+    assert_eq!(reopen(4).expect("same count").shard_count(), 4);
+    // A gap loses a shard's queues too.
+    std::fs::remove_dir_all(root.0.join("shard1")).unwrap();
+    match reopen(4) {
+        Err(BuildError::MissingShard { missing }) => assert_eq!(missing, 1),
+        other => panic!("a missing shard1 must be refused, got {other:?}"),
+    }
+}
+
+#[test]
+fn more_shards_than_the_root_holds_keeps_old_queue_ids() {
+    let root = TmpRoot::new("reopen-more");
+    let queues = four_shard_root(&root);
+    {
+        let svc = ServiceBuilder::new()
+            .shards(6)
+            .durable(root.0.clone())
+            .try_build()
+            .expect("grow");
+        assert_eq!(svc.shard_count(), 6);
+        for (s, &q) in queues.iter().enumerate() {
+            assert_eq!(svc.peek_min(q).unwrap(), Some(10 * s as i64));
+            assert_eq!(svc.len(q).unwrap(), 2);
+        }
+        // The added shards are empty and take new queues.
+        let fresh: Vec<QueueId> = (0..6).map(|_| svc.create_queue()).collect();
+        assert!(fresh.iter().any(|q| q.shard() == 5));
+        svc.insert(fresh[5], 99).unwrap();
+    }
+    // The grown root now holds six shards.
+    let svc = ServiceBuilder::new()
+        .durable(root.0.clone())
+        .try_build()
+        .expect("reopen");
+    assert_eq!(svc.shard_count(), 6);
+    svc.validate().expect("recovered state validates");
+    for (s, q) in queues.into_iter().enumerate() {
+        let lo = 10 * s as i64;
+        assert_eq!(svc.extract_k(q, 10).unwrap(), vec![lo, lo + 1]);
+    }
 }
