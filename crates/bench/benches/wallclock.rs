@@ -31,10 +31,10 @@
 //!   and derive a noise floor from those pairs: a margin inside the floor
 //!   is reported `inconclusive` rather than passing or failing.
 //!
-//! Results are appended to `reports/BENCH_wallclock.json` (same `obs::json`
-//! plumbing as telemetry), with the host's core count, so every PR extends a
-//! perf trajectory; the process exits non-zero if **any** gate fails (an
-//! inconclusive overhead gate does not). Quick mode for CI: `cargo bench
+//! Results are appended to `reports/BENCH_wallclock.json` (the `obs::json`
+//! printer the report binaries use), with the host's core count, so every
+//! PR extends a perf trajectory; the process exits non-zero if **any** gate
+//! fails (an inconclusive overhead gate does not). Quick mode for CI: `cargo bench
 //! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
 //! `--full` (nightly) to add the 2^20/2^22 sizes.
 

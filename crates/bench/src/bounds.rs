@@ -1,7 +1,8 @@
-//! Theorem-bound envelopes and the conformance checker.
+//! Theorem-bound envelopes for the conformance check in
+//! `tests/theorem_shapes.rs`.
 //!
-//! The paper's claims are cost claims, so the telemetry layer evaluates each
-//! recorded operation against the theorem that covers it:
+//! The paper's claims are cost claims, so each theorem's measured cost is
+//! held against the shape that covers it:
 //!
 //! * **Theorem 1** — `Union` (and the other basic operations) on the EREW
 //!   PRAM: `O(log log n + log n / p)` time and `O(log n)` work.
@@ -14,26 +15,24 @@
 //! Asymptotic bounds hide constants, so each [`Envelope`] carries an
 //! explicit constant `c` *fitted at small n* ([`Envelope::fit`] takes
 //! `(shape, measured)` calibration samples and keeps the max ratio). A
-//! conformance check then reports `measured / (c · shape)` at the full
+//! conformance check then reports `measured / (c · shape)` at a larger
 //! problem size: a ratio ≤ 1 means the small-n constant still covers the
-//! large-n run; the configurable threshold (default
-//! [`DEFAULT_THRESHOLD`]) allows bounded drift before a run is declared
-//! non-conforming — a regressing schedule fails loudly instead of silently
-//! losing its `O(log log n)` story.
+//! large-n run; the threshold ([`DEFAULT_THRESHOLD`]) allows bounded drift
+//! before a row is declared non-conforming — a regressing schedule fails
+//! loudly instead of silently losing its `O(log log n)` story.
 
-use crate::json::J;
 use std::fmt;
 
 /// Default headroom on `measured / (c · shape)` before a row fails.
 pub const DEFAULT_THRESHOLD: f64 = 1.5;
 
 /// `log2` clamped so that the shapes stay positive and finite for `n ≥ 1`.
-pub fn log2(n: f64) -> f64 {
+fn log2(n: f64) -> f64 {
     n.max(2.0).log2()
 }
 
 /// `log2 log2`, same clamping.
-pub fn loglog2(n: f64) -> f64 {
+fn loglog2(n: f64) -> f64 {
     log2(log2(n))
 }
 
@@ -64,11 +63,6 @@ pub fn th3_bunion_time(n: f64, b: f64, q: f64) -> f64 {
     log2(n) * log2(n) + b.max(1.0) * log2(n) * log2(b) / cube
 }
 
-/// The paper's processor count for Theorems 1–2: `⌈log n / log log n⌉ ≥ 1`.
-pub fn paper_p(n: usize) -> usize {
-    ((log2(n as f64) / loglog2(n as f64)).ceil() as usize).max(1)
-}
-
 /// A theorem bound with an explicitly fitted constant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -78,19 +72,16 @@ pub struct Envelope {
     pub metric: &'static str,
     /// The fitted constant `c`.
     pub c: f64,
-    /// Allowed `measured / (c · shape)` before a check fails.
-    pub threshold: f64,
 }
 
 impl Envelope {
     /// Fit `c` as the max `measured / shape` over small-n calibration
-    /// samples (each sample is `(shape value, measured value)`), with the
-    /// default threshold. Degenerate samples (`shape ≤ 0`) are skipped;
-    /// returns `None` when no usable sample remains (an empty or zero-ops
-    /// calibration run) — a constant fitted from nothing would make every
-    /// later check an artificial `VIOLATION`, so absence is made explicit
-    /// instead. The constant is floored at a tiny epsilon so later ratios
-    /// stay finite.
+    /// samples (each sample is `(shape value, measured value)`). Degenerate
+    /// samples (`shape ≤ 0`) are skipped; returns `None` when no usable
+    /// sample remains (an empty or zero-ops calibration run) — a constant
+    /// fitted from nothing would make every later check an artificial
+    /// `VIOLATION`, so absence is made explicit instead. The constant is
+    /// floored at a tiny epsilon so later ratios stay finite.
     pub fn fit(
         theorem: &'static str,
         metric: &'static str,
@@ -105,22 +96,7 @@ impl Envelope {
             })
             .fold(0.0, f64::max)
             .max(1e-9);
-        any.then_some(Envelope {
-            theorem,
-            metric,
-            c,
-            threshold: DEFAULT_THRESHOLD,
-        })
-    }
-
-    /// Same as [`Envelope::fit`] with an explicit threshold.
-    pub fn fit_with_threshold(
-        theorem: &'static str,
-        metric: &'static str,
-        samples: &[(f64, f64)],
-        threshold: f64,
-    ) -> Option<Envelope> {
-        Envelope::fit(theorem, metric, samples).map(|e| Envelope { threshold, ..e })
+        any.then_some(Envelope { theorem, metric, c })
     }
 
     /// Evaluate `measured` against `c · shape` at the full problem size.
@@ -140,7 +116,6 @@ impl Envelope {
             measured,
             bound,
             ratio,
-            threshold: self.threshold,
         }
     }
 }
@@ -160,28 +135,13 @@ pub struct Conformance {
     pub bound: f64,
     /// `measured / bound`.
     pub ratio: f64,
-    /// The envelope's threshold.
-    pub threshold: f64,
 }
 
 impl Conformance {
-    /// Whether the row conforms: a finite ratio within the threshold.
+    /// Whether the row conforms: a finite ratio within
+    /// [`DEFAULT_THRESHOLD`].
     pub fn within(&self) -> bool {
-        self.ratio.is_finite() && self.ratio <= self.threshold
-    }
-
-    /// JSON object for the report file.
-    pub fn to_json(&self) -> J {
-        J::obj([
-            ("theorem", J::Str(self.theorem.to_string())),
-            ("metric", J::Str(self.metric.to_string())),
-            ("label", J::Str(self.label.clone())),
-            ("measured", J::Num(self.measured)),
-            ("bound", J::Num(self.bound)),
-            ("ratio", J::Num(self.ratio)),
-            ("threshold", J::Num(self.threshold)),
-            ("within", J::Bool(self.within())),
-        ])
+        self.ratio.is_finite() && self.ratio <= DEFAULT_THRESHOLD
     }
 }
 
@@ -218,12 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_p_small_values() {
-        assert_eq!(paper_p(1), 1);
-        assert!(paper_p(1 << 16) >= 4);
-    }
-
-    #[test]
     fn fit_takes_max_ratio_and_check_divides() {
         let env =
             Envelope::fit("theorem1", "union.time", &[(2.0, 6.0), (4.0, 8.0)]).expect("samples");
@@ -234,7 +188,6 @@ mod tests {
         assert!(row.within());
         let bad = env.check("n=64", 10.0, 60.0);
         assert!(!bad.within());
-        assert!(bad.to_json().to_string().contains(r#""within":false"#));
     }
 
     #[test]
@@ -247,20 +200,10 @@ mod tests {
             Envelope::fit("theorem2", "amortized.time", &[(0.0, 5.0), (-1.0, 2.0)]),
             None
         );
-        assert_eq!(
-            Envelope::fit_with_threshold("theorem2", "amortized.time", &[(0.0, 5.0)], 2.0),
-            None
-        );
         // One usable sample among degenerates still fits.
-        let env = Envelope::fit_with_threshold(
-            "theorem2",
-            "amortized.time",
-            &[(0.0, 5.0), (2.0, 4.0)],
-            2.0,
-        )
-        .expect("one usable sample");
+        let env = Envelope::fit("theorem2", "amortized.time", &[(0.0, 5.0), (2.0, 4.0)])
+            .expect("one usable sample");
         assert!((env.c - 2.0).abs() < 1e-12);
-        assert!((env.threshold - 2.0).abs() < 1e-12);
     }
 
     #[test]

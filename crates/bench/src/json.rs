@@ -1,7 +1,7 @@
 //! JSON emission for the report binaries' `--json` mode. The value type
-//! [`J`] and the printer live in `obs::json` (the telemetry layer shares
-//! them for its `TELEMETRY_*.json` documents); this module re-exports them
-//! and keeps the experiment-row serializers.
+//! [`J`] and the printer live in `obs::json` (the service snapshot and
+//! perfbench share them); this module re-exports them and keeps the
+//! experiment-row serializers.
 
 pub use obs::json::{json_mode, J};
 

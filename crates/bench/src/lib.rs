@@ -10,8 +10,11 @@
 //! * [`experiments`] — the data behind every experiment in DESIGN.md §4
 //!   (F1–F4 figure reproductions, T1–T3 theorem scalings, A1–A4 ablations),
 //!   shared by the report binaries, the integration tests and the Criterion
-//!   benches.
+//!   benches;
+//! * [`bounds`] — the Theorem 1–3 cost envelopes that
+//!   `tests/theorem_shapes.rs` fits on small rows and checks on large ones.
 
+pub mod bounds;
 pub mod experiments;
 pub mod json;
 pub mod table;

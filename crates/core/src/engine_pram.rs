@@ -134,11 +134,9 @@ pub fn build_plan_pram(
     }
 
     m.reset_cost();
-    let _sp = obs::span("union/pram");
 
     // -------- Phase I: g, p, carry statuses, carries, classification --------
     m.phase("I");
-    let sp_phase = obs::span("union/phase1");
     m.par_for(width, |i, ctx| {
         let ak = ctx.read(a_key + i)?;
         let bk = ctx.read(b_key + i)?;
@@ -191,9 +189,7 @@ pub fn build_plan_pram(
     })?;
 
     // -------- Phase II: I_valueB, segmented prefix minima --------
-    drop(sp_phase);
     m.phase("II");
-    let sp_phase = obs::span("union/phase2");
     m.par_for(width, |i, ctx| {
         let ak = ctx.read(a_key + i)?;
         let ap = ctx.read(a_ptr + i)?;
@@ -240,9 +236,7 @@ pub fn build_plan_pram(
     }
 
     // -------- Phase III: links and the new root array --------
-    drop(sp_phase);
     m.phase("III");
-    let sp_phase = obs::span("union/phase3");
     m.par_for(width, |i, ctx| {
         let cls = decode_class(ctx.read(class + i)?);
         let gi = ctx.read(g + i)? != 0;
@@ -266,7 +260,6 @@ pub fn build_plan_pram(
         Ok(())
     })?;
 
-    drop(sp_phase);
     let cost = m.cost();
     let phases = m.phases().clone();
 

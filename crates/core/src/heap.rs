@@ -30,8 +30,7 @@ pub struct ParBinomialHeap<K = i64> {
     /// The pool's one heap.
     heap: PooledHeap,
     /// Cumulative Theorem-1 cost of every op planned on the PRAM simulator
-    /// (`*_pram` methods; `i64` keys only). `pram::Cost` implements
-    /// [`obs::Recorder`], so this ledger snapshots straight into a registry.
+    /// (`*_pram` methods; `i64` keys only).
     ledger: pram::Cost,
 }
 
@@ -193,15 +192,15 @@ impl<K: Ord + Copy> ParBinomialHeap<K> {
 }
 
 impl ParBinomialHeap<i64> {
-    /// Cumulative Theorem-1 cost of every `*_pram` op run so far. The
-    /// returned [`pram::Cost`] implements `obs::Recorder`, so callers report
-    /// it straight into an `obs::Registry`:
+    /// Cumulative Theorem-1 cost of every `*_pram` op run so far, as PRAM
+    /// time and work:
     ///
     /// ```
-    /// # let mut h = meldpq::ParBinomialHeap::new();
-    /// # h.insert_pram(3, 2);
-    /// let mut reg = obs::Registry::new();
-    /// reg.record("union", h.pram_ledger());
+    /// let mut h = meldpq::ParBinomialHeap::new();
+    /// h.insert_pram(3, 2);
+    /// h.insert_pram(1, 2);
+    /// let cost = h.pram_ledger();
+    /// assert!(cost.time > 0 && cost.work >= cost.time);
     /// ```
     pub fn pram_ledger(&self) -> &pram::Cost {
         &self.ledger

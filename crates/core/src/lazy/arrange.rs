@@ -23,7 +23,6 @@ use crate::lazy::{LazyBinomialHeap, OpKind};
 impl LazyBinomialHeap {
     /// Release all persistent empty nodes and regenerate the heap.
     pub fn arrange_heap(&mut self) {
-        let _sp = obs::span("lazy/arrange_heap");
         let mut meter = CostMeter::new(self.p);
 
         // ---- gather the live set of empty markers ----
@@ -41,7 +40,6 @@ impl LazyBinomialHeap {
 
         // ---- 1. distances: a measured CREW PRAM program (converging
         //         ancestor paths read cells concurrently) ----
-        let sp_stage = obs::span("distance");
         let (depths, dist_cost) = match self.distances_pram(&empties, self.p, pram::Model::Crew) {
             Ok(found) => found,
             // Processors only read ancestor cells and write nothing shared:
@@ -64,8 +62,6 @@ impl LazyBinomialHeap {
 
         // ---- 2. pipelined bubble-up: a measured PRAM program whose
         //         conflict-freedom (Fact 3) the simulator verifies ----
-        drop(sp_stage);
-        let sp_stage = obs::span("bubble_up");
         let mut order: Vec<(usize, NodeId)> = depths
             .iter()
             .copied()
@@ -88,8 +84,6 @@ impl LazyBinomialHeap {
             "the shallowest marker of every dirty tree must reach its root"
         );
 
-        drop(sp_stage);
-        let sp_stage = obs::span("regenerate");
         // ---- 3a. collect the live child lists of the crown ----
         let mut lists: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(crown.len());
         for &c in &crown {
@@ -153,7 +147,6 @@ impl LazyBinomialHeap {
             meter.add(c);
         }
 
-        drop(sp_stage);
         self.cost_log.push((OpKind::ArrangeHeap, meter.total()));
         debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
         self.debug_validate();

@@ -93,16 +93,6 @@ impl CostMeter {
     }
 }
 
-impl obs::Recorder for CostMeter {
-    fn family(&self) -> &'static str {
-        "meldpq.lazy_meter"
-    }
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        let c = self.total();
-        vec![("time", c.time), ("work", c.work), ("p", self.p as u64)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -510,7 +510,6 @@ impl LazyBinomialHeap {
     /// Locally repair the structure around the freshly deleted non-root `x`
     /// whose parent is `p_id`.
     fn take_up(&mut self, x: NodeId, p_id: NodeId) {
-        let _sp = obs::span("lazy/take_up");
         let mut meter = CostMeter::new(self.p);
         let kx = self.arena.get(x).degree();
         let kp = self.arena.get(p_id).degree();

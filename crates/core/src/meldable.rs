@@ -130,7 +130,7 @@ impl PramMeasured {
         self.p
     }
 
-    /// The cumulative Theorem-1 cost so far (implements `obs::Recorder`).
+    /// The cumulative Theorem-1 cost so far.
     pub fn cost(&self) -> pram::Cost {
         *self.heap.pram_ledger()
     }

@@ -564,7 +564,6 @@ impl DistributedPq {
         r1: &[Option<BbNodeId>],
         r2: &[Option<BbNodeId>],
     ) -> Result<Vec<Option<BbNodeId>>, QueueError> {
-        let _sp = obs::span("dmpq/b_union");
         let s1 = self.collection_size(r1);
         let s2 = self.collection_size(r2);
         if s1 + s2 == 0 {
@@ -599,7 +598,6 @@ impl DistributedPq {
         r1: &[Option<BbNodeId>],
         r2: &[Option<BbNodeId>],
     ) -> Result<(), QueueError> {
-        let _sp = obs::span("preprocess");
         let p = self.net.nodes();
         let all_roots: Vec<BbNodeId> = r1
             .iter()
@@ -682,7 +680,6 @@ impl DistributedPq {
     /// Phases I–II as metered Hamiltonian prefixes; asserts the distributed
     /// results agree with the host plan.
     fn run_metered_phases(&mut self, plan: &UnionPlan) -> Result<(), QueueError> {
-        let _sp = obs::span("phases1_2");
         let width = plan.width;
         // Carry scan over KPG statuses. The word-level composition is total
         // (malformed operands collapse to the poison word), so the closure
@@ -737,7 +734,6 @@ impl DistributedPq {
     /// Phase III communication: child addresses to dominants, changed-degree
     /// roots to their new processors.
     fn phase3_movement(&mut self, plan: &UnionPlan) -> Result<(), QueueError> {
-        let _sp = obs::span("phase3");
         let mut packets: Vec<Packet> = Vec::new();
         for l in &plan.links {
             let child = BbNodeId(l.child.0);

@@ -16,7 +16,6 @@ pub fn broadcast(
     root: usize,
     payload: Vec<Word>,
 ) -> Result<Vec<Vec<Word>>, NetError> {
-    let _sp = obs::span("hc/broadcast");
     let n = net.nodes();
     if root >= n {
         return Err(NetError::BadNode {
@@ -65,7 +64,6 @@ pub fn reduce(
     values: Vec<Vec<Word>>,
     op: impl Fn(&[Word], &[Word]) -> Vec<Word>,
 ) -> Result<Vec<Word>, NetError> {
-    let _sp = obs::span("hc/reduce");
     let n = net.nodes();
     if root >= n {
         return Err(NetError::BadNode {
@@ -111,7 +109,6 @@ pub fn all_reduce(
     values: Vec<Vec<Word>>,
     op: impl Fn(&[Word], &[Word]) -> Vec<Word>,
 ) -> Result<Vec<Vec<Word>>, NetError> {
-    let _sp = obs::span("hc/all_reduce");
     let n = net.nodes();
     assert_eq!(values.len(), n);
     let mut acc = values;
@@ -140,7 +137,6 @@ pub fn gather(
     root: usize,
     values: Vec<Vec<Word>>,
 ) -> Result<Vec<(usize, Vec<Word>)>, NetError> {
-    let _sp = obs::span("hc/gather");
     let n = net.nodes();
     if root >= n {
         return Err(NetError::BadNode {

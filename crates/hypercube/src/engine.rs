@@ -126,20 +126,6 @@ impl std::fmt::Display for NetStats {
     }
 }
 
-impl obs::Recorder for NetStats {
-    fn family(&self) -> &'static str {
-        "hypercube.net"
-    }
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("time", self.time),
-            ("rounds", self.rounds),
-            ("messages", self.messages),
-            ("word_hops", self.word_hops),
-        ]
-    }
-}
-
 /// A received message: `(sender, payload)`; `None` when nothing arrived.
 pub type Inbox = Vec<Option<(usize, Vec<Word>)>>;
 
@@ -472,8 +458,5 @@ mod tests {
         // Broken snapshot ordering saturates instead of panicking.
         assert_eq!(b.delta(&m), NetStats::default());
         assert_eq!(a.to_string(), "time=5 rounds=2 messages=3 word_hops=7");
-        use obs::Recorder;
-        assert_eq!(a.family(), "hypercube.net");
-        assert_eq!(a.fields()[3], ("word_hops", 7));
     }
 }

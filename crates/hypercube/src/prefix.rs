@@ -29,7 +29,6 @@ pub fn hamiltonian_prefix<Op>(
 where
     Op: Fn(&[Word], &[Word]) -> Tuple,
 {
-    let _sp = obs::span("hc/prefix");
     let p = net.nodes();
     assert_eq!(values.len(), p, "one value per node (pad with identity)");
     // Node-indexed state: (prefix, total).
@@ -68,7 +67,6 @@ pub fn hamiltonian_prefix_cyclic<Op>(
 where
     Op: Fn(&[Word], &[Word]) -> Tuple,
 {
-    let _sp = obs::span("hc/prefix");
     let p = net.nodes();
     let m = elements.len();
     let mut out: Vec<Tuple> = Vec::with_capacity(m);

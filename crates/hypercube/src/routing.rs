@@ -29,7 +29,6 @@ pub fn ecube_next_hop(at: usize, dst: usize) -> usize {
 /// A packet whose endpoint is out of range is reported as
 /// [`NetError::BadNode`] before any round runs.
 pub fn route(net: &mut NetSim, packets: Vec<Packet>) -> Result<Vec<Vec<Packet>>, NetError> {
-    let _sp = obs::span("hc/route");
     let n = net.nodes();
     let mut delivered: Vec<Vec<Packet>> = vec![Vec::new(); n];
     // Queues of in-flight packets per current node.

@@ -23,7 +23,6 @@ pub const PAD: Word = i64::MAX;
 /// blocks in **node-id order**; the sorted sequence is returned (and
 /// internally lives) in node-id order, block `i` on node `i`.
 pub fn bitonic_sort(net: &mut NetSim, keys: &[Word]) -> Result<Vec<Word>, NetError> {
-    let _sp = obs::span("hc/sort");
     let p = net.nodes();
     let m = keys.len().div_ceil(p).max(1);
     // Local blocks, padded.

@@ -20,10 +20,10 @@
 //!   ([`snapshot`], [`tail`]) skip slots whose version changed mid-read
 //!   instead of blocking writers.
 //!
-//! Unlike [`mod@crate::span`], none of this is feature-gated: the recorder is
-//! compiled in always and guarded by a single relaxed [`set_enabled`]
-//! switch, with a wall-clock gate in the bench suite holding the recorder's
-//! overhead on a mixed service workload to ≤ 1.1× of recorder-off.
+//! None of this is feature-gated: the recorder is compiled in always and
+//! guarded by a single relaxed [`set_enabled`] switch, with a wall-clock
+//! gate in the bench suite holding the recorder's overhead on a mixed
+//! service workload to ≤ 1.1× of recorder-off.
 //!
 //! ```
 //! use obs::flight::{self, EventKind, TraceId};
@@ -492,8 +492,8 @@ pub fn dump(path: &std::path::Path) {
 mod tests {
     use super::*;
 
-    // The rings and the registry are process-global, so (as with the span
-    // sink) everything that drains or toggles them lives in one test.
+    // The rings and the registry are process-global, so everything that
+    // drains or toggles them lives in one test.
     #[test]
     fn record_snapshot_trace_scopes_and_disable() {
         // Ambient scoping nests and restores.

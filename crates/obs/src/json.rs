@@ -1,7 +1,8 @@
-//! Minimal JSON emission, shared by the telemetry documents and the bench
-//! report binaries (which re-export [`J`] as `bench::json::J`). Deliberately
-//! dependency-free: the values we emit are flat records of numbers and short
-//! strings, so a hand-rolled printer beats pulling serde into every crate.
+//! Minimal JSON emission, shared by the service snapshot, the flight
+//! recorder's timeline and the bench report binaries (which re-export
+//! [`J`] as `bench::json::J`). Deliberately dependency-free: the values we
+//! emit are flat records of numbers and short strings, so a hand-rolled
+//! printer beats pulling serde into every crate.
 
 use std::fmt;
 

@@ -1,24 +1,22 @@
-//! The meter registry: one place where every engine's cost counters land.
+//! The meter registry: one place where the service's counters land.
 //!
-//! The workspace grew four disconnected meter families — `pram::Cost`
-//! (time/work), `seqheaps::OpStats` (comparisons/links), `meldpq`'s lazy
-//! `CostMeter` and `hypercube::NetStats` (rounds/messages/word-hops plus the
-//! per-link congestion profile). Each implements [`Recorder`] in its home
-//! crate; a run-level [`Registry`] collects labelled snapshots of any of
-//! them, and [`crate::Telemetry`] serialises the lot next to the span tree
-//! and the bound-conformance rows.
+//! The service's meters — `service::ShardStats` (per-shard op counts and
+//! lock waits) and [`crate::LatencyHistogram`] — implement [`Recorder`]; a
+//! [`Registry`] collects labelled snapshots of them and serialises the lot
+//! as one JSON array (`QueueService::record_into`, `service-load`). The
+//! simulators' cost ledgers (`pram::Cost`, the lazy heap's cost log,
+//! `hypercube::NetStats`) stay in their home crates and are checked against
+//! the Theorem 1–3 envelopes by the bench crate instead.
 
 use crate::json::J;
-use crate::span::{SpanStat, PATH_SEP};
 
 /// A meter that can dump itself as a flat record of named counters.
 ///
-/// Implemented by `pram::Cost`, `seqheaps::OpStats`, `hypercube::NetStats`
-/// and `meldpq::lazy::CostMeter` — the four meter families this trait
-/// unifies. Implementations should report *cumulative* values; callers that
-/// want per-operation numbers snapshot before/after and record the delta.
+/// Implemented by `service::ShardStats` and [`crate::LatencyHistogram`].
+/// Implementations should report *cumulative* values; callers that want
+/// per-operation numbers snapshot before/after and record the delta.
 pub trait Recorder {
-    /// Stable family name, e.g. `"pram.cost"` or `"hypercube.net"`.
+    /// Stable family name, e.g. `"service.shard"` or `"latency.histogram"`.
     fn family(&self) -> &'static str;
     /// The counters, in a stable order.
     fn fields(&self) -> Vec<(&'static str, u64)>;
@@ -29,7 +27,7 @@ pub trait Recorder {
 pub struct Record {
     /// The meter family (from [`Recorder::family`]).
     pub family: String,
-    /// Caller-chosen label, e.g. `"union"` or `"lazy/take_up"`.
+    /// Caller-chosen label, e.g. `"service/shard0"`.
     pub label: String,
     /// Counter names and values.
     pub fields: Vec<(String, u64)>,
@@ -57,16 +55,6 @@ impl Registry {
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-        });
-    }
-
-    /// Record a hand-built family (e.g. a congestion profile that is not a
-    /// single flat meter).
-    pub fn record_fields(&mut self, family: &str, label: &str, fields: Vec<(String, u64)>) {
-        self.records.push(Record {
-            family: family.to_string(),
-            label: label.to_string(),
-            fields,
         });
     }
 
@@ -111,105 +99,6 @@ impl Registry {
     }
 }
 
-/// The run-level telemetry document: spans + meter registry + conformance.
-#[derive(Debug, Clone, Default)]
-pub struct Telemetry {
-    /// Workload name (becomes part of the report file name).
-    pub workload: String,
-    /// Aggregated span statistics (drained from the span sink).
-    pub spans: Vec<SpanStat>,
-    /// Meter snapshots.
-    pub registry: Registry,
-    /// Bound-conformance rows (Theorems 1–3).
-    pub conformance: Vec<crate::bounds::Conformance>,
-}
-
-impl Telemetry {
-    /// An empty document for `workload`.
-    pub fn new(workload: &str) -> Self {
-        Telemetry {
-            workload: workload.to_string(),
-            ..Default::default()
-        }
-    }
-
-    /// Whether every conformance ratio is finite and within its threshold.
-    pub fn all_within(&self) -> bool {
-        self.conformance.iter().all(|c| c.within())
-    }
-
-    /// The worst (largest) conformance ratio, `0.0` when none recorded.
-    pub fn worst_ratio(&self) -> f64 {
-        self.conformance.iter().map(|c| c.ratio).fold(0.0, f64::max)
-    }
-
-    /// The whole document as one JSON object.
-    pub fn to_json(&self) -> J {
-        J::obj([
-            ("workload", J::Str(self.workload.clone())),
-            ("telemetry_enabled", J::Bool(crate::span::enabled())),
-            (
-                "spans",
-                J::Arr(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            J::obj([
-                                ("path", J::Str(s.path.clone())),
-                                ("count", J::UInt(s.count)),
-                                ("nanos", J::UInt(s.nanos)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("meters", self.registry.to_json()),
-            (
-                "conformance",
-                J::Arr(self.conformance.iter().map(|c| c.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Human-readable phase-tree summary: spans indented by nesting depth,
-    /// then one line per meter record, then the conformance table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("telemetry [{}]\n", self.workload));
-        if self.spans.is_empty() {
-            out.push_str("  (no spans: build without --features telemetry)\n");
-        }
-        // Spans arrive in first-closed order; children close before their
-        // parent, so print depth-first by path prefix instead.
-        let mut paths: Vec<&SpanStat> = self.spans.iter().collect();
-        paths.sort_by(|a, b| a.path.cmp(&b.path));
-        for s in paths {
-            let depth = s.path.matches(PATH_SEP).count();
-            let name = s.path.rsplit(PATH_SEP).next().unwrap_or(&s.path);
-            out.push_str(&format!(
-                "  {:indent$}{name:<28} x{:<8} {:>12.3} ms\n",
-                "",
-                s.count,
-                s.nanos as f64 / 1e6,
-                indent = 2 * depth
-            ));
-        }
-        for r in self.registry.records() {
-            let fields: Vec<String> = r.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            out.push_str(&format!(
-                "  meter {:<18} {:<24} {}\n",
-                r.family,
-                r.label,
-                fields.join(" ")
-            ));
-        }
-        for c in &self.conformance {
-            out.push_str(&format!("  {}\n", c));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,37 +117,12 @@ mod tests {
     fn registry_records_and_serialises() {
         let mut reg = Registry::new();
         reg.record("op1", &Fake);
-        reg.record_fields("net.links", "congestion", vec![("max".into(), 9)]);
+        reg.record("op2", &Fake);
         assert_eq!(reg.records().len(), 2);
-        assert_eq!(reg.families(), vec!["fake.meter", "net.links"]);
+        assert_eq!(reg.families(), vec!["fake.meter"]);
         let s = reg.to_json().to_string();
         assert!(s.contains(r#""family":"fake.meter""#));
+        assert!(s.contains(r#""label":"op2""#));
         assert!(s.contains(r#""a":1"#));
-        assert!(s.contains(r#""max":9"#));
-    }
-
-    #[test]
-    fn telemetry_document_shape() {
-        let mut t = Telemetry::new("unit");
-        t.registry.record("op1", &Fake);
-        t.spans.push(SpanStat {
-            path: "outer".into(),
-            count: 1,
-            nanos: 1_500_000,
-        });
-        t.spans.push(SpanStat {
-            path: "outer;inner".into(),
-            count: 2,
-            nanos: 800_000,
-        });
-        let s = t.to_json().to_string();
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains(r#""workload":"unit""#));
-        assert!(s.contains(r#""path":"outer;inner""#));
-        assert!(t.all_within(), "no conformance rows means nothing violated");
-        let tree = t.render();
-        assert!(tree.contains("outer"));
-        assert!(tree.contains("inner"));
-        assert!(tree.contains("fake.meter"));
     }
 }

@@ -58,15 +58,6 @@ impl fmt::Display for Cost {
     }
 }
 
-impl obs::Recorder for Cost {
-    fn family(&self) -> &'static str {
-        "pram.cost"
-    }
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![("time", self.time), ("work", self.work)]
-    }
-}
-
 /// Per-phase cost breakdown, labelled by the host program (e.g. the paper's
 /// Phase I/II/III of `Union`).
 #[derive(Debug, Clone, Default)]

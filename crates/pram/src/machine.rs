@@ -369,6 +369,7 @@ impl Pram {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -546,6 +547,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod model_and_trace_tests {
     use super::*;
 

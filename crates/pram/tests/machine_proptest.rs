@@ -3,6 +3,8 @@
 //! *colliding* programs are always caught, and the write-commit semantics
 //! (pre-step reads, post-step writes) hold for any access pattern.
 
+#![allow(clippy::unwrap_used)] // test code: panics are the failure mode
+
 use pram::{Cost, Model, Pram, PramError, Word};
 use proptest::prelude::*;
 

@@ -2,6 +2,8 @@
 //! (`touched_cells` / `max_accesses_per_proc`), which previously was only
 //! exercised indirectly through whole-machine runs.
 
+#![allow(clippy::unwrap_used)] // test code: panics are the failure mode
+
 use pram::trace::{ProcAccess, StepTrace, Trace};
 use pram::{Model, Pram};
 

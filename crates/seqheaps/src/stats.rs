@@ -100,15 +100,6 @@ impl std::fmt::Display for OpStats {
     }
 }
 
-impl obs::Recorder for OpStats {
-    fn family(&self) -> &'static str {
-        "seqheaps.ops"
-    }
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![("comparisons", self.comparisons()), ("links", self.links())]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +141,6 @@ mod tests {
         assert_eq!(swapped.comparisons(), 0);
         assert_eq!(swapped.links(), 0);
         assert_eq!(m.to_string(), "comparisons=7 links=1");
-    }
-
-    #[test]
-    fn recorder_fields() {
-        use obs::Recorder;
-        let s = OpStats::new();
-        s.add_comparisons(3);
-        assert_eq!(s.family(), "seqheaps.ops");
-        assert_eq!(s.fields(), vec![("comparisons", 3), ("links", 0)]);
     }
 
     #[test]
