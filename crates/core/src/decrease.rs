@@ -1,11 +1,12 @@
 //! `DecreaseKeyPq` — Definition 1 operation 6 for this crate's engines.
 //!
 //! The trait ([`DecreaseKeyPq`]) and its handle type ([`PqHandle`]) live
-//! in `seqheaps` next to [`MeldablePq`], and the sequential baselines
-//! implement them directly (pairing natively, binomial / leftist / skew
-//! by content sift). This module adds the two
-//! arena engines, so SSSP-style workloads (the shootout's Dijkstra class,
-//! the differential fuzzer's decrease ops) can dispatch over *any* backend:
+//! in `seqheaps` next to [`MeldablePq`]. There the pairing heap, the one
+//! baseline with real node identity, implements them natively by cut and
+//! link; the other baselines move keys between nodes and have no decrease
+//! (a Dijkstra over them reinserts and skips stale pops). This module adds
+//! the two arena engines, so SSSP-style workloads (the shootout's Dijkstra
+//! class, the differential fuzzer's decrease ops) can dispatch over them:
 //!
 //! * [`IndexedBinomialPq`] wraps the sequential arena heap, remapping its
 //!   `ItemId`s through the meld translator so process-unique [`PqHandle`]s
@@ -17,9 +18,9 @@
 //! Every handle comes from the one process-wide counter
 //! ([`seqheaps::decrease::mint`]), so melding two queues never collides or
 //! needs caller-side translation. The lazy engine tracks handles by *key*
-//! ([`TrackedKeys`], multiset semantics — see `seqheaps::decrease`); the
-//! arena engine tracks physical identity. Under the fuzzer's multiset
-//! checking the two are indistinguishable.
+//! (`TrackedKeys`, multiset semantics, below); the arena engine tracks
+//! physical identity. Under the fuzzer's multiset checking the two are
+//! indistinguishable.
 //!
 //! A stale handle — one whose element already left the queue — makes
 //! `decrease_key` return `false` and change nothing; no path here panics
@@ -27,14 +28,14 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::check::check_lazy;
 use crate::lazy::LazyBinomialHeap;
 use crate::NodeId;
 use seqheaps::decrease::mint;
 pub use seqheaps::{DecreaseKeyPq, PqHandle};
-use seqheaps::{IndexedBinomialHeap, ItemId, MeldablePq, TrackedKeys};
+use seqheaps::{IndexedBinomialHeap, ItemId, MeldablePq};
 
 /// The sequential arena binomial heap (`seqheaps::IndexedBinomialHeap`)
 /// behind the [`DecreaseKeyPq`] surface.
@@ -145,6 +146,106 @@ impl DecreaseKeyPq<i64> for IndexedBinomialPq {
     }
 }
 
+/// Handle bookkeeping for the lazy heap, which has no stable node identity.
+///
+/// Arrange-Heap's bubble-up swaps node contents, so a tracked handle names
+/// "one element currently holding key `k`", not a physical node:
+/// `decrease_key` moves *an* element with the old key, and `extract_min`
+/// retires the oldest handle holding the popped key. Under multiset
+/// semantics (what the differential fuzzer checks) this is
+/// indistinguishable from physical identity.
+///
+/// Invariant: the multiset of tracked keys is a sub-multiset of the queue's
+/// keys — every map entry corresponds to a distinct live element. Preserved
+/// by retiring (at most) one handle per extraction, oldest first.
+#[derive(Debug, Default)]
+struct TrackedKeys {
+    /// handle → current key.
+    by_handle: HashMap<PqHandle, i64>,
+    /// key → handles holding it, oldest (smallest id) first.
+    by_key: BTreeMap<i64, Vec<PqHandle>>,
+}
+
+impl TrackedKeys {
+    /// The key currently recorded for `h`.
+    fn key_of(&self, h: PqHandle) -> Option<i64> {
+        self.by_handle.get(&h).copied()
+    }
+
+    /// Start tracking a fresh element holding `k`.
+    fn track(&mut self, k: i64) -> PqHandle {
+        let h = mint();
+        // Minted ids are globally increasing, so a plain push keeps the
+        // bucket oldest-first.
+        self.by_key.entry(k).or_default().push(h);
+        self.by_handle.insert(h, k);
+        h
+    }
+
+    /// Record the popped key: the oldest handle holding `k` (if any) goes
+    /// stale and is returned, keeping tracked keys a sub-multiset of the
+    /// queue.
+    fn on_extract(&mut self, k: i64) -> Option<PqHandle> {
+        let handles = self.by_key.get_mut(&k)?;
+        let h = handles.remove(0);
+        if handles.is_empty() {
+            self.by_key.remove(&k);
+        }
+        self.by_handle.remove(&h);
+        Some(h)
+    }
+
+    /// Move `h` from its current key `old` to `new`.
+    fn rekey(&mut self, h: PqHandle, old: i64, new: i64) {
+        if let Some(hs) = self.by_key.get_mut(&old) {
+            hs.retain(|x| *x != h);
+            if hs.is_empty() {
+                self.by_key.remove(&old);
+            }
+        }
+        let slot = self.by_key.entry(new).or_default();
+        let pos = slot.binary_search(&h).unwrap_or_else(|p| p);
+        slot.insert(pos, h);
+        self.by_handle.insert(h, new);
+    }
+
+    /// Absorb another queue's tracking (meld). Handle ids are globally
+    /// unique, so this is a plain union.
+    fn merge(&mut self, other: TrackedKeys) {
+        self.by_handle.extend(other.by_handle);
+        for (k, hs) in other.by_key {
+            let slot = self.by_key.entry(k).or_default();
+            slot.extend(hs);
+            slot.sort_unstable();
+        }
+    }
+
+    /// Internal-consistency check: the two maps mirror each other and
+    /// every bucket is non-empty and oldest-first.
+    fn check(&self) -> Result<(), String> {
+        let mut mirrored = 0usize;
+        for (k, hs) in &self.by_key {
+            if hs.is_empty() {
+                return Err("tracked: empty handle bucket".into());
+            }
+            if hs.windows(2).any(|w| w[0] >= w[1]) {
+                return Err("tracked: bucket not sorted oldest-first".into());
+            }
+            for h in hs {
+                match self.by_handle.get(h) {
+                    Some(kk) if kk == k => mirrored += 1,
+                    Some(_) => return Err(format!("tracked: handle {} key mismatch", h.raw())),
+                    None => return Err(format!("tracked: handle {} missing from map", h.raw())),
+                }
+            }
+        }
+        if mirrored != self.by_handle.len() {
+            return Err("tracked: by_handle has entries absent from by_key".into());
+        }
+        Ok(())
+    }
+}
+
 /// The paper's §4 lazy heap ([`LazyBinomialHeap`]) behind the
 /// [`DecreaseKeyPq`] surface: `Decrease-Key` is realised as the paper's
 /// `Change-Key` (delete via a persistent empty node + reinsert).
@@ -156,7 +257,7 @@ impl DecreaseKeyPq<i64> for IndexedBinomialPq {
 #[derive(Debug)]
 pub struct LazyDecreasePq {
     heap: LazyBinomialHeap,
-    tracked: TrackedKeys<i64>,
+    tracked: TrackedKeys,
     /// handle → last known node (fast path; verified before use).
     hints: HashMap<PqHandle, NodeId>,
 }
@@ -211,7 +312,7 @@ impl MeldablePq<i64> for LazyDecreasePq {
 
     fn extract_min(&mut self) -> Option<i64> {
         let key = MeldablePq::extract_min(&mut self.heap)?;
-        if let Some(h) = self.tracked.on_extract(&key) {
+        if let Some(h) = self.tracked.on_extract(key) {
             self.hints.remove(&h);
         }
         Some(key)
@@ -239,7 +340,8 @@ impl MeldablePq<i64> for LazyDecreasePq {
         for k in self.heap.live_keys() {
             *live.entry(k).or_default() += 1;
         }
-        for (k, tracked) in self.tracked.buckets() {
+        for (k, hs) in &self.tracked.by_key {
+            let tracked = hs.len();
             let avail = live.get(k).copied().unwrap_or(0);
             if tracked > avail {
                 return Err(format!(
@@ -260,20 +362,27 @@ impl DecreaseKeyPq<i64> for LazyDecreasePq {
     }
 
     fn decrease_key(&mut self, h: PqHandle, new_key: i64) -> bool {
-        let (heap, hints) = (&mut self.heap, &mut self.hints);
-        self.tracked.decrease(h, new_key, |&old, &new| {
-            // Tracked keys are a sub-multiset of live keys, so a miss means
-            // the bookkeeping lost the element: treat the handle as stale.
-            let Some(node) = find_live_with_key(heap, hints.get(&h).copied(), old) else {
-                return false;
-            };
-            hints.insert(h, heap.change_key(node, new));
-            true
-        })
+        let Some(old) = self.tracked.key_of(h) else {
+            return false;
+        };
+        if new_key > old {
+            return false;
+        }
+        if new_key == old {
+            return true;
+        }
+        // Tracked keys are a sub-multiset of live keys, so a miss means the
+        // bookkeeping lost the element: treat the handle as stale.
+        let Some(node) = find_live_with_key(&self.heap, self.hints.get(&h).copied(), old) else {
+            return false;
+        };
+        self.hints.insert(h, self.heap.change_key(node, new_key));
+        self.tracked.rekey(h, old, new_key);
+        true
     }
 
     fn key_of_handle(&self, h: PqHandle) -> Option<i64> {
-        self.tracked.key_of(h).copied()
+        self.tracked.key_of(h)
     }
 }
 
@@ -308,9 +417,6 @@ mod tests {
 
     #[test]
     fn seqheaps_engines_agree() {
-        assert_eq!(transcript(seqheaps::BinomialHeap::new()), expected());
-        assert_eq!(transcript(seqheaps::LeftistHeap::new()), expected());
-        assert_eq!(transcript(seqheaps::SkewHeap::new()), expected());
         assert_eq!(transcript(seqheaps::PairingHeap::new()), expected());
     }
 
@@ -362,9 +468,7 @@ mod tests {
     #[test]
     fn object_safe_fleet() {
         let mut fleet: Vec<Box<dyn DecreaseKeyPq<i64>>> = vec![
-            Box::new(seqheaps::LeftistHeap::new()),
             Box::new(seqheaps::PairingHeap::new()),
-            Box::new(seqheaps::BinomialHeap::new()),
             Box::new(IndexedBinomialPq::new()),
             Box::new(LazyDecreasePq::new(2)),
         ];

@@ -13,9 +13,8 @@
 //! this is the *sequential baseline* whose `Θ(log n)` dependent-link chain the
 //! paper's Phase I–III algorithm breaks (ablation A1 measures exactly this).
 
-use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::{DecreaseKeyPq, MeldablePq};
+use crate::traits::MeldablePq;
 
 /// A node of a binomial tree: a key plus the child array `L`.
 ///
@@ -69,35 +68,6 @@ impl<K: Ord> BinomialTreeNode<K> {
         1usize << self.order()
     }
 
-    /// Sift-based decrease: locate *an* element holding `old` (pruned DFS —
-    /// a subtree can only contain `old` when its root key is `≤ old`),
-    /// overwrite it with `new`, then restore heap order by swapping key
-    /// contents up the discovery path. Returns `true` when found here.
-    fn decrease_in(&mut self, old: &K, new: &K, stats: &OpStats) -> bool
-    where
-        K: Clone,
-    {
-        if self.key == *old {
-            self.key = new.clone();
-            return true;
-        }
-        for c in self.children.iter_mut() {
-            stats.add_comparisons(1);
-            if c.key > *old {
-                continue;
-            }
-            if c.decrease_in(old, new, stats) {
-                stats.add_comparisons(1);
-                if c.key < self.key {
-                    std::mem::swap(&mut c.key, &mut self.key);
-                    stats.add_link();
-                }
-                return true;
-            }
-        }
-        false
-    }
-
     /// Check structural shape and heap order recursively.
     fn validate(&self) -> Result<(), String> {
         for (i, c) in self.children.iter().enumerate() {
@@ -123,9 +93,6 @@ pub struct BinomialHeap<K> {
     roots: Vec<Option<BinomialTreeNode<K>>>,
     len: usize,
     stats: OpStats,
-    /// Handle bookkeeping for the sift-based `decrease_key` (empty — one
-    /// branch per op — unless `insert_handle` is used).
-    tracked: TrackedKeys<K>,
 }
 
 impl<K> Default for BinomialHeap<K> {
@@ -141,7 +108,6 @@ impl<K> BinomialHeap<K> {
             roots: Vec::new(),
             len: 0,
             stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
         }
     }
 
@@ -241,10 +207,8 @@ impl<K: Ord + Copy> MeldablePq<K> for BinomialHeap<K> {
             roots: children.into_iter().map(Some).collect(),
             len: child_len,
             stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
         };
         self.meld(child_heap);
-        self.tracked.on_extract(&key);
         Some(key)
     }
 
@@ -256,7 +220,6 @@ impl<K: Ord + Copy> MeldablePq<K> for BinomialHeap<K> {
     fn meld(&mut self, other: Self) {
         self.stats.absorb(&other.stats);
         self.len += other.len;
-        self.tracked.merge(other.tracked);
         let max = self.roots.len().max(other.roots.len());
         self.roots.resize_with(max, || None);
         let mut carry: Option<BinomialTreeNode<K>> = None;
@@ -293,7 +256,7 @@ impl<K: Ord + Copy> MeldablePq<K> for BinomialHeap<K> {
         self.trim();
     }
 
-    /// Verify BH1 + BH2, size bookkeeping and the handle tracking.
+    /// Verify BH1 + BH2 and size bookkeeping.
     fn check_invariants(&self) -> Result<(), String> {
         let mut total = 0usize;
         for (i, r) in self.roots.iter().enumerate() {
@@ -311,35 +274,7 @@ impl<K: Ord + Copy> MeldablePq<K> for BinomialHeap<K> {
         if matches!(self.roots.last(), Some(None)) {
             return Err("root array not trimmed".into());
         }
-        self.tracked.check()?;
-        if self.tracked.len() > self.len {
-            return Err("more tracked handles than elements".into());
-        }
         Ok(())
-    }
-}
-
-impl<K: Ord + Copy> DecreaseKeyPq<K> for BinomialHeap<K> {
-    fn insert_handle(&mut self, key: K) -> PqHandle {
-        let h = self.tracked.track(key);
-        self.insert(key);
-        h
-    }
-
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
-        let (roots, stats) = (&mut self.roots, &self.stats);
-        self.tracked.decrease(h, new_key, |old, new| {
-            let found = roots.iter_mut().flatten().any(|r| {
-                stats.add_comparisons(1);
-                r.key <= *old && r.decrease_in(old, new, stats)
-            });
-            debug_assert!(found, "tracked key must be present in the forest");
-            found
-        })
-    }
-
-    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
-        self.tracked.key_of(h).copied()
     }
 }
 
@@ -422,35 +357,6 @@ mod tests {
             assert_eq!(h.extract_min(), Some(7));
         }
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn decrease_key_sifts_within_a_tree() {
-        let mut h = BinomialHeap::new();
-        for k in 0..32 {
-            h.insert(k * 10);
-        }
-        let t = h.insert_handle(999);
-        assert!(h.decrease_key(t, -1));
-        h.check_invariants().expect("valid after decrease");
-        assert_eq!(h.key_of_handle(t), Some(-1));
-        assert_eq!(h.peek_min(), Some(-1));
-        assert_eq!(h.extract_min(), Some(-1));
-        assert_eq!(h.key_of_handle(t), None, "extracting retires the handle");
-        assert!(!h.decrease_key(t, -5), "stale handle must refuse");
-        h.check_invariants().expect("valid after extract");
-    }
-
-    #[test]
-    fn decrease_to_duplicate_key_keeps_multiset() {
-        let mut h = BinomialHeap::new();
-        for k in [7, 7, 3, 3, 9] {
-            h.insert(k);
-        }
-        let t = h.insert_handle(9);
-        assert!(h.decrease_key(t, 3), "decrease onto an existing key");
-        h.check_invariants().expect("valid");
-        assert_eq!(h.drain_sorted(), vec![3, 3, 3, 7, 7, 9]);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! right child, so the rightmost path has length `O(log n)` and two heaps meld
 //! by merging right spines.
 
-use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::{DecreaseKeyPq, MeldablePq};
+use crate::traits::MeldablePq;
 
 type Link<K> = Option<Box<LNode<K>>>;
 
@@ -37,45 +36,11 @@ fn rank<K>(l: &Link<K>) -> u32 {
 }
 
 /// A leftist (min-)heap.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LeftistHeap<K> {
     root: Link<K>,
     len: usize,
     stats: OpStats,
-    /// Handle bookkeeping for the sift-based `decrease_key`.
-    tracked: TrackedKeys<K>,
-}
-
-impl<K: Clone> Clone for LeftistHeap<K> {
-    fn clone(&self) -> Self {
-        LeftistHeap {
-            root: self.root.clone(),
-            len: self.len,
-            stats: self.stats.clone(),
-            tracked: self.tracked.clone(),
-        }
-    }
-}
-
-impl<K> crate::decrease::BinaryNode<K> for LNode<K> {
-    fn key(&self) -> &K {
-        &self.key
-    }
-    fn key_mut(&mut self) -> &mut K {
-        &mut self.key
-    }
-    fn left(&self) -> Option<&Self> {
-        self.left.as_deref()
-    }
-    fn right(&self) -> Option<&Self> {
-        self.right.as_deref()
-    }
-    fn left_mut(&mut self) -> Option<&mut Self> {
-        self.left.as_deref_mut()
-    }
-    fn right_mut(&mut self) -> Option<&mut Self> {
-        self.right.as_deref_mut()
-    }
 }
 
 impl<K> Default for LeftistHeap<K> {
@@ -91,7 +56,6 @@ impl<K> LeftistHeap<K> {
             root: None,
             len: 0,
             stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
         }
     }
 
@@ -157,7 +121,6 @@ impl<K: Ord + Copy> MeldablePq<K> for LeftistHeap<K> {
         let mut root = self.root.take()?;
         self.len -= 1;
         self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
-        self.tracked.on_extract(&root.key);
         Some(root.key)
     }
 
@@ -165,11 +128,10 @@ impl<K: Ord + Copy> MeldablePq<K> for LeftistHeap<K> {
         self.stats.absorb(&other.stats);
         self.len += other.len;
         other.len = 0;
-        self.tracked.merge(std::mem::take(&mut other.tracked));
         self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
     }
 
-    /// Check the leftist rank property, heap order, size and handle tracking.
+    /// Check the leftist rank property, heap order and size.
     fn check_invariants(&self) -> Result<(), String> {
         fn walk<K: Ord>(n: &LNode<K>) -> Result<usize, String> {
             let mut count = 1;
@@ -194,34 +156,7 @@ impl<K: Ord + Copy> MeldablePq<K> for LeftistHeap<K> {
         if count != self.len {
             return Err(format!("len {} but tree holds {count}", self.len));
         }
-        self.tracked.check()?;
-        if self.tracked.len() > self.len {
-            return Err("more tracked handles than elements".into());
-        }
         Ok(())
-    }
-}
-
-impl<K: Ord + Copy> DecreaseKeyPq<K> for LeftistHeap<K> {
-    fn insert_handle(&mut self, key: K) -> PqHandle {
-        let h = self.tracked.track(key);
-        self.insert(key);
-        h
-    }
-
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
-        let (root, stats) = (&mut self.root, &self.stats);
-        self.tracked.decrease(h, new_key, |old, new| {
-            let found = root
-                .as_deref_mut()
-                .is_some_and(|r| crate::decrease::binary_decrease(r, old, new, stats));
-            debug_assert!(found, "tracked key must be present in the tree");
-            found
-        })
-    }
-
-    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
-        self.tracked.key_of(h).copied()
     }
 }
 
@@ -261,23 +196,6 @@ mod tests {
         }
         assert_eq!(h.len(), 200_000);
         drop(h); // must not overflow the stack
-    }
-
-    #[test]
-    fn decrease_key_preserves_leftist_shape() {
-        let mut h = LeftistHeap::new();
-        for k in [40, 10, 70, 20, 90, 30, 60] {
-            h.insert(k);
-        }
-        let t = h.insert_handle(80);
-        assert!(h.decrease_key(t, 5));
-        h.check_invariants()
-            .expect("ranks untouched by content sift");
-        assert_eq!(h.peek_min(), Some(5));
-        assert_eq!(h.extract_min(), Some(5));
-        assert_eq!(h.key_of_handle(t), None);
-        assert!(!h.decrease_key(t, 1), "stale handle must refuse");
-        h.check_invariants().expect("valid after extract");
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //!
 //! Every structure implements the workspace's one queue trait,
 //! [`MeldablePq`] (defined here, in the lowest crate, and re-exported by
-//! `meldpq`). Engines with a `decrease_key` additionally implement
-//! [`DecreaseKeyPq`] (pairing natively; binomial, leftist and skew via a
-//! sift-based fallback), so the whole fleet can run
-//! SSSP-style workloads under one trait. `Make-Queue` is `Default` or the
-//! inherent `new`; each structure also carries an [`OpStats`]
+//! `meldpq`). The pairing heap, the one baseline with real node identity,
+//! additionally implements [`DecreaseKeyPq`] by cut and link. The
+//! binomial, leftist and skew heaps move keys between nodes and have no
+//! node to name, so an SSSP-style workload over them reinserts the lowered
+//! key and skips stale pops (the paper's §4 insert-and-orphan
+//! `Change-Key`). `Make-Queue` is `Default` or the inherent `new`; each
+//! structure also carries an [`OpStats`]
 //! instrumentation block (inherent `stats()`) counting key comparisons and
 //! structural link operations, which the benchmark harness uses for
 //! machine-independent comparisons.
@@ -60,7 +62,7 @@ pub mod traits;
 
 pub use binary::BinaryHeapAdapter;
 pub use binomial::BinomialHeap;
-pub use decrease::{PqHandle, TrackedKeys};
+pub use decrease::PqHandle;
 pub use indexed::{IndexedBinomialHeap, ItemId};
 pub use leftist::LeftistHeap;
 pub use pairing::{MergeStrategy, PairingHeap};

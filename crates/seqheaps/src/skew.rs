@@ -6,9 +6,8 @@
 //! formulation (cut both right spines, merge them by key, reattach swapping
 //! children), so a single pathological operation cannot overflow the stack.
 
-use crate::decrease::{PqHandle, TrackedKeys};
 use crate::stats::OpStats;
-use crate::traits::{DecreaseKeyPq, MeldablePq};
+use crate::traits::MeldablePq;
 
 type Link<K> = Option<Box<SNode<K>>>;
 
@@ -19,46 +18,12 @@ struct SNode<K> {
     right: Link<K>,
 }
 
-impl<K> crate::decrease::BinaryNode<K> for SNode<K> {
-    fn key(&self) -> &K {
-        &self.key
-    }
-    fn key_mut(&mut self) -> &mut K {
-        &mut self.key
-    }
-    fn left(&self) -> Option<&Self> {
-        self.left.as_deref()
-    }
-    fn right(&self) -> Option<&Self> {
-        self.right.as_deref()
-    }
-    fn left_mut(&mut self) -> Option<&mut Self> {
-        self.left.as_deref_mut()
-    }
-    fn right_mut(&mut self) -> Option<&mut Self> {
-        self.right.as_deref_mut()
-    }
-}
-
 /// A skew (min-)heap.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SkewHeap<K> {
     root: Link<K>,
     len: usize,
     stats: OpStats,
-    /// Handle bookkeeping for the sift-based `decrease_key`.
-    tracked: TrackedKeys<K>,
-}
-
-impl<K: Clone> Clone for SkewHeap<K> {
-    fn clone(&self) -> Self {
-        SkewHeap {
-            root: self.root.clone(),
-            len: self.len,
-            stats: self.stats.clone(),
-            tracked: self.tracked.clone(),
-        }
-    }
 }
 
 impl<K> Default for SkewHeap<K> {
@@ -74,7 +39,6 @@ impl<K> SkewHeap<K> {
             root: None,
             len: 0,
             stats: OpStats::new(),
-            tracked: TrackedKeys::default(),
         }
     }
 
@@ -158,7 +122,6 @@ impl<K: Ord + Copy> MeldablePq<K> for SkewHeap<K> {
         let mut root = self.root.take()?;
         self.len -= 1;
         self.root = Self::merge(root.left.take(), root.right.take(), &self.stats);
-        self.tracked.on_extract(&root.key);
         Some(root.key)
     }
 
@@ -166,7 +129,6 @@ impl<K: Ord + Copy> MeldablePq<K> for SkewHeap<K> {
         self.stats.absorb(&other.stats);
         self.len += other.len;
         other.len = 0;
-        self.tracked.merge(std::mem::take(&mut other.tracked));
         self.root = Self::merge(self.root.take(), other.root.take(), &self.stats);
     }
 
@@ -190,34 +152,7 @@ impl<K: Ord + Copy> MeldablePq<K> for SkewHeap<K> {
         if count != self.len {
             return Err(format!("len {} but tree holds {count}", self.len));
         }
-        self.tracked.check()?;
-        if self.tracked.len() > self.len {
-            return Err("more tracked handles than elements".into());
-        }
         Ok(())
-    }
-}
-
-impl<K: Ord + Copy> DecreaseKeyPq<K> for SkewHeap<K> {
-    fn insert_handle(&mut self, key: K) -> PqHandle {
-        let h = self.tracked.track(key);
-        self.insert(key);
-        h
-    }
-
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool {
-        let (root, stats) = (&mut self.root, &self.stats);
-        self.tracked.decrease(h, new_key, |old, new| {
-            let found = root
-                .as_deref_mut()
-                .is_some_and(|r| crate::decrease::binary_decrease(r, old, new, stats));
-            debug_assert!(found, "tracked key must be present in the tree");
-            found
-        })
-    }
-
-    fn key_of_handle(&self, h: PqHandle) -> Option<K> {
-        self.tracked.key_of(h).copied()
     }
 }
 
@@ -254,32 +189,6 @@ mod tests {
         }
         assert_eq!(h.extract_min(), Some(0));
         drop(h);
-    }
-
-    #[test]
-    fn decrease_key_on_deep_sorted_chain() {
-        // Sorted inserts build a deep left-leaning shape; the iterative
-        // sift must survive where recursion would overflow.
-        let mut h = SkewHeap::new();
-        for k in 0..100_000 {
-            h.insert(k);
-        }
-        let t = h.insert_handle(100_000);
-        assert!(h.decrease_key(t, -1));
-        assert_eq!(h.extract_min(), Some(-1));
-        assert_eq!(h.key_of_handle(t), None);
-    }
-
-    #[test]
-    fn decrease_key_keeps_heap_order() {
-        let mut h = SkewHeap::new();
-        for k in [6, 2, 9, 2, 0, 5] {
-            h.insert(k);
-        }
-        let t = h.insert_handle(9);
-        assert!(h.decrease_key(t, 1));
-        h.check_invariants().expect("valid after decrease");
-        assert_eq!(h.drain_sorted(), vec![0, 1, 2, 2, 5, 6, 9]);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! `Make-Queue` stays with each type (`Default` plus an inherent `new`),
 //! because the parallel engines need a processor count to construct.
 //!
-//! Every baseline in this crate implements the traits directly; the
-//! parallel and lazy engines in `meldpq` implement them next to their own
-//! types, so generic harnesses (the differential fuzzer, the shootout)
-//! dispatch over any backend through one surface. Both traits are object
-//! safe.
+//! Every baseline in this crate implements [`MeldablePq`] directly, and
+//! the pairing heap, the one with real node identity, also implements
+//! [`DecreaseKeyPq`]. The parallel and lazy engines in `meldpq` implement
+//! them next to their own types, so generic harnesses (the differential
+//! fuzzer, the shootout) dispatch over any backend through one surface.
+//! Both traits are object safe.
 
 use crate::decrease::PqHandle;
 

@@ -162,9 +162,6 @@ type DecLane = (
 /// Every engine with native decrease-key, one trait object each.
 fn decrease_fleet(p: usize) -> Vec<(&'static str, Box<dyn DecreaseKeyPq<i64>>)> {
     vec![
-        ("binomial", Box::new(seqheaps::BinomialHeap::<i64>::new())),
-        ("leftist", Box::new(seqheaps::LeftistHeap::<i64>::new())),
-        ("skew", Box::new(seqheaps::SkewHeap::<i64>::new())),
         ("pairing", Box::new(seqheaps::PairingHeap::<i64>::new())),
         (
             "pairing-multipass",
