@@ -27,9 +27,17 @@
 //!   prefix-scan and build primitives.
 //! * `flight`, `durable` and `peek` — the overhead of the flight recorder
 //!   and the WAL, and the cached min root against a rescan, each gated.
-//!   These three gates and `b_union` time their arms as interleaved pairs
-//!   and derive a noise floor from those pairs: a margin inside the floor
-//!   is reported `inconclusive` rather than passing or failing.
+//! * `service` — the sharded service against one global lock (DESIGN.md
+//!   §9): 8 client threads replay the same pre-generated streams of the
+//!   [`workloads::service_op`] mix against `ServiceBuilder::new()` with 8
+//!   queues and against one `Mutex<ParBinomialHeap<i64>>`, timing every
+//!   call into a [`LatencyHistogram`]. Gate: the service's throughput
+//!   must beat the lock's, and its p99 may be at most 16× the lock's.
+//!
+//! The `flight`, `durable`, `peek`, `b_union` and `service` gates time
+//! their arms as interleaved pairs and derive a noise floor from those
+//! pairs: a margin inside the floor is reported `inconclusive` rather
+//! than passing or failing.
 //!
 //! Results are appended to `reports/BENCH_wallclock.json` (the `obs::json`
 //! printer the report binaries use), with the host's core count, so every
@@ -38,13 +46,17 @@
 //! --bench wallclock -- --warm-up-time 0.2 --measurement-time 0.5`; pass
 //! `--full` (nightly) to add the 2^20/2^22 sizes.
 
+use std::cell::{Cell, RefCell};
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use bench::workloads;
+use bench::workloads::{self, ServiceOp};
 use criterion::{BatchSize, BenchResult, BenchmarkId, Criterion};
-use meldpq::{HeapPool, ParBinomialHeap};
+use meldpq::{HeapPool, MeldablePq, ParBinomialHeap};
 use obs::json::J;
-use service::ServiceBuilder;
+use obs::LatencyHistogram;
+use service::{QueueId, QueueService, ServiceBuilder};
 
 /// The meld sizes; 2^22 only with `--full`.
 fn meld_sizes(full: bool) -> Vec<usize> {
@@ -367,6 +379,171 @@ fn b_union_merge_arm(soa1: &dmpq::soa::SoaBlocks, soa2: &dmpq::soa::SoaBlocks) -
     elapsed
 }
 
+/// What one arm of the service gate drives: the sharded service with its
+/// queues, or one heap behind one lock.
+#[derive(Clone)]
+enum LockTarget {
+    Service(Arc<QueueService>, Vec<QueueId>),
+    Mutex(Arc<Mutex<ParBinomialHeap<i64>>>),
+}
+
+impl LockTarget {
+    /// Run `stream` on this target, timing every call.
+    fn drive(&self, stream: &[(usize, ServiceOp)]) -> LatencyHistogram {
+        let mut hist = LatencyHistogram::new();
+        for &(qi, op) in stream {
+            let t0 = Instant::now();
+            match self {
+                LockTarget::Service(svc, queues) => {
+                    op.run(svc, queues[qi]).expect("service call failed");
+                }
+                LockTarget::Mutex(heap) => {
+                    let mut h = heap.lock().expect("baseline heap poisoned");
+                    match op {
+                        ServiceOp::Insert(k) => MeldablePq::insert(&mut *h, k),
+                        ServiceOp::ExtractMin => drop(MeldablePq::extract_min(&mut *h)),
+                        ServiceOp::ExtractK(k) => drop(MeldablePq::multi_extract_min(&mut *h, k)),
+                        ServiceOp::Peek => drop(h.peek_min()),
+                        ServiceOp::Len => drop(MeldablePq::len(&*h)),
+                    }
+                }
+            }
+            hist.record(t0.elapsed().as_nanos() as u64);
+        }
+        hist
+    }
+}
+
+/// The service gate's client threads, one per stream, spawned once and
+/// reused by every arm of every pair. Each thread that records into
+/// `obs::flight` pins a 160 KiB ring for the life of the process, so a
+/// thread per arm would pin about 140 MiB over a run's 420 arms. The
+/// threads end when `jobs` is dropped.
+struct Clients {
+    jobs: Vec<mpsc::Sender<LockTarget>>,
+    done: mpsc::Receiver<std::thread::Result<LatencyHistogram>>,
+    start: Arc<Barrier>,
+}
+
+impl Clients {
+    fn spawn(streams: Vec<Vec<(usize, ServiceOp)>>) -> Clients {
+        let start = Arc::new(Barrier::new(streams.len() + 1));
+        let (done_tx, done) = mpsc::channel();
+        let mut jobs = Vec::new();
+        for stream in streams {
+            let (job_tx, job_rx) = mpsc::channel::<LockTarget>();
+            let (start, done_tx) = (Arc::clone(&start), done_tx.clone());
+            std::thread::spawn(move || {
+                for target in job_rx {
+                    start.wait();
+                    let hist = std::panic::catch_unwind(AssertUnwindSafe(|| target.drive(&stream)));
+                    let _ = done_tx.send(hist);
+                }
+            });
+            jobs.push(job_tx);
+        }
+        Clients { jobs, done, start }
+    }
+
+    /// Run every client's stream once against `target`. Returns the wall
+    /// time from the clients' release to the last one's finish, and their
+    /// merged per-call latencies.
+    fn run(&self, target: &LockTarget) -> (Duration, LatencyHistogram) {
+        for job in &self.jobs {
+            job.send(target.clone()).expect("client thread alive");
+        }
+        let t0 = Instant::now();
+        self.start.wait();
+        let mut hist = LatencyHistogram::new();
+        for _ in 0..self.jobs.len() {
+            let client = self.done.recv().expect("client thread alive");
+            hist.merge(&client.expect("client thread panicked"));
+        }
+        (t0.elapsed(), hist)
+    }
+}
+
+/// The service gate: the sharded service against one global lock on the
+/// same streams, through one set of [`Clients`]. Its row carries the
+/// throughput verdict of [`Paired::eval`] plus both arms' p50 and p99
+/// over the timed pairs; the service's p99 may be at most [`P99_BOUND`]×
+/// the lock's. Returns the two arms' result rows and the gate row.
+fn service_gate() -> (Vec<BenchResult>, (J, bool)) {
+    let streams: Vec<Vec<(usize, ServiceOp)>> = (0..SERVICE_THREADS)
+        .map(|tid| {
+            let mut rng = workloads::rng(0x5E81_11CE ^ tid as u64);
+            (0..SERVICE_OPS_PER_THREAD)
+                .map(|_| workloads::service_op(&mut rng, SERVICE_QUEUES))
+                .collect()
+        })
+        .collect();
+    let clients = Clients::spawn(streams);
+    let (svc_hist, mutex_hist) = (RefCell::default(), RefCell::default());
+    let (svc_runs, mutex_runs) = (Cell::new(0), Cell::new(0));
+    // `interleave` drops its warm-up pairs; their latencies go too.
+    let keep = |runs: &Cell<usize>, into: &RefCell<LatencyHistogram>, hist| {
+        runs.set(runs.get() + 1);
+        if runs.get() > PAIRED_WARMUP {
+            into.borrow_mut().merge(&hist);
+        }
+    };
+    let (service, mutex) = interleave(
+        || {
+            let svc = Arc::new(ServiceBuilder::new().build());
+            let queues = (0..SERVICE_QUEUES).map(|_| svc.create_queue()).collect();
+            let target = LockTarget::Service(Arc::clone(&svc), queues);
+            let (t, hist) = clients.run(&target);
+            svc.validate()
+                .expect("service state corrupt after the load");
+            assert_eq!(
+                svc.snapshot().latency().count(),
+                SERVICE_OPS as u64,
+                "every call is charged to a shard histogram"
+            );
+            keep(&svc_runs, &svc_hist, hist);
+            t
+        },
+        || {
+            let heap = Arc::new(Mutex::new(ParBinomialHeap::new()));
+            let (t, hist) = clients.run(&LockTarget::Mutex(heap));
+            keep(&mutex_runs, &mutex_hist, hist);
+            t
+        },
+    );
+    let lock = Paired {
+        name: "service_beats_global_lock",
+        fast: format!("service/sharded/{SERVICE_OPS}"),
+        slow: format!("service/global_lock/{SERVICE_OPS}"),
+        threshold: 1.0,
+    };
+    let (mut gate, faster) = lock.eval(&service, &mutex);
+    let (svc_hist, mutex_hist) = (svc_hist.into_inner(), mutex_hist.into_inner());
+    let (svc_p99, mutex_p99) = (svc_hist.quantile(0.99), mutex_hist.quantile(0.99));
+    let tail_ok = svc_p99 as f64 <= P99_BOUND * mutex_p99 as f64;
+    println!(
+        "gate {}: p50/p99 service {}/{svc_p99} ns, lock {}/{mutex_p99} ns \
+         (need service p99 <={P99_BOUND}x the lock's) {}",
+        lock.name,
+        svc_hist.quantile(0.5),
+        mutex_hist.quantile(0.5),
+        if tail_ok { "ok" } else { "FAIL" },
+    );
+    if let J::Obj(fields) = &mut gate {
+        fields.extend(
+            [
+                ("service_p50_ns", J::UInt(svc_hist.quantile(0.5))),
+                ("service_p99_ns", J::UInt(svc_p99)),
+                ("mutex_p50_ns", J::UInt(mutex_hist.quantile(0.5))),
+                ("mutex_p99_ns", J::UInt(mutex_p99)),
+                ("p99_bound", J::Num(P99_BOUND)),
+                ("p99_pass", J::Bool(tail_ok)),
+            ]
+            .map(|(k, v)| (k.to_string(), v)),
+        );
+    }
+    let rows = vec![row(lock.fast, &service), row(lock.slow, &mutex)];
+    (rows, (gate, faster && tail_ok))
+}
 /// Timed pairs per paired gate, after `PAIRED_WARMUP` untimed ones.
 const PAIRED_PAIRS: usize = 200;
 const PAIRED_WARMUP: usize = 10;
@@ -468,9 +645,9 @@ impl Paired {
     }
 }
 
-/// The flight-recorder and WAL overhead gates, the peek-cache gate and the
-/// b-Union merge gate, each on its interleaved pairs: result rows for the
-/// eight arms, and a gate row each.
+/// The flight-recorder and WAL overhead gates, the peek-cache gate, the
+/// b-Union merge gate and the service gate, each on its interleaved pairs:
+/// result rows for the ten arms, and a gate row each.
 fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
     let mut rng = workloads::rng(83);
     let flight_keys = workloads::random_keys(&mut rng, FLIGHT_GATE_N);
@@ -534,7 +711,8 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         slow: format!("b_union/seq/{KERNEL_GATE_N}"),
         threshold: 2.0,
     };
-    let rows = vec![
+    let (service_rows, service) = service_gate();
+    let mut rows = vec![
         row(flight.fast.clone(), &on),
         row(flight.slow.clone(), &off),
         row(wal.fast.clone(), &wal_on),
@@ -544,6 +722,7 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
         row(b_union.fast.clone(), &merge),
         row(b_union.slow.clone(), &sort),
     ];
+    rows.extend(service_rows);
     (
         rows,
         vec![
@@ -551,6 +730,7 @@ fn paired_gates() -> (Vec<BenchResult>, Vec<(J, bool)>) {
             wal.eval(&wal_on, &wal_off),
             peek.eval(&cached, &rescan),
             b_union.eval(&merge, &sort),
+            service,
         ],
     )
 }
@@ -658,6 +838,17 @@ const DURABLE_BATCH: usize = 1024;
 const DURABLE_GATE_N: usize = 8 * DURABLE_BATCH;
 /// The WAL-on arm may cost at most 1.15× the WAL-off arm.
 const WAL_BOUND: f64 = 1.15;
+/// The service gate's client threads, calls per thread and queues.
+const SERVICE_THREADS: usize = 8;
+const SERVICE_OPS_PER_THREAD: usize = 1024;
+const SERVICE_OPS: usize = SERVICE_THREADS * SERVICE_OPS_PER_THREAD;
+const SERVICE_QUEUES: usize = 8;
+/// The service's p99 may be at most 16× the global lock's. A contended
+/// call waits on its shard's lock as a global-lock call waits on the one
+/// lock, so neither tail is structurally worse; 16× leaves room for
+/// scheduler noise on a small shared host and still catches a tail
+/// collapse.
+const P99_BOUND: f64 = 16.0;
 
 fn gates() -> Vec<Gate> {
     vec![

@@ -1,14 +1,16 @@
 //! `pqtop` — live introspection console for the sharded queue service.
 //!
-//! Drives a mixed background load (the `service-load` op mix) against an
-//! in-process [`service::QueueService`] and refreshes a `top`-style view:
+//! Drives a mixed background load ([`bench::workloads::service_op`], the
+//! mix the wall-clock suite's service gate runs) against an in-process
+//! [`service::QueueService`] and refreshes a `top`-style view:
 //! the [`service::ServiceSnapshot`] shard table (queues, keys, requests,
 //! latency quantiles) over the tail of the flight recorder's event stream.
 //! On exit it drains the recorder into `reports/FLIGHT_<run>.json` so a run
 //! leaves the same evidence a failing stress test attaches to its panic.
 //!
 //! Flags: `--seconds N` (4) · `--hz N` (10 refreshes/s) · `--threads N` (4)
-//! · `--queues N` (8) · `--shards N` (4) · `--once` (single plain snapshot,
+//! · `--queues N` (8) · `--shards N` (default: `ServiceBuilder::new()`'s,
+//! [`service::default_shards`]) · `--once` (single plain snapshot,
 //! no screen control — the CI smoke mode) · `--run NAME` (report suffix,
 //! default `pqtop`).
 
@@ -16,8 +18,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::workloads;
 use obs::flight;
-use rand::Rng;
 use service::{QueueId, QueueService, ServiceBuilder};
 
 struct Args {
@@ -25,7 +27,7 @@ struct Args {
     hz: f64,
     threads: usize,
     queues: usize,
-    shards: usize,
+    shards: Option<usize>,
     once: bool,
     run: String,
 }
@@ -36,7 +38,7 @@ fn parse_args() -> Args {
         hz: 10.0,
         threads: 4,
         queues: 8,
-        shards: 4,
+        shards: None,
         once: false,
         run: "pqtop".to_string(),
     };
@@ -48,7 +50,7 @@ fn parse_args() -> Args {
             "--hz" => args.hz = next("--hz").parse().expect("--hz"),
             "--threads" => args.threads = next("--threads").parse().expect("--threads"),
             "--queues" => args.queues = next("--queues").parse().expect("--queues"),
-            "--shards" => args.shards = next("--shards").parse().expect("--shards"),
+            "--shards" => args.shards = Some(next("--shards").parse().expect("--shards")),
             "--once" => args.once = true,
             "--run" => args.run = next("--run"),
             other => panic!("unknown flag {other}"),
@@ -57,12 +59,11 @@ fn parse_args() -> Args {
     args.hz = args.hz.clamp(0.5, 60.0);
     args.threads = args.threads.max(1);
     args.queues = args.queues.max(1);
-    args.shards = args.shards.max(1);
     args
 }
 
 /// Spawn the background load: each worker hammers the service with the
-/// service-load mix until `stop` flips.
+/// [`workloads::service_op`] mix until `stop` flips.
 fn spawn_load(
     svc: &Arc<QueueService>,
     queues: &Arc<Vec<QueueId>>,
@@ -75,22 +76,10 @@ fn spawn_load(
             std::thread::Builder::new()
                 .name(format!("pqtop-load-{tid}"))
                 .spawn(move || {
-                    let mut rng = bench::workloads::rng(0x709_0000 ^ tid as u64);
+                    let mut rng = workloads::rng(0x709_0000 ^ tid as u64);
                     while !stop.load(Ordering::Relaxed) {
-                        let q = queues[rng.gen_range(0..queues.len())];
-                        let roll = rng.gen_range(0..100);
-                        let r = if roll < 55 {
-                            svc.insert(q, rng.gen_range(-1_000_000i64..1_000_000))
-                        } else if roll < 85 {
-                            svc.extract_min(q).map(drop)
-                        } else if roll < 92 {
-                            svc.extract_k(q, 8).map(drop)
-                        } else if roll < 97 {
-                            svc.peek_min(q).map(drop)
-                        } else {
-                            svc.len(q).map(drop)
-                        };
-                        r.expect("load op failed");
+                        let (qi, op) = workloads::service_op(&mut rng, queues.len());
+                        op.run(&svc, queues[qi]).expect("load op failed");
                     }
                 })
                 .expect("spawn load worker")
@@ -117,7 +106,11 @@ fn frame(svc: &QueueService, elapsed: f64, tail: usize) -> String {
 
 fn main() {
     let args = parse_args();
-    let svc = Arc::new(ServiceBuilder::new().shards(args.shards).build());
+    let builder = match args.shards {
+        Some(n) => ServiceBuilder::new().shards(n),
+        None => ServiceBuilder::new(),
+    };
+    let svc = Arc::new(builder.build());
     let queues: Arc<Vec<QueueId>> =
         Arc::new((0..args.queues).map(|_| svc.create_queue()).collect());
 

@@ -5,7 +5,8 @@
 //! Everything needed to regenerate the paper's figures and to measure the
 //! theorem-shaped scaling claims:
 //!
-//! * [`workloads`] — seeded random heap builders and operation scripts;
+//! * [`workloads`] — seeded random heap builders, operation scripts and
+//!   the service call mix;
 //! * [`table`] — plain-text table rendering for the `report_*` binaries;
 //! * [`experiments`] — the data behind every experiment in DESIGN.md §4
 //!   (F1–F4 figure reproductions, T1–T3 theorem scalings, A1–A4 ablations),

@@ -1,8 +1,11 @@
 //! Golden-output tests: the *rendered* figure tables are pinned verbatim so
 //! the paper reproduction cannot drift silently (value tests live next to
 //! the experiments; these catch formatting/indexing regressions too).
+//! The simulators' Theorem 2 and 3 ledgers are pinned too: the envelope
+//! tests in `tests/theorem_shapes.rs` fit their constant on the code they
+//! run, so only these exact integers see a constant-factor change.
 
-use bench::experiments::{figure1_rows, figure2_rows, figure4_rows};
+use bench::experiments::{figure1_rows, figure2_rows, figure4_rows, theorem2, theorem3};
 use bench::table::render;
 
 #[test]
@@ -71,4 +74,40 @@ fn figure4_loads_render_exactly() {
     // Processor loads: Π(0)=0 hosts deg 0 and 4; Π(1)=1 deg 1; Π(2)=3 deg 2;
     // Π(3)=2 deg 3.
     assert_eq!(load, vec![15, 7, 2, 3]);
+}
+
+/// One small `theorem2` call, every integer of its rows. The rows share
+/// one RNG across the size list, so the call is pinned exactly as made.
+#[test]
+fn theorem2_ledger_is_pinned() {
+    let got: Vec<_> = theorem2(&[1 << 8, 1 << 11])
+        .iter()
+        .map(|r| {
+            (
+                r.n,
+                r.p,
+                r.deletes,
+                (r.take_up.time, r.take_up.work),
+                (r.arrange.time, r.arrange.work),
+                (r.eager.time, r.eager.work),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (256, 2, 2, (47, 80), (88, 157), (74, 131)),
+            (2048, 3, 3, (69, 111), (101, 234), (171, 397)),
+        ]
+    );
+}
+
+/// One small `theorem3` call: net time and word·hops per bandwidth.
+#[test]
+fn theorem3_ledger_is_pinned() {
+    let got: Vec<_> = theorem3(2, &[1, 4], 64)
+        .iter()
+        .map(|r| (r.q, r.b, r.ops, r.total_time, r.words))
+        .collect();
+    assert_eq!(got, vec![(2, 1, 128, 4443, 12758), (2, 4, 128, 1285, 2926)]);
 }

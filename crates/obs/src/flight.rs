@@ -2,9 +2,10 @@
 //! rings of compact structured events, cheap enough to leave enabled in
 //! release builds.
 //!
-//! Post-hoc meters ([`crate::Recorder`]) answer "how much did it cost";
-//! they cannot answer "what *sequence* of events preceded this failure" in
-//! a concurrent system. This module records that sequence:
+//! Post-hoc meters ([`crate::LatencyHistogram`], `service::ShardStats`)
+//! answer "how much did it cost"; they cannot answer "what *sequence* of
+//! events preceded this failure" in a concurrent system. This module
+//! records that sequence:
 //!
 //! * **[`TraceId`]** — a process-unique causal id minted at an operation's
 //!   ingress and threaded (via an ambient per-thread scope) through every
@@ -19,6 +20,13 @@
 //!   exists; the ring overwrites its oldest events when full. Readers
 //!   ([`snapshot`], [`tail`]) skip slots whose version changed mid-read
 //!   instead of blocking writers.
+//! * **Rings live as long as the process.** A thread's ring is made at its
+//!   first recorded event and registered for [`snapshot`], and the
+//!   registry never frees it, so each thread that ever recorded pins
+//!   [`RING_CAPACITY`] slots (160 KiB) after it exits. On a 2-vCPU host,
+//!   200 short-lived threads writing 2,048 events each left +17 MiB RSS,
+//!   and one [`snapshot`] over their 409,600 events took 10–19 ms. Reuse
+//!   worker threads rather than spawning one per task.
 //!
 //! None of this is feature-gated: the recorder is compiled in always and
 //! guarded by a single relaxed [`set_enabled`] switch, with a wall-clock

@@ -8,8 +8,6 @@
 //! ([`LatencyHistogram::merge`]), so client threads record contention-free
 //! and the harness folds them at the end.
 
-use crate::recorder::Recorder;
-
 /// Sub-bucket resolution: each power-of-two range splits into `2^SUB_BITS`
 /// linear buckets.
 const SUB_BITS: u32 = 4;
@@ -111,14 +109,10 @@ impl LatencyHistogram {
         }
         self.max
     }
-}
 
-impl Recorder for LatencyHistogram {
-    fn family(&self) -> &'static str {
-        "latency.histogram"
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
+    /// The summary a report prints, in a stable order: the count, then
+    /// mean, p50, p95, p99 and max in nanoseconds.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("count", self.count),
             ("mean_ns", self.mean()),
@@ -191,7 +185,6 @@ mod tests {
     fn recorder_fields() {
         let mut h = LatencyHistogram::new();
         h.record(100);
-        assert_eq!(h.family(), "latency.histogram");
         let fields = h.fields();
         assert_eq!(fields[0], ("count", 1));
         assert!(fields.iter().any(|&(k, _)| k == "p99_ns"));

@@ -2,14 +2,15 @@
 #![warn(missing_docs)]
 //! # obs — the service's observability layer
 //!
-//! The queue service reports through two paths, both always compiled in:
+//! The queue service reports through two things, both always compiled in:
 //!
 //! * [`flight`] — the always-on flight recorder: per-thread rings of
 //!   compact events tied together by a causal [`TraceId`], answering "what
 //!   sequence of events preceded this" for one op.
-//! * [`Recorder`]/[`Registry`] — cumulative meters (`service::ShardStats`,
-//!   [`LatencyHistogram`]) snapshotted under labels into one registry,
-//!   answering "how much did it cost".
+//! * [`LatencyHistogram`] — the per-op latency meter. With
+//!   `service::ShardStats` it answers "how much did it cost", and both
+//!   print through `service::ServiceSnapshot::to_json`, the service's one
+//!   report.
 //!
 //! [`json`] is the hand-rolled JSON printer every report shares. The
 //! simulators' cost ledgers are not routed through here: `pram::Cost`, the
@@ -18,20 +19,16 @@
 //! Theorem 1–3 envelopes.
 //!
 //! ```
-//! use obs::{LatencyHistogram, Registry};
+//! use obs::LatencyHistogram;
 //!
 //! let mut h = LatencyHistogram::new();
 //! h.record(1_500);
-//! let mut reg = Registry::new();
-//! reg.record("service/shard0/latency", &h);
-//! assert_eq!(reg.families(), vec!["latency.histogram"]);
+//! assert_eq!(h.fields()[0], ("count", 1));
 //! ```
 
 pub mod flight;
 pub mod json;
 pub mod latency;
-pub mod recorder;
 
 pub use flight::TraceId;
 pub use latency::LatencyHistogram;
-pub use recorder::{Record, Recorder, Registry};

@@ -4,8 +4,6 @@
 //! kernel a request ran. A shard keeps one per bookkeeping lane
 //! ([`crate::shard`]) and sums them when read.
 
-use obs::Recorder;
-
 /// Declares [`ShardStats`] and its field-wise sum from one field list, so
 /// a counter added later cannot be left out when lanes are summed.
 macro_rules! counters {
@@ -24,8 +22,8 @@ macro_rules! counters {
 
 counters! {
 /// Cumulative counters for one shard. Snapshot via
-/// [`crate::QueueService::shard_stats`]; reported through [`obs::Recorder`]
-/// under the `service.shard` family.
+/// [`crate::QueueService::shard_stats`]; reported by
+/// [`crate::ServiceSnapshot::to_json`] through [`ShardStats::fields`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// `requests`, copied in when the lanes are summed: every request runs
@@ -54,7 +52,7 @@ pub struct ShardStats {
     /// Queues destroyed (or consumed by meld) on this shard.
     pub queues_destroyed: u64,
     /// Always 0: no code writes it. Read only by the benchmark, and kept
-    /// out of [`Recorder::fields`], until the benchmark stops reading it.
+    /// out of [`ShardStats::fields`], until the benchmark stops reading it.
     pub combines: u64,
     /// Always 0, like [`ShardStats::combines`].
     pub combine_ns: u64,
@@ -77,12 +75,10 @@ pub struct ShardStats {
 }
 }
 
-impl Recorder for ShardStats {
-    fn family(&self) -> &'static str {
-        "service.shard"
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
+impl ShardStats {
+    /// The counters a report prints, in a stable order; `combines` and
+    /// `combine_ns` stay out.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("batches", self.batches),
             ("requests", self.requests),
@@ -116,7 +112,6 @@ mod tests {
             coalesced_inserts: 12,
             ..Default::default()
         };
-        assert_eq!(s.family(), "service.shard");
         let f = s.fields();
         assert!(f.contains(&("batches", 3)));
         assert!(f.contains(&("coalesced_inserts", 12)));

@@ -8,7 +8,6 @@ use std::{fs, io, thread};
 use meldpq::wal::{DurablePool, HeapId, WalError};
 use meldpq::{ArenaStats, Backend};
 use obs::flight::{self, EventKind};
-use obs::Registry;
 
 use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
@@ -479,13 +478,6 @@ impl QueueService {
         self.shards[shard].lock_state().store.pool().stats()
     }
 
-    /// Record every shard's counters *and* latency histogram into an
-    /// [`obs::Registry`]: `service.shard` rows under `service/shard<i>`,
-    /// `latency.histogram` rows under `service/shard<i>/latency`.
-    pub fn record_into(&self, reg: &mut Registry) {
-        self.snapshot().record_into(reg);
-    }
-
     /// Deep structural validation of every shard's pool: each live queue's
     /// heap (ownership stamp included), no node reachable from two heaps,
     /// and no live node outside every heap — the check the panic barrier
@@ -508,7 +500,7 @@ mod tests {
 
     use meldpq::pool::PooledHeap;
     use meldpq::{HeapPool, WalOp};
-    use obs::Recorder;
+    use obs::json::J;
 
     use super::*;
     use crate::shard::WAIT_SLICE;
@@ -735,19 +727,16 @@ mod tests {
         let snap = svc.snapshot();
         assert_eq!(snap.shards[0].stats, want);
         assert_eq!(snap.latency().count(), want.requests);
-        let mut reg = Registry::new();
-        svc.record_into(&mut reg);
-        let rows = reg.records();
-        assert_eq!(rows[0].family, "service.shard");
-        let fields: Vec<(String, u64)> = want
+        let doc = snap.to_json();
+        let shard = &doc.get("shards").and_then(J::as_arr).unwrap()[0];
+        let fields: Vec<(String, J)> = want
             .fields()
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
+            .map(|(k, v)| (k.to_string(), J::UInt(v)))
             .collect();
-        assert_eq!(rows[0].fields, fields);
-        assert!(rows[1]
-            .fields
-            .contains(&("count".to_string(), want.requests)));
+        assert_eq!(shard.get("stats"), Some(&J::Obj(fields)));
+        let latency = shard.get("latency").unwrap();
+        assert_eq!(latency.get("count"), Some(&J::UInt(want.requests)));
         svc.validate().unwrap();
     }
 
@@ -941,22 +930,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_and_arena_snapshots() {
+    fn snapshot_and_arena_stats() {
         let svc = ServiceBuilder::new().shards(1).build();
         let q = svc.create_queue();
         svc.multi_insert(q, (0..64).collect()).unwrap();
-        let mut reg = Registry::new();
-        svc.record_into(&mut reg);
-        assert_eq!(reg.records().len(), 2, "stats + latency per shard");
-        assert_eq!(reg.records()[0].family, "service.shard");
-        assert_eq!(reg.records()[1].family, "latency.histogram");
-        assert!(
-            reg.records()[1]
-                .fields
-                .iter()
-                .any(|(k, v)| k == "count" && *v >= 1),
-            "served requests appear in the latency histogram"
-        );
         let arena = svc.arena_stats(0);
         assert_eq!(arena.allocs, 64);
         assert_eq!(arena.copies, 0, "multi_insert must be zero-copy");

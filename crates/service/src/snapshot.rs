@@ -3,11 +3,11 @@
 //!
 //! [`crate::QueueService::snapshot`] takes each shard's lock in turn and
 //! sums its lanes' counters and latency histograms. The result renders as
-//! JSON ([`ServiceSnapshot::to_json`], consumed by the `pqtop` binary) or
-//! as a text table ([`ServiceSnapshot::render`]).
+//! JSON ([`ServiceSnapshot::to_json`], the service's one report) or as a
+//! text table ([`ServiceSnapshot::render`], what `pqtop` shows).
 
 use obs::json::J;
-use obs::{LatencyHistogram, Recorder, Registry};
+use obs::LatencyHistogram;
 
 use crate::metrics::ShardStats;
 
@@ -53,18 +53,18 @@ impl ServiceSnapshot {
         merged
     }
 
-    /// Record every shard's counters and latency histogram into `reg`
-    /// (families `service.shard` under `service/shard<i>`, and
-    /// `latency.histogram` under `service/shard<i>/latency`).
-    pub fn record_into(&self, reg: &mut Registry) {
-        for s in &self.shards {
-            reg.record(&format!("service/shard{}", s.shard), &s.stats);
-            reg.record(&format!("service/shard{}/latency", s.shard), &s.latency);
-        }
-    }
-
-    /// The snapshot as a JSON document.
+    /// The snapshot as a JSON document: per shard, its occupancy, the
+    /// [`ShardStats::fields`] counters and the
+    /// [`LatencyHistogram::fields`] summary.
     pub fn to_json(&self) -> J {
+        let fields = |fields: Vec<(&str, u64)>| {
+            J::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), J::UInt(v)))
+                    .collect(),
+            )
+        };
         J::obj([
             ("report", J::Str("service_snapshot".into())),
             (
@@ -73,21 +73,13 @@ impl ServiceSnapshot {
                     self.shards
                         .iter()
                         .map(|s| {
-                            let fields = |r: &dyn Recorder| {
-                                J::Obj(
-                                    r.fields()
-                                        .into_iter()
-                                        .map(|(k, v)| (k.to_string(), J::UInt(v)))
-                                        .collect(),
-                                )
-                            };
                             J::obj([
                                 ("shard", J::UInt(s.shard as u64)),
                                 ("live_queues", J::UInt(s.live_queues as u64)),
                                 ("total_keys", J::UInt(s.total_keys as u64)),
                                 ("durable", J::Bool(s.durable)),
-                                ("stats", fields(&s.stats)),
-                                ("latency", fields(&s.latency)),
+                                ("stats", fields(s.stats.fields())),
+                                ("latency", fields(s.latency.fields())),
                             ])
                         })
                         .collect(),
@@ -179,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_registry_views_agree() {
+    fn json_view_round_trips() {
         let snap = sample();
         let doc = snap.to_json();
         let parsed = J::parse(&doc.to_string()).expect("snapshot JSON parses");
@@ -193,16 +185,28 @@ mod tests {
         let stats = shards[0].get("stats").expect("stats");
         assert_eq!(stats.get("requests"), Some(&J::UInt(5)));
         assert_eq!(stats.get("combines"), None, "unwritten counters stay out");
+    }
 
-        let mut reg = Registry::new();
-        snap.record_into(&mut reg);
-        let recs = reg.records();
-        assert_eq!(recs.len(), 4, "stats + latency per shard");
-        let lat = recs
-            .iter()
-            .find(|r| r.label == "service/shard0/latency")
-            .expect("latency family present");
-        assert_eq!(lat.family, "latency.histogram");
-        assert!(lat.fields.iter().any(|(k, v)| k == "count" && *v == 3));
+    #[test]
+    fn json_bytes_are_pinned() {
+        // The exact bytes of the report: a field added, dropped or moved
+        // is a format change and must show up here.
+        let zeros = "\"single_inserts\":0,\"coalesced_inserts\":0,\"coalesced_pops\":0,\
+            \"multi_extracts\":0,\"melds_same_shard\":0,\"melds_cross_shard\":0,\
+            \"stale_ops\":0,\"queues_created\":0,\"queues_destroyed\":0,\
+            \"poison_recoveries\":0,\"poison_resets\":0,\"combiner_panics\":0,\
+            \"wal_appends\":0,\"wal_checkpoints\":0,\"wal_errors\":0";
+        let want = format!(
+            "{{\"report\":\"service_snapshot\",\"shards\":[\
+             {{\"shard\":0,\"live_queues\":2,\"total_keys\":100,\"durable\":true,\
+             \"stats\":{{\"batches\":0,\"requests\":5,{zeros}}},\
+             \"latency\":{{\"count\":3,\"mean_ns\":17666,\"p50_ns\":1984,\
+             \"p95_ns\":49152,\"p99_ns\":49152,\"max_ns\":50000}}}},\
+             {{\"shard\":1,\"live_queues\":0,\"total_keys\":0,\"durable\":false,\
+             \"stats\":{{\"batches\":0,\"requests\":0,{zeros}}},\
+             \"latency\":{{\"count\":0,\"mean_ns\":0,\"p50_ns\":0,\"p95_ns\":0,\
+             \"p99_ns\":0,\"max_ns\":0}}}}]}}"
+        );
+        assert_eq!(sample().to_json().to_string(), want);
     }
 }
