@@ -1,11 +1,14 @@
 //! Golden-output tests: the *rendered* figure tables are pinned verbatim so
 //! the paper reproduction cannot drift silently (value tests live next to
 //! the experiments; these catch formatting/indexing regressions too).
-//! The simulators' Theorem 2 and 3 ledgers are pinned too: the envelope
+//! The simulators' Theorem 1–3 and A3 ledgers are pinned too: the envelope
 //! tests in `tests/theorem_shapes.rs` fit their constant on the code they
 //! run, so only these exact integers see a constant-factor change.
 
-use bench::experiments::{figure1_rows, figure2_rows, figure4_rows, theorem2, theorem3};
+use bench::experiments::{
+    ablation_a3_measured, figure1_rows, figure2_rows, figure4_rows, theorem1, theorem1_ops,
+    theorem2, theorem3,
+};
 use bench::table::render;
 
 #[test]
@@ -110,4 +113,48 @@ fn theorem3_ledger_is_pinned() {
         .map(|r| (r.q, r.b, r.ops, r.total_time, r.words))
         .collect();
     assert_eq!(got, vec![(2, 1, 128, 4443, 12758), (2, 4, 128, 1285, 2926)]);
+}
+
+/// One small `theorem1` call: the PRAM Union's time and work per
+/// processor count, with the sequential chain length beside them.
+#[test]
+fn theorem1_ledger_is_pinned() {
+    let got: Vec<_> = theorem1(&[8, 12], &[1, 4])
+        .iter()
+        .map(|r| (r.n, r.p, r.time, r.work, r.seq_steps))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (255, 1, 167, 167, 9),
+            (255, 4, 55, 167, 9),
+            (4095, 1, 215, 215, 13),
+            (4095, 4, 67, 215, 13),
+        ]
+    );
+}
+
+/// One small `theorem1_ops` call: Insert, Extract-Min and Union time at
+/// the theorem's processor count.
+#[test]
+fn theorem1_ops_ledger_is_pinned() {
+    let got: Vec<_> = theorem1_ops(&[8, 12])
+        .iter()
+        .map(|r| (r.n, r.p, r.insert_time, r.extract_time, r.union_time))
+        .collect();
+    assert_eq!(got, vec![(255, 2, 66, 75, 91), (4095, 3, 78, 90, 87)]);
+}
+
+/// One small `ablation_a3_measured` call: network time and word·hops
+/// under the Gray and the identity mapping.
+#[test]
+fn ablation_a3_ledger_is_pinned() {
+    let r = ablation_a3_measured(2, 8, 64);
+    let got = (
+        r.q,
+        r.b,
+        (r.gray_time, r.gray_words),
+        (r.identity_time, r.identity_words),
+    );
+    assert_eq!(got, (2, 8, (775, 1493), (787, 1471)));
 }

@@ -1137,15 +1137,14 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            use crate::wal::{DurablePool, HeapOp, WalCounts};
+            use crate::wal::{DurablePool, WalCounts};
             let mut dp = DurablePool::open(&dir).unwrap();
             let c = &mut WalCounts::default();
             let a = dp.create_heap(c);
-            dp.apply(a, HeapOp::FromKeys(&[9, 3, 3, 7, 1, 12, 1]), c)
-                .unwrap();
-            dp.apply(a, HeapOp::ExtractMin, c).unwrap();
+            dp.multi_insert(a, &[9, 3, 3, 7, 1, 12, 1], c).unwrap();
+            dp.extract_min(a, c).unwrap();
             let b = dp.create_heap(c);
-            dp.apply(b, HeapOp::Insert(4), c).unwrap();
+            dp.insert(b, 4, c).unwrap();
             dp.checkpoint(c);
         }
         let rec = crate::wal::recover_dir(&dir, crate::wal::Engine::Sequential).unwrap();

@@ -858,46 +858,6 @@ pub struct WalCounts {
     pub errors: u64,
 }
 
-/// One op on one heap. [`DurablePool::apply`] logs it as the [`WalOp`]
-/// named here, then runs the kernel named here; replay runs the same.
-#[derive(Debug, Clone, Copy)]
-pub enum HeapOp<'a> {
-    /// `insert`, logged as `Insert`.
-    Insert(i64),
-    /// One `multi_insert`, logged as `FromKeys`.
-    FromKeys(&'a [i64]),
-    /// `extract_min`, logged as `ExtractMin`.
-    ExtractMin,
-    /// `multi_extract_min(k)`, logged as `MultiExtractMin`.
-    MultiExtractMin(usize),
-}
-
-impl HeapOp<'_> {
-    /// The record that logs this op on `slot`.
-    fn record(self, slot: u32) -> WalOp {
-        match self {
-            HeapOp::Insert(key) => WalOp::Insert { slot, key },
-            HeapOp::FromKeys(keys) => WalOp::FromKeys {
-                slot,
-                keys: keys.to_vec(),
-            },
-            HeapOp::ExtractMin => WalOp::ExtractMin { slot },
-            HeapOp::MultiExtractMin(k) => WalOp::MultiExtractMin { slot, k: k as u64 },
-        }
-    }
-}
-
-/// What a [`HeapOp`] answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Applied {
-    /// An insert ran.
-    Done,
-    /// The key `extract_min` removed, `None` when the heap was empty.
-    Key(Option<i64>),
-    /// The keys `multi_extract_min` removed, ascending.
-    Keys(Vec<i64>),
-}
-
 /// A durable store's open log.
 #[derive(Debug)]
 struct Log {
@@ -1024,36 +984,81 @@ impl DurablePool {
         self.maybe_checkpoint(c);
     }
 
-    /// Run `op` on heap `id`: one slot lookup, then admission (keys the
-    /// pool cannot hold are refused before they are logged: the log never
-    /// holds an op that cannot replay), the write-ahead record, and the
-    /// kernel. Always inlined: it is the shard's per-op path.
+    /// `insert` of `key` into heap `id`, logged as `Insert`.
     #[inline(always)]
-    pub fn apply(
+    pub fn insert(&mut self, id: HeapId, key: i64, c: &mut WalCounts) -> Result<(), WalError> {
+        let record = || WalOp::Insert { slot: id.slot, key };
+        self.on_heap(id, Some(1), c, record, |pool, heap| {
+            pool.insert(heap, key);
+            Ok(())
+        })
+    }
+
+    /// One `multi_insert` of `keys` into heap `id`, logged as one
+    /// `FromKeys`.
+    #[inline(always)]
+    pub fn multi_insert(
         &mut self,
         id: HeapId,
-        op: HeapOp<'_>,
+        keys: &[i64],
         c: &mut WalCounts,
-    ) -> Result<Applied, WalError> {
-        let heap = entry(&mut self.heaps, id)?;
-        match op {
-            HeapOp::Insert(_) => self.pool.can_admit(1)?,
-            HeapOp::FromKeys(keys) => self.pool.can_admit(keys.len())?,
-            _ => {}
-        }
-        log_ahead(&mut self.log, c, || op.record(id.slot));
-        let out = match op {
-            HeapOp::Insert(key) => {
-                self.pool.insert(heap, key);
-                Applied::Done
-            }
-            HeapOp::FromKeys(keys) => {
-                self.pool.multi_insert(heap, keys)?;
-                Applied::Done
-            }
-            HeapOp::ExtractMin => Applied::Key(self.pool.extract_min(heap)),
-            HeapOp::MultiExtractMin(k) => Applied::Keys(self.pool.multi_extract_min(heap, k)),
+    ) -> Result<(), WalError> {
+        let record = || WalOp::FromKeys {
+            slot: id.slot,
+            keys: keys.to_vec(),
         };
+        self.on_heap(id, Some(keys.len()), c, record, |pool, heap| {
+            pool.multi_insert(heap, keys)
+        })
+    }
+
+    /// `extract_min` of heap `id`, logged as `ExtractMin`: the key it
+    /// removed, `None` when the heap was empty.
+    #[inline(always)]
+    pub fn extract_min(&mut self, id: HeapId, c: &mut WalCounts) -> Result<Option<i64>, WalError> {
+        let record = || WalOp::ExtractMin { slot: id.slot };
+        self.on_heap(id, None, c, record, |pool, heap| Ok(pool.extract_min(heap)))
+    }
+
+    /// `multi_extract_min(k)` of heap `id`, logged as `MultiExtractMin`:
+    /// the keys it removed, ascending.
+    #[inline(always)]
+    pub fn multi_extract_min(
+        &mut self,
+        id: HeapId,
+        k: usize,
+        c: &mut WalCounts,
+    ) -> Result<Vec<i64>, WalError> {
+        let record = || WalOp::MultiExtractMin {
+            slot: id.slot,
+            k: k as u64,
+        };
+        self.on_heap(id, None, c, record, |pool, heap| {
+            Ok(pool.multi_extract_min(heap, k))
+        })
+    }
+
+    /// The one path of the four heap ops above, live and in replay: one
+    /// slot lookup, then admission of `admit` new keys (keys the pool
+    /// cannot hold are refused before they are logged: the log never
+    /// holds an op that cannot replay), the write-ahead `record`, the
+    /// `kernel`, and a due checkpoint. Always inlined: it is the shard's
+    /// per-op path.
+    #[inline(always)]
+    fn on_heap<R>(
+        &mut self,
+        id: HeapId,
+        admit: Option<usize>,
+        c: &mut WalCounts,
+        record: impl FnOnce() -> WalOp,
+        kernel: impl FnOnce(&mut HeapPool<i64>, &mut PooledHeap) -> Result<R, CapacityError>,
+    ) -> Result<R, WalError> {
+        let heap = entry(&mut self.heaps, id)?;
+        if let Some(n) = admit {
+            self.pool.can_admit(n)?;
+        }
+        log_ahead(&mut self.log, c, record);
+        let out = kernel(&mut self.pool, heap)?;
         self.maybe_checkpoint(c);
         Ok(out)
     }
@@ -1139,12 +1144,12 @@ impl DurablePool {
                 self.create(HeapId { slot, gen }, c);
                 Ok(())
             }
-            WalOp::Insert { slot, key } => self.replay_on(slot, HeapOp::Insert(key), c),
-            WalOp::FromKeys { slot, ref keys } => self.replay_on(slot, HeapOp::FromKeys(keys), c),
-            WalOp::ExtractMin { slot } => self.replay_on(slot, HeapOp::ExtractMin, c),
+            WalOp::Insert { slot, key } => self.insert(self.id_at(slot)?, key, c),
+            WalOp::FromKeys { slot, ref keys } => self.multi_insert(self.id_at(slot)?, keys, c),
+            WalOp::ExtractMin { slot } => self.extract_min(self.id_at(slot)?, c).map(drop),
             WalOp::MultiExtractMin { slot, k } => {
                 let k = usize::try_from(k).unwrap_or(usize::MAX);
-                self.replay_on(slot, HeapOp::MultiExtractMin(k), c)
+                self.multi_extract_min(self.id_at(slot)?, k, c).map(drop)
             }
             WalOp::Meld { dst, src } if dst == src => {
                 corrupt(format!("meld of slot {dst} into itself"))
@@ -1158,12 +1163,6 @@ impl DurablePool {
                 self.free_heap(id, c).map(drop)
             }
         }
-    }
-
-    /// Replay a heap op on whatever heap occupies `slot`.
-    fn replay_on(&mut self, slot: u32, op: HeapOp<'_>, c: &mut WalCounts) -> Result<(), WalError> {
-        let id = self.id_at(slot)?;
-        self.apply(id, op, c).map(drop)
     }
 
     /// The address of the heap occupying `slot`.
@@ -1320,24 +1319,18 @@ mod tests {
             self.create_heap(&mut WalCounts::default())
         }
         fn put(&mut self, id: HeapId, key: i64) {
-            self.apply(id, HeapOp::Insert(key), &mut WalCounts::default())
-                .unwrap();
+            self.insert(id, key, &mut WalCounts::default()).unwrap();
         }
         fn put_all(&mut self, id: HeapId, keys: &[i64]) {
-            self.apply(id, HeapOp::FromKeys(keys), &mut WalCounts::default())
+            self.multi_insert(id, keys, &mut WalCounts::default())
                 .unwrap();
         }
         fn pop(&mut self, id: HeapId) -> Option<i64> {
-            match self.apply(id, HeapOp::ExtractMin, &mut WalCounts::default()) {
-                Ok(Applied::Key(key)) => key,
-                other => panic!("extract_min answered {other:?}"),
-            }
+            self.extract_min(id, &mut WalCounts::default()).unwrap()
         }
         fn pop_k(&mut self, id: HeapId, k: usize) -> Vec<i64> {
-            match self.apply(id, HeapOp::MultiExtractMin(k), &mut WalCounts::default()) {
-                Ok(Applied::Keys(keys)) => keys,
-                other => panic!("multi_extract_min answered {other:?}"),
-            }
+            self.multi_extract_min(id, k, &mut WalCounts::default())
+                .unwrap()
         }
         fn free(&mut self, id: HeapId) {
             self.free_heap(id, &mut WalCounts::default()).unwrap();
@@ -1730,11 +1723,11 @@ mod tests {
         let mut dp = DurablePool::open(&dir).unwrap();
         let mut c = WalCounts::default();
         assert!(matches!(
-            dp.apply(at(9, 0), HeapOp::Insert(1), &mut c),
+            dp.insert(at(9, 0), 1, &mut c),
             Err(WalError::UnknownSlot(9))
         ));
         assert!(matches!(
-            dp.apply(at(0, 0), HeapOp::ExtractMin, &mut c),
+            dp.extract_min(at(0, 0), &mut c),
             Err(WalError::UnknownSlot(0))
         ));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unreachable)]
 //! # service — a sharded, multi-tenant meldable priority-queue front end
 //!
 //! Shared-memory clients address many tenant queues through one
@@ -24,9 +25,8 @@
 //!
 //! The paper's I/O-processor `Waiting`/`Forehead` buffers are reproduced in
 //! the `dmpq` crate, not here. See DESIGN.md §9 at the workspace root for
-//! the shard map and how a request picks its kernel.
+//! the shard map and how an operation picks its kernel.
 
-mod batch;
 pub mod metrics;
 pub mod service;
 pub mod shard;

@@ -62,7 +62,7 @@ pub struct ShardStats {
     /// Poison recoveries where `check_pool` found the state damaged and the
     /// shard was reset to empty (every queue lost).
     pub poison_resets: u64,
-    /// Requests that panicked and were contained by the executor's
+    /// Requests that panicked and were contained by the shard call's
     /// catch-unwind barrier.
     pub combiner_panics: u64,
     /// Logical ops appended to this shard's write-ahead log.

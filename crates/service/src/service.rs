@@ -5,15 +5,24 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::{fs, io, thread};
 
-use meldpq::wal::{DurablePool, HeapId, WalError};
+use meldpq::pool::PooledHeap;
+use meldpq::wal::{DurablePool, HeapId, WalCounts, WalError};
 use meldpq::{ArenaStats, Backend};
 use obs::flight::{self, EventKind};
 
-use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
 use crate::shard::Shard;
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::ServiceError;
+
+/// Flight op codes: the argument word of each call's `op_begin` and
+/// `op_end` events.
+const OP_INSERT: u64 = 1;
+const OP_MULTI_INSERT: u64 = 2;
+const OP_EXTRACT_MIN: u64 = 3;
+const OP_EXTRACT_K: u64 = 4;
+const OP_PEEK_MIN: u64 = 5;
+const OP_LEN: u64 = 6;
 
 /// A tenant-scoped handle to one queue: a `Copy + Send + Sync` *token*
 /// (shard index, slot, generation), not a borrow — clients on any thread
@@ -298,77 +307,69 @@ impl QueueService {
         self.shard(id)?.destroy_queue(id)
     }
 
-    // Each op locks its shard and runs inline (`Shard::execute`): under
-    // contention it spins on the lock, then blocks on it. The executor
-    // answers each request kind with its own response variant or an error,
-    // so the remaining arm of each method's match is unreachable.
-
-    fn execute(&self, id: QueueId, req: Request) -> Result<Response, ServiceError> {
-        let shard = self.shard(id)?;
-        let (trace, _scope) = flight::ambient_or_new();
-        // One clock read stamps op_begin AND starts the latency sample;
-        // `Shard::execute` hands back its post-execution reading so op_end
-        // costs no clock read either. The calling thread runs its own op,
-        // so it both opens and closes the op's trace.
-        let begun = flight::now_nanos();
-        flight::record_at(begun, trace, EventKind::OpBegin, req.op_code());
-        let (resp, end) = shard.execute(&req, begun);
-        flight::record_at(end, trace, EventKind::OpEnd, req.op_code());
-        Ok(resp)
-    }
+    // Each op is one `Shard::call` on its queue's shard, named in the
+    // flight trace by its op code. The op picks its kernel from its key
+    // count or pop demand and calls the store op that runs and logs it.
 
     /// `Insert(Q, x)`.
     pub fn insert(&self, id: QueueId, key: i64) -> Result<(), ServiceError> {
-        match self.execute(id, Request::Insert { queue: id, key })? {
-            Response::Done => Ok(()),
-            Response::Err(e) => Err(e),
-            other => unreachable!("insert answered {other:?}"),
-        }
+        self.shard(id)?.call(id, OP_INSERT, |store, stats, wal| {
+            insert_one(store, stats, wal, id, key)
+        })
     }
 
-    /// `Multi-Insert(Q, keys)`.
+    /// `Multi-Insert(Q, keys)`: one key runs `insert`, more one
+    /// `multi_insert`, none is a read of the handle.
     pub fn multi_insert(&self, id: QueueId, keys: Vec<i64>) -> Result<(), ServiceError> {
-        match self.execute(id, Request::MultiInsert { queue: id, keys })? {
-            Response::Done => Ok(()),
-            Response::Err(e) => Err(e),
-            other => unreachable!("multi_insert answered {other:?}"),
-        }
+        self.shard(id)?
+            .call(id, OP_MULTI_INSERT, |store, stats, wal| match keys[..] {
+                [] => live(store, id).map(drop),
+                [key] => insert_one(store, stats, wal, id, key),
+                _ => {
+                    store.multi_insert(id.heap(), &keys, wal)?;
+                    flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
+                    stats.coalesced_inserts += keys.len() as u64;
+                    Ok(())
+                }
+            })
     }
 
     /// `Extract-Min(Q)`: the minimum key, `None` when empty.
     pub fn extract_min(&self, id: QueueId) -> Result<Option<i64>, ServiceError> {
-        match self.execute(id, Request::ExtractMin { queue: id })? {
-            Response::Key(k) => Ok(k),
-            Response::Err(e) => Err(e),
-            other => unreachable!("extract_min answered {other:?}"),
-        }
+        self.shard(id)?.call(id, OP_EXTRACT_MIN, |store, _, wal| {
+            store.extract_min(id.heap(), wal)
+        })
     }
 
-    /// `Multi-Extract-Min(Q, k)`: up to `k` smallest keys, ascending.
+    /// `Multi-Extract-Min(Q, k)`: up to `k` smallest keys, ascending. A
+    /// demand of one runs `extract_min`, more one `multi_extract_min`,
+    /// zero is a read of the handle.
     pub fn extract_k(&self, id: QueueId, k: usize) -> Result<Vec<i64>, ServiceError> {
-        match self.execute(id, Request::ExtractK { queue: id, k })? {
-            Response::Keys(v) => Ok(v),
-            Response::Err(e) => Err(e),
-            other => unreachable!("extract_k answered {other:?}"),
-        }
+        self.shard(id)?
+            .call(id, OP_EXTRACT_K, |store, stats, wal| match k {
+                0 => live(store, id).map(|_| Vec::new()),
+                1 => Ok(store.extract_min(id.heap(), wal)?.into_iter().collect()),
+                _ => {
+                    let out = store.multi_extract_min(id.heap(), k, wal)?;
+                    flight::record_here(EventKind::MultiExtract, out.len() as u64);
+                    stats.multi_extracts += 1;
+                    stats.coalesced_pops += out.len() as u64;
+                    Ok(out)
+                }
+            })
     }
 
     /// `Min(Q)` without removal.
     pub fn peek_min(&self, id: QueueId) -> Result<Option<i64>, ServiceError> {
-        match self.execute(id, Request::PeekMin { queue: id })? {
-            Response::Key(k) => Ok(k),
-            Response::Err(e) => Err(e),
-            other => unreachable!("peek_min answered {other:?}"),
-        }
+        self.shard(id)?.call(id, OP_PEEK_MIN, |store, _, _| {
+            Ok(store.pool().min(live(store, id)?))
+        })
     }
 
     /// Number of keys in the queue.
     pub fn len(&self, id: QueueId) -> Result<usize, ServiceError> {
-        match self.execute(id, Request::Len { queue: id })? {
-            Response::Len(n) => Ok(n),
-            Response::Err(e) => Err(e),
-            other => unreachable!("len answered {other:?}"),
-        }
+        self.shard(id)?
+            .call(id, OP_LEN, |store, _, _| Ok(live(store, id)?.len()))
     }
 
     /// `Union(Q1, Q2)`: absorb `src` into `dst`, destroying `src` (its
@@ -493,12 +494,31 @@ impl QueueService {
     }
 }
 
+/// One key's `insert`, counted as a single insert.
+fn insert_one(
+    store: &mut DurablePool,
+    stats: &mut ShardStats,
+    wal: &mut WalCounts,
+    id: QueueId,
+    key: i64,
+) -> Result<(), WalError> {
+    store.insert(id.heap(), key, wal)?;
+    stats.single_inserts += 1;
+    Ok(())
+}
+
+/// The live heap `id` names, or the store's stale-handle error.
+fn live(store: &DurablePool, id: QueueId) -> Result<&PooledHeap, WalError> {
+    store
+        .heap(id.heap())
+        .ok_or(WalError::UnknownSlot(id.heap().slot))
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use std::sync::Arc;
 
-    use meldpq::pool::PooledHeap;
     use meldpq::{HeapPool, WalOp};
     use obs::json::J;
 
@@ -803,67 +823,23 @@ mod tests {
         );
     }
 
-    /// Answer `req` through the synchronous surface.
-    fn call(svc: &QueueService, req: Request) -> Response {
-        let resp = match req {
-            Request::Insert { queue, key } => svc.insert(queue, key).map(|()| Response::Done),
-            Request::MultiInsert { queue, keys } => {
-                svc.multi_insert(queue, keys).map(|()| Response::Done)
-            }
-            Request::ExtractMin { queue } => svc.extract_min(queue).map(Response::Key),
-            Request::ExtractK { queue, k } => svc.extract_k(queue, k).map(Response::Keys),
-            Request::PeekMin { queue } => svc.peek_min(queue).map(Response::Key),
-            Request::Len { queue } => svc.len(queue).map(Response::Len),
-        };
-        resp.unwrap_or_else(Response::Err)
-    }
-
     #[test]
-    fn fast_path_and_batch_of_one_take_one_path() {
+    fn each_call_picks_its_kernel_and_wal_record() {
         let root = std::env::temp_dir().join(format!("svc-one-path-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let svc = ServiceBuilder::new().shards(1).durable(&root).build();
         let q = svc.create_queue();
         let stale = svc.create_queue();
         svc.destroy_queue(stale).unwrap();
-        let script = [
-            (Request::Insert { queue: q, key: 5 }, Response::Done),
-            (
-                Request::MultiInsert {
-                    queue: q,
-                    keys: vec![3],
-                },
-                Response::Done,
-            ),
-            (
-                Request::MultiInsert {
-                    queue: q,
-                    keys: vec![9, 1, 7, 2, 8, 6],
-                },
-                Response::Done,
-            ),
-            (Request::ExtractMin { queue: q }, Response::Key(Some(1))),
-            (
-                Request::ExtractK { queue: q, k: 1 },
-                Response::Keys(vec![2]),
-            ),
-            (
-                Request::ExtractK { queue: q, k: 3 },
-                Response::Keys(vec![3, 5, 6]),
-            ),
-            (Request::PeekMin { queue: q }, Response::Key(Some(7))),
-            (Request::Len { queue: q }, Response::Len(3)),
-            (
-                Request::Insert {
-                    queue: stale,
-                    key: 4,
-                },
-                Response::Err(ServiceError::UnknownQueue(stale)),
-            ),
-        ];
-        for (req, want) in script {
-            assert_eq!(call(&svc, req.clone()), want, "{req:?}");
-        }
+        assert_eq!(svc.insert(q, 5), Ok(()));
+        assert_eq!(svc.multi_insert(q, vec![3]), Ok(()));
+        assert_eq!(svc.multi_insert(q, vec![9, 1, 7, 2, 8, 6]), Ok(()));
+        assert_eq!(svc.extract_min(q), Ok(Some(1)));
+        assert_eq!(svc.extract_k(q, 1), Ok(vec![2]));
+        assert_eq!(svc.extract_k(q, 3), Ok(vec![3, 5, 6]));
+        assert_eq!(svc.peek_min(q), Ok(Some(7)));
+        assert_eq!(svc.len(q), Ok(3));
+        assert_eq!(svc.insert(stale, 4), Err(ServiceError::UnknownQueue(stale)));
         assert_eq!(
             svc.extract_k(q, usize::MAX).unwrap(),
             vec![7, 8, 9],
@@ -905,6 +881,43 @@ mod tests {
                 "multi_extract",
                 "multi_extract",
             ]
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn empty_calls_log_nothing_and_stale_handles_count_once() {
+        let root = std::env::temp_dir().join(format!("svc-edge-answers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let svc = ServiceBuilder::new().shards(1).durable(&root).build();
+        let q = svc.create_queue();
+        let stale = svc.create_queue();
+        svc.destroy_queue(stale).unwrap();
+        svc.insert(q, 4).unwrap();
+        let logged = svc.shard_stats(0).wal_appends;
+        assert_eq!(svc.multi_insert(q, vec![]), Ok(()));
+        assert_eq!(svc.extract_k(q, 0), Ok(vec![]));
+        assert_eq!(svc.len(q), Ok(1));
+        assert_eq!(svc.shard_stats(0).wal_appends, logged, "no record");
+        let calls: [&dyn Fn() -> Result<(), ServiceError>; 5] = [
+            &|| svc.multi_insert(stale, vec![]),
+            &|| svc.extract_k(stale, 0).map(drop),
+            &|| svc.peek_min(stale).map(drop),
+            &|| svc.len(stale).map(drop),
+            &|| svc.extract_min(stale).map(drop),
+        ];
+        for (i, call) in calls.iter().enumerate() {
+            assert_eq!(call(), Err(ServiceError::UnknownQueue(stale)), "call {i}");
+            assert_eq!(svc.shard_stats(0).stale_ops, i as u64 + 1, "call {i}");
+        }
+        assert_eq!(svc.shard_stats(0).wal_appends, logged, "no record");
+        drop(svc);
+        let wal = root.join("shard0").join(meldpq::wal::WAL_FILE);
+        let records = meldpq::wal::read_wal(&wal).unwrap().records;
+        assert_eq!(
+            records.len(),
+            4,
+            "create, create, free, insert: {records:?}"
         );
         std::fs::remove_dir_all(&root).unwrap();
     }

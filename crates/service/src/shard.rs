@@ -3,21 +3,23 @@
 //! same-shard meld is the paper's zero-copy `Union` and one checkpoint
 //! images the shard.
 //!
-//! Clients never touch the store directly. Every request is one synchronous
-//! call (`Shard::execute`): it spins on the state lock for at most
-//! `WAIT_SLICE`, then blocks on it, and runs its request under a panic
-//! barrier. There is no server thread and no request buffer; requests to
-//! one shard are linearized by its lock.
+//! Clients never touch the store directly. Every operation is one
+//! synchronous call (`Shard::call`): it spins on the state lock for at
+//! most `WAIT_SLICE`, then blocks on it, and runs its kernel under a panic
+//! barrier. There is no server thread and no request buffer; calls to one
+//! shard are linearized by its lock.
 //!
 //! ## Kernels and WAL records
 //!
-//! A request picks its kernel from its key count and pop demand, as a
-//! [`HeapOp`]: one inserted key runs `insert`, more one `multi_insert`; a
-//! demand of one key runs `extract_min`, more one `multi_extract_min`. A
-//! durable store logs the record that names the kernel before running
-//! it, and WAL replay runs each record through the same code, so a
-//! recovered pool is the live one node for node. Reads, an empty insert
-//! and a demand of zero log nothing.
+//! Each [`crate::QueueService`] method picks its kernel from its key count
+//! and pop demand and calls the store op that runs it: one inserted key
+//! runs [`DurablePool::insert`], more one [`DurablePool::multi_insert`]; a
+//! demand of one key runs [`DurablePool::extract_min`], more one
+//! [`DurablePool::multi_extract_min`]. A durable store logs the record
+//! that names the kernel before running it, and WAL replay runs each
+//! record through the same store op, so a recovered pool is the live one
+//! node for node. Reads, an empty insert and a demand of zero log
+//! nothing.
 //!
 //! ## Cache-line layout
 //!
@@ -32,17 +34,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
-use meldpq::wal::{Applied, DurablePool, HeapOp, WalCounts, WalError};
+use meldpq::wal::{DurablePool, WalCounts, WalError};
 use obs::flight::{self, EventKind};
-use obs::LatencyHistogram;
+use obs::{LatencyHistogram, TraceId};
 
-use crate::batch::{Request, Response};
 use crate::metrics::ShardStats;
 use crate::service::QueueId;
 use crate::ServiceError;
 
 /// The longest a contended call spins on its shard's lock before it
-/// blocks in `lock()` ([`Shard::execute`]).
+/// blocks in `lock()` ([`Shard::call`]).
 pub(crate) const WAIT_SLICE: Duration = Duration::from_micros(20);
 
 /// Bookkeeping lanes per shard; threads past this many share lanes.
@@ -146,50 +147,80 @@ impl Shard {
         self.index
     }
 
-    /// Serve one request: take the state lock, run `req` under the panic
-    /// barrier and answer it. A held lock is retried for at most
-    /// [`WAIT_SLICE`], then waited for in `lock()`; a poisoned one is
-    /// healed.
-    ///
-    /// `begun` is the caller's [`flight::now_nanos`] reading from the op's
-    /// start; the returned timestamp is taken after execution, so the
-    /// caller can stamp its `op_end` event without another clock read. The
-    /// latency charged to the shard's histogram spans `begun..end`: the
-    /// call as the client saw it, lock wait included.
-    pub(crate) fn execute(&self, req: &Request, begun: u64) -> (Response, u64) {
+    /// Run one operation on queue `q`: lock, run `kernel` on the store and
+    /// the calling thread's counters under the panic barrier, answer. Only
+    /// the dispatch is generic; the lock, flight events and bookkeeping
+    /// ([`Shard::enter`], [`leave`]) and the failure answers ([`refused`],
+    /// [`contained`]) are one shared copy: a build that inlined them per op
+    /// missed the flight-overhead gate in 8 of 10 runs (EXPERIMENTS.md).
+    pub(crate) fn call<R>(
+        &self,
+        q: QueueId,
+        op: u64,
+        kernel: impl FnOnce(&mut DurablePool, &mut ShardStats, &mut WalCounts) -> Result<R, WalError>,
+    ) -> Result<R, ServiceError> {
+        let (trace, _scope) = flight::ambient_or_new();
+        let (mut st, lane, begun) = self.enter(trace, op);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::hit_fail_point(q);
+            let (store, stats, wal) = st.split();
+            kernel(store, stats, wal)
+        }));
+        let out = match run {
+            Ok(Ok(out)) => Ok(out),
+            Ok(Err(e)) => Err(refused(&mut st, q, e)),
+            Err(_) => Err(contained(&mut st, q)),
+        };
+        leave(st, lane, trace, op, begun);
+        out
+    }
+
+    /// The first half of [`Shard::call`]: one clock read stamps the
+    /// `op_begin` flight event (argument `op`) and starts the latency
+    /// sample; then the state lock, tried once and on a miss waited for
+    /// ([`Shard::wait_state`]), and the call counted on the calling
+    /// thread's lane. Returns the guard, the lane and the start time.
+    #[inline(never)]
+    fn enter(&self, trace: TraceId, op: u64) -> (MutexGuard<'_, ShardState>, usize, u64) {
+        let begun = flight::now_nanos();
+        flight::record_at(begun, trace, EventKind::OpBegin, op);
         let mut st = match self.try_state() {
             Some(st) => st,
-            None => {
-                // Spin, reading the clock once per miss, then block. The
-                // wait is recorded under the op's trace, stamped with the
-                // spin's own clock reads; only blocking adds one read.
-                let trace = flight::current();
-                let parked = flight::now_nanos();
-                flight::record_at(parked, trace, EventKind::TicketPark, self.index as u64);
-                let deadline = parked.saturating_add(WAIT_SLICE.as_nanos() as u64);
-                let mut now = parked;
-                let st = loop {
-                    if let Some(st) = self.try_state() {
-                        break st;
-                    }
-                    std::hint::spin_loop();
-                    now = flight::now_nanos();
-                    if now >= deadline {
-                        let st = self.lock_state();
-                        now = flight::now_nanos();
-                        break st;
-                    }
-                };
-                flight::record_at(now, trace, EventKind::TicketUnpark, self.index as u64);
-                st
-            }
+            None => self.wait_state(trace),
         };
         let lane = lane();
         st.lanes[lane].stats.requests += 1;
-        let resp = serve(&mut st, req);
-        let end = flight::now_nanos();
-        st.lanes[lane].latency.record(end.saturating_sub(begun));
-        (resp, end)
+        (st, lane, begun)
+    }
+
+    /// The contended half of [`Shard::enter`]'s lock: spin on
+    /// `try_lock`, reading the clock once per miss, for at most
+    /// [`WAIT_SLICE`], then block in `lock()`. The wait is recorded under
+    /// the op's `trace`, stamped with the spin's own clock reads; only
+    /// blocking adds one read. Cold and out of line, so the uncontended
+    /// path carries only the one `try_lock`.
+    #[cold]
+    #[inline(never)]
+    fn wait_state(&self, trace: TraceId) -> MutexGuard<'_, ShardState> {
+        let parked = flight::now_nanos();
+        flight::record_at(parked, trace, EventKind::TicketPark, self.index as u64);
+        let deadline = parked.saturating_add(WAIT_SLICE.as_nanos() as u64);
+        let mut now = parked;
+        let st = loop {
+            if let Some(st) = self.try_state() {
+                break st;
+            }
+            std::hint::spin_loop();
+            now = flight::now_nanos();
+            if now >= deadline {
+                let st = self.lock_state();
+                now = flight::now_nanos();
+                break st;
+            }
+        };
+        flight::record_at(now, trace, EventKind::TicketUnpark, self.index as u64);
+        st
     }
 
     /// The state lock if it is free right now (a poisoned one healed).
@@ -236,88 +267,52 @@ impl Shard {
     /// Destroy a queue, freeing its nodes. Returns how many keys it held.
     pub(crate) fn destroy_queue(&self, id: QueueId) -> Result<usize, ServiceError> {
         let mut st = self.lock_state();
-        let (store, stats, wal) = st.split();
-        match store.free_heap(id.heap(), wal) {
-            Ok(freed) => {
-                stats.queues_destroyed += 1;
-                Ok(freed)
-            }
-            Err(_) => {
-                stats.stale_ops += 1;
-                Err(ServiceError::UnknownQueue(id))
-            }
-        }
+        let (store, _, wal) = st.split();
+        let freed = store
+            .free_heap(id.heap(), wal)
+            .map_err(|e| refused(&mut st, id, e))?;
+        st.split().1.queues_destroyed += 1;
+        Ok(freed)
     }
 }
 
-/// The panic barrier around [`execute_one`]: a panic inside one tenant's
-/// kernels (a violated invariant caught by a `debug-validate` check) must
-/// not poison the shard for every other tenant. The request is answered
-/// [`ServiceError::Internal`], the panic is counted, the store is
-/// revalidated (and reset if damaged), and the shard keeps serving.
-fn serve(st: &mut ShardState, req: &Request) -> Response {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(st, req)));
-    run.unwrap_or_else(|_| {
-        st.split().1.combiner_panics += 1;
-        if st.store.validate().is_err() {
-            st.reset_after_damage();
-        }
-        Response::Err(ServiceError::Internal(req.queue()))
-    })
+/// The second half of [`Shard::call`]: one clock read ends the call's
+/// latency sample, charged to `lane`'s histogram (the call as the client
+/// saw it, lock wait included), and stamps the `op_end` flight event,
+/// recorded after unlock.
+#[inline(never)]
+fn leave(mut st: MutexGuard<'_, ShardState>, lane: usize, trace: TraceId, op: u64, begun: u64) {
+    let end = flight::now_nanos();
+    st.lanes[lane].latency.record(end.saturating_sub(begun));
+    drop(st);
+    flight::record_at(end, trace, EventKind::OpEnd, op);
 }
 
-/// The shard's one executor: run one request as the [`HeapOp`] its key
-/// count and pop demand pick (see the module docs), or as a read.
-fn execute_one(st: &mut ShardState, req: &Request) -> Response {
-    let qid = req.queue();
-    let (store, stats, wal) = st.split();
-    let op = match (req, req.inserted_keys()) {
-        (Request::ExtractMin { .. } | Request::ExtractK { k: 1, .. }, _) => HeapOp::ExtractMin,
-        (Request::ExtractK { k, .. }, _) if *k > 1 => HeapOp::MultiExtractMin(*k),
-        (_, [key]) => HeapOp::Insert(*key),
-        (_, keys @ [_, _, ..]) => HeapOp::FromKeys(keys),
-        // Reads, an empty insert and a demand of zero change nothing.
+/// The answer to a store op the store refused: a capacity refusal is
+/// [`ServiceError::Capacity`]; anything else is a stale handle
+/// ([`ServiceError::UnknownQueue`], counted in `stale_ops`).
+fn refused(st: &mut ShardState, q: QueueId, e: WalError) -> ServiceError {
+    match e {
+        WalError::Capacity(err) => ServiceError::Capacity { queue: q, err },
         _ => {
-            let Some(heap) = store.heap(qid.heap()) else {
-                stats.stale_ops += 1;
-                return Response::Err(ServiceError::UnknownQueue(qid));
-            };
-            return match req {
-                Request::PeekMin { .. } => Response::Key(store.pool().min(heap)),
-                Request::Len { .. } => Response::Len(heap.len()),
-                Request::ExtractK { .. } => Response::Keys(Vec::new()),
-                _ => Response::Done,
-            };
-        }
-    };
-    #[cfg(test)]
-    tests::hit_fail_point(qid);
-    match store.apply(qid.heap(), op, wal) {
-        Ok(Applied::Done) => {
-            if let HeapOp::FromKeys(keys) = op {
-                flight::record_here(EventKind::BulkAdmission, keys.len() as u64);
-                stats.coalesced_inserts += keys.len() as u64;
-            } else {
-                stats.single_inserts += 1;
-            }
-            Response::Done
-        }
-        Ok(Applied::Key(key)) if matches!(req, Request::ExtractK { .. }) => {
-            Response::Keys(key.into_iter().collect())
-        }
-        Ok(Applied::Key(key)) => Response::Key(key),
-        Ok(Applied::Keys(out)) => {
-            flight::record_here(EventKind::MultiExtract, out.len() as u64);
-            stats.multi_extracts += 1;
-            stats.coalesced_pops += out.len() as u64;
-            Response::Keys(out)
-        }
-        Err(WalError::Capacity(err)) => Response::Err(ServiceError::Capacity { queue: qid, err }),
-        Err(_) => {
-            stats.stale_ops += 1;
-            Response::Err(ServiceError::UnknownQueue(qid))
+            st.split().1.stale_ops += 1;
+            ServiceError::UnknownQueue(q)
         }
     }
+}
+
+/// The panic barrier's answer: a panic inside one tenant's kernel (a
+/// violated invariant caught by a `debug-validate` check) must not poison
+/// the shard for every other tenant. It is counted, the store is
+/// revalidated (and reset if damaged), and the shard keeps serving; the
+/// call answers [`ServiceError::Internal`].
+#[cold]
+fn contained(st: &mut ShardState, q: QueueId) -> ServiceError {
+    st.split().1.combiner_panics += 1;
+    if st.store.validate().is_err() {
+        st.reset_after_damage();
+    }
+    ServiceError::Internal(q)
 }
 
 #[cfg(test)]
@@ -325,18 +320,18 @@ fn execute_one(st: &mut ShardState, req: &Request) -> Response {
 pub(crate) mod tests {
     use std::cell::Cell;
 
-    use meldpq::wal::{self, CheckpointCadence, WalOp, WalWriter};
+    use meldpq::wal::{self, CheckpointCadence, HeapId, WalOp, WalWriter};
     use meldpq::{Engine, HeapPool};
 
     use super::*;
 
     thread_local! {
-        /// The queue whose groups panic on this thread, if any.
+        /// The queue whose calls panic on this thread, if any.
         static FAIL_POINT: Cell<Option<QueueId>> = const { Cell::new(None) };
     }
 
-    /// Make every later request for `q` executed on this thread panic just
-    /// before the store runs it: the injected fault the panic-barrier
+    /// Make every later call for `q` made on this thread panic just
+    /// before its kernel runs: the injected fault the panic-barrier
     /// tests contain. The queue itself is left intact, so revalidation
     /// passes and the shard keeps serving.
     pub(crate) fn arm_fail_point(q: QueueId) {
@@ -350,9 +345,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run `req` through the shard's one executor.
-    fn run(shard: &Shard, req: Request) -> Response {
-        shard.execute(&req, flight::now_nanos()).0
+    /// Run `kernel` on queue `q`'s heap through the shard's one call path.
+    fn run<R>(
+        shard: &Shard,
+        q: QueueId,
+        kernel: impl FnOnce(&mut DurablePool, HeapId, &mut WalCounts) -> Result<R, WalError>,
+    ) -> Result<R, ServiceError> {
+        shard.call(q, 0, |store, _, wal| kernel(store, q.heap(), wal))
     }
 
     #[test]
@@ -361,8 +360,8 @@ pub(crate) mod tests {
         let q = shard.create_queue();
         shard.destroy_queue(q).unwrap();
         assert_eq!(
-            run(&shard, Request::Insert { queue: q, key: 1 }),
-            Response::Err(ServiceError::UnknownQueue(q))
+            run(&shard, q, |s, h, w| s.insert(h, 1, w)),
+            Err(ServiceError::UnknownQueue(q))
         );
         // The freed slot is reused under a new generation; the old handle
         // stays dead.
@@ -377,25 +376,22 @@ pub(crate) mod tests {
         let good = shard.create_queue();
         let bad = shard.create_queue();
         arm_fail_point(bad);
-        // The executor runs under a panic barrier: the panic becomes this
+        // The kernel runs under a panic barrier: the panic becomes this
         // call's `Internal` answer.
-        let now = flight::now_nanos();
-        let (resp, _) = shard.execute(&Request::Insert { queue: bad, key: 9 }, now);
-        assert_eq!(resp, Response::Err(ServiceError::Internal(bad)));
-        for (req, want) in [
-            (
-                Request::Insert {
-                    queue: good,
-                    key: 4,
-                },
-                Response::Done,
-            ),
-            (Request::ExtractMin { queue: good }, Response::Key(Some(4))),
-        ] {
-            assert_eq!(shard.execute(&req, now).0, want);
-        }
-        let (resp, _) = shard.execute(&Request::Len { queue: good }, now);
-        assert_eq!(resp, Response::Len(0), "the good queue served both ops");
+        assert_eq!(
+            run(&shard, bad, |s, h, w| s.insert(h, 9, w)),
+            Err(ServiceError::Internal(bad))
+        );
+        assert_eq!(run(&shard, good, |s, h, w| s.insert(h, 4, w)), Ok(()));
+        assert_eq!(
+            run(&shard, good, |s, h, w| s.extract_min(h, w)),
+            Ok(Some(4))
+        );
+        assert_eq!(
+            run(&shard, good, |s, h, _| Ok(s.heap(h).map(|h| h.len()))),
+            Ok(Some(0)),
+            "the good queue served both ops"
+        );
         let st = shard.lock_state();
         assert_eq!(st.totals().0.combiner_panics, 1);
         assert_eq!(st.totals().0.poison_recoveries, 0, "lock never poisoned");
@@ -405,10 +401,7 @@ pub(crate) mod tests {
     fn poisoned_lock_is_healed_not_cascaded() {
         let shard = Shard::new(0, DurablePool::default());
         let q = shard.create_queue();
-        assert_eq!(
-            run(&shard, Request::Insert { queue: q, key: 1 }),
-            Response::Done
-        );
+        assert_eq!(run(&shard, q, |s, h, w| s.insert(h, 1, w)), Ok(()));
         // Poison the state mutex by panicking while holding it, without
         // touching the state (so revalidation finds it intact).
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -417,10 +410,7 @@ pub(crate) mod tests {
         }));
         assert!(res.is_err());
         // Every lock path must recover instead of propagating the poison.
-        assert_eq!(
-            run(&shard, Request::ExtractMin { queue: q }),
-            Response::Key(Some(1))
-        );
+        assert_eq!(run(&shard, q, |s, h, w| s.extract_min(h, w)), Ok(Some(1)));
         let st = shard.lock_state();
         assert!(st.totals().0.poison_recoveries >= 1);
         assert_eq!(st.totals().0.poison_resets, 0, "state was intact");
@@ -462,10 +452,7 @@ pub(crate) mod tests {
         // The wrapped handle is bit-identical to the original: the stale q0
         // handle addresses the new queue. This is the accepted ABA window.
         assert_eq!(q_wrapped, q0);
-        assert_eq!(
-            run(&shard, Request::Insert { queue: q0, key: 5 }),
-            Response::Done
-        );
+        assert_eq!(run(&shard, q0, |s, h, w| s.insert(h, 5, w)), Ok(()));
         drop(shard);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -474,16 +461,12 @@ pub(crate) mod tests {
     fn over_demand_pops_return_empty() {
         let shard = Shard::new(3, DurablePool::default());
         let q = shard.create_queue();
-        let call = |req| run(&shard, req);
-        assert_eq!(call(Request::Insert { queue: q, key: 7 }), Response::Done);
+        assert_eq!(run(&shard, q, |s, h, w| s.insert(h, 7, w)), Ok(()));
+        assert_eq!(run(&shard, q, |s, h, w| s.extract_min(h, w)), Ok(Some(7)));
+        assert_eq!(run(&shard, q, |s, h, w| s.extract_min(h, w)), Ok(None));
         assert_eq!(
-            call(Request::ExtractMin { queue: q }),
-            Response::Key(Some(7))
-        );
-        assert_eq!(call(Request::ExtractMin { queue: q }), Response::Key(None));
-        assert_eq!(
-            call(Request::ExtractK { queue: q, k: 5 }),
-            Response::Keys(vec![])
+            run(&shard, q, |s, h, w| s.multi_extract_min(h, 5, w)),
+            Ok(vec![])
         );
     }
 
@@ -552,44 +535,26 @@ pub(crate) mod tests {
     /// tells apart: one key, `k` keys (`MultiExtractMin`) and more keys
     /// than `c` holds.
     fn churn(shard: &Shard, [a, b, c]: [QueueId; 3], rounds: std::ops::Range<i64>) {
-        let call = |req| run(shard, req);
         for round in rounds {
             for q in [a, b] {
-                let keys = (0..40 + round * 13)
+                let keys: Vec<i64> = (0..40 + round * 13)
                     .map(|i| (i * 7919 + round) % 17)
                     .collect();
-                assert_eq!(
-                    call(Request::MultiInsert { queue: q, keys }),
-                    Response::Done
-                );
+                assert_eq!(run(shard, q, |s, h, w| s.multi_insert(h, &keys, w)), Ok(()));
             }
             // Pops free slots for the next round's inserts to reuse.
-            assert!(matches!(
-                call(Request::ExtractK { queue: a, k: 25 }),
-                Response::Keys(_)
-            ));
-            assert!(matches!(
-                call(Request::ExtractK { queue: b, k: 8 }),
-                Response::Keys(keys) if keys.len() == 8
-            ));
-            assert!(matches!(
-                call(Request::ExtractMin { queue: b }),
-                Response::Key(Some(_))
-            ));
+            run(shard, a, |s, h, w| s.multi_extract_min(h, 25, w)).unwrap();
+            let popped = run(shard, b, |s, h, w| s.multi_extract_min(h, 8, w));
+            assert_eq!(popped.unwrap().len(), 8);
+            assert!(run(shard, b, |s, h, w| s.extract_min(h, w))
+                .unwrap()
+                .is_some());
             for key in [round, -round, round] {
-                assert_eq!(call(Request::Insert { queue: c, key }), Response::Done);
+                assert_eq!(run(shard, c, |s, h, w| s.insert(h, key, w)), Ok(()));
             }
-            assert!(matches!(
-                call(Request::ExtractK { queue: c, k: 5 }),
-                Response::Keys(keys) if keys.len() == 3
-            ));
-            assert_eq!(
-                call(Request::Insert {
-                    queue: b,
-                    key: round
-                }),
-                Response::Done
-            );
+            let popped = run(shard, c, |s, h, w| s.multi_extract_min(h, 5, w));
+            assert_eq!(popped.unwrap().len(), 3);
+            assert_eq!(run(shard, b, |s, h, w| s.insert(h, round, w)), Ok(()));
         }
     }
 
@@ -645,16 +610,13 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let shard = Shard::new(0, DurablePool::open(&dir).unwrap());
         let insert = |q: QueueId, key: i64| {
-            assert_eq!(
-                run(&shard, Request::Insert { queue: q, key }),
-                Response::Done
-            );
+            assert_eq!(run(&shard, q, |s, h, w| s.insert(h, key, w)), Ok(()));
         };
         let q = shard.create_queue();
         let keys: Vec<i64> = (0..4096).collect();
         assert_eq!(
-            run(&shard, Request::MultiInsert { queue: q, keys }),
-            Response::Done
+            run(&shard, q, |s, h, w| s.multi_insert(h, &keys, w)),
+            Ok(())
         );
         // An image far larger than the op floor's worth of log: carried into
         // the fresh log, its byte baseline would stall checkpoints.

@@ -32,7 +32,7 @@
 
 use std::path::{Path, PathBuf};
 
-use meldpq::wal::{DurablePool, HeapId, HeapOp, WalCounts, CHECKPOINT_FILE, WAL_FILE};
+use meldpq::wal::{DurablePool, HeapId, WalCounts, CHECKPOINT_FILE, WAL_FILE};
 
 fn plan_count() -> u64 {
     let explicit = std::env::var("WAL_CRASH_PLANS")
@@ -248,18 +248,12 @@ fn issue(store: &mut DurablePool, model: &Model, op: &Op, c: &mut WalCounts) {
             assert_eq!(id, model.next_id(), "create picked another slot");
             Ok(())
         }
-        Op::Insert { slot, key } => store
-            .apply(model.id(*slot), HeapOp::Insert(*key), c)
-            .map(drop),
-        Op::FromKeys { slot, keys } => store
-            .apply(model.id(*slot), HeapOp::FromKeys(keys), c)
-            .map(drop),
-        Op::ExtractMin { slot } => store
-            .apply(model.id(*slot), HeapOp::ExtractMin, c)
-            .map(drop),
-        Op::MultiExtractMin { slot, k } => store
-            .apply(model.id(*slot), HeapOp::MultiExtractMin(*k), c)
-            .map(drop),
+        Op::Insert { slot, key } => store.insert(model.id(*slot), *key, c),
+        Op::FromKeys { slot, keys } => store.multi_insert(model.id(*slot), keys, c),
+        Op::ExtractMin { slot } => store.extract_min(model.id(*slot), c).map(drop),
+        Op::MultiExtractMin { slot, k } => {
+            store.multi_extract_min(model.id(*slot), *k, c).map(drop)
+        }
         Op::Meld { dst, src } => store.meld(model.id(*dst), model.id(*src), c),
         Op::Free { slot } => store.free_heap(model.id(*slot), c).map(drop),
     };
