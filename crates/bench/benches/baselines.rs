@@ -1,13 +1,11 @@
-//! W1: the paper's binomial heap against the meldable baselines
-//! (leftist/skew/pairing) and the non-meldable binary heap.
+//! W1: the paper's binomial heap against the leftist heap, the meldable
+//! baseline PAPER.md §2 names, and the non-meldable binary heap.
 
 use std::time::Duration;
 
 use bench::workloads;
 use criterion::{criterion_group, criterion_main, Criterion};
-use seqheaps::{
-    BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, OpStats, PairingHeap, SkewHeap,
-};
+use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, OpStats};
 
 /// A fresh `H` holding `keys`.
 fn built<H: MeldablePq<i64> + Default>(keys: &[i64]) -> H {
@@ -29,10 +27,6 @@ fn bench_heapsort(c: &mut Criterion) {
     });
     group.bench_function("leftist", |b| {
         b.iter(|| heapsort::<LeftistHeap<i64>>(&keys))
-    });
-    group.bench_function("skew", |b| b.iter(|| heapsort::<SkewHeap<i64>>(&keys)));
-    group.bench_function("pairing", |b| {
-        b.iter(|| heapsort::<PairingHeap<i64>>(&keys))
     });
     group.bench_function("binary", |b| {
         b.iter(|| heapsort::<BinaryHeapAdapter<i64>>(&keys))
@@ -63,10 +57,6 @@ fn bench_meld_storm(c: &mut Criterion) {
     group.bench_function("leftist", |b| {
         b.iter(|| meld_storm::<LeftistHeap<i64>>(&parts))
     });
-    group.bench_function("skew", |b| b.iter(|| meld_storm::<SkewHeap<i64>>(&parts)));
-    group.bench_function("pairing", |b| {
-        b.iter(|| meld_storm::<PairingHeap<i64>>(&parts))
-    });
     group.bench_function("binary", |b| {
         b.iter(|| meld_storm::<BinaryHeapAdapter<i64>>(&parts))
     });
@@ -92,10 +82,9 @@ fn bench_opcounts(c: &mut Criterion) {
     }
     let (bc, bl) = counts(&parts, BinomialHeap::stats);
     let (lc, ll) = counts(&parts, LeftistHeap::stats);
-    let (pc, pl) = counts(&parts, PairingHeap::stats);
     let (yc, yl) = counts(&parts, BinaryHeapAdapter::stats);
     println!("op-counts (comparisons/links) for 64 melds of 2k keys:");
-    println!("  binomial {bc}/{bl}  leftist {lc}/{ll}  pairing {pc}/{pl}  binary {yc}/{yl}");
+    println!("  binomial {bc}/{bl}  leftist {lc}/{ll}  binary {yc}/{yl}");
     // A token benchmark so criterion registers the group.
     c.bench_function("opcount_noop", |b| b.iter(|| 1 + 1));
 }

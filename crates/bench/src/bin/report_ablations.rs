@@ -4,9 +4,7 @@
 //! cargo run --release -p bench --bin report_ablations
 //! ```
 
-use bench::experiments::{
-    ablation_a1, ablation_a2_sequential, ablation_a3, ablation_a3_measured, theorem2,
-};
+use bench::experiments::{ablation_a1, ablation_a3, ablation_a3_measured, theorem2};
 use bench::row;
 use bench::table::render;
 
@@ -90,26 +88,6 @@ fn main() {
         )
     );
     println!();
-
-    println!("== A2b: the sequential textbook Delete (IndexedBinomialHeap) ==\n");
-    let rows = ablation_a2_sequential(&[1 << 8, 1 << 12, 1 << 16, 1 << 20]);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            row![
-                r.n,
-                r.deletes,
-                format!("{:.1}", r.comparisons_per_delete),
-                format!("{:.1}", r.links_per_delete)
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["n", "deletes", "cmp/delete", "links/delete"], &table)
-    );
-    println!("Per-delete structural work grows with log n — the baseline the");
-    println!("lazy scheme's flat O(log log n) amortized time beats.\n");
 
     println!("== A3: Gray-code mapping vs identity mapping (Property 3) ==\n");
     let rows = ablation_a3(&[2, 3, 4, 5, 6], 256);

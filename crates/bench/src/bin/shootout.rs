@@ -4,11 +4,11 @@
 //!
 //! Each (class, backend, size) cell replays the same seeded operation
 //! script and records the best-of-trials total nanoseconds divided by the
-//! *logical* op count. Logical matters for the Dijkstra class: only the
-//! pairing heap decreases a key natively (it has real node identity); every
-//! other engine reinserts and skips stale pops, the sequential form of the
-//! paper's §4 `Change-Key`. Its stale pops are charged to its clock but not
-//! counted in its denominator, so both arms divide by the same op count.
+//! *logical* op count. Logical matters for the Dijkstra class: every
+//! engine lowers a key by reinserting it and skipping stale pops, the
+//! sequential form of the paper's §4 insert-and-orphan `Change-Key`. The
+//! stale pops are charged to the clock but not counted in the denominator,
+//! which counts the script's inserts, relaxations and settling pops.
 //!
 //! The run writes `reports/BENCH_shootout.json`: the host's core count,
 //! per-backend per-size ns, each backend's geomean over sizes, each class's
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use bench::json::J;
 use bench::workloads;
-use meldpq::{Backend, DecreaseKeyPq, MeldablePq, PqHandle};
+use meldpq::{Backend, MeldablePq};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -49,7 +49,7 @@ enum WorkloadClass {
     Reverse,
     /// Heavy key duplication (16 distinct keys).
     DupHeavy,
-    /// SSSP-style: tracked inserts, decrease-key bursts, extract-all.
+    /// SSSP-style: inserts, decrease-key bursts (by reinsert), extract-all.
     Dijkstra,
 }
 
@@ -156,8 +156,8 @@ enum Relax {
 
 /// The Dijkstra script: `n` tracked inserts, `4n` relaxations (7 in 8 are
 /// decrease-keys to a fresh lower tentative distance, 1 in 8 settles a
-/// node), then extract-all. Generated once per (n, trial) so native and
-/// simulated paths replay identical decisions.
+/// node), then extract-all. Generated once per (n, trial) so every
+/// backend replays identical decisions.
 fn dijkstra_script(rng: &mut StdRng, n: usize) -> (Vec<i64>, Vec<Relax>) {
     let init: Vec<i64> = (0..n)
         .map(|_| rng.gen_range(500_000i64..1_000_000))
@@ -182,52 +182,14 @@ fn dijkstra_script(rng: &mut StdRng, n: usize) -> (Vec<i64>, Vec<Relax>) {
     (init, script)
 }
 
-/// Dijkstra on a native decrease-key engine. `settle` sees each settled
-/// distance in order.
-fn dijkstra_native(
-    q: &mut dyn DecreaseKeyPq<i64>,
-    init: &[i64],
-    script: &[Relax],
-    mut settle: impl FnMut(i64),
-) -> (std::time::Duration, u64) {
-    let mut ops = 0u64;
-    let t0 = Instant::now();
-    let handles: Vec<PqHandle> = init
-        .iter()
-        .map(|&k| {
-            ops += 1;
-            q.insert_handle(k)
-        })
-        .collect();
-    for step in script {
-        ops += 1;
-        match step {
-            Relax::Decrease { id, new_key } => {
-                q.decrease_key(handles[*id], *new_key);
-            }
-            Relax::Extract => {
-                if let Some(d) = q.extract_min() {
-                    settle(d);
-                }
-            }
-        }
-    }
-    while let Some(d) = q.extract_min() {
-        ops += 1;
-        settle(d);
-    }
-    (t0.elapsed(), ops)
-}
-
 /// Dijkstra via reinsert-and-skip-stale on a plain meldable queue. Keys
 /// encode `(distance, node id)` so stale entries are identifiable; the
 /// extra pops this costs land on the clock, and only pops that settle a
-/// node count as logical ops, so the count matches the native path.
+/// node count as logical ops.
 fn dijkstra_simulated(
     q: &mut dyn MeldablePq<i64>,
     init: &[i64],
     script: &[Relax],
-    mut settle: impl FnMut(i64),
 ) -> (std::time::Duration, u64) {
     let n = init.len() as i64;
     let encode = |key: i64, id: usize| key * n + id as i64;
@@ -254,7 +216,6 @@ fn dijkstra_simulated(
                     let (key, id) = decode(enc);
                     if !settled[id] && key == best[id] {
                         settled[id] = true;
-                        settle(key);
                         break;
                     } // stale — pop again, time charged, no logical op
                 }
@@ -266,7 +227,6 @@ fn dijkstra_simulated(
         if !settled[id] && key == best[id] {
             settled[id] = true;
             ops += 1;
-            settle(key);
         }
     }
     (t0.elapsed(), ops)
@@ -275,10 +235,7 @@ fn dijkstra_simulated(
 fn run_dijkstra(backend: Backend, n: usize, trial: usize) -> (std::time::Duration, u64) {
     let mut rng = workloads::rng(0xD175_7824 ^ (n as u64) ^ ((trial as u64) << 40));
     let (init, script) = dijkstra_script(&mut rng, n);
-    match backend.make_decrease() {
-        Some(mut q) => dijkstra_native(q.as_mut(), &init, &script, |_| {}),
-        None => dijkstra_simulated(backend.make().as_mut(), &init, &script, |_| {}),
-    }
+    dijkstra_simulated(backend.make().as_mut(), &init, &script)
 }
 
 /// Best-of-trials per-op ns for one cell.
@@ -408,11 +365,10 @@ fn main() {
             "note",
             J::Str(
                 "per-op ns = best-of-trials total time / logical ops; Dijkstra \
-                 runs pairing by native decrease-key and every other backend by \
-                 reinsert-and-skip-stale, whose stale pops are charged to the \
-                 clock but not the denominator; gate ratio = baseline/pooled \
-                 geomean (higher is better; floor 1.0 for binomial, 0.5 for \
-                 leftist)"
+                 runs every backend by reinsert-and-skip-stale, whose stale \
+                 pops are charged to the clock but not the denominator; gate \
+                 ratio = baseline/pooled geomean (higher is better; floor 1.0 \
+                 for binomial, 0.5 for leftist)"
                     .into(),
             ),
         ),
@@ -436,33 +392,5 @@ fn main() {
     if !all_pass {
         eprintln!("FAIL: pooled missed a positioning gate (see lines above)");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The two Dijkstra arms replay one script: they must settle the same
-    /// distances in the same order and divide by the same op count.
-    #[test]
-    fn dijkstra_arms_count_the_same_ops() {
-        for n in [256, 1024] {
-            let mut rng = workloads::rng(0xD175_7824 ^ n as u64);
-            let (init, script) = dijkstra_script(&mut rng, n);
-            let mut native = Vec::new();
-            let mut q = Backend::Pairing
-                .make_decrease()
-                .expect("pairing decreases natively");
-            let (_, native_ops) = dijkstra_native(q.as_mut(), &init, &script, |d| native.push(d));
-            let mut simulated = Vec::new();
-            let (_, simulated_ops) =
-                dijkstra_simulated(Backend::Binary.make().as_mut(), &init, &script, |d| {
-                    simulated.push(d)
-                });
-            assert_eq!(native.len(), n, "every node settles once");
-            assert_eq!(native, simulated, "n = {n}: settled distances differ");
-            assert_eq!(native_ops, simulated_ops, "n = {n}: op counts differ");
-        }
     }
 }

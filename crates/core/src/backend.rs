@@ -4,9 +4,11 @@
 //! surface; [`Backend`] lists the ones the shootout benchmark
 //! (`crates/bench/src/bin/shootout.rs`) races: the §3 binomial heap, the
 //! baselines PAPER.md §2 names (the CLRS binomial heap it parallelises and
-//! the leftist heap it does not claim to beat), the pairing heap and `std`'s
-//! binary heap. The shootout gates the paper's positioning on them and
-//! writes `reports/BENCH_shootout.json`.
+//! the leftist heap it does not claim to beat) and `std`'s binary heap. The
+//! shootout gates the paper's positioning on them and writes
+//! `reports/BENCH_shootout.json`. Every backend runs the shootout's Dijkstra
+//! class by reinsert-and-skip-stale, the sequential form of the paper's §4
+//! insert-and-orphan `Change-Key`.
 //!
 //! Nothing dispatches on a backend: the service's tenant queues are always
 //! heaps of a shard's [`crate::HeapPool`].
@@ -26,19 +28,16 @@ pub enum Backend {
     Binomial,
     /// Leftist heap.
     Leftist,
-    /// Pairing heap, two-pass combine.
-    Pairing,
     /// `std::collections::BinaryHeap` adapter (meld rebuilds).
     Binary,
 }
 
 impl Backend {
     /// The full roster, in shootout order.
-    pub const ALL: [Backend; 5] = [
+    pub const ALL: [Backend; 4] = [
         Backend::Pooled,
         Backend::Binomial,
         Backend::Leftist,
-        Backend::Pairing,
         Backend::Binary,
     ];
 
@@ -48,7 +47,6 @@ impl Backend {
             Backend::Pooled => "pooled",
             Backend::Binomial => "binomial",
             Backend::Leftist => "leftist",
-            Backend::Pairing => "pairing",
             Backend::Binary => "binary",
         }
     }
@@ -59,20 +57,7 @@ impl Backend {
             Backend::Pooled => Box::new(ParBinomialHeap::new()),
             Backend::Binomial => Box::new(seqheaps::BinomialHeap::new()),
             Backend::Leftist => Box::new(seqheaps::LeftistHeap::new()),
-            Backend::Pairing => Box::new(seqheaps::PairingHeap::new()),
             Backend::Binary => Box::new(seqheaps::BinaryHeapAdapter::new()),
-        }
-    }
-
-    /// Construct an empty queue with native decrease-key, when this backend
-    /// has one: only the pairing heap, the one engine with real node
-    /// identity. `None` means the engine runs Dijkstra by
-    /// reinsert-and-skip-stale, the sequential form of the paper's §4
-    /// insert-and-orphan `Change-Key`.
-    pub fn make_decrease(self) -> Option<Box<dyn crate::decrease::DecreaseKeyPq<i64>>> {
-        match self {
-            Backend::Pairing => Some(Box::new(seqheaps::PairingHeap::new())),
-            Backend::Pooled | Backend::Binomial | Backend::Leftist | Backend::Binary => None,
         }
     }
 }
@@ -103,27 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn decrease_capable_backends_honor_handles() {
-        let mut native = 0;
-        for b in Backend::ALL {
-            let Some(mut q) = b.make_decrease() else {
-                continue;
-            };
-            native += 1;
-            let h = q.insert_handle(50);
-            q.insert_handle(20);
-            assert!(q.decrease_key(h, 5), "{}", b.name());
-            assert_eq!(q.extract_min(), Some(5), "{}", b.name());
-            assert_eq!(q.extract_min(), Some(20), "{}", b.name());
-        }
-        assert_eq!(native, 1, "decrease-key roster drifted");
-    }
-
-    #[test]
     fn describe_lists_the_roster() {
-        assert_eq!(
-            describe(),
-            "backends: pooled binomial leftist pairing binary"
-        );
+        assert_eq!(describe(), "backends: pooled binomial leftist binary");
     }
 }

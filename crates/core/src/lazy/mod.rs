@@ -677,17 +677,6 @@ impl LazyBinomialHeap {
         Ok(())
     }
 
-    /// All live keys in arbitrary order.
-    pub fn live_keys(&self) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.live_len);
-        let mut stack: Vec<NodeId> = self.roots.iter().flatten().copied().collect();
-        while let Some(id) = stack.pop() {
-            out.extend(self.key_of(id));
-            stack.extend(self.arena.children(id));
-        }
-        out
-    }
-
     /// Drain all live keys in ascending order (consumes the heap).
     pub fn into_sorted_vec(mut self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.live_len);

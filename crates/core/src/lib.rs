@@ -18,11 +18,13 @@
 //!   `Change-Key` via persistent empty nodes (`Take-Up`) and periodic
 //!   `Arrange-Heap` rebuilds.
 //!
-//! Every engine here implements the workspace's one queue trait family,
-//! [`MeldablePq`] / [`DecreaseKeyPq`] with [`PqHandle`] handles. The
-//! traits are defined in `seqheaps` (whose baselines implement them
-//! directly) and re-exported from this crate, so `meldpq::MeldablePq` and
-//! `seqheaps::MeldablePq` are the same trait.
+//! Every engine here implements the workspace's one queue trait,
+//! [`MeldablePq`]. The trait is defined in `seqheaps` (whose baselines
+//! implement it directly) and re-exported from this crate, so
+//! `meldpq::MeldablePq` and `seqheaps::MeldablePq` are the same trait.
+//! The paper's one decrease, §4's `Change-Key`, is
+//! [`lazy::LazyBinomialHeap::change_key`] on a [`NodeId`]; every other
+//! engine lowers a key by reinserting it and skipping the stale copy.
 //!
 //! See DESIGN.md at the workspace root for the experiment map.
 //!
@@ -48,7 +50,6 @@ pub mod backend;
 pub mod build;
 pub mod check;
 pub mod cutoff;
-pub mod decrease;
 pub mod engine_pram;
 pub mod heap;
 pub mod lazy;
@@ -60,7 +61,6 @@ pub mod wal;
 
 pub use arena::{Arena, ArenaStats, Node, NodeId};
 pub use backend::Backend;
-pub use decrease::{DecreaseKeyPq, IndexedBinomialPq, LazyDecreasePq, PqHandle};
 pub use heap::ParBinomialHeap;
 pub use meldable::{MeldablePq, PramMeasured};
 pub use plan::{LinkOp, PointType, RootRef, UnionPlan};

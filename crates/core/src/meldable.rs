@@ -258,7 +258,10 @@ mod tests {
         }
         assert_eq!(transcript(seqheaps::BinomialHeap::new(), built), expected());
         assert_eq!(transcript(seqheaps::LeftistHeap::new(), built), expected());
-        assert_eq!(transcript(seqheaps::PairingHeap::new(), built), expected());
+        assert_eq!(
+            transcript(seqheaps::BinaryHeapAdapter::new(), built),
+            expected()
+        );
     }
 
     #[test]
@@ -266,7 +269,7 @@ mod tests {
         let mut boxed: Vec<Box<dyn MeldablePq<i64>>> = vec![
             Box::new(ParBinomialHeap::new()),
             Box::new(LazyBinomialHeap::new(2)),
-            Box::new(seqheaps::SkewHeap::new()),
+            Box::new(seqheaps::LeftistHeap::new()),
         ];
         for q in &mut boxed {
             q.multi_insert(&[3, 1, 2]);

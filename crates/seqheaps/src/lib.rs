@@ -11,24 +11,18 @@
 //!   sub-tree order).
 //! * [`LeftistHeap`] — the meldable baseline the paper positions itself
 //!   against (footnote 1 and reference \[1], Chen & Hu).
-//! * [`SkewHeap`] — a self-adjusting meldable baseline.
-//! * [`PairingHeap`] — the practical meldable baseline.
 //! * [`BinaryHeapAdapter`] — `std`'s binary heap behind the same trait;
 //!   *not* efficiently meldable (meld rebuilds), included to demonstrate why
 //!   meldability matters in the W1 experiment.
-//! * [`IndexedBinomialHeap`] — the arena/handle variant supporting the full
-//!   Definition 1 (`Decrease-Key`, `Delete`, `Change-Key`) sequentially —
-//!   the textbook comparator for the paper's §4.
 //!
 //! Every structure implements the workspace's one queue trait,
 //! [`MeldablePq`] (defined here, in the lowest crate, and re-exported by
-//! `meldpq`). The pairing heap, the one baseline with real node identity,
-//! additionally implements [`DecreaseKeyPq`] by cut and link. The
-//! binomial, leftist and skew heaps move keys between nodes and have no
-//! node to name, so an SSSP-style workload over them reinserts the lowered
-//! key and skips stale pops (the paper's §4 insert-and-orphan
-//! `Change-Key`). `Make-Queue` is `Default` or the inherent `new`; each
-//! structure also carries an [`OpStats`]
+//! `meldpq`). None of them offers `Decrease-Key`: the heaps move keys
+//! between nodes and have no node to name, so an SSSP-style workload over
+//! them reinserts the lowered key and skips stale pops, the sequential form
+//! of the paper's §4 insert-and-orphan `Change-Key` (which `meldpq`'s lazy
+//! heap implements on its own `NodeId`s). `Make-Queue` is `Default` or the
+//! inherent `new`; each structure also carries an [`OpStats`]
 //! instrumentation block (inherent `stats()`) counting key comparisons and
 //! structural link operations, which the benchmark harness uses for
 //! machine-independent comparisons.
@@ -52,20 +46,12 @@
 
 pub mod binary;
 pub mod binomial;
-pub mod decrease;
-pub mod indexed;
 pub mod leftist;
-pub mod pairing;
-pub mod skew;
 pub mod stats;
 pub mod traits;
 
 pub use binary::BinaryHeapAdapter;
 pub use binomial::BinomialHeap;
-pub use decrease::PqHandle;
-pub use indexed::{IndexedBinomialHeap, ItemId};
 pub use leftist::LeftistHeap;
-pub use pairing::{MergeStrategy, PairingHeap};
-pub use skew::SkewHeap;
 pub use stats::OpStats;
-pub use traits::{DecreaseKeyPq, MeldablePq};
+pub use traits::MeldablePq;

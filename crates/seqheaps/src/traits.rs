@@ -1,20 +1,18 @@
-//! The one queue trait family every engine in the workspace implements.
+//! The one queue trait every engine in the workspace implements.
 //!
 //! Definition 1 of the paper names five operations (`Make-Queue`, `Insert`,
 //! `Min`, `Extract-Min`, `Union`) and §4 adds `Change-Key`. [`MeldablePq`]
 //! is operations 2–5 plus the bulk operations the batched engines
-//! accelerate; [`DecreaseKeyPq`] adds `Decrease-Key` on tracked elements.
-//! `Make-Queue` stays with each type (`Default` plus an inherent `new`),
-//! because the parallel engines need a processor count to construct.
+//! accelerate. `Make-Queue` stays with each type (`Default` plus an
+//! inherent `new`), because the parallel engines need a processor count to
+//! construct. `Change-Key` needs node identity, so it stays with the one
+//! engine that has it: `meldpq`'s lazy heap, on its `NodeId`s.
 //!
-//! Every baseline in this crate implements [`MeldablePq`] directly, and
-//! the pairing heap, the one with real node identity, also implements
-//! [`DecreaseKeyPq`]. The parallel and lazy engines in `meldpq` implement
-//! them next to their own types, so generic harnesses (the differential
-//! fuzzer, the shootout) dispatch over any backend through one surface.
-//! Both traits are object safe.
-
-use crate::decrease::PqHandle;
+//! Every baseline in this crate implements [`MeldablePq`] directly. The
+//! parallel and lazy engines in `meldpq` implement it next to their own
+//! types, so generic harnesses (the differential fuzzer, the shootout)
+//! dispatch over any backend through one surface. The trait is object
+//! safe.
 
 /// A meldable priority queue: the paper's Definition 1 surface plus the
 /// bulk operations (`Multi-Insert` / `Multi-Extract-Min`) that the batched
@@ -83,27 +81,4 @@ pub trait MeldablePq<K: Ord + Copy> {
     /// Verify every structural invariant this queue maintains. Read-only;
     /// returns a human-readable description of the first violation found.
     fn check_invariants(&self) -> Result<(), String>;
-}
-
-/// A [`MeldablePq`] with `Decrease-Key` on tracked elements (the paper's
-/// §4 `Change-Key`, restricted to lowering). Object safe — harnesses hold
-/// `Box<dyn DecreaseKeyPq<i64>>`.
-///
-/// Handles come from one process-wide counter ([`crate::decrease::mint`]),
-/// so they stay unique across melds: absorbing a queue never needs a
-/// handle translation on the caller's side.
-pub trait DecreaseKeyPq<K: Ord + Copy>: MeldablePq<K> {
-    /// Insert a key and return a handle naming the inserted element.
-    fn insert_handle(&mut self, key: K) -> PqHandle;
-
-    /// Lower the tracked element's key to `new_key`.
-    ///
-    /// Returns `false` (changing nothing) when the handle is stale (its
-    /// element was extracted) or `new_key` is greater than the current key —
-    /// `Decrease-Key` never raises. `new_key == current` is accepted and
-    /// returns `true`.
-    fn decrease_key(&mut self, h: PqHandle, new_key: K) -> bool;
-
-    /// The tracked element's current key, or `None` once it left the queue.
-    fn key_of_handle(&self, h: PqHandle) -> Option<K>;
 }

@@ -1,16 +1,15 @@
 //! Dijkstra single-source shortest paths with `Change-Key` (paper §4).
 //!
 //! The lazy binomial heap supports `Change-Key` as Delete + Insert; Dijkstra
-//! is the classic consumer. Distances are cross-checked against a pairing
-//! heap run using the duplicate-insertion strategy.
+//! is the classic consumer. Distances are cross-checked against a run on the
+//! §3 heap that reinserts a lowered distance and skips stale pops.
 //!
 //! ```text
 //! cargo run --example parallel_sssp
 //! ```
 
 use meldpq::lazy::LazyBinomialHeap;
-use meldpq::NodeId;
-use seqheaps::{MeldablePq, PairingHeap};
+use meldpq::{NodeId, ParBinomialHeap};
 
 /// Key packing: (distance << 20) | vertex. Distances < 2^40, vertices < 2^20.
 fn pack(dist: u64, v: usize) -> i64 {
@@ -78,13 +77,15 @@ fn dijkstra_lazy(adj: &[Vec<(usize, u64)>], src: usize) -> (Vec<u64>, LazyBinomi
     (dist, heap)
 }
 
-/// Baseline: pairing heap with duplicate insertion and stale-entry skipping.
-fn dijkstra_pairing(adj: &[Vec<(usize, u64)>], src: usize) -> Vec<u64> {
+/// Baseline: the §3 heap by reinsert-and-skip-stale, the sequential form of
+/// the same insert-and-orphan `Change-Key`. A lowered distance is inserted
+/// again, and pops of stale copies are skipped.
+fn dijkstra_reinsert(adj: &[Vec<(usize, u64)>], src: usize) -> Vec<u64> {
     let n = adj.len();
     const INF: u64 = u64::MAX / 4;
     let mut dist = vec![INF; n];
     let mut done = vec![false; n];
-    let mut heap: PairingHeap<i64> = PairingHeap::new();
+    let mut heap = ParBinomialHeap::new();
     dist[src] = 0;
     heap.insert(pack(0, src));
     while let Some(key) = heap.extract_min() {
@@ -104,47 +105,12 @@ fn dijkstra_pairing(adj: &[Vec<(usize, u64)>], src: usize) -> Vec<u64> {
     dist
 }
 
-/// Third variant: the sequential indexed binomial heap with true
-/// decrease-key (handles stay valid for the life of the key).
-fn dijkstra_indexed(adj: &[Vec<(usize, u64)>], src: usize) -> Vec<u64> {
-    use seqheaps::{IndexedBinomialHeap, ItemId};
-    let n = adj.len();
-    const INF: u64 = u64::MAX / 4;
-    let mut dist = vec![INF; n];
-    let mut done = vec![false; n];
-    let mut handle: Vec<Option<ItemId>> = vec![None; n];
-    let mut heap = IndexedBinomialHeap::new();
-    dist[src] = 0;
-    handle[src] = Some(heap.insert(pack(0, src)));
-    while let Some((_, key)) = heap.extract_min() {
-        let (d, u) = unpack(key);
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        handle[u] = None;
-        for &(v, w) in &adj[u] {
-            let nd = d + w;
-            if nd < dist[v] && !done[v] {
-                dist[v] = nd;
-                match handle[v] {
-                    Some(h) => heap.decrease_key(h, pack(nd, v)),
-                    None => handle[v] = Some(heap.insert(pack(nd, v))),
-                }
-            }
-        }
-    }
-    dist
-}
-
 fn main() {
     let n = 2_000;
     let adj = build_graph(n, 6);
     let (d_lazy, heap) = dijkstra_lazy(&adj, 0);
-    let d_pairing = dijkstra_pairing(&adj, 0);
-    let d_indexed = dijkstra_indexed(&adj, 0);
-    assert_eq!(d_lazy, d_pairing, "the two Dijkstra variants disagree");
-    assert_eq!(d_lazy, d_indexed, "the indexed variant disagrees");
+    let d_reinsert = dijkstra_reinsert(&adj, 0);
+    assert_eq!(d_lazy, d_reinsert, "the two Dijkstra variants disagree");
 
     let reachable = d_lazy.iter().filter(|&&d| d < u64::MAX / 4).count();
     let furthest = d_lazy
@@ -154,7 +120,7 @@ fn main() {
         .copied()
         .unwrap_or(0);
     println!("SSSP on {n} vertices: {reachable} reachable, eccentricity {furthest}");
-    println!("lazy Change-Key == pairing duplicate-insertion == indexed decrease-key ✓");
+    println!("lazy Change-Key == reinsert-and-skip-stale ✓");
 
     // Cost ledger summary (the measured PRAM costs of every operation the
     // lazy heap performed during the run).

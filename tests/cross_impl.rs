@@ -1,12 +1,12 @@
 //! Cross-implementation integration tests: every queue in the workspace —
-//! five sequential baselines, the parallel heap through both extract paths,
+//! three sequential baselines, the parallel heap through both extract paths,
 //! the lazy heap, and the distributed hypercube queue — must agree on shared
 //! workloads.
 
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::ParBinomialHeap;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
+use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq};
 
 fn workload(seed: u64, n: usize) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -21,7 +21,7 @@ fn built<H: MeldablePq<i64> + Default>(keys: &[i64]) -> H {
 }
 
 #[test]
-fn all_nine_implementations_sort_identically() {
+fn all_seven_implementations_sort_identically() {
     let keys = workload(11, 3_000);
     let mut expected = keys.clone();
     expected.sort_unstable();
@@ -29,8 +29,6 @@ fn all_nine_implementations_sort_identically() {
     // Sequential baselines.
     assert_eq!(built::<BinomialHeap<i64>>(&keys).drain_sorted(), expected);
     assert_eq!(built::<LeftistHeap<i64>>(&keys).drain_sorted(), expected);
-    assert_eq!(built::<SkewHeap<i64>>(&keys).drain_sorted(), expected);
-    assert_eq!(built::<PairingHeap<i64>>(&keys).drain_sorted(), expected);
     assert_eq!(
         built::<BinaryHeapAdapter<i64>>(&keys).drain_sorted(),
         expected
@@ -80,8 +78,6 @@ fn meld_heavy_workload_agrees_across_meldable_queues() {
     }
     assert_eq!(run::<BinomialHeap<i64>>(&parts), expected);
     assert_eq!(run::<LeftistHeap<i64>>(&parts), expected);
-    assert_eq!(run::<SkewHeap<i64>>(&parts), expected);
-    assert_eq!(run::<PairingHeap<i64>>(&parts), expected);
 
     // The parallel heap, validated after every meld.
     let mut acc = ParBinomialHeap::new();
@@ -179,7 +175,7 @@ fn tuple_keys_work_across_generic_structures() {
     leftist.multi_insert(&entries);
     assert_eq!(leftist.drain_sorted(), expected);
 
-    let mut pairing = PairingHeap::new();
-    pairing.multi_insert(&entries);
-    assert_eq!(pairing.drain_sorted(), expected);
+    let mut binomial = BinomialHeap::new();
+    binomial.multi_insert(&entries);
+    assert_eq!(binomial.drain_sorted(), expected);
 }

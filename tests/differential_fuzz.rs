@@ -27,10 +27,7 @@
 use dmpq::DistributedPq;
 use meldpq::check::check_pool;
 use meldpq::lazy::LazyBinomialHeap;
-use meldpq::{
-    DecreaseKeyPq, HeapPool, IndexedBinomialPq, LazyDecreasePq, MeldablePq, NodeId,
-    ParBinomialHeap, PqHandle, PramMeasured,
-};
+use meldpq::{HeapPool, MeldablePq, NodeId, ParBinomialHeap, PramMeasured};
 use proptest::prelude::*;
 
 /// One step of a differential program.
@@ -114,63 +111,6 @@ fn pool_op_strategy() -> impl Strategy<Value = PoolOp> {
         1 => proptest::collection::vec(key_strategy(), 1..8).prop_map(PoolOp::CrossMeld),
         1 => Just(PoolOp::CloneCheck),
         2 => any::<usize>().prop_map(PoolOp::Delete),
-    ]
-}
-
-/// One step of a decrease-key program (the [`DecreaseKeyPq`] fleet).
-#[derive(Debug, Clone)]
-enum DecOp {
-    /// Insert a tracked key everywhere (each engine keeps its own handle).
-    Insert(i64),
-    /// Extract the minimum; each engine must match its own oracle's min.
-    ExtractMin,
-    /// Read the minimum.
-    Min,
-    /// Decrease the `slot % live`-th tracked handle to `to` (may be a
-    /// no-op when `to` exceeds the current key — that must return false).
-    Decrease { slot: usize, to: i64 },
-    /// Decrease slot `a`'s key to exactly slot `b`'s current key — the
-    /// decrease-to-duplicate tie-break case: afterwards two live elements
-    /// share a key and every later extract exercises equal-key breaking.
-    DecreaseToDuplicate { a: usize, b: usize },
-    /// Meld in untracked keys (no handles — the adapters must keep their
-    /// handle bookkeeping a sub-multiset of the physical keys).
-    Meld(Vec<i64>),
-}
-
-fn dec_op_strategy() -> impl Strategy<Value = DecOp> {
-    prop_oneof![
-        5 => key_strategy().prop_map(DecOp::Insert),
-        3 => Just(DecOp::ExtractMin),
-        1 => Just(DecOp::Min),
-        3 => (any::<usize>(), -128i64..64).prop_map(|(slot, to)| DecOp::Decrease { slot, to }),
-        2 => (any::<usize>(), any::<usize>())
-            .prop_map(|(a, b)| DecOp::DecreaseToDuplicate { a, b }),
-        1 => proptest::collection::vec(key_strategy(), 0..8).prop_map(DecOp::Meld),
-    ]
-}
-
-/// One decrease-key engine under test: name, queue, its private oracle,
-/// and its handle slots (parallel across engines).
-type DecLane = (
-    &'static str,
-    Box<dyn DecreaseKeyPq<i64>>,
-    Oracle,
-    Vec<PqHandle>,
-);
-
-/// Every engine with native decrease-key, one trait object each.
-fn decrease_fleet(p: usize) -> Vec<(&'static str, Box<dyn DecreaseKeyPq<i64>>)> {
-    vec![
-        ("pairing", Box::new(seqheaps::PairingHeap::<i64>::new())),
-        (
-            "pairing-multipass",
-            Box::new(seqheaps::PairingHeap::<i64>::with_strategy(
-                seqheaps::MergeStrategy::MultiPass,
-            )),
-        ),
-        ("indexed-binomial", Box::new(IndexedBinomialPq::new())),
-        ("lazy-decrease", Box::new(LazyDecreasePq::new(p))),
     ]
 }
 
@@ -374,8 +314,8 @@ proptest! {
                     let removed = match op {
                         Op::Delete(_) => heap.delete(victim),
                         Op::ChangeKey(_, k) => {
-                            let old = heap.delete(victim);
-                            handles.push(heap.insert(*k));
+                            let old = heap.key_of(victim).expect("victim is live");
+                            handles.push(heap.change_key(victim, *k));
                             oracle.insert(*k);
                             old
                         }
@@ -502,126 +442,5 @@ proptest! {
         }
         prop_assert_eq!(pool.into_sorted_vec(main), pool_oracle.keys, "pool drain");
         prop_assert_eq!(lazy.into_sorted_vec(), lazy_oracle.keys, "lazy drain");
-    }
-
-    /// The decrease-key fleet: every engine with native decrease-key runs
-    /// the same handle program. With duplicate keys an extract may retire
-    /// *different* physical elements in different engines (equal-key
-    /// tie-breaking is engine-specific), after which the multisets can
-    /// legitimately diverge — so each engine carries its **own** sorted-vec
-    /// oracle, advanced by that engine's observable answers
-    /// (`key_of_handle` before each decrease). Every engine must stay
-    /// exactly consistent with priority-queue semantics: a decrease with
-    /// `new <= current` must succeed and replace the key; a stale handle or
-    /// an increase must refuse and change nothing; extract/min/drain must
-    /// match the oracle at every step.
-    #[test]
-    fn decrease_key_fleet_matches_handle_oracles(
-        ops in proptest::collection::vec(dec_op_strategy(), 0..40),
-        p in 1usize..5,
-    ) {
-        let mut engines: Vec<DecLane> = decrease_fleet(p)
-                .into_iter()
-                .map(|(name, q)| (name, q, Oracle::default(), Vec::new()))
-                .collect();
-        // Handle slots are parallel across engines: slot i in every engine
-        // names the element created by the i-th Insert.
-        let mut slots = 0usize;
-        for (step, op) in ops.iter().enumerate() {
-            match op {
-                DecOp::Insert(k) => {
-                    slots += 1;
-                    for (_, q, oracle, handles) in engines.iter_mut() {
-                        handles.push(q.insert_handle(*k));
-                        oracle.insert(*k);
-                    }
-                }
-                DecOp::ExtractMin => {
-                    for (name, q, oracle, _) in engines.iter_mut() {
-                        let want = oracle.extract_min();
-                        prop_assert_eq!(q.extract_min(), want, "{} extract at step {}", name, step);
-                    }
-                }
-                DecOp::Min => {
-                    for (name, q, oracle, _) in engines.iter_mut() {
-                        prop_assert_eq!(q.peek_min(), oracle.min(), "{} min at step {}", name, step);
-                    }
-                }
-                DecOp::Decrease { slot, to } => {
-                    if slots == 0 {
-                        continue;
-                    }
-                    let slot = slot % slots;
-                    for (name, q, oracle, handles) in engines.iter_mut() {
-                        let h = handles[slot];
-                        let cur = q.key_of_handle(h);
-                        let ok = q.decrease_key(h, *to);
-                        match cur {
-                            Some(c) if *to <= c => {
-                                prop_assert!(ok, "{} refused a legal decrease at step {}", name, step);
-                                prop_assert!(oracle.remove_one(c), "{} oracle lost key {}", name, c);
-                                oracle.insert(*to);
-                                prop_assert_eq!(
-                                    q.key_of_handle(h), Some(*to),
-                                    "{} handle key after decrease at step {}", name, step
-                                );
-                            }
-                            _ => prop_assert!(
-                                !ok,
-                                "{} accepted a stale handle or an increase at step {}", name, step
-                            ),
-                        }
-                    }
-                }
-                DecOp::DecreaseToDuplicate { a, b } => {
-                    if slots == 0 {
-                        continue;
-                    }
-                    let (a, b) = (a % slots, b % slots);
-                    for (name, q, oracle, handles) in engines.iter_mut() {
-                        // The duplicate target is this engine's view of slot
-                        // b — engines may disagree once tie-breaks diverged,
-                        // and each must honor its own answer.
-                        let (Some(tgt), Some(cur)) =
-                            (q.key_of_handle(handles[b]), q.key_of_handle(handles[a]))
-                        else {
-                            continue;
-                        };
-                        let ok = q.decrease_key(handles[a], tgt);
-                        if tgt <= cur {
-                            prop_assert!(ok, "{} refused dup-decrease at step {}", name, step);
-                            prop_assert!(oracle.remove_one(cur), "{} oracle lost key {}", name, cur);
-                            oracle.insert(tgt);
-                        } else {
-                            prop_assert!(!ok, "{} accepted an increase at step {}", name, step);
-                        }
-                    }
-                }
-                DecOp::Meld(keys) => {
-                    for (_, q, oracle, _) in engines.iter_mut() {
-                        q.meld_from_keys(keys);
-                        for &k in keys {
-                            oracle.insert(k);
-                        }
-                    }
-                }
-            }
-            if step % 8 == 7 {
-                for (name, q, _, _) in engines.iter() {
-                    if let Err(e) = q.check_invariants() {
-                        panic!("{name} invariants broken after step {step}: {e}");
-                    }
-                }
-            }
-        }
-        for (name, q, _, _) in engines.iter() {
-            if let Err(e) = q.check_invariants() {
-                panic!("{name} invariants broken after final step: {e}");
-            }
-        }
-        for (name, q, oracle, _) in engines.iter_mut() {
-            prop_assert_eq!(&q.drain_sorted(), &oracle.keys, "{} drain", name);
-            prop_assert_eq!(q.len(), 0, "{} empty after drain", name);
-        }
     }
 }

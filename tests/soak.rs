@@ -7,7 +7,7 @@
 use meldpq::lazy::LazyBinomialHeap;
 use meldpq::{NodeId, ParBinomialHeap};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq, PairingHeap, SkewHeap};
+use seqheaps::{BinomialHeap, LeftistHeap, MeldablePq};
 
 /// Default step count; override with `SOAK_STEPS` (the nightly CI job runs
 /// 50_000).
@@ -29,8 +29,6 @@ struct Fleet {
     oracle: Vec<i64>,
     binomial: BinomialHeap<i64>,
     leftist: LeftistHeap<i64>,
-    skew: SkewHeap<i64>,
-    pairing: PairingHeap<i64>,
     /// Ripple `extract_min`; meld operands built by ripple insertion.
     par_seq: ParBinomialHeap,
     /// PRAM-planned `extract_min_pram`; meld operands built by
@@ -47,8 +45,6 @@ impl Fleet {
             oracle: Vec::new(),
             binomial: BinomialHeap::new(),
             leftist: LeftistHeap::new(),
-            skew: SkewHeap::new(),
-            pairing: PairingHeap::new(),
             par_seq: ParBinomialHeap::new(),
             par_pram: ParBinomialHeap::new(),
             lazy: LazyBinomialHeap::new(3),
@@ -61,8 +57,6 @@ impl Fleet {
         self.oracle.push(k);
         self.binomial.insert(k);
         self.leftist.insert(k);
-        self.skew.insert(k);
-        self.pairing.insert(k);
         self.par_seq.insert(k);
         self.par_pram.insert(k);
         self.lazy_handles.push((self.lazy.insert(k), k));
@@ -76,8 +70,6 @@ impl Fleet {
         let want = self.oracle.swap_remove(i);
         assert_eq!(self.binomial.extract_min(), Some(want));
         assert_eq!(self.leftist.extract_min(), Some(want));
-        assert_eq!(self.skew.extract_min(), Some(want));
-        assert_eq!(self.pairing.extract_min(), Some(want));
         assert_eq!(self.par_seq.extract_min(), Some(want));
         assert_eq!(self.par_pram.extract_min_pram(2), Some(want));
         assert_eq!(self.lazy.extract_min(), Some(want));
@@ -112,8 +104,6 @@ impl Fleet {
         self.oracle.swap_remove(i);
         assert_eq!(self.binomial.extract_min(), Some(min));
         assert_eq!(self.leftist.extract_min(), Some(min));
-        assert_eq!(self.skew.extract_min(), Some(min));
-        assert_eq!(self.pairing.extract_min(), Some(min));
         assert_eq!(self.par_seq.extract_min(), Some(min));
         assert_eq!(self.par_pram.extract_min_pram(2), Some(min));
         assert_eq!(self.dq.extract_min().expect("fault-free net"), Some(min));
@@ -124,8 +114,6 @@ impl Fleet {
         self.oracle.extend_from_slice(keys);
         self.binomial.meld(built(keys));
         self.leftist.meld(built(keys));
-        self.skew.meld(built(keys));
-        self.pairing.meld(built(keys));
         self.par_seq
             .meld(ParBinomialHeap::from_keys(keys.iter().copied()));
         let mut batch = ParBinomialHeap::new();
@@ -148,8 +136,6 @@ impl Fleet {
         let min = self.oracle.iter().min().copied();
         assert_eq!(self.binomial.len(), n);
         assert_eq!(self.leftist.len(), n);
-        assert_eq!(self.skew.len(), n);
-        assert_eq!(self.pairing.len(), n);
         assert_eq!(self.par_seq.len(), n);
         assert_eq!(self.par_pram.len(), n);
         assert_eq!(self.lazy.len(), n);
@@ -159,8 +145,6 @@ impl Fleet {
         assert_eq!(self.dq.min(), min);
         self.binomial.check_invariants().expect("binomial");
         self.leftist.check_invariants().expect("leftist");
-        self.skew.check_invariants().expect("skew");
-        self.pairing.check_invariants().expect("pairing");
         self.par_seq.validate().expect("par_seq");
         self.par_pram.validate().expect("par_pram");
         self.lazy.validate().expect("lazy");
