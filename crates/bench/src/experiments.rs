@@ -1,7 +1,6 @@
 //! The experiment drivers (DESIGN.md §4): figure reproductions F1–F4,
 //! theorem scalings T1–T3, ablations A1–A3. Each returns structured data so
-//! the report binaries, integration tests and Criterion benches share one
-//! implementation.
+//! the report binaries and integration tests share one implementation.
 
 use dmpq::bheap::BbHeap;
 use dmpq::mapping::{assignment, load_per_processor, processor_of_degree};

@@ -2,7 +2,7 @@
 //! operation scripts, with structural validation after every mutation.
 
 use proptest::prelude::*;
-use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq};
+use seqheaps::{BinaryHeapAdapter, BinomialHeap, LeftistHeap, MeldablePq, OpStats};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -141,4 +141,48 @@ fn all_heaps_agree_on_heapsort() {
     assert_eq!(heapsort::<BinomialHeap<i64>>(&keys), expected);
     assert_eq!(heapsort::<LeftistHeap<i64>>(&keys), expected);
     assert_eq!(heapsort::<BinaryHeapAdapter<i64>>(&keys), expected);
+}
+
+/// W1's machine-independent claim (EXPERIMENTS.md): melding 64 heaps of
+/// 2,000 seeded keys each into one costs the binomial heap the fewest key
+/// comparisons, the leftist heap more, and the binary-heap adapter, which
+/// re-inserts every key of the absorbed heap, at least 10x the binomial
+/// heap's. The seed and key range are the bench crate's
+/// `workloads::rng(0xC0)` and `random_keys`, W1's inputs.
+#[test]
+fn meld_storm_comparisons_order_binomial_leftist_binary() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x000B_100D ^ 0xC0);
+    let parts: Vec<Vec<i64>> = (0..64)
+        .map(|_| {
+            (0..2_000)
+                .map(|_| rng.gen_range(-1_000_000..1_000_000))
+                .collect()
+        })
+        .collect();
+    fn comparisons<H: MeldablePq<i64> + Default>(
+        parts: &[Vec<i64>],
+        stats: fn(&H) -> &OpStats,
+    ) -> u64 {
+        let mut acc = H::default();
+        for part in parts {
+            let mut h = H::default();
+            h.multi_insert(part);
+            acc.meld(h);
+        }
+        assert_eq!(acc.len(), 64 * 2_000);
+        stats(&acc).comparisons()
+    }
+    let binomial = comparisons(&parts, BinomialHeap::stats);
+    let leftist = comparisons(&parts, LeftistHeap::stats);
+    let binary = comparisons(&parts, BinaryHeapAdapter::stats);
+    println!("comparisons: binomial {binomial}, leftist {leftist}, binary {binary}");
+    assert!(
+        binomial < leftist && leftist < binary,
+        "binomial {binomial}, leftist {leftist}, binary {binary}"
+    );
+    assert!(
+        binary >= 10 * binomial,
+        "binary {binary} < 10x binomial {binomial}"
+    );
 }
