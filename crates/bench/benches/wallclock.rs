@@ -1,9 +1,12 @@
-//! W2: the wall-clock trajectory — what the hardware actually sees.
+//! W2 and W3: the wall-clock trajectory — what the hardware actually sees.
 //!
-//! The deterministic PRAM meters (`BENCH_baseline.json`) prove the *theorem*
-//! bounds; this suite measures *seconds* on one host thread. It covers the
-//! operations the zero-copy representation (`meldpq::pool`) and the batch
-//! kernels are about:
+//! The deterministic meters prove the *theorem* bounds (the `report_*`
+//! binaries print them, this crate's `tests/golden_figures.rs` pins the
+//! figures and the workspace's `tests/theorem_shapes.rs` checks the
+//! Theorem 1–3 envelopes); this suite measures *seconds* on one host
+//! thread. It covers the operations the zero-copy representation
+//! (`meldpq::pool`) and the batch kernels are about, and the paper's
+//! positioning against its baselines:
 //!
 //! * `meld` — same-pool zero-copy plan application vs melding two
 //!   separately owned heaps (the `absorb` arm: the second heap's nodes move
@@ -34,6 +37,13 @@
 //!   `k = 8` from 4,096 keys), `mixed` (an insert/extract workload mirroring
 //!   W1's op mix, every insert planned), and the `prefix_scan` and
 //!   `bulk_build` primitives, each `SAMPLES` timed runs.
+//! * `shootout` — the backends of [`Backend::ALL`] replay the seeded
+//!   scripts of five workload classes ([`WorkloadClass`]), charged per
+//!   logical op (Dijkstra's stale pops cost time but count nothing). Gates
+//!   per class (PAPER.md §2): pooled must beat the CLRS binomial heap it
+//!   parallelises (`pooled_vs_binomial_<class>` ≥ 1.0) and stay within 2×
+//!   of the leftist heap (`pooled_vs_leftist_<class>` ≥ 0.5); `binary`
+//!   gets a single-arm row per class.
 //!
 //! Every gate times its two arms as interleaved pairs and is judged by
 //! [`Paired::eval`]: the median pair ratio against a noise floor derived
@@ -47,7 +57,7 @@
 //! extends a perf trajectory; the process exits non-zero if **any** gate
 //! fails (an inconclusive gate does not). `cargo bench --bench wallclock`
 //! runs the quick suite; pass `--full` (nightly) to add the 2^20/2^22
-//! sizes.
+//! sizes and the shootout's 4,096 and 16,384.
 
 use std::cell::{Cell, RefCell};
 use std::hint::black_box;
@@ -56,8 +66,8 @@ use std::sync::{mpsc, Arc, Barrier, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use bench::paired::{interleave, Paired};
-use bench::workloads::{self, ServiceOp};
-use meldpq::{HeapPool, MeldablePq, ParBinomialHeap};
+use bench::workloads::{self, ClassScript, ServiceOp, WorkloadClass};
+use meldpq::{Backend, HeapPool, MeldablePq, ParBinomialHeap};
 use obs::json::J;
 use obs::LatencyHistogram;
 use service::{QueueId, QueueService, ServiceBuilder};
@@ -118,11 +128,10 @@ fn timed<I, O>(input: I, routine: impl FnOnce(I) -> O) -> Duration {
 /// Timed runs per single-arm row, after one untimed run.
 const SAMPLES: usize = 10;
 
-/// A single-arm row: `SAMPLES` runs of `routine`, each on a fresh input
-/// from `setup` (not timed).
-fn sampled<I, O>(id: String, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) -> Row {
-    timed(setup(), &mut routine);
-    let samples: Vec<Duration> = (0..SAMPLES).map(|_| timed(setup(), &mut routine)).collect();
+/// A single-arm row: `SAMPLES` runs of `sample`, each timing itself.
+fn sampled(id: String, mut sample: impl FnMut() -> Duration) -> Row {
+    sample();
+    let samples: Vec<Duration> = (0..SAMPLES).map(|_| sample()).collect();
     row(id, &samples)
 }
 
@@ -193,7 +202,7 @@ fn meld_gate(rows: &mut Vec<Row>, full: bool) -> (J, bool) {
             },
         );
         let meld = Paired {
-            name: "meld_zero_copy_speedup",
+            name: "meld_zero_copy_speedup".into(),
             fast: format!("meld/zero_copy/{n}"),
             slow: format!("meld/absorb/{n}"),
             threshold: 10.0,
@@ -254,7 +263,7 @@ fn multi_insert_gate(rows: &mut Vec<Row>, full: bool) -> (J, bool) {
             },
         );
         let multi_insert = Paired {
-            name: "multi_insert_bulk_speedup",
+            name: "multi_insert_bulk_speedup".into(),
             fast: format!("multi_insert/bulk/{n}"),
             slow: format!("multi_insert/seq/{n}"),
             threshold: 2.0,
@@ -277,10 +286,11 @@ fn single_arm_rows(rows: &mut Vec<Row>, full: bool) {
         let base = ParBinomialHeap::from_keys(workloads::random_keys(&mut rng, n));
         rows.push(sampled(
             format!("multi_extract_min/extract_loop/{n}"),
-            || base.clone(),
-            |mut h| {
-                let out = h.multi_extract_min(n / 16);
-                (h, out)
+            || {
+                timed(base.clone(), |mut h| {
+                    let out = h.multi_extract_min(n / 16);
+                    (h, out)
+                })
             },
         ));
     }
@@ -288,22 +298,18 @@ fn single_arm_rows(rows: &mut Vec<Row>, full: bool) {
     let n = 1usize << 12;
     let mut rng = workloads::rng(31 ^ n as u64);
     let base = ParBinomialHeap::from_keys(workloads::random_keys(&mut rng, n));
-    rows.push(sampled(
-        format!("multi_extract_min/k8/{n}"),
-        || base.clone(),
-        |mut h| {
+    rows.push(sampled(format!("multi_extract_min/k8/{n}"), || {
+        timed(base.clone(), |mut h| {
             let out = h.multi_extract_min(8);
             (h, out)
-        },
-    ));
+        })
+    }));
     const OPS: usize = 1024;
     for n in [1usize << 14, 1 << 18] {
         let mut rng = workloads::rng(47 ^ n as u64);
         let keys = workloads::random_keys(&mut rng, n + OPS);
-        rows.push(sampled(
-            format!("mixed/seq/{n}"),
-            || pooled_base(&keys[..n], OPS),
-            |(mut pool, mut h)| {
+        rows.push(sampled(format!("mixed/seq/{n}"), || {
+            timed(pooled_base(&keys[..n], OPS), |(mut pool, mut h)| {
                 // 2:1 insert/extract mix, W1's ratio.
                 for (i, &k) in keys[n..].iter().enumerate() {
                     if i % 3 < 2 {
@@ -313,27 +319,108 @@ fn single_arm_rows(rows: &mut Vec<Row>, full: bool) {
                     }
                 }
                 (pool, h)
-            },
-        ));
+            })
+        }));
     }
     for n in [1usize << 14, 1 << 20] {
         let mut rng = workloads::rng(n as u64);
         let xs = workloads::random_keys(&mut rng, n);
-        rows.push(sampled(
-            format!("prefix_scan/seq/{n}"),
-            || (),
-            |()| parscan::seq::scan_inclusive(&xs, |a, b| a.min(b)),
-        ));
+        rows.push(sampled(format!("prefix_scan/seq/{n}"), || {
+            timed((), |()| parscan::seq::scan_inclusive(&xs, |a, b| a.min(b)))
+        }));
     }
     for n in bulk_sizes(full) {
         let mut rng = workloads::rng(99 + n as u64);
         let keys = workloads::random_keys(&mut rng, n);
-        rows.push(sampled(
-            format!("bulk_build/sequential/{n}"),
-            || (),
-            |()| ParBinomialHeap::from_keys(keys.iter().copied()),
-        ));
+        rows.push(sampled(format!("bulk_build/sequential/{n}"), || {
+            timed((), |()| ParBinomialHeap::from_keys(keys.iter().copied()))
+        }));
     }
+}
+
+/// The shootout sizes; 4,096 and 16,384 only with `--full`.
+fn shootout_sizes(full: bool) -> Vec<usize> {
+    let mut v = vec![256, 1024];
+    if full {
+        v.extend([4096, 16384]);
+    }
+    v
+}
+
+/// One shootout arm: `backend` replays each script once on a fresh queue.
+/// Returns the sum over the scripts of elapsed time per logical op, so
+/// every size weighs alike. Only the replay is timed.
+///
+/// Before the clock starts, one `SETTLE_BYTES` allocation lets the
+/// allocator finish the frees of the queue dropped before it (glibc
+/// consolidates freed small chunks on the next large request). Without
+/// it the pooled arm, whose first slab growth is such a request, paid for
+/// the pointer heaps' thousands of freed nodes, most of all in its
+/// 256-key term: on a 2-vCPU host the full suite read leftist / pooled on
+/// `reverse` at 0.59–0.74, with pooled's mean far above its minimum, and
+/// 1.10 with it (EXPERIMENTS.md W3).
+fn class_arm(backend: Backend, scripts: &[ClassScript]) -> Duration {
+    scripts
+        .iter()
+        .map(|script| {
+            let mut q = backend.make();
+            drop(black_box(Vec::<u8>::with_capacity(SETTLE_BYTES)));
+            let start = Instant::now();
+            let ops = script.replay(q.as_mut(), drop);
+            let elapsed = start.elapsed();
+            drop(q);
+            elapsed.div_f64(ops as f64)
+        })
+        .sum()
+}
+
+/// A request above glibc's small-bin range (1 KiB) and below its default
+/// mmap threshold (128 KiB).
+const SETTLE_BYTES: usize = 64 << 10;
+
+/// The positioning gates (PAPER.md §2), per class: `baseline / pooled`
+/// must reach the floor. The CLRS binomial heap is the sequential heap the
+/// §3 machinery parallelises, so pooled must be at least as fast; the
+/// leftist heap is the baseline the paper does not claim to beat, so
+/// pooled may be at most 2× slower.
+const POSITIONING: [(Backend, f64); 2] = [(Backend::Binomial, 1.0), (Backend::Leftist, 0.5)];
+
+/// The shootout (EXPERIMENTS.md W3): per class, the two positioning gates
+/// on `PAIRED_PAIRS` pairs each, and a single-arm `binary` row that no
+/// gate reads.
+fn positioning_gates(rows: &mut Vec<Row>, full: bool) -> Vec<(J, bool)> {
+    let mut gates = Vec::new();
+    for class in WorkloadClass::ALL {
+        let scripts: Vec<ClassScript> = shootout_sizes(full)
+            .into_iter()
+            .map(|n| class.script(n))
+            .collect();
+        let id = |b: Backend| format!("shootout/{}/{}", class.name(), b.name());
+        let (mut pooled, mut baselines) = (Vec::new(), Vec::new());
+        for (baseline, threshold) in POSITIONING {
+            let (fast, slow) = interleave(
+                PAIRED_PAIRS,
+                PAIRED_WARMUP,
+                || class_arm(Backend::Pooled, &scripts),
+                || class_arm(baseline, &scripts),
+            );
+            let gate = Paired {
+                name: format!("pooled_vs_{}_{}", baseline.name(), class.name()),
+                fast: id(Backend::Pooled),
+                slow: id(baseline),
+                threshold,
+            };
+            gates.push(gate.eval(&fast, &slow));
+            pooled.extend(fast);
+            baselines.push(row(gate.slow, &slow));
+        }
+        rows.push(row(id(Backend::Pooled), &pooled));
+        rows.append(&mut baselines);
+        rows.push(sampled(id(Backend::Binary), || {
+            class_arm(Backend::Binary, &scripts)
+        }));
+    }
+    gates
 }
 
 /// One side of a b-Union as `dmpq::soa` sees it: the sorted stream cut
@@ -598,7 +685,7 @@ fn service_gate(rows: &mut Vec<Row>) -> (J, bool) {
         },
     );
     let lock = Paired {
-        name: "service_beats_global_lock",
+        name: "service_beats_global_lock".into(),
         fast: format!("service/sharded/{SERVICE_OPS}"),
         slow: format!("service/global_lock/{SERVICE_OPS}"),
         threshold: 1.0,
@@ -693,25 +780,25 @@ fn paired_gates(rows: &mut Vec<Row>) -> Vec<(J, bool)> {
         || b_union_seq_arm(&s1, &s2),
     );
     let flight = Paired {
-        name: "flight_recorder_overhead",
+        name: "flight_recorder_overhead".into(),
         fast: format!("flight/recorder_on/{FLIGHT_GATE_N}"),
         slow: format!("flight/recorder_off/{FLIGHT_GATE_N}"),
         threshold: 1.0 / FLIGHT_BOUND,
     };
     let wal = Paired {
-        name: "wal_append_overhead",
+        name: "wal_append_overhead".into(),
         fast: format!("durable/wal_on/{DURABLE_GATE_N}"),
         slow: format!("durable/wal_off/{DURABLE_GATE_N}"),
         threshold: 1.0 / WAL_BOUND,
     };
     let peek = Paired {
-        name: "peek_min_cache_speedup",
+        name: "peek_min_cache_speedup".into(),
         fast: format!("peek/cached/{PEEK_GATE_N}"),
         slow: format!("peek/rescan/{PEEK_GATE_N}"),
         threshold: 2.0,
     };
     let b_union = Paired {
-        name: "b_union_merge_path_speedup",
+        name: "b_union_merge_path_speedup".into(),
         fast: format!("b_union/merge_path/{KERNEL_GATE_N}"),
         slow: format!("b_union/seq/{KERNEL_GATE_N}"),
         threshold: 2.0,
@@ -786,8 +873,10 @@ fn write_report(rows: &[Row], gates: Vec<J>, path: &std::path::Path) {
             "note",
             J::Str(
                 "wall-clock means, set-up excluded, every gate on interleaved \
-                 pairs; machine-dependent, unlike the deterministic PRAM meters \
-                 in BENCH_baseline.json"
+                 pairs; a shootout row is the sum over sizes of ns per logical \
+                 op; machine-dependent, unlike the deterministic meters the \
+                 report_* binaries print and golden_figures.rs and \
+                 theorem_shapes.rs pin"
                     .into(),
             ),
         ),
@@ -814,12 +903,14 @@ fn main() {
     // lower (medians of 12 and 16 runs). The meld gate runs before the
     // service gate's client threads: after them, 3 of 27 processes timed
     // every absorb meld about twice as fast as the others did, halving
-    // the gate's ratio; before them, none of 16 did.
+    // the gate's ratio; before them, none of 16 did. The positioning
+    // gates run last, so the seven above run as they did without them.
     let mut gates = paired_gates(&mut rows);
     gates.push(meld_gate(&mut rows, full));
     gates.push(service_gate(&mut rows));
     gates.push(multi_insert_gate(&mut rows, full));
     single_arm_rows(&mut rows, full);
+    gates.extend(positioning_gates(&mut rows, full));
     let all_pass = gates.iter().all(|(_, pass)| *pass);
 
     let path =

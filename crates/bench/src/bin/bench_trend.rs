@@ -2,22 +2,20 @@
 //!
 //! Compares a fresh `BENCH_wallclock.json` against a committed baseline and
 //! exits non-zero when any gate's *ratio* regressed by more than the
-//! tolerance (default 25%, override with `BENCH_TREND_TOLERANCE`, e.g.
-//! `0.4`). Gate ratios are slow-arm / fast-arm on the *same* machine in the
-//! *same* run, so they compare fairly across hosts — unlike raw `mean_ns`,
-//! which this tool prints per benchmark id as context but never judges.
+//! tolerance (default 25%, override with `BENCH_TREND_TOLERANCE`; CI's
+//! `bench-smoke` job sets `0.4`, since a quick suite is noisier than the
+//! default allows). Gate ratios are slow-arm / fast-arm on the *same*
+//! machine in the *same* run, so they compare fairly across hosts — unlike
+//! raw `mean_ns`, which this tool prints per benchmark id as context but
+//! never judges.
 //!
 //! A gate ratio measures "how much the optimized arm wins"; regression
 //! means the fresh ratio fell below `baseline_ratio * (1 - tolerance)`.
 //! Gates present only on one side are reported but never fail the run
 //! (new gates appear, old ones retire — that is trend, not regression).
 //!
-//! Usage: `bench-trend <baseline.json> [fresh.json]
-//!                     [--shootout <baseline.json> [fresh.json]]`
-//! (fresh defaults to `reports/BENCH_wallclock.json`; the shootout fresh
-//! side defaults to `reports/BENCH_shootout.json`). The shootout gates use
-//! the same `name`/`ratio` shape — ratio = baseline/pooled geomean per-op
-//! ns, higher is better — so one floor rule judges both documents.
+//! Usage: `bench-trend <baseline.json> [fresh.json]` (fresh defaults to
+//! `reports/BENCH_wallclock.json`).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -70,7 +68,6 @@ fn result_means(doc: &J) -> BTreeMap<String, f64> {
 /// Diff two gate maps under the floor rule. Returns true when any shared
 /// gate regressed past the tolerance; one-sided gates only inform.
 fn compare_gates(
-    label: &str,
     base_gates: &BTreeMap<String, f64>,
     fresh_gates: &BTreeMap<String, f64>,
     tolerance: f64,
@@ -78,7 +75,7 @@ fn compare_gates(
     let mut failed = false;
     for (name, base_ratio) in base_gates {
         let Some(fresh_ratio) = fresh_gates.get(name) else {
-            println!("  {label} {name}: retired (absent from fresh report)");
+            println!("  gate {name}: retired (absent from fresh report)");
             continue;
         };
         let floor = base_ratio * (1.0 - tolerance);
@@ -89,25 +86,20 @@ fn compare_gates(
             "ok"
         };
         println!(
-            "  {label} {name}: ratio {base_ratio:.2} -> {fresh_ratio:.2} (floor {floor:.2}) {verdict}"
+            "  gate {name}: ratio {base_ratio:.2} -> {fresh_ratio:.2} (floor {floor:.2}) {verdict}"
         );
     }
     for name in fresh_gates.keys().filter(|n| !base_gates.contains_key(*n)) {
-        println!("  {label} {name}: new (absent from baseline)");
+        println!("  gate {name}: new (absent from baseline)");
     }
     failed
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (wallclock_args, shootout_args) = match raw.iter().position(|a| a == "--shootout") {
-        Some(i) => (&raw[..i], Some(&raw[i + 1..])),
-        None => (&raw[..], None),
-    };
-    let mut args = wallclock_args.iter().cloned();
-    let baseline_path = args.next().expect(
-        "usage: bench-trend <baseline.json> [fresh.json] [--shootout <baseline.json> [fresh.json]]",
-    );
+    let mut args = std::env::args().skip(1);
+    let baseline_path = args
+        .next()
+        .expect("usage: bench-trend <baseline.json> [fresh.json]");
     let fresh_path = args
         .next()
         .unwrap_or_else(|| "reports/BENCH_wallclock.json".to_string());
@@ -128,29 +120,7 @@ fn main() -> ExitCode {
     );
 
     println!("bench-trend: {baseline_path} -> {fresh_path} (tolerance {tol_pct:.0}%)");
-    let mut failed = compare_gates("gate", &base_gates, &fresh_gates, tolerance);
-
-    if let Some(shootout) = shootout_args {
-        let mut it = shootout.iter().cloned();
-        let s_base_path = it
-            .next()
-            .expect("--shootout needs a baseline shootout report");
-        let s_fresh_path = it
-            .next()
-            .unwrap_or_else(|| "reports/BENCH_shootout.json".to_string());
-        let s_base = load(&s_base_path);
-        let s_fresh = load(&s_fresh_path);
-        let s_base_gates = gate_ratios(&s_base);
-        let s_fresh_gates = gate_ratios(&s_fresh);
-        assert!(
-            !s_fresh_gates.is_empty(),
-            "bench-trend: {s_fresh_path} has no gates — was the shootout run?"
-        );
-        println!(
-            "bench-trend: {s_base_path} -> {s_fresh_path} (shootout, tolerance {tol_pct:.0}%)"
-        );
-        failed |= compare_gates("shootout", &s_base_gates, &s_fresh_gates, tolerance);
-    }
+    let failed = compare_gates(&base_gates, &fresh_gates, tolerance);
 
     // Raw means are machine-dependent — context for a human reading CI
     // logs, never part of the verdict.
@@ -187,21 +157,21 @@ mod tests {
     fn shared_gate_below_the_floor_fails() {
         let base = gates(&[("g", 2.0)]);
         // Floor is 2.0 * (1 - 0.25) = 1.5.
-        assert!(compare_gates("t", &base, &gates(&[("g", 1.49)]), 0.25));
+        assert!(compare_gates(&base, &gates(&[("g", 1.49)]), 0.25));
     }
 
     #[test]
     fn shared_gate_at_or_above_the_floor_passes() {
         let base = gates(&[("g", 2.0)]);
-        assert!(!compare_gates("t", &base, &gates(&[("g", 1.5)]), 0.25));
-        assert!(!compare_gates("t", &base, &gates(&[("g", 3.0)]), 0.25));
+        assert!(!compare_gates(&base, &gates(&[("g", 1.5)]), 0.25));
+        assert!(!compare_gates(&base, &gates(&[("g", 3.0)]), 0.25));
     }
 
     #[test]
     fn one_sided_gates_never_fail() {
         let base = gates(&[("retired", 5.0), ("shared", 1.0)]);
         let fresh = gates(&[("new", 0.01), ("shared", 1.0)]);
-        assert!(!compare_gates("t", &base, &fresh, 0.25));
-        assert!(!compare_gates("t", &fresh, &base, 0.25));
+        assert!(!compare_gates(&base, &fresh, 0.25));
+        assert!(!compare_gates(&fresh, &base, 0.25));
     }
 }

@@ -5,8 +5,8 @@
 //! Everything needed to regenerate the paper's figures and to measure the
 //! theorem-shaped scaling claims:
 //!
-//! * [`workloads`] — seeded random keys and heaps, and the service call
-//!   mix;
+//! * [`workloads`] — seeded random keys and heaps, the service call mix,
+//!   and the shootout's workload classes and their scripts;
 //! * [`table`] — plain-text table rendering for the `report_*` binaries;
 //! * [`experiments`] — the data behind every experiment in DESIGN.md §4
 //!   (F1–F4 figure reproductions, T1–T3 theorem scalings, A1–A4 ablations),

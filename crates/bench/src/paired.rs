@@ -59,7 +59,7 @@ pub fn interleave(
 /// fails; a margin inside it is `inconclusive` and does not fail the run.
 pub struct Paired {
     /// The gate's name in the report.
-    pub name: &'static str,
+    pub name: String,
     /// Row id of the arm that must be fast.
     pub fast: String,
     /// Row id of the arm it is compared against.
@@ -105,7 +105,7 @@ impl Paired {
             self.name, self.slow, self.fast,
         );
         let row = J::obj([
-            ("name", J::Str(self.name.into())),
+            ("name", J::Str(self.name.clone())),
             ("fast", J::Str(self.fast.clone())),
             ("slow", J::Str(self.slow.clone())),
             ("fast_mean_ns", J::Num(mean(fast))),
@@ -126,7 +126,7 @@ mod tests {
     use super::*;
 
     const GATE: Paired = Paired {
-        name: "synthetic",
+        name: String::new(),
         fast: String::new(),
         slow: String::new(),
         threshold: 2.0,

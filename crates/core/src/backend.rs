@@ -1,14 +1,14 @@
 //! The shootout roster.
 //!
 //! The workspace carries several queue engines behind one [`MeldablePq`]
-//! surface; [`Backend`] lists the ones the shootout benchmark
-//! (`crates/bench/src/bin/shootout.rs`) races: the §3 binomial heap, the
+//! surface; [`Backend`] lists the ones the wall-clock suite's shootout
+//! (`crates/bench/benches/wallclock.rs`) races: the §3 binomial heap, the
 //! baselines PAPER.md §2 names (the CLRS binomial heap it parallelises and
 //! the leftist heap it does not claim to beat) and `std`'s binary heap. The
-//! shootout gates the paper's positioning on them and writes
-//! `reports/BENCH_shootout.json`. Every backend runs the shootout's Dijkstra
-//! class by reinsert-and-skip-stale, the sequential form of the paper's §4
-//! insert-and-orphan `Change-Key`.
+//! shootout gates the paper's positioning on them, with its rows and gates
+//! in `reports/BENCH_wallclock.json`. Every backend runs the shootout's
+//! Dijkstra class by reinsert-and-skip-stale, the sequential form of the
+//! paper's §4 insert-and-orphan `Change-Key`.
 //!
 //! Nothing dispatches on a backend: the service's tenant queues are always
 //! heaps of a shard's [`crate::HeapPool`].

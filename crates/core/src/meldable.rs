@@ -6,8 +6,8 @@
 //! exposes Definition 1 with a different accent — `ParBinomialHeap` plans
 //! its unions on the host, `LazyBinomialHeap` returns `NodeId`s,
 //! [`PramMeasured`] meters every op on the PRAM simulator — so generic
-//! harnesses (the differential fuzzer, the shootout) dispatch over *any*
-//! backend with zero per-engine duplication.
+//! harnesses (the differential fuzzer, the wall-clock suite's shootout)
+//! dispatch over *any* backend with zero per-engine duplication.
 //!
 //! Heaps that share one slab (`HeapPool` handles) are not queues on their
 //! own; a one-heap pool is `ParBinomialHeap`.

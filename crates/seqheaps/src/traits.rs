@@ -10,9 +10,9 @@
 //!
 //! Every baseline in this crate implements [`MeldablePq`] directly. The
 //! parallel and lazy engines in `meldpq` implement it next to their own
-//! types, so generic harnesses (the differential fuzzer, the shootout)
-//! dispatch over any backend through one surface. The trait is object
-//! safe.
+//! types, so generic harnesses (the differential fuzzer, the wall-clock
+//! suite's shootout) dispatch over any backend through one surface. The
+//! trait is object safe.
 
 /// A meldable priority queue: the paper's Definition 1 surface plus the
 /// bulk operations (`Multi-Insert` / `Multi-Extract-Min`) that the batched
